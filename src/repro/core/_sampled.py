@@ -9,17 +9,33 @@ vertex-sampled graphs ``G_i`` (each vertex kept with probability
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import copy
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DomainError, SketchDecodeError, StreamError
+from ..engine.batch import expand_pair_batch, fold_cells, pairs_of_updates
+from ..errors import DomainError, SketchDecodeError
 from ..graph.graph import Graph
 from ..graph.hypergraph import Hypergraph
-from ..sketch.spanning_forest import SpanningForestSketch
-from ..util.hashing import derive_seed, hash64
+from ..sketch.incidence import IncidenceScheme
+from ..sketch.l0 import default_levels
+from ..sketch.spanning_forest import EdgeSpaceCache, SpanningForestSketch
+from ..util.hashing import (
+    _FIELD_TWEAK,
+    derive_seed,
+    field_residue_np,
+    hash64_many,
+    hash64_premixed,
+    premix64_np,
+    splitmix64_np,
+    trailing_zeros64_np,
+)
+from ..util.prime_field import MERSENNE_61, mul_vec_mod
 from ..util.rng import normalize_seed
 from .params import DEFAULT_PARAMS, Params
+
+_P = MERSENNE_61
 
 
 def _strict_decode_unit(sketch):
@@ -34,8 +50,28 @@ def _strict_decode_unit(sketch):
         return None
 
 
+def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR expansion of a nonempty ``counts``: the ``(owner, local)``
+    index pair of each of the ``counts[j]`` rows that ``j`` owns."""
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(counts.size), counts)
+    local = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    return owner, local
+
+
 class SampledForestUnion:
     """R vertex-sampled spanning-forest sketches plus the union decode.
+
+    The counters of all R instances live in **one contiguous int64
+    arena**: the block of instance ``i``'s
+    :class:`~repro.sketch.bank.SamplerGrid` is the slice
+    ``arena[base_i : base_i + 3 · plane_i]`` (live instances in
+    ascending id order, each slice its weight / index-sum /
+    fingerprint planes back to back), adopted zero-copy through the
+    grid's ``block=`` storage seam.  Stream updates fold into the arena
+    through one cross-instance kernel (:meth:`update_batch`);
+    ``sketches[i].update`` — the scalar reference — writes the same
+    pages.
 
     Parameters
     ----------
@@ -71,6 +107,7 @@ class SampledForestUnion:
         self.repetitions = repetitions
         self.seed = normalize_seed(seed)
         self.params = params
+        self.scheme = IncidenceScheme(EdgeSpaceCache.get(n, r))
         # membership[i, v]: is vertex v sampled into G_i?  The paper
         # keeps each vertex with probability 1/k; we use 1/(k+1), which
         # has identical asymptotics (the Lemma 3 bound becomes
@@ -79,27 +116,18 @@ class SampledForestUnion:
         # keeping *every* vertex would mean no sampled graph ever
         # avoids the query set S.  Deterministic keyed hash = the
         # "public coins" of Section 2.
+        vertices = np.arange(n, dtype=np.int64)
         membership = np.zeros((repetitions, n), dtype=bool)
         for i in range(repetitions):
-            s = derive_seed(self.seed, 0xA11, i)
-            for v in range(n):
-                membership[i, v] = hash64(s, v) % (k + 1) == 0
+            membership[i] = hash64_many(
+                derive_seed(self.seed, 0xA11, i), vertices
+            ) % np.uint64(k + 1) == 0
         self.membership = membership
-        self.sketches: Dict[int, SpanningForestSketch] = {}
-        for i in range(repetitions):
-            verts = np.nonzero(membership[i])[0]
-            if verts.size < 2:
-                continue  # no edge can ever land here
-            self.sketches[i] = SpanningForestSketch(
-                n,
-                r=r,
-                seed=derive_seed(self.seed, 0xF03, i),
-                vertices=[int(v) for v in verts],
-                rounds=max(1, int(verts.size).bit_length() + params.rounds_slack),
-                rows=params.rows,
-                buckets=params.buckets,
-            )
+        self._build_arena()
         self._updates = 0
+        #: Incidence-row updates that went through an instance's scalar
+        #: ``update`` instead of the kernel (instances under audit).
+        self.scalar_routed_updates = 0
         self._union_cache: Optional[Hypergraph] = None
         # Per-instance decode cache: an instance's spanning forest only
         # changes when an update is routed to it, so monitoring
@@ -108,21 +136,269 @@ class SampledForestUnion:
         self._forest_cache: Dict[int, Hypergraph] = {}
         self._dirty = set(self.sketches.keys())
 
+    def _build_arena(self) -> None:
+        """Allocate the arena, build the instances on their slices, and
+        concatenate their seeds and offsets for the kernel.
+
+        The kernel addresses a counter by *global group*: instance
+        ``i``'s Borůvka group ``g`` is row ``_group_ptr[i] + g`` of
+        ``_group_seeds`` (column 0 its level seed, columns ``1..rows``
+        its bucket seeds) and of ``_group_base`` (arena offset of the
+        group's first weight counter).  No table here is larger than
+        ``R × n`` words.
+        """
+        params, R = self.params, self.repetitions
+        rows, buckets = params.rows, params.buckets
+        levels = default_levels(self.scheme.dimension)
+        stride = levels * rows * buckets  # counters of one (group, member)
+        sampled = self.membership.sum(axis=1)
+        # An instance with < 2 sampled vertices never sees an edge: it
+        # gets no groups, no slice and no sketch.
+        groups = np.array([
+            max(1, int(m).bit_length() + params.rounds_slack) if m >= 2 else 0
+            for m in sampled
+        ])
+        self._levels, self._member_stride = levels, stride
+        self._groups = groups
+        self._group_ptr = np.cumsum(groups) - groups
+        #: counters in one plane of instance i's block — the distance
+        #: from a weight cell to its index-sum cell, and from there to
+        #: its fingerprint cell
+        self._plane = groups * sampled * stride
+        #: arena offset of instance i's slice (planes w, s, f in order)
+        self._base = 3 * (np.cumsum(self._plane) - self._plane)
+        # np.zeros maps untouched pages: the arena is resident only
+        # where the stream has written.
+        self._arena = np.zeros(3 * int(self._plane.sum()), dtype=np.int64)
+        self._group_seeds = np.zeros((int(groups.sum()), 1 + rows), np.uint64)
+        self._group_base = np.zeros(int(groups.sum()), dtype=np.int64)
+        self._salts = np.zeros((R, levels), dtype=np.uint64)
+        self._rho_seeds = np.zeros((R, 2), dtype=np.uint64)
+        self.sketches: Dict[int, SpanningForestSketch] = {}
+        for i in np.flatnonzero(groups).tolist():
+            sketch = SpanningForestSketch(
+                self.n,
+                r=self.r,
+                seed=derive_seed(self.seed, 0xF03, i),
+                vertices=np.flatnonzero(self.membership[i]).tolist(),
+                rounds=int(groups[i]),
+                rows=rows,
+                buckets=buckets,
+                levels=levels,
+                block=self._arena_slice(i),
+            )
+            self.sketches[i] = sketch
+            grid = sketch.grid
+            at = slice(self._group_ptr[i], self._group_ptr[i] + groups[i])
+            self._group_seeds[at, 0] = grid._level_seeds
+            self._group_seeds[at, 1:] = grid._bucket_seeds
+            self._group_base[at] = self._base[i] + np.arange(groups[i]) * (
+                sampled[i] * stride
+            )
+            self._salts[i] = grid._level_salts
+            self._rho_seeds[i] = (grid._rho.seed, grid._rho.seed ^ _FIELD_TWEAK)
+        # Vertex -> grid member (the rank among the sampled vertices,
+        # which SpanningForestSketch keeps sorted); -1 where unsampled.
+        self._member_lut = np.where(
+            self.membership, np.cumsum(self.membership, axis=1) - 1, -1
+        )
+
+    # -- storage ------------------------------------------------------------
+
+    def _arena_slice(self, i: int) -> np.ndarray:
+        """Instance ``i``'s counter block, as a view of the arena."""
+        lo = int(self._base[i])
+        return self._arena[lo:lo + 3 * int(self._plane[i])]
+
+    def __getstate__(self) -> dict:
+        # The arena travels once; the instances travel as shells whose
+        # grids carry no counters and re-adopt their slices on arrival.
+        state = dict(self.__dict__)
+        shells = {}
+        for i, sketch in self.sketches.items():
+            shell = copy.copy(sketch)
+            shell.grid = copy.copy(sketch.grid)
+            shell.grid._block = np.zeros((3, 0), dtype=np.int64)
+            shells[i] = shell
+        state["sketches"] = shells
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for i, sketch in self.sketches.items():
+            sketch.grid._adopt_block(self._arena_slice(i))
+
     # -- streaming ------------------------------------------------------
 
     def update(self, edge: Sequence[int], sign: int) -> None:
         """Route an edge update to every instance that sampled all its
-        endpoints."""
-        cols = self.membership[:, list(edge)]
-        hit = np.nonzero(cols.all(axis=1))[0]
-        for i in hit:
-            i = int(i)
-            sketch = self.sketches.get(i)
-            if sketch is not None:
-                sketch.update(edge, sign)
-                self._dirty.add(i)
-        self._updates += 1
+        endpoints (:meth:`update_batch` of one)."""
+        self.update_batch([(edge, sign)])
+
+    def update_batch(self, updates: Iterable) -> int:
+        """Apply a batch of signed (hyper)edge updates to all instances.
+
+        ``updates`` yields :class:`~repro.stream.updates.EdgeUpdate`
+        (or ``(edge, sign)`` pairs).  Every event is validated — sign,
+        vertex range, distinctness, rank — before any counter moves, so
+        a rejected batch leaves the structure untouched whether or not
+        some instance sampled the offending edge.  The final state is
+        bit-identical to routing each event through
+        ``sketches[i].update`` of every instance that sampled it.
+        Returns the number of events applied.
+        """
+        updates = updates if isinstance(updates, list) else list(updates)
+        if self.r == 2:
+            pairs = pairs_of_updates(updates)
+            if pairs is not None:
+                return self.update_batch_pairs(*pairs)
+        index: List[int] = []
+        ptr: List[int] = [0]
+        verts: List[int] = []
+        coef: List[int] = []
+        for u in updates:
+            edge, sign = (u.edge, u.sign) if hasattr(u, "edge") else u
+            if sign not in (1, -1):
+                raise DomainError(f"sign must be +1 or -1, got {sign}")
+            index.append(self.scheme.index_of(edge))
+            for vertex, c in self.scheme.coefficients(edge):
+                verts.append(vertex)
+                coef.append(sign * c)
+            ptr.append(len(verts))
+        return self._fold(
+            np.array(index, dtype=np.int64),
+            np.array(ptr, dtype=np.int64),
+            np.array(verts, dtype=np.int64),
+            np.array(coef, dtype=np.int64),
+        )
+
+    def update_batch_pairs(self, us, vs, signs) -> int:
+        """:meth:`update_batch` for rank-2 edges given as parallel arrays
+        (the array form :meth:`SpanningForestSketch.update_batch_pairs`
+        takes)."""
+        # With every vertex "active" as itself, the pair expansion's
+        # members are the endpoints: one validation, one closed-form
+        # coordinate, shared with the per-sketch path.
+        verts, index, coef = expand_pair_batch(
+            self.scheme, np.arange(self.n), us, vs, signs
+        )
+        return self._fold(
+            index[0::2], np.arange(0, verts.size + 1, 2), verts, coef
+        )
+
+    def _fold(self, index, ptr, verts, coef) -> int:
+        """Route validated edges to their instances and fold them in.
+
+        Edge ``e`` has coordinate ``index[e]`` and incidence rows
+        ``ptr[e]:ptr[e+1]`` of ``(verts, coef)`` — vertex and signed
+        coefficient, the minimum vertex first.
+        """
+        events = index.size
+        if events == 0:
+            return 0
+        self._updates += events
         self._union_cache = None
+        width = np.diff(ptr)
+        hit = np.logical_and.reduceat(
+            self.membership[:, verts], ptr[:-1], axis=1
+        )
+        i_p, e_p = np.nonzero(hit)  # (instance, edge) pairs, i_p ascending
+        if i_p.size:
+            kernel = self._account(i_p, e_p, ptr, verts, coef, width)
+            if kernel.any():
+                self._fold_pairs(
+                    i_p[kernel], e_p[kernel], index, ptr, verts, coef, width
+                )
+        return events
+
+    def _account(self, i_p, e_p, ptr, verts, coef, width) -> np.ndarray:
+        """Per hit instance, the bookkeeping its scalar ``update`` does.
+
+        Marks the instance dirty, counts its incidence rows and bumps
+        the member epochs a summed cache watches.  An instance under
+        audit stays on its scalar ``update`` — its digest observes each
+        event's cell set, which the fold does not produce — and its rows
+        are counted in ``scalar_routed_updates``.  Returns the mask of
+        pairs left for the kernel.
+        """
+        insts, first = np.unique(i_p, return_index=True)
+        last = np.r_[first[1:], i_p.size]
+        rows_in = np.add.reduceat(width[e_p], first)
+        kernel = np.ones(i_p.size, dtype=bool)
+        for i, lo, hi, nrows in zip(
+            insts.tolist(), first.tolist(), last.tolist(), rows_in.tolist()
+        ):
+            self._dirty.add(i)
+            sketch = self.sketches[i]
+            grid = sketch.grid
+            if grid._digest is not None:
+                kernel[lo:hi] = False
+                self.scalar_routed_updates += nrows
+                for e in e_p[lo:hi].tolist():
+                    at = slice(ptr[e], ptr[e + 1])
+                    # every coefficient but the first is -sign
+                    sketch.update(verts[at].tolist(), -int(coef[at][1]))
+                continue
+            grid._updates += nrows
+            if grid._summed_cache is not None:
+                owner, local = _expand(width[e_p[lo:hi]])
+                touched = verts[ptr[e_p[lo:hi]][owner] + local]
+                grid._touch_members(np.unique(self._member_lut[i, touched]))
+        return kernel
+
+    def _fold_pairs(self, i_p, e_p, index, ptr, verts, coef, width) -> None:
+        """The cross-instance kernel: (instance, edge) pairs → arena.
+
+        Three CSR expansions take the pairs to counter cells: a pair →
+        its instance's Borůvka groups; a group → the levels
+        ``0..depth`` the coordinate survives to; a level → the edge's
+        incidence rows.  The coordinate is mixed once per edge and
+        hashed once per (pair, group) under the concatenated
+        level/bucket seeds — not once per endpoint, as the scalar route
+        does — and every cell of every instance goes through one
+        :func:`~repro.engine.batch.fold_cells`.
+        """
+        rows, buckets = self.params.rows, self.params.buckets
+        mixed = premix64_np(index)[e_p]
+        width = width[e_p]
+        # (pair, group): one level hash and `rows` bucket hashes.
+        p_q, g_q = _expand(self._groups[i_p])
+        group = self._group_ptr[i_p][p_q] + g_q
+        h = hash64_premixed(self._group_seeds[group], mixed[p_q][:, None])
+        depth = np.minimum(trailing_zeros64_np(h[:, 0]), self._levels - 1)
+        # (pair, group, level): the in-member cell offset per row.
+        q_t, lvl = _expand(depth + 1)
+        p_t = p_q[q_t]
+        bucket = splitmix64_np(
+            h[q_t, 1:] ^ self._salts[i_p[p_t], lvl][:, None]
+        ) % np.uint64(buckets)
+        cell = (
+            lvl[:, None] * rows + np.arange(rows)
+        ) * buckets + bucket.astype(np.int64)
+        # (pair, incidence row): member, delta and the two residues.
+        p_u, c_u = _expand(width)
+        v_u = ptr[e_p][p_u] + c_u
+        i_u = i_p[p_u]
+        delta = coef[v_u]
+        d_mod = delta % _P
+        cs = mul_vec_mod(d_mod, index[e_p][p_u] % _P)
+        rho = hash64_premixed(self._rho_seeds[i_p], mixed[:, None])
+        cf = mul_vec_mod(
+            d_mod, field_residue_np(rho[:, 0], rho[:, 1], _P)[p_u]
+        )
+        member_at = self._member_lut[i_u, verts[v_u]] * self._member_stride
+        # (pair, group, level, incidence row) x rows: the cells touched.
+        t_x, c_x = _expand(width[p_t])
+        u_x = (np.cumsum(width) - width)[p_t][t_x] + c_x
+        flat = (
+            (self._group_base[group][q_t][t_x] + member_at[u_x])[:, None]
+            + cell[t_x]
+        ).reshape(-1)
+        u_n = np.repeat(u_x, rows)
+        fold_cells(
+            (self._arena,) * 3, flat, delta[u_n], cs[u_n], cf[u_n],
+            plane_shift=self._plane[i_u][u_n],
+        )
 
     def insert(self, edge: Sequence[int]) -> None:
         """Stream insertion of a (hyper)edge."""

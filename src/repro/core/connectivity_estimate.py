@@ -78,6 +78,12 @@ class KVertexConnectivityTester:
         """Signed stream update."""
         self._union.update(edge, sign)
 
+    def update_batch(self, updates) -> int:
+        """Apply a batch of signed updates (``EdgeUpdate`` or
+        ``(edge, sign)``) through the union's one kernel; see
+        :meth:`SampledForestUnion.update_batch`."""
+        return self._union.update_batch(updates)
+
     # -- queries ------------------------------------------------------------
 
     def certificate(self) -> Graph:
@@ -111,6 +117,12 @@ class KVertexConnectivityTester:
     def space_bytes(self) -> int:
         """Bytes of sketch state."""
         return self._union.space_bytes()
+
+    @property
+    def scalar_routed_updates(self) -> int:
+        """Incidence-row updates that audited instances took through
+        their scalar ``update`` instead of the union kernel."""
+        return self._union.scalar_routed_updates
 
 
 class VertexConnectivityEstimator:
@@ -170,6 +182,13 @@ class VertexConnectivityEstimator:
         for t in self.testers:
             t.update(edge, sign)
 
+    def update_batch(self, updates) -> int:
+        """Apply a batch of signed updates to every ladder tester."""
+        updates = updates if isinstance(updates, list) else list(updates)
+        for t in self.testers:
+            t.update_batch(updates)
+        return len(updates)
+
     def estimate(self) -> int:
         """The largest ladder k whose tester accepts (0 if none).
 
@@ -189,3 +208,8 @@ class VertexConnectivityEstimator:
     def space_bytes(self) -> int:
         """Bytes across the ladder."""
         return sum(t.space_bytes() for t in self.testers)
+
+    @property
+    def scalar_routed_updates(self) -> int:
+        """Scalar-routed incidence rows across the ladder."""
+        return sum(t.scalar_routed_updates for t in self.testers)

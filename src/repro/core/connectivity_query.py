@@ -84,6 +84,12 @@ class VertexConnectivityQuerySketch:
         """Signed stream update (+1 insert, -1 delete)."""
         self._union.update(edge, sign)
 
+    def update_batch(self, updates) -> int:
+        """Apply a batch of signed updates (``EdgeUpdate`` or
+        ``(edge, sign)``) through the union's one kernel; see
+        :meth:`SampledForestUnion.update_batch`."""
+        return self._union.update_batch(updates)
+
     # -- queries ------------------------------------------------------------
 
     def certificate(self):
@@ -225,3 +231,9 @@ class VertexConnectivityQuerySketch:
     def space_bytes(self) -> int:
         """Bytes of sketch state."""
         return self._union.space_bytes()
+
+    @property
+    def scalar_routed_updates(self) -> int:
+        """Incidence-row updates that audited instances took through
+        their scalar ``update`` instead of the union kernel."""
+        return self._union.scalar_routed_updates

@@ -137,6 +137,12 @@ class HypergraphKVertexConnectivityTester:
         """Signed stream update."""
         self._union.update(edge, sign)
 
+    def update_batch(self, updates) -> int:
+        """Apply a batch of signed updates (``EdgeUpdate`` or
+        ``(edge, sign)``) through the union's one kernel; see
+        :meth:`SampledForestUnion.update_batch`."""
+        return self._union.update_batch(updates)
+
     def certificate(self) -> Hypergraph:
         """The union certificate H (a sub-hypergraph of G)."""
         return self._union.decode_union()
@@ -162,6 +168,12 @@ class HypergraphKVertexConnectivityTester:
     def space_bytes(self) -> int:
         """Bytes of sketch state."""
         return self._union.space_bytes()
+
+    @property
+    def scalar_routed_updates(self) -> int:
+        """Incidence-row updates that audited instances took through
+        their scalar ``update`` instead of the union kernel."""
+        return self._union.scalar_routed_updates
 
 
 class HypergraphVertexConnectivityQuerySketch(VertexConnectivityQuerySketch):

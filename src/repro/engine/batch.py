@@ -180,25 +180,16 @@ def _grid_update_batch_grouped(
             flat = ((base + r) * buckets + b)[mask]
             if flat.size == 0:
                 continue
-            order = np.argsort(flat, kind="stable")
-            sorted_cells = flat[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-            )
-            cells = sorted_cells[starts]
             # Row indices of each surviving (update, level) pair, for
             # gathering the per-update contribution arrays.
             src = np.broadcast_to(
                 np.arange(m.size, dtype=np.int64)[:, None], mask.shape
             )[mask]
-            dw = np.add.reduceat(d[src[order]], starts)
-            w_flat[cells] += dw
-            cs_contrib = segment_sum_mod(cs[src], order, starts)
-            cf_contrib = segment_sum_mod(cf[src], order, starts)
-            scatter_add_mod(s_flat, cells, cs_contrib)
-            scatter_add_mod(f_flat, cells, cf_contrib)
+            folded = fold_cells(
+                (w_flat, s_flat, f_flat), flat, d[src], cs[src], cf[src]
+            )
             if digest is not None:
-                digest.observe_cells(g, r, cells, dw, cs_contrib, cf_contrib)
+                digest.observe_cells(g, r, *folded)
     return int(m.size)
 
 
@@ -246,6 +237,60 @@ def _as_halves(values):
     )
 
 
+def fold_cells(planes, flat, d, cs, cf, halves=None, plane_shift=None):
+    """Fold per-entry contributions into their destination cells.
+
+    The one exact/mod-p segment fold behind every batch kernel, the
+    grid kernels here and the cross-instance kernel of
+    :class:`~repro.core._sampled.SampledForestUnion`.  ``flat`` names
+    each entry's cell as an offset into the flat weight plane; ``d`` /
+    ``cs`` / ``cf`` are the entries' exact weight deltas and canonical
+    index-sum / fingerprint residues.  Entries are grouped by cell —
+    ``argsort`` + ``reduceat`` segment sums, or the sort-free dense
+    ``np.bincount`` fold when the caller supplies the pre-split
+    ``halves`` of ``(d, cs, cf)`` — and each distinct cell receives
+    exactly one scatter per plane, so the result is bit-identical to
+    applying the entries one at a time in any order.
+
+    ``planes`` is the ``(w, s, f)`` triple of flat counter arrays.  A
+    cell sits at the same offset in all three unless ``plane_shift``
+    (sorted fold only) gives, per entry, the distance from its weight
+    cell to its index-sum cell and from there to its fingerprint cell
+    — the layout of instance blocks packed one after another in a
+    single arena, where all three planes are the same array.
+
+    Returns ``(cells, dw, cs_contrib, cf_contrib)``: the distinct
+    weight-plane cells in ascending order and the folded delta each
+    received (what :meth:`GridDigest.observe_cells` consumes).
+    """
+    w_plane, s_plane, f_plane = planes
+    if halves is not None:
+        cells, dw, cs_contrib, cf_contrib = _cell_sums_bincount(
+            flat, w_plane.size, *halves
+        )
+        s_cells = f_cells = cells
+    else:
+        order = np.argsort(flat, kind="stable")
+        sorted_cells = flat[order]
+        starts = np.flatnonzero(
+            np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
+        )
+        cells = sorted_cells[starts]
+        dw = np.add.reduceat(d[order], starts)
+        cs_contrib = segment_sum_mod(cs, order, starts)
+        cf_contrib = segment_sum_mod(cf, order, starts)
+        if plane_shift is None:
+            s_cells = f_cells = cells
+        else:
+            shift = plane_shift[order[starts]]
+            s_cells = cells + shift
+            f_cells = s_cells + shift
+    w_plane[cells] += dw
+    scatter_add_mod(s_plane, s_cells, cs_contrib)
+    scatter_add_mod(f_plane, f_cells, cf_contrib)
+    return cells, dw, cs_contrib, cf_contrib
+
+
 def _grid_update_batch_cached(
     grid, cache, m, idx, d, cs, cf, digest, w3, s3, f3
 ) -> int:
@@ -282,32 +327,19 @@ def _grid_update_batch_cached(
         cf_pairs = cf[src]
         w_flat, s_flat, f_flat = w3[g], s3[g], f3[g]
         off_g = cache.off[g]
-        dense = w_flat.size <= 8 * src.size
-        if dense:
-            d_halves = _as_halves(d_pairs)
-            cs_halves = _as_halves(cs_pairs)
-            cf_halves = _as_halves(cf_pairs)
+        halves = (
+            (_as_halves(d_pairs), _as_halves(cs_pairs), _as_halves(cf_pairs))
+            if w_flat.size <= 8 * src.size
+            else None
+        )
         for r in range(rows):
             flat = base + off_g[r][key]
-            if dense:
-                cells, dw, cs_contrib, cf_contrib = _cell_sums_bincount(
-                    flat, w_flat.size, d_halves, cs_halves, cf_halves
-                )
-            else:
-                order = np.argsort(flat, kind="stable")
-                sorted_cells = flat[order]
-                starts = np.flatnonzero(
-                    np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-                )
-                cells = sorted_cells[starts]
-                dw = np.add.reduceat(d_pairs[order], starts)
-                cs_contrib = segment_sum_mod(cs_pairs, order, starts)
-                cf_contrib = segment_sum_mod(cf_pairs, order, starts)
-            w_flat[cells] += dw
-            scatter_add_mod(s_flat, cells, cs_contrib)
-            scatter_add_mod(f_flat, cells, cf_contrib)
+            folded = fold_cells(
+                (w_flat, s_flat, f_flat), flat, d_pairs, cs_pairs, cf_pairs,
+                halves=halves,
+            )
             if digest is not None:
-                digest.observe_cells(g, r, cells, dw, cs_contrib, cf_contrib)
+                digest.observe_cells(g, r, *folded)
     return int(m.size)
 
 
@@ -357,14 +389,12 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> int:
     d_pairs = d[u_p]
     cs_pairs = cs[u_p]
     cf_pairs = cf[u_p]
-    w_plane = grid._w.reshape(-1)
-    s_plane = grid._s.reshape(-1)
-    f_plane = grid._f.reshape(-1)
-    dense = w_plane.size <= 8 * total
-    if dense:
-        d_halves = _as_halves(d_pairs)
-        cs_halves = _as_halves(cs_pairs)
-        cf_halves = _as_halves(cf_pairs)
+    planes = (grid._w.reshape(-1), grid._s.reshape(-1), grid._f.reshape(-1))
+    halves = (
+        (_as_halves(d_pairs), _as_halves(cs_pairs), _as_halves(cf_pairs))
+        if planes[0].size <= 8 * total
+        else None
+    )
     member_stride = levels * rows * buckets
     full_tables = cache is not None and cache.off is not None
     if full_tables:
@@ -390,23 +420,7 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> int:
                     % np.uint64(buckets)
                 ).astype(np.int64)
             flat = (cell_base + r) * buckets + b
-        if dense:
-            cells, dw, cs_contrib, cf_contrib = _cell_sums_bincount(
-                flat, w_plane.size, d_halves, cs_halves, cf_halves
-            )
-        else:
-            order = np.argsort(flat, kind="stable")
-            sorted_cells = flat[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-            )
-            cells = sorted_cells[starts]
-            dw = np.add.reduceat(d_pairs[order], starts)
-            cs_contrib = segment_sum_mod(cs_pairs, order, starts)
-            cf_contrib = segment_sum_mod(cf_pairs, order, starts)
-        w_plane[cells] += dw
-        scatter_add_mod(s_plane, cells, cs_contrib)
-        scatter_add_mod(f_plane, cells, cf_contrib)
+        fold_cells(planes, flat, d_pairs, cs_pairs, cf_pairs, halves=halves)
     return int(m.size)
 
 
@@ -444,6 +458,36 @@ def expand_edge_batch(
         np.array(indices, dtype=np.int64),
         np.array(deltas, dtype=np.int64),
     )
+
+
+def pairs_of_updates(updates: Sequence):
+    """Extract ``(us, vs, signs)`` arrays from a rank-2 update batch.
+
+    Returns None when any event is not a plain 2-vertex edge, in which
+    case the caller's generic per-event expansion runs (preserving its
+    exact validation errors for malformed input).  The pair path is
+    bit-identical to the generic one — see :func:`expand_pair_batch`.
+    """
+    us: list = []
+    vs: list = []
+    signs: list = []
+    for u in updates:
+        edge, sign = (u.edge, u.sign) if hasattr(u, "edge") else u
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            return None
+        us.append(a)
+        vs.append(b)
+        signs.append(sign)
+    try:
+        return (
+            np.array(us, dtype=np.int64),
+            np.array(vs, dtype=np.int64),
+            np.array(signs, dtype=np.int64),
+        )
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def expand_pair_batch(

@@ -156,11 +156,12 @@ class ShardedIngestEngine:
             raise EngineError(f"engine needs shards >= 1, got {shards}")
         if batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {batch_size}")
-        if not hasattr(prototype, "update_batch"):
-            raise EngineError(
-                f"{type(prototype).__name__} has no update_batch(); "
-                "register an edge-level streaming sketch"
-            )
+        for needed in ("update_batch", "copy", "__iadd__"):
+            if not hasattr(prototype, needed):
+                raise EngineError(
+                    f"{type(prototype).__name__} has no {needed}(); "
+                    "register an edge-level streaming sketch"
+                )
         self.prototype = prototype
         self.shards = shards
         self.batch_size = batch_size

@@ -328,6 +328,15 @@ class SamplerGrid:
     levels / max_support:
         Subsampling depth; ``max_support`` (a bound on any sketched
         vector's support, e.g. max degree) shrinks the depth.
+    block:
+        Caller-owned storage for the counters: a C-contiguous ``int64``
+        array of exactly :meth:`space_counters` elements, adopted as the
+        grid's ``_block`` without copying (its current contents become
+        the grid's counters).  A composite that lays many grids in one
+        arena passes each its slice; a grid on borrowed storage refuses
+        :meth:`to_shared` / :meth:`attach_shared` /
+        :meth:`release_shared`, which would rebind it away from the
+        arena.  Default: a private zeroed block.
     """
 
     def __init__(
@@ -340,6 +349,7 @@ class SamplerGrid:
         buckets: int = 8,
         levels: Optional[int] = None,
         max_support: Optional[int] = None,
+        block: Optional[np.ndarray] = None,
     ):
         if groups < 1 or members < 1 or domain < 1:
             raise IncompatibleSketchError(
@@ -358,11 +368,14 @@ class SamplerGrid:
         #: ``_w`` / ``_s`` / ``_f`` are views into it (see
         #: :meth:`_bind_views`); the block itself may live in a named
         #: shared-memory segment (:meth:`to_shared`).
-        shape = (groups, members, self.levels, rows, buckets)
-        self._block = np.zeros((3,) + shape, dtype=np.int64)
         self._shm = None
         self._shm_name = None
-        self._bind_views()
+        if block is None:
+            self._block = np.zeros(self._block_shape(), dtype=np.int64)
+            self._borrowed = False
+            self._bind_views()
+        else:
+            self._adopt_block(block)
         self._level_seeds = [derive_seed(self.seed, 1, g) for g in range(groups)]
         self._bucket_seeds = [
             [derive_seed(self.seed, 2, g, r) for r in range(rows)]
@@ -400,6 +413,34 @@ class SamplerGrid:
 
     # -- storage (SoA block, shared-memory backing) ----------------------
 
+    def _block_shape(self) -> Tuple[int, ...]:
+        return (3, self.groups, self.members, self.levels, self.rows,
+                self.buckets)
+
+    def _adopt_block(self, block: np.ndarray) -> None:
+        """Bind the counters onto caller-owned storage, zero-copy."""
+        shape = self._block_shape()
+        if (
+            block.dtype != np.int64
+            or not block.flags.c_contiguous
+            or block.size != self.space_counters()
+        ):
+            raise IncompatibleSketchError(
+                f"grid needs a C-contiguous int64 block of "
+                f"{self.space_counters()} counters, got {block.dtype} x "
+                f"{block.size}"
+            )
+        self._block = block.reshape(shape)
+        self._borrowed = True
+        self._bind_views()
+
+    def _refuse_if_borrowed(self, what: str) -> None:
+        if self._borrowed:
+            raise EngineError(
+                f"cannot {what}: the grid's counters are a slice of an "
+                "arena its owner updates in place; copy() the grid first"
+            )
+
     def _bind_views(self) -> None:
         """(Re)derive the ``_w`` / ``_s`` / ``_f`` plane views."""
         self._w = self._block[0]
@@ -422,6 +463,7 @@ class SamplerGrid:
         """
         from .shm import create_segment
 
+        self._refuse_if_borrowed("move the counter block to shared memory")
         if self._shm is not None:
             return self._shm_name
         shm = create_segment(self._block.nbytes, name=name)
@@ -445,6 +487,7 @@ class SamplerGrid:
         """
         from .shm import attach_segment, close_segment
 
+        self._refuse_if_borrowed("attach a shared segment")
         shm = attach_segment(name)
         if shm.size < self._block.nbytes:
             close_segment(shm)
@@ -472,6 +515,7 @@ class SamplerGrid:
         """
         from .shm import close_segment
 
+        self._refuse_if_borrowed("release a shared segment")
         if self._shm is None:
             return
         shm = self._shm
@@ -498,6 +542,8 @@ class SamplerGrid:
             state["_block"] = np.array(self._block)
         state["_shm"] = None
         state["_shm_name"] = None
+        # A borrowed block pickles as its own bytes: the copy is private.
+        state["_borrowed"] = False
         state["_hash_cache"] = None
         state["_summed_cache"] = None
         state["_member_epoch"] = None
@@ -740,6 +786,7 @@ class SamplerGrid:
         out._block = np.array(self._block)
         out._shm = None
         out._shm_name = None
+        out._borrowed = False
         out._bind_views()
         out._digest = None if self._digest is None else self._digest.copy()
         # A copy diverges from the original immediately; sharing a

@@ -62,6 +62,9 @@ class SpanningForestSketch:
         Number of independent Borůvka groups.
     rows, buckets, levels:
         L0 sampler geometry (see :mod:`repro.sketch.bank`).
+    block:
+        Caller-owned counter storage, handed to
+        :class:`~repro.sketch.bank.SamplerGrid` (``block=``) as is.
     """
 
     def __init__(
@@ -74,6 +77,7 @@ class SpanningForestSketch:
         rows: int = 2,
         buckets: int = 8,
         levels: Optional[int] = None,
+        block=None,
     ):
         self.scheme = IncidenceScheme(EdgeSpaceCache.get(n, r))
         self.n = n
@@ -97,6 +101,7 @@ class SpanningForestSketch:
             rows=rows,
             buckets=buckets,
             levels=levels,
+            block=block,
         )
 
     # -- streaming ------------------------------------------------------
@@ -129,57 +134,19 @@ class SpanningForestSketch:
         faster on heavy streams.  Returns the number of incidence-row
         updates applied.
         """
-        from ..engine.batch import expand_edge_batch
+        from ..engine.batch import expand_edge_batch, pairs_of_updates
 
         if self.r == 2:
             # Materialise once: the fast-path probe must not consume a
             # one-shot iterator the generic fallback still needs.
             updates = updates if isinstance(updates, list) else list(updates)
-            fast = self._pairs_of(updates)
+            fast = pairs_of_updates(updates)
             if fast is not None:
                 return self.update_batch_pairs(*fast)
         members, indices, deltas = expand_edge_batch(
             self.scheme, self._member_of, updates
         )
         return self.grid.update_batch(members, indices, deltas)
-
-    def _pairs_of(self, updates):
-        """Extract (us, vs, signs) arrays from a rank-2 update batch.
-
-        Returns None when any event is not a plain 2-vertex edge, in
-        which case the generic per-event expansion runs (preserving its
-        exact validation errors for malformed input).  The pair path is
-        bit-identical to the generic one — see
-        :func:`repro.engine.batch.expand_pair_batch`.
-        """
-        import numpy as np
-
-        us: list = []
-        vs: list = []
-        signs: list = []
-        for u in updates:
-            edge, sign = (u.edge, u.sign) if hasattr(u, "edge") else u
-            try:
-                a, b = edge
-            except (TypeError, ValueError):
-                return None
-            us.append(a)
-            vs.append(b)
-            signs.append(sign)
-        if not us:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        try:
-            return (
-                np.array(us, dtype=np.int64),
-                np.array(vs, dtype=np.int64),
-                np.array(signs, dtype=np.int64),
-            )
-        except (TypeError, ValueError, OverflowError):
-            return None
 
     def _member_lut(self):
         """Vertex-id -> member numpy lookup table (-1 = inactive)."""

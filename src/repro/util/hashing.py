@@ -99,20 +99,56 @@ def hash64_many(seed: int, values: np.ndarray) -> np.ndarray:
         return splitmix64_np(_U64(seed & _MASK64) ^ v)
 
 
+def premix64_np(values: np.ndarray) -> np.ndarray:
+    """The value-side round of :func:`hash64`, once per value.
+
+    ``hash64(seed, value)`` is ``splitmix64(seed ^ splitmix64(value))``;
+    the inner round does not depend on the seed, so a value that meets
+    many seeds — one stream update fanned into a bank of independently
+    seeded sketches — pays it once and finishes each hash with
+    :func:`hash64_premixed`.
+    """
+    return splitmix64_np(values.astype(_U64))
+
+
+def hash64_premixed(seeds: np.ndarray, premixed: np.ndarray) -> np.ndarray:
+    """Finish :func:`hash64` for broadcast-compatible seeds × values.
+
+    ``premixed`` is :func:`premix64_np` of the values; the result at
+    every broadcast position is bit-identical to the scalar
+    ``hash64(seed, value)``.  The seeds × values sibling of
+    :func:`hash64_np` (many seeds, one value) and :func:`hash64_many`
+    (one seed, many values).
+    """
+    return splitmix64_np(seeds ^ premixed)
+
+
+def field_residue_np(hi: np.ndarray, lo: np.ndarray, p: int) -> np.ndarray:
+    """``((hi << 64) | lo) % p`` on ``uint64`` arrays, for ``p = 2^61 - 1``.
+
+    The reduction step of :meth:`HashFamily.field_value`, bit-for-bit,
+    using ``2^64 ≡ 8 (mod p)``.
+    """
+    pv = np.uint64(p)
+    with np.errstate(over="ignore"):
+        return (
+            ((hi % pv) * np.uint64((1 << 64) % p)) % pv + lo % pv
+        ) % pv
+
+
 def field_value_many(seed: int, values: np.ndarray, p: int) -> np.ndarray:
     """Vectorised :meth:`HashFamily.field_value` over an array of inputs.
 
     Matches the scalar ``((hi << 64) | lo) % p`` bit-for-bit for the
-    Mersenne prime ``p = 2^61 - 1`` using ``2^64 ≡ 8 (mod p)``.  This
-    is the fingerprint primitive of both the batched update kernel
-    (:mod:`repro.engine.batch`) and the batched decode kernels
-    (:mod:`repro.sketch.bank`).
+    Mersenne prime ``p = 2^61 - 1``.  This is the fingerprint primitive
+    of both the batched update kernel (:mod:`repro.engine.batch`) and
+    the batched decode kernels (:mod:`repro.sketch.bank`).
     """
-    pv = np.uint64(p)
-    hi = hash64_many(seed, values) % pv
-    lo = hash64_many(seed ^ _FIELD_TWEAK, values) % pv
-    with np.errstate(over="ignore"):
-        return (((hi * np.uint64((1 << 64) % p)) % pv + lo) % pv).astype(np.int64)
+    return field_residue_np(
+        hash64_many(seed, values),
+        hash64_many(seed ^ _FIELD_TWEAK, values),
+        p,
+    ).astype(np.int64)
 
 
 def trailing_zeros64_np(x: np.ndarray) -> np.ndarray:

@@ -214,3 +214,64 @@ class TestIterEventBatches:
     def test_bad_batch_size(self):
         with pytest.raises(DomainError):
             list(iter_event_batches(range(3), 0))
+
+
+class TestFoldCells:
+    """The fold shared by the grid kernels and the union kernel, against
+    a per-entry Python reference."""
+
+    P = 2**61 - 1
+
+    def entries(self, seed, cells, size):
+        rng = np.random.default_rng(seed)
+        flat = rng.integers(0, cells, size=size).astype(np.int64)
+        d = rng.integers(-3, 4, size=size).astype(np.int64)
+        cs = rng.integers(0, self.P, size=size).astype(np.int64)
+        cf = rng.integers(0, self.P, size=size).astype(np.int64)
+        return flat, d, cs, cf
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_separate_planes_match_entrywise(self, seed):
+        from repro.engine.batch import _as_halves, fold_cells
+
+        flat, d, cs, cf = self.entries(seed, cells=40, size=300)
+        want = [np.zeros(40, dtype=np.int64) for _ in range(3)]
+        for c, dd, a, b in zip(flat, d, cs, cf):
+            want[0][c] += dd
+            want[1][c] = (int(want[1][c]) + int(a)) % self.P
+            want[2][c] = (int(want[2][c]) + int(b)) % self.P
+        for halves in (None, (_as_halves(d), _as_halves(cs), _as_halves(cf))):
+            planes = tuple(np.zeros(40, dtype=np.int64) for _ in range(3))
+            cells, dw, ds, df = fold_cells(
+                planes, flat, d, cs, cf, halves=halves
+            )
+            for got, exp in zip(planes, want):
+                assert np.array_equal(got, exp)
+            assert np.array_equal(cells, np.unique(flat))
+            assert np.array_equal(dw, want[0][cells])
+            assert np.array_equal(ds, want[1][cells])
+            assert np.array_equal(df, want[2][cells])
+
+    def test_plane_shift_addresses_packed_blocks(self):
+        """Two blocks of different plane sizes packed in one arena: each
+        entry's s and f cells sit one and two plane lengths past its
+        weight cell."""
+        from repro.engine.batch import fold_cells
+
+        planes_of = np.array([5, 9])
+        bases = np.array([0, 15])
+        rng = np.random.default_rng(3)
+        block = rng.integers(0, 2, size=200)
+        local = rng.integers(0, planes_of[block])
+        flat = (bases[block] + local).astype(np.int64)
+        _, d, cs, cf = self.entries(4, cells=1, size=200)
+        arena = np.zeros(15 + 27, dtype=np.int64)
+        want = arena.copy()
+        for c, sh, dd, a, b in zip(flat, planes_of[block], d, cs, cf):
+            want[c] += dd
+            want[c + sh] = (int(want[c + sh]) + int(a)) % self.P
+            want[c + 2 * sh] = (int(want[c + 2 * sh]) + int(b)) % self.P
+        fold_cells(
+            (arena,) * 3, flat, d, cs, cf, plane_shift=planes_of[block]
+        )
+        assert np.array_equal(arena, want)

@@ -87,6 +87,51 @@ class TestBenchSmoke:
             set_fused_kernel(prev_fused)
         assert dump_sketch(modern) == dump_sketch(legacy)
 
+    def test_smoke_union_kernel_speedup_gate(self):
+        """Tier-1 gate for the Theorem 4 ingest path: one edge through
+        ``SampledForestUnion.update`` (one cross-instance fold into the
+        arena) must stay >= 2x the route it replaced — each hit
+        instance's scalar ``update`` — and byte-identical to it.  The
+        measured ratio at this size is ~5x; 2x leaves room for a noisy
+        box while still catching a fall back to per-instance work.
+        """
+        import time
+
+        import numpy as np
+
+        from repro.core._sampled import SampledForestUnion
+
+        def best_seconds(apply, union, edges):
+            best = float("inf")
+            for sign in (1, -1, 1, -1, 1):
+                start = time.perf_counter()
+                for edge in edges:
+                    apply(union, edge, sign)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        def scalar_route(union, edge, sign):
+            hit = np.flatnonzero(union.membership[:, list(edge)].all(axis=1))
+            for i in hit.tolist():
+                union.sketches[i].update(edge, sign)
+
+        rng = np.random.default_rng(7)
+        edges = [
+            tuple(int(v) for v in rng.choice(64, size=2, replace=False))
+            for _ in range(6)  # few: a first touch of the arena is a page fault
+        ]
+        kernel = SampledForestUnion(64, k=2, repetitions=113, seed=2)
+        scalar = SampledForestUnion(64, k=2, repetitions=113, seed=2)
+        t_scalar = best_seconds(scalar_route, scalar, edges)
+        t_kernel = best_seconds(SampledForestUnion.update, kernel, edges)
+        assert np.array_equal(kernel._arena, scalar._arena)
+        assert kernel.scalar_routed_updates == 0
+        assert t_scalar / t_kernel >= 2.0, (
+            f"union kernel {t_scalar / t_kernel:.2f}x the per-instance "
+            "scalar route at n=64, k=2 — the cross-instance fold lost its "
+            "headroom over the 3x benchmark claim"
+        )
+
     @pytest.mark.faults
     def test_smoke_recovery_comparison(self):
         r = recovery_comparison(24, p=0.15, seed=2, shards=2, batch_size=16)

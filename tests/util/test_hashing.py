@@ -38,6 +38,30 @@ class TestHash64:
         for s, o in zip(seeds.tolist(), out.tolist()):
             assert H.hash64(int(s), 12345) == int(o)
 
+    def test_premixed_seeds_by_values_matches_scalar(self):
+        """The seeds x values sibling: every broadcast position equals
+        the scalar ``hash64(seed, value)``."""
+        seeds = np.array([[3, 5], [2**60, 2**64 - 1], [0, 7]], dtype=np.uint64)
+        values = np.array([0, 12345, 2**61 - 2], dtype=np.int64)
+        out = H.hash64_premixed(seeds, H.premix64_np(values)[:, None])
+        for i, v in enumerate(values.tolist()):
+            for j in range(seeds.shape[1]):
+                assert H.hash64(int(seeds[i, j]), v) == int(out[i, j])
+        # ...and one value under many seeds is hash64_np.
+        many = H.hash64_premixed(seeds[:, 0], H.premix64_np(values[1:2]))
+        assert many.tolist() == H.hash64_np(seeds[:, 0], 12345).tolist()
+
+    def test_field_residue_matches_field_value(self):
+        p = 2**61 - 1
+        values = np.array([0, 1, 99, 2**40 + 3], dtype=np.int64)
+        for seed in (1, 2**63 + 5):
+            fam = H.HashFamily(seed)
+            seeds = np.array([seed, seed ^ H._FIELD_TWEAK], dtype=np.uint64)
+            h = H.hash64_premixed(seeds, H.premix64_np(values)[:, None])
+            got = H.field_residue_np(h[:, 0], h[:, 1], p)
+            assert got.tolist() == [fam.field_value(v, p) for v in values.tolist()]
+            assert got.tolist() == H.field_value_many(seed, values, p).tolist()
+
     def test_pair_hash_order_matters(self):
         assert H.hash64_pair(7, 1, 2) != H.hash64_pair(7, 2, 1)
 
