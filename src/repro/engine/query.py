@@ -34,7 +34,7 @@ import multiprocessing as mp
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -61,6 +61,12 @@ class QueryMetrics:
     ``scalar_queries`` through ``SummedSketch.sample``), candidate
     cells pushed through the verification kernel, kernel vs scalar
     wall time, summed-cache hit rates, and executor fan-out accounting.
+    The batch path also says *why* it answered: Borůvka rounds run
+    (``decode_rounds``), the outcome of every component sample
+    (``sample_ok`` / ``sample_zero`` / ``sample_failed``), how many
+    components no certified level resolved and the single-cell
+    fallback scan had to take (``fallback_scans``), and verification
+    sweeps of the joint peel (``peel_sweeps``).
     ``degraded_queries`` mirrors the ingest-side counter so this object
     can also serve :func:`repro.core.degraded.decode_with_degradation`.
     """
@@ -68,6 +74,12 @@ class QueryMetrics:
     batch_queries: int = 0
     scalar_queries: int = 0
     cells_decoded: int = 0
+    decode_rounds: int = 0
+    sample_ok: int = 0
+    sample_zero: int = 0
+    sample_failed: int = 0
+    fallback_scans: int = 0
+    peel_sweeps: int = 0
     kernel_seconds: float = 0.0
     scalar_seconds: float = 0.0
     cache_hits: int = 0
@@ -84,31 +96,16 @@ class QueryMetrics:
 
     def merge(self, other: "QueryMetrics") -> None:
         """Fold another session's counters in (executor workers)."""
-        self.batch_queries += other.batch_queries
-        self.scalar_queries += other.scalar_queries
-        self.cells_decoded += other.cells_decoded
-        self.kernel_seconds += other.kernel_seconds
-        self.scalar_seconds += other.scalar_seconds
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.executor_tasks += other.executor_tasks
-        self.executor_seconds += other.executor_seconds
-        self.degraded_queries += other.degraded_queries
+        for field in fields(self):
+            setattr(
+                self, field.name,
+                getattr(self, field.name) + getattr(other, field.name),
+            )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "batch_queries": self.batch_queries,
-            "scalar_queries": self.scalar_queries,
-            "cells_decoded": self.cells_decoded,
-            "kernel_seconds": self.kernel_seconds,
-            "scalar_seconds": self.scalar_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "executor_tasks": self.executor_tasks,
-            "executor_seconds": self.executor_seconds,
-            "degraded_queries": self.degraded_queries,
-        }
+        out = asdict(self)
+        out["cache_hit_rate"] = self.cache_hit_rate
+        return out
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -122,6 +119,15 @@ class QueryMetrics:
             f"time: kernel={self.kernel_seconds:.4f}s "
             f"scalar={self.scalar_seconds:.4f}s",
         ]
+        if self.decode_rounds:
+            lines.append(f"rounds: {self.decode_rounds} Borůvka")
+        if self.batch_queries:
+            lines.append(
+                f"samples: {self.sample_ok} ok / {self.sample_zero} zero / "
+                f"{self.sample_failed} failed "
+                f"({self.fallback_scans} via fallback scan), "
+                f"{self.peel_sweeps} peel sweeps"
+            )
         if self.cache_hits or self.cache_misses:
             lines.append(
                 f"summed cache: {self.cache_hits} hits / "

@@ -461,14 +461,25 @@ class ReplicaSet:
         per-member digests localise it to columns; only those columns
         travel.  ``repair-members`` replaces the columns verbatim and
         aligns the target's event offset with the source's — after
-        this, target state is bit-identical to source state.
+        this, target state is bit-identical to source state.  A replica
+        whose fingerprint already matches but whose offset lags gets
+        the offset alone (an empty column list).
         """
         source = self._pick_source(live)
         src = self.clients[source]
         src_table = live[source]
         repaired = 0
         for j, table in live.items():
-            if j == source or table["fingerprint"] == src_table["fingerprint"]:
+            if j == source:
+                continue
+            if table["fingerprint"] == src_table["fingerprint"]:
+                # Same counters, different offset: the batches this
+                # replica missed net to zero (an insert and its delete).
+                # No column travels; only the offset is aligned.
+                if table["events"] != src_table["events"]:
+                    await self.clients[j].repair_members(
+                        name, 0, [], events=src_table["events"]
+                    )
                 continue
             for g, (ours, theirs) in enumerate(
                 zip(src_table["grids"], table["grids"])

@@ -753,8 +753,10 @@ class SketchServer:
         grid = header.get("grid", 0)
         events = header.get("events")
         blobs = decode_blob_list(payload)
-        if not blobs:
-            raise BadRequestError("repair-members needs a blob-list payload")
+        if not blobs and events is None:
+            raise BadRequestError(
+                "repair-members needs member blobs or an 'events' offset"
+            )
         async with record.lock:
             if self.draining:
                 self.metrics.rejected_draining += 1

@@ -884,60 +884,75 @@ class SamplerGrid:
         """Boundary sketches of *all* components of ``group`` at once.
 
         ``components`` is a sequence of nonempty member lists (one per
-        spanning-forest component / certification part).  All sums are
-        computed in a single segment-sum pass: the member slices are
-        gathered in component order and reduced with
-        ``np.add.reduceat`` (exact for weights, 32-bit-half folded for
-        the modular counters), rather than one :meth:`summed` call per
-        component.  Returns a :class:`SummedBatch` whose per-component
-        decodes are bit-identical to ``self.summed(group, c).sample()``.
+        spanning-forest component / certification part); see
+        :meth:`summed_segments`, which does the work.  Returns a
+        :class:`SummedBatch` whose per-component decodes are
+        bit-identical to ``self.summed(group, c).sample()``.
         """
         comps = [np.fromiter(c, dtype=np.int64) for c in components]
         if not comps:
             raise IncompatibleSketchError("summed_many() needs components")
-        for c in comps:
-            if c.size == 0:
-                raise IncompatibleSketchError(
-                    "summed_many() components must be nonempty"
-                )
-        shape = self._w.shape[2:]
-        n_comp = len(comps)
-        w = np.empty((n_comp,) + shape, dtype=np.int64)
-        s = np.empty((n_comp,) + shape, dtype=np.int64)
-        f = np.empty((n_comp,) + shape, dtype=np.int64)
+        sizes = np.array([c.size for c in comps], dtype=np.int64)
+        return self.summed_segments(group, np.concatenate(comps), sizes)
+
+    def summed_segments(
+        self, group: int, members: np.ndarray, sizes: np.ndarray
+    ) -> "SummedBatch":
+        """:meth:`summed_many` on a flat layout: ``members`` lists the
+        components' members back to back, ``sizes`` their (positive)
+        lengths.
+
+        A one-member component's sum is that member's slice — a plain
+        index copy; only components with two or more members are
+        folded, in one segment pass
+        (``np.add.reduceat``: exact for weights, 32-bit-half folded for
+        the modular counters).  Consults the attached summed cache per
+        component first.
+        """
+        if (sizes < 1).any() or int(sizes.sum()) != members.size:
+            raise IncompatibleSketchError(
+                "components must be nonempty and cover `members` exactly"
+            )
+        n_comp = sizes.size
+        starts = np.zeros(n_comp, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        # Every component starts as a copy of its first member, which
+        # is already the answer for the one-member ones.
+        at = (group, members[starts])
+        w, s, f = self._w[at], self._s[at], self._f[at]
+        fold = sizes > 1
         cache = self._summed_cache
         if cache is not None:
-            miss: List[int] = []
-            for ci, idx in enumerate(comps):
-                key = (group, idx.tobytes())
-                entry = cache.get(key)
+            keys: List[tuple] = []
+            fresh = np.ones(n_comp, dtype=bool)
+            for ci, idx in enumerate(np.split(members, starts[1:])):
+                keys.append((group, idx.tobytes()))
+                entry = cache.get(keys[ci])
                 if entry is not None and bool(
                     (self._member_epoch[idx] <= entry[3]).all()
                 ):
                     _note_cache(cache, hit=True)
                     w[ci], s[ci], f[ci] = entry[0], entry[1], entry[2]
+                    fresh[ci] = False
                     continue
                 if entry is not None:
-                    cache.discard(key)
+                    cache.discard(keys[ci])
                 _note_cache(cache, hit=False)
-                miss.append(ci)
-        else:
-            miss = list(range(n_comp))
-        if miss:
-            gathered = np.concatenate([comps[ci] for ci in miss])
-            sizes = np.array([comps[ci].size for ci in miss], dtype=np.int64)
-            starts = np.zeros(len(miss), dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            ws = np.add.reduceat(self._w[group, gathered], starts, axis=0)
-            ss = _fold_segments_mod(self._s[group, gathered], starts)
-            fs = _fold_segments_mod(self._f[group, gathered], starts)
-            w[miss], s[miss], f[miss] = ws, ss, fs
-            if cache is not None:
-                for k, ci in enumerate(miss):
-                    cache.put(
-                        (group, comps[ci].tobytes()),
-                        (ws[k], ss[k], fs[k], self._epoch),
-                    )
+            fold &= fresh
+        multi = np.flatnonzero(fold)
+        if multi.size:
+            at = (group, members[np.repeat(fold, sizes)])
+            seg = np.zeros(multi.size, dtype=np.int64)
+            np.cumsum(sizes[multi][:-1], out=seg[1:])
+            w[multi] = np.add.reduceat(self._w[at], seg, axis=0)
+            s[multi] = _fold_segments_mod(self._s[at], seg)
+            f[multi] = _fold_segments_mod(self._f[at], seg)
+        if cache is not None:
+            for ci in np.flatnonzero(fresh).tolist():
+                cache.put(
+                    keys[ci],
+                    (w[ci].copy(), s[ci].copy(), f[ci].copy(), self._epoch),
+                )
         return SummedBatch(grid=self, group=group, w=w, s=s, f=f)
 
     def member_sketch(self, group: int, member: int) -> "SummedSketch":
@@ -1202,6 +1217,11 @@ class SummedSketch:
 # -- batched decode kernels ----------------------------------------------
 
 
+def _occupied(w: np.ndarray, s: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Boolean mask of cells with any nonzero counter."""
+    return (w != 0) | (s != 0) | (f != 0)
+
+
 def _verify_cells(
     grid: SamplerGrid,
     group: int,
@@ -1217,19 +1237,23 @@ def _verify_cells(
     Inputs are parallel 1-D arrays: each position is one candidate cell
     — raw weight, index-sum residue, fingerprint residue, and the
     (level, row, bucket) address it was read from.  Performs exactly
-    the checks of ``SummedSketch._decode_cell`` across the whole batch:
+    the checks of ``SummedSketch._decode_cell``, as a cascade in which
+    each stage runs only on the cells that passed the one before:
 
     * nonzero weight residue (``w % p != 0``),
-    * candidate index ``j = s · w^(p-2) mod p`` inside the domain
-      (batched Fermat inversion over the few distinct weights),
+    * candidate index ``j = s · w^(p-2) mod p`` inside the domain — a
+      cell holding two or more coordinates yields a uniform residue, so
+      this stage discards almost every cell that cannot decode,
     * fingerprint equation ``w · rho(j) ≡ f (mod p)``,
     * structural placement (``depth(j) >= level`` and the row's bucket
       hash maps ``j`` to the cell's bucket).
 
-    Returns ``(valid, j, w)``: a boolean mask plus the decoded index
-    and raw weight arrays (meaningful where ``valid``).
+    Returns ``(keep, j, w)``: the positions that verified, ascending,
+    with their decoded indices and raw weights.
     """
     w_mod = w % _P
+    keep = np.flatnonzero(w_mod)
+    w_mod = w_mod[keep]
     # Invert the few distinct weight residues through the scalar LRU:
     # boundary weights are small signed counts, so the unique set is
     # tiny and the memoized pow() beats a 61-step vectorised Fermat
@@ -1238,28 +1262,27 @@ def _verify_cells(
     uniq_inv = np.array(
         [_inv_mod_cached(int(u)) for u in uniq], dtype=np.uint64
     )
-    j = mul_vec_mod(s, uniq_inv[positions])
-    valid = (w_mod != 0) & (j < grid.domain)
-    rho = field_value_many(grid._rho.seed, j, _P)
-    valid &= mul_vec_mod(w_mod, rho) == f
+    j = mul_vec_mod(s[keep], uniq_inv[positions])
+    ok = j < grid.domain
+    keep, w_mod, j = keep[ok], w_mod[ok], j[ok]
+    ok = mul_vec_mod(w_mod, field_value_many(grid._rho.seed, j, _P)) == f[keep]
+    keep, j = keep[ok], j[ok]
+    lvl, row = lvl_idx[keep], r_idx[keep]
     depth = np.minimum(
         trailing_zeros64_np(hash64_many(grid._level_seeds[group], j)),
         grid.levels - 1,
     )
-    valid &= depth >= lvl_idx
-    salts = np.array(grid._level_salts, dtype=np.uint64)
-    bucket_ok = np.zeros(j.shape, dtype=bool)
+    ok = depth >= lvl
+    salts = np.array(grid._level_salts, dtype=np.uint64)[lvl]
     for r in range(grid.rows):
-        rm = r_idx == r
-        if not rm.any():
-            continue
+        rm = np.flatnonzero(ok & (row == r))
         h = hash64_many(grid._bucket_seeds[group][r], j[rm])
         with np.errstate(over="ignore"):
-            b = (splitmix64_np(h ^ salts[lvl_idx[rm]])
+            b = (splitmix64_np(h ^ salts[rm])
                  % np.uint64(grid.buckets)).astype(np.int64)
-        bucket_ok[rm] = b == b_idx[rm]
-    valid &= bucket_ok
-    return valid, j, w
+        ok[rm] = b == b_idx[keep[rm]]
+    keep = keep[ok]
+    return keep, j[ok], w[keep]
 
 
 def _scan_verified_cells(
@@ -1278,19 +1301,13 @@ def _scan_verified_cells(
     candidates in exactly that row-major order, so the first valid
     occurrence per component is the scalar answer.
     """
-    n_comp = w.shape[0]
-    out: List[Optional[Tuple[int, int]]] = [None] * n_comp
-    mask = (w != 0) | (s != 0) | (f != 0)
+    out: List[Optional[Tuple[int, int]]] = [None] * w.shape[0]
+    mask = _occupied(w, s, f)
     c_idx, l_idx, r_idx, b_idx = np.nonzero(mask)
-    if c_idx.size == 0:
-        return out
-    valid, j, wv = _verify_cells(
+    keep, j_v, w_v = _verify_cells(
         grid, group, w[mask], s[mask], f[mask], l_idx, r_idx, b_idx
     )
-    if not valid.any():
-        return out
-    c_v, j_v, w_v = c_idx[valid], j[valid], wv[valid]
-    uniq, first = np.unique(c_v, return_index=True)
+    uniq, first = np.unique(c_idx[keep], return_index=True)
     for c, k in zip(uniq, first):
         out[int(c)] = (int(j_v[k]), int(w_v[k]))
     return out
@@ -1346,75 +1363,77 @@ class SummedBatch:
         )
 
     def _recover_levels_many(
-        self, active: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """Peel every subsampling level of every active component at once.
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Peel every subsampling level of every component at once.
 
         The level slices of a summed sketch peel independently (a
         subtraction at level ℓ only touches level-ℓ cells), so the
         sweep loop treats each (component, level) pair as one *unit*
-        ``u = pos * levels + lvl`` and verifies all units' candidate
+        ``u = comp * levels + lvl`` and verifies all units' candidate
         cells in a single kernel call per sweep — the sweep count
         becomes the maximum any unit needs, not the sum over levels.
-        Unit ``u``'s state after sweep ``t`` equals the level-by-level
-        loop's state after its sweep ``t`` (units never interact, and a
-        stalled unit stays stalled), so per-unit outcomes are
-        bit-identical to ``SummedSketch._recover_level``.
 
-        Returns ``(residual, rec_unit, rec_j, rec_w, cells_seen)``:
-        per-unit residual flags (True = the unit did not peel to zero)
-        plus the flat recovery log and the number of candidate cells
-        examined.
+        Candidates are a **worklist of dirty cells**: sweep 1 verifies
+        every nonzero cell, each later sweep only the nonzero cells the
+        previous sweep's subtractions touched.  Verification is a pure
+        function of a cell's counters and address, so a cell unchanged
+        since it failed fails again; and a cell that verified is always
+        touched — its coordinate is subtracted from every cell it hashes
+        to at that level, the verifying cell included.  Unit ``u``'s
+        state after sweep ``t`` therefore equals a full rescan's, which
+        equals the level-by-level loop's after its sweep ``t`` (units
+        never interact, and a stalled unit stays stalled): per-unit
+        outcomes are bit-identical to ``SummedSketch._recover_level``.
+
+        Returns ``(zero, residual, rec_unit, rec_j, rec_w)``: which
+        components have no nonzero cell, per-unit residual flags (True
+        = the unit did not peel to zero) and the flat recovery log.
         """
         grid = self._grid
         rows, buckets, levels = grid.rows, grid.buckets, grid.levels
-        n_units = active.size * levels
-        sw = self._w[active].reshape(n_units, rows, buckets).copy()
-        ss = self._s[active].reshape(n_units, rows, buckets).copy()
-        sf = self._f[active].reshape(n_units, rows, buckets).copy()
-        w_flat = sw.reshape(-1)
-        s_flat = ss.reshape(-1)
-        f_flat = sf.reshape(-1)
-        rec_u: List[np.ndarray] = []
-        rec_j: List[np.ndarray] = []
-        rec_w: List[np.ndarray] = []
+        w_flat = self._w.reshape(-1).copy()
+        s_flat = self._s.reshape(-1).copy()
+        f_flat = self._f.reshape(-1).copy()
+        empty = np.empty(0, dtype=np.int64)
+        log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty,) * 3]
         salts = np.array(grid._level_salts, dtype=np.uint64)
-        cells_seen = 0
+        cand = np.flatnonzero(_occupied(w_flat, s_flat, f_flat))
+        zero = np.bincount(
+            cand // (levels * rows * buckets), minlength=self.count
+        ) == 0
+        cells_seen = sweeps = 0
         guard = 4 * rows * buckets + 8
-        while guard > 0:
+        while guard > 0 and cand.size:
             guard -= 1
-            mask = (sw != 0) | (ss != 0) | (sf != 0)
-            u_idx, r_idx, b_idx = np.nonzero(mask)
-            if u_idx.size == 0:
-                break
-            cells_seen += u_idx.size
-            lvl_idx = u_idx % levels
-            valid, j, wv = _verify_cells(
-                grid, self.group, sw[mask], ss[mask], sf[mask],
-                lvl_idx, r_idx, b_idx,
+            sweeps += 1
+            cells_seen += cand.size
+            u_idx = cand // (rows * buckets)
+            keep, j_v, w_v = _verify_cells(
+                grid, self.group, w_flat[cand], s_flat[cand], f_flat[cand],
+                u_idx % levels, cand // buckets % rows, cand % buckets,
             )
-            if not valid.any():
+            if not keep.size:
                 break
-            u_v, j_v, w_v = u_idx[valid], j[valid], wv[valid]
+            u_v = u_idx[keep]
             # The scalar sweep subtracts each decode immediately, so a
             # later cell holding the same coordinate never re-decodes
             # it; the batch verifies against the pre-sweep state
             # instead, so dedupe per (unit, coordinate), keeping the
             # first hit in scan order.
-            key = u_v * np.int64(grid.domain) + j_v
-            _, first = np.unique(key, return_index=True)
+            _, first = np.unique(
+                u_v * np.int64(grid.domain) + j_v, return_index=True
+            )
             u_u, j_u, w_u = u_v[first], j_v[first], w_v[first]
-            lvl_u = lvl_idx[valid][first]
-            rec_u.append(u_u)
-            rec_j.append(j_u)
-            rec_w.append(w_u)
+            log.append((u_u, j_u, w_u))
             neg = (-w_u) % _P
             cs = mul_vec_mod(neg, j_u)
             cf = mul_vec_mod(neg, field_value_many(grid._rho.seed, j_u, _P))
+            dirty = []
             for r in range(rows):
                 h = hash64_many(grid._bucket_seeds[self.group][r], j_u)
                 with np.errstate(over="ignore"):
-                    b = (splitmix64_np(h ^ salts[lvl_u])
+                    b = (splitmix64_np(h ^ salts[u_u % levels])
                          % np.uint64(buckets)).astype(np.int64)
                 flat = (u_u * rows + r) * buckets + b
                 order = np.argsort(flat, kind="stable")
@@ -1428,18 +1447,18 @@ class SummedBatch:
                                 segment_sum_mod(cs, order, starts))
                 scatter_add_mod(f_flat, cells,
                                 segment_sum_mod(cf, order, starts))
-        residual = (
-            sw.reshape(n_units, -1).any(axis=1)
-            | ss.reshape(n_units, -1).any(axis=1)
-            | sf.reshape(n_units, -1).any(axis=1)
-        )
-        if rec_u:
-            ru = np.concatenate(rec_u)
-            rj = np.concatenate(rec_j)
-            rw = np.concatenate(rec_w)
-        else:
-            ru = rj = rw = np.empty(0, dtype=np.int64)
-        return residual, ru, rj, rw, cells_seen
+                dirty.append(cells)
+            cand = np.sort(np.concatenate(dirty))
+            cand = cand[_occupied(w_flat[cand], s_flat[cand], f_flat[cand])]
+        residual = _occupied(w_flat, s_flat, f_flat).reshape(
+            self.count * levels, -1
+        ).any(axis=1)
+        metrics = _QUERY_METRICS
+        if metrics is not None:
+            metrics.cells_decoded += cells_seen
+            metrics.peel_sweeps += sweeps
+        ru, rj, rw = (np.concatenate(col) for col in zip(*log))
+        return zero, residual, ru, rj, rw
 
     def sample_many(self) -> List[Tuple[str, Optional[Tuple[int, int]]]]:
         """Decode every component; per-component scalar-parity outcomes.
@@ -1453,78 +1472,66 @@ class SummedBatch:
         * ``("failed", None)`` — no level decoded (scalar raises
           :class:`SamplerFailedError`).
         """
+        ok, failed, index, weight = self.sample_arrays()
+        return [
+            (self.OK, (j, wt)) if o
+            else (self.FAILED if bad else self.ZERO, None)
+            for o, bad, j, wt in zip(
+                ok.tolist(), failed.tolist(), index.tolist(), weight.tolist()
+            )
+        ]
+
+    def sample_arrays(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`sample_many` as parallel arrays ``(ok, failed, index,
+        weight)``: two disjoint boolean masks (neither set = zero) and
+        the sampled pair, meaningful where ``ok``."""
         grid = self._grid
         t0 = time.perf_counter()
-        n = self.count
-        results: List[Optional[Tuple[str, Optional[Tuple[int, int]]]]] = (
-            [None] * n
+        n, levels = self.count, grid.levels
+        index = np.zeros(n, dtype=np.int64)
+        weight = np.zeros(n, dtype=np.int64)
+        zero, residual, ru, rj, rw = self._recover_levels_many()
+        # Only fully peeled units certify a support.  One sort by
+        # (unit, tiebreak hash, index) puts repeats of a coordinate
+        # side by side (equal index, equal hash) and every unit's
+        # scalar winner — min over (tiebreak hash, index) — first.
+        done = ~residual[ru]
+        ru, rj, rw = ru[done], rj[done], rw[done]
+        tb = hash64_many(grid._tiebreak_seeds[self.group], rj)
+        order = np.lexsort((rj, tb, ru))
+        ru, rj, rw = ru[order], rj[order], rw[order]
+        starts = np.flatnonzero(
+            np.r_[True, (ru[1:] != ru[:-1]) | (rj[1:] != rj[:-1])][: ru.size]
         )
-        zero = self.appears_zero_many()
-        for c in np.flatnonzero(zero):
-            results[int(c)] = (self.ZERO, None)
-        active = np.flatnonzero(~zero).astype(np.int64)
-        cells_total = 0
-        tb_seed = grid._tiebreak_seeds[self.group]
-        unresolved: List[int] = []
-        if active.size:
-            levels = grid.levels
-            residual, ru, rj, rw, cells_total = (
-                self._recover_levels_many(active)
-            )
-            order = np.argsort(ru, kind="stable")
-            ru_s, rj_s, rw_s = ru[order], rj[order], rw[order]
-            bounds = np.searchsorted(
-                ru_s, np.arange(active.size * levels + 1)
-            )
-            # One tiebreak-hash pass over the whole recovery log beats
-            # a kernel call per resolved support.
-            tb_s = (
-                hash64_many(tb_seed, rj_s).tolist() if rj_s.size else []
-            )
-            rj_list = rj_s.tolist()
-            for pos in range(active.size):
-                res: Optional[Tuple[int, int]] = None
-                # Shallowest level with a nonempty certified support
-                # wins — the scalar level scan, read off the joint peel.
-                for lvl in range(levels):
-                    u = pos * levels + lvl
-                    if residual[u]:
-                        continue
-                    lo, hi = bounds[u], bounds[u + 1]
-                    if lo == hi:
-                        continue
-                    sup: Dict[int, int] = {}
-                    tb_of: Dict[int, int] = {}
-                    for jj, ww, tb in zip(
-                        rj_list[lo:hi], rw_s[lo:hi], tb_s[lo:hi]
-                    ):
-                        sup[jj] = sup.get(jj, 0) + int(ww)
-                        tb_of[jj] = tb
-                    sup = {jj: ww for jj, ww in sup.items() if ww != 0}
-                    if not sup:
-                        continue
-                    # min over (tiebreak hash, index) — the scalar
-                    # winner comparison, verbatim.
-                    j = min(sup, key=lambda i: (tb_of[i], i))
-                    res = (j, sup[j])
-                    break
-                if res is not None:
-                    results[int(active[pos])] = (self.OK, res)
-                else:
-                    unresolved.append(pos)
-        if unresolved:
-            remaining = active[unresolved]
+        sums = np.add.reduceat(rw, starts) if starts.size else rw
+        # A coordinate whose recovered weights cancel is no support.
+        starts, sums = starts[sums != 0], sums[sums != 0]
+        # Shallowest certified nonempty level wins: units sort by
+        # component, then level, so it is each component's first entry.
+        comp, first = np.unique(ru[starts] // levels, return_index=True)
+        index[comp], weight[comp] = rj[starts[first]], sums[first]
+        ok = np.zeros(n, dtype=bool)
+        ok[comp] = True
+        unresolved = np.flatnonzero(~ok & ~zero)
+        if unresolved.size:
             fallback = _scan_verified_cells(
-                grid, self.group,
-                self._w[remaining], self._s[remaining], self._f[remaining],
+                grid, self.group, self._w[unresolved],
+                self._s[unresolved], self._f[unresolved],
             )
-            for c, got in zip(remaining, fallback):
-                results[int(c)] = (
-                    (self.OK, got) if got is not None else (self.FAILED, None)
-                )
+            for c, got in zip(unresolved.tolist(), fallback):
+                if got is not None:
+                    ok[c] = True
+                    index[c], weight[c] = got
+        failed = ~ok & ~zero
         metrics = _QUERY_METRICS
         if metrics is not None:
+            n_ok, n_failed = int(ok.sum()), int(failed.sum())
             metrics.batch_queries += n
-            metrics.cells_decoded += cells_total
+            metrics.fallback_scans += unresolved.size
+            metrics.sample_ok += n_ok
+            metrics.sample_failed += n_failed
+            metrics.sample_zero += n - n_ok - n_failed
             metrics.kernel_seconds += time.perf_counter() - t0
-        return results
+        return ok, failed, index, weight

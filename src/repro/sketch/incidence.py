@@ -66,6 +66,11 @@ class IncidenceScheme:
         """Hyperedge encoded by a coordinate."""
         return self.space.edge_of(index)
 
+    def edges_of(self, indices):
+        """Hyperedges of a whole coordinate array, as ``(m, r)`` rows
+        (see :meth:`repro.util.binomial.EdgeSpace.edges_of`)."""
+        return self.space.edges_of(indices)
+
     @property
     def dimension(self) -> int:
         """Size of the coordinate domain."""

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import DomainError, IncompatibleSketchError
 from ..graph.hypergraph import Hypergraph
 from ..graph.union_find import UnionFind
 from ..util.hashing import derive_seed
 from ..util.rng import normalize_seed
 from .bank import SamplerGrid
-from .incidence import Hyperedge, IncidenceScheme
+from .incidence import IncidenceScheme
 
 
 def default_rounds(active_vertices: int) -> int:
@@ -152,8 +154,6 @@ class SpanningForestSketch:
         """Vertex-id -> member numpy lookup table (-1 = inactive)."""
         lut = getattr(self, "_member_lut_arr", None)
         if lut is None:
-            import numpy as np
-
             lut = np.full(self.n, -1, dtype=np.int64)
             for v, m in self._member_of.items():
                 lut[v] = m
@@ -265,62 +265,59 @@ class SpanningForestSketch:
         (:mod:`repro.core.degraded`) retries and falls back on.
         """
         from ..errors import SamplerFailedError, SamplerZeroError
-        from .bank import SummedBatch, batch_decode_default
+        from . import bank
 
         forest = Hypergraph(self.n, self.r)
-        uf = UnionFind(len(self.vertices))
-        members_by_root: Dict[int, List[int]] = {
-            i: [i] for i in range(len(self.vertices))
-        }
+        m = len(self.vertices)
+        uf = UnionFind(m)
+        # Components as a flat layout: ``order`` lists members grouped
+        # by component (components by smallest member, members
+        # ascending), ``sizes`` the component lengths.
+        order, sizes = np.arange(m), np.ones(m, dtype=np.int64)
         for group in range(self.rounds):
             if uf.components == 1:
                 break
-            roots = list(members_by_root.keys())
-            found: List[Hyperedge] = []
-            if batch_decode_default():
+            if bank._QUERY_METRICS is not None:
+                bank._QUERY_METRICS.decode_rounds += 1
+            if bank.batch_decode_default():
                 # One kernel call decodes every component of the round:
                 # the boundary sketches are summed in a single segment
                 # pass and sampled together, bit-identical per
                 # component to the scalar loop below.
-                batch = self.grid.summed_many(
-                    group, [members_by_root[root] for root in roots]
-                )
-                for status, payload in batch.sample_many():
-                    if status == SummedBatch.ZERO:
-                        continue  # no outgoing edge: benign
-                    if status == SummedBatch.FAILED:
-                        if strict:
-                            raise SamplerFailedError(
-                                "no subsampling level decoded"
-                            )
-                        continue
-                    index, _weight = payload
-                    found.append(self.scheme.edge_of(index))
+                ok, failed, index, _weight = self.grid.summed_segments(
+                    group, order, sizes
+                ).sample_arrays()
+                if strict and failed.any():
+                    raise SamplerFailedError("no subsampling level decoded")
+                found = index[ok]
             else:
-                for root in roots:
-                    members = members_by_root[root]
-                    summed = self.grid.summed(group, members)
+                found = []
+                for members in np.split(order, np.cumsum(sizes)[:-1]):
                     try:
-                        got = summed.sample()
+                        got = self.grid.summed(group, members).sample()
                     except SamplerZeroError:
                         continue  # no outgoing edge: benign (isolated component)
                     except SamplerFailedError:
                         if strict:
                             raise
                         continue
-                    index, _weight = got
-                    found.append(self.scheme.edge_of(index))
+                    found.append(got[0])
             merged_any = False
-            for edge in found:
-                member_ids = [self._member_of[v] for v in edge]
-                if uf.union_many(member_ids):
+            for row in self.scheme.edges_of(found).tolist():
+                edge = tuple(v for v in row if v >= 0)
+                if uf.union_many([self._member_of[v] for v in edge]):
                     merged_any = True
                     forest.add_edge(edge)
             if not merged_any:
                 break
-            members_by_root = {}
-            for i in range(len(self.vertices)):
-                members_by_root.setdefault(uf.find(i), []).append(i)
+            roots = np.fromiter(map(uf.find, range(m)), dtype=np.int64, count=m)
+            _, first, label = np.unique(
+                roots, return_index=True, return_inverse=True
+            )
+            smallest = first[label]  # per member: its component's smallest
+            order = np.argsort(smallest, kind="stable")
+            sizes = np.bincount(smallest)
+            sizes = sizes[sizes > 0]
         return forest
 
     def components_of_decode(self) -> List[List[int]]:
@@ -330,7 +327,6 @@ class SpanningForestSketch:
         uf = UnionFind(self.n)
         for e in forest.edges():
             uf.union_many(e)
-        active = set(self.vertices)
         groups: Dict[int, List[int]] = {}
         for v in self.vertices:
             groups.setdefault(uf.find(v), []).append(v)

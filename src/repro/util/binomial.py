@@ -15,7 +15,10 @@ modular index-sum counters of 1-sparse cells).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import DomainError, RankError
 
@@ -45,16 +48,35 @@ def colex_rank(subset: Sequence[int]) -> int:
 
 
 def colex_unrank(rank: int, k: int) -> Tuple[int, ...]:
-    """Invert :func:`colex_rank` for ``k``-subsets."""
+    """Invert :func:`colex_rank` for ``k``-subsets.
+
+    Each element is the largest ``c`` with ``C(c, i) <= rank``: the
+    rank itself for ``i = 1``; for ``i = 2`` the closed form
+    ``(1 + isqrt(8 rank + 1)) // 2`` (``c (c - 1) / 2 <= rank`` iff
+    ``(2c - 1)^2 <= 8 rank + 1``), so pairs cost O(1) and no
+    :func:`binom` call; a doubling search plus bisection for ``i >= 3``.
+    """
     out = []
     r = rank
     for i in range(k, 0, -1):
-        # Largest c with C(c, i) <= r; start from a safe upper bound.
-        c = i - 1
-        while binom(c + 1, i) <= r:
-            c += 1
+        if i == 1:
+            c = r
+        elif i == 2:
+            c = (1 + isqrt(8 * r + 1)) // 2
+            r -= c * (c - 1) // 2
+        else:
+            lo, hi = i - 1, i
+            while binom(hi, i) <= r:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:  # C(lo, i) <= r < C(hi, i)
+                mid = (lo + hi) // 2
+                if binom(mid, i) <= r:
+                    lo = mid
+                else:
+                    hi = mid
+            c = lo
+            r -= binom(c, i)
         out.append(c)
-        r -= binom(c, i)
     out.reverse()
     return tuple(out)
 
@@ -119,17 +141,48 @@ class EdgeSpace:
         e = self.canonical(edge)
         return self._block_offsets[len(e)] + colex_rank(e)
 
+    def _check_index(self, low: int, high: int) -> None:
+        if low < 0 or high >= self.dimension:
+            bad = low if low < 0 else high
+            raise DomainError(
+                f"coordinate {bad} outside edge space of dimension {self.dimension}"
+            )
+
     def edge_of(self, index: int) -> Tuple[int, ...]:
         """Invert :meth:`index_of`."""
-        if index < 0 or index >= self.dimension:
-            raise DomainError(
-                f"coordinate {index} outside edge space of dimension {self.dimension}"
-            )
+        self._check_index(index, index)
         size = 2
-        while size < self.r and index >= self._block_offsets.get(size + 1, self.dimension):
+        while size < self.r and index >= self._block_offsets[size + 1]:
             size += 1
-        local = index - self._block_offsets[size]
-        return colex_unrank(local, size)
+        return colex_unrank(index - self._block_offsets[size], size)
+
+    def edges_of(self, indices) -> np.ndarray:
+        """Vectorised :meth:`edge_of`: an ``(m, r)`` ``int64`` array.
+
+        Row ``i`` holds the sorted vertices of hyperedge ``indices[i]``;
+        hyperedges smaller than ``r`` are right-padded with ``-1`` (so
+        for ``r = 2`` the result is the plain ``(m, 2)`` endpoint
+        array).  Pairs are unranked for the whole array at once — a
+        float square root, then an integer fix-up that makes the result
+        exact over the whole ``2^61`` domain; larger hyperedges go
+        through :func:`colex_unrank` one by one.
+        """
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = np.full((idx.size, self.r), -1, dtype=np.int64)
+        if idx.size == 0:
+            return out
+        self._check_index(int(idx.min()), int(idx.max()))
+        pairs = idx < binom(self.n, 2)
+        rank = idx[pairs]
+        c = ((1.0 + np.sqrt(8.0 * rank + 1.0)) / 2.0).astype(np.int64)
+        c -= c * (c - 1) // 2 > rank
+        c += c * (c + 1) // 2 <= rank
+        out[pairs, 0] = rank - c * (c - 1) // 2
+        out[pairs, 1] = c
+        for i in np.flatnonzero(~pairs).tolist():
+            edge = self.edge_of(int(idx[i]))
+            out[i, : len(edge)] = edge
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeSpace(n={self.n}, r={self.r}, dimension={self.dimension})"

@@ -132,6 +132,54 @@ class TestBenchSmoke:
             "headroom over the 3x benchmark claim"
         )
 
+    def test_smoke_batch_decode_speedup_gate(self):
+        """Tier-1 gate for the query side: at n = 512 (8n random edges)
+        the batch ``decode()`` must stay >= 7x the scalar oracle's decode
+        of the same sketch and return the identical forest.  Measured:
+        ~12x with the O(1) unrank, dirty-cell worklist and copy-only
+        singleton sums; ~4-5x before them.  7x leaves room for a noisy
+        box while still catching a fall back to per-sweep rescans or a
+        per-edge linear unrank.
+        """
+        import time
+
+        import numpy as np
+
+        from repro.engine.query import scalar_decode
+        from repro.sketch.bank import set_auto_hash_cache
+        from repro.sketch.spanning_forest import SpanningForestSketch
+
+        n = 512
+        codes = np.unique(
+            np.random.default_rng(5).integers(0, n * n, size=24 * n)
+        )
+        u, v = codes // n, codes % n
+        u, v = u[u < v][: 8 * n], v[u < v][: 8 * n]
+        assert len(u) == 8 * n
+        prev_auto = set_auto_hash_cache(False)  # ingest is not under test
+        try:
+            sketch = SpanningForestSketch(n, seed=4, rounds=6)
+            sketch.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
+        finally:
+            set_auto_hash_cache(prev_auto)
+
+        def timed(decode):
+            start = time.perf_counter()
+            forest = decode()
+            return time.perf_counter() - start, forest
+
+        t_batch, batch_forest = min(
+            (timed(sketch.decode) for _ in range(3)), key=lambda r: r[0]
+        )
+        with scalar_decode():
+            t_scalar, scalar_forest = timed(sketch.decode)
+        assert sorted(batch_forest.edges()) == sorted(scalar_forest.edges())
+        assert batch_forest.num_edges == n - 1
+        assert t_scalar / t_batch >= 7.0, (
+            f"batch decode {t_scalar / t_batch:.2f}x the scalar decode at "
+            "n=512 — the one-pass-per-round decode lost its headroom"
+        )
+
     @pytest.mark.faults
     def test_smoke_recovery_comparison(self):
         r = recovery_comparison(24, p=0.15, seed=2, shards=2, batch_size=16)

@@ -64,6 +64,24 @@ class TestQueryMetrics:
         assert d["cache_hit_rate"] == pytest.approx(4 / 5)
         assert "decodes: 3 batch / 4 scalar" in a.summary()
 
+    def test_decode_explanation_fields_merge_and_serialize(self):
+        a = QueryMetrics(batch_queries=5, decode_rounds=2, sample_ok=3,
+                         sample_zero=1, sample_failed=1, fallback_scans=2,
+                         peel_sweeps=7)
+        b = QueryMetrics(batch_queries=1, decode_rounds=1, sample_ok=1,
+                         peel_sweeps=2)
+        a.merge(b)
+        d = json.loads(a.to_json())
+        assert (d["decode_rounds"], d["sample_ok"], d["sample_zero"],
+                d["sample_failed"], d["fallback_scans"], d["peel_sweeps"]) == (
+            3, 4, 1, 1, 2, 9)
+        text = a.summary()
+        assert "rounds: 3 Bor" in text
+        assert "samples: 4 ok / 1 zero / 1 failed (2 via fallback scan)" in text
+        # A scalar-only session has rounds but no batch sample taxonomy.
+        scalar = QueryMetrics(scalar_queries=4, decode_rounds=2).summary()
+        assert "rounds: 2" in scalar and "samples:" not in scalar
+
     def test_empty_hit_rate(self):
         assert QueryMetrics().cache_hit_rate == 0.0
 

@@ -24,6 +24,7 @@ from repro.service.sim import (
     run_one,
     shrink_failure,
 )
+from repro.service.sim.world import SimWorld
 
 pytestmark = pytest.mark.simfaults
 
@@ -68,6 +69,33 @@ class TestSchedules:
         ])
         report = run_one(seed=123, schedule=schedule)
         assert report.ok, report.violations
+
+
+class _FlapWorld(SimWorld):
+    """Every odd batch deletes exactly what the batch before inserted,
+    so a replica that misses a whole pair misses traffic netting to
+    zero: same counters as its peers, smaller event offset."""
+
+    def _batch(self):
+        if self.report.batches_sent % 2 == 0:
+            self._inserted = super()._batch()
+            return self._inserted
+        us, vs, signs = self._inserted
+        return us, vs, [-s for s in signs]
+
+
+class TestOffsetOnlyDivergence:
+    def test_replica_that_missed_net_zero_traffic_converges(self):
+        # Replica 2 is unreachable for the whole run: the quorum of two
+        # folds an insert batch and its delete, replica 2 folds nothing.
+        # Fingerprints agree (all-zero counters), offsets are 96 vs 0:
+        # anti-entropy must align the offset, not give up.
+        schedule = FaultSchedule(5, 3, [
+            FaultEvent(at=0.0, kind="block", replica=2, duration=8.0),
+        ])
+        report = _FlapWorld(seed=5, batches=2, schedule=schedule).run()
+        assert report.ok, report.violations
+        assert report.events == report.batches_acked * 48 == 96
 
 
 class _BrokenWalCommit:

@@ -12,9 +12,25 @@ edge cases.
 import numpy as np
 import pytest
 
-from repro.engine.query import SummedCache, batch_decode, scalar_decode
-from repro.errors import IncompatibleSketchError, SamplerEmptyError
-from repro.sketch.bank import SummedBatch, batch_decode_default, set_batch_decode
+from repro.engine.query import (
+    SummedCache,
+    batch_decode,
+    collect_query_metrics,
+    scalar_decode,
+)
+from repro.errors import (
+    IncompatibleSketchError,
+    SamplerEmptyError,
+    SamplerFailedError,
+    SamplerZeroError,
+)
+from repro.sketch.bank import (
+    SamplerGrid,
+    SummedBatch,
+    batch_decode_default,
+    set_auto_hash_cache,
+    set_batch_decode,
+)
 from repro.sketch.serialization import dump_sketch, load_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
 
@@ -164,3 +180,222 @@ class TestEpochInvalidation:
             assert cache.misses >= len(components) + 2
         finally:
             sk.grid.detach_summed_cache()
+
+
+# -- the worklist peel against the scalar oracle, on built-to-hurt inputs --
+
+
+def _scalar_outcome(sketch):
+    """``SummedSketch.sample`` folded into sample_many's outcome tuples."""
+    try:
+        return (SummedBatch.OK, sketch.sample())
+    except SamplerZeroError:
+        return (SummedBatch.ZERO, None)
+    except SamplerFailedError:
+        return (SummedBatch.FAILED, None)
+
+
+class _Placer:
+    """Finds coordinates of a grid by where group 0 hashes them.
+
+    ``pick(depth, lvl, b0, b1)`` returns a fresh coordinate whose
+    (capped) subsampling depth is ``depth`` and whose row-0 / row-1
+    buckets at level ``lvl`` are ``b0`` / ``b1``.
+    """
+
+    def __init__(self, grid):
+        self.grid, self.next = grid, 0
+
+    def pick(self, depth, lvl, b0, b1):
+        g = self.grid
+        while True:
+            j, self.next = self.next, self.next + 1
+            if (
+                g._depth(0, j) == depth
+                and g._bucket(0, 0, lvl, j) == b0
+                and g._bucket(0, 1, lvl, j) == b1
+            ):
+                return j
+
+
+def _adversarial_grid():
+    """One group, two levels, eleven members, each built to hit one path
+    of the joint peel; returns ``(grid, components, notes)``."""
+    grid = SamplerGrid(groups=1, members=11, domain=1 << 22, seed=99,
+                       rows=2, buckets=8, levels=2)
+    place = _Placer(grid)
+    notes = {}
+    # member 0 — level 1 is a 9-coordinate path in the cell graph
+    # (row-0 bucket i -- row-1 bucket i -- row-0 bucket i+1 ...): only
+    # its two ends are alone in a cell, so it peels two coordinates a
+    # sweep, five sweeps in all.  Level 0 also holds a pair colliding
+    # in both rows, which can never peel: stuck beside a slow level.
+    path = [place.pick(1, 1, (i + 1) // 2, i // 2) for i in range(9)]
+    for sign, j in zip((1, -1) * 5, path):
+        grid.update(0, j, sign)
+    stuck = [place.pick(0, 0, 3, 5), place.pick(0, 0, 3, 5)]
+    for j in stuck:
+        grid.update(0, j, 1)
+    notes["path"], notes["stuck"] = path, stuck
+    # member 1 — one coordinate: alone in both rows of each level it
+    # lives in, so both cells decode it in the same sweep (dedupe).
+    notes["lonely"] = place.pick(1, 1, 2, 6)
+    grid.update(1, notes["lonely"], -1)
+    # members 2 + 3 — x1 and x2 each have a private cell and hide x3,
+    # which shares row 0 with x1 and row 1 with x2: sweep 1 subtracts
+    # both and only then do x3's cells become one-sparse.  Summed
+    # across two members, with a coordinate that cancels in the sum.
+    x1, x2, x3 = (place.pick(0, 0, 0, 0), place.pick(0, 0, 1, 1),
+                  place.pick(0, 0, 0, 1))
+    internal = place.pick(0, 0, 6, 6)
+    grid.update(2, x1, 2)
+    grid.update(2, internal, 1)
+    grid.update(3, internal, -1)
+    grid.update(3, x2, -1)
+    grid.update(3, x3, 1)
+    notes["uncover"] = (x1, x2, x3)
+    # member 4 — untouched: an all-zero component between active ones.
+    # member 5 — two coordinates with all four cells private; the test
+    # flips one fingerprint so the level never peels to zero and the
+    # fallback single-cell scan has to answer.
+    y1, y2 = place.pick(0, 0, 2, 2), place.pick(0, 0, 4, 4)
+    grid.update(5, y1, 1)
+    grid.update(5, y2, 1)
+    notes["flip"] = (y1, y2)
+    # member 6 — nothing but a both-rows collision: FAILED.
+    for _ in range(2):
+        grid.update(6, place.pick(0, 0, 7, 7), 1)
+    # members 7..10 — ordinary traffic, for the fold path.
+    rng = np.random.default_rng(3)
+    for member in range(7, 11):
+        for j in rng.integers(0, grid.domain, size=3):
+            grid.update(member, int(j), 1)
+    components = [[0], [1], [2, 3], [4], [5], [6], [7, 8, 9], [10]]
+    return grid, components, notes
+
+
+class TestWorklistPeelDifferential:
+    def _batch(self, grid, components):
+        batch = grid.summed_many(0, components)
+        # Corrupt component 4 (member 5): y2's row-0 cell no longer
+        # verifies, its subtraction leaves a nonzero fingerprint behind.
+        batch._f[4, 0, 0, 4] ^= 1
+        return batch
+
+    def test_outcomes_match_scalar_per_component(self):
+        grid, components, notes = _adversarial_grid()
+        batch = self._batch(grid, components)
+        with collect_query_metrics() as qm:
+            outcomes = batch.sample_many()
+        expected = [_scalar_outcome(batch.sketch_at(c))
+                    for c in range(batch.count)]
+        assert outcomes == expected
+        statuses = [status for status, _ in outcomes]
+        assert statuses == ["ok", "ok", "ok", "zero", "ok", "failed",
+                            "ok", "ok"]
+        # Each construction did what it was built to do.
+        assert outcomes[0][1][0] in notes["path"]       # level 1 certified
+        assert outcomes[1][1] == (notes["lonely"], -1)
+        assert outcomes[2][1][0] in notes["uncover"]
+        assert outcomes[4][1] == (notes["flip"][0], 1)  # first cell in scan order
+        assert qm.peel_sweeps >= 5
+        assert qm.fallback_scans == 2                   # corrupted + failed
+        assert (qm.sample_ok, qm.sample_zero, qm.sample_failed) == (6, 1, 1)
+        assert qm.batch_queries == 8
+
+    def test_stuck_level_sits_beside_the_slow_one(self):
+        grid, components, notes = _adversarial_grid()
+        view = grid.summed_many(0, components).sketch_at(0)
+        assert view._recover_level(0) is None
+        assert sorted(view._recover_level(1)) == sorted(notes["path"])
+
+    def test_uncovered_coordinate_is_recovered(self):
+        grid, components, notes = _adversarial_grid()
+        support = grid.summed_many(0, components).sketch_at(2)._recover_level(0)
+        x1, x2, x3 = notes["uncover"]
+        assert support == {x1: 2, x2: -1, x3: 1}
+
+    def test_worklist_sees_fewer_cells_than_a_rescan(self):
+        grid, components, _ = _adversarial_grid()
+        batch = self._batch(grid, components)
+        nonzero = int(((batch._w != 0) | (batch._s != 0) | (batch._f != 0)).sum())
+        with collect_query_metrics() as qm:
+            batch.sample_many()
+        # Sweep 1 is every nonzero cell; a rescan would pay nearly that
+        # again on each of the later sweeps.
+        assert nonzero < qm.cells_decoded < 2 * nonzero
+        assert qm.peel_sweeps >= 5
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_copy_and_fold_paths_agree_with_summed(self, cached):
+        grid, components, _ = _adversarial_grid()
+        cache = SummedCache(capacity=64)
+        if cached:
+            grid.attach_summed_cache(cache)
+        for attempt in range(2):  # second pass: all hits when cached
+            batch = grid.summed_many(0, components)
+            for ci, comp in enumerate(components):
+                ref = grid.summed(0, comp)
+                for plane in ("_w", "_s", "_f"):
+                    assert np.array_equal(
+                        getattr(ref, plane), getattr(batch, plane)[ci]
+                    ), (attempt, comp, plane)
+            assert batch.sample_many() == [
+                _scalar_outcome(grid.summed(0, comp)) for comp in components
+            ]
+        if cached:
+            assert cache.hits >= len(components)
+            # A touched member expires its sum (and only its sum).
+            grid.update(10, 12345, 1)
+            again = grid.summed_many(0, components)
+            assert np.array_equal(again._w[7], grid.summed(0, [10])._w)
+            assert np.array_equal(again._w[0], batch._w[0])
+
+    def test_segments_layout_equals_lists(self):
+        grid, components, _ = _adversarial_grid()
+        flat = np.array([m for comp in components for m in comp])
+        sizes = np.array([len(comp) for comp in components])
+        a = grid.summed_many(0, components)
+        b = grid.summed_segments(0, flat, sizes)
+        assert np.array_equal(a._w, b._w)
+        assert np.array_equal(a._s, b._s)
+        assert np.array_equal(a._f, b._f)
+        ok, failed, index, weight = b.sample_arrays()
+        assert [
+            (SummedBatch.OK, (int(j), int(w))) if o
+            else (SummedBatch.FAILED if bad else SummedBatch.ZERO, None)
+            for o, bad, j, w in zip(ok, failed, index, weight)
+        ] == a.sample_many()
+
+
+class TestDecodeAtScale:
+    #: ``QueryMetrics.cells_decoded`` of this exact fixture before the
+    #: worklist (every sweep re-verified every nonzero cell).
+    FULL_RESCAN_CELLS = 336118
+
+    def test_n1024_decode_verifies_fewer_cells_and_explains_itself(self):
+        n = 1024
+        codes = np.unique(
+            np.random.default_rng(7).integers(0, n * n, size=40 * n)
+        )
+        u, v = codes // n, codes % n
+        u, v = u[u < v][: 16 * n], v[u < v][: 16 * n]
+        live = set(zip(u.tolist(), v.tolist()))
+        # Six rounds (the decode needs four) and no placement tables:
+        # the fixture is built in a fraction of a second.
+        prev_auto = set_auto_hash_cache(False)
+        try:
+            sk = SpanningForestSketch(n, seed=12345, rounds=6)
+            sk.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
+        finally:
+            set_auto_hash_cache(prev_auto)
+        with collect_query_metrics() as qm:
+            forest = sk.decode()
+        assert forest.num_edges == n - 1
+        assert set(forest.edges()) <= live
+        assert 0 < qm.cells_decoded < self.FULL_RESCAN_CELLS
+        assert qm.decode_rounds == 4
+        assert qm.sample_ok == qm.batch_queries == 1205
+        assert qm.sample_zero == qm.sample_failed == 0
+        assert qm.peel_sweeps >= qm.decode_rounds
+        assert "rounds: 4 Bor" in qm.summary()
