@@ -15,14 +15,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.batch import expand_pair_batch, fold_cells, pairs_of_updates
-from ..errors import DomainError, SketchDecodeError
+from ..errors import DomainError
 from ..graph.graph import Graph
 from ..graph.hypergraph import Hypergraph
+from ..sketch import bank
 from ..sketch.incidence import IncidenceScheme
 from ..sketch.l0 import default_levels
-from ..sketch.spanning_forest import EdgeSpaceCache, SpanningForestSketch
+from ..sketch.spanning_forest import (
+    EdgeSpaceCache,
+    SpanningForestSketch,
+    decode_stack,
+)
 from ..util.hashing import (
-    _FIELD_TWEAK,
     derive_seed,
     field_residue_np,
     hash64_many,
@@ -36,18 +40,6 @@ from ..util.rng import normalize_seed
 from .params import DEFAULT_PARAMS, Params
 
 _P = MERSENNE_61
-
-
-def _strict_decode_unit(sketch):
-    """Strict-decode one instance; None on a detectable decode failure.
-
-    Module-level (picklable) so a process-backed
-    :class:`~repro.engine.query.QueryExecutor` can fan instances out.
-    """
-    try:
-        return sketch.decode(strict=True)
-    except SketchDecodeError:
-        return None
 
 
 def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -71,7 +63,8 @@ class SampledForestUnion:
     grid's ``block=`` storage seam.  Stream updates fold into the arena
     through one cross-instance kernel (:meth:`update_batch`);
     ``sketches[i].update`` — the scalar reference — writes the same
-    pages.
+    pages, and either route makes the instance dirty for the decode
+    cache, which compares grid update counts.
 
     Parameters
     ----------
@@ -130,11 +123,15 @@ class SampledForestUnion:
         self.scalar_routed_updates = 0
         self._union_cache: Optional[Hypergraph] = None
         # Per-instance decode cache: an instance's spanning forest only
-        # changes when an update is routed to it, so monitoring
+        # changes when an update reaches its grid, so monitoring
         # workloads (few updates between decodes) re-decode only the
-        # touched instances instead of all R.
-        self._forest_cache: Dict[int, Hypergraph] = {}
-        self._dirty = set(self.sketches.keys())
+        # touched instances instead of all R.  The cache is flat: the
+        # edge coordinates of every cached forest beside the instance
+        # each belongs to; per instance, whether its decode had a FAILED
+        # round and its grid's update count at the time (-1: never).
+        self._forest_cache = (np.empty(0, dtype=np.int64),) * 2
+        self._had_failed = np.zeros(repetitions, dtype=bool)
+        self._decoded_at = np.full(repetitions, -1)
 
     def _build_arena(self) -> None:
         """Allocate the arena, build the instances on their slices, and
@@ -174,6 +171,7 @@ class SampledForestUnion:
         self._group_base = np.zeros(int(groups.sum()), dtype=np.int64)
         self._salts = np.zeros((R, levels), dtype=np.uint64)
         self._rho_seeds = np.zeros((R, 2), dtype=np.uint64)
+        tiebreak_seeds = np.zeros(int(groups.sum()), dtype=np.uint64)
         self.sketches: Dict[int, SpanningForestSketch] = {}
         for i in np.flatnonzero(groups).tolist():
             sketch = SpanningForestSketch(
@@ -190,13 +188,20 @@ class SampledForestUnion:
             self.sketches[i] = sketch
             grid = sketch.grid
             at = slice(self._group_ptr[i], self._group_ptr[i] + groups[i])
-            self._group_seeds[at, 0] = grid._level_seeds
-            self._group_seeds[at, 1:] = grid._bucket_seeds
+            # The grid already holds its seeds in the kernels' array form.
+            self._group_seeds[at] = grid._hashes.group_seeds
+            tiebreak_seeds[at] = grid._hashes.tiebreak_seeds
             self._group_base[at] = self._base[i] + np.arange(groups[i]) * (
                 sampled[i] * stride
             )
-            self._salts[i] = grid._level_salts
-            self._rho_seeds[i] = (grid._rho.seed, grid._rho.seed ^ _FIELD_TWEAK)
+            self._salts[i] = grid._hashes.salts[0]
+            self._rho_seeds[i] = grid._hashes.rho_seeds[0]
+        #: the decode kernel's view of the same seeds, instance = owner
+        self._hashes = bank.HashStack(
+            self.scheme.dimension, levels, rows, buckets, self._group_seeds,
+            tiebreak_seeds, self._salts, self._rho_seeds,
+            np.repeat(np.arange(R), groups), self._group_ptr,
+        )
         # Vertex -> grid member (the rank among the sampled vertices,
         # which SpanningForestSketch keeps sorted); -1 where unsampled.
         self._member_lut = np.where(
@@ -297,7 +302,6 @@ class SampledForestUnion:
         if events == 0:
             return 0
         self._updates += events
-        self._union_cache = None
         width = np.diff(ptr)
         hit = np.logical_and.reduceat(
             self.membership[:, verts], ptr[:-1], axis=1
@@ -314,8 +318,9 @@ class SampledForestUnion:
     def _account(self, i_p, e_p, ptr, verts, coef, width) -> np.ndarray:
         """Per hit instance, the bookkeeping its scalar ``update`` does.
 
-        Marks the instance dirty, counts its incidence rows and bumps
-        the member epochs a summed cache watches.  An instance under
+        Counts its incidence rows (which is what makes it dirty for the
+        decode cache) and bumps the member epochs a summed cache
+        watches.  An instance under
         audit stays on its scalar ``update`` — its digest observes each
         event's cell set, which the fold does not produce — and its rows
         are counted in ``scalar_routed_updates``.  Returns the mask of
@@ -328,7 +333,6 @@ class SampledForestUnion:
         for i, lo, hi, nrows in zip(
             insts.tolist(), first.tolist(), last.tolist(), rows_in.tolist()
         ):
-            self._dirty.add(i)
             sketch = self.sketches[i]
             grid = sketch.grid
             if grid._digest is not None:
@@ -410,78 +414,86 @@ class SampledForestUnion:
 
     # -- decoding -----------------------------------------------------------
 
+    @property
+    def _dirty(self) -> set:
+        """Instances whose grid was written since their forest was
+        cached — by the kernel or by ``sketches[i].update`` alike."""
+        decoded_at = self._decoded_at.tolist()
+        return {
+            i for i, sketch in self.sketches.items()
+            if decoded_at[i] != sketch.grid._updates
+        }
+
+    def _refresh(self, skip=()) -> None:
+        """Re-decode the dirty instances not in ``skip``, all in one
+        batched Borůvka loop (:func:`~repro.sketch.spanning_forest.
+        decode_stack`)."""
+        todo = sorted(self._dirty.difference(skip))
+        if not todo:
+            return
+        grids = {i: sketch.grid for i, sketch in self.sketches.items()}
+        rows, buckets = self.params.rows, self.params.buckets
+        coords, src, failed = decode_stack(
+            self.scheme, self._hashes,
+            self._arena.reshape(-1, self._levels, rows, buckets),
+            grids, self._member_lut, self._base // self._member_stride, todo,
+        )
+        old, old_src = self._forest_cache
+        keep = ~np.isin(old_src, todo)
+        self._forest_cache = (
+            np.concatenate([old[keep], coords]),
+            np.concatenate([old_src[keep], src]),
+        )
+        self._had_failed[todo] = failed[todo]
+        self._decoded_at[todo] = [grids[i]._updates for i in todo]
+        self._union_cache = None
+        if bank._QUERY_METRICS is not None:
+            bank._QUERY_METRICS.instances_decoded += len(todo)
+
     def decode_union(self) -> Hypergraph:
         """H = union of a decoded spanning forest of every sample.
 
         Cached until the next stream update; the decode is the
         expensive post-processing step, queries on H are cheap.
         """
-        if self._union_cache is not None:
-            return self._union_cache
-        for i in self._dirty:
-            self._forest_cache[i] = self.sketches[i].decode()
-        self._dirty.clear()
-        union = Hypergraph(self.n, self.r)
-        for forest in self._forest_cache.values():
-            for e in forest.edges():
-                union.add_edge(e)
-        self._union_cache = union
-        return union
+        self._refresh()
+        if self._union_cache is None:
+            self._union_cache = self.scheme.hypergraph_of(
+                np.unique(self._forest_cache[0])
+            )
+        return self._union_cache
 
     def decode_union_graph(self) -> Graph:
         """H as an ordinary graph (rank-2 inputs only)."""
         return self.decode_union().to_graph()
 
     def decode_union_accounted(
-        self, exclude: Sequence[int] = (), executor=None
+        self, exclude: Sequence[int] = ()
     ) -> Tuple[Hypergraph, List[int]]:
         """Union of per-instance *strict* decodes, with failure accounting.
 
-        Each of the R instances is decoded with ``strict=True`` so that
-        detectable probabilistic failures surface; an instance that
-        fails is *skipped* (the other instances are independently
-        seeded, so the rest of the union stays valid) and its id is
-        returned in the failure list.  ``exclude`` lists instance ids to
-        skip without attempting a decode — the integrity auditor routes
-        instances with corrupted banks here, so a damaged counter can
-        never contribute edges to the certificate.  Excluded ids are
-        reported in the failure list alongside genuine decode failures.
-        The degraded query layer (:mod:`repro.core.degraded`) uses this
-        to answer from the surviving R - m instances instead of dying —
-        with honest reporting of m.  Bypasses the decode caches (strict
-        and cached forests must not mix).
-
-        The instances are independently seeded, so an optional
-        :class:`~repro.engine.query.QueryExecutor` fans their strict
-        decodes across its backend; results are collected in instance
-        order, identical to the sequential loop.
+        An instance's strict decode fails exactly when a Borůvka round
+        it ran reported a component FAILED, and otherwise equals its
+        plain decode — so this reads the same per-instance cache as
+        :meth:`decode_union` and *skips* the instances whose decode had
+        a FAILED round (the others are independently seeded, so the
+        rest of the union stays valid), returning their ids in the
+        failure list.  ``exclude`` lists instance ids to leave out
+        unread — the integrity auditor routes instances with corrupted
+        banks here, so a damaged counter can never contribute edges —
+        and they are reported in the failure list too.  The degraded
+        query layer (:mod:`repro.core.degraded`) answers from the
+        surviving R - m instances, with honest reporting of m.
         """
         excluded = set(exclude)
-        failed: List[int] = []
-        union = Hypergraph(self.n, self.r)
-        attempted = [
-            (i, sketch)
-            for i, sketch in self.sketches.items()
-            if i not in excluded
+        self._refresh(skip=excluded)
+        failed = [
+            i for i in self.sketches if i in excluded or self._had_failed[i]
         ]
-        if executor is not None:
-            forests = executor.map(
-                _strict_decode_unit, [sk for _, sk in attempted]
-            )
-        else:
-            forests = [_strict_decode_unit(sk) for _, sk in attempted]
-        decoded = {i: forest for (i, _), forest in zip(attempted, forests)}
-        for i in self.sketches:
-            if i in excluded:
-                failed.append(i)
-                continue
-            forest = decoded[i]
-            if forest is None:
-                failed.append(i)
-                continue
-            for e in forest.edges():
-                union.add_edge(e)
-        return union, failed
+        coords, src = self._forest_cache
+        return self.scheme.hypergraph_of(
+            np.unique(coords[~np.isin(src, failed)])
+        ), failed
 
     # -- accounting -----------------------------------------------------------
 

@@ -66,7 +66,13 @@ class QueryMetrics:
     (``sample_ok`` / ``sample_zero`` / ``sample_failed``), how many
     components no certified level resolved and the single-cell
     fallback scan had to take (``fallback_scans``), and verification
-    sweeps of the joint peel (``peel_sweeps``).
+    sweeps of the joint peel (``peel_sweeps``).  A union decode
+    (:class:`~repro.core._sampled.SampledForestUnion`) runs its dirty
+    instances through one loop, so there ``decode_rounds`` and
+    ``peel_sweeps`` count kernel passes — fewer than the per-instance
+    sum, while the per-component counters add up exactly as they would
+    per instance — and ``instances_decoded`` says how many of the R
+    instances the fresh answers had to re-decode.
     ``degraded_queries`` mirrors the ingest-side counter so this object
     can also serve :func:`repro.core.degraded.decode_with_degradation`.
     """
@@ -80,6 +86,7 @@ class QueryMetrics:
     sample_failed: int = 0
     fallback_scans: int = 0
     peel_sweeps: int = 0
+    instances_decoded: int = 0
     kernel_seconds: float = 0.0
     scalar_seconds: float = 0.0
     cache_hits: int = 0
@@ -121,6 +128,11 @@ class QueryMetrics:
         ]
         if self.decode_rounds:
             lines.append(f"rounds: {self.decode_rounds} Borůvka")
+        if self.instances_decoded:
+            lines.append(
+                f"union: {self.instances_decoded} sampled instances "
+                "re-decoded"
+            )
         if self.batch_queries:
             lines.append(
                 f"samples: {self.sample_ok} ok / {self.sample_zero} zero / "

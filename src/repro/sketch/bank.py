@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,10 +47,12 @@ from ..util.hashing import (
     _FIELD_TWEAK,
     HashFamily,
     derive_seed,
-    field_value_many,
+    field_residue_np,
     hash64,
     hash64_many,
     hash64_np,
+    hash64_premixed,
+    premix64_np,
     splitmix64,
     splitmix64_np,
     trailing_zeros64,
@@ -58,7 +60,6 @@ from ..util.hashing import (
 )
 from ..util.prime_field import (
     MERSENNE_61,
-    inv_vec_mod,
     mul_vec_mod,
     scatter_add_mod,
     segment_sum_mod,
@@ -309,6 +310,47 @@ def _note_cache(cache, hit: bool) -> None:
             metrics.cache_misses += 1
 
 
+class HashStack(namedtuple("_HashStack", (
+    "domain", "levels", "rows", "buckets", "group_seeds", "tiebreak_seeds",
+    "salts", "rho_seeds", "owner", "first",
+))):
+    """The hash context of a stack of same-geometry grids, which the
+    decode kernels read through a per-component index.
+
+    A *global group* ``q`` is one Borůvka group of one grid: row ``q``
+    of ``group_seeds`` (its level seed, then its ``rows`` bucket seeds)
+    and of ``tiebreak_seeds``.  ``owner[q]`` is its grid — the row of
+    ``salts`` (per level) and ``rho_seeds`` (fingerprint seed and its
+    tweak) — and ``first[owner[q]]`` that grid's group 0.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, grids: Sequence["SamplerGrid"]) -> "HashStack":
+        """Stack the contexts of ``grids`` (equal geometry), in order."""
+        head = grids[0]
+        counts = np.array([g.groups for g in grids])
+        u64 = np.uint64
+        return cls(
+            head.domain, head.levels, head.rows, head.buckets,
+            np.array([[lvl, *bkt] for g in grids for lvl, bkt in
+                      zip(g._level_seeds, g._bucket_seeds)], dtype=u64),
+            np.array([t for g in grids for t in g._tiebreak_seeds], dtype=u64),
+            np.array([g._level_salts for g in grids], dtype=u64),
+            np.array([(g._rho.seed, g._rho.seed ^ _FIELD_TWEAK)
+                      for g in grids], dtype=u64),
+            np.repeat(np.arange(len(grids)), counts),
+            np.cumsum(counts) - counts,
+        )
+
+    def rho(self, q: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+        """Fingerprint residues of premixed coordinates under the
+        grids owning groups ``q`` (``HashFamily.field_value``)."""
+        h = hash64_premixed(self.rho_seeds[self.owner[q]], mixed[:, None])
+        return field_residue_np(h[:, 0], h[:, 1], _P).astype(np.int64)
+
+
 class SamplerGrid:
     """A ``groups × members`` grid of mutually-summable L0 samplers.
 
@@ -386,6 +428,8 @@ class SamplerGrid:
         self._level_salts = [derive_seed(self.seed, 5, lvl) for lvl in range(self.levels)]
         self._tiebreak_seeds = [derive_seed(self.seed, 3, g) for g in range(groups)]
         self._rho = HashFamily(derive_seed(self.seed, 4))
+        #: the same seeds as arrays, the form the decode kernels read
+        self._hashes = HashStack.of([self])
         self._updates = 0
         #: Optional :class:`~repro.audit.digest.GridDigest`, attached by
         #: the integrity layer; every mutation path below keeps it in
@@ -913,47 +957,23 @@ class SamplerGrid:
             raise IncompatibleSketchError(
                 "components must be nonempty and cover `members` exactly"
             )
-        n_comp = sizes.size
-        starts = np.zeros(n_comp, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        # Every component starts as a copy of its first member, which
-        # is already the answer for the one-member ones.
-        at = (group, members[starts])
-        w, s, f = self._w[at], self._s[at], self._f[at]
-        fold = sizes > 1
-        cache = self._summed_cache
-        if cache is not None:
-            keys: List[tuple] = []
-            fresh = np.ones(n_comp, dtype=bool)
-            for ci, idx in enumerate(np.split(members, starts[1:])):
-                keys.append((group, idx.tobytes()))
-                entry = cache.get(keys[ci])
-                if entry is not None and bool(
-                    (self._member_epoch[idx] <= entry[3]).all()
-                ):
-                    _note_cache(cache, hit=True)
-                    w[ci], s[ci], f[ci] = entry[0], entry[1], entry[2]
-                    fresh[ci] = False
-                    continue
-                if entry is not None:
-                    cache.discard(keys[ci])
-                _note_cache(cache, hit=False)
-            fold &= fresh
-        multi = np.flatnonzero(fold)
-        if multi.size:
-            at = (group, members[np.repeat(fold, sizes)])
-            seg = np.zeros(multi.size, dtype=np.int64)
-            np.cumsum(sizes[multi][:-1], out=seg[1:])
-            w[multi] = np.add.reduceat(self._w[at], seg, axis=0)
-            s[multi] = _fold_segments_mod(self._s[at], seg)
-            f[multi] = _fold_segments_mod(self._f[at], seg)
-        if cache is not None:
-            for ci in np.flatnonzero(fresh).tolist():
-                cache.put(
-                    keys[ci],
-                    (w[ci].copy(), s[ci].copy(), f[ci].copy(), self._epoch),
-                )
-        return SummedBatch(grid=self, group=group, w=w, s=s, f=f)
+        cached = () if self._summed_cache is None else [
+            (ci, self, group, idx) for ci, idx in
+            enumerate(np.split(members, np.cumsum(sizes)[:-1]))
+        ]
+        w, s, f = _sum_slots(
+            self._slots(), group * self.members + members,
+            np.broadcast_to(self.groups * self.members, members.shape),
+            sizes, cached,
+        )
+        return SummedBatch(
+            self._hashes, (self,), np.full(sizes.size, group), w, s, f
+        )
+
+    def _slots(self) -> np.ndarray:
+        """The counter block as one sampler per slot: ``(plane, group,
+        member)`` flattened, each slot ``(levels, rows, buckets)``."""
+        return self._block.reshape(-1, self.levels, self.rows, self.buckets)
 
     def member_sketch(self, group: int, member: int) -> "SummedSketch":
         """The single-member sketch as a decodable view."""
@@ -980,11 +1000,6 @@ def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(s >= _P, s - _P, s)
 
 
-def _sub_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a - b
-    return np.where(d < 0, d + _P, d)
-
-
 def _fold_mod(vals: np.ndarray) -> np.ndarray:
     """Reduce axis 0 of an array of canonical residues, mod p.
 
@@ -1009,6 +1024,59 @@ def _fold_segments_mod(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return (
         shl32_vec_mod(hi.astype(np.uint64)).astype(np.int64) + lo % _P
     ) % _P
+
+
+def _sum_slots(
+    slots: np.ndarray,
+    w_slot: np.ndarray,
+    plane: np.ndarray,
+    sizes: np.ndarray,
+    cached: Sequence[tuple] = (),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component sums gathered from a flat slot view of the counters:
+    a buffer seen as ``(-1, levels, rows, buckets)``.
+
+    Node ``k``'s weight sampler is slot ``w_slot[k]``, its index-sum and
+    fingerprint samplers 1x / 2x ``plane[k]`` slots on; ``sizes`` cuts
+    the nodes into components.  ``cached`` lists ``(component, grid,
+    group, members)`` where the grid has a summed cache attached.
+    """
+    starts = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    # Every component starts as a copy of its first member, which is
+    # already the answer for the one-member ones.
+    at, step = w_slot[starts], plane[starts]
+    w, s, f = slots[at], slots[at + step], slots[at + 2 * step]
+    fold = sizes > 1
+    fresh = []
+    for ci, grid, group, idx in cached:
+        cache, key = grid._summed_cache, (group, idx.tobytes())
+        entry = cache.get(key)
+        if entry is not None and bool(
+            (grid._member_epoch[idx] <= entry[3]).all()
+        ):
+            _note_cache(cache, hit=True)
+            w[ci], s[ci], f[ci] = entry[:3]
+            fold[ci] = False
+            continue
+        if entry is not None:
+            cache.discard(key)
+        _note_cache(cache, hit=False)
+        fresh.append((ci, grid, key))
+    multi = np.flatnonzero(fold)
+    if multi.size:
+        nodes = np.repeat(fold, sizes)
+        at, step = w_slot[nodes], plane[nodes]
+        seg = np.zeros(multi.size, dtype=np.int64)
+        np.cumsum(sizes[multi][:-1], out=seg[1:])
+        w[multi] = np.add.reduceat(slots[at], seg, axis=0)
+        s[multi] = _fold_segments_mod(slots[at + step], seg)
+        f[multi] = _fold_segments_mod(slots[at + 2 * step], seg)
+    for ci, grid, key in fresh:
+        grid._summed_cache.put(
+            key, (w[ci].copy(), s[ci].copy(), f[ci].copy(), grid._epoch)
+        )
+    return w, s, f
 
 
 class SummedSketch:
@@ -1161,16 +1229,13 @@ class SummedSketch:
                 if support:
                     j = min(support, key=lambda i: (self._tiebreak(i), i))
                     return j, support[j]
-            # Rare fallback (no level fully recovered): one batched
-            # verification pass over every nonzero original cell, first
-            # hit in (level, row, bucket) scan order — the same kernel
-            # the batch path uses, not a cell-by-cell re-decode.
-            got = _scan_verified_cells(
-                self._grid, self.group,
-                self._w[None], self._s[None], self._f[None],
-            )[0]
-            if got is not None:
-                return got
+            # Rare fallback (no level fully recovered): any verified
+            # single-cell decode, first hit in (level, row, bucket) order.
+            for cell in np.argwhere(_occupied(self._w, self._s, self._f)).tolist():
+                try:
+                    return self._decode_cell(*cell)
+                except NotOneSparseError:
+                    continue
             raise SamplerFailedError("no subsampling level decoded")
         finally:
             if metrics is not None:
@@ -1223,8 +1288,8 @@ def _occupied(w: np.ndarray, s: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _verify_cells(
-    grid: SamplerGrid,
-    group: int,
+    hashes: HashStack,
+    group: np.ndarray,
     w: np.ndarray,
     s: np.ndarray,
     f: np.ndarray,
@@ -1235,10 +1300,11 @@ def _verify_cells(
     """Vectorised one-sparse verification of a flat batch of cells.
 
     Inputs are parallel 1-D arrays: each position is one candidate cell
-    — raw weight, index-sum residue, fingerprint residue, and the
-    (level, row, bucket) address it was read from.  Performs exactly
-    the checks of ``SummedSketch._decode_cell``, as a cascade in which
-    each stage runs only on the cells that passed the one before:
+    — the global group whose hash context placed it, raw weight,
+    index-sum residue, fingerprint residue, and the (level, row,
+    bucket) address it was read from.  Performs exactly the checks of
+    ``SummedSketch._decode_cell``, as a cascade in which each stage
+    runs only on the cells that passed the one before:
 
     * nonzero weight residue (``w % p != 0``),
     * candidate index ``j = s · w^(p-2) mod p`` inside the domain — a
@@ -1263,80 +1329,53 @@ def _verify_cells(
         [_inv_mod_cached(int(u)) for u in uniq], dtype=np.uint64
     )
     j = mul_vec_mod(s[keep], uniq_inv[positions])
-    ok = j < grid.domain
+    ok = j < hashes.domain
     keep, w_mod, j = keep[ok], w_mod[ok], j[ok]
-    ok = mul_vec_mod(w_mod, field_value_many(grid._rho.seed, j, _P)) == f[keep]
-    keep, j = keep[ok], j[ok]
-    lvl, row = lvl_idx[keep], r_idx[keep]
-    depth = np.minimum(
-        trailing_zeros64_np(hash64_many(grid._level_seeds[group], j)),
-        grid.levels - 1,
-    )
-    ok = depth >= lvl
-    salts = np.array(grid._level_salts, dtype=np.uint64)[lvl]
-    for r in range(grid.rows):
-        rm = np.flatnonzero(ok & (row == r))
-        h = hash64_many(grid._bucket_seeds[group][r], j[rm])
-        with np.errstate(over="ignore"):
-            b = (splitmix64_np(h ^ salts[rm])
-                 % np.uint64(grid.buckets)).astype(np.int64)
-        ok[rm] = b == b_idx[keep[rm]]
+    # The coordinate is mixed once and finished under each cell's own
+    # fingerprint, level and bucket seeds.
+    q, mixed = group[keep], premix64_np(j)
+    ok = mul_vec_mod(w_mod, hashes.rho(q, mixed)) == f[keep]
+    keep, j, q, mixed = keep[ok], j[ok], q[ok], mixed[ok]
+    lvl = lvl_idx[keep]
+    seeds = hashes.group_seeds[q]
+    depth = trailing_zeros64_np(hash64_premixed(seeds[:, 0], mixed))
+    h = hash64_premixed(seeds[np.arange(q.size), 1 + r_idx[keep]], mixed)
+    salt = hashes.salts[hashes.owner[q], lvl]
+    bucket = splitmix64_np(h ^ salt) % np.uint64(hashes.buckets)
+    # depth is capped at levels - 1 >= lvl, so the cap cannot matter.
+    ok = (depth >= lvl) & (bucket.astype(np.int64) == b_idx[keep])
     keep = keep[ok]
     return keep, j[ok], w[keep]
-
-
-def _scan_verified_cells(
-    grid: SamplerGrid,
-    group: int,
-    w: np.ndarray,
-    s: np.ndarray,
-    f: np.ndarray,
-) -> List[Optional[Tuple[int, int]]]:
-    """First verified single-cell decode per component (fallback scan).
-
-    ``w, s, f`` have shape ``(components, levels, rows, buckets)``.
-    One batched verification pass over every nonzero cell; per
-    component the winner is the first valid cell in the scalar
-    fallback's (level, row, bucket) scan order — ``np.nonzero`` emits
-    candidates in exactly that row-major order, so the first valid
-    occurrence per component is the scalar answer.
-    """
-    out: List[Optional[Tuple[int, int]]] = [None] * w.shape[0]
-    mask = _occupied(w, s, f)
-    c_idx, l_idx, r_idx, b_idx = np.nonzero(mask)
-    keep, j_v, w_v = _verify_cells(
-        grid, group, w[mask], s[mask], f[mask], l_idx, r_idx, b_idx
-    )
-    uniq, first = np.unique(c_idx[keep], return_index=True)
-    for c, k in zip(uniq, first):
-        out[int(c)] = (int(j_v[k]), int(w_v[k]))
-    return out
 
 
 class SummedBatch:
     """A batch of decodable boundary sketches, one per component.
 
-    Counter arrays have shape ``(components, levels, rows, buckets)``
-    and share one group's hash context, so every component's decode
-    runs through the same vectorised kernels: a single verification
-    pass across all (component, row, bucket) cells per peeling sweep,
+    Counter arrays have shape ``(components, levels, rows, buckets)``;
+    component ``c`` hashes under global group ``groups[c]`` of a
+    :class:`HashStack` over ``grids`` — one group of one grid, or many
+    independently seeded grids — and every component's decode runs
+    through the same vectorised kernels: a single verification pass
+    across all (component, row, bucket) cells per peeling sweep,
     batched Fermat inversion of the cell weights, and vectorised
-    fingerprint/placement checks.  :meth:`sample_many` is bit-identical
-    per component to ``SummedSketch.sample`` on the same counters (the
-    batch peel reaches the scalar peel's fixpoint — verified decodes
-    commute — and ties, scan orders, and failure modes match exactly).
+    fingerprint/placement checks.
+    :meth:`sample_many` is bit-identical per component to
+    ``SummedSketch.sample`` on the same counters (the batch peel
+    reaches the scalar peel's fixpoint — verified decodes commute — and
+    ties, scan orders, and failure modes match exactly).
     """
 
-    __slots__ = ("_grid", "group", "_w", "_s", "_f")
+    __slots__ = ("_hashes", "_grids", "_groups", "_w", "_s", "_f")
 
     #: Per-component outcome tags of :meth:`sample_many`.
     OK = "ok"
     ZERO = "zero"
     FAILED = "failed"
 
-    def __init__(self, grid: SamplerGrid, group: int, w, s, f):
-        self._grid = grid
-        self.group = group
+    def __init__(self, hashes: HashStack, grids, groups: np.ndarray, w, s, f):
+        self._hashes = hashes
+        self._grids = grids
+        self._groups = groups
         self._w = w
         self._s = s
         self._f = f
@@ -1348,8 +1387,10 @@ class SummedBatch:
 
     def sketch_at(self, comp: int) -> SummedSketch:
         """Component ``comp`` as an independent scalar-decodable view."""
+        q = int(self._groups[comp])
+        owner = int(self._hashes.owner[q])
         return SummedSketch(
-            self._grid, self.group,
+            self._grids[owner], q - int(self._hashes.first[owner]),
             self._w[comp].copy(), self._s[comp].copy(), self._f[comp].copy(),
         )
 
@@ -1362,10 +1403,9 @@ class SummedBatch:
             | self._f.reshape(n, -1).any(axis=1)
         )
 
-    def _recover_levels_many(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Peel every subsampling level of every component at once.
+    def _recover_levels_many(self) -> tuple:
+        """Peel every subsampling level of every component at once,
+        **in place** (the batch's counters are spent afterwards).
 
         The level slices of a summed sketch peel independently (a
         subtraction at level ℓ only touches level-ℓ cells), so the
@@ -1386,18 +1426,22 @@ class SummedBatch:
         never interact, and a stalled unit stays stalled): per-unit
         outcomes are bit-identical to ``SummedSketch._recover_level``.
 
-        Returns ``(zero, residual, rec_unit, rec_j, rec_w)``: which
-        components have no nonzero cell, per-unit residual flags (True
-        = the unit did not peel to zero) and the flat recovery log.
+        Returns ``(zero, residual, rec_unit, rec_j, rec_w, scan)``:
+        which components have no nonzero cell, per-unit residual flags
+        (True = the unit did not peel to zero), the flat recovery log,
+        and ``scan`` — ``(component, index, weight)`` of every cell
+        that verified in sweep 1, i.e. of every valid cell of the
+        un-peeled counters, in (component, level, row, bucket) order.
         """
-        grid = self._grid
-        rows, buckets, levels = grid.rows, grid.buckets, grid.levels
-        w_flat = self._w.reshape(-1).copy()
-        s_flat = self._s.reshape(-1).copy()
-        f_flat = self._f.reshape(-1).copy()
+        hashes = self._hashes
+        rows, buckets, levels = hashes.rows, hashes.buckets, hashes.levels
+        w_flat = self._w.reshape(-1)
+        s_flat = self._s.reshape(-1)
+        f_flat = self._f.reshape(-1)
         empty = np.empty(0, dtype=np.int64)
         log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty,) * 3]
-        salts = np.array(grid._level_salts, dtype=np.uint64)
+        scan = log[0]
+        row_at = np.arange(rows)
         cand = np.flatnonzero(_occupied(w_flat, s_flat, f_flat))
         zero = np.bincount(
             cand // (levels * rows * buckets), minlength=self.count
@@ -1410,46 +1454,47 @@ class SummedBatch:
             cells_seen += cand.size
             u_idx = cand // (rows * buckets)
             keep, j_v, w_v = _verify_cells(
-                grid, self.group, w_flat[cand], s_flat[cand], f_flat[cand],
+                hashes, self._groups[u_idx // levels],
+                w_flat[cand], s_flat[cand], f_flat[cand],
                 u_idx % levels, cand // buckets % rows, cand % buckets,
             )
             if not keep.size:
                 break
             u_v = u_idx[keep]
+            if sweeps == 1:
+                scan = (u_v // levels, j_v, w_v)
             # The scalar sweep subtracts each decode immediately, so a
             # later cell holding the same coordinate never re-decodes
             # it; the batch verifies against the pre-sweep state
             # instead, so dedupe per (unit, coordinate), keeping the
             # first hit in scan order.
             _, first = np.unique(
-                u_v * np.int64(grid.domain) + j_v, return_index=True
+                u_v * np.int64(hashes.domain) + j_v, return_index=True
             )
             u_u, j_u, w_u = u_v[first], j_v[first], w_v[first]
             log.append((u_u, j_u, w_u))
+            q, mixed = self._groups[u_u // levels], premix64_np(j_u)
             neg = (-w_u) % _P
             cs = mul_vec_mod(neg, j_u)
-            cf = mul_vec_mod(neg, field_value_many(grid._rho.seed, j_u, _P))
-            dirty = []
-            for r in range(rows):
-                h = hash64_many(grid._bucket_seeds[self.group][r], j_u)
-                with np.errstate(over="ignore"):
-                    b = (splitmix64_np(h ^ salts[u_u % levels])
-                         % np.uint64(buckets)).astype(np.int64)
-                flat = (u_u * rows + r) * buckets + b
-                order = np.argsort(flat, kind="stable")
-                sorted_cells = flat[order]
-                starts = np.flatnonzero(
-                    np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-                )
-                cells = sorted_cells[starts]
-                w_flat[cells] -= np.add.reduceat(w_u[order], starts)
-                scatter_add_mod(s_flat, cells,
-                                segment_sum_mod(cs, order, starts))
-                scatter_add_mod(f_flat, cells,
-                                segment_sum_mod(cf, order, starts))
-                dirty.append(cells)
-            cand = np.sort(np.concatenate(dirty))
-            cand = cand[_occupied(w_flat[cand], s_flat[cand], f_flat[cand])]
+            cf = mul_vec_mod(neg, hashes.rho(q, mixed))
+            # Each decode leaves one cell per row; all rows' cells of
+            # all units go through one sort and one segment fold.
+            h = hash64_premixed(hashes.group_seeds[q, 1:], mixed[:, None])
+            salt = hashes.salts[hashes.owner[q], u_u % levels]
+            b = splitmix64_np(h ^ salt[:, None]) % np.uint64(buckets)
+            flat = (
+                (u_u[:, None] * rows + row_at) * buckets + b.astype(np.int64)
+            ).reshape(-1)
+            order = np.argsort(flat, kind="stable")
+            sorted_cells = flat[order]
+            starts = np.flatnonzero(
+                np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
+            )
+            cells, source = sorted_cells[starts], order // rows
+            w_flat[cells] -= np.add.reduceat(w_u[source], starts)
+            scatter_add_mod(s_flat, cells, segment_sum_mod(cs, source, starts))
+            scatter_add_mod(f_flat, cells, segment_sum_mod(cf, source, starts))
+            cand = cells[_occupied(w_flat[cells], s_flat[cells], f_flat[cells])]
         residual = _occupied(w_flat, s_flat, f_flat).reshape(
             self.count * levels, -1
         ).any(axis=1)
@@ -1458,7 +1503,7 @@ class SummedBatch:
             metrics.cells_decoded += cells_seen
             metrics.peel_sweeps += sweeps
         ru, rj, rw = (np.concatenate(col) for col in zip(*log))
-        return zero, residual, ru, rj, rw
+        return zero, residual, ru, rj, rw, scan
 
     def sample_many(self) -> List[Tuple[str, Optional[Tuple[int, int]]]]:
         """Decode every component; per-component scalar-parity outcomes.
@@ -1486,20 +1531,32 @@ class SummedBatch:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`sample_many` as parallel arrays ``(ok, failed, index,
         weight)``: two disjoint boolean masks (neither set = zero) and
-        the sampled pair, meaningful where ``ok``."""
-        grid = self._grid
+        the sampled pair, meaningful where ``ok``.  Peels a copy."""
+        return SummedBatch(
+            self._hashes, self._grids, self._groups,
+            self._w.copy(), self._s.copy(), self._f.copy(),
+        ).drain_arrays()
+
+    def drain_arrays(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`sample_arrays`, peeling the batch's own counters: for
+        a caller that gathered them for this one decode."""
+        hashes = self._hashes
         t0 = time.perf_counter()
-        n, levels = self.count, grid.levels
+        n, levels = self.count, hashes.levels
         index = np.zeros(n, dtype=np.int64)
         weight = np.zeros(n, dtype=np.int64)
-        zero, residual, ru, rj, rw = self._recover_levels_many()
+        zero, residual, ru, rj, rw, scan = self._recover_levels_many()
         # Only fully peeled units certify a support.  One sort by
         # (unit, tiebreak hash, index) puts repeats of a coordinate
         # side by side (equal index, equal hash) and every unit's
         # scalar winner — min over (tiebreak hash, index) — first.
         done = ~residual[ru]
         ru, rj, rw = ru[done], rj[done], rw[done]
-        tb = hash64_many(grid._tiebreak_seeds[self.group], rj)
+        tb = hash64_premixed(
+            hashes.tiebreak_seeds[self._groups[ru // levels]], premix64_np(rj)
+        )
         order = np.lexsort((rj, tb, ru))
         ru, rj, rw = ru[order], rj[order], rw[order]
         starts = np.flatnonzero(
@@ -1514,22 +1571,20 @@ class SummedBatch:
         index[comp], weight[comp] = rj[starts[first]], sums[first]
         ok = np.zeros(n, dtype=bool)
         ok[comp] = True
-        unresolved = np.flatnonzero(~ok & ~zero)
-        if unresolved.size:
-            fallback = _scan_verified_cells(
-                grid, self.group, self._w[unresolved],
-                self._s[unresolved], self._f[unresolved],
-            )
-            for c, got in zip(unresolved.tolist(), fallback):
-                if got is not None:
-                    ok[c] = True
-                    index[c], weight[c] = got
+        # Fallback for the rest: the scalar path scans the un-peeled
+        # counters for the first cell that verifies — which sweep 1
+        # already found, so nothing is verified (or kept) twice.
+        unresolved = ~ok & ~zero
+        at = np.flatnonzero(unresolved[scan[0]])
+        comp, first = np.unique(scan[0][at], return_index=True)
+        index[comp], weight[comp] = scan[1][at[first]], scan[2][at[first]]
+        ok[comp] = True
         failed = ~ok & ~zero
         metrics = _QUERY_METRICS
         if metrics is not None:
             n_ok, n_failed = int(ok.sum()), int(failed.sum())
             metrics.batch_queries += n
-            metrics.fallback_scans += unresolved.size
+            metrics.fallback_scans += int(unresolved.sum())
             metrics.sample_ok += n_ok
             metrics.sample_failed += n_failed
             metrics.sample_zero += n - n_ok - n_failed

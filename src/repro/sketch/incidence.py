@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from ..graph.hypergraph import Hypergraph
 from ..util.binomial import EdgeSpace
 
 Hyperedge = Tuple[int, ...]
@@ -70,6 +71,13 @@ class IncidenceScheme:
         """Hyperedges of a whole coordinate array, as ``(m, r)`` rows
         (see :meth:`repro.util.binomial.EdgeSpace.edges_of`)."""
         return self.space.edges_of(indices)
+
+    def hypergraph_of(self, indices) -> Hypergraph:
+        """The hypergraph whose hyperedges are the given coordinates."""
+        return Hypergraph(self.n, self.r, (
+            tuple(v for v in row if v >= 0)
+            for row in self.edges_of(indices).tolist()
+        ))
 
     @property
     def dimension(self) -> int:

@@ -28,13 +28,25 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import DomainError, IncompatibleSketchError
+from ..errors import (
+    DomainError,
+    IncompatibleSketchError,
+    SamplerFailedError,
+    SamplerZeroError,
+)
 from ..graph.hypergraph import Hypergraph
 from ..graph.union_find import UnionFind
 from ..util.hashing import derive_seed
 from ..util.rng import normalize_seed
-from .bank import SamplerGrid
+from . import bank
+from .bank import SamplerGrid, SummedBatch, _sum_slots
 from .incidence import IncidenceScheme
+
+#: Counter cells one pass of :func:`decode_stack` gathers in its first
+#: round: about what one n=1024 round handles.  All R = 132 instances
+#: of a Theorem 4 structure in a single pass (~1.3M cells) measured
+#: 405 MB peak RSS against 345 MB (``docs/query.md``).
+_PASS_CELLS = 1 << 19
 
 
 def default_rounds(active_vertices: int) -> int:
@@ -263,62 +275,17 @@ class SpanningForestSketch:
         (a :class:`~repro.errors.SketchDecodeError`) instead of being
         swallowed, which is what the degraded-decoding layer
         (:mod:`repro.core.degraded`) retries and falls back on.
-        """
-        from ..errors import SamplerFailedError, SamplerZeroError
-        from . import bank
 
-        forest = Hypergraph(self.n, self.r)
-        m = len(self.vertices)
-        uf = UnionFind(m)
-        # Components as a flat layout: ``order`` lists members grouped
-        # by component (components by smallest member, members
-        # ascending), ``sizes`` the component lengths.
-        order, sizes = np.arange(m), np.ones(m, dtype=np.int64)
-        for group in range(self.rounds):
-            if uf.components == 1:
-                break
-            if bank._QUERY_METRICS is not None:
-                bank._QUERY_METRICS.decode_rounds += 1
-            if bank.batch_decode_default():
-                # One kernel call decodes every component of the round:
-                # the boundary sketches are summed in a single segment
-                # pass and sampled together, bit-identical per
-                # component to the scalar loop below.
-                ok, failed, index, _weight = self.grid.summed_segments(
-                    group, order, sizes
-                ).sample_arrays()
-                if strict and failed.any():
-                    raise SamplerFailedError("no subsampling level decoded")
-                found = index[ok]
-            else:
-                found = []
-                for members in np.split(order, np.cumsum(sizes)[:-1]):
-                    try:
-                        got = self.grid.summed(group, members).sample()
-                    except SamplerZeroError:
-                        continue  # no outgoing edge: benign (isolated component)
-                    except SamplerFailedError:
-                        if strict:
-                            raise
-                        continue
-                    found.append(got[0])
-            merged_any = False
-            for row in self.scheme.edges_of(found).tolist():
-                edge = tuple(v for v in row if v >= 0)
-                if uf.union_many([self._member_of[v] for v in edge]):
-                    merged_any = True
-                    forest.add_edge(edge)
-            if not merged_any:
-                break
-            roots = np.fromiter(map(uf.find, range(m)), dtype=np.int64, count=m)
-            _, first, label = np.unique(
-                roots, return_index=True, return_inverse=True
-            )
-            smallest = first[label]  # per member: its component's smallest
-            order = np.argsort(smallest, kind="stable")
-            sizes = np.bincount(smallest)
-            sizes = sizes[sizes > 0]
-        return forest
+        A single sketch is a stack of one: see :func:`decode_stack`.
+        """
+        grid = self.grid
+        coords, _, failed = decode_stack(
+            self.scheme, grid._hashes, grid._slots(), [grid],
+            self._member_lut()[None], np.zeros(1, dtype=np.int64), [0],
+        )
+        if strict and failed[0]:
+            raise SamplerFailedError("no subsampling level decoded")
+        return self.scheme.hypergraph_of(coords)
 
     def components_of_decode(self) -> List[List[int]]:
         """Components of the decoded spanning graph, restricted to the
@@ -358,6 +325,116 @@ class SpanningForestSketch:
     def space_bytes(self) -> int:
         """Bytes of counter state."""
         return self.grid.space_bytes()
+
+
+def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
+    """Borůvka-decode many independent sketches in one batched loop.
+
+    The sketches share ``scheme`` and one counter buffer ``slots``
+    (:func:`~repro.sketch.bank._sum_slots`).  Instance ``i`` of
+    ``hashes`` (a :class:`~repro.sketch.bank.HashStack`) is
+    ``grids[i]``: its samplers start at slot ``base[i]``, ``luts[i]``
+    maps a vertex to its member.  Returns ``(coordinates, instance,
+    failed)``: every spanning edge of the instances in ``todo`` with
+    the instance it belongs to, and per instance whether a round it ran
+    reported a component FAILED — exactly when its strict decode raises.
+
+    The instances form one disjoint graph over global node ids
+    (instance-major, members ascending); round ``g`` reads group ``g``
+    of every instance still running, in passes of ``_PASS_CELLS``.
+    Components sort by smallest node and an instance leaves exactly
+    when its own loop would (spanned, no merge this round, rounds
+    exhausted), so each forest is the one a lone decode finds
+    (``docs/query.md``).  With the batch decode off, components go
+    through the scalar ``SummedSketch.sample`` oracle instead.
+    """
+    metrics = bank._QUERY_METRICS
+    todo = np.asarray(todo, dtype=np.int64)
+    members, rounds = np.zeros((2, hashes.first.size), dtype=np.int64)
+    cached = np.zeros(members.size, dtype=bool)
+    for i in todo.tolist():
+        members[i], rounds[i] = grids[i].members, grids[i].groups
+        cached[i] = grids[i]._summed_cache is not None
+    failed = np.zeros(members.size, dtype=bool)
+    found = [(np.empty(0, dtype=np.int64),) * 2]
+    ahead = (np.cumsum(members[todo]) - members[todo]) * (
+        hashes.levels * hashes.rows * hashes.buckets
+    )
+    for ids in np.split(todo, np.flatnonzero(np.diff(ahead // _PASS_CELLS)) + 1):
+        inst = np.repeat(ids, members[ids])  # node -> instance
+        ptr = np.zeros_like(members)  # instance -> its first node
+        ptr[ids] = np.cumsum(members[ids]) - members[ids]
+        member = np.arange(inst.size) - ptr[inst]  # node -> grid member
+        smallest = np.arange(inst.size)  # node -> its component's smallest
+        uf = UnionFind(inst.size)
+        parts = members.copy()  # components left, per instance
+        active = np.isin(np.arange(members.size), ids)
+        for rnd in range(int(rounds[ids].max())):
+            active &= (parts > 1) & (rounds > rnd)
+            nodes = np.flatnonzero(active[inst])
+            if not nodes.size:
+                break
+            if metrics is not None:
+                metrics.decode_rounds += 1
+            if rnd:
+                roots = np.fromiter(
+                    map(uf.find, nodes.tolist()), np.int64, nodes.size
+                )
+                _, first, label = np.unique(
+                    roots, return_index=True, return_inverse=True
+                )
+                smallest[nodes] = nodes[first[label]]
+            # Components as a flat layout: ``order`` lists nodes grouped
+            # by component (components by smallest node, nodes
+            # ascending), ``sizes`` the component lengths.
+            order = nodes[np.argsort(smallest[nodes], kind="stable")]
+            sizes = np.bincount(smallest[nodes])
+            sizes = sizes[sizes > 0]
+            ends = np.cumsum(sizes)
+            at, local = inst[order], member[order]
+            owner = at[ends - sizes]  # component -> instance
+            if bank.batch_decode_default():
+                w_slot = base[at] + rnd * members[at] + local
+                plane = (members * rounds)[at]
+                ok, bad, index, _weight = SummedBatch(
+                    hashes, grids, hashes.first[owner] + rnd,
+                    *_sum_slots(slots, w_slot, plane, sizes, [
+                        (ci, grids[owner[ci]], rnd,
+                         local[ends[ci] - sizes[ci]:ends[ci]])
+                        for ci in np.flatnonzero(cached[owner]).tolist()
+                    ]),
+                ).drain_arrays()
+            else:
+                ok, bad, index = (
+                    np.zeros(sizes.size, dtype=t) for t in (bool, bool, np.int64)
+                )
+                for ci, idx in enumerate(np.split(local, ends[:-1])):
+                    try:
+                        index[ci] = grids[owner[ci]].summed(rnd, idx).sample()[0]
+                        ok[ci] = True
+                    except SamplerZeroError:
+                        pass  # no outgoing edge: an isolated component
+                    except SamplerFailedError:
+                        bad[ci] = True
+            failed[owner[bad]] = True
+            coords, src = index[ok], owner[ok]
+            vertices = scheme.edges_of(coords)
+            rows = np.where(
+                vertices >= 0,
+                ptr[src][:, None] + luts[src[:, None], vertices], -1,
+            )
+            left = [uf.components]
+            for row in rows.tolist():
+                uf.union_many([v for v in row if v >= 0])
+                left.append(uf.components)
+            # An edge joins the forest iff it merged something.
+            merged = np.bincount(src, -np.diff(left), members.size).astype(np.int64)
+            kept = np.flatnonzero(np.diff(left))
+            parts -= merged
+            active &= merged > 0
+            found.append((coords[kept], src[kept]))
+    coords, src = (np.concatenate(col) for col in zip(*found))
+    return coords, src, failed
 
 
 class EdgeSpaceCache:

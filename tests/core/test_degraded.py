@@ -21,6 +21,24 @@ def feed(sketch, graph):
         sketch.insert(e)
 
 
+def break_instance(union, victim):
+    """Make ``victim``'s strict decode fail for real: overwrite member
+    0's group-0 sampler, in the arena, with residues no cell decodes
+    (weight 1, index 5, a fingerprint that is not rho(5)), so round 0
+    reports that component FAILED.  An arena write is invisible to the
+    decode cache (that is the auditor's business), so an edge of the
+    victim is flapped through its scalar ``update`` to make it dirty.
+    """
+    lo, plane = int(union._base[victim]), int(union._plane[victim])
+    for k, residue in enumerate((1, 5, 12345)):
+        at = lo + k * plane  # group 0, member 0 of plane k (w, s, f)
+        union._arena[at:at + union._member_stride] = residue
+    sketch = union.sketches[victim]
+    edge = sketch.vertices[:2]
+    sketch.update(edge, 1)
+    sketch.update(edge, -1)
+
+
 class TestHelper:
     def test_primary_success_is_full_strength(self):
         result = decode_with_degradation(lambda: 42)
@@ -140,12 +158,8 @@ class TestQueryDegraded:
 
         # Break a few sampled instances' strict decodes.
         broken_ids = list(sketch._union.sketches)[:2]
-
-        def broken(strict=False):
-            raise SamplerFailedError("injected instance failure")
-
         for i in broken_ids:
-            sketch._union.sketches[i].decode = broken
+            break_instance(sketch._union, i)
         metrics = IngestMetrics(shards=1, backend="serial", batch_size=1)
         result = sketch.disconnects_degraded([0, 1], metrics=metrics)
         assert result.degraded
@@ -176,10 +190,13 @@ class TestAccountedUnion:
         assert union.num_edges > 0
 
         victim = list(sketch._union.sketches)[0]
-
-        def broken(strict=False):
-            raise SamplerFailedError("boom")
-
-        sketch._union.sketches[victim].decode = broken
-        _, failed = sketch._union.decode_union_accounted()
+        break_instance(sketch._union, victim)
+        partial, failed = sketch._union.decode_union_accounted()
+        assert failed == [victim]
+        with pytest.raises(SamplerFailedError):
+            sketch._union.sketches[victim].decode(strict=True)
+        # The plain certificate still takes the victim's lenient forest.
+        assert partial.edge_set() <= sketch._union.decode_union().edge_set()
+        # Excluded instances are reported and never read.
+        _, failed = sketch._union.decode_union_accounted(exclude=[victim])
         assert failed == [victim]

@@ -118,6 +118,36 @@ class TestIncrementalDecodeCache:
             if union.membership[i, 0] and union.membership[i, 8]
         }
         assert union._dirty == expected
+        from repro.engine.query import collect_query_metrics
+
+        with collect_query_metrics() as qm:
+            union.decode_union()
+        assert qm.instances_decoded == len(expected) > 0
+        assert not union._dirty
+
+    def test_scalar_route_write_refreshes_the_certificate(self):
+        """``sketches[i].update`` writes the same pages as the kernel;
+        the decode cache has to notice it just the same (it used to
+        hand back the stale certificate)."""
+        union = SampledForestUnion(12, k=2, repetitions=20, seed=42)
+        twin = SampledForestUnion(12, k=2, repetitions=20, seed=42)
+        for e in cycle_graph(12).edges():
+            union.insert(e)
+            twin.insert(e)
+        stale = union.decode_union()
+        assert not stale.has_edge((0, 6))
+        hit = [i for i in union.sketches
+               if union.membership[i, 0] and union.membership[i, 6]]
+        assert len(hit) == 2
+        for i in hit:
+            union.sketches[i].update((0, 6), 1)
+        twin.insert((0, 6))
+        assert np.array_equal(union._arena, twin._arena)
+        assert union._dirty == set(hit)
+        fresh = union.decode_union()
+        assert fresh is not stale and fresh.has_edge((0, 6))
+        assert fresh == twin.decode_union()
+        assert union.decode_union() is fresh  # and cached again
 
 
 def scalar_route(union, edge, sign):

@@ -81,6 +81,36 @@ class TestQueryMetrics:
         # A scalar-only session has rounds but no batch sample taxonomy.
         scalar = QueryMetrics(scalar_queries=4, decode_rounds=2).summary()
         assert "rounds: 2" in scalar and "samples:" not in scalar
+        assert "union:" not in scalar
+
+    def test_instances_decoded_merges_serializes_and_prints(self):
+        a = QueryMetrics(instances_decoded=79, decode_rounds=8)
+        a.merge(QueryMetrics(instances_decoded=3, decode_rounds=4))
+        assert json.loads(a.to_json())["instances_decoded"] == 82
+        assert "union: 82 sampled instances re-decoded" in a.summary()
+
+    def test_union_decode_counts_kernel_passes_not_instances(self):
+        """One loop for all dirty instances: ``decode_rounds`` is a
+        handful of kernel passes where the per-instance loop counts
+        every instance's rounds; the component counters agree."""
+        from repro.core._sampled import SampledForestUnion
+
+        union = SampledForestUnion(24, k=2, repetitions=40, seed=3)
+        twin = SampledForestUnion(24, k=2, repetitions=40, seed=3)
+        for target in (union, twin):
+            target.update_batch([(e, 1) for e in gnp_graph(24, 0.3, seed=5).edges()])
+        with collect_query_metrics() as stacked:
+            union.decode_union()
+        with collect_query_metrics() as looped:
+            for sketch in twin.sketches.values():
+                sketch.decode()
+        assert stacked.instances_decoded == union.live_instances > 20
+        assert looped.instances_decoded == 0
+        assert stacked.decode_rounds < 10 < looped.decode_rounds
+        assert stacked.peel_sweeps < looped.peel_sweeps
+        assert stacked.batch_queries == looped.batch_queries
+        assert stacked.cells_decoded == looped.cells_decoded
+        assert stacked.sample_ok == looped.sample_ok
 
     def test_empty_hit_rate(self):
         assert QueryMetrics().cache_hit_rate == 0.0

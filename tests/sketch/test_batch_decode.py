@@ -25,8 +25,10 @@ from repro.errors import (
     SamplerZeroError,
 )
 from repro.sketch.bank import (
+    HashStack,
     SamplerGrid,
     SummedBatch,
+    _sum_slots,
     batch_decode_default,
     set_auto_hash_cache,
     set_batch_decode,
@@ -218,11 +220,11 @@ class _Placer:
                 return j
 
 
-def _adversarial_grid():
+def _adversarial_grid(seed=99, block=None):
     """One group, two levels, eleven members, each built to hit one path
     of the joint peel; returns ``(grid, components, notes)``."""
-    grid = SamplerGrid(groups=1, members=11, domain=1 << 22, seed=99,
-                       rows=2, buckets=8, levels=2)
+    grid = SamplerGrid(groups=1, members=11, domain=1 << 22, seed=seed,
+                       rows=2, buckets=8, levels=2, block=block)
     place = _Placer(grid)
     notes = {}
     # member 0 — level 1 is a 9-coordinate path in the cell graph
@@ -366,6 +368,75 @@ class TestWorklistPeelDifferential:
             else (SummedBatch.FAILED if bad else SummedBatch.ZERO, None)
             for o, bad, j, w in zip(ok, failed, index, weight)
         ] == a.sample_many()
+
+
+class TestStackedGrids:
+    """Two adversarial grids with *different* seeds, on one counter
+    buffer, decoded as one batch: every component must come out as it
+    does from its own grid's ``sample_many()`` — the slow unit that
+    needs five sweeps, the stalled one beside it, the FAILED one, and
+    the one only the fallback scan answers (from what sweep 1 saw of
+    the un-peeled counters: a drained batch keeps no second copy)."""
+
+    def _stack(self):
+        size = SamplerGrid(1, 11, 1 << 22, seed=0, rows=2, buckets=8,
+                           levels=2).space_counters()
+        buffer = np.zeros(2 * size, dtype=np.int64)
+        grids, comps = [], None
+        for k, seed in enumerate((99, 7)):
+            grid, comps, _ = _adversarial_grid(
+                seed, block=buffer[k * size:(k + 1) * size]
+            )
+            # The corruption TestWorklistPeelDifferential applies to its
+            # batch, applied to the counters instead: member 5's second
+            # coordinate no longer verifies in row 0.
+            grid._f[0, 5, 0, 0, :] ^= (grid._f[0, 5, 0, 0, :] != 0)
+            grids.append(grid)
+        return buffer, grids, comps
+
+    def test_stacked_outcomes_equal_each_grids_own(self):
+        buffer, grids, comps = self._stack()
+        separate = [g.summed_many(0, comps) for g in grids]
+        expected = [o for batch in separate for o in batch.sample_many()]
+        assert {status for status, _ in expected} == {"ok", "zero", "failed"}
+        assert expected[:8] != expected[8:]  # the seeds really differ
+
+        # One gather over both grids: grid k's plane-0 samplers start at
+        # slot 3 * 11 * k, its planes are 11 slots apart.
+        slots = buffer.reshape(-1, 2, 2, 8)
+        members = np.array([m for comp in comps for m in comp])
+        sizes = np.array([len(comp) for comp in comps] * 2)
+        w_slot = np.concatenate([members, 33 + members])
+        plane = np.full(w_slot.size, 11)
+        groups = np.repeat([0, 1], len(comps))
+        stack = HashStack.of(grids)
+
+        stacked = SummedBatch(
+            stack, grids, groups, *_sum_slots(slots, w_slot, plane, sizes)
+        )
+        for c in range(stacked.count):  # the gather itself
+            ref = separate[c // 8].sketch_at(c % 8)
+            got = stacked.sketch_at(c)
+            assert got._grid is grids[c // 8] and got.group == 0
+            assert np.array_equal(ref._w, got._w)
+            assert np.array_equal(ref._s, got._s)
+            assert np.array_equal(ref._f, got._f)
+        assert stacked.sample_many() == expected  # leaves the batch intact
+        with collect_query_metrics() as qm:
+            ok, failed, index, weight = stacked.drain_arrays()
+        assert [
+            (SummedBatch.OK, (j, w)) if o
+            else (SummedBatch.FAILED if bad else SummedBatch.ZERO, None)
+            for o, bad, j, w in zip(ok.tolist(), failed.tolist(),
+                                    index.tolist(), weight.tolist())
+        ] == expected
+        # Per grid: the corrupted and the FAILED component went to the
+        # fallback.
+        assert qm.fallback_scans == 4
+        assert qm.peel_sweeps >= 5 and qm.batch_queries == 16
+        # drain_arrays spent the batch's own counters: the slow level of
+        # component 0 is peeled to zero in place.
+        assert separate[0]._w[0, 1].any() and not stacked._w[0, 1].any()
 
 
 class TestDecodeAtScale:
