@@ -168,17 +168,18 @@ class GridDigest:
     ) -> None:
         """Fold one batch's per-cell deltas for ``(group, row)`` in.
 
-        ``cells`` are flat-within-group cell indices; ``dw`` the exact
-        int64 weight deltas; ``ds``/``df`` the modular contribution
-        residues in [0, p) — all three exactly as the batch kernel
-        scatter-adds them, so the digest moves in lockstep with the
-        bank.
+        ``cells`` are flat-within-group cell indices (they may repeat);
+        ``dw`` the exact int64 weight deltas; ``ds``/``df`` int64
+        values congruent to the modular contributions, ``df`` in
+        [0, p) — all exactly as the batch kernel folds them, so the
+        digest moves in lockstep with the bank.  The digest is linear,
+        so per-entry observations equal per-cell ones.
         """
         c_w, c_m = _coefficients(self.cells_per_group)
         with np.errstate(over="ignore"):
             delta_w = (c_w[cells] * dw.astype(np.uint64)).sum(dtype=np.uint64)
             self.w[group, row] += delta_w
-        x = ds + shl32_vec_mod(df.astype(np.uint64)).astype(np.int64)
+        x = ds % _P + shl32_vec_mod(df.astype(np.uint64)).astype(np.int64)
         x = np.where(x >= _P, x - _P, x)
         prod = mul_vec_mod(c_m[cells], x)
         hi = int((prod >> np.int64(32)).sum())

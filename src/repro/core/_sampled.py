@@ -14,7 +14,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.batch import expand_pair_batch, fold_cells, pairs_of_updates
+from ..engine.batch import (
+    expand_pair_batch,
+    fold_cells,
+    index_sums,
+    pairs_of_updates,
+)
 from ..errors import DomainError
 from ..graph.graph import Graph
 from ..graph.hypergraph import Hypergraph
@@ -267,6 +272,11 @@ class SampledForestUnion:
                 raise DomainError(f"sign must be +1 or -1, got {sign}")
             index.append(self.scheme.index_of(edge))
             for vertex, c in self.scheme.coefficients(edge):
+                # the int64 array below would truncate 1.5 to vertex 1
+                if not float(vertex).is_integer():
+                    raise DomainError(
+                        f"edge {tuple(edge)} touches non-integer vertex {vertex}"
+                    )
                 verts.append(vertex)
                 coef.append(sign * c)
             ptr.append(len(verts))
@@ -384,11 +394,10 @@ class SampledForestUnion:
         v_u = ptr[e_p][p_u] + c_u
         i_u = i_p[p_u]
         delta = coef[v_u]
-        d_mod = delta % _P
-        cs = mul_vec_mod(d_mod, index[e_p][p_u] % _P)
+        cs = index_sums(delta, index[e_p][p_u], self.scheme.dimension)
         rho = hash64_premixed(self._rho_seeds[i_p], mixed[:, None])
         cf = mul_vec_mod(
-            d_mod, field_residue_np(rho[:, 0], rho[:, 1], _P)[p_u]
+            delta % _P, field_residue_np(rho[:, 0], rho[:, 1], _P)[p_u]
         )
         member_at = self._member_lut[i_u, verts[v_u]] * self._member_stride
         # (pair, group, level, incidence row) x rows: the cells touched.

@@ -4,16 +4,16 @@ The scalar ``SamplerGrid.update`` walks ``groups × rows × (depth+1)``
 counter cells in Python per stream event.  The kernel here applies a
 whole *array* of updates at once: the level depths, bucket choices and
 modular cell contributions for every update are computed with numpy
-(:func:`~repro.util.hashing.hash64_many` /
-:func:`~repro.util.prime_field.mul_vec_mod`), grouped by destination
-cell with one argsort per (group, row), and folded into the counter
-arrays with ``np.add.reduceat`` segment sums.
+(:func:`~repro.util.hashing.hash64_premixed` /
+:func:`~repro.util.prime_field.mul_vec_mod`), and every contribution is
+added straight into its destination cell by :func:`fold_cells` — the
+sketches are linear, so no stage groups or orders the cells.
 
 The result is **bit-identical** to applying the same updates one at a
 time (the equivalence tests enforce this across seeds): plain ``int64``
-addition is exact for the weight counters, and the modular counters are
-accumulated in 32-bit halves so that no segment sum can overflow before
-its single final reduction mod ``2^61 - 1``.
+addition is exact for the weight counters, and the modular counters
+are folded so that no cell can overflow before it is reduced mod
+``2^61 - 1`` (see :func:`fold_cells`).
 
 :func:`expand_edge_batch` is the bridge from *edge* streams to *row*
 batches: it expands a batch of signed hyperedges into the signed
@@ -31,18 +31,20 @@ from ..errors import DomainError, IncompatibleSketchError, NotOneSparseError
 from ..util.hashing import (
     field_value_many,
     hash64_many,
+    hash64_premixed,
+    premix64_np,
     splitmix64_np,
     trailing_zeros64_np,
 )
-from ..util.prime_field import (
-    MERSENNE_61,
-    mul_vec_mod,
-    scatter_add_mod,
-    segment_sum_mod,
-    shl32_vec_mod,
-)
+from ..util.prime_field import MERSENNE_61, mul_vec_mod, rotl_vec_mod
 
 _P = MERSENNE_61
+
+#: A cell folds its contributions exactly in ``int64`` while their
+#: absolute sum stays below this: with the canonical value already in
+#: the cell (< 2^61) the running total stays inside ``int64``.
+_EXACT_BOUND = 1 << 62
+_MASK32 = np.int64(0xFFFFFFFF)
 
 
 def _as_update_arrays(
@@ -87,8 +89,8 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     (budgeted — see :meth:`SamplerGrid._ensure_hash_cache`).  Digest-free
     grids take :func:`_grid_update_batch_fused`, one pass over the whole
     SoA block across all groups; grids with an audit digest attached
-    keep the per-(group, row) kernels, whose fold granularity matches
-    ``digest.observe_cells``.
+    keep the per-(group, row) kernels, whose folds address one group's
+    cells, the granularity ``digest.observe_cells`` takes.
     """
     m, idx, d = _as_update_arrays(members, indices, deltas)
     nz = d != 0
@@ -130,9 +132,8 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
                 return applied
 
     # Per-update modular cell contributions, shared by every group.
-    d_mod = d % _P
-    cs = mul_vec_mod(d_mod, idx % _P)
-    cf = mul_vec_mod(d_mod, field_value_many(grid._rho.seed, idx, _P))
+    cs = index_sums(d, idx, grid.domain)
+    cf = mul_vec_mod(d % _P, field_value_many(grid._rho.seed, idx, _P))
 
     cache = grid._ensure_hash_cache()
     if digest is None and _FUSED_KERNEL:
@@ -193,130 +194,113 @@ def _grid_update_batch_grouped(
     return int(m.size)
 
 
-_MASK32 = np.int64(0xFFFFFFFF)
+def _magnitude(values: np.ndarray) -> int:
+    """``max |values|`` as a Python int (``np.abs`` wraps on INT64_MIN)."""
+    if values.size == 0:
+        return 0
+    return max(int(values.max()), -int(values.min()))
 
 
-def _cell_sums_bincount(flat, ncells, d_halves, cs_halves, cf_halves):
-    """Per-cell folds via dense ``np.bincount`` instead of a sort.
+def index_sums(d: np.ndarray, idx: np.ndarray, domain: int) -> np.ndarray:
+    """Per-update index-sum contributions ``d · idx`` for :func:`fold_cells`.
 
-    Every value is split into 32-bit halves summed as float64 bincount
-    weights — each half is below ``2^32`` and a cell receives far fewer
-    than ``2^21`` contributions, so the float64 sums are exact integers
-    and recombining them reproduces the sort-and-reduceat segment sums
-    bit for bit (int64 addition wraps identically mod ``2^64``; the
-    modular halves recombine exactly as :func:`segment_sum_mod` does).
-    Returns ``(cells, dw, cs_contrib, cf_contrib)`` with ``cells``
-    ascending, matching the sorted path's output order.
+    The exact signed products while ``max|d| · domain < 2^62`` — none
+    can overflow, and the fold may add them exactly — otherwise their
+    canonical residues mod p.
     """
-    counts = np.bincount(flat, minlength=ncells)
-    cells = np.flatnonzero(counts)
-
-    def halves_sum(hi_vals, lo_vals):
-        hi = np.bincount(flat, weights=hi_vals, minlength=ncells)[cells]
-        lo = np.bincount(flat, weights=lo_vals, minlength=ncells)[cells]
-        return hi.astype(np.int64), lo.astype(np.int64)
-
-    d_hi, d_lo = halves_sum(*d_halves)
-    dw = np.left_shift(d_hi, 32) + d_lo
-
-    def mod_sum(halves):
-        hi, lo = halves_sum(*halves)
-        return (
-            shl32_vec_mod(hi.astype(np.uint64)).astype(np.int64)
-            + lo % _P
-        ) % _P
-
-    return cells, dw, mod_sum(cs_halves), mod_sum(cf_halves)
+    if _magnitude(d) * domain < _EXACT_BOUND:
+        return d * idx
+    return mul_vec_mod(d % _P, idx % _P)
 
 
-def _as_halves(values):
-    """Split int64 values into (hi, lo) float64 bincount weights."""
-    return (
-        (values >> np.int64(32)).astype(np.float64),
-        (values & _MASK32).astype(np.float64),
-    )
+def _fold_mod(plane: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
+    """``plane[cells] += values`` mod p, exactly, for repeating ``cells``.
+
+    ``values`` are any ``int64`` values congruent to the contributions
+    mod p.  While their absolute sum provably fits
+    (``max|v| · entries < 2^62``) they are added as they are and each
+    touched cell is reduced once.  Otherwise each is split into two
+    limbs, ``v = hi · 2^32 + lo`` with ``lo`` its low 32 bits and
+    ``|hi| <= 2^31``, folded by the Mersenne rotation identity
+
+        x + Σv ≡ ((x + Σlo) · 2^-32 + Σhi) · 2^32  (mod p),
+
+    where multiplying by ``2^-32 ≡ 2^29`` and by ``2^32`` is a 61-bit
+    rotation (:func:`~repro.util.prime_field.rotl_vec_mod`, which also
+    takes the not-yet-reduced sums) and every intermediate stays inside
+    ``int64`` for fewer than 2^30 entries.  Rewriting ``plane[cells]``
+    writes every duplicate of a cell with the same value (the gather
+    happens before the scatter), so repeats are safe.
+    """
+    if values.size == 0:
+        return
+    if _magnitude(values) * values.size < _EXACT_BOUND:
+        np.add.at(plane, cells, values)
+        plane[cells] = plane[cells] % _P
+        return
+    np.add.at(plane, cells, values & _MASK32)
+    plane[cells] = rotl_vec_mod(plane[cells], 29)
+    np.add.at(plane, cells, values >> np.int64(32))
+    plane[cells] = rotl_vec_mod(plane[cells], 32) % _P
 
 
-def fold_cells(planes, flat, d, cs, cf, halves=None, plane_shift=None):
+def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
     """Fold per-entry contributions into their destination cells.
 
-    The one exact/mod-p segment fold behind every batch kernel, the
-    grid kernels here and the cross-instance kernel of
+    The one counter write behind every batch kernel: the grid kernels
+    here and the cross-instance kernel of
     :class:`~repro.core._sampled.SampledForestUnion`.  ``flat`` names
-    each entry's cell as an offset into the flat weight plane; ``d`` /
-    ``cs`` / ``cf`` are the entries' exact weight deltas and canonical
-    index-sum / fingerprint residues.  Entries are grouped by cell —
-    ``argsort`` + ``reduceat`` segment sums, or the sort-free dense
-    ``np.bincount`` fold when the caller supplies the pre-split
-    ``halves`` of ``(d, cs, cf)`` — and each distinct cell receives
-    exactly one scatter per plane, so the result is bit-identical to
-    applying the entries one at a time in any order.
+    each entry's cell as an offset into the flat weight plane, and
+    cells may repeat.  ``d`` holds the entries' exact weight deltas;
+    ``cs`` / ``cf`` hold ``int64`` values congruent mod p to their
+    index-sum / fingerprint contributions (canonical residues, or the
+    signed products of :func:`index_sums`).  Nothing is sorted or
+    grouped: the weights are added with ``np.add.at`` (wrapping mod
+    2^64 exactly as one-at-a-time ``int64`` addition does) and the two
+    modular planes through :func:`_fold_mod`, so the result is
+    bit-identical to applying the entries one at a time in any order.
 
     ``planes`` is the ``(w, s, f)`` triple of flat counter arrays.  A
     cell sits at the same offset in all three unless ``plane_shift``
-    (sorted fold only) gives, per entry, the distance from its weight
-    cell to its index-sum cell and from there to its fingerprint cell
-    — the layout of instance blocks packed one after another in a
-    single arena, where all three planes are the same array.
+    gives, per entry, the distance from its weight cell to its
+    index-sum cell and from there to its fingerprint cell — the layout
+    of instance blocks packed one after another in a single arena,
+    where all three planes are the same array.
 
-    Returns ``(cells, dw, cs_contrib, cf_contrib)``: the distinct
-    weight-plane cells in ascending order and the folded delta each
-    received (what :meth:`GridDigest.observe_cells` consumes).
+    Returns the entries ``(flat, d, cs, cf)`` themselves: the folds are
+    linear, so per-entry observations of them are what
+    :meth:`GridDigest.observe_cells` needs.
     """
     w_plane, s_plane, f_plane = planes
-    if halves is not None:
-        cells, dw, cs_contrib, cf_contrib = _cell_sums_bincount(
-            flat, w_plane.size, *halves
-        )
-        s_cells = f_cells = cells
+    np.add.at(w_plane, flat, d)
+    if plane_shift is None:
+        s_cells = f_cells = flat
     else:
-        order = np.argsort(flat, kind="stable")
-        sorted_cells = flat[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-        )
-        cells = sorted_cells[starts]
-        dw = np.add.reduceat(d[order], starts)
-        cs_contrib = segment_sum_mod(cs, order, starts)
-        cf_contrib = segment_sum_mod(cf, order, starts)
-        if plane_shift is None:
-            s_cells = f_cells = cells
-        else:
-            shift = plane_shift[order[starts]]
-            s_cells = cells + shift
-            f_cells = s_cells + shift
-    w_plane[cells] += dw
-    scatter_add_mod(s_plane, s_cells, cs_contrib)
-    scatter_add_mod(f_plane, f_cells, cf_contrib)
-    return cells, dw, cs_contrib, cf_contrib
+        s_cells = flat + plane_shift
+        f_cells = s_cells + plane_shift
+    _fold_mod(s_plane, s_cells, cs)
+    _fold_mod(f_plane, f_cells, cf)
+    return flat, d, cs, cf
 
 
 def _grid_update_batch_cached(
     grid, cache, m, idx, d, cs, cf, digest, w3, s3, f3
 ) -> int:
-    """The placement-table variant of the batch kernel.
+    """The placement-table variant of the per-(group, row) kernel.
 
     Instead of rehashing every coordinate per (group, row) and masking
     a dense ``(U, levels)`` grid, the depths come from one gather and
     the surviving ``(update, level)`` pairs are materialised explicitly
     (on average ``E[depth] + 1 ≈ 2`` pairs per update instead of
-    ``levels`` dense slots).  The pair enumeration order — update-major,
-    level ascending — is exactly the dense path's mask-flattening
-    order, and the per-cell folds are the same exact/modular segment
-    sums, so the resulting counters (and digest observations) are
-    bit-identical to the hashing kernel.
-
-    When the batch is dense relative to the counter array the per-cell
-    folds run through :func:`_cell_sums_bincount` (no sort at all);
-    sparse batches keep the ``argsort`` + ``reduceat`` path, whose
-    cost scales with the batch instead of the grid.
+    ``levels`` dense slots).  The pairs are the hashing kernel's, and
+    the folds and digest observations are linear in them, so the
+    counters and digest are bit-identical to the hashing kernel's.
     """
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
     cell_stride = levels * rows * buckets
     u_arange = np.arange(m.size, dtype=np.int64)
     for g in range(grid.groups):
-        depth = cache.depth[g][idx]
-        counts = depth + 1
+        counts = cache.depth[g][idx].astype(np.int64) + 1
         cum = np.cumsum(counts)
         src = np.repeat(u_arange, counts)
         lvl = np.arange(cum[-1], dtype=np.int64) - np.repeat(cum - counts, counts)
@@ -327,16 +311,10 @@ def _grid_update_batch_cached(
         cf_pairs = cf[src]
         w_flat, s_flat, f_flat = w3[g], s3[g], f3[g]
         off_g = cache.off[g]
-        halves = (
-            (_as_halves(d_pairs), _as_halves(cs_pairs), _as_halves(cf_pairs))
-            if w_flat.size <= 8 * src.size
-            else None
-        )
         for r in range(rows):
             flat = base + off_g[r][key]
             folded = fold_cells(
-                (w_flat, s_flat, f_flat), flat, d_pairs, cs_pairs, cf_pairs,
-                halves=halves,
+                (w_flat, s_flat, f_flat), flat, d_pairs, cs_pairs, cf_pairs
             )
             if digest is not None:
                 digest.observe_cells(g, r, *folded)
@@ -347,81 +325,69 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> int:
     """One fused pass per row over the whole SoA block, all groups.
 
     The per-group kernels above issue ``groups × rows`` separate
-    mask/gather/sort/fold sequences; for typical group counts (~10-14)
-    the numpy call overhead dominates service-sized batches.  This
-    kernel expands the surviving ``(update, group, level)`` triples
-    *once* — depths gathered from the placement tables when attached
-    (full or depth-only tier), or re-derived with one hashing sweep per
-    group — addresses them as **global** flat offsets into the
-    contiguous counter planes, and folds all groups' cells together in
-    a single exact/modular segment pass per row.
+    mask/gather/fold sequences; for typical group counts (~10-14) the
+    numpy call overhead dominates service-sized batches.  This kernel
+    expands the surviving ``(group, update, level)`` triples *once* —
+    depths gathered from the placement tables when attached (full or
+    depth-only tier), or hashed here — addresses them as **global**
+    flat offsets into the contiguous counter planes, and folds all
+    groups' cells together with one :func:`fold_cells` per row.  Every
+    hash it needs is taken once per (group, update) — one
+    :func:`~repro.util.hashing.premix64_np` of the batch finished under
+    each group's seeds — and read back per triple through its flat
+    ``group * U + update`` slot.
 
     Bit-identity to the grouped kernels (and hence the scalar loop):
     each counter cell belongs to exactly one group, so its set of
     contributing ``(update, level)`` pairs is the same under either
-    partitioning; the exact weight sums and 32-bit-half modular folds
-    are order-independent; and every cell still receives exactly one
-    scatter per row.  The dense ``np.bincount`` fold triggers on the
-    same batch-vs-array density ratio as the per-group kernels (both
-    sides of the gate scale by the group count).
+    partitioning, and the folds are order-independent.
     """
-    G = grid.groups
+    G, U = grid.groups, m.size
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
-    U = m.size
-    if cache is not None:
-        depth = cache.depth[:, idx]  # (G, U) gather
-    else:
-        depth = np.empty((G, U), dtype=np.int64)
-        for g in range(G):
-            depth[g] = np.minimum(
-                trailing_zeros64_np(hash64_many(grid._level_seeds[g], idx)),
-                levels - 1,
-            )
-    # Explicit (update, group, level) pair expansion, group-major so
-    # each group's pairs are exactly the grouped kernel's update-major,
-    # level-ascending enumeration.
-    counts = (depth + 1).reshape(-1)
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    src = np.repeat(np.arange(G * U, dtype=np.int64), counts)
-    lvl = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    g_p, u_p = np.divmod(src, U)
-    d_pairs = d[u_p]
-    cs_pairs = cs[u_p]
-    cf_pairs = cf[u_p]
-    planes = (grid._w.reshape(-1), grid._s.reshape(-1), grid._f.reshape(-1))
-    halves = (
-        (_as_halves(d_pairs), _as_halves(cs_pairs), _as_halves(cf_pairs))
-        if planes[0].size <= 8 * total
-        else None
-    )
-    member_stride = levels * rows * buckets
     full_tables = cache is not None and cache.off is not None
+    if cache is not None:
+        depth = cache.depth[:, idx].reshape(-1)
+    if not full_tables:
+        # One hash per (seed, group, update): the level seed's only
+        # without a depth table, then one per row.
+        seeds = grid._hashes.group_seeds.T[int(cache is not None):]
+        h = hash64_premixed(seeds[:, :, None], premix64_np(idx))
+        h = h.reshape(seeds.shape[0], -1)
+        if cache is None:
+            depth = np.minimum(trailing_zeros64_np(h[0]), levels - 1)
+            h = h[1:]
+    # Explicit (group, update, level) triple expansion, group-major.
+    counts = depth.astype(np.int64) + 1
+    cum = np.cumsum(counts)
+    slot = np.repeat(np.arange(G * U, dtype=np.int64), counts)
+    lvl = np.arange(cum[-1], dtype=np.int64) - np.repeat(cum - counts, counts)
+    u_p = np.tile(np.arange(U, dtype=np.int64), G)[slot]
+    d_pairs, cs_pairs, cf_pairs = d[u_p], cs[u_p], cf[u_p]
+    # (group, member) block of every triple, in member strides.
+    block = (np.arange(G, dtype=np.int64)[:, None] * grid.members + m)
+    block = block.reshape(-1)[slot]
+    planes = (grid._w.reshape(-1), grid._s.reshape(-1), grid._f.reshape(-1))
     if full_tables:
-        key = idx[u_p] * levels + lvl
-        mem_base = (g_p * grid.members + m[u_p]) * member_stride
-    else:
-        cell_base = ((g_p * grid.members + m[u_p]) * levels + lvl) * rows
-        salts = np.array(grid._level_salts, dtype=np.uint64)
-        # Bucket hashes per (group, row) over the batch's coordinates,
-        # gathered per pair below (hashes per distinct update, not per
-        # expanded pair).
-        hb = np.empty((G, rows, U), dtype=np.uint64)
-        for g in range(G):
-            for r in range(rows):
-                hb[g, r] = hash64_many(grid._bucket_seeds[g][r], idx)
+        span = grid.domain * levels  # one (group, row) offset table
+        off = cache.off.reshape(-1)
+        key = (
+            np.arange(G, dtype=np.int64)[:, None] * (rows * span)
+            + idx * levels
+        ).reshape(-1)[slot] + lvl
+        base = block * (levels * rows * buckets)
+        for r in range(rows):
+            flat = base + off[key + r * span]
+            fold_cells(planes, flat, d_pairs, cs_pairs, cf_pairs)
+        return int(U)
+    salt = grid._hashes.salts[0][lvl]
+    row0 = (block * levels + lvl) * (rows * buckets)
     for r in range(rows):
-        if full_tables:
-            flat = mem_base + cache.off[g_p, r, key]
-        else:
-            with np.errstate(over="ignore"):
-                b = (
-                    splitmix64_np(hb[g_p, r, u_p] ^ salts[lvl])
-                    % np.uint64(buckets)
-                ).astype(np.int64)
-            flat = (cell_base + r) * buckets + b
-        fold_cells(planes, flat, d_pairs, cs_pairs, cf_pairs, halves=halves)
-    return int(m.size)
+        b = splitmix64_np(h[r][slot] ^ salt)
+        b %= np.uint64(buckets)
+        flat = b.view(np.int64)  # buckets < 2^63: the same integers
+        flat += row0 + r * buckets
+        fold_cells(planes, flat, d_pairs, cs_pairs, cf_pairs)
+    return int(U)
 
 
 def expand_edge_batch(
@@ -463,10 +429,12 @@ def expand_edge_batch(
 def pairs_of_updates(updates: Sequence):
     """Extract ``(us, vs, signs)`` arrays from a rank-2 update batch.
 
-    Returns None when any event is not a plain 2-vertex edge, in which
-    case the caller's generic per-event expansion runs (preserving its
-    exact validation errors for malformed input).  The pair path is
-    bit-identical to the generic one — see :func:`expand_pair_batch`.
+    Returns None when any event is not a plain 2-vertex edge of
+    integer endpoints with an integer sign, in which case the caller's
+    generic per-event expansion runs (preserving its exact validation
+    errors for malformed input — a float or string endpoint must not
+    be cast to an integer here).  The pair path is bit-identical to
+    the generic one — see :func:`expand_pair_batch`.
     """
     us: list = []
     vs: list = []
@@ -481,13 +449,12 @@ def pairs_of_updates(updates: Sequence):
         vs.append(b)
         signs.append(sign)
     try:
-        return (
-            np.array(us, dtype=np.int64),
-            np.array(vs, dtype=np.int64),
-            np.array(signs, dtype=np.int64),
-        )
-    except (TypeError, ValueError, OverflowError):
+        columns = [np.asarray(col) for col in (us, vs, signs)]
+    except ValueError:  # ragged: some endpoint is itself a sequence
         return None
+    if any(col.dtype.kind not in "iu" for col in columns):
+        return None
+    return tuple(col.astype(np.int64) for col in columns)
 
 
 def expand_pair_batch(

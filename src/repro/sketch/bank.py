@@ -126,8 +126,9 @@ def set_query_metrics(metrics) -> object:
 class _HashTableCache:
     """Immutable placement tables for one (seed, geometry) combination.
 
-    ``depth[g]`` maps coordinate -> capped depth (int64, shape
-    ``(groups, domain)``); ``off[g, r]`` maps the flattened
+    ``depth[g]`` maps coordinate -> capped depth (uint8 — a trailing-zero
+    count is at most 64 — shape ``(groups, domain)``);
+    ``off[g, r]`` maps the flattened
     ``coordinate * levels + lvl`` key -> in-member flat cell offset
     (smallest unsigned dtype that fits, shape
     ``(groups, rows, domain * levels)``).  ``off`` may be None — the
@@ -145,8 +146,8 @@ class _HashTableCache:
 
 
 def _depth_table_bytes(grid) -> int:
-    """Footprint of the depth-only tier (int64 per coordinate/group)."""
-    return grid.groups * grid.domain * 8
+    """Footprint of the depth-only tier (one byte per coordinate/group)."""
+    return grid.groups * grid.domain
 
 
 def _hash_cache_bytes(grid) -> int:
@@ -166,7 +167,7 @@ def _build_hash_cache(grid, depth_only: bool = False) -> _HashTableCache:
     lvl_arr = np.arange(levels, dtype=np.int64)
     salts = np.array(grid._level_salts, dtype=np.uint64)
     off_dtype = np.uint16 if levels * rows * buckets <= (1 << 16) else np.uint32
-    depth = np.empty((grid.groups, grid.domain), dtype=np.int64)
+    depth = np.empty((grid.groups, grid.domain), dtype=np.uint8)
     off = (
         None
         if depth_only

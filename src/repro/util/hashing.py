@@ -70,12 +70,19 @@ def derive_seed(master: int, *labels: int) -> int:
 
 
 def splitmix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalisation on a ``uint64`` array."""
+    """Vectorised splitmix64 finalisation on a ``uint64`` array.
+
+    Returns a new array; every round after the first runs in place on
+    it.
+    """
     with np.errstate(over="ignore"):
-        x = (x + _U64(_GOLDEN)).astype(_U64)
-        x = ((x ^ (x >> _U64(30))) * _U64(_MIX1)).astype(_U64)
-        x = ((x ^ (x >> _U64(27))) * _U64(_MIX2)).astype(_U64)
-        return (x ^ (x >> _U64(31))).astype(_U64)
+        x = x + _U64(_GOLDEN)
+        x ^= x >> _U64(30)
+        x *= _U64(_MIX1)
+        x ^= x >> _U64(27)
+        x *= _U64(_MIX2)
+        x ^= x >> _U64(31)
+        return x
 
 
 def hash64_np(seeds: np.ndarray, value: int) -> np.ndarray:
@@ -158,22 +165,12 @@ def trailing_zeros64_np(x: np.ndarray) -> np.ndarray:
     geometric subsampling levels of an L0 sampler: the coordinate
     participates in levels ``0 .. tz``.
     """
-    out = np.zeros(x.shape, dtype=np.int64)
-    zero = x == 0
-    y = x.copy()
-    # Binary-search the lowest set bit with 6 mask rounds.
-    for shift, mask in (
-        (32, _U64(0xFFFFFFFF)),
-        (16, _U64(0xFFFF)),
-        (8, _U64(0xFF)),
-        (4, _U64(0xF)),
-        (2, _U64(0x3)),
-        (1, _U64(0x1)),
-    ):
-        low_zero = (y & mask) == 0
-        out = np.where(low_zero & ~zero, out + shift, out)
-        y = np.where(low_zero, y >> _U64(shift), y)
-    out = np.where(zero, 64, out)
+    # The lowest set bit is a power of two, exact as a float64, and
+    # frexp reads its exponent: 2^t = 0.5 · 2^(t+1).
+    low = x & (~x + _U64(1))
+    _, exp = np.frexp(low.astype(np.float64))
+    out = exp.astype(np.int64) - 1
+    out[low == 0] = 64
     return out
 
 

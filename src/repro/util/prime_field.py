@@ -106,6 +106,21 @@ def shl32_vec_mod(x: np.ndarray) -> np.ndarray:
     return (low + high) % np.uint64(MERSENNE_61)
 
 
+def rotl_vec_mod(x: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise ``x * 2**k`` mod p on any ``int64`` values.
+
+    With ``x = q * 2^(61-k) + r`` (``q`` the arithmetic shift, so
+    ``0 <= r < 2^(61-k)``), ``x * 2^k = q * 2^61 + r * 2^k ≡ q + r * 2^k
+    (mod p)`` (``0 < k < 61``).  For a canonical residue this is a left
+    rotation of the 61-bit word, and the result is canonical too (a
+    canonical residue is never all ones); any other ``x`` gives a
+    congruent value within ``2^(k+2)`` of ``[0, 2^61)``.
+    ``k = 61 - j`` divides by ``2^j``.
+    """
+    low = np.int64((1 << (61 - k)) - 1)
+    return (x >> np.int64(61 - k)) + ((x & low) << np.int64(k))
+
+
 def mul_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact elementwise ``(a * b) mod p`` for residue arrays in [0, p).
 

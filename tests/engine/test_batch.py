@@ -232,7 +232,7 @@ class TestFoldCells:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_separate_planes_match_entrywise(self, seed):
-        from repro.engine.batch import _as_halves, fold_cells
+        from repro.engine.batch import fold_cells
 
         flat, d, cs, cf = self.entries(seed, cells=40, size=300)
         want = [np.zeros(40, dtype=np.int64) for _ in range(3)]
@@ -240,17 +240,13 @@ class TestFoldCells:
             want[0][c] += dd
             want[1][c] = (int(want[1][c]) + int(a)) % self.P
             want[2][c] = (int(want[2][c]) + int(b)) % self.P
-        for halves in (None, (_as_halves(d), _as_halves(cs), _as_halves(cf))):
-            planes = tuple(np.zeros(40, dtype=np.int64) for _ in range(3))
-            cells, dw, ds, df = fold_cells(
-                planes, flat, d, cs, cf, halves=halves
-            )
-            for got, exp in zip(planes, want):
-                assert np.array_equal(got, exp)
-            assert np.array_equal(cells, np.unique(flat))
-            assert np.array_equal(dw, want[0][cells])
-            assert np.array_equal(ds, want[1][cells])
-            assert np.array_equal(df, want[2][cells])
+        planes = tuple(np.zeros(40, dtype=np.int64) for _ in range(3))
+        folded = fold_cells(planes, flat, d, cs, cf)
+        for got, exp in zip(planes, want):
+            assert np.array_equal(got, exp)
+        # Per-entry observations: the entries themselves, cells repeating.
+        for got, entry in zip(folded, (flat, d, cs, cf)):
+            assert np.array_equal(got, entry)
 
     def test_plane_shift_addresses_packed_blocks(self):
         """Two blocks of different plane sizes packed in one arena: each

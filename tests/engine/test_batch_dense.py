@@ -1,25 +1,22 @@
-"""Bit-identity of the dense ``bincount`` fold in the cached kernel.
+"""Bit-identity of the cached kernel on heavily colliding batches.
 
-The placement-table kernel (:func:`_grid_update_batch_cached`) folds
-per-cell contributions either by ``argsort`` + ``reduceat`` (sparse
-batches) or by :func:`_cell_sums_bincount` (batches dense relative to
-the counter array).  Both must leave the grid — and any attached
-digest — bit-identical to the plain hashing kernel and to the scalar
-update loop.  These tests pin that equivalence on both sides of the
-density gate, including the 32-bit-halves arithmetic the bincount fold
-relies on (large and negative deltas, heavy duplicate cancellation).
+A big batch into a small grid lands dozens of contributions on every
+counter cell; a tiny batch into a large grid lands about one.  On both
+sides the placement-table path (the fused kernel, and
+:func:`_grid_update_batch_cached` under a digest) must leave the grid — and any attached digest — bit-identical to the
+plain hashing kernel and to the scalar update loop, including large
+and negative deltas and heavy duplicate cancellation.  The fold
+primitive itself is checked entry by entry in
+``tests/properties/test_prop_fold.py``.
 """
 
 import numpy as np
 import pytest
 
-import repro.engine.batch as batch_mod
 from repro.audit.digest import attach_digest
-from repro.engine.batch import _cell_sums_bincount, _as_halves
 from repro.sketch.bank import SamplerGrid
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import random_dynamic_stream
-from repro.util.prime_field import segment_sum_mod
 
 
 def grids_equal(a: SamplerGrid, b: SamplerGrid) -> bool:
@@ -38,24 +35,10 @@ def random_updates(rng, count, members, domain, magnitude):
     return m, i, d
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Count how often the kernel takes the bincount fold."""
-    calls = []
-    real = batch_mod._cell_sums_bincount
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(batch_mod, "_cell_sums_bincount", spy)
-    return calls
-
-
 class TestDensePathEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_dense_fold_matches_hashing_kernel(self, seed, dense_calls):
-        """A big batch into a small grid rides the bincount fold and
+    def test_dense_fold_matches_hashing_kernel(self, seed):
+        """A big batch into a small grid (~30 contributions per cell)
         must equal the uncached hashing kernel bit for bit."""
         rng = np.random.default_rng(seed)
         plain = SamplerGrid(groups=2, members=4, domain=64, seed=seed)
@@ -64,10 +47,9 @@ class TestDensePathEquivalence:
         m, i, d = random_updates(rng, 3000, 4, 64, 1 << 40)
         plain.update_batch(m, i, d)
         cached.update_batch(m, i, d)
-        assert dense_calls, "batch this dense must take the bincount fold"
         assert grids_equal(plain, cached)
 
-    def test_dense_fold_matches_scalar_loop(self, dense_calls):
+    def test_dense_fold_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
         scalar = SamplerGrid(groups=2, members=3, domain=48, seed=11)
         cached = SamplerGrid(groups=2, members=3, domain=48, seed=11)
@@ -77,12 +59,11 @@ class TestDensePathEquivalence:
             if dd != 0:
                 scalar.update(int(mm), int(ii), int(dd))
         cached.update_batch(m, i, d)
-        assert dense_calls
         assert grids_equal(scalar, cached)
 
-    def test_sparse_batch_keeps_argsort_path(self, dense_calls):
-        """A tiny batch into a large grid stays on the sort fold (its
-        cost scales with the batch, not the grid) and still matches."""
+    def test_sparse_batch_matches(self):
+        """A tiny batch into a large grid (one contribution per cell)
+        matches too."""
         plain = SamplerGrid(groups=2, members=8, domain=5000, seed=3)
         cached = SamplerGrid(groups=2, members=8, domain=5000, seed=3)
         cached.attach_hash_cache()
@@ -91,7 +72,6 @@ class TestDensePathEquivalence:
         d = np.array([5, -2, 1 << 40], dtype=np.int64)
         plain.update_batch(m, i, d)
         cached.update_batch(m, i, d)
-        assert not dense_calls, "sparse batch must not densify"
         assert grids_equal(plain, cached)
 
     def test_mixed_gate_sides_equal_one_shot(self):
@@ -106,21 +86,20 @@ class TestDensePathEquivalence:
         cached.update_batch(m[1490:], i[1490:], d[1490:])  # sparse
         assert grids_equal(plain, cached)
 
-    def test_cancellation_through_dense_fold(self, dense_calls):
+    def test_cancellation_through_dense_fold(self):
         cached = SamplerGrid(groups=2, members=4, domain=64, seed=5)
         cached.attach_hash_cache()
         rng = np.random.default_rng(5)
         m, i, d = random_updates(rng, 2000, 4, 64, 1 << 40)
         cached.update_batch(m, i, d)
         cached.update_batch(m, i, -d)
-        assert dense_calls
         assert not cached._w.any()
         assert not cached._s.any()
         assert not cached._f.any()
 
-    def test_digest_maintained_identically(self, dense_calls):
-        """The bincount fold feeds the digest the same per-cell deltas
-        as the hashing kernel — attached digests stay in lockstep."""
+    def test_digest_maintained_identically(self):
+        """The cached kernel feeds the digest the same deltas as the
+        hashing kernel — attached digests stay in lockstep."""
         rng = np.random.default_rng(17)
         plain = SamplerGrid(groups=2, members=4, domain=64, seed=17)
         cached = SamplerGrid(groups=2, members=4, domain=64, seed=17)
@@ -130,7 +109,6 @@ class TestDensePathEquivalence:
         m, i, d = random_updates(rng, 2500, 4, 64, 1 << 40)
         plain.update_batch(m, i, d)
         cached.update_batch(m, i, d)
-        assert dense_calls
         assert np.array_equal(plain._digest.w, cached._digest.w)
         assert np.array_equal(plain._digest.sf, cached._digest.sf)
 
@@ -146,69 +124,3 @@ class TestDensePathEquivalence:
         assert grids_equal(plain.grid, cached.grid)
         assert sorted(plain.decode().edges()) == sorted(cached.decode().edges())
 
-
-class TestCellSumsBincount:
-    """The fold primitive against its argsort reference, in isolation."""
-
-    @staticmethod
-    def reference_fold(flat, d, cs, cf):
-        order = np.argsort(flat, kind="stable")
-        sorted_cells = flat[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-        )
-        cells = sorted_cells[starts]
-        dw = np.add.reduceat(d[order], starts)
-        return (
-            cells,
-            dw,
-            segment_sum_mod(cs, order, starts),
-            segment_sum_mod(cf, order, starts),
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 99])
-    def test_matches_argsort_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        ncells = 200
-        count = 5000  # heavy collisions: ~25 contributions per cell
-        flat = rng.integers(0, ncells, size=count)
-        d = rng.integers(-(1 << 45), 1 << 45, size=count)
-        cs = rng.integers(0, batch_mod._P, size=count)
-        cf = rng.integers(0, batch_mod._P, size=count)
-        got = _cell_sums_bincount(
-            flat, ncells, _as_halves(d), _as_halves(cs), _as_halves(cf)
-        )
-        want = self.reference_fold(flat, d, cs, cf)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    def test_exact_cancellation_keeps_cell(self):
-        """A cell whose weight sums to zero is still emitted (the
-        modular counters may be nonzero), matching the sorted path."""
-        flat = np.array([7, 7], dtype=np.int64)
-        d = np.array([1 << 40, -(1 << 40)], dtype=np.int64)
-        cs = np.array([5, 11], dtype=np.int64)
-        cf = np.array([3, 3], dtype=np.int64)
-        cells, dw, cs_sum, cf_sum = _cell_sums_bincount(
-            flat, 16, _as_halves(d), _as_halves(cs), _as_halves(cf)
-        )
-        assert list(cells) == [7]
-        assert list(dw) == [0]
-        assert list(cs_sum) == [16]
-        assert list(cf_sum) == [6]
-
-    def test_int64_wraparound_matches(self):
-        """Sums past 2^63 wrap mod 2^64 exactly like int64 addition."""
-        flat = np.zeros(4, dtype=np.int64)
-        big = (1 << 62) - 3
-        d = np.array([big, big, big, 17], dtype=np.int64)
-        cs = np.zeros(4, dtype=np.int64)
-        cf = np.zeros(4, dtype=np.int64)
-        _, dw, _, _ = _cell_sums_bincount(
-            flat, 4, _as_halves(d), _as_halves(cs), _as_halves(cf)
-        )
-        expected = np.int64(0)
-        with np.errstate(over="ignore"):
-            for v in d:
-                expected = expected + v  # int64 wrap
-        assert dw[0] == expected

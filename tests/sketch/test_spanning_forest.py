@@ -162,6 +162,22 @@ class TestLinearityAndValidation:
         with pytest.raises(DomainError):
             SpanningForestSketch(5, seed=1).update((0, 1), 2)
 
+    @pytest.mark.parametrize("edge, sign, exc", [
+        ((0, 1.5), 1, DomainError),
+        ((0, "1"), 1, TypeError),
+        ((0, 1), 1.5, DomainError),
+    ])
+    def test_batch_rejects_non_integers_like_update(self, edge, sign, exc):
+        """The rank-2 batch path must not cast a float or string to an
+        integer vertex or sign: it raises what ``update`` raises."""
+        scalar = SpanningForestSketch(8, seed=1)
+        with pytest.raises(exc):
+            scalar.update(edge, sign)
+        sk = SpanningForestSketch(8, seed=1)
+        with pytest.raises(exc):
+            sk.update_batch([((2, 3), 1), (edge, sign)])
+        assert not sk.grid._block.any()
+
     def test_default_rounds_grows_logarithmically(self):
         assert default_rounds(2) < default_rounds(1024) <= 16
 

@@ -19,10 +19,16 @@ class TestSplitmix:
             assert 0 <= H.splitmix64(i) < 2**64
 
     def test_numpy_matches_scalar(self):
-        xs = np.array([0, 1, 7, 2**40, 2**64 - 1], dtype=np.uint64)
-        out = H.splitmix64_np(xs)
-        for x, o in zip(xs.tolist(), out.tolist()):
-            assert H.splitmix64(int(x)) == int(o)
+        xs = np.array([0, 1, 7, 2**40, 2**63, 2**64 - 1], dtype=np.uint64)
+        words = np.random.default_rng(5).integers(
+            0, 2**64, size=2000, dtype=np.uint64
+        )
+        for batch in (xs, words):
+            before = batch.copy()
+            out = H.splitmix64_np(batch)
+            assert np.array_equal(batch, before)  # input untouched
+            for x, o in zip(batch.tolist(), out.tolist()):
+                assert H.splitmix64(int(x)) == int(o)
 
 
 class TestHash64:
@@ -74,10 +80,18 @@ class TestTrailingZeros:
         assert H.trailing_zeros64(2**63) == 63
 
     def test_vector_matches_scalar(self):
-        xs = np.array([0, 1, 2, 12, 2**35, 2**63, 2**64 - 2], dtype=np.uint64)
-        out = H.trailing_zeros64_np(xs)
-        for x, o in zip(xs.tolist(), out.tolist()):
-            assert H.trailing_zeros64(int(x)) == int(o)
+        xs = np.array(
+            [0, 1, 2, 12, 2**35, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64
+        )
+        rng = np.random.default_rng(3)
+        words = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
+        # ...and every trailing-zero count 0..63, with random high bits.
+        shifted = (words[:64] | np.uint64(1)) << np.arange(64, dtype=np.uint64)
+        for batch in (xs, words, shifted):
+            out = H.trailing_zeros64_np(batch)
+            assert out.dtype == np.int64
+            for x, o in zip(batch.tolist(), out.tolist()):
+                assert H.trailing_zeros64(int(x)) == int(o)
 
     def test_geometric_distribution(self):
         # Hash outputs should have ~half zero trailing bits, ~quarter one...

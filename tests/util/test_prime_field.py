@@ -84,6 +84,24 @@ class TestVectorOps:
         a = np.array([1, 2, 3], dtype=np.int64)
         assert pf.scale_vec_mod(a, 0).tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("k", [29, 32])
+    def test_rotl_vec_mod(self, k):
+        """A rotation on canonical residues; congruent and near range on
+        every other int64."""
+        p = pf.MERSENNE_61
+        canonical = np.array([0, 1, 2**32 - 1, 2**32, p - 1], dtype=np.int64)
+        out = pf.rotl_vec_mod(canonical, k)
+        assert out.tolist() == [(x << k) % p for x in canonical.tolist()]
+        rng = np.random.default_rng(k)
+        words = np.concatenate([
+            rng.integers(-(2**63), 2**63 - 1, size=500, dtype=np.int64),
+            np.array([-(2**63), 2**63 - 1, -1], dtype=np.int64),
+        ])
+        out = pf.rotl_vec_mod(words, k)
+        for x, y in zip(words.tolist(), out.tolist()):
+            assert y % p == (x << k) % p
+            assert -(2 ** (k + 2)) <= y < 2**61 + 2 ** (k + 2)
+
     def test_vector_ops_preserve_shape(self):
         a = np.arange(6, dtype=np.int64).reshape(2, 3)
         assert pf.add_vec_mod(a, a).shape == (2, 3)
