@@ -7,13 +7,10 @@ achieved throughput, so before/after comparisons of kernel changes are
 one command each:
 
     PYTHONPATH=src python scripts/profile_ingest.py --n 1024 --mode batched
-    PYTHONPATH=src python scripts/profile_ingest.py --n 1024 --mode batched --legacy
     PYTHONPATH=src python scripts/profile_ingest.py --n 512 --mode sharded --backend shm
 
-``--legacy`` profiles the reference configuration (no placement
-tables, per-group kernels) the fused path is measured against; the
-summaries committed in ``docs/profile_ingest.md`` were produced with
-exactly these invocations.  Only the ingest call itself runs under the
+The summaries committed in ``docs/profile_ingest.md`` were produced
+with these invocations.  Only the ingest call itself runs under the
 profiler — stream generation and (with ``--warm``, the default) the
 one-time placement-table build are excluded, matching how the E19
 benchmarks time steady-state ingest.  Sharded profiles capture the
@@ -83,9 +80,8 @@ def run_sharded(args, stream) -> None:
 
 
 def emit(args, mode: str, wall: float, events: int, text: str) -> None:
-    config = "legacy (no tables, grouped kernels)" if args.legacy else "default (fused + tables)"
     lines = [
-        f"== {mode} | {config} | n={args.n} p={args.p} events={events} ==",
+        f"== {mode} | n={args.n} p={args.p} events={events} ==",
         f"wall {wall:.3f}s  {events / wall:,.0f} updates/sec",
         text.rstrip(),
         "",
@@ -111,12 +107,6 @@ def main() -> None:
         "--mode", choices=["batched", "sharded", "both"], default="batched"
     )
     parser.add_argument(
-        "--legacy",
-        action="store_true",
-        help="profile the reference path: no placement tables, "
-        "per-group kernels (set_auto_hash_cache/set_fused_kernel off)",
-    )
-    parser.add_argument(
         "--no-warm",
         dest="warm",
         action="store_false",
@@ -130,13 +120,6 @@ def main() -> None:
     )
     parser.add_argument("--out", help="append the summary to this file")
     args = parser.parse_args()
-
-    if args.legacy:
-        from repro.engine.batch import set_fused_kernel
-        from repro.sketch.bank import set_auto_hash_cache
-
-        set_auto_hash_cache(False)
-        set_fused_kernel(False)
 
     stream = build_stream(args.n, args.p, args.seed)
     if args.mode in ("batched", "both"):

@@ -16,9 +16,9 @@ localization unit the auditor reports.  Because the digests are linear
 in the counters, *every legitimate mutation has a cheap digest delta*:
 
 * a batched update contributes ``Σ c · Δ`` over just the touched cells
-  (the kernel already computes the per-cell deltas — see
-  :func:`repro.engine.batch.grid_update_batch`), so incremental
-  maintenance is O(batch), not O(bank);
+  (each fold of the batch kernel hands over its per-entry deltas — see
+  :func:`repro.engine.batch.fold_cells`), so incremental maintenance
+  is O(batch), not O(bank);
 * a merge satisfies ``D(a + b) = D(a) + D(b)``, which is both how
   digests survive ``__iadd__`` *and* the invariant verified merges
   assert.
@@ -45,7 +45,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..util.hashing import hash64_many
-from ..util.prime_field import MERSENNE_61, mul_vec_mod, shl32_vec_mod
+from ..util.prime_field import (
+    MERSENNE_61,
+    mul_vec_mod,
+    rotl_vec_mod,
+    shl32_vec_mod,
+)
 
 _P = MERSENNE_61
 _MASK32 = np.int64(0xFFFFFFFF)
@@ -159,34 +164,43 @@ class GridDigest:
 
     def observe_cells(
         self,
-        group: int,
-        row: int,
+        grid,
         cells: np.ndarray,
         dw: np.ndarray,
         ds: np.ndarray,
         df: np.ndarray,
     ) -> None:
-        """Fold one batch's per-cell deltas for ``(group, row)`` in.
+        """Fold one batch's per-entry deltas in.
 
-        ``cells`` are flat-within-group cell indices (they may repeat);
-        ``dw`` the exact int64 weight deltas; ``ds``/``df`` int64
+        ``cells`` are offsets into ``grid``'s flat weight plane, all
+        groups (they may repeat); each names its own ``(group, row)``.
+        ``dw`` are the exact int64 weight deltas; ``ds``/``df`` int64
         values congruent to the modular contributions, ``df`` in
-        [0, p) — all exactly as the batch kernel folds them, so the
-        digest moves in lockstep with the bank.  The digest is linear,
-        so per-entry observations equal per-cell ones.
+        [0, p) — all exactly as :func:`~repro.engine.batch.fold_cells`
+        takes and returns them, so the digest moves in lockstep with
+        the bank.  The digest is linear, so per-entry observations
+        equal per-cell ones.
         """
         c_w, c_m = _coefficients(self.cells_per_group)
+        group, local = np.divmod(cells, self.cells_per_group)
+        unit = group * self.rows + (local // grid.buckets) % self.rows
+        w = np.zeros(self.w.size, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            delta_w = (c_w[cells] * dw.astype(np.uint64)).sum(dtype=np.uint64)
-            self.w[group, row] += delta_w
-        x = ds % _P + shl32_vec_mod(df.astype(np.uint64)).astype(np.int64)
-        x = np.where(x >= _P, x - _P, x)
-        prod = mul_vec_mod(c_m[cells], x)
-        hi = int((prod >> np.int64(32)).sum())
-        lo = int((prod & _MASK32).sum())
-        self.sf[group, row] = (
-            int(self.sf[group, row]) + (hi << 32) + lo
-        ) % _P
+            np.add.at(w, unit, c_w[local] * dw.astype(np.uint64))
+            self.w += w.reshape(self.w.shape)
+        # 2^32 · df is a rotation of the canonical 61-bit df.
+        x = ds % _P + rotl_vec_mod(df, 32)
+        np.subtract(x, _P, out=x, where=x >= _P)
+        prod = mul_vec_mod(c_m[local], x)
+        # Halves of residues: < 2^29 and < 2^32 each, so the int64 sums
+        # cannot overflow below 2^31 entries.
+        hi = np.zeros(self.sf.size, dtype=np.int64)
+        lo = np.zeros(self.sf.size, dtype=np.int64)
+        np.add.at(hi, unit, prod >> np.int64(32))
+        np.add.at(lo, unit, prod & _MASK32)
+        hi = shl32_vec_mod((hi % _P).astype(np.uint64)).astype(np.int64)
+        self.sf = (self.sf + hi.reshape(self.sf.shape)
+                   + (lo % _P).reshape(self.sf.shape)) % _P
 
     def observe_update(self, grid, member: int, index: int, delta: int) -> None:
         """Fold one scalar ``grid.update(member, index, delta)`` in.

@@ -68,8 +68,9 @@ class SampledForestUnion:
     grid's ``block=`` storage seam.  Stream updates fold into the arena
     through one cross-instance kernel (:meth:`update_batch`);
     ``sketches[i].update`` — the scalar reference — writes the same
-    pages, and either route makes the instance dirty for the decode
-    cache, which compares grid update counts.
+    pages.  Either route, and every merge or restore of an instance,
+    makes it dirty for the decode cache, which compares grid mutation
+    counters.
 
     Parameters
     ----------
@@ -123,9 +124,6 @@ class SampledForestUnion:
         self.membership = membership
         self._build_arena()
         self._updates = 0
-        #: Incidence-row updates that went through an instance's scalar
-        #: ``update`` instead of the kernel (instances under audit).
-        self.scalar_routed_updates = 0
         self._union_cache: Optional[Hypergraph] = None
         # Per-instance decode cache: an instance's spanning forest only
         # changes when an update reaches its grid, so monitoring
@@ -133,7 +131,7 @@ class SampledForestUnion:
         # touched instances instead of all R.  The cache is flat: the
         # edge coordinates of every cached forest beside the instance
         # each belongs to; per instance, whether its decode had a FAILED
-        # round and its grid's update count at the time (-1: never).
+        # round and its grid's mutation counter at the time (-1: never).
         self._forest_cache = (np.empty(0, dtype=np.int64),) * 2
         self._had_failed = np.zeros(repetitions, dtype=bool)
         self._decoded_at = np.full(repetitions, -1)
@@ -318,47 +316,8 @@ class SampledForestUnion:
         )
         i_p, e_p = np.nonzero(hit)  # (instance, edge) pairs, i_p ascending
         if i_p.size:
-            kernel = self._account(i_p, e_p, ptr, verts, coef, width)
-            if kernel.any():
-                self._fold_pairs(
-                    i_p[kernel], e_p[kernel], index, ptr, verts, coef, width
-                )
+            self._fold_pairs(i_p, e_p, index, ptr, verts, coef, width)
         return events
-
-    def _account(self, i_p, e_p, ptr, verts, coef, width) -> np.ndarray:
-        """Per hit instance, the bookkeeping its scalar ``update`` does.
-
-        Counts its incidence rows (which is what makes it dirty for the
-        decode cache) and bumps the member epochs a summed cache
-        watches.  An instance under
-        audit stays on its scalar ``update`` — its digest observes each
-        event's cell set, which the fold does not produce — and its rows
-        are counted in ``scalar_routed_updates``.  Returns the mask of
-        pairs left for the kernel.
-        """
-        insts, first = np.unique(i_p, return_index=True)
-        last = np.r_[first[1:], i_p.size]
-        rows_in = np.add.reduceat(width[e_p], first)
-        kernel = np.ones(i_p.size, dtype=bool)
-        for i, lo, hi, nrows in zip(
-            insts.tolist(), first.tolist(), last.tolist(), rows_in.tolist()
-        ):
-            sketch = self.sketches[i]
-            grid = sketch.grid
-            if grid._digest is not None:
-                kernel[lo:hi] = False
-                self.scalar_routed_updates += nrows
-                for e in e_p[lo:hi].tolist():
-                    at = slice(ptr[e], ptr[e + 1])
-                    # every coefficient but the first is -sign
-                    sketch.update(verts[at].tolist(), -int(coef[at][1]))
-                continue
-            grid._updates += nrows
-            if grid._summed_cache is not None:
-                owner, local = _expand(width[e_p[lo:hi]])
-                touched = verts[ptr[e_p[lo:hi]][owner] + local]
-                grid._touch_members(np.unique(self._member_lut[i, touched]))
-        return kernel
 
     def _fold_pairs(self, i_p, e_p, index, ptr, verts, coef, width) -> None:
         """The cross-instance kernel: (instance, edge) pairs → arena.
@@ -370,7 +329,11 @@ class SampledForestUnion:
         hashed once per (pair, group) under the concatenated
         level/bucket seeds — not once per endpoint, as the scalar route
         does — and every cell of every instance goes through one
-        :func:`~repro.engine.batch.fold_cells`.
+        :func:`~repro.engine.batch.fold_cells`.  Then each hit instance
+        gets the bookkeeping its scalar ``update`` does: its incidence
+        rows counted, its mutation counter and touched members' epochs
+        bumped, and its digest, if any, moved by the fold entries that
+        landed in its block.
         """
         rows, buckets = self.params.rows, self.params.buckets
         mixed = premix64_np(index)[e_p]
@@ -399,7 +362,8 @@ class SampledForestUnion:
         cf = mul_vec_mod(
             delta % _P, field_residue_np(rho[:, 0], rho[:, 1], _P)[p_u]
         )
-        member_at = self._member_lut[i_u, verts[v_u]] * self._member_stride
+        member = self._member_lut[i_u, verts[v_u]]
+        member_at = member * self._member_stride
         # (pair, group, level, incidence row) x rows: the cells touched.
         t_x, c_x = _expand(width[p_t])
         u_x = (np.cumsum(width) - width)[p_t][t_x] + c_x
@@ -408,10 +372,31 @@ class SampledForestUnion:
             + cell[t_x]
         ).reshape(-1)
         u_n = np.repeat(u_x, rows)
-        fold_cells(
+        entries = fold_cells(
             (self._arena,) * 3, flat, delta[u_n], cs[u_n], cf[u_n],
             plane_shift=self._plane[i_u][u_n],
         )
+        # Rows and entries both come in pair order, so in runs of
+        # ascending instance.
+        insts, lo = np.unique(i_u, return_index=True)
+        hi = np.r_[lo[1:], i_u.size]
+        audited = []
+        for i, a, b in zip(insts.tolist(), lo.tolist(), hi.tolist()):
+            grid = self.sketches[i].grid
+            grid._updates += b - a
+            grid._touch_members(member[a:b])
+            if grid._digest is not None:
+                audited.append(i)
+        if audited:
+            owner = i_u[u_n]
+            lo = np.searchsorted(owner, audited)
+            hi = np.searchsorted(owner, audited, side="right")
+            for i, a, b in zip(audited, lo.tolist(), hi.tolist()):
+                grid = self.sketches[i].grid
+                cells, d, c_s, c_f = (e[a:b] for e in entries)
+                grid._digest.observe_cells(
+                    grid, cells - self._base[i], d, c_s, c_f
+                )
 
     def insert(self, edge: Sequence[int]) -> None:
         """Stream insertion of a (hyper)edge."""
@@ -425,12 +410,13 @@ class SampledForestUnion:
 
     @property
     def _dirty(self) -> set:
-        """Instances whose grid was written since their forest was
-        cached — by the kernel or by ``sketches[i].update`` alike."""
+        """Instances whose grid was mutated since their forest was
+        cached — by the kernel, ``sketches[i].update``, a merge or a
+        restore alike."""
         decoded_at = self._decoded_at.tolist()
         return {
             i for i, sketch in self.sketches.items()
-            if decoded_at[i] != sketch.grid._updates
+            if decoded_at[i] != sketch.grid._epoch
         }
 
     def _refresh(self, skip=()) -> None:
@@ -454,7 +440,7 @@ class SampledForestUnion:
             np.concatenate([old_src[keep], src]),
         )
         self._had_failed[todo] = failed[todo]
-        self._decoded_at[todo] = [grids[i]._updates for i in todo]
+        self._decoded_at[todo] = [grids[i]._epoch for i in todo]
         self._union_cache = None
         if bank._QUERY_METRICS is not None:
             bank._QUERY_METRICS.instances_decoded += len(todo)

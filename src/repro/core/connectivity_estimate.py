@@ -118,12 +118,6 @@ class KVertexConnectivityTester:
         """Bytes of sketch state."""
         return self._union.space_bytes()
 
-    @property
-    def scalar_routed_updates(self) -> int:
-        """Incidence-row updates that audited instances took through
-        their scalar ``update`` instead of the union kernel."""
-        return self._union.scalar_routed_updates
-
 
 class VertexConnectivityEstimator:
     """Geometric ladder of testers estimating κ(G) up to ~(1+ε).
@@ -208,8 +202,3 @@ class VertexConnectivityEstimator:
     def space_bytes(self) -> int:
         """Bytes across the ladder."""
         return sum(t.space_bytes() for t in self.testers)
-
-    @property
-    def scalar_routed_updates(self) -> int:
-        """Scalar-routed incidence rows across the ladder."""
-        return sum(t.scalar_routed_updates for t in self.testers)

@@ -231,9 +231,3 @@ class VertexConnectivityQuerySketch:
     def space_bytes(self) -> int:
         """Bytes of sketch state."""
         return self._union.space_bytes()
-
-    @property
-    def scalar_routed_updates(self) -> int:
-        """Incidence-row updates that audited instances took through
-        their scalar ``update`` instead of the union kernel."""
-        return self._union.scalar_routed_updates

@@ -169,12 +169,6 @@ class HypergraphKVertexConnectivityTester:
         """Bytes of sketch state."""
         return self._union.space_bytes()
 
-    @property
-    def scalar_routed_updates(self) -> int:
-        """Incidence-row updates that audited instances took through
-        their scalar ``update`` instead of the union kernel."""
-        return self._union.scalar_routed_updates
-
 
 class HypergraphVertexConnectivityQuerySketch(VertexConnectivityQuerySketch):
     """Vertex-connectivity queries on hypergraphs (Sections 3 + 4.1).

@@ -30,7 +30,6 @@ import numpy as np
 from ..errors import DomainError, IncompatibleSketchError, NotOneSparseError
 from ..util.hashing import (
     field_value_many,
-    hash64_many,
     hash64_premixed,
     premix64_np,
     splitmix64_np,
@@ -62,21 +61,6 @@ def _as_update_arrays(
     return m, i, d
 
 
-#: Process-wide switch for the fused cross-group kernel (the default).
-#: When off, digest-free batches run the historical per-(group, row)
-#: kernels instead — a reference path for the equivalence tests and
-#: before/after profiling; both are bit-identical.
-_FUSED_KERNEL = True
-
-
-def set_fused_kernel(enabled: bool) -> bool:
-    """Set the fused-kernel default; returns the old value."""
-    global _FUSED_KERNEL
-    previous = _FUSED_KERNEL
-    _FUSED_KERNEL = bool(enabled)
-    return previous
-
-
 def grid_update_batch(grid, members, indices, deltas) -> int:
     """Apply ``x_member[index] += delta`` for a whole batch of updates.
 
@@ -85,12 +69,11 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     this call is bit-identical to applying the same updates through the
     scalar ``grid.update`` loop, in any order.
 
-    Dispatch: placement tables are attached lazily on this default path
-    (budgeted — see :meth:`SamplerGrid._ensure_hash_cache`).  Digest-free
-    grids take :func:`_grid_update_batch_fused`, one pass over the whole
-    SoA block across all groups; grids with an audit digest attached
-    keep the per-(group, row) kernels, whose folds address one group's
-    cells, the granularity ``digest.observe_cells`` takes.
+    There is one kernel, :func:`_grid_update_batch_fused`, on whatever
+    placement-table tier the budget gives (attached lazily — see
+    :meth:`SamplerGrid._ensure_hash_cache`).  An attached audit digest
+    rides the same folds: it is linear, so observing each fold's entries
+    moves it exactly as the counters move.
     """
     m, idx, d = _as_update_arrays(members, indices, deltas)
     nz = d != 0
@@ -106,19 +89,16 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
         raise IncompatibleSketchError(f"member {bad} outside [0, {grid.members})")
     applied = int(m.size)
     grid._updates += applied
-    if grid._summed_cache is not None:
-        grid._touch_members(np.unique(m))
+    grid._touch_members(m)
 
-    digest = grid._digest
-    if digest is None and _FUSED_KERNEL and m.size > 1:
+    if m.size > 1:
         # Coalesce duplicate (member, index) coordinates to their net
         # delta before the per-group expansion: every cell contribution
-        # is linear in the delta for a fixed coordinate, and the folds
-        # are order-independent, so folding the net value is
-        # bit-identical to folding each event — while churny batches
-        # (insert + delete of the same edge) shrink dramatically.  The
-        # digest path keeps the raw batch: its observations are
-        # per-event-set, not just per-net-sum.
+        # — and every digest term — is linear in the delta for a fixed
+        # coordinate, and the folds are order-independent, so folding
+        # the net value is bit-identical to folding each event, while
+        # churny batches (insert + delete of the same edge) shrink
+        # dramatically.
         key = m * np.int64(grid.domain) + idx
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
@@ -134,64 +114,8 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     # Per-update modular cell contributions, shared by every group.
     cs = index_sums(d, idx, grid.domain)
     cf = mul_vec_mod(d % _P, field_value_many(grid._rho.seed, idx, _P))
-
-    cache = grid._ensure_hash_cache()
-    if digest is None and _FUSED_KERNEL:
-        _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf)
-        return applied
-    w3 = grid._w.reshape(grid.groups, -1)
-    s3 = grid._s.reshape(grid.groups, -1)
-    f3 = grid._f.reshape(grid.groups, -1)
-    if cache is not None and cache.off is not None:
-        return _grid_update_batch_cached(
-            grid, cache, m, idx, d, cs, cf, digest, w3, s3, f3
-        )
-    return _grid_update_batch_grouped(
-        grid, m, idx, d, cs, cf, digest, w3, s3, f3
-    )
-
-
-def _grid_update_batch_grouped(
-    grid, m, idx, d, cs, cf, digest, w3, s3, f3
-) -> int:
-    """The per-(group, row) hashing kernel (dense level masks).
-
-    The original batch kernel: re-derives every placement hash per
-    batch and masks a dense ``(U, levels)`` grid per group.  Still the
-    path for digest-carrying grids without full placement tables (the
-    digest observes per-(group, row) folds) and the reference for the
-    fused kernel's equivalence tests.
-    """
-    levels, rows, buckets = grid.levels, grid.rows, grid.buckets
-    lvl_arr = np.arange(levels, dtype=np.int64)
-    salts = np.array(grid._level_salts, dtype=np.uint64)
-    for g in range(grid.groups):
-        depth = np.minimum(
-            trailing_zeros64_np(hash64_many(grid._level_seeds[g], idx)),
-            levels - 1,
-        )
-        mask = lvl_arr[None, :] <= depth[:, None]  # (U, levels)
-        base = (m[:, None] * levels + lvl_arr[None, :]) * rows  # (U, levels)
-        w_flat, s_flat, f_flat = w3[g], s3[g], f3[g]
-        for r in range(rows):
-            h = hash64_many(grid._bucket_seeds[g][r], idx)
-            with np.errstate(over="ignore"):
-                b = (splitmix64_np(h[:, None] ^ salts[None, :])
-                     % np.uint64(buckets)).astype(np.int64)
-            flat = ((base + r) * buckets + b)[mask]
-            if flat.size == 0:
-                continue
-            # Row indices of each surviving (update, level) pair, for
-            # gathering the per-update contribution arrays.
-            src = np.broadcast_to(
-                np.arange(m.size, dtype=np.int64)[:, None], mask.shape
-            )[mask]
-            folded = fold_cells(
-                (w_flat, s_flat, f_flat), flat, d[src], cs[src], cf[src]
-            )
-            if digest is not None:
-                digest.observe_cells(g, r, *folded)
-    return int(m.size)
+    _grid_update_batch_fused(grid, grid._ensure_hash_cache(), m, idx, d, cs, cf)
+    return applied
 
 
 def _magnitude(values: np.ndarray) -> int:
@@ -247,7 +171,7 @@ def _fold_mod(plane: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
 def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
     """Fold per-entry contributions into their destination cells.
 
-    The one counter write behind every batch kernel: the grid kernels
+    The one counter write behind every batch kernel: the grid kernel
     here and the cross-instance kernel of
     :class:`~repro.core._sampled.SampledForestUnion`.  ``flat`` names
     each entry's cell as an offset into the flat weight plane, and
@@ -283,51 +207,10 @@ def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
     return flat, d, cs, cf
 
 
-def _grid_update_batch_cached(
-    grid, cache, m, idx, d, cs, cf, digest, w3, s3, f3
-) -> int:
-    """The placement-table variant of the per-(group, row) kernel.
-
-    Instead of rehashing every coordinate per (group, row) and masking
-    a dense ``(U, levels)`` grid, the depths come from one gather and
-    the surviving ``(update, level)`` pairs are materialised explicitly
-    (on average ``E[depth] + 1 ≈ 2`` pairs per update instead of
-    ``levels`` dense slots).  The pairs are the hashing kernel's, and
-    the folds and digest observations are linear in them, so the
-    counters and digest are bit-identical to the hashing kernel's.
-    """
-    levels, rows, buckets = grid.levels, grid.rows, grid.buckets
-    cell_stride = levels * rows * buckets
-    u_arange = np.arange(m.size, dtype=np.int64)
-    for g in range(grid.groups):
-        counts = cache.depth[g][idx].astype(np.int64) + 1
-        cum = np.cumsum(counts)
-        src = np.repeat(u_arange, counts)
-        lvl = np.arange(cum[-1], dtype=np.int64) - np.repeat(cum - counts, counts)
-        key = idx[src] * levels + lvl
-        base = m[src] * cell_stride
-        d_pairs = d[src]
-        cs_pairs = cs[src]
-        cf_pairs = cf[src]
-        w_flat, s_flat, f_flat = w3[g], s3[g], f3[g]
-        off_g = cache.off[g]
-        for r in range(rows):
-            flat = base + off_g[r][key]
-            folded = fold_cells(
-                (w_flat, s_flat, f_flat), flat, d_pairs, cs_pairs, cf_pairs
-            )
-            if digest is not None:
-                digest.observe_cells(g, r, *folded)
-    return int(m.size)
-
-
-def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> int:
+def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     """One fused pass per row over the whole SoA block, all groups.
 
-    The per-group kernels above issue ``groups × rows`` separate
-    mask/gather/fold sequences; for typical group counts (~10-14) the
-    numpy call overhead dominates service-sized batches.  This kernel
-    expands the surviving ``(group, update, level)`` triples *once* —
+    Expands the surviving ``(group, update, level)`` triples *once* —
     depths gathered from the placement tables when attached (full or
     depth-only tier), or hashed here — addresses them as **global**
     flat offsets into the contiguous counter planes, and folds all
@@ -335,12 +218,11 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> int:
     hash it needs is taken once per (group, update) — one
     :func:`~repro.util.hashing.premix64_np` of the batch finished under
     each group's seeds — and read back per triple through its flat
-    ``group * U + update`` slot.
-
-    Bit-identity to the grouped kernels (and hence the scalar loop):
-    each counter cell belongs to exactly one group, so its set of
-    contributing ``(update, level)`` pairs is the same under either
-    partitioning, and the folds are order-independent.
+    ``group * U + update`` slot.  A triple's cells are exactly the ones
+    the scalar ``update`` writes for it, and the folds are
+    order-independent, so the counters are bit-identical to the scalar
+    loop's.  The grid's digest, when attached, observes each row fold's
+    entries (:meth:`~repro.audit.digest.GridDigest.observe_cells`).
     """
     G, U = grid.groups, m.size
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
@@ -375,19 +257,25 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> int:
             + idx * levels
         ).reshape(-1)[slot] + lvl
         base = block * (levels * rows * buckets)
-        for r in range(rows):
-            flat = base + off[key + r * span]
-            fold_cells(planes, flat, d_pairs, cs_pairs, cf_pairs)
-        return int(U)
-    salt = grid._hashes.salts[0][lvl]
-    row0 = (block * levels + lvl) * (rows * buckets)
+
+        def cells(r):
+            return base + off[key + r * span]
+    else:
+        salt = grid._hashes.salts[0][lvl]
+        row0 = (block * levels + lvl) * (rows * buckets)
+
+        def cells(r):
+            b = splitmix64_np(h[r][slot] ^ salt)
+            b %= np.uint64(buckets)
+            flat = b.view(np.int64)  # buckets < 2^63: the same integers
+            flat += row0 + r * buckets
+            return flat
+
+    digest = grid._digest
     for r in range(rows):
-        b = splitmix64_np(h[r][slot] ^ salt)
-        b %= np.uint64(buckets)
-        flat = b.view(np.int64)  # buckets < 2^63: the same integers
-        flat += row0 + r * buckets
-        fold_cells(planes, flat, d_pairs, cs_pairs, cf_pairs)
-    return int(U)
+        entries = fold_cells(planes, cells(r), d_pairs, cs_pairs, cf_pairs)
+        if digest is not None:
+            digest.observe_cells(grid, *entries)
 
 
 def expand_edge_batch(

@@ -119,8 +119,8 @@ def set_query_metrics(metrics) -> object:
 # depth of every coordinate, and per (group, row) the *flat in-member
 # cell offset* ``(lvl * rows + r) * buckets + bucket`` of every
 # (coordinate, level) pair — exactly the address arithmetic of
-# :func:`repro.engine.batch.grid_update_batch`, so the cached kernel is
-# bit-identical to the hashing kernel by construction.
+# :func:`repro.engine.batch.grid_update_batch`, so the kernel gives
+# bit-identical counters on every table tier by construction.
 
 
 class _HashTableCache:
@@ -437,17 +437,19 @@ class SamplerGrid:
         #: lockstep with the counter arrays when present.
         self._digest = None
         #: Optional :class:`~repro.engine.query.SummedCache` plus the
-        #: member-epoch bookkeeping that invalidates its entries.  Every
-        #: mutation path calls :meth:`_touch_members` / :meth:`_touch_all`
-        #: when a cache is attached (and skips the bookkeeping entirely
-        #: when not).
+        #: member-epoch bookkeeping that invalidates its entries.
         self._summed_cache = None
+        #: Mutation counter: every mutation path calls
+        #: :meth:`_touch_members` / :meth:`_touch_all`, which bump it
+        #: (and the touched members' epochs, while a cache is attached).
+        #: Whoever caches something derived from the counters compares
+        #: it — the union's per-instance decode cache does.
         self._epoch = 0
         self._member_epoch = None
         #: Optional :class:`_HashTableCache` — precomputed placement
         #: tables consulted by the batched update kernel.  Purely a
-        #: performance switch: the cached and hashing kernels are
-        #: bit-identical (the equivalence tests enforce it).  Attached
+        #: performance switch: the kernel is bit-identical on every
+        #: table tier (the equivalence tests enforce it).  Attached
         #: lazily by the kernel itself unless auto-attach is disabled
         #: (module default or per-grid ``_hash_cache_auto``); a domain
         #: too large for even the depth tier sets ``_hash_cache_spilled``
@@ -592,7 +594,6 @@ class SamplerGrid:
         state["_hash_cache"] = None
         state["_summed_cache"] = None
         state["_member_epoch"] = None
-        state["_epoch"] = 0
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -632,8 +633,7 @@ class SamplerGrid:
         self._updates += 1
         if self._digest is not None:
             self._digest.observe_update(self, member, index, delta)
-        if self._summed_cache is not None:
-            self._touch_members([member])
+        self._touch_members(member)
         i_mod = index % _P
         rho = _rho_cached(self._rho.seed, index)
         cs = (delta * i_mod) % _P
@@ -764,15 +764,16 @@ class SamplerGrid:
         self._summed_cache = None
 
     def _touch_members(self, members) -> None:
-        """Mark members dirty for the summed cache (if attached)."""
+        """Count a mutation of ``members`` (an index or index array,
+        repeats allowed), marking them dirty for the summed cache."""
+        self._epoch += 1
         if self._summed_cache is not None:
-            self._epoch += 1
             self._member_epoch[members] = self._epoch
 
     def _touch_all(self) -> None:
-        """Mark every member dirty (merge/restore/reset paths)."""
+        """Count a mutation of every member (merge/restore/reset paths)."""
+        self._epoch += 1
         if self._summed_cache is not None:
-            self._epoch += 1
             self._member_epoch[:] = self._epoch
 
     # -- linearity --------------------------------------------------------
@@ -838,7 +839,6 @@ class SamplerGrid:
         # summed cache would serve the original's sums for the copy's
         # keys.  Copies start uncached.
         out._summed_cache = None
-        out._epoch = 0
         out._member_epoch = None
         return out
 

@@ -149,6 +149,53 @@ class TestIncrementalDecodeCache:
         assert fresh == twin.decode_union()
         assert union.decode_union() is fresh  # and cached again
 
+    @pytest.mark.parametrize("how", [
+        "iadd", "isub", "load_accumulate", "add_member_state",
+        "load_grid", "replace_member_state",
+    ])
+    def test_merge_and_restore_refresh_the_certificate(self, how):
+        """A merge or restore of every instance's grid moves no update
+        count; the decode cache has to notice it all the same (it used
+        to hand back the pre-merge certificate)."""
+        from repro.sketch.serialization import (
+            dump_grid,
+            dump_member_state,
+            load_grid,
+            replace_member_state,
+        )
+
+        def fed(events):
+            union = SampledForestUnion(12, k=2, repetitions=20, seed=42)
+            union.update_batch(events)
+            return union
+
+        edges = list(cycle_graph(12).edges()) + [(0, 6), (3, 9)]
+        union, both = fed([(e, 1) for e in edges[:6]]), fed([(e, 1) for e in edges])
+        sign = -1 if how == "isub" else 1
+        other = fed([(e, sign) for e in edges[6:]])
+        stale = union.decode_union()
+        for i, sketch in union.sketches.items():
+            grid, theirs = sketch.grid, other.sketches[i].grid
+            target = both.sketches[i].grid
+            if how == "iadd":
+                grid += theirs
+            elif how == "isub":
+                grid -= theirs
+            elif how == "load_accumulate":
+                load_grid(grid, dump_grid(theirs), accumulate=True)
+            elif how == "add_member_state":
+                for m in range(grid.members):
+                    grid.add_member_state(m, theirs.extract_member(m))
+            elif how == "load_grid":
+                load_grid(grid, dump_grid(target))
+            else:
+                for m in range(grid.members):
+                    replace_member_state(grid, dump_member_state(target, m))
+        assert np.array_equal(union._arena, both._arena)
+        assert union._dirty == set(union.sketches)
+        fresh = union.decode_union()
+        assert fresh == both.decode_union() and fresh != stale
+
 
 def scalar_route(union, edge, sign):
     """The reference route: each hit instance's own scalar ``update``."""
@@ -349,27 +396,34 @@ class TestArenaStorage:
 
 
 class TestAuditedAndCachedInstances:
-    def test_audited_instances_take_the_scalar_route_and_are_counted(self):
-        from repro.audit.digest import attach_digest
+    def test_audited_instances_ride_the_kernel(self):
+        """Instances under audit take the one cross-instance fold like
+        the rest — no scalar ``update`` runs — and their digests move
+        with it, equal to the scalar route's."""
+        from unittest import mock
+
+        from repro.audit.digest import GridDigest, attach_digest
+        from repro.sketch.bank import SamplerGrid
 
         union = SampledForestUnion(20, k=2, repetitions=16, seed=41)
         twin = SampledForestUnion(20, k=2, repetitions=16, seed=41)
         audited = sorted(union.sketches)[::2]
         for i in audited:
             attach_digest(union.sketches[i].grid)
+            attach_digest(twin.sketches[i].grid)
         edges = list(cycle_graph(20).edges())
-        union.update_batch([(e, 1) for e in edges[:10]])
-        for e in edges[10:]:
-            union.update(e, 1)
-        expected = 0
+        with mock.patch.object(SamplerGrid, "update", side_effect=AssertionError):
+            union.update_batch([(e, 1) for e in edges[:10]])
+            for e in edges[10:]:
+                union.update(e, 1)
         for e in edges:
             scalar_route(twin, e, 1)
-            expected += 2 * sum(
-                bool(union.membership[i, list(e)].all()) for i in audited
-            )
         assert instance_dumps(union) == instance_dumps(twin)
-        assert union.scalar_routed_updates == expected > 0
-        assert twin.scalar_routed_updates == 0
+        for i in audited:
+            grid = union.sketches[i].grid
+            assert grid._digest == GridDigest.compute(grid)
+            assert grid._digest == twin.sketches[i].grid._digest
+        assert any(union.sketches[i].grid.update_count for i in audited)
 
     def test_audit_clean_after_mixed_updates_and_localises_a_flip(self):
         from repro.audit import audit_sketch
@@ -384,7 +438,6 @@ class TestAuditedAndCachedInstances:
             sk.update(e, 1)
         sk.update_batch([(edges[0], -1), (edges[0], 1)])
         assert audit_sketch(sk).ok
-        assert sk.scalar_routed_updates > 0
         # Flip one bit of the arena inside a known (instance, group, row).
         union = sk._union
         inst = sorted(union.sketches)[3]
@@ -412,7 +465,6 @@ class TestAuditedAndCachedInstances:
             target.update((0, 1), -1)
             target.update_batch([((0, 10), 1), ((5, 15), 1)])
         assert union.decode_union() == twin.decode_union()
-        assert union.scalar_routed_updates == 0
 
 
 class TestBatchApi:
@@ -459,7 +511,6 @@ class TestBatchApi:
             for a, b in zip(self.unions_of(one), self.unions_of(batched)):
                 assert np.array_equal(a._arena, b._arena)
                 assert a._updates == b._updates and a._dirty == b._dirty
-            assert batched.scalar_routed_updates == 0
 
     def test_pair_arrays_equal_event_list(self):
         a = SampledForestUnion(16, k=1, repetitions=10, seed=61)

@@ -1,20 +1,27 @@
-"""Bit-identity of the cached kernel on heavily colliding batches.
+"""Bit-identity of the batch kernel on every placement-table tier.
 
-A big batch into a small grid lands dozens of contributions on every
-counter cell; a tiny batch into a large grid lands about one.  On both
-sides the placement-table path (the fused kernel, and
-:func:`_grid_update_batch_cached` under a digest) must leave the grid — and any attached digest — bit-identical to the
-plain hashing kernel and to the scalar update loop, including large
-and negative deltas and heavy duplicate cancellation.  The fold
-primitive itself is checked entry by entry in
+There is one batch kernel, and the placement-table tier it runs on
+(full tables, depth-only tables, or none — every placement hashed per
+batch) is only a memory/speed trade.  Each test here runs the same
+batches on all three tiers, each grid with an audit digest attached,
+and checks them against each other or the scalar update loop: a big
+batch into a small grid (dozens of contributions on every cell), a
+tiny batch into a large grid (about one), large and negative deltas,
+heavy duplicate cancellation.  After every batch each maintained
+digest must equal :meth:`GridDigest.compute` of the counters.  The
+fold primitive itself is checked entry by entry in
 ``tests/properties/test_prop_fold.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.audit.digest import attach_digest
-from repro.sketch.bank import SamplerGrid
+from repro.audit.digest import GridDigest, attach_digest
+from repro.sketch.bank import (
+    SamplerGrid,
+    _depth_table_bytes,
+    clear_hash_cache_pool,
+)
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import random_dynamic_stream
 
@@ -35,92 +42,127 @@ def random_updates(rng, count, members, domain, magnitude):
     return m, i, d
 
 
+def on_tier(grid: SamplerGrid, tier: str) -> SamplerGrid:
+    clear_hash_cache_pool()  # a pooled full table would upgrade "depth"
+    if tier == "full":
+        grid.attach_hash_cache()
+        assert grid._hash_cache.off is not None
+    elif tier == "depth":
+        grid.attach_hash_cache(max_bytes=_depth_table_bytes(grid))
+        assert grid._hash_cache.off is None
+    else:
+        grid.detach_hash_cache()
+    clear_hash_cache_pool()
+    return grid
+
+
+def tiered(make, audit=True):
+    """``make()`` on each tier — full, depth-only, detached (the hashing
+    kernel, last) — with a digest attached unless ``audit`` is off."""
+    grids = [on_tier(make(), tier) for tier in ("full", "depth", "detached")]
+    if audit:
+        for grid in grids:
+            attach_digest(grid)
+    return grids
+
+
+def assert_all_match(reference: SamplerGrid, grids) -> None:
+    for grid in grids:
+        assert grids_equal(reference, grid)
+        assert grid._digest == GridDigest.compute(grid)
+
+
 class TestDensePathEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_dense_fold_matches_hashing_kernel(self, seed):
         """A big batch into a small grid (~30 contributions per cell)
-        must equal the uncached hashing kernel bit for bit."""
+        leaves the table tiers equal to the detached hashing kernel."""
         rng = np.random.default_rng(seed)
-        plain = SamplerGrid(groups=2, members=4, domain=64, seed=seed)
-        cached = SamplerGrid(groups=2, members=4, domain=64, seed=seed)
-        cached.attach_hash_cache()
+        grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=seed))
         m, i, d = random_updates(rng, 3000, 4, 64, 1 << 40)
-        plain.update_batch(m, i, d)
-        cached.update_batch(m, i, d)
-        assert grids_equal(plain, cached)
+        for grid in grids:
+            grid.update_batch(m, i, d)
+        assert_all_match(grids[-1], grids)
 
     def test_dense_fold_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
         scalar = SamplerGrid(groups=2, members=3, domain=48, seed=11)
-        cached = SamplerGrid(groups=2, members=3, domain=48, seed=11)
-        cached.attach_hash_cache()
+        attach_digest(scalar)
+        grids = tiered(lambda: SamplerGrid(2, 3, 48, seed=11))
         m, i, d = random_updates(rng, 2000, 3, 48, 1 << 40)
         for mm, ii, dd in zip(m, i, d):
             if dd != 0:
                 scalar.update(int(mm), int(ii), int(dd))
-        cached.update_batch(m, i, d)
-        assert grids_equal(scalar, cached)
+        for grid in grids:
+            grid.update_batch(m, i, d)
+        assert_all_match(scalar, grids)
+        assert scalar._digest == GridDigest.compute(scalar)
 
     def test_sparse_batch_matches(self):
         """A tiny batch into a large grid (one contribution per cell)
         matches too."""
-        plain = SamplerGrid(groups=2, members=8, domain=5000, seed=3)
-        cached = SamplerGrid(groups=2, members=8, domain=5000, seed=3)
-        cached.attach_hash_cache()
+        grids = tiered(lambda: SamplerGrid(2, 8, 5000, seed=3))
         m = np.array([0, 3, 7], dtype=np.int64)
         i = np.array([10, 4999, 10], dtype=np.int64)
         d = np.array([5, -2, 1 << 40], dtype=np.int64)
-        plain.update_batch(m, i, d)
-        cached.update_batch(m, i, d)
-        assert grids_equal(plain, cached)
+        for grid in grids:
+            grid.update_batch(m, i, d)
+        assert_all_match(grids[-1], grids)
 
     def test_mixed_gate_sides_equal_one_shot(self):
-        """Dense batch + sparse trickle == one uncached shot."""
+        """Dense batch + sparse trickle == one hashing-kernel shot."""
         rng = np.random.default_rng(42)
-        plain = SamplerGrid(groups=2, members=4, domain=64, seed=42)
-        cached = SamplerGrid(groups=2, members=4, domain=64, seed=42)
-        cached.attach_hash_cache()
+        one_shot = on_tier(SamplerGrid(2, 4, 64, seed=42), "detached")
+        grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=42))
         m, i, d = random_updates(rng, 1500, 4, 64, 1 << 30)
-        plain.update_batch(m, i, d)
-        cached.update_batch(m[:1490], i[:1490], d[:1490])  # dense
-        cached.update_batch(m[1490:], i[1490:], d[1490:])  # sparse
-        assert grids_equal(plain, cached)
+        one_shot.update_batch(m, i, d)
+        for grid in grids:
+            grid.update_batch(m[:1490], i[:1490], d[:1490])  # dense
+            grid.update_batch(m[1490:], i[1490:], d[1490:])  # sparse
+        assert_all_match(one_shot, grids)
 
     def test_cancellation_through_dense_fold(self):
-        cached = SamplerGrid(groups=2, members=4, domain=64, seed=5)
-        cached.attach_hash_cache()
         rng = np.random.default_rng(5)
+        grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=5))
         m, i, d = random_updates(rng, 2000, 4, 64, 1 << 40)
-        cached.update_batch(m, i, d)
-        cached.update_batch(m, i, -d)
-        assert not cached._w.any()
-        assert not cached._s.any()
-        assert not cached._f.any()
+        for grid in grids:
+            grid.update_batch(m, i, d)
+            grid.update_batch(m, i, -d)
+            assert not grid._block.any()
+            assert grid._digest == GridDigest.compute(grid)
+            assert not grid._digest.w.any() and not grid._digest.sf.any()
 
     def test_digest_maintained_identically(self):
-        """The cached kernel feeds the digest the same deltas as the
-        hashing kernel — attached digests stay in lockstep."""
+        """A digest attached after a first batch (the state baselined
+        from the counters) stays equal to a recomputed one, on every
+        tier, through a second colliding batch."""
         rng = np.random.default_rng(17)
-        plain = SamplerGrid(groups=2, members=4, domain=64, seed=17)
-        cached = SamplerGrid(groups=2, members=4, domain=64, seed=17)
-        cached.attach_hash_cache()
-        attach_digest(plain)
-        attach_digest(cached)
-        m, i, d = random_updates(rng, 2500, 4, 64, 1 << 40)
-        plain.update_batch(m, i, d)
-        cached.update_batch(m, i, d)
-        assert np.array_equal(plain._digest.w, cached._digest.w)
-        assert np.array_equal(plain._digest.sf, cached._digest.sf)
+        grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=17), audit=False)
+        first = random_updates(rng, 2500, 4, 64, 1 << 40)
+        second = random_updates(rng, 2500, 4, 64, 1 << 40)
+        for grid in grids:
+            grid.update_batch(*first)
+            attach_digest(grid)
+            grid.update_batch(*second)
+        assert_all_match(grids[-1], grids)
+        assert all(g._digest == grids[0]._digest for g in grids)
 
     def test_forest_stream_through_cached_sketch(self):
-        """End-to-end: a cached spanning-forest sketch fed a dynamic
-        edge stream equals the plain sketch and decodes the same."""
+        """End-to-end: an audited spanning-forest sketch fed a dynamic
+        edge stream on each tier equals the plain sketch and decodes
+        the same."""
         stream, _ = random_dynamic_stream(24, 400, seed=9)
         plain = SpanningForestSketch(24, seed=9)
-        cached = SpanningForestSketch(24, seed=9)
-        cached.attach_hash_cache()
         plain.update_batch(stream)
-        cached.update_batch(stream)
-        assert grids_equal(plain.grid, cached.grid)
-        assert sorted(plain.decode().edges()) == sorted(cached.decode().edges())
-
+        sketches = []
+        for tier in ("full", "depth", "detached"):
+            sketch = SpanningForestSketch(24, seed=9)
+            on_tier(sketch.grid, tier)
+            attach_digest(sketch.grid)
+            sketch.update_batch(stream)
+            sketches.append(sketch)
+        assert_all_match(plain.grid, [s.grid for s in sketches])
+        for sketch in sketches:
+            assert sorted(plain.decode().edges()) == sorted(
+                sketch.decode().edges()
+            )

@@ -279,12 +279,12 @@ def test_fused_kernel_matches_scalar_on_every_tier(tier, seed, stream):
     assert dump_grid(grid) == dump_grid(scalar)
 
 
-@pytest.mark.parametrize("tier", ["full", "none"])
+@pytest.mark.parametrize("tier", ["full", "depth", "none"])
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, stream=updates)
 def test_digest_after_batch_equals_recomputed(tier, seed, stream):
-    """The digest kernels observe per-entry folds; by linearity the
-    digest must still equal a from-scratch digest of the counters."""
+    """The digest observes the kernel's per-entry folds; by linearity
+    it must still equal a from-scratch digest of the counters."""
     grid = on_tier(make_grid(seed), tier)
     attach_digest(grid)
     grid.update_batch(*batch_of(stream))

@@ -4,10 +4,11 @@ The tentpole invariant of the zero-copy ingest layer: moving a
 :class:`SamplerGrid`'s counters into the contiguous SoA block — and
 from there into a named shared-memory segment — is *purely* a storage
 decision.  Whatever combination of update path (scalar loop, fused
-batch kernel, legacy grouped kernel), backing (private block, shm
+batch kernel), backing (private block, shm
 segment, pickled copy) and lifecycle event (merge, checkpoint
 roundtrip, member extraction, worker crash) a stream passes through,
-the counter state must stay bit-identical to the scalar reference.
+the counter state must stay bit-identical to the scalar reference —
+and an attached audit digest must stay equal to a recomputed one.
 
 Hypothesis drives random update streams over a small grid geometry;
 every test compares full serialized state (``dump_grid``), which covers
@@ -26,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batch import set_fused_kernel
-from repro.sketch.bank import SamplerGrid, set_auto_hash_cache
+from repro.audit.digest import GridDigest, attach_digest
+from repro.sketch.bank import SamplerGrid
 from repro.sketch.serialization import dump_grid, load_grid
 from repro.sketch.shm import SEGMENT_PREFIX, active_segments
 
@@ -70,19 +71,37 @@ class TestKernelEquivalence:
         reference = scalar_reference(seed, stream)
         assert dump_grid(apply_batch(make_grid(seed), stream)) == reference
 
-    @given(SEEDS, updates)
+    @given(SEEDS, updates, st.integers(min_value=0, max_value=60),
+           st.integers(min_value=0, max_value=60))
     @settings(max_examples=20, deadline=None)
-    def test_legacy_path_matches_scalar(self, seed, stream):
-        """The pre-fused kernels stay available and bit-identical."""
-        reference = scalar_reference(seed, stream)
-        prev_auto = set_auto_hash_cache(False)
-        prev_fused = set_fused_kernel(False)
+    def test_audited_lifecycle_matches_scalar_twin(self, seed, stream,
+                                                   cut1, cut2):
+        """An audited, segment-backed grid fed by ``load_grid(accumulate=
+        True)``, the batch kernel and ``+=`` ends byte-identical to an
+        audited twin fed every update through the scalar loop, and both
+        digests equal a from-scratch one."""
+        lo, hi = sorted((min(cut1, len(stream)), min(cut2, len(stream))))
+        twin = make_grid(seed)
+        attach_digest(twin)
+        for m, i, d in stream:
+            twin.update(m, i, d)
+        loaded, grid, merged = make_grid(seed), make_grid(seed), make_grid(seed)
+        for target, part in ((loaded, stream[:lo]), (merged, stream[hi:])):
+            if part:
+                apply_batch(target, part)
+        attach_digest(grid)
+        grid.to_shared()
         try:
-            state = dump_grid(apply_batch(make_grid(seed), stream))
+            load_grid(grid, dump_grid(loaded), accumulate=True)
+            if stream[lo:hi]:
+                apply_batch(grid, stream[lo:hi])
+                assert grid._digest == GridDigest.compute(grid)
+            grid += merged
+            assert dump_grid(grid) == dump_grid(twin)
+            assert grid._digest == GridDigest.compute(grid)
         finally:
-            set_auto_hash_cache(prev_auto)
-            set_fused_kernel(prev_fused)
-        assert state == reference
+            grid.release_shared(unlink=True)
+        assert twin._digest == GridDigest.compute(twin)
 
     @given(SEEDS, updates)
     @settings(max_examples=20, deadline=None)

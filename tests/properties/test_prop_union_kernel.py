@@ -8,8 +8,9 @@ every instance that sampled the edge.  Hypothesis drives both over the
 same random insert / delete / flap schedule, cut into arbitrary
 batches, with direct ``sketches[i].update`` calls interleaved and audit
 digests on some instances; afterwards every instance must serialize to
-the same bytes, and the union bookkeeping (``_updates``, ``_dirty``,
-the decoded certificate) must agree.
+the same bytes, the union bookkeeping (``_updates``, ``_dirty``, the
+decoded certificate) must agree, and every digest must equal a
+recomputed one — with no scalar ``update`` run by the union itself.
 
 **Decode.**  The union decodes its dirty instances in one stacked
 Borůvka loop.  Its reference is the loop it replaced — ``decode()`` of
@@ -37,6 +38,7 @@ from repro.engine.query import (
 )
 from repro.errors import SamplerFailedError
 from repro.sketch import spanning_forest
+from repro.sketch.bank import SamplerGrid
 from repro.sketch.serialization import dump_sketch
 
 N, REPS = 12, 10
@@ -72,6 +74,13 @@ def scalar_route(union, edge, sign):
     return hit.tolist()
 
 
+def kernel_only():
+    """Fail any scalar grid update while the union ingests."""
+    return mock.patch.object(
+        SamplerGrid, "update", side_effect=AssertionError("scalar update")
+    )
+
+
 def direct_target(union, edge):
     """An instance whose scalar ``update`` the caller may drive itself."""
     hit = np.flatnonzero(union.membership[:, list(edge)].all(axis=1))
@@ -96,7 +105,8 @@ class TestKernelAgainstScalarRoute:
         def flush():
             nonlocal pending
             if pending:
-                assert fused.update_batch(pending) == len(pending)
+                with kernel_only():
+                    assert fused.update_batch(pending) == len(pending)
                 pending = []
 
         for op, which in steps:
@@ -118,26 +128,23 @@ class TestKernelAgainstScalarRoute:
             if len(pending) >= cuts[cut_at % len(cuts)]:
                 cut_at += 1
                 if len(pending) == 1:
-                    fused.update(*pending.pop())  # update == batch of one
+                    with kernel_only():
+                        fused.update(*pending.pop())  # a batch of one
                 flush()
         flush()
 
-        # Dirtiness is read off the grids' update counts, so it sees the
-        # kernel, the scalar route and the direct writes alike.
+        # Dirtiness is read off the grids' mutation counters, so it sees
+        # the kernel, the scalar route and the direct writes alike.
         assert fused._updates == events
         assert fused._dirty == twin._dirty >= hit
         for i in fused.sketches:
             assert dump_sketch(fused.sketches[i]) == dump_sketch(twin.sketches[i])
             assert (fused.sketches[i].grid.update_count
                     == twin.sketches[i].grid.update_count)
-        # Audited instances stayed on the scalar route, digests in step.
-        routed = 0
+        # Audited instances rode the kernel, digests in step.
         for i in audited & set(fused.sketches):
             grid = fused.sketches[i].grid
             assert grid._digest == GridDigest.compute(grid)
-            routed += grid.update_count
-        assert fused.scalar_routed_updates <= routed
-        assert (fused.scalar_routed_updates > 0) == bool(audited & hit)
         assert set(fused.decode_union().edges()) == set(
             twin.decode_union().edges()
         )
