@@ -11,8 +11,7 @@ exactly (same Mersenne-61 residues, same first-hit scan order, same
 tie-breaks).
 
 Measured: decode wall time of the scalar path vs the batch path on the
-same post-ingest sketch (spanning forest and k-skeleton), plus the
-summed-sketch cache's effect on repeated queries.  ``decode_comparison``
+same post-ingest sketch (spanning forest and k-skeleton).  ``decode_comparison``
 is the reusable core: the smoke test in
 ``tests/engine/test_bench_smoke.py`` runs it at small ``n``.
 """
@@ -22,7 +21,7 @@ import time
 import pytest
 from _report import record, record_bench
 
-from repro.engine.query import SummedCache, batch_decode, scalar_decode
+from repro.engine.query import batch_decode, scalar_decode
 from repro.graph.generators import gnp_graph
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.skeleton import SkeletonSketch
@@ -105,29 +104,6 @@ def skeleton_comparison(
     }
 
 
-def cache_comparison(n: int, p: float = 0.05, seed: int = 0) -> dict:
-    """Repeated decode with and without the per-(group, root) cache."""
-    sketch = _ingested_forest(n, p, seed)
-    cold_secs, cold_forest = _time_decodes(sketch.decode, 1)
-    cache = SummedCache(capacity=4096)
-    sketch.grid.attach_summed_cache(cache)
-    try:
-        sketch.decode()  # populate
-        warm_secs, warm_forest = _time_decodes(sketch.decode, 1)
-    finally:
-        sketch.grid.detach_summed_cache()
-    stats = cache.stats()
-    return {
-        "n": n,
-        "cold_secs": cold_secs,
-        "warm_secs": warm_secs,
-        "speedup": cold_secs / warm_secs,
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-        "identical": sorted(cold_forest.edges()) == sorted(warm_forest.edges()),
-    }
-
-
 def bench_e23_batch_decode_speedup(benchmark):
     """Acceptance: batched forest decode >= 5x scalar at n >= 256,
     bit-identical on every size."""
@@ -179,9 +155,8 @@ def bench_e23_batch_decode_speedup(benchmark):
     assert forest.num_edges > 0
 
 
-def bench_e23_skeleton_and_cache(benchmark):
-    """Skeleton layers decode identically; the summed cache pays off on
-    repeated queries."""
+def bench_e23_skeleton(benchmark):
+    """Skeleton layers decode identically on both paths."""
     rows = []
     for n in (64, 128):
         r = skeleton_comparison(n, k=3, p=0.05, seed=5)
@@ -195,25 +170,12 @@ def bench_e23_skeleton_and_cache(benchmark):
                 f"{r['speedup']:.1f}x",
             )
         )
-    c = cache_comparison(128, p=0.05, seed=5)
-    assert c["identical"]
-    assert c["hits"] > 0
-    rows.append(
-        (
-            "cache(warm)",
-            c["n"],
-            f"{c['cold_secs'] * 1e3:.1f}ms",
-            f"{c['warm_secs'] * 1e3:.1f}ms",
-            f"{c['speedup']:.1f}x",
-        )
-    )
     record(
         "E23b",
-        "query engine: skeleton peel + summed-sketch cache",
+        "query engine: skeleton peel",
         ["path", "n", "baseline", "fast", "speedup"],
         rows,
-        notes="Skeleton layers bit-identical under the batch peel; the "
-        "per-(group, root) cache serves repeated decodes from hits.",
+        notes="Skeleton layers bit-identical under the batch peel.",
     )
 
     sketch = SkeletonSketch(128, k=3, seed=5)

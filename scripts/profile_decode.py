@@ -3,7 +3,7 @@
 
 Runs one spanning-forest (or skeleton) decode over a G(n,p) churn
 stream under both decode paths, prints the QueryMetrics breakdown
-(kernel vs scalar seconds, cells verified, cache hit rates) and the
+(kernel vs scalar seconds, cells verified) and the
 top cProfile entries of the batch path — the first place to look when
 the E23 speedup bar regresses.
 
@@ -11,7 +11,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_decode.py [--n N] [--p P]
         [--seed S] [--sketch {forest,skeleton}] [--k K] [--repeats R]
-        [--top T] [--cache]
+        [--top T]
 """
 
 import argparse
@@ -26,7 +26,6 @@ sys.path.insert(
 )
 
 from repro.engine.query import (  # noqa: E402
-    SummedCache,
     batch_decode,
     collect_query_metrics,
     scalar_decode,
@@ -48,7 +47,7 @@ def build_sketch(args):
         sketch = SpanningForestSketch(args.n, seed=args.seed)
         decode = sketch.decode
     sketch.update_batch(stream)
-    return sketch, decode, len(stream)
+    return decode, len(stream)
 
 
 def timed(decode, repeats):
@@ -72,17 +71,9 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--top", type=int, default=20,
                     help="cProfile rows to print")
-    ap.add_argument("--cache", action="store_true",
-                    help="attach a SummedCache and report its hit rate")
     args = ap.parse_args(argv)
 
-    sketch, decode, events = build_sketch(args)
-    grid = (sketch.layers[0].grid if args.sketch == "skeleton"
-            else sketch.grid)
-    cache = None
-    if args.cache:
-        cache = SummedCache(capacity=8192)
-        grid.attach_summed_cache(cache)
+    decode, events = build_sketch(args)
 
     print(f"{args.sketch} n={args.n} p={args.p} events={events}")
 
@@ -98,8 +89,6 @@ def main(argv=None) -> int:
     print(f"\nbatch path: best of {args.repeats} = {batch_best * 1e3:.1f}ms "
           f"(speedup {scalar_best / batch_best:.2f}x)")
     print(qm_batch.summary())
-    if cache is not None:
-        print(f"cache: {cache.stats()}")
 
     print(f"\ncProfile of one batch decode (top {args.top} by cumulative):")
     profiler = cProfile.Profile()
@@ -108,8 +97,6 @@ def main(argv=None) -> int:
         decode()
         profiler.disable()
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.top)
-    if cache is not None:
-        grid.detach_summed_cache()
     return 0
 
 

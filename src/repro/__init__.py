@@ -58,7 +58,6 @@ from .engine import (
     QueryMetrics,
     RetryPolicy,
     ShardedIngestEngine,
-    SummedCache,
     SupervisedPool,
 )
 from .comm import (
@@ -143,7 +142,6 @@ __all__ = [
     # decode/query engine
     "QueryExecutor",
     "QueryMetrics",
-    "SummedCache",
     # distributed referee
     "SpanningForestProtocol",
     "RefereeSession",

@@ -437,7 +437,6 @@ def _cmd_serve(args) -> int:
         checkpoint_interval=args.checkpoint_interval,
         snapshot_interval=args.snapshot_interval,
         resume=args.resume,
-        ingest_chunk=args.ingest_chunk,
         max_in_flight=args.max_in_flight,
         role=args.role,
     )
@@ -1073,9 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "queries then trail until a fresh query decodes)")
     p.add_argument("--keep", type=int, default=2,
                    help="checkpoint generations retained per sketch")
-    p.add_argument("--ingest-chunk", type=int, default=8192,
-                   help="max pairs folded per worker-thread hop, so big "
-                        "ingest batches never stall snapshot queries")
     p.add_argument("--hash-cache", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="attach the placement-table ingest fast path to "

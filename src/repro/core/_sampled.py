@@ -384,7 +384,7 @@ class SampledForestUnion:
         for i, a, b in zip(insts.tolist(), lo.tolist(), hi.tolist()):
             grid = self.sketches[i].grid
             grid._updates += b - a
-            grid._touch_members(member[a:b])
+            grid._touch()
             if grid._digest is not None:
                 audited.append(i)
         if audited:

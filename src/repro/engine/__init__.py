@@ -29,8 +29,7 @@ package turns that mathematical property into throughput:
 * :mod:`repro.engine.query` — the read-side counterpart: fans
   independent decode units across serial/multiprocessing backends
   (:class:`QueryExecutor`), decode observability
-  (:class:`QueryMetrics`), the summed-boundary-sketch LRU
-  (:class:`SummedCache`), and the scalar/batch decode-path switches.
+  (:class:`QueryMetrics`), and the scalar/batch decode-path switches.
 """
 
 from .batch import expand_edge_batch, grid_update_batch, iter_event_batches
@@ -40,7 +39,6 @@ from .pool import ProcessPool, SerialPool, make_pool
 from .query import (
     QueryExecutor,
     QueryMetrics,
-    SummedCache,
     batch_decode,
     collect_query_metrics,
     make_executor,
@@ -71,7 +69,6 @@ __all__ = [
     "ReplayLog",
     "QueryExecutor",
     "QueryMetrics",
-    "SummedCache",
     "make_executor",
     "collect_query_metrics",
     "scalar_decode",

@@ -89,7 +89,7 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
         raise IncompatibleSketchError(f"member {bad} outside [0, {grid.members})")
     applied = int(m.size)
     grid._updates += applied
-    grid._touch_members(m)
+    grid._touch()
 
     if m.size > 1:
         # Coalesce duplicate (member, index) coordinates to their net

@@ -11,15 +11,9 @@ orchestration and observability around them:
   layers, amplification repetitions, sampled-forest instances) across
   a serial or multiprocessing backend;
 * :class:`QueryMetrics` — decode observability: component decodes by
-  path, cells verified, kernel vs scalar time, summed-cache hit rates —
-  installed process-wide with :func:`collect_query_metrics` and
-  exported by the CLI ``--metrics-json`` flags;
-* :class:`SummedCache` — an optional LRU of per-(group, members)
-  boundary sketches, attached to a grid with
-  :meth:`~repro.sketch.bank.SamplerGrid.attach_summed_cache`; entries
-  invalidate lazily through per-member modification epochs, so an
-  update or merge touching a member expires exactly the sums that
-  contained it;
+  path, cells verified, kernel vs scalar time — installed
+  process-wide with :func:`collect_query_metrics` and exported by the
+  CLI ``--metrics-json`` flags;
 * :func:`scalar_decode` / :func:`batch_decode` — context managers
   flipping the process-wide decode path (the CLI ``--scalar-decode``
   escape hatch), purely a performance switch: both paths are
@@ -32,7 +26,6 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import (
@@ -60,7 +53,7 @@ class QueryMetrics:
     decoded through :meth:`~repro.sketch.bank.SummedBatch.sample_many`,
     ``scalar_queries`` through ``SummedSketch.sample``), candidate
     cells pushed through the verification kernel, kernel vs scalar
-    wall time, summed-cache hit rates, and executor fan-out accounting.
+    wall time, and executor fan-out accounting.
     The batch path also says *why* it answered: Borůvka rounds run
     (``decode_rounds``), the outcome of every component sample
     (``sample_ok`` / ``sample_zero`` / ``sample_failed``), how many
@@ -75,6 +68,8 @@ class QueryMetrics:
     instances the fresh answers had to re-decode.
     ``degraded_queries`` mirrors the ingest-side counter so this object
     can also serve :func:`repro.core.degraded.decode_with_degradation`.
+    ``cache_hits`` / ``cache_misses`` always read 0; they stay only
+    because the benchmark's metric schema reads them.
     """
 
     batch_queries: int = 0
@@ -140,12 +135,6 @@ class QueryMetrics:
                 f"({self.fallback_scans} via fallback scan), "
                 f"{self.peel_sweeps} peel sweeps"
             )
-        if self.cache_hits or self.cache_misses:
-            lines.append(
-                f"summed cache: {self.cache_hits} hits / "
-                f"{self.cache_misses} misses "
-                f"({100 * self.cache_hit_rate:.1f}%)"
-            )
         if self.executor_tasks:
             lines.append(
                 f"executor: {self.executor_tasks} tasks, "
@@ -192,71 +181,6 @@ def batch_decode() -> Iterator[None]:
         yield
     finally:
         _bank.set_batch_decode(previous)
-
-
-# -- summed-sketch cache --------------------------------------------------
-
-
-class SummedCache:
-    """LRU cache of per-(group, members) summed boundary sketches.
-
-    Attach to a grid with ``grid.attach_summed_cache(cache)``; the grid
-    then consults it on every :meth:`~repro.sketch.bank.SamplerGrid.
-    summed` / ``summed_many`` call.  Entries carry the grid epoch they
-    were built at, and the grid validates them lazily against its
-    per-member modification epochs — an update, merge, or restore
-    touching any member of a cached sum expires exactly that entry (and
-    nothing else), so repeated queries over an unchanged partition are
-    pure gathers.
-
-    Keys are ``(group, members.tobytes())``; values are
-    ``(w, s, f, built_epoch)`` counter triples.  The cache never hands
-    its arrays to callers directly (the grid copies on hit), so cached
-    state cannot be corrupted by decode-side peeling.
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise EngineError(f"SummedCache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[Tuple[int, bytes], tuple]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Tuple[int, bytes]):
-        """The entry for ``key`` (freshened in LRU order), or None."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: Tuple[int, bytes], entry: tuple) -> None:
-        """Insert/replace an entry, evicting the LRU tail if full."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def discard(self, key: Tuple[int, bytes]) -> None:
-        """Drop a (stale) entry if present."""
-        self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "capacity": self.capacity,
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 # -- parallel decode fan-out ----------------------------------------------

@@ -77,6 +77,10 @@ from .wal import (
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
+#: Most pairs :meth:`SketchRegistry.ingest_batch` folds per kernel
+#: call: it bounds the fold's temporaries on a big batch.
+FOLD_CHUNK = 8192
+
 #: Construction parameters a ``create`` request may set, with defaults.
 _CONFIG_DEFAULTS = {
     "kind": "forest",
@@ -139,7 +143,8 @@ class SketchRecord:
         self.events = 0
         self.ingest = IngestMetrics(shards=1, backend="service", batch_size=0)
         #: Latest decoded snapshot (None until first decode) — a dict
-        #: with ``offset``, ``connected``, ``components``, ``edges``.
+        #: with ``offset``, ``connected``, ``components``, ``edges`` and
+        #: ``decoded_at``.
         self.snapshot: Optional[Dict[str, object]] = None
         self.last_checkpoint_events = -1
         self.audits = 0
@@ -205,9 +210,7 @@ class SketchRegistry:
     ``hash_cache=True`` (the default) attaches the placement-table
     ingest fast path to every created/restored sketch — the tables are
     pooled per (seed, geometry), so many sketches of the same shape
-    share one set.  ``summed_cache_capacity`` attaches a
-    :class:`~repro.engine.query.SummedCache` to every grid so repeated
-    decodes of lightly-changed sketches reuse component boundary sums.
+    share one set.
     """
 
     def __init__(
@@ -216,7 +219,6 @@ class SketchRegistry:
         keep: int = 2,
         hash_cache: bool = True,
         hash_cache_max_bytes: int = 1 << 28,
-        summed_cache_capacity: int = 8192,
         wal: bool = True,
         wal_segment_bytes: int = 4 << 20,
         wal_fsync: str = "always",
@@ -230,7 +232,6 @@ class SketchRegistry:
         self.clock = clock
         self.hash_cache = hash_cache
         self.hash_cache_max_bytes = hash_cache_max_bytes
-        self.summed_cache_capacity = summed_cache_capacity
         #: WAL durability is on whenever a checkpoint directory exists
         #: (there is nowhere to log without one).
         self.wal_enabled = wal and checkpoint_dir is not None
@@ -352,13 +353,6 @@ class SketchRegistry:
             # lazy attach, not just the eager one above.
             for grid in iter_grids(sketch):
                 grid.detach_hash_cache()
-        if self.summed_cache_capacity:
-            from ..engine.query import SummedCache
-
-            for grid in iter_grids(sketch):
-                grid.attach_summed_cache(
-                    SummedCache(capacity=self.summed_cache_capacity)
-                )
 
     # -- ingest ---------------------------------------------------------
 
@@ -491,6 +485,41 @@ class SketchRegistry:
         record.dedup.add(client, request, count, record.events)
         return record.seq
 
+    def ingest_batch(
+        self,
+        record: SketchRecord,
+        payload: bytes,
+        updates,
+        client: Optional[str],
+        request: Optional[int],
+    ) -> Tuple[int, int]:
+        """One ``ingest-batch``: decode, validate, fold and log it.
+
+        The server runs this as the batch's single worker-thread hop,
+        under ``record.lock``.  A JSON ``updates`` batch goes through
+        :meth:`ingest_updates`; a packed pairs ``payload`` through
+        :meth:`validate_pairs` for the whole batch, then
+        :meth:`ingest_pairs` per :data:`FOLD_CHUNK` pairs.  Either
+        way :meth:`wal_commit` runs last, so an invalid batch folds
+        nothing and a folded batch is logged before it is acked.
+        Returns ``(count, seq)``.
+        """
+        if updates is not None:
+            count = self.ingest_updates(record, updates)
+            kind, payload = KIND_UPDATES, json.dumps(updates).encode("utf-8")
+        else:
+            us, vs, signs = decode_pairs(payload)
+            self.validate_pairs(record, us, vs, signs)
+            count = 0
+            for start in range(0, len(us), FOLD_CHUNK):
+                end = start + FOLD_CHUNK
+                count += self.ingest_pairs(
+                    record, us[start:end], vs[start:end], signs[start:end]
+                )
+            kind = KIND_PAIRS
+        seq = self.wal_commit(record, kind, payload, client, request, count)
+        return count, seq
+
     def _rollback_fold(
         self, record: SketchRecord, kind: int, payload: bytes, count: int
     ) -> None:
@@ -531,7 +560,9 @@ class SketchRegistry:
         """Decode the record's sketch at its current offset.
 
         Must run under ``record.lock`` (the skeleton peel temporarily
-        mutates layer grids).  No-op when the snapshot is current.
+        mutates layer grids).  No-op when the snapshot is current.  The
+        snapshot's ``decoded_at`` is the registry clock's
+        ``monotonic()`` at the decode.
         """
         snap = record.snapshot
         if snap is not None and snap["offset"] == record.events:
@@ -560,6 +591,7 @@ class SketchRegistry:
             "connected": len(components) == 1,
             "components": components,
             "edges": edges,
+            "decoded_at": self.clock.monotonic(),
         }
         if layer_edges is not None:
             snap["layers"] = layer_edges

@@ -46,13 +46,12 @@ Durability and self-protection (PR 7):
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import time
 from typing import Dict, Optional
 
 from ..engine.metrics import metrics_payload
-from ..engine.query import QueryMetrics, collect_query_metrics, make_executor
+from ..engine.query import QueryMetrics, collect_query_metrics
 from ..errors import (
     BadRequestError,
     DrainingError,
@@ -74,13 +73,11 @@ from .net import REAL_NETWORK, Listener, Network
 from .protocol import (
     PROTOCOL_VERSION,
     decode_blob_list,
-    decode_pairs,
     encode_blob_list,
     encode_frame,
     read_frame,
 )
 from .registry import SketchRegistry
-from .wal import KIND_PAIRS, KIND_UPDATES
 
 SERVER_VERSION = 1
 
@@ -125,7 +122,6 @@ class SketchServer:
         checkpoint_interval: float = 5.0,
         snapshot_interval: float = 1.0,
         resume: bool = False,
-        ingest_chunk: int = 8192,
         max_in_flight: int = 64,
         role: str = "replica",
         clock: Clock = SYSTEM_CLOCK,
@@ -138,7 +134,6 @@ class SketchServer:
         self.checkpoint_interval = checkpoint_interval
         self.snapshot_interval = snapshot_interval
         self.resume = resume
-        self.ingest_chunk = max(1, ingest_chunk)
         self.max_in_flight = max(1, max_in_flight)
         #: The time/network/offload seams: real by default, simulated
         #: under :mod:`repro.service.sim`.  ``offload`` is how blocking
@@ -162,7 +157,6 @@ class SketchServer:
         self._stopped = asyncio.Event()
         self._sessions: set = set()
         self._cron_tasks: list = []
-        self._snapshot_executor = make_executor("serial")
         #: In-flight create/restore builds: name -> (normalized config,
         #: future resolving to the admitted record).  A retried or
         #: concurrent create with an IDENTICAL config awaits the build
@@ -282,25 +276,39 @@ class SketchServer:
                         self.metrics.checkpoint_errors += 1
 
     async def _snapshot_cron(self) -> None:
+        delay = self.snapshot_interval
         while True:
-            await self.clock.sleep(self.snapshot_interval)
-            stale = [
-                r
-                for r in self.registry.records()
-                if r.snapshot is None or r.snapshot["offset"] != r.events
-            ]
-            for record in stale:
-                async with record.lock:
-                    try:
-                        await self._offload(
-                            self._snapshot_executor.map,
-                            self.registry.refresh_snapshot,
-                            [record],
-                        )
-                    except ReproError:
-                        # A probabilistic decode failure: keep serving
-                        # the previous snapshot; the next tick retries.
-                        pass
+            await self.clock.sleep(delay)
+            delay = await self._refresh_stale_snapshots()
+
+    async def _refresh_stale_snapshots(self) -> float:
+        """One snapshot-cron tick; returns the delay to the next one.
+
+        A stale snapshot is re-decoded only once it is one
+        ``snapshot_interval`` old: a younger one was just decoded by a
+        fresh read, and the tick instead comes back when it turns that
+        old.  No snapshot therefore trails ingest for longer than one
+        interval (plus a decode), yet under steady fresh reads the cron
+        decodes nothing.
+        """
+        delay = self.snapshot_interval
+        for record in self.registry.records():
+            snap = record.snapshot
+            if snap is not None and snap["offset"] == record.events:
+                continue
+            if snap is not None:
+                age = self.registry.clock.monotonic() - snap["decoded_at"]
+                if age < self.snapshot_interval:
+                    delay = min(delay, self.snapshot_interval - age)
+                    continue
+            async with record.lock:
+                try:
+                    await self._offload(self.registry.refresh_snapshot, record)
+                except ReproError:
+                    # A probabilistic decode failure: keep serving the
+                    # previous snapshot; the next tick retries.
+                    pass
+        return delay
 
     # -- sessions --------------------------------------------------------
 
@@ -523,46 +531,19 @@ class SketchServer:
                     f"sketch {record.name!r} is frozen for migration; "
                     "retry shortly"
                 )
-            if updates is not None:
-                count = await self._offload(
-                    self.registry.ingest_updates, record, updates
-                )
-                kind = KIND_UPDATES
-                wal_payload = json.dumps(updates).encode("utf-8")
-            elif payload:
-                # The kernels run on a worker thread (safe: the record
-                # lock is held, and numpy releases the GIL inside them)
-                # in bounded chunks, so snapshot queries — plain dict
-                # lookups on the loop — never stall behind a big batch.
-                # The whole batch is validated *first*: a later chunk
-                # can no longer fail after earlier chunks folded.
-                us, vs, signs = decode_pairs(payload)
-                await self._offload(
-                    self.registry.validate_pairs, record, us, vs, signs
-                )
-                count = 0
-                chunk = self.ingest_chunk
-                for start in range(0, len(us), chunk):
-                    end = start + chunk
-                    count += await self._offload(
-                        self.registry.ingest_pairs,
-                        record,
-                        us[start:end],
-                        vs[start:end],
-                        signs[start:end],
-                    )
-                kind = KIND_PAIRS
-                wal_payload = payload
-            else:
+            if updates is None and not payload:
                 raise BadRequestError(
                     "ingest-batch needs 'updates' or a pairs payload"
                 )
-            # Logged before acked: the WAL append (and its fsync) must
-            # land before the ack frame leaves — off-loop, it blocks.
+            # One worker-thread hop for the whole batch (safe: the
+            # record lock is held): decode, validate all of it, fold,
+            # and the WAL append with its fsync — logged before acked.
+            # The loop keeps serving snapshot queries meanwhile; the
+            # short GIL switch interval set in run() gives it its turns.
             try:
-                seq = await self._offload(
-                    self.registry.wal_commit,
-                    record, kind, wal_payload, client, request, count,
+                count, seq = await self._offload(
+                    self.registry.ingest_batch,
+                    record, payload, updates, client, request,
                 )
             except WALFullError:
                 # The registry already unfolded the batch (linear

@@ -298,19 +298,6 @@ def _rho_cached(seed: int, index: int) -> int:
     return ((hi << 64) | lo) % _P
 
 
-def _note_cache(cache, hit: bool) -> None:
-    """Account a summed-cache lookup on the cache and metrics sink."""
-    metrics = _QUERY_METRICS
-    if hit:
-        cache.hits += 1
-        if metrics is not None:
-            metrics.cache_hits += 1
-    else:
-        cache.misses += 1
-        if metrics is not None:
-            metrics.cache_misses += 1
-
-
 class HashStack(namedtuple("_HashStack", (
     "domain", "levels", "rows", "buckets", "group_seeds", "tiebreak_seeds",
     "salts", "rho_seeds", "owner", "first",
@@ -436,16 +423,11 @@ class SamplerGrid:
         #: the integrity layer; every mutation path below keeps it in
         #: lockstep with the counter arrays when present.
         self._digest = None
-        #: Optional :class:`~repro.engine.query.SummedCache` plus the
-        #: member-epoch bookkeeping that invalidates its entries.
-        self._summed_cache = None
-        #: Mutation counter: every mutation path calls
-        #: :meth:`_touch_members` / :meth:`_touch_all`, which bump it
-        #: (and the touched members' epochs, while a cache is attached).
-        #: Whoever caches something derived from the counters compares
-        #: it — the union's per-instance decode cache does.
+        #: Mutation counter: every mutation path bumps it through
+        #: :meth:`_touch`.  Whoever caches something derived from the
+        #: counters compares it — the union's per-instance decode cache
+        #: does.
         self._epoch = 0
-        self._member_epoch = None
         #: Optional :class:`_HashTableCache` — precomputed placement
         #: tables consulted by the batched update kernel.  Purely a
         #: performance switch: the kernel is bit-identical on every
@@ -548,9 +530,9 @@ class SamplerGrid:
         self._shm = shm
         self._shm_name = name
         self._bind_views()
-        # The mapped counters are foreign state; any cached sums or
-        # digest baselines derived from the old private block are stale.
-        self._touch_all()
+        # The mapped counters are foreign state; anything derived from
+        # the old private block is stale.
+        self._touch()
 
     def release_shared(self, unlink: bool = False, copy: bool = True) -> None:
         """Detach from shared memory; no-op for privately-backed grids.
@@ -581,8 +563,8 @@ class SamplerGrid:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         # A pickle always carries a private counter block; segment
-        # handles, placement tables (pooled per process), and cache
-        # bookkeeping are address-space artifacts, not sketch state.
+        # handles and placement tables (pooled per process) are
+        # address-space artifacts, not sketch state.
         for view in ("_w", "_s", "_f"):
             state.pop(view, None)
         if self._shm is not None:
@@ -592,8 +574,6 @@ class SamplerGrid:
         # A borrowed block pickles as its own bytes: the copy is private.
         state["_borrowed"] = False
         state["_hash_cache"] = None
-        state["_summed_cache"] = None
-        state["_member_epoch"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -633,7 +613,7 @@ class SamplerGrid:
         self._updates += 1
         if self._digest is not None:
             self._digest.observe_update(self, member, index, delta)
-        self._touch_members(member)
+        self._touch()
         i_mod = index % _P
         rho = _rho_cached(self._rho.seed, index)
         cs = (delta * i_mod) % _P
@@ -677,7 +657,11 @@ class SamplerGrid:
         self._updates = 0
         if self._digest is not None:
             self._digest.reset()
-        self._touch_all()
+        self._touch()
+
+    def _touch(self) -> None:
+        """Count a mutation of the counters (every mutation path)."""
+        self._epoch += 1
 
     # -- placement-table plumbing ----------------------------------------
 
@@ -746,36 +730,6 @@ class SamplerGrid:
             self._hash_cache_spilled = True
         return self._hash_cache
 
-    # -- summed-sketch cache plumbing -----------------------------------
-
-    def attach_summed_cache(self, cache) -> None:
-        """Attach a :class:`~repro.engine.query.SummedCache`.
-
-        The grid starts tracking per-member modification epochs so that
-        cached boundary sketches invalidate exactly when one of their
-        members changes (update, merge, restore, reset).
-        """
-        self._summed_cache = cache
-        if self._member_epoch is None:
-            self._member_epoch = np.zeros(self.members, dtype=np.int64)
-
-    def detach_summed_cache(self) -> None:
-        """Detach the cache (epoch bookkeeping stops)."""
-        self._summed_cache = None
-
-    def _touch_members(self, members) -> None:
-        """Count a mutation of ``members`` (an index or index array,
-        repeats allowed), marking them dirty for the summed cache."""
-        self._epoch += 1
-        if self._summed_cache is not None:
-            self._member_epoch[members] = self._epoch
-
-    def _touch_all(self) -> None:
-        """Count a mutation of every member (merge/restore/reset paths)."""
-        self._epoch += 1
-        if self._summed_cache is not None:
-            self._member_epoch[:] = self._epoch
-
     # -- linearity --------------------------------------------------------
 
     def _check_compatible(self, other: "SamplerGrid") -> None:
@@ -811,7 +765,7 @@ class SamplerGrid:
         np.subtract(mod, _P, out=mod, where=mod >= _P)
         if self._digest is not None:
             self._digest.absorb(self._digest_of(other))
-        self._touch_all()
+        self._touch()
         return self
 
     def __isub__(self, other: "SamplerGrid") -> "SamplerGrid":
@@ -822,7 +776,7 @@ class SamplerGrid:
         np.add(mod, _P, out=mod, where=mod < 0)
         if self._digest is not None:
             self._digest.absorb(self._digest_of(other), sign=-1)
-        self._touch_all()
+        self._touch()
         return self
 
     def copy(self) -> "SamplerGrid":
@@ -835,11 +789,6 @@ class SamplerGrid:
         out._borrowed = False
         out._bind_views()
         out._digest = None if self._digest is None else self._digest.copy()
-        # A copy diverges from the original immediately; sharing a
-        # summed cache would serve the original's sums for the copy's
-        # keys.  Copies start uncached.
-        out._summed_cache = None
-        out._member_epoch = None
         return out
 
     # -- distributed-player plumbing (Section 2 communication model) -----
@@ -857,7 +806,7 @@ class SamplerGrid:
         self._w[:, member] += state["w"]
         self._s[:, member] = _add_mod(self._s[:, member], state["s"])
         self._f[:, member] = _add_mod(self._f[:, member], state["f"])
-        self._touch_members([member])
+        self._touch()
         if self._digest is not None:
             # Message payloads are CRC-verified upstream; accept the
             # merged state as the new trusted baseline.
@@ -889,26 +838,10 @@ class SamplerGrid:
         (32-bit halves, one final Mersenne recombination) so no
         intermediate overflows — bit-identical to the historical
         member-at-a-time ``add_mod`` fold, but one vectorised pass.
-        Consults the attached summed cache when present.
         """
-        cache = self._summed_cache
-        if cache is not None:
-            key = (group, idx.tobytes())
-            entry = cache.get(key)
-            if entry is not None and bool(
-                (self._member_epoch[idx] <= entry[3]).all()
-            ):
-                _note_cache(cache, hit=True)
-                return entry[0].copy(), entry[1].copy(), entry[2].copy()
-            if entry is not None:
-                cache.discard(key)
-            _note_cache(cache, hit=False)
         w = self._w[group, idx].sum(axis=0)
         s = _fold_mod(self._s[group, idx])
         f = _fold_mod(self._f[group, idx])
-        if cache is not None:
-            cache.put(key, (w, s, f, self._epoch))
-            return w.copy(), s.copy(), f.copy()
         return w, s, f
 
     def summed(self, group: int, members: Sequence[int]) -> "SummedSketch":
@@ -951,21 +884,16 @@ class SamplerGrid:
         index copy; only components with two or more members are
         folded, in one segment pass
         (``np.add.reduceat``: exact for weights, 32-bit-half folded for
-        the modular counters).  Consults the attached summed cache per
-        component first.
+        the modular counters).
         """
         if (sizes < 1).any() or int(sizes.sum()) != members.size:
             raise IncompatibleSketchError(
                 "components must be nonempty and cover `members` exactly"
             )
-        cached = () if self._summed_cache is None else [
-            (ci, self, group, idx) for ci, idx in
-            enumerate(np.split(members, np.cumsum(sizes)[:-1]))
-        ]
         w, s, f = _sum_slots(
             self._slots(), group * self.members + members,
             np.broadcast_to(self.groups * self.members, members.shape),
-            sizes, cached,
+            sizes,
         )
         return SummedBatch(
             self._hashes, (self,), np.full(sizes.size, group), w, s, f
@@ -1032,15 +960,13 @@ def _sum_slots(
     w_slot: np.ndarray,
     plane: np.ndarray,
     sizes: np.ndarray,
-    cached: Sequence[tuple] = (),
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component sums gathered from a flat slot view of the counters:
     a buffer seen as ``(-1, levels, rows, buckets)``.
 
     Node ``k``'s weight sampler is slot ``w_slot[k]``, its index-sum and
     fingerprint samplers 1x / 2x ``plane[k]`` slots on; ``sizes`` cuts
-    the nodes into components.  ``cached`` lists ``(component, grid,
-    group, members)`` where the grid has a summed cache attached.
+    the nodes into components.
     """
     starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
@@ -1049,21 +975,6 @@ def _sum_slots(
     at, step = w_slot[starts], plane[starts]
     w, s, f = slots[at], slots[at + step], slots[at + 2 * step]
     fold = sizes > 1
-    fresh = []
-    for ci, grid, group, idx in cached:
-        cache, key = grid._summed_cache, (group, idx.tobytes())
-        entry = cache.get(key)
-        if entry is not None and bool(
-            (grid._member_epoch[idx] <= entry[3]).all()
-        ):
-            _note_cache(cache, hit=True)
-            w[ci], s[ci], f[ci] = entry[:3]
-            fold[ci] = False
-            continue
-        if entry is not None:
-            cache.discard(key)
-        _note_cache(cache, hit=False)
-        fresh.append((ci, grid, key))
     multi = np.flatnonzero(fold)
     if multi.size:
         nodes = np.repeat(fold, sizes)
@@ -1073,10 +984,6 @@ def _sum_slots(
         w[multi] = np.add.reduceat(slots[at], seg, axis=0)
         s[multi] = _fold_segments_mod(slots[at + step], seg)
         f[multi] = _fold_segments_mod(slots[at + 2 * step], seg)
-    for ci, grid, key in fresh:
-        grid._summed_cache.put(
-            key, (w[ci].copy(), s[ci].copy(), f[ci].copy(), grid._epoch)
-        )
     return w, s, f
 
 

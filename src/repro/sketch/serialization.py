@@ -142,7 +142,7 @@ def load_grid(grid: SamplerGrid, blob: bytes, accumulate: bool = False) -> Sampl
 
         grid._digest = GridDigest.compute(grid)
     # Restoring replaces (or shifts) every member's counters at once.
-    grid._touch_all()
+    grid._touch()
     return grid
 
 
@@ -205,7 +205,7 @@ def replace_member_state(grid: SamplerGrid, blob: bytes) -> int:
     grid._w[:, member] = w.reshape(shape)
     grid._s[:, member] = s.reshape(shape)
     grid._f[:, member] = f.reshape(shape)
-    grid._touch_members([member])
+    grid._touch()
     if grid._digest is not None:
         from ..audit.digest import GridDigest
 

@@ -351,10 +351,8 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
     metrics = bank._QUERY_METRICS
     todo = np.asarray(todo, dtype=np.int64)
     members, rounds = np.zeros((2, hashes.first.size), dtype=np.int64)
-    cached = np.zeros(members.size, dtype=bool)
     for i in todo.tolist():
         members[i], rounds[i] = grids[i].members, grids[i].groups
-        cached[i] = grids[i]._summed_cache is not None
     failed = np.zeros(members.size, dtype=bool)
     found = [(np.empty(0, dtype=np.int64),) * 2]
     ahead = (np.cumsum(members[todo]) - members[todo]) * (
@@ -398,11 +396,7 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
                 plane = (members * rounds)[at]
                 ok, bad, index, _weight = SummedBatch(
                     hashes, grids, hashes.first[owner] + rnd,
-                    *_sum_slots(slots, w_slot, plane, sizes, [
-                        (ci, grids[owner[ci]], rnd,
-                         local[ends[ci] - sizes[ci]:ends[ci]])
-                        for ci in np.flatnonzero(cached[owner]).tolist()
-                    ]),
+                    *_sum_slots(slots, w_slot, plane, sizes),
                 ).drain_arrays()
             else:
                 ok, bad, index = (

@@ -450,22 +450,6 @@ class TestAuditedAndCachedInstances:
         assert [(f.instance, f.group, f.row, f.kind) for f in report.findings] \
             == [(inst, group, row, "w")]
 
-    def test_summed_cache_stays_exact_under_the_kernel(self):
-        from repro.engine.query import SummedCache
-
-        union = SampledForestUnion(20, k=2, repetitions=16, seed=47)
-        twin = SampledForestUnion(20, k=2, repetitions=16, seed=47)
-        for sketch in union.sketches.values():
-            sketch.grid.attach_summed_cache(SummedCache(64))
-        edges = list(cycle_graph(20).edges())
-        for target in (union, twin):
-            target.update_batch([(e, 1) for e in edges])
-        assert union.decode_union() == twin.decode_union()  # fills the caches
-        for target in (union, twin):
-            target.update((0, 1), -1)
-            target.update_batch([((0, 10), 1), ((5, 15), 1)])
-        assert union.decode_union() == twin.decode_union()
-
 
 class TestBatchApi:
     EVENTS3 = [((0, 1, 2), 1), ((3, 4), 1), ((0, 1, 2), -1), ((5, 9, 11), 1)]

@@ -17,11 +17,7 @@ sys.path.insert(0, os.path.abspath(_BENCH_DIR))
 
 from bench_audit import audit_overhead_run, detection_sweep  # noqa: E402
 from bench_ingest_engine import churn_comparison, churn_stream  # noqa: E402
-from bench_query_engine import (  # noqa: E402
-    cache_comparison,
-    decode_comparison,
-    skeleton_comparison,
-)
+from bench_query_engine import decode_comparison, skeleton_comparison  # noqa: E402
 from bench_recovery import recovery_comparison  # noqa: E402
 from bench_service import serial_replay_dumps, start_server  # noqa: E402
 from bench_service import _dump_all, _shutdown  # noqa: E402
@@ -303,11 +299,6 @@ class TestBenchSmoke:
     def test_smoke_skeleton_comparison(self):
         r = skeleton_comparison(24, k=2, p=0.15, seed=2, repeats=1)
         assert r["identical"]
-
-    def test_smoke_cache_comparison(self):
-        r = cache_comparison(24, p=0.15, seed=2)
-        assert r["identical"]
-        assert r["hits"] > 0
 
     def test_smoke_service_replay_identity(self):
         """E24 core at small scale: a real serve subprocess under a

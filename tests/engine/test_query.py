@@ -8,7 +8,6 @@ from repro.audit.amplify import run_amplified
 from repro.engine.query import (
     QueryExecutor,
     QueryMetrics,
-    SummedCache,
     batch_decode,
     collect_query_metrics,
     make_executor,
@@ -125,100 +124,6 @@ class TestDecodePathSwitch:
                 assert batch_decode_default()
             assert not batch_decode_default()
         assert batch_decode_default() == default
-
-
-class TestSummedCache:
-    def test_capacity_validated(self):
-        with pytest.raises(EngineError):
-            SummedCache(capacity=0)
-
-    def test_lru_eviction(self):
-        cache = SummedCache(capacity=2)
-        cache.put((0, b"a"), ("wa",))
-        cache.put((0, b"b"), ("wb",))
-        assert cache.get((0, b"a")) == ("wa",)  # freshen a
-        cache.put((0, b"c"), ("wc",))  # evicts b (LRU)
-        assert cache.get((0, b"b")) is None
-        assert cache.get((0, b"a")) is not None
-        assert cache.evictions == 1
-        stats = cache.stats()
-        assert stats["entries"] == 2
-        assert stats["capacity"] == 2
-
-    def test_discard_and_clear(self):
-        cache = SummedCache()
-        cache.put((1, b"x"), ("v",))
-        cache.discard((1, b"x"))
-        cache.discard((1, b"missing"))  # no-op
-        assert len(cache) == 0
-        cache.put((1, b"y"), ("v",))
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_repeat_decode_hits_and_update_invalidates(self):
-        sk = _ingested()
-        cache = SummedCache(capacity=1024)
-        sk.grid.attach_summed_cache(cache)
-        try:
-            first = sorted(sk.decode().edges())
-            assert cache.misses > 0
-            hits_before = cache.hits
-            assert sorted(sk.decode().edges()) == first
-            assert cache.hits > hits_before
-            # An update touching members expires their sums: the next
-            # decode recomputes (misses grow) yet answers identically.
-            sk.update((0, 1), 1)
-            sk.update((0, 1), -1)
-            misses_before = cache.misses
-            assert sorted(sk.decode().edges()) == first
-            assert cache.misses > misses_before
-        finally:
-            sk.grid.detach_summed_cache()
-
-    def test_cached_and_uncached_agree(self):
-        plain = _ingested(seed=9)
-        cached = _ingested(seed=9)
-        cache = SummedCache()
-        cached.grid.attach_summed_cache(cache)
-        try:
-            for _ in range(3):
-                assert sorted(cached.decode().edges()) == sorted(
-                    plain.decode().edges()
-                )
-        finally:
-            cached.grid.detach_summed_cache()
-
-    def test_copy_starts_uncached(self):
-        sk = _ingested()
-        cache = SummedCache()
-        sk.grid.attach_summed_cache(cache)
-        try:
-            reference = sorted(sk.decode().edges())
-            dup = sk.copy()
-            assert dup.grid._summed_cache is None
-            # The copy diverges; neither sketch's answer may bleed into
-            # the other's through the original's cache.
-            dup.update((2, 3), -1)
-            dup.update((2, 3), 1)
-            assert sorted(dup.decode().edges()) == reference
-            assert sorted(sk.decode().edges()) == reference
-        finally:
-            sk.grid.detach_summed_cache()
-
-    def test_merge_invalidates(self):
-        a = _ingested(seed=11)
-        b = _ingested(seed=11)
-        cache = SummedCache()
-        a.grid.attach_summed_cache(cache)
-        try:
-            a.decode()
-            misses_before = cache.misses
-            a += b  # doubles every counter: all sums stale
-            a -= b  # and back; epochs bumped both times
-            a.decode()
-            assert cache.misses > misses_before
-        finally:
-            a.grid.detach_summed_cache()
 
 
 class TestQueryExecutor:

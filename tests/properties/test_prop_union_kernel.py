@@ -31,11 +31,7 @@ from hypothesis import strategies as st
 from repro.audit.digest import GridDigest, attach_digest
 from repro.core._sampled import SampledForestUnion
 from repro.core.params import Params
-from repro.engine.query import (
-    SummedCache,
-    collect_query_metrics,
-    scalar_decode,
-)
+from repro.engine.query import collect_query_metrics, scalar_decode
 from repro.errors import SamplerFailedError
 from repro.sketch import spanning_forest
 from repro.sketch.bank import SamplerGrid
@@ -188,11 +184,6 @@ def loop_decode(union, instances):
     return forests, failed
 
 
-def attach_caches(union, instances):
-    for i in instances & set(union.sketches):
-        union.sketches[i].grid.attach_summed_cache(SummedCache(256))
-
-
 @st.composite
 def decode_schedules(draw):
     r = draw(st.sampled_from([2, 3]))
@@ -213,9 +204,8 @@ def decode_schedules(draw):
         ),
         min_size=1, max_size=30,
     ))
-    cached = draw(st.sets(st.integers(min_value=0, max_value=REPS - 1)))
     pass_cells = draw(st.sampled_from([1, 400, 1 << 40]))
-    return r, k, seed, pool, steps, cached, pass_cells
+    return r, k, seed, pool, steps, pass_cells
 
 
 class TestStackedDecodeAgainstInstanceLoop:
@@ -224,15 +214,13 @@ class TestStackedDecodeAgainstInstanceLoop:
             return self.checked(schedule, params)
 
     def checked(self, schedule, params):
-        r, k, seed, pool, steps, cached, _ = schedule
+        r, k, seed, pool, steps, _ = schedule
         # stacked: the union's own decode.  looped: one batch decode()
         # per dirty instance.  oracle: the same under scalar_decode().
         stacked, looped, oracle = (
             SampledForestUnion(N, k, REPS, r=r, seed=seed, params=params)
             for _ in range(3)
         )
-        attach_caches(stacked, cached)
-        attach_caches(looped, cached)
         # Start dense, so the tiny geometry has something to choke on.
         for union in (stacked, looped, oracle):
             union.update_batch([(e, 1) for e in set(pool)])
@@ -240,9 +228,6 @@ class TestStackedDecodeAgainstInstanceLoop:
         for op, which in steps + [("decode", 0)]:
             if op == "pickle":
                 stacked = pickle.loads(pickle.dumps(stacked))
-                # A pickle drops the caches; restart both sides cold.
-                attach_caches(stacked, cached)
-                attach_caches(looped, cached)
             elif op == "decode":
                 dirty = sorted(stacked._dirty)
                 with collect_query_metrics() as got:
@@ -308,6 +293,6 @@ class TestStackedDecodeAgainstInstanceLoop:
         steps = [("delete", 3), ("decode", 0), ("insert", 3), ("direct", 7),
                  ("pickle", 0), ("delete", 11)]
         got = self.check(
-            (2, 1, 5, pool, steps, {0, 3, 4}, pass_cells), TINY
+            (2, 1, 5, pool, steps, pass_cells), TINY
         )
         assert got.sample_failed > 0 and got.fallback_scans > got.sample_failed

@@ -20,7 +20,9 @@ from repro.errors import (
     SketchExistsError,
 )
 from repro.service import ServiceClient, SketchRegistry, SketchServer
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service import registry as registry_module
+from repro.service.protocol import PROTOCOL_VERSION, encode_pairs
+from repro.util.clock import Clock
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
 
@@ -305,3 +307,127 @@ class TestConcurrentBitIdentity:
                 reference.update_batch_pairs(us, vs, signs)
         assert events == conns * batches * 40
         assert blob == dump_sketch(reference)
+
+
+class CountingOffload:
+    """An ``offload=`` seam that records which function each hop ran."""
+
+    def __init__(self):
+        self.hops = []
+
+    async def __call__(self, fn, *args, **kwargs):
+        self.hops.append(fn.__name__)
+        return await asyncio.to_thread(fn, *args, **kwargs)
+
+    def take(self):
+        hops, self.hops = self.hops, []
+        return hops
+
+
+class TestOneHopPerRequest:
+    def test_one_offload_per_ingest_batch_and_fresh_query(self, monkeypatch):
+        monkeypatch.setattr(registry_module, "FOLD_CHUNK", 4)
+        offload = CountingOffload()
+        path = [(v, v + 1) for v in range(2, 12)]
+
+        async def go():
+            async with running_server(offload=offload) as server:
+                record_chunks = []
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=16, seed=3)
+                    registry = server.registry
+                    ingest_pairs = registry.ingest_pairs
+
+                    def counted(record, us, vs, signs):
+                        record_chunks.append(len(us))
+                        return ingest_pairs(record, us, vs, signs)
+
+                    monkeypatch.setattr(registry, "ingest_pairs", counted)
+                    offload.take()
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1)]))
+                    assert offload.take() == ["ingest_batch"]
+                    await c.ingest_updates("g", [(1, [14, 15])])
+                    assert offload.take() == ["ingest_batch"]
+                    # Larger than a chunk: still one hop, folded in three.
+                    record_chunks.clear()
+                    assert await c.ingest_pairs("g", *edge_arrays(path)) == 12
+                    assert offload.take() == ["ingest_batch"]
+                    assert record_chunks == [4, 4, 2]
+                    resp = await c.query("g", op="edges")
+                    assert offload.take() == ["refresh_snapshot"]
+                    assert resp["staleness"] == 0
+                    assert resp["edges"] == [[0, 1]] + [
+                        list(e) for e in path
+                    ] + [[14, 15]]
+
+        asyncio.run(go())
+
+    def test_bad_vertex_in_the_last_chunk_folds_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(registry_module, "FOLD_CHUNK", 4)
+
+        async def go():
+            async with running_server(checkpoint_dir=str(tmp_path)) as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=16, seed=3)
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1), (2, 3)]))
+                    record = server.registry.get("g")
+                    before = (record.events, record.seq, await c.dump("g"))
+                    edges = [(v, v + 1) for v in range(9)] + [(3, 16)]
+                    with pytest.raises(BadRequestError, match="outside"):
+                        await c.request(
+                            "ingest-batch", name="g",
+                            payload=encode_pairs(*edge_arrays(edges)),
+                            client="cli", request=1,
+                        )
+                    assert (record.events, record.seq, await c.dump("g")) \
+                        == before
+                    assert record.dedup.check("cli", 1) is None
+
+        asyncio.run(go())
+
+
+class FakeClock(Clock):
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+class TestSnapshotCron:
+    def test_skips_what_a_fresh_read_just_decoded(self):
+        clock, offload = FakeClock(), CountingOffload()
+        registry = SketchRegistry(clock=clock)
+        server = SketchServer(
+            registry, snapshot_interval=1.0, clock=clock, offload=offload
+        )
+        record = registry.create("g", {"n": 8, "seed": 1})
+
+        async def go():
+            for now, edge in ((0.2, (0, 1)), (0.6, (1, 2))):
+                registry.ingest_pairs(record, *edge_arrays([edge]))
+                clock.now = now
+                await server._cmd_query({"name": "g"}, b"")
+            assert offload.take() == ["refresh_snapshot"] * 2
+            registry.ingest_pairs(record, *edge_arrays([(2, 3)]))
+            # Stale, but decoded 0.4 s ago: no decode; come back when
+            # the snapshot turns one interval old.
+            clock.now = 1.0
+            assert await server._refresh_stale_snapshots() == \
+                pytest.approx(0.6)
+            assert offload.take() == []
+            assert record.snapshot["offset"] == 2
+            # Older than one interval: exactly one decode.
+            clock.now = 1.7
+            assert await server._refresh_stale_snapshots() == 1.0
+            assert offload.take() == ["refresh_snapshot"]
+            assert record.snapshot["offset"] == 3
+            assert record.snapshot["decoded_at"] == 1.7
+            # Current: nothing to do.
+            clock.now = 3.0
+            assert await server._refresh_stale_snapshots() == 1.0
+            assert offload.take() == []
+
+        asyncio.run(go())

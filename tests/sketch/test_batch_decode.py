@@ -3,7 +3,7 @@
 The kernels under test: ``SamplerGrid.summed_many`` (one segment-sum
 pass over all components), ``SummedBatch.sample_many`` (joint
 verification + peeling across every (component, level, row, bucket)
-cell), and the cache/epoch plumbing they share with the scalar path.
+cell), checked against the scalar path.
 The bit-identity *properties* live in
 ``tests/properties/test_prop_query.py``; here are the deterministic
 edge cases.
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.engine.query import (
-    SummedCache,
     batch_decode,
     collect_query_metrics,
     scalar_decode,
@@ -33,7 +32,7 @@ from repro.sketch.bank import (
     set_auto_hash_cache,
     set_batch_decode,
 )
-from repro.sketch.serialization import dump_sketch, load_sketch
+from repro.sketch.serialization import dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
 
 
@@ -139,49 +138,6 @@ class TestDecodePathDefault:
             b = sorted(sk.decode().edges())
         assert a == b
         assert len(a) == 2  # a spanning tree of the triangle
-
-
-class TestEpochInvalidation:
-    def test_restore_invalidates_cache(self):
-        sk = _triangle_plus_isolated()
-        cache = SummedCache()
-        sk.grid.attach_summed_cache(cache)
-        try:
-            reference = sorted(sk.decode().edges())
-            blob = dump_sketch(sk)
-            # Restoring INTO the cached grid replaces every member's
-            # counters at once, so every cached sum must expire.
-            misses_before = cache.misses
-            load_sketch(sk, blob)
-            assert sorted(sk.decode().edges()) == reference
-            assert cache.misses > misses_before
-            # Merges bump the epochs the same way.
-            other = _triangle_plus_isolated()
-            misses_before = cache.misses
-            sk += other
-            sk -= other
-            assert sorted(sk.decode().edges()) == reference
-            assert cache.misses > misses_before
-        finally:
-            sk.grid.detach_summed_cache()
-
-    def test_targeted_invalidation_only_touched_members(self):
-        sk = _triangle_plus_isolated()
-        cache = SummedCache()
-        sk.grid.attach_summed_cache(cache)
-        try:
-            components = [[0, 1, 2], [3], [4, 5]]
-            sk.grid.summed_many(0, components)
-            assert cache.misses == len(components)
-            # Touch only vertex 3's member row.
-            sk.update((3, 4), 1)
-            sk.update((3, 4), -1)
-            sk.grid.summed_many(0, components)
-            # {0,1,2} still served from cache; [3] and [4,5] recomputed.
-            assert cache.hits >= 1
-            assert cache.misses >= len(components) + 2
-        finally:
-            sk.grid.detach_summed_cache()
 
 
 # -- the worklist peel against the scalar oracle, on built-to-hurt inputs --
@@ -328,30 +284,18 @@ class TestWorklistPeelDifferential:
         assert nonzero < qm.cells_decoded < 2 * nonzero
         assert qm.peel_sweeps >= 5
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_copy_and_fold_paths_agree_with_summed(self, cached):
+    def test_copy_and_fold_paths_agree_with_summed(self):
         grid, components, _ = _adversarial_grid()
-        cache = SummedCache(capacity=64)
-        if cached:
-            grid.attach_summed_cache(cache)
-        for attempt in range(2):  # second pass: all hits when cached
-            batch = grid.summed_many(0, components)
-            for ci, comp in enumerate(components):
-                ref = grid.summed(0, comp)
-                for plane in ("_w", "_s", "_f"):
-                    assert np.array_equal(
-                        getattr(ref, plane), getattr(batch, plane)[ci]
-                    ), (attempt, comp, plane)
-            assert batch.sample_many() == [
-                _scalar_outcome(grid.summed(0, comp)) for comp in components
-            ]
-        if cached:
-            assert cache.hits >= len(components)
-            # A touched member expires its sum (and only its sum).
-            grid.update(10, 12345, 1)
-            again = grid.summed_many(0, components)
-            assert np.array_equal(again._w[7], grid.summed(0, [10])._w)
-            assert np.array_equal(again._w[0], batch._w[0])
+        batch = grid.summed_many(0, components)
+        for ci, comp in enumerate(components):
+            ref = grid.summed(0, comp)
+            for plane in ("_w", "_s", "_f"):
+                assert np.array_equal(
+                    getattr(ref, plane), getattr(batch, plane)[ci]
+                ), (comp, plane)
+        assert batch.sample_many() == [
+            _scalar_outcome(grid.summed(0, comp)) for comp in components
+        ]
 
     def test_segments_layout_equals_lists(self):
         grid, components, _ = _adversarial_grid()
