@@ -98,49 +98,43 @@ def _active_components(sketch, edges: Iterable[Edge]) -> List[List[int]]:
 
 
 def _boundary_failures(
-    sketch, components: List[List[int]]
+    sketch, components: List[List[int]], minus: Sequence[Edge] = ()
 ) -> Tuple[List[str], int]:
-    """The completeness check: every claimed component, every group."""
-    from ..sketch.bank import batch_decode_default
+    """The completeness check: every claimed component, every group, of
+    the sketch of ``G − minus`` (``minus`` is subtracted from the
+    summed boundary sketches, never from the sketch).
 
+    One ``summed_many`` + ``appears_zero_many`` pass per group covers
+    every component at once; a component's check count stops at its
+    first nonzero group (one proof per component suffices).
+    """
     failures: List[str] = []
     checks = 0
     grid = sketch.grid
     member_of = sketch._member_of
     member_lists = [[member_of[v] for v in comp] for comp in components]
-    if batch_decode_default() and member_lists:
-        # Batch path: one summed_many + appears_zero_many pass per
-        # group covers every component at once.  The reported checks
-        # and failures match the scalar loop exactly (a component's
-        # count stops at its first nonzero group).
-        zero = np.stack([
-            grid.summed_many(group, member_lists).appears_zero_many()
-            for group in range(grid.groups)
-        ])
-        for ci, comp in enumerate(components):
-            nonzero_groups = np.flatnonzero(~zero[:, ci])
-            if nonzero_groups.size:
-                group = int(nonzero_groups[0])
-                checks += group + 1
-                failures.append(
-                    f"claimed component {{{comp[0]}, ...}} (size "
-                    f"{len(comp)}) has a nonzero boundary sketch in "
-                    f"group {group}: an outgoing edge was missed"
-                )
-            else:
-                checks += grid.groups
-        return failures, checks
-    for comp in components:
-        members = [member_of[v] for v in comp]
-        for group in range(grid.groups):
-            checks += 1
-            if not grid.summed(group, members).appears_zero():
-                failures.append(
-                    f"claimed component {{{comp[0]}, ...}} (size "
-                    f"{len(comp)}) has a nonzero boundary sketch in "
-                    f"group {group}: an outgoing edge was missed"
-                )
-                break  # one proof per component suffices
+    comp_of = np.empty(grid.members, dtype=np.int64)
+    for ci, members in enumerate(member_lists):
+        comp_of[members] = ci
+    drop_members, *drop = sketch.incidence([(e, 1) for e in minus])
+    zero = []
+    for group in range(grid.groups):
+        batch = grid.summed_many(group, member_lists)
+        batch.subtract(comp_of[drop_members], *drop)
+        zero.append(batch.appears_zero_many())
+    zero = np.stack(zero)
+    for ci, comp in enumerate(components):
+        nonzero_groups = np.flatnonzero(~zero[:, ci])
+        if nonzero_groups.size:
+            group = int(nonzero_groups[0])
+            checks += group + 1
+            failures.append(
+                f"claimed component {{{comp[0]}, ...}} (size "
+                f"{len(comp)}) has a nonzero boundary sketch in "
+                f"group {group}: an outgoing edge was missed"
+            )
+        else:
+            checks += grid.groups
     return failures, checks
 
 
@@ -214,7 +208,8 @@ def certify_skeleton(
     ``skeleton`` is a :class:`~repro.sketch.skeleton.SkeletonSketch`.
     Layer ``i``'s forest is checked against the *peeled* graph
     ``G − F_1 − ... − F_{i−1}`` it claims to span (the boundary-zero
-    check runs on the temporarily peeled layer sketch), layers must be
+    check subtracts the earlier layers from its summed boundary
+    sketches, so the sketch is only read), layers must be
     edge-disjoint, and every witness edge passes the membership checks.
     ``value`` is the skeleton hypergraph ``F_1 ∪ ... ∪ F_k``.
     """
@@ -241,18 +236,9 @@ def certify_skeleton(
                     f"layer {i}: witness edge {e} already appeared in an "
                     "earlier layer (layers must be edge-disjoint)"
                 )
-        # Boundary-zero against the peeled graph this layer spans
-        # (peel and restore in one vectorised batch each way).
-        if recovered:
-            layer.update_batch([(e, -1) for e in recovered])
-        try:
-            components = _active_components(layer, usable)
-            boundary_failures, boundary_checks = _boundary_failures(
-                layer, components
-            )
-        finally:
-            if recovered:
-                layer.update_batch([(e, 1) for e in recovered])
+        boundary_failures, boundary_checks = _boundary_failures(
+            layer, _active_components(layer, usable), minus=recovered
+        )
         failures.extend(f"layer {i}: {f}" for f in boundary_failures)
         checks += boundary_checks
         witness.extend(edges_i)

@@ -25,7 +25,7 @@ space per vertex).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DomainError
 from ..graph.degeneracy import light_layers
@@ -118,8 +118,10 @@ class LightEdgeRecoverySketch:
 
     # -- decoding -----------------------------------------------------------
 
-    def recover_layers(self) -> Tuple[List[List[Hyperedge]], bool]:
-        """Recover the peeling layers E_1, E_2, ... of ``light_k(G)``.
+    def recover_layers(
+        self, minus: Iterable[Sequence[int]] = ()
+    ) -> Tuple[List[List[Hyperedge]], bool]:
+        """Recover the peeling layers E_1, E_2, ... of ``light_k(G − minus)``.
 
         Returns ``(layers, exhausted)``.  ``exhausted`` is True when,
         after subtracting every recovered layer, the sketch state is
@@ -127,28 +129,23 @@ class LightEdgeRecoverySketch:
         that the recovered edges are the *entire* graph, i.e. the
         input was k-cut-degenerate and has been exactly reconstructed.
 
-        Non-destructive: the sketch is restored before returning.
+        A read: every decode and the zero test subtract ``minus`` and
+        the recovered layers from gathered sums, never from the sketch.
         """
         layers: List[List[Hyperedge]] = []
-        removed: List[Hyperedge] = []
-        try:
-            for _ in range(self.max_iterations):
-                skeleton = self._skeleton.decode()
-                if skeleton.num_edges == 0:
-                    break
-                layer = _light_subset(skeleton, self.k)
-                if not layer:
-                    break
-                layers.append(layer)
-                for e in layer:
-                    self._skeleton.update(e, -1)
-                    removed.append(e)
-            exhausted = all(
-                sk.grid.appears_zero() for sk in self._skeleton.layers
-            )
-        finally:
-            for e in removed:
-                self._skeleton.update(e, 1)
+        removed: List[Sequence[int]] = list(minus)
+        for _ in range(self.max_iterations):
+            skeleton = self._skeleton.decode(minus=removed)
+            if skeleton.num_edges == 0:
+                break
+            layer = _light_subset(skeleton, self.k)
+            if not layer:
+                break
+            layers.append(layer)
+            removed.extend(layer)
+        exhausted = all(
+            sk.appears_zero(minus=removed) for sk in self._skeleton.layers
+        )
         return layers, exhausted
 
     def recover_light_edges(self) -> List[Hyperedge]:

@@ -150,13 +150,7 @@ class HypergraphSparsifierSketch:
         complete = False
         for i, sketch in enumerate(self._sketches):
             surviving = [e for e, d in assigned if d >= i]
-            for e in surviving:
-                sketch.update(e, -1)
-            try:
-                layers, exhausted = sketch.recover_layers()
-            finally:
-                for e in surviving:
-                    sketch.update(e, 1)
+            layers, exhausted = sketch.recover_layers(minus=surviving)
             f_i = [e for layer in layers for e in layer]
             for e in f_i:
                 sparsifier.add_weighted_edge(e, float(2 ** i))

@@ -62,10 +62,6 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-#: Backwards-compatible alias (pre-WAL internal name).
-_fsync_directory = fsync_directory
-
-
 @dataclass
 class Checkpoint:
     """One restored (or about-to-be-saved) ingest barrier."""

@@ -559,8 +559,9 @@ class SketchRegistry:
     def refresh_snapshot(self, record: SketchRecord) -> Dict[str, object]:
         """Decode the record's sketch at its current offset.
 
-        Must run under ``record.lock`` (the skeleton peel temporarily
-        mutates layer grids).  No-op when the snapshot is current.  The
+        Must run under ``record.lock``: the decode only reads the
+        counters, but a concurrent fold on the worker thread would
+        change them mid-decode.  No-op when the snapshot is current.  The
         snapshot's ``decoded_at`` is the registry clock's
         ``monotonic()`` at the decode.
         """

@@ -61,8 +61,6 @@ from ..util.hashing import (
 from ..util.prime_field import (
     MERSENNE_61,
     mul_vec_mod,
-    scatter_add_mod,
-    segment_sum_mod,
     shl32_vec_mod,
 )
 from .l0 import default_levels
@@ -1019,31 +1017,10 @@ class SummedSketch:
     # -- mutation ---------------------------------------------------------
 
     def subtract(self, index: int, weight: int) -> None:
-        """Remove ``weight`` units of ``index`` from the view (peeling).
-
-        Vectorised over the coordinate's subsampling levels: one bucket
-        hash per row covers every level at once, and the modular cells
-        fold the (canonical) contribution with a branchless conditional
-        subtract — bit-identical to the historical per-cell loop.
-        """
-        if weight == 0:
-            return
-        grid = self._grid
-        cs = np.int64((-weight * (index % _P)) % _P)
-        cf = np.int64((-weight * _rho_cached(grid._rho.seed, index)) % _P)
-        depth = self._depth_of(index)
-        lvls = np.arange(depth + 1)
-        salts = np.array(grid._level_salts[: depth + 1], dtype=np.uint64)
-        for r in range(grid.rows):
-            h = np.uint64(hash64(grid._bucket_seeds[self.group][r], index))
-            with np.errstate(over="ignore"):
-                bs = (splitmix64_np(h ^ salts)
-                      % np.uint64(grid.buckets)).astype(np.int64)
-            self._w[lvls, r, bs] -= weight
-            s_new = self._s[lvls, r, bs] + cs
-            self._s[lvls, r, bs] = np.where(s_new >= _P, s_new - _P, s_new)
-            f_new = self._f[lvls, r, bs] + cf
-            self._f[lvls, r, bs] = np.where(f_new >= _P, f_new - _P, f_new)
+        """Remove ``weight`` units of ``index`` from the view (peeling):
+        its cell in every row of every level up to its depth."""
+        for lvl in range(self._depth_of(index) + 1):
+            self._subtract_at_level(lvl, index, weight)
 
     def copy(self) -> "SummedSketch":
         return SummedSketch(
@@ -1311,6 +1288,49 @@ class SummedBatch:
             | self._f.reshape(n, -1).any(axis=1)
         )
 
+    def subtract(self, comp, index, weight, level=None) -> np.ndarray:
+        """Remove ``weight[e]`` units of coordinate ``index[e]`` from
+        component ``comp[e]``, for every entry ``e`` (parallel arrays).
+
+        The batch sibling of :meth:`SummedSketch.subtract` (every level
+        up to the coordinate's depth in the component's group, every
+        row), or with ``level`` of ``_subtract_at_level`` (the peel's
+        case): one :func:`~repro.engine.batch.fold_cells` over the
+        batch's own planes.  Returns the flat cells written (may
+        repeat).
+        """
+        from ..engine.batch import fold_cells, index_sums
+
+        if not len(comp):
+            return np.empty(0, dtype=np.int64)
+        hashes = self._hashes
+        levels, rows, buckets = hashes.levels, hashes.rows, hashes.buckets
+        q, mixed = self._groups[comp], premix64_np(index)
+        cs = index_sums(-weight, index, hashes.domain)
+        cf = mul_vec_mod((-weight) % _P, hashes.rho(q, mixed))
+        if level is None:
+            depth = trailing_zeros64_np(
+                hash64_premixed(hashes.group_seeds[q, 0], mixed)
+            )
+            counts = np.minimum(depth.astype(np.int64), levels - 1) + 1
+            at = np.repeat(np.arange(counts.size), counts)
+            level = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            comp, weight, cs, cf, q, mixed = (
+                a[at] for a in (comp, weight, cs, cf, q, mixed)
+            )
+        h = hash64_premixed(hashes.group_seeds[q, 1:], mixed[:, None])
+        salt = hashes.salts[hashes.owner[q], level]
+        b = splitmix64_np(h ^ salt[:, None]) % np.uint64(buckets)
+        flat = (
+            ((comp * levels + level)[:, None] * rows + np.arange(rows)) * buckets
+            + b.astype(np.int64)
+        ).reshape(-1)
+        planes = (self._w.reshape(-1), self._s.reshape(-1), self._f.reshape(-1))
+        return fold_cells(
+            planes, flat,
+            *(np.repeat(v, rows) for v in (-weight, cs, cf)),
+        )[0]
+
     def _recover_levels_many(self) -> tuple:
         """Peel every subsampling level of every component at once,
         **in place** (the batch's counters are spent afterwards).
@@ -1349,7 +1369,6 @@ class SummedBatch:
         empty = np.empty(0, dtype=np.int64)
         log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty,) * 3]
         scan = log[0]
-        row_at = np.arange(rows)
         cand = np.flatnonzero(_occupied(w_flat, s_flat, f_flat))
         zero = np.bincount(
             cand // (levels * rows * buckets), minlength=self.count
@@ -1381,27 +1400,13 @@ class SummedBatch:
             )
             u_u, j_u, w_u = u_v[first], j_v[first], w_v[first]
             log.append((u_u, j_u, w_u))
-            q, mixed = self._groups[u_u // levels], premix64_np(j_u)
-            neg = (-w_u) % _P
-            cs = mul_vec_mod(neg, j_u)
-            cf = mul_vec_mod(neg, hashes.rho(q, mixed))
-            # Each decode leaves one cell per row; all rows' cells of
-            # all units go through one sort and one segment fold.
-            h = hash64_premixed(hashes.group_seeds[q, 1:], mixed[:, None])
-            salt = hashes.salts[hashes.owner[q], u_u % levels]
-            b = splitmix64_np(h ^ salt[:, None]) % np.uint64(buckets)
-            flat = (
-                (u_u[:, None] * rows + row_at) * buckets + b.astype(np.int64)
-            ).reshape(-1)
-            order = np.argsort(flat, kind="stable")
-            sorted_cells = flat[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
+            # Each decode is subtracted at its own level, one cell per
+            # row; the touched cells, ascending, are the next worklist
+            # (a plain sort: ``np.unique`` hashes, ~10x slower here).
+            cells = np.sort(
+                self.subtract(u_u // levels, j_u, w_u, level=u_u % levels)
             )
-            cells, source = sorted_cells[starts], order // rows
-            w_flat[cells] -= np.add.reduceat(w_u[source], starts)
-            scatter_add_mod(s_flat, cells, segment_sum_mod(cs, source, starts))
-            scatter_add_mod(f_flat, cells, segment_sum_mod(cf, source, starts))
+            cells = cells[np.r_[True, cells[1:] != cells[:-1]]]
             cand = cells[_occupied(w_flat[cells], s_flat[cells], f_flat[cells])]
         residual = _occupied(w_flat, s_flat, f_flat).reshape(
             self.count * levels, -1

@@ -19,7 +19,7 @@ using linearity (the decoder knows each F_j explicitly).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import DomainError, IncompatibleSketchError
 from ..graph.hypergraph import Hypergraph
@@ -156,12 +156,14 @@ class SkeletonSketch:
     # -- decoding -----------------------------------------------------------
 
     def decode_layers(
-        self, strict: bool = False, skip: Sequence[int] = ()
+        self, strict: bool = False, skip: Sequence[int] = (),
+        minus: Iterable[Sequence[int]] = (),
     ) -> List[Hypergraph]:
-        """The peeled spanning graphs ``F_1, ..., F_k``.
+        """The peeled spanning graphs ``F_1, ..., F_k`` of ``G − minus``.
 
-        Non-destructive: each layer sketch is temporarily reduced by
-        the previously recovered forests and restored afterwards.
+        A read: layer ``i`` decodes with ``minus`` and the forests
+        recovered before it passed as its decode's ``minus=``, so the
+        counters are never written.
         ``strict`` propagates to each layer's
         :meth:`~repro.sketch.spanning_forest.SpanningForestSketch.
         decode`, so detectable per-layer decode failures raise instead
@@ -173,33 +175,28 @@ class SkeletonSketch:
         """
         skipped = set(skip)
         forests: List[Hypergraph] = []
-        recovered: List[Tuple[int, ...]] = []
+        recovered: List[Sequence[int]] = list(minus)
         for i, layer in enumerate(self.layers):
             if i in skipped:
                 forests.append(Hypergraph(self.n, self.r))
                 continue
-            # Peel: layer currently sketches G; subtract known forests
-            # in one vectorised batch (and restore the same way).
-            if recovered:
-                layer.update_batch([(e, -1) for e in recovered])
-            try:
-                forest = layer.decode(strict=strict)
-            finally:
-                if recovered:
-                    layer.update_batch([(e, 1) for e in recovered])
+            forest = layer.decode(strict=strict, minus=recovered)
             forests.append(forest)
             recovered.extend(forest.edges())
         return forests
 
-    def decode(self, strict: bool = False, skip: Sequence[int] = ()) -> Hypergraph:
-        """The k-skeleton ``F_1 ∪ ... ∪ F_k``.
+    def decode(
+        self, strict: bool = False, skip: Sequence[int] = (),
+        minus: Iterable[Sequence[int]] = (),
+    ) -> Hypergraph:
+        """The k-skeleton ``F_1 ∪ ... ∪ F_k`` of ``G − minus``.
 
         With ``skip`` (corrupted-layer exclusion) the result is only a
         (k - len(skip))-skeleton — still a subgraph preserving cuts up
         to the reduced threshold.
         """
         skeleton = Hypergraph(self.n, self.r)
-        for forest in self.decode_layers(strict=strict, skip=skip):
+        for forest in self.decode_layers(strict=strict, skip=skip, minus=minus):
             for e in forest.edges():
                 skeleton.add_edge(e)
         return skeleton

@@ -148,7 +148,18 @@ class SpanningForestSketch:
         faster on heavy streams.  Returns the number of incidence-row
         updates applied.
         """
-        from ..engine.batch import expand_edge_batch, pairs_of_updates
+        return self.grid.update_batch(*self.incidence(updates))
+
+    def incidence(self, updates) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(members, indices, deltas)`` incidence-row triple of a
+        batch of signed hyperedges: what :meth:`update_batch` folds and
+        what a decode's ``minus=`` removes.  Rank-2 batches take the
+        vectorised pair expansion; anything else (and any malformed
+        event) the generic one, which raises its exact validation
+        errors."""
+        from ..engine.batch import (
+            expand_edge_batch, expand_pair_batch, pairs_of_updates,
+        )
 
         if self.r == 2:
             # Materialise once: the fast-path probe must not consume a
@@ -156,11 +167,8 @@ class SpanningForestSketch:
             updates = updates if isinstance(updates, list) else list(updates)
             fast = pairs_of_updates(updates)
             if fast is not None:
-                return self.update_batch_pairs(*fast)
-        members, indices, deltas = expand_edge_batch(
-            self.scheme, self._member_of, updates
-        )
-        return self.grid.update_batch(members, indices, deltas)
+                return expand_pair_batch(self.scheme, self._member_lut(), *fast)
+        return expand_edge_batch(self.scheme, self._member_of, updates)
 
     def _member_lut(self):
         """Vertex-id -> member numpy lookup table (-1 = inactive)."""
@@ -256,7 +264,7 @@ class SpanningForestSketch:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode(self, strict: bool = False) -> Hypergraph:
+    def decode(self, strict: bool = False, minus: Iterable = ()) -> Hypergraph:
         """Borůvka-decode a spanning graph of the sketched (hyper)graph.
 
         Returns a hypergraph on the ambient ``n`` vertices containing
@@ -276,16 +284,37 @@ class SpanningForestSketch:
         swallowed, which is what the degraded-decoding layer
         (:mod:`repro.core.degraded`) retries and falls back on.
 
+        ``minus`` lists hyperedges to decode the sketch of ``G − minus``
+        from, by linearity, without writing a counter (the peel of
+        Theorem 14): they are subtracted from each round's gathered
+        component sums, never from the grid.
+
         A single sketch is a stack of one: see :func:`decode_stack`.
         """
         grid = self.grid
         coords, _, failed = decode_stack(
             self.scheme, grid._hashes, grid._slots(), [grid],
             self._member_lut()[None], np.zeros(1, dtype=np.int64), [0],
+            minus=self.incidence([(e, 1) for e in minus]),
         )
         if strict and failed[0]:
             raise SamplerFailedError("no subsampling level decoded")
         return self.scheme.hypergraph_of(coords)
+
+    def appears_zero(self, minus: Iterable = ()) -> bool:
+        """Whether every counter of the sketch of ``G − minus`` vanishes
+        (every group, every member), computed without writing: each
+        group's members as singleton components, ``minus`` subtracted
+        from those sums."""
+        grid = self.grid
+        drop = self.incidence([(e, 1) for e in minus])
+        members = np.arange(grid.members)
+        for group in range(grid.groups):
+            batch = grid.summed_segments(group, members, np.ones_like(members))
+            batch.subtract(*drop)
+            if not batch.appears_zero_many().all():
+                return False
+        return True
 
     def components_of_decode(self) -> List[List[int]]:
         """Components of the decoded spanning graph, restricted to the
@@ -327,7 +356,7 @@ class SpanningForestSketch:
         return self.grid.space_bytes()
 
 
-def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
+def decode_stack(scheme, hashes, slots, grids, luts, base, todo, minus=None):
     """Borůvka-decode many independent sketches in one batched loop.
 
     The sketches share ``scheme`` and one counter buffer ``slots``
@@ -347,6 +376,12 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
     exhausted), so each forest is the one a lone decode finds
     (``docs/query.md``).  With the batch decode off, components go
     through the scalar ``SummedSketch.sample`` oracle instead.
+
+    ``minus`` is an incidence triple ``(nodes, indices, deltas)``
+    (global node ids; for one instance, its members) of entries to
+    decode without: each round they are subtracted from the gathered
+    component sums, which by linearity decodes the sketch of the graph
+    minus those edges and leaves the counters untouched.
     """
     metrics = bank._QUERY_METRICS
     todo = np.asarray(todo, dtype=np.int64)
@@ -358,8 +393,15 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
     ahead = (np.cumsum(members[todo]) - members[todo]) * (
         hashes.levels * hashes.rows * hashes.buckets
     )
+    if minus is None:
+        minus = (np.empty(0, dtype=np.int64),) * 3
+    offset = 0  # global id of the pass's node 0
     for ids in np.split(todo, np.flatnonzero(np.diff(ahead // _PASS_CELLS)) + 1):
         inst = np.repeat(ids, members[ids])  # node -> instance
+        mine = (minus[0] >= offset) & (minus[0] < offset + inst.size)
+        drop_node, drop_index, drop_delta = (a[mine] for a in minus)
+        drop_node -= offset
+        offset += inst.size
         ptr = np.zeros_like(members)  # instance -> its first node
         ptr[ids] = np.cumsum(members[ids]) - members[ids]
         member = np.arange(inst.size) - ptr[inst]  # node -> grid member
@@ -391,20 +433,32 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo):
             ends = np.cumsum(sizes)
             at, local = inst[order], member[order]
             owner = at[ends - sizes]  # component -> instance
+            # The removed entries of running instances, by the component
+            # holding their node: components are numbered by smallest
+            # node, which ``order[ends - sizes]`` lists ascending.
+            live = active[inst[drop_node]]
+            comp = np.searchsorted(order[ends - sizes], smallest[drop_node[live]])
+            drop = (comp, drop_index[live], drop_delta[live])
             if bank.batch_decode_default():
                 w_slot = base[at] + rnd * members[at] + local
                 plane = (members * rounds)[at]
-                ok, bad, index, _weight = SummedBatch(
+                batch = SummedBatch(
                     hashes, grids, hashes.first[owner] + rnd,
                     *_sum_slots(slots, w_slot, plane, sizes),
-                ).drain_arrays()
+                )
+                batch.subtract(*drop)
+                ok, bad, index, _weight = batch.drain_arrays()
+                del batch  # spent: free it before the next round gathers
             else:
                 ok, bad, index = (
                     np.zeros(sizes.size, dtype=t) for t in (bool, bool, np.int64)
                 )
                 for ci, idx in enumerate(np.split(local, ends[:-1])):
+                    sketch = grids[owner[ci]].summed(rnd, idx)
+                    for j, wt in zip(*(a[comp == ci].tolist() for a in drop[1:])):
+                        sketch.subtract(j, wt)
                     try:
-                        index[ci] = grids[owner[ci]].summed(rnd, idx).sample()[0]
+                        index[ci] = sketch.sample()[0]
                         ok[ci] = True
                     except SamplerZeroError:
                         pass  # no outgoing edge: an isolated component

@@ -204,37 +204,6 @@ def sub_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d.astype(np.int64)
 
 
-def segment_sum_mod(values: np.ndarray, order: np.ndarray,
-                    starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums of modular ``values``, as residues in [0, p).
-
-    ``values[order]`` is scanned in segments beginning at ``starts``
-    (the :func:`np.add.reduceat` convention).  A segment may hold
-    thousands of residues whose direct int64 sum would overflow, so the
-    residues are summed as 32-bit halves (safe up to ~2^19 residues per
-    segment per call) and recombined with one Mersenne shift into a
-    single canonical residue per segment.  Shared by the batched update
-    kernel (:mod:`repro.engine.batch`) and the batched decode kernels
-    (:mod:`repro.sketch.bank`).
-    """
-    v = values[order]
-    mask32 = np.int64(0xFFFFFFFF)
-    hi = np.add.reduceat(v >> np.int64(32), starts)
-    lo = np.add.reduceat(v & mask32, starts)
-    return (shl32_vec_mod(hi.astype(np.uint64)).astype(np.int64)
-            + lo % MERSENNE_61) % MERSENNE_61
-
-
-def scatter_add_mod(target: np.ndarray, cells: np.ndarray,
-                    contrib: np.ndarray) -> None:
-    """Add per-cell residue contributions into a flat residue array.
-
-    ``cells`` must be unique indices; ``contrib`` canonical residues.
-    """
-    total = target[cells] + contrib
-    target[cells] = np.where(total >= MERSENNE_61, total - MERSENNE_61, total)
-
-
 def sum_mod(values: Iterable[int]) -> int:
     """Sum an iterable of residues mod p."""
     total = 0

@@ -138,8 +138,8 @@ class TestSkeletonCertification:
         # replays a layer-0 edge: the edge-disjointness check must fire.
         real_decode = sketch.layers[1].decode
 
-        def lying_decode(strict=False):
-            forest = real_decode(strict=strict)
+        def lying_decode(strict=False, minus=()):
+            forest = real_decode(strict=strict, minus=minus)
             forest.add_edge(dup)
             return forest
 

@@ -111,7 +111,7 @@ class TestEdgeConnectivityDegraded:
 
         # Break a non-zero layer: the full strict peel now fails, the
         # layer-0 connectivity-only fallback still decodes.
-        def broken(strict=False):
+        def broken(strict=False, minus=()):
             raise SamplerFailedError("injected layer failure")
 
         sketch._skeleton.layers[1].decode = broken
@@ -129,7 +129,7 @@ class TestEdgeConnectivityDegraded:
                                         params=Params.practical())
         feed(sketch, g)
 
-        def broken(strict=False):
+        def broken(strict=False, minus=()):
             raise SamplerFailedError("hopeless")
 
         for layer in sketch._skeleton.layers:

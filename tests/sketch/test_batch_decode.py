@@ -383,19 +383,57 @@ class TestStackedGrids:
         assert separate[0]._w[0, 1].any() and not stacked._w[0, 1].any()
 
 
+@pytest.mark.parametrize("pass_cells", [1 << 19, 64])
+def test_stacked_minus_equals_each_instance_decode_minus(pass_cells):
+    """``decode_stack(minus=)`` names global node ids, instance-major:
+    a stack decodes each instance of ``G − minus`` exactly as the
+    instance's own ``decode(minus=)`` does, in one pass or in many."""
+    from unittest import mock
+
+    from repro.core._sampled import SampledForestUnion
+    from repro.graph.generators import gnp_graph
+    from repro.sketch import spanning_forest
+
+    union = SampledForestUnion(14, k=2, repetitions=12, seed=8)
+    edges = gnp_graph(14, 0.5, seed=3).edges()
+    union.update_batch([(e, 1) for e in edges])
+    todo = sorted(union.sketches)
+    minus = {
+        i: [e for e in edges[::3] if union.sketches[i].contains_vertexwise(e)]
+        for i in todo
+    }
+    triples, offset = [], 0
+    for i in todo:
+        m, idx, d = union.sketches[i].incidence([(e, 1) for e in minus[i]])
+        triples.append((m + offset, idx, d))
+        offset += union.sketches[i].grid.members
+    with mock.patch.object(spanning_forest, "_PASS_CELLS", pass_cells):
+        coords, src, _ = spanning_forest.decode_stack(
+            union.scheme, union._hashes,
+            union._arena.reshape(-1, union._levels, 2, 8),
+            {i: sk.grid for i, sk in union.sketches.items()}, union._member_lut,
+            union._base // union._member_stride, todo,
+            minus=tuple(np.concatenate(col) for col in zip(*triples)),
+        )
+    for i in todo:
+        alone = union.sketches[i].decode(minus=minus[i])
+        assert sorted(coords[src == i].tolist()) == sorted(
+            union.scheme.index_of(e) for e in alone.edges()
+        )
+
+
 class TestDecodeAtScale:
     #: ``QueryMetrics.cells_decoded`` of this exact fixture before the
     #: worklist (every sweep re-verified every nonzero cell).
     FULL_RESCAN_CELLS = 336118
 
-    def test_n1024_decode_verifies_fewer_cells_and_explains_itself(self):
-        n = 1024
+    @staticmethod
+    def _sketch(n=1024):
         codes = np.unique(
             np.random.default_rng(7).integers(0, n * n, size=40 * n)
         )
         u, v = codes // n, codes % n
         u, v = u[u < v][: 16 * n], v[u < v][: 16 * n]
-        live = set(zip(u.tolist(), v.tolist()))
         # Six rounds (the decode needs four) and no placement tables:
         # the fixture is built in a fraction of a second.
         prev_auto = set_auto_hash_cache(False)
@@ -404,6 +442,11 @@ class TestDecodeAtScale:
             sk.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
         finally:
             set_auto_hash_cache(prev_auto)
+        return sk, set(zip(u.tolist(), v.tolist()))
+
+    def test_n1024_decode_verifies_fewer_cells_and_explains_itself(self):
+        n = 1024
+        sk, live = self._sketch(n)
         with collect_query_metrics() as qm:
             forest = sk.decode()
         assert forest.num_edges == n - 1
@@ -414,3 +457,18 @@ class TestDecodeAtScale:
         assert qm.sample_zero == qm.sample_failed == 0
         assert qm.peel_sweeps >= qm.decode_rounds
         assert "rounds: 4 Bor" in qm.summary()
+
+    def test_n1024_decode_minus_equals_decoding_the_peeled_copy(self):
+        sk, _ = self._sketch()
+        minus = sk.decode().edges()  # peel the first forest: layer 2
+        peeled = sk.copy()
+        peeled.grid.detach_hash_cache()  # no tables for one small batch
+        peeled.update_batch([(e, -1) for e in minus])
+        outcomes = []
+        for decode in (lambda: sk.decode(minus=minus), peeled.decode):
+            with collect_query_metrics() as qm:
+                forest = decode()
+            outcomes.append((forest.edges(), qm.decode_rounds, qm.sample_ok,
+                             qm.sample_zero, qm.sample_failed))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] and not set(outcomes[0][0]) & set(minus)
