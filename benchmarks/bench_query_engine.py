@@ -1,11 +1,12 @@
 """E23 — query engine: vectorised batch decode vs the scalar reference.
 
-Engine claim (repro.sketch.bank + repro.engine.query): decoding a
+Engine claim (repro.sketch.bank + repro.sketch.spanning_forest): decoding a
 spanning forest through the batched one-sparse kernels — one
 ``summed_many`` segment-sum per Borůvka round plus one vectorised
 verify/peel sweep over every (component, level, row, bucket) cell — is
-at least 5x faster than the scalar per-component path at n >= 256, and
-*bit-identical*: the same forest, recovered through the same decode
+at least 5x faster than the scalar per-component reference
+(:mod:`repro.sketch.reference`, swapped in at the per-round sampling
+seam by ``reference.oracle()``) at n >= 256, and *bit-identical*: the same forest, recovered through the same decode
 decisions, because every kernel reproduces the scalar arithmetic
 exactly (same Mersenne-61 residues, same first-hit scan order, same
 tie-breaks).
@@ -21,8 +22,8 @@ import time
 import pytest
 from _report import record, record_bench
 
-from repro.engine.query import batch_decode, scalar_decode
 from repro.graph.generators import gnp_graph
+from repro.sketch import reference
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -65,10 +66,9 @@ def decode_comparison(
     """
     sketch = _ingested_forest(n, p, seed)
     state_before = dump_sketch(sketch)
-    with scalar_decode():
+    with reference.oracle():
         scalar_secs, scalar_forest = _time_decodes(sketch.decode, repeats)
-    with batch_decode():
-        batch_secs, batch_forest = _time_decodes(sketch.decode, repeats)
+    batch_secs, batch_forest = _time_decodes(sketch.decode, repeats)
     return {
         "n": n,
         "edges": scalar_forest.num_edges,
@@ -87,12 +87,11 @@ def skeleton_comparison(
     """Scalar vs batched k-skeleton layer decode (peel included)."""
     sketch = SkeletonSketch(n, k=k, seed=seed)
     sketch.update_batch(churn_stream(n, p, seed))
-    with scalar_decode():
+    with reference.oracle():
         scalar_secs, scalar_layers = _time_decodes(
             sketch.decode_layers, repeats
         )
-    with batch_decode():
-        batch_secs, batch_layers = _time_decodes(sketch.decode_layers, repeats)
+    batch_secs, batch_layers = _time_decodes(sketch.decode_layers, repeats)
     return {
         "n": n,
         "k": k,
@@ -146,12 +145,7 @@ def bench_e23_batch_decode_speedup(benchmark):
     )
 
     sketch = _ingested_forest(256, 0.05, seed=3)
-
-    def run():
-        with batch_decode():
-            return sketch.decode()
-
-    forest = benchmark(run)
+    forest = benchmark(sketch.decode)
     assert forest.num_edges > 0
 
 
@@ -180,10 +174,5 @@ def bench_e23_skeleton(benchmark):
 
     sketch = SkeletonSketch(128, k=3, seed=5)
     sketch.update_batch(churn_stream(128, 0.05, 5))
-
-    def run():
-        with batch_decode():
-            return sketch.decode_layers()
-
-    layers = benchmark(run)
+    layers = benchmark(sketch.decode_layers)
     assert len(layers) == 3

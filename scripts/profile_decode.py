@@ -2,10 +2,10 @@
 """Profile the decode/query engine: per-kernel timing + cProfile dump.
 
 Runs one spanning-forest (or skeleton) decode over a G(n,p) churn
-stream under both decode paths, prints the QueryMetrics breakdown
-(kernel vs scalar seconds, cells verified) and the
-top cProfile entries of the batch path — the first place to look when
-the E23 speedup bar regresses.
+stream through the scalar reference oracle and through the library's
+batch decode, prints the QueryMetrics breakdown (rounds, kernel
+seconds, cells verified) and the top cProfile entries of the batch
+decode — the first place to look when the E23 speedup bar regresses.
 
 Usage::
 
@@ -25,12 +25,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.engine.query import (  # noqa: E402
-    batch_decode,
-    collect_query_metrics,
-    scalar_decode,
-)
+from repro.engine.query import collect_query_metrics  # noqa: E402
 from repro.graph.generators import gnp_graph  # noqa: E402
+from repro.sketch import reference  # noqa: E402
 from repro.sketch.skeleton import SkeletonSketch  # noqa: E402
 from repro.sketch.spanning_forest import SpanningForestSketch  # noqa: E402
 from repro.stream.generators import with_churn  # noqa: E402
@@ -78,24 +75,23 @@ def main(argv=None) -> int:
     print(f"{args.sketch} n={args.n} p={args.p} events={events}")
 
     with collect_query_metrics() as qm_scalar:
-        with scalar_decode():
+        with reference.oracle():
             scalar_best = timed(decode, args.repeats)
-    print(f"\nscalar path: best of {args.repeats} = {scalar_best * 1e3:.1f}ms")
+    print(f"\nscalar oracle: best of {args.repeats} = "
+          f"{scalar_best * 1e3:.1f}ms")
     print(qm_scalar.summary())
 
     with collect_query_metrics() as qm_batch:
-        with batch_decode():
-            batch_best = timed(decode, args.repeats)
-    print(f"\nbatch path: best of {args.repeats} = {batch_best * 1e3:.1f}ms "
+        batch_best = timed(decode, args.repeats)
+    print(f"\nbatch decode: best of {args.repeats} = {batch_best * 1e3:.1f}ms "
           f"(speedup {scalar_best / batch_best:.2f}x)")
     print(qm_batch.summary())
 
     print(f"\ncProfile of one batch decode (top {args.top} by cumulative):")
     profiler = cProfile.Profile()
-    with batch_decode():
-        profiler.enable()
-        decode()
-        profiler.disable()
+    profiler.enable()
+    decode()
+    profiler.disable()
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.top)
     return 0
 

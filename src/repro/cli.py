@@ -30,12 +30,10 @@ clearly marked ``DEGRADED``.  Integrity flags: ``--certify``
 independently of the decode; ``--amplify R`` majority-votes over R
 independent sketches with reported confidence; ``ingest --verify``
 checks shard merges and barrier dumps; the ``audit`` subcommand
-verifies checkpoints at rest.  Performance flags: query-bearing
-commands decode through the vectorised batch kernels by default;
-``--scalar-decode`` selects the scalar reference path (bit-identical
-answers), ``ingest --no-decode`` skips the post-ingest decode, and
-``--metrics-json`` exports the decode :class:`~repro.engine.query.
-QueryMetrics` alongside any engine metrics.
+verifies checkpoints at rest.  Performance flags: ``ingest
+--no-decode`` skips the post-ingest decode, and ``--metrics-json``
+exports the decode :class:`~repro.engine.query.QueryMetrics` alongside
+any engine metrics.
 """
 
 from __future__ import annotations
@@ -911,12 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSONL file for quarantined lines (--on-bad-update quarantine)",
         )
         p.add_argument(
-            "--scalar-decode", action="store_true",
-            help="decode with the scalar reference path instead of the "
-                 "vectorised batch kernels (bit-identical answers; an "
-                 "escape hatch for debugging and benchmarking)",
-        )
-        p.add_argument(
             "--metrics-json", default=None, metavar="PATH",
             help="write the metrics report (including decode QueryMetrics) "
                  "as JSON ('-' for stdout)",
@@ -1007,9 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="decode the merged sketch after ingest "
                         "(--no-decode to skip)")
-    p.add_argument("--scalar-decode", action="store_true",
-                   help="decode with the scalar reference path instead of "
-                        "the vectorised batch kernels (bit-identical)")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser(
@@ -1228,19 +1217,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Every query-bearing subcommand runs the vectorised batch decode by
-    default; ``--scalar-decode`` flips the process to the scalar
-    reference path (bit-identical answers).  Decode-side
-    :class:`~repro.engine.query.QueryMetrics` are collected for the
-    whole command and exported through ``--metrics-json`` (commands
-    with engine metrics of their own nest them under ``"query"``).
+    Decode-side :class:`~repro.engine.query.QueryMetrics` are collected
+    for the whole command and exported through ``--metrics-json``
+    (commands with engine metrics of their own nest them under
+    ``"query"``).
     """
     from .engine.query import collect_query_metrics
-    from .sketch.bank import set_batch_decode
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous = set_batch_decode(not getattr(args, "scalar_decode", False))
     try:
         with collect_query_metrics() as qm:
             args._query_metrics = qm
@@ -1252,8 +1237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        set_batch_decode(previous)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,8 +28,8 @@ package turns that mathematical property into throughput:
   retry / quarantine counters), exposed as dataclasses and JSON;
 * :mod:`repro.engine.query` — the read-side counterpart: fans
   independent decode units across serial/multiprocessing backends
-  (:class:`QueryExecutor`), decode observability
-  (:class:`QueryMetrics`), and the scalar/batch decode-path switches.
+  (:class:`QueryExecutor`) and decode observability
+  (:class:`QueryMetrics`).
 """
 
 from .batch import expand_edge_batch, grid_update_batch, iter_event_batches
@@ -39,10 +39,8 @@ from .pool import ProcessPool, SerialPool, make_pool
 from .query import (
     QueryExecutor,
     QueryMetrics,
-    batch_decode,
     collect_query_metrics,
     make_executor,
-    scalar_decode,
 )
 from .replay import ReplayLog
 from .shard import IngestResult, ShardedIngestEngine, shard_of_edge, zero_clone
@@ -71,6 +69,4 @@ __all__ = [
     "QueryMetrics",
     "make_executor",
     "collect_query_metrics",
-    "scalar_decode",
-    "batch_decode",
 ]

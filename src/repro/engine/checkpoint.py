@@ -43,25 +43,6 @@ _VERSION = 1
 _SUFFIX = ".rpck"
 
 
-def fsync_directory(directory: str) -> None:
-    """Flush a directory's entries to disk (rename/create durability).
-
-    Needed after ``os.replace``, segment creation, or unlink for the
-    entry itself to survive a power loss — shared by the checkpoint
-    writer and the service write-ahead log.  Platforms without
-    directory fds (Windows) silently skip — the rename there is
-    already as durable as the platform offers.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 @dataclass
 class Checkpoint:
     """One restored (or about-to-be-saved) ingest barrier."""

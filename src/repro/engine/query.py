@@ -10,15 +10,14 @@ orchestration and observability around them:
 * :class:`QueryExecutor` — fans *independent* decode units (skeleton
   layers, amplification repetitions, sampled-forest instances) across
   a serial or multiprocessing backend;
-* :class:`QueryMetrics` — decode observability: component decodes by
-  path, cells verified, kernel vs scalar time — installed
-  process-wide with :func:`collect_query_metrics` and exported by the
-  CLI ``--metrics-json`` flags;
-* :func:`scalar_decode` / :func:`batch_decode` — context managers
-  flipping the process-wide decode path (the CLI ``--scalar-decode``
-  escape hatch), purely a performance switch: both paths are
-  bit-identical, which the property suite and the E23 benchmark
-  assert.
+* :class:`QueryMetrics` — decode observability: component decodes,
+  cells verified, kernel time — installed process-wide with
+  :func:`collect_query_metrics` and exported by the CLI
+  ``--metrics-json`` flags.
+
+There is one decode path.  The scalar reference decoder that the
+property suite and the E23 benchmark compare it against lives in
+:mod:`repro.sketch.reference`, which the library never imports.
 """
 
 from __future__ import annotations
@@ -49,12 +48,11 @@ from ..sketch import bank as _bank
 class QueryMetrics:
     """Decode-path observability for one query session.
 
-    Counts component decodes by path (``batch_queries`` are components
-    decoded through :meth:`~repro.sketch.bank.SummedBatch.sample_many`,
-    ``scalar_queries`` through ``SummedSketch.sample``), candidate
-    cells pushed through the verification kernel, kernel vs scalar
-    wall time, and executor fan-out accounting.
-    The batch path also says *why* it answered: Borůvka rounds run
+    Counts component decodes (``batch_queries``: components sampled
+    by the :class:`~repro.sketch.bank.SummedBatch` kernels), candidate
+    cells pushed through the verification kernel, kernel wall time,
+    and executor fan-out accounting.
+    The decode also says *why* it answered: Borůvka rounds run
     (``decode_rounds``), the outcome of every component sample
     (``sample_ok`` / ``sample_zero`` / ``sample_failed``), how many
     components no certified level resolved and the single-cell
@@ -73,7 +71,6 @@ class QueryMetrics:
     """
 
     batch_queries: int = 0
-    scalar_queries: int = 0
     cells_decoded: int = 0
     decode_rounds: int = 0
     sample_ok: int = 0
@@ -83,7 +80,6 @@ class QueryMetrics:
     peel_sweeps: int = 0
     instances_decoded: int = 0
     kernel_seconds: float = 0.0
-    scalar_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
     executor_tasks: int = 0
@@ -115,11 +111,9 @@ class QueryMetrics:
     def summary(self) -> str:
         """A compact human-readable summary."""
         lines = [
-            f"decodes: {self.batch_queries} batch / "
-            f"{self.scalar_queries} scalar, "
+            f"decodes: {self.batch_queries} components, "
             f"{self.cells_decoded} cells verified",
-            f"time: kernel={self.kernel_seconds:.4f}s "
-            f"scalar={self.scalar_seconds:.4f}s",
+            f"time: kernel={self.kernel_seconds:.4f}s",
         ]
         if self.decode_rounds:
             lines.append(f"rounds: {self.decode_rounds} Borůvka")
@@ -161,26 +155,6 @@ def collect_query_metrics(
         yield sink
     finally:
         _bank.set_query_metrics(previous)
-
-
-@contextmanager
-def scalar_decode() -> Iterator[None]:
-    """Force the scalar reference decode path inside the block."""
-    previous = _bank.set_batch_decode(False)
-    try:
-        yield
-    finally:
-        _bank.set_batch_decode(previous)
-
-
-@contextmanager
-def batch_decode() -> Iterator[None]:
-    """Force the vectorised batch decode path inside the block."""
-    previous = _bank.set_batch_decode(True)
-    try:
-        yield
-    finally:
-        _bank.set_batch_decode(previous)
 
 
 # -- parallel decode fan-out ----------------------------------------------

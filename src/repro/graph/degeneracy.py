@@ -61,17 +61,6 @@ def is_degenerate(h: Hypergraph, d: int) -> bool:
 # -- light edges (Section 4.2.1) ---------------------------------------
 
 
-def _lambda_e(h: Hypergraph, e: Hyperedge, limit: int) -> int:
-    """λ_e with early termination; fast path for ordinary edges."""
-    if len(e) == 2:
-        u, v = e
-        return local_edge_connectivity(_as_graph(h), u, v, limit=limit)
-    return hypergraph_lambda_e(h, e, limit=limit)
-
-
-_GRAPH_CACHE_KEY = "_repro_graph_view"
-
-
 def _as_graph(h: Hypergraph) -> Graph:
     # Cheap conversion used only on rank-2 hypergraphs inside the
     # peeling loop; rebuilt per call because the loop mutates ``h``.

@@ -165,20 +165,6 @@ def random_connected_graph(
     return g
 
 
-def random_graph_with_min_degree(
-    n: int, d: int, seed: Optional[int] = None
-) -> Graph:
-    """Each vertex picks ``d`` random distinct neighbours (union of stars)."""
-    rng = rng_from(seed, 0xD364)
-    g = Graph(n)
-    for v in range(n):
-        picks = rng.choice(n - 1, size=min(d, n - 1), replace=False)
-        for w in picks:
-            w = int(w)
-            g.add_edge(v, w if w < v else w + 1)
-    return g
-
-
 # -- hypergraph families ---------------------------------------------------
 
 
@@ -275,8 +261,3 @@ def community_hypergraph(
         if h.add_edge((v1, v2)):
             added += 1
     return h, blocks
-
-
-def graph_to_stream_pairs(g: Graph) -> List[Tuple[int, int]]:
-    """Edges of a graph as a list of pairs (helper for stream builders)."""
-    return g.edges()

@@ -197,8 +197,3 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise DomainError(f"vertex {v} outside [0, {self.n})")
-
-
-def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Convenience constructor mirroring :class:`Graph`'s signature."""
-    return Graph(n, edges)

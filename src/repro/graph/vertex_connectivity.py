@@ -141,10 +141,3 @@ def is_k_vertex_connected(g: Graph, k: int) -> bool:
         # k-vertex-connectivity requires at least k + 1 vertices.
         return False
     return vertex_connectivity(g) >= k
-
-
-def disconnecting_set_exists(g: Graph, candidates: Sequence[int]) -> bool:
-    """True if deleting exactly ``candidates`` disconnects the survivors."""
-    from .traversal import is_connected_excluding
-
-    return not is_connected_excluding(g, candidates)

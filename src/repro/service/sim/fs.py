@@ -44,7 +44,7 @@ import errno
 import os
 import posixpath
 import random
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ...util.fs import Filesystem
 
@@ -320,6 +320,3 @@ class SimFilesystem(Filesystem):
             return length
         self.enospc_errors += 1
         return max(0, room)
-
-    def iter_files(self) -> Iterator[str]:
-        return iter(sorted(self._files))

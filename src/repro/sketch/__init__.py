@@ -1,6 +1,6 @@
 """Linear-sketching substrate: 1-sparse cells up to k-skeleton sketches."""
 
-from .bank import SamplerGrid, SummedSketch
+from .bank import SamplerGrid
 from .incidence import IncidenceScheme
 from .l0 import L0Sampler, default_levels
 from .onesparse import OneSparseCell
@@ -24,7 +24,6 @@ __all__ = [
     "L0Sampler",
     "default_levels",
     "SamplerGrid",
-    "SummedSketch",
     "IncidenceScheme",
     "SpanningForestSketch",
     "default_rounds",

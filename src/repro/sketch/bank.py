@@ -31,7 +31,7 @@ import os
 import time
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +39,6 @@ from ..errors import (
     EngineError,
     IncompatibleSketchError,
     NotOneSparseError,
-    SamplerEmptyError,
-    SamplerFailedError,
-    SamplerZeroError,
 )
 from ..util.hashing import (
     _FIELD_TWEAK,
@@ -50,7 +47,6 @@ from ..util.hashing import (
     field_residue_np,
     hash64,
     hash64_many,
-    hash64_np,
     hash64_premixed,
     premix64_np,
     splitmix64,
@@ -66,35 +62,14 @@ from ..util.prime_field import (
 from .l0 import default_levels
 
 _P = MERSENNE_61
-_ROW_SALT = 0xA5A5A5A5A5A5A5A5
 
-# -- decode-path configuration -------------------------------------------
-
-#: Process-wide default for the query path: batch (vectorised) decode
-#: when True, the scalar reference path when False.  Both are
-#: bit-identical; the switch exists as an escape hatch (CLI
-#: ``--scalar-decode``) and for benchmarking the kernels against their
-#: reference implementation.
-_BATCH_DECODE = True
+# -- decode metrics -------------------------------------------------------
 
 #: Optional :class:`~repro.engine.query.QueryMetrics` sink.  When set,
-#: the decode entry points below record cell counts and kernel/scalar
-#: timings into it.  Kept as a module global (not threaded through
-#: every decode signature) so instrumentation has zero cost when off.
+#: the decode kernels below record cell counts and kernel timings into
+#: it.  Kept as a module global (not threaded through every decode
+#: signature) so instrumentation has zero cost when off.
 _QUERY_METRICS = None
-
-
-def set_batch_decode(enabled: bool) -> bool:
-    """Set the process-wide decode-path default; returns the old value."""
-    global _BATCH_DECODE
-    previous = _BATCH_DECODE
-    _BATCH_DECODE = bool(enabled)
-    return previous
-
-
-def batch_decode_default() -> bool:
-    """Whether decodes currently default to the vectorised batch path."""
-    return _BATCH_DECODE
 
 
 def set_query_metrics(metrics) -> object:
@@ -194,18 +169,13 @@ def _build_hash_cache(grid, depth_only: bool = False) -> _HashTableCache:
 #: replica of a served sketch — hash identically, so they share one
 #: table set.  The pool holds at most ``_HASH_CACHE_POOL_BUDGET``
 #: bytes of tables (by *actual* ``nbytes``, not entry count); putting
-#: a new table evicts least-recently-used ones to fit.  Grids keep a
-#: direct reference to their table, so eviction only drops the pooled
-#: handle — attached tables stay valid.
+#: a new table evicts least-recently-used ones to fit.  The batched
+#: update kernel attaches a grid's tables on first use within that
+#: budget, spilling back to rehashing for oversized domains.  Grids
+#: keep a direct reference to their table, so eviction only drops the
+#: pooled handle — attached tables stay valid.
 _HASH_CACHE_POOL: "OrderedDict[tuple, _HashTableCache]" = OrderedDict()
 _HASH_CACHE_POOL_BUDGET = 1 << 28
-
-#: Process-wide default for the ingest path: when True (the default)
-#: the batched update kernel attaches placement tables on first use,
-#: within the pool budget, spilling back to the hashing kernel for
-#: oversized domains.  The switch exists for benchmarking the hashing
-#: kernel against the table-driven one (both are bit-identical).
-_AUTO_HASH_CACHE = True
 
 
 def clear_hash_cache_pool() -> None:
@@ -216,34 +186,6 @@ def clear_hash_cache_pool() -> None:
 def hash_cache_pool_bytes() -> int:
     """Actual bytes of placement tables currently pooled."""
     return sum(cache.nbytes for cache in _HASH_CACHE_POOL.values())
-
-
-def set_hash_cache_budget(max_bytes: int) -> int:
-    """Set the pool byte budget (evicting LRU to fit); returns the old."""
-    global _HASH_CACHE_POOL_BUDGET
-    previous = _HASH_CACHE_POOL_BUDGET
-    _HASH_CACHE_POOL_BUDGET = int(max_bytes)
-    _evict_to_budget(0)
-    return previous
-
-
-def hash_cache_budget() -> int:
-    """The current pool byte budget."""
-    return _HASH_CACHE_POOL_BUDGET
-
-
-def set_auto_hash_cache(enabled: bool) -> bool:
-    """Set the auto-attach default for the batched ingest kernel;
-    returns the old value."""
-    global _AUTO_HASH_CACHE
-    previous = _AUTO_HASH_CACHE
-    _AUTO_HASH_CACHE = bool(enabled)
-    return previous
-
-
-def auto_hash_cache_default() -> bool:
-    """Whether batched ingest currently auto-attaches placement tables."""
-    return _AUTO_HASH_CACHE
 
 
 def _evict_to_budget(incoming: int) -> None:
@@ -274,13 +216,12 @@ def _pool_put(key: tuple, cache: _HashTableCache) -> None:
 os.register_at_fork(after_in_child=clear_hash_cache_pool)
 
 
-# -- scalar-path memoization ---------------------------------------------
+# -- scalar memoization ---------------------------------------------------
 #
-# The remaining scalar decode path (and the per-coordinate subtract
-# helpers) repeatedly invert the same handful of cell weights — they
-# are almost always in ±{1..r} — and re-hash the same coordinates'
-# fingerprints.  Both are pure functions of their arguments, so small
-# LRUs turn them into dictionary hits.
+# Cell verification repeatedly inverts the same handful of cell weights
+# — they are almost always in ±{1..r} — and scalar updates re-hash the
+# same coordinates' fingerprints.  Both are pure functions of their
+# arguments, so small LRUs turn them into dictionary hits.
 
 @lru_cache(maxsize=4096)
 def _inv_mod_cached(w_mod: int) -> int:
@@ -430,12 +371,12 @@ class SamplerGrid:
         #: tables consulted by the batched update kernel.  Purely a
         #: performance switch: the kernel is bit-identical on every
         #: table tier (the equivalence tests enforce it).  Attached
-        #: lazily by the kernel itself unless auto-attach is disabled
-        #: (module default or per-grid ``_hash_cache_auto``); a domain
-        #: too large for even the depth tier sets ``_hash_cache_spilled``
-        #: so the kernel stops re-trying and rehashes per batch.
+        #: lazily by the kernel itself unless :meth:`detach_hash_cache`
+        #: cleared ``_hash_cache_auto``; a domain too large for even the
+        #: depth tier sets ``_hash_cache_spilled`` so the kernel stops
+        #: re-trying and rehashes per batch.
         self._hash_cache = None
-        self._hash_cache_auto = None
+        self._hash_cache_auto = True
         self._hash_cache_spilled = False
 
     # -- storage (SoA block, shared-memory backing) ----------------------
@@ -712,16 +653,14 @@ class SamplerGrid:
     def _ensure_hash_cache(self) -> Optional[_HashTableCache]:
         """The kernel's lazy default-path attach, under the pool budget.
 
-        Returns the attached tables, or None when auto-attach is off
-        (module switch or a prior :meth:`detach_hash_cache`) or the
-        domain spilled past even the depth tier — in which case the
-        spill is remembered so each batch does not re-try the attach.
+        Returns the attached tables, or None after a
+        :meth:`detach_hash_cache` or when the domain spilled past even
+        the depth tier — in which case the spill is remembered so each
+        batch does not re-try the attach.
         """
-        if self._hash_cache is not None or self._hash_cache_spilled:
+        if (self._hash_cache is not None or self._hash_cache_spilled
+                or not self._hash_cache_auto):
             return self._hash_cache
-        auto = self._hash_cache_auto
-        if not (_AUTO_HASH_CACHE if auto is None else auto):
-            return None
         try:
             self.attach_hash_cache(max_bytes=_HASH_CACHE_POOL_BUDGET)
         except EngineError:
@@ -814,45 +753,9 @@ class SamplerGrid:
 
     # -- decoding -----------------------------------------------------------
 
-    def appears_zero(self, group: Optional[int] = None, member: Optional[int] = None) -> bool:
-        """True if the selected slice's counters all vanish."""
-        sl = self._slice(group, member)
-        return (
-            not self._w[sl].any() and not self._s[sl].any() and not self._f[sl].any()
-        )
-
-    def _slice(self, group: Optional[int], member: Optional[int]):
-        g = slice(None) if group is None else group
-        m = slice(None) if member is None else member
-        return (g, m)
-
-    def _fold_members(
-        self, group: int, idx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sum the members' counter slices into one (L, R, B) triple.
-
-        The weight counters sum exactly in ``int64``; the modular
-        counters are folded through the pairwise-reduction kernel
-        (32-bit halves, one final Mersenne recombination) so no
-        intermediate overflows — bit-identical to the historical
-        member-at-a-time ``add_mod`` fold, but one vectorised pass.
-        """
-        w = self._w[group, idx].sum(axis=0)
-        s = _fold_mod(self._s[group, idx])
-        f = _fold_mod(self._f[group, idx])
-        return w, s, f
-
-    def summed(self, group: int, members: Sequence[int]) -> "SummedSketch":
-        """Sketch of the *sum* of the given members' vectors in ``group``.
-
-        For vertex incidence rows this is precisely a sketch of the
-        boundary δ(members): internal edge coefficients cancel.
-        """
-        idx = np.fromiter(members, dtype=np.int64)
-        if idx.size == 0:
-            raise IncompatibleSketchError("summed() needs at least one member")
-        w, s, f = self._fold_members(group, idx)
-        return SummedSketch(grid=self, group=group, w=w, s=s, f=f)
+    def appears_zero(self) -> bool:
+        """True if every counter vanishes."""
+        return not self._block.any()
 
     def summed_many(
         self, group: int, components: Sequence[Sequence[int]]
@@ -862,8 +765,7 @@ class SamplerGrid:
         ``components`` is a sequence of nonempty member lists (one per
         spanning-forest component / certification part); see
         :meth:`summed_segments`, which does the work.  Returns a
-        :class:`SummedBatch` whose per-component decodes are
-        bit-identical to ``self.summed(group, c).sample()``.
+        :class:`SummedBatch`, one component per member list.
         """
         comps = [np.fromiter(c, dtype=np.int64) for c in components]
         if not comps:
@@ -902,10 +804,6 @@ class SamplerGrid:
         member)`` flattened, each slot ``(levels, rows, buckets)``."""
         return self._block.reshape(-1, self.levels, self.rows, self.buckets)
 
-    def member_sketch(self, group: int, member: int) -> "SummedSketch":
-        """The single-member sketch as a decodable view."""
-        return self.summed(group, [member])
-
     # -- accounting -----------------------------------------------------------
 
     def space_counters(self) -> int:
@@ -927,24 +825,11 @@ def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(s >= _P, s - _P, s)
 
 
-def _fold_mod(vals: np.ndarray) -> np.ndarray:
-    """Reduce axis 0 of an array of canonical residues, mod p.
-
-    Residues are summed as 32-bit halves (the high half of a residue is
-    < 2^29, so even millions of summands cannot overflow ``int64``) and
-    recombined with one Mersenne shift — the vectorised equivalent of
-    folding the slices pairwise with ``add_mod``.
-    """
-    mask32 = np.int64(0xFFFFFFFF)
-    hi = (vals >> np.int64(32)).sum(axis=0)
-    lo = (vals & mask32).sum(axis=0)
-    return (
-        shl32_vec_mod(hi.astype(np.uint64)).astype(np.int64) + lo % _P
-    ) % _P
-
-
 def _fold_segments_mod(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Segmented :func:`_fold_mod` along axis 0 (``np.add.reduceat``)."""
+    """Reduce segments of axis 0 of an array of canonical residues,
+    mod p (``np.add.reduceat``): summed as 32-bit halves (the high half
+    of a residue is < 2^29, so even millions of summands cannot
+    overflow ``int64``) and recombined with one Mersenne shift."""
     mask32 = np.int64(0xFFFFFFFF)
     hi = np.add.reduceat(vals >> np.int64(32), starts, axis=0)
     lo = np.add.reduceat(vals & mask32, starts, axis=0)
@@ -985,185 +870,6 @@ def _sum_slots(
     return w, s, f
 
 
-class SummedSketch:
-    """A decodable L0-sampler view over summed member counters.
-
-    Carries its own (L, rows, buckets) counter arrays plus the hash
-    context of the owning grid's group, so it supports local mutation
-    (subtracting recovered coordinates during peeling) without touching
-    the grid.
-    """
-
-    __slots__ = ("_grid", "group", "_w", "_s", "_f")
-
-    def __init__(self, grid: SamplerGrid, group: int, w, s, f):
-        self._grid = grid
-        self.group = group
-        self._w = w
-        self._s = s
-        self._f = f
-
-    # -- placement helpers ----------------------------------------------
-
-    def _depth_of(self, index: int) -> int:
-        return self._grid._depth(self.group, index)
-
-    def _bucket_of(self, row: int, lvl: int, index: int) -> int:
-        return self._grid._bucket(self.group, row, lvl, index)
-
-    def _tiebreak(self, index: int) -> int:
-        return hash64(self._grid._tiebreak_seeds[self.group], index)
-
-    # -- mutation ---------------------------------------------------------
-
-    def subtract(self, index: int, weight: int) -> None:
-        """Remove ``weight`` units of ``index`` from the view (peeling):
-        its cell in every row of every level up to its depth."""
-        for lvl in range(self._depth_of(index) + 1):
-            self._subtract_at_level(lvl, index, weight)
-
-    def copy(self) -> "SummedSketch":
-        return SummedSketch(
-            self._grid, self.group, self._w.copy(), self._s.copy(), self._f.copy()
-        )
-
-    # -- decoding -----------------------------------------------------------
-
-    def appears_zero(self) -> bool:
-        """True if all counters vanish (zero vector, whp)."""
-        return not self._w.any() and not self._s.any() and not self._f.any()
-
-    def _decode_cell(self, lvl: int, r: int, b: int) -> Optional[Tuple[int, int]]:
-        w = int(self._w[lvl, r, b])
-        s = int(self._s[lvl, r, b])
-        f = int(self._f[lvl, r, b])
-        if w == 0 and s == 0 and f == 0:
-            return None
-        if w == 0 or w % _P == 0:
-            raise NotOneSparseError("nonzero cell with zero weight")
-        w_mod = w % _P
-        j = (s * _inv_mod_cached(w_mod)) % _P
-        if j >= self._grid.domain:
-            raise NotOneSparseError("index outside domain")
-        j = int(j)
-        if (w_mod * _rho_cached(self._grid._rho.seed, j)) % _P != f:
-            raise NotOneSparseError("fingerprint mismatch")
-        # Structural consistency: the coordinate must genuinely live in
-        # this cell, else the decode is a (vanishingly rare) collision.
-        if self._depth_of(j) < lvl or self._bucket_of(r, lvl, j) != b:
-            raise NotOneSparseError("placement mismatch")
-        return j, w
-
-    def _recover_level(self, lvl: int) -> Optional[Dict[int, int]]:
-        """Peel one level; full support of the subsampled vector or None."""
-        scratch = self.copy()
-        recovered: Dict[int, int] = {}
-        guard = 4 * self._grid.rows * self._grid.buckets + 8
-        progress = True
-        while progress and guard > 0:
-            guard -= 1
-            progress = False
-            for r in range(self._grid.rows):
-                for b in range(self._grid.buckets):
-                    try:
-                        got = scratch._decode_cell(lvl, r, b)
-                    except NotOneSparseError:
-                        continue
-                    if got is None:
-                        continue
-                    j, w = got
-                    recovered[j] = recovered.get(j, 0) + w
-                    scratch._subtract_at_level(lvl, j, w)
-                    progress = True
-        if scratch._w[lvl].any() or scratch._s[lvl].any() or scratch._f[lvl].any():
-            return None
-        return {j: w for j, w in recovered.items() if w != 0}
-
-    def _subtract_at_level(self, lvl: int, index: int, weight: int) -> None:
-        grid = self._grid
-        cs = np.int64((-weight * (index % _P)) % _P)
-        cf = np.int64((-weight * _rho_cached(grid._rho.seed, index)) % _P)
-        salt = np.uint64(grid._level_salts[lvl])
-        seeds = np.array(grid._bucket_seeds[self.group], dtype=np.uint64)
-        h = hash64_np(seeds, index)
-        with np.errstate(over="ignore"):
-            bs = (splitmix64_np(h ^ salt)
-                  % np.uint64(grid.buckets)).astype(np.int64)
-        rs = np.arange(grid.rows)
-        self._w[lvl, rs, bs] -= weight
-        s_new = self._s[lvl, rs, bs] + cs
-        self._s[lvl, rs, bs] = np.where(s_new >= _P, s_new - _P, s_new)
-        f_new = self._f[lvl, rs, bs] + cf
-        self._f[lvl, rs, bs] = np.where(f_new >= _P, f_new - _P, f_new)
-
-    def sample(self) -> Tuple[int, int]:
-        """A verified nonzero ``(index, weight)`` of the summed vector.
-
-        Shallowest fully-recovered level wins (min tie-break hash among
-        its survivors); otherwise any verified single-cell decode.
-        Raises :class:`SamplerEmptyError` on a zero vector or total
-        decode failure.
-        """
-        metrics = _QUERY_METRICS
-        t0 = time.perf_counter() if metrics is not None else 0.0
-        try:
-            if self.appears_zero():
-                raise SamplerZeroError("summed vector appears to be zero")
-            for lvl in range(self._grid.levels):
-                support = self._recover_level(lvl)
-                if support:
-                    j = min(support, key=lambda i: (self._tiebreak(i), i))
-                    return j, support[j]
-            # Rare fallback (no level fully recovered): any verified
-            # single-cell decode, first hit in (level, row, bucket) order.
-            for cell in np.argwhere(_occupied(self._w, self._s, self._f)).tolist():
-                try:
-                    return self._decode_cell(*cell)
-                except NotOneSparseError:
-                    continue
-            raise SamplerFailedError("no subsampling level decoded")
-        finally:
-            if metrics is not None:
-                metrics.scalar_queries += 1
-                metrics.scalar_seconds += time.perf_counter() - t0
-
-    def sample_or_none(self) -> Optional[Tuple[int, int]]:
-        """Like :meth:`sample` but None for zero vectors / failures."""
-        try:
-            return self.sample()
-        except SamplerEmptyError:
-            return None
-
-    def recover_support(self) -> Optional[Dict[int, int]]:
-        """Exact support via the level-0 structure, if certifiable."""
-        return self._recover_level(0)
-
-    def estimate_support_size(self) -> Optional[int]:
-        """Estimate ‖x‖₀ from the subsampling levels (dynamic F0).
-
-        Classical insert-only distinct-count sketches (KMV, HLL) break
-        under deletions; a linear L0 structure does not.  The estimator
-        finds the shallowest level whose support fully recovers — that
-        level holds each surviving coordinate independently with
-        probability 2^-ℓ, so ``count · 2^ℓ`` estimates the overall
-        support size (exact when ℓ = 0).  Returns ``None`` when no
-        level certifies a complete recovery.
-        """
-        if self.appears_zero():
-            return 0
-        for lvl in range(self._grid.levels):
-            support = self._recover_level(lvl)
-            if support is None:
-                continue
-            if support or lvl == 0:
-                # A certified-empty deeper level says little (all
-                # coordinates may simply have shallow hash depths), so
-                # only a *nonempty* recovery — or level 0, which sees
-                # everything — yields an estimate.
-                return len(support) * (2 ** lvl)
-        return None
-
-
 # -- batched decode kernels ----------------------------------------------
 
 
@@ -1188,7 +894,8 @@ def _verify_cells(
     — the global group whose hash context placed it, raw weight,
     index-sum residue, fingerprint residue, and the (level, row,
     bucket) address it was read from.  Performs exactly the checks of
-    ``SummedSketch._decode_cell``, as a cascade in which each stage
+    the scalar oracle's ``SummedSketch._decode_cell``
+    (:mod:`repro.sketch.reference`), as a cascade in which each stage
     runs only on the cells that passed the one before:
 
     * nonzero weight residue (``w % p != 0``),
@@ -1244,8 +951,9 @@ class SummedBatch:
     across all (component, row, bucket) cells per peeling sweep,
     batched Fermat inversion of the cell weights, and vectorised
     fingerprint/placement checks.
-    :meth:`sample_many` is bit-identical per component to
-    ``SummedSketch.sample`` on the same counters (the batch peel
+    :meth:`sample_many` is bit-identical per component to the scalar
+    oracle's ``SummedSketch.sample`` (:mod:`repro.sketch.reference`)
+    on the same counters (the batch peel
     reaches the scalar peel's fixpoint — verified decodes commute — and
     ties, scan orders, and failure modes match exactly).
     """
@@ -1270,15 +978,6 @@ class SummedBatch:
         """Number of components in the batch."""
         return self._w.shape[0]
 
-    def sketch_at(self, comp: int) -> SummedSketch:
-        """Component ``comp`` as an independent scalar-decodable view."""
-        q = int(self._groups[comp])
-        owner = int(self._hashes.owner[q])
-        return SummedSketch(
-            self._grids[owner], q - int(self._hashes.first[owner]),
-            self._w[comp].copy(), self._s[comp].copy(), self._f[comp].copy(),
-        )
-
     def appears_zero_many(self) -> np.ndarray:
         """Boolean array: which components' counters all vanish."""
         n = self.count
@@ -1292,10 +991,10 @@ class SummedBatch:
         """Remove ``weight[e]`` units of coordinate ``index[e]`` from
         component ``comp[e]``, for every entry ``e`` (parallel arrays).
 
-        The batch sibling of :meth:`SummedSketch.subtract` (every level
-        up to the coordinate's depth in the component's group, every
-        row), or with ``level`` of ``_subtract_at_level`` (the peel's
-        case): one :func:`~repro.engine.batch.fold_cells` over the
+        The batch sibling of the oracle's ``SummedSketch.subtract``
+        (every level up to the coordinate's depth in the component's
+        group, every row), or with ``level`` of its
+        ``_subtract_at_level`` (the peel's case): one :func:`~repro.engine.batch.fold_cells` over the
         batch's own planes.  Returns the flat cells written (may
         repeat).
         """

@@ -195,8 +195,3 @@ def release_sketch(sketch, unlink: bool = False, copy: bool = True) -> None:
     """Detach every grid from shared memory (see ``release_shared``)."""
     for grid in _grids(sketch):
         grid.release_shared(unlink=unlink, copy=copy)
-
-
-def shared_names(sketch) -> List[Optional[str]]:
-    """Per-grid segment names (None for privately-backed grids)."""
-    return [grid.shared_name for grid in _grids(sketch)]

@@ -28,12 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import (
-    DomainError,
-    IncompatibleSketchError,
-    SamplerFailedError,
-    SamplerZeroError,
-)
+from ..errors import DomainError, IncompatibleSketchError, SamplerFailedError
 from ..graph.hypergraph import Hypergraph
 from ..graph.union_find import UnionFind
 from ..util.hashing import derive_seed
@@ -338,12 +333,30 @@ class SpanningForestSketch:
         A dynamic distinct-count query for free: the L0 levels of the
         vertex's own sketch estimate ‖a_v‖₀ = deg(v).  Exact for
         degrees within the level-0 recovery capacity; ``None`` when no
-        level certifies.
+        level certifies.  The shallowest level that peels to zero
+        holds each neighbour with probability 2^-ℓ, so its support
+        size times 2^ℓ is the estimate; a certified-empty level says
+        little, so only a nonempty one (or level 0) answers.
         """
         member = self._member_of.get(vertex)
         if member is None:
             raise DomainError(f"vertex {vertex} is not active")
-        return self.grid.member_sketch(group, member).estimate_support_size()
+        if not 0 <= group < self.rounds:
+            raise DomainError(f"group {group} outside [0, {self.rounds})")
+        one = np.array([member])
+        batch = self.grid.summed_segments(group, one, np.ones_like(one))
+        # One component, so unit u of the peel is level u.
+        zero, residual, unit, index, weight, _ = batch._recover_levels_many()
+        if zero[0]:
+            return 0
+        for lvl in np.flatnonzero(~residual).tolist():
+            at = unit == lvl
+            coords, label = np.unique(index[at], return_inverse=True)
+            sums = np.bincount(label, weight[at], coords.size)
+            size = int(np.count_nonzero(sums))  # cancelled weights drop out
+            if size or lvl == 0:
+                return size << lvl
+        return None
 
     # -- accounting -----------------------------------------------------------
 
@@ -374,8 +387,8 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo, minus=None):
     Components sort by smallest node and an instance leaves exactly
     when its own loop would (spanned, no merge this round, rounds
     exhausted), so each forest is the one a lone decode finds
-    (``docs/query.md``).  With the batch decode off, components go
-    through the scalar ``SummedSketch.sample`` oracle instead.
+    (``docs/query.md``).  Each round's components are sampled by
+    :func:`_sample_round`.
 
     ``minus`` is an incidence triple ``(nodes, indices, deltas)``
     (global node ids; for one instance, its members) of entries to
@@ -438,32 +451,11 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo, minus=None):
             # node, which ``order[ends - sizes]`` lists ascending.
             live = active[inst[drop_node]]
             comp = np.searchsorted(order[ends - sizes], smallest[drop_node[live]])
-            drop = (comp, drop_index[live], drop_delta[live])
-            if bank.batch_decode_default():
-                w_slot = base[at] + rnd * members[at] + local
-                plane = (members * rounds)[at]
-                batch = SummedBatch(
-                    hashes, grids, hashes.first[owner] + rnd,
-                    *_sum_slots(slots, w_slot, plane, sizes),
-                )
-                batch.subtract(*drop)
-                ok, bad, index, _weight = batch.drain_arrays()
-                del batch  # spent: free it before the next round gathers
-            else:
-                ok, bad, index = (
-                    np.zeros(sizes.size, dtype=t) for t in (bool, bool, np.int64)
-                )
-                for ci, idx in enumerate(np.split(local, ends[:-1])):
-                    sketch = grids[owner[ci]].summed(rnd, idx)
-                    for j, wt in zip(*(a[comp == ci].tolist() for a in drop[1:])):
-                        sketch.subtract(j, wt)
-                    try:
-                        index[ci] = sketch.sample()[0]
-                        ok[ci] = True
-                    except SamplerZeroError:
-                        pass  # no outgoing edge: an isolated component
-                    except SamplerFailedError:
-                        bad[ci] = True
+            ok, bad, index = _sample_round(
+                hashes, slots, grids, rnd, owner, local, sizes,
+                base[at] + rnd * members[at] + local, (members * rounds)[at],
+                (comp, drop_index[live], drop_delta[live]),
+            )
             failed[owner[bad]] = True
             coords, src = index[ok], owner[ok]
             vertices = scheme.edges_of(coords)
@@ -483,6 +475,30 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo, minus=None):
             found.append((coords[kept], src[kept]))
     coords, src = (np.concatenate(col) for col in zip(*found))
     return coords, src, failed
+
+
+def _sample_round(hashes, slots, grids, rnd, owner, members, sizes, w_slot,
+                  plane, drop):
+    """Sample one edge leaving each component of Borůvka round ``rnd``.
+
+    The components are consecutive runs of ``sizes`` nodes: component
+    ``c``'s run lists its members of ``grids[owner[c]]`` in ``members``
+    and, position for position, their weight-sampler slots of group
+    ``rnd`` in ``slots`` (``w_slot``, residue planes ``plane`` slots on).
+    ``drop`` is a ``(component, index, delta)`` triple subtracted from
+    the sums first.  Returns ``(ok, failed, index)`` per component.
+
+    The one sampling path of :func:`decode_stack`, and the seam the
+    scalar oracle (:func:`repro.sketch.reference.sample_round`)
+    replaces in tests.
+    """
+    batch = SummedBatch(
+        hashes, grids, hashes.first[owner] + rnd,
+        *_sum_slots(slots, w_slot, plane, sizes),
+    )
+    batch.subtract(*drop)
+    ok, bad, index, _weight = batch.drain_arrays()
+    return ok, bad, index
 
 
 class EdgeSpaceCache:

@@ -149,47 +149,6 @@ def mul_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((top + cross + low) % p).astype(np.int64)
 
 
-def pow_vec_mod(base: np.ndarray, exponent: int) -> np.ndarray:
-    """Elementwise ``base**exponent mod p`` by square-and-multiply.
-
-    ``base`` is an array of residues in [0, p); the exponent is a
-    single nonnegative Python integer shared by every element.  Runs in
-    ``O(log exponent)`` calls to :func:`mul_vec_mod`, fully vectorised —
-    this is the batched-Fermat primitive the decode kernels use to
-    invert whole arrays of cell weights at once.
-    """
-    if exponent < 0:
-        raise ValueError(f"pow_vec_mod needs exponent >= 0, got {exponent}")
-    base = np.asarray(base, dtype=np.int64) % np.int64(MERSENNE_61)
-    result = np.ones_like(base)
-    e = exponent
-    while e:
-        if e & 1:
-            result = mul_vec_mod(result, base)
-        e >>= 1
-        if e:
-            base = mul_vec_mod(base, base)
-    return result
-
-
-def inv_vec_mod(a: np.ndarray) -> np.ndarray:
-    """Elementwise multiplicative inverse mod p via batched Fermat.
-
-    Zero elements map to zero (callers mask them out — a decode cell
-    with ``w ≡ 0`` is never a valid 1-sparse cell anyway).  The input
-    is first compressed through ``np.unique``: decode batches invert
-    thousands of cell weights that take only a handful of distinct
-    values (±1..r times small multiplicities), so the square-and-
-    multiply ladder runs on the tiny unique set and the result is
-    scattered back.
-    """
-    a = np.asarray(a, dtype=np.int64) % np.int64(MERSENNE_61)
-    uniq, inverse = np.unique(a, return_inverse=True)
-    inv_uniq = pow_vec_mod(uniq, MERSENNE_61 - 2)
-    inv_uniq[uniq == 0] = 0
-    return inv_uniq[inverse].reshape(a.shape)
-
-
 def add_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``(a + b) mod p`` on ``int64`` residue arrays."""
     s = a.astype(np.int64) + b.astype(np.int64)

@@ -173,8 +173,7 @@ class TestBenchSmoke:
 
         import numpy as np
 
-        from repro.engine.query import scalar_decode
-        from repro.sketch.bank import set_auto_hash_cache
+        from repro.sketch import reference
         from repro.sketch.spanning_forest import SpanningForestSketch
 
         n = 512
@@ -184,12 +183,9 @@ class TestBenchSmoke:
         u, v = codes // n, codes % n
         u, v = u[u < v][: 8 * n], v[u < v][: 8 * n]
         assert len(u) == 8 * n
-        prev_auto = set_auto_hash_cache(False)  # ingest is not under test
-        try:
-            sketch = SpanningForestSketch(n, seed=4, rounds=6)
-            sketch.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
-        finally:
-            set_auto_hash_cache(prev_auto)
+        sketch = SpanningForestSketch(n, seed=4, rounds=6)
+        sketch.grid.detach_hash_cache()  # ingest is not under test
+        sketch.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
 
         def timed(decode):
             start = time.perf_counter()
@@ -199,7 +195,7 @@ class TestBenchSmoke:
         t_batch, batch_forest = min(
             (timed(sketch.decode) for _ in range(3)), key=lambda r: r[0]
         )
-        with scalar_decode():
+        with reference.oracle():
             t_scalar, scalar_forest = timed(sketch.decode)
         assert sorted(batch_forest.edges()) == sorted(scalar_forest.edges())
         assert batch_forest.num_edges == n - 1

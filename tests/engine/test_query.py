@@ -8,13 +8,11 @@ from repro.audit.amplify import run_amplified
 from repro.engine.query import (
     QueryExecutor,
     QueryMetrics,
-    batch_decode,
     collect_query_metrics,
     make_executor,
-    scalar_decode,
 )
 from repro.errors import EngineError
-from repro.sketch.bank import batch_decode_default
+from repro.sketch import reference
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import insert_only
 from repro.graph.generators import gnp_graph
@@ -30,38 +28,39 @@ class TestQueryMetrics:
     def test_counters_by_path(self):
         sk = _ingested()
         with collect_query_metrics() as qm:
-            with batch_decode():
-                sk.decode()
+            sk.decode()
         assert qm.batch_queries > 0
-        assert qm.scalar_queries == 0
         assert qm.cells_decoded > 0
         assert qm.kernel_seconds > 0
+        # The reference oracle runs the same Borůvka loop without the
+        # batch kernels: rounds are counted, kernel work is not.
         with collect_query_metrics() as qm2:
-            with scalar_decode():
+            with reference.oracle():
                 sk.decode()
-        assert qm2.batch_queries == 0
-        assert qm2.scalar_queries > 0
-        assert qm2.scalar_seconds > 0
+        assert qm2.decode_rounds == qm.decode_rounds > 0
+        assert qm2.batch_queries == qm2.cells_decoded == 0
+        assert qm2.kernel_seconds == 0
 
     def test_sink_removed_after_block(self):
         sk = _ingested()
         with collect_query_metrics() as qm:
             sk.decode()
-        before = qm.batch_queries + qm.scalar_queries
+        before = qm.batch_queries
         sk.decode()  # outside the block: not recorded
-        assert qm.batch_queries + qm.scalar_queries == before
+        assert qm.batch_queries == before
 
     def test_merge_and_serialization(self):
         a = QueryMetrics(batch_queries=2, cache_hits=3, cache_misses=1)
-        b = QueryMetrics(batch_queries=1, scalar_queries=4, cache_hits=1)
+        b = QueryMetrics(batch_queries=1, cache_hits=1)
         a.merge(b)
         assert a.batch_queries == 3
-        assert a.scalar_queries == 4
         assert a.cache_hits == 4
         d = json.loads(a.to_json())
         assert d["batch_queries"] == 3
+        assert "scalar_queries" not in d
         assert d["cache_hit_rate"] == pytest.approx(4 / 5)
-        assert "decodes: 3 batch / 4 scalar" in a.summary()
+        assert "decodes: 3 components" in a.summary()
+        assert "scalar" not in a.summary()
 
     def test_decode_explanation_fields_merge_and_serialize(self):
         a = QueryMetrics(batch_queries=5, decode_rounds=2, sample_ok=3,
@@ -77,8 +76,9 @@ class TestQueryMetrics:
         text = a.summary()
         assert "rounds: 3 Bor" in text
         assert "samples: 4 ok / 1 zero / 1 failed (2 via fallback scan)" in text
-        # A scalar-only session has rounds but no batch sample taxonomy.
-        scalar = QueryMetrics(scalar_queries=4, decode_rounds=2).summary()
+        # A session without kernel samples (the reference oracle's) has
+        # rounds but no sample taxonomy.
+        scalar = QueryMetrics(decode_rounds=2).summary()
         assert "rounds: 2" in scalar and "samples:" not in scalar
         assert "union:" not in scalar
 
@@ -113,17 +113,6 @@ class TestQueryMetrics:
 
     def test_empty_hit_rate(self):
         assert QueryMetrics().cache_hit_rate == 0.0
-
-
-class TestDecodePathSwitch:
-    def test_context_managers_restore_default(self):
-        default = batch_decode_default()
-        with scalar_decode():
-            assert not batch_decode_default()
-            with batch_decode():
-                assert batch_decode_default()
-            assert not batch_decode_default()
-        assert batch_decode_default() == default
 
 
 class TestQueryExecutor:

@@ -1,7 +1,8 @@
 """Property tests for the batched decode/query engine.
 
 The engine's one contract (PR "query engine"): the vectorised batch
-decode path is *bit-identical* to the scalar reference on every input
+decode path is *bit-identical* to the scalar reference oracle
+(:mod:`repro.sketch.reference`) on every input
 — the same spanning forest, the same skeleton layers, the same
 amplified majority votes, and the same failure taxonomy (strict
 failures and degraded fallbacks fire on exactly the same sketches).
@@ -10,13 +11,15 @@ component partitions, and post-merge sketches, and compare outputs
 exactly.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.amplify import run_amplified
-from repro.engine.query import batch_decode, scalar_decode
 from repro.errors import SamplerEmptyError, SketchDecodeError
+from repro.sketch import reference
 from repro.sketch.bank import SamplerGrid
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -28,14 +31,14 @@ seeds = st.integers(min_value=0, max_value=2**31)
 
 
 def _both_paths(fn):
-    """Run ``fn`` under the scalar and the batch decode defaults.
+    """Run ``fn`` through the scalar oracle, then the batch decode.
 
     Exceptions are data: returns ``("ok", result)`` or
     ``("fail", exception type name)`` per path so failure parity is
     part of the comparison.
     """
     out = []
-    for ctx in (scalar_decode, batch_decode):
+    for ctx in (reference.oracle, nullcontext):
         with ctx():
             try:
                 out.append(("ok", fn()))
@@ -96,8 +99,8 @@ class TestSummedManyParity:
         for group in range(grid.groups):
             batch = grid.summed_many(group, components)
             for ci, comp in enumerate(components):
-                ref = grid.summed(group, comp)
-                got = batch.sketch_at(ci)
+                ref = reference.summed(grid, group, comp)
+                got = reference.sketch_at(batch, ci)
                 assert np.array_equal(ref._w, got._w)
                 assert np.array_equal(ref._s, got._s)
                 assert np.array_equal(ref._f, got._f)
@@ -121,7 +124,7 @@ class TestSummedManyParity:
             batch.sample_many(), components
         ):
             try:
-                expected = ("ok", grid.summed(0, comp).sample())
+                expected = ("ok", reference.summed(grid, 0, comp).sample())
             except SamplerEmptyError as exc:
                 kind = type(exc).__name__
                 expected = (

@@ -15,9 +15,10 @@ recomputed one — with no scalar ``update`` run by the union itself.
 **Decode.**  The union decodes its dirty instances in one stacked
 Borůvka loop.  Its reference is the loop it replaced — ``decode()`` of
 each dirty instance on its own — under the batch kernel and under the
-scalar oracle: per-instance edge sets, strict-failure lists and the
-per-component ``QueryMetrics`` totals must agree at every decode of a
-random schedule, however the stack is cut into passes.
+scalar oracle (:mod:`repro.sketch.reference`): per-instance edge sets,
+strict-failure lists and the per-component ``QueryMetrics`` totals must
+agree at every decode of a random schedule, however the stack is cut
+into passes.
 """
 
 import pickle
@@ -31,9 +32,9 @@ from hypothesis import strategies as st
 from repro.audit.digest import GridDigest, attach_digest
 from repro.core._sampled import SampledForestUnion
 from repro.core.params import Params
-from repro.engine.query import collect_query_metrics, scalar_decode
+from repro.engine.query import collect_query_metrics
 from repro.errors import SamplerFailedError
-from repro.sketch import spanning_forest
+from repro.sketch import reference, spanning_forest
 from repro.sketch.bank import SamplerGrid
 from repro.sketch.serialization import dump_sketch
 
@@ -216,7 +217,7 @@ class TestStackedDecodeAgainstInstanceLoop:
     def checked(self, schedule, params):
         r, k, seed, pool, steps, _ = schedule
         # stacked: the union's own decode.  looped: one batch decode()
-        # per dirty instance.  oracle: the same under scalar_decode().
+        # per dirty instance.  oracle: the same through reference.oracle().
         stacked, looped, oracle = (
             SampledForestUnion(N, k, REPS, r=r, seed=seed, params=params)
             for _ in range(3)
@@ -235,7 +236,7 @@ class TestStackedDecodeAgainstInstanceLoop:
                 with collect_query_metrics() as want:
                     for i in dirty:
                         looped.sketches[i].decode()
-                with scalar_decode():
+                with reference.oracle():
                     fresh, _ = loop_decode(oracle, dirty)
                     _, strict_failed = loop_decode(oracle, oracle.sketches)
                 forests.update(fresh)
@@ -267,7 +268,7 @@ class TestStackedDecodeAgainstInstanceLoop:
         # The stack under the scalar oracle: same forests, same failures.
         again = pickle.loads(pickle.dumps(stacked))
         again._decoded_at[:] = -1
-        with scalar_decode():
+        with reference.oracle():
             _, failed_again = again.decode_union_accounted()
         assert forests_of(again) == forests and failed_again == failed
         return got

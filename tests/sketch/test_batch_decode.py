@@ -3,7 +3,7 @@
 The kernels under test: ``SamplerGrid.summed_many`` (one segment-sum
 pass over all components), ``SummedBatch.sample_many`` (joint
 verification + peeling across every (component, level, row, bucket)
-cell), checked against the scalar path.
+cell), checked against the scalar oracle (:mod:`repro.sketch.reference`).
 The bit-identity *properties* live in
 ``tests/properties/test_prop_query.py``; here are the deterministic
 edge cases.
@@ -12,25 +12,19 @@ edge cases.
 import numpy as np
 import pytest
 
-from repro.engine.query import (
-    batch_decode,
-    collect_query_metrics,
-    scalar_decode,
-)
+from repro.engine.query import collect_query_metrics
 from repro.errors import (
     IncompatibleSketchError,
     SamplerEmptyError,
     SamplerFailedError,
     SamplerZeroError,
 )
+from repro.sketch import reference
 from repro.sketch.bank import (
     HashStack,
     SamplerGrid,
     SummedBatch,
     _sum_slots,
-    batch_decode_default,
-    set_auto_hash_cache,
-    set_batch_decode,
 )
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -53,8 +47,8 @@ class TestSummedMany:
             batch = grid.summed_many(group, components)
             assert batch.count == len(components)
             for ci, comp in enumerate(components):
-                ref = grid.summed(group, comp)
-                got = batch.sketch_at(ci)
+                ref = reference.summed(grid, group, comp)
+                got = reference.sketch_at(batch, ci)
                 assert np.array_equal(ref._w, got._w)
                 assert np.array_equal(ref._s, got._s)
                 assert np.array_equal(ref._f, got._f)
@@ -84,7 +78,7 @@ class TestSampleMany:
         outcomes = batch.sample_many()
         for (status, payload), comp in zip(outcomes, components):
             try:
-                expected = ("ok", grid.summed(0, comp).sample())
+                expected = ("ok", reference.summed(grid, 0, comp).sample())
             except SamplerEmptyError as exc:
                 name = type(exc).__name__
                 expected = (
@@ -119,23 +113,12 @@ class TestSampleMany:
         assert dump_sketch(sk) == before
 
 
-class TestDecodePathDefault:
-    def test_set_batch_decode_returns_previous(self):
-        old = set_batch_decode(False)
-        try:
-            assert not batch_decode_default()
-            prev = set_batch_decode(True)
-            assert prev is False
-            assert batch_decode_default()
-        finally:
-            set_batch_decode(old)
-
-    def test_forest_decode_same_under_both_defaults(self):
+class TestReferenceSeam:
+    def test_forest_decode_same_through_the_oracle(self):
         sk = _triangle_plus_isolated()
-        with scalar_decode():
+        with reference.oracle():
             a = sorted(sk.decode().edges())
-        with batch_decode():
-            b = sorted(sk.decode().edges())
+        b = sorted(sk.decode().edges())
         assert a == b
         assert len(a) == 2  # a spanning tree of the triangle
 
@@ -245,7 +228,7 @@ class TestWorklistPeelDifferential:
         batch = self._batch(grid, components)
         with collect_query_metrics() as qm:
             outcomes = batch.sample_many()
-        expected = [_scalar_outcome(batch.sketch_at(c))
+        expected = [_scalar_outcome(reference.sketch_at(batch, c))
                     for c in range(batch.count)]
         assert outcomes == expected
         statuses = [status for status, _ in outcomes]
@@ -263,13 +246,14 @@ class TestWorklistPeelDifferential:
 
     def test_stuck_level_sits_beside_the_slow_one(self):
         grid, components, notes = _adversarial_grid()
-        view = grid.summed_many(0, components).sketch_at(0)
+        view = reference.sketch_at(grid.summed_many(0, components), 0)
         assert view._recover_level(0) is None
         assert sorted(view._recover_level(1)) == sorted(notes["path"])
 
     def test_uncovered_coordinate_is_recovered(self):
         grid, components, notes = _adversarial_grid()
-        support = grid.summed_many(0, components).sketch_at(2)._recover_level(0)
+        view = reference.sketch_at(grid.summed_many(0, components), 2)
+        support = view._recover_level(0)
         x1, x2, x3 = notes["uncover"]
         assert support == {x1: 2, x2: -1, x3: 1}
 
@@ -288,13 +272,14 @@ class TestWorklistPeelDifferential:
         grid, components, _ = _adversarial_grid()
         batch = grid.summed_many(0, components)
         for ci, comp in enumerate(components):
-            ref = grid.summed(0, comp)
+            ref = reference.summed(grid, 0, comp)
             for plane in ("_w", "_s", "_f"):
                 assert np.array_equal(
                     getattr(ref, plane), getattr(batch, plane)[ci]
                 ), (comp, plane)
         assert batch.sample_many() == [
-            _scalar_outcome(grid.summed(0, comp)) for comp in components
+            _scalar_outcome(reference.summed(grid, 0, comp))
+            for comp in components
         ]
 
     def test_segments_layout_equals_lists(self):
@@ -359,8 +344,8 @@ class TestStackedGrids:
             stack, grids, groups, *_sum_slots(slots, w_slot, plane, sizes)
         )
         for c in range(stacked.count):  # the gather itself
-            ref = separate[c // 8].sketch_at(c % 8)
-            got = stacked.sketch_at(c)
+            ref = reference.sketch_at(separate[c // 8], c % 8)
+            got = reference.sketch_at(stacked, c)
             assert got._grid is grids[c // 8] and got.group == 0
             assert np.array_equal(ref._w, got._w)
             assert np.array_equal(ref._s, got._s)
@@ -436,12 +421,9 @@ class TestDecodeAtScale:
         u, v = u[u < v][: 16 * n], v[u < v][: 16 * n]
         # Six rounds (the decode needs four) and no placement tables:
         # the fixture is built in a fraction of a second.
-        prev_auto = set_auto_hash_cache(False)
-        try:
-            sk = SpanningForestSketch(n, seed=12345, rounds=6)
-            sk.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
-        finally:
-            set_auto_hash_cache(prev_auto)
+        sk = SpanningForestSketch(n, seed=12345, rounds=6)
+        sk.grid.detach_hash_cache()
+        sk.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
         return sk, set(zip(u.tolist(), v.tolist()))
 
     def test_n1024_decode_verifies_fewer_cells_and_explains_itself(self):

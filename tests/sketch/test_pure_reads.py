@@ -9,14 +9,16 @@ succeeds and leaves ``update_count``, ``_epoch`` and the serialized
 state exactly as they were.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.audit.certify import certify_skeleton
 from repro.core.light_edges import LightEdgeRecoverySketch
 from repro.core.sparsifier import HypergraphSparsifierSketch
-from repro.engine.query import batch_decode, scalar_decode
 from repro.graph.generators import random_connected_graph
 from repro.graph.hypergraph import Hypergraph, WeightedHypergraph
+from repro.sketch import reference
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -100,7 +102,8 @@ def _sparsifier():
     return sketch, sketch.decode
 
 
-@pytest.mark.parametrize("mode", [batch_decode, scalar_decode])
+@pytest.mark.parametrize("mode", [nullcontext, reference.oracle],
+                         ids=["batch_decode", "scalar_decode"])
 @pytest.mark.parametrize(
     "build",
     [_forest_minus, _skeleton_layers, _certify, _light_layers, _sparsifier],

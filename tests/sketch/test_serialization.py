@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IncompatibleSketchError
+from repro.sketch import reference
 from repro.sketch.bank import SamplerGrid
 from repro.sketch.serialization import (
     dump_grid,
@@ -34,7 +35,7 @@ class TestGridRoundtrip:
         blob = dump_grid(a)
         b = load_grid(grid(), blob)
         assert same_state(a, b)
-        assert b.member_sketch(0, 0).sample() == (17, 1)
+        assert reference.member_sketch(b, 0, 0).sample() == (17, 1)
 
     def test_empty_roundtrip(self):
         blob = dump_grid(grid())
@@ -46,7 +47,7 @@ class TestGridRoundtrip:
         a.update(0, 10, 1)
         b.update(0, 20, 1)
         merged = load_grid(b, dump_grid(a), accumulate=True)
-        assert merged.member_sketch(0, 0).recover_support() == {10: 1, 20: 1}
+        assert reference.member_sketch(merged, 0, 0).recover_support() == {10: 1, 20: 1}
 
     def test_wrong_seed_rejected(self):
         blob = dump_grid(grid(seed=1))
@@ -81,7 +82,7 @@ class TestMemberMessages:
         referee = grid()
         member = load_member_state(referee, dump_member_state(player, 1))
         assert member == 1
-        assert referee.member_sketch(0, 1).sample() == (42, 2)
+        assert reference.member_sketch(referee, 0, 1).sample() == (42, 2)
 
     def test_messages_accumulate(self):
         referee = grid()
@@ -89,7 +90,7 @@ class TestMemberMessages:
             player = grid()
             player.update(member, 100 + member, 1)
             load_member_state(referee, dump_member_state(player, member))
-        summed = referee.summed(0, [0, 1, 2])
+        summed = reference.summed(referee, 0, [0, 1, 2])
         assert summed.recover_support() == {100: 1, 101: 1, 102: 1}
 
     def test_grid_blob_is_not_a_message(self):
