@@ -22,7 +22,7 @@ from _report import record
 from repro.comm.referee import RefereeSession
 from repro.comm.simultaneous import SpanningForestProtocol
 from repro.comm.transport import FaultProfile
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.graph.generators import random_connected_hypergraph
 
 

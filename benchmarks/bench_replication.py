@@ -42,7 +42,7 @@ import pytest
 from _report import record, record_bench
 from bench_service_chaos import verify_acked_writes
 
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.service.chaos import ChaosPlan, ChaosProxy, ServerSupervisor
 from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadConfig, run_loadgen

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Chaos smoke: run the fault-injection suite under several seeds.
 #
-# The `faults` marker selects tests that SIGKILL workers, hang them,
-# corrupt checkpoints, flip bits in live sampler banks, and drop /
+# The `faults` marker selects tests that SIGKILL shm shard workers
+# (detected as WorkerCrashError, recovered by checkpoint resume), hang
+# them, corrupt checkpoints, flip bits in live sampler banks, and drop /
 # duplicate / corrupt referee protocol frames; the seed sweep varies
-# the streams, kill points, bit-flip targets, and channel schedules so
-# recovery and detection are exercised on different traces, not one
-# hand-picked one. Per seed, three invocations: the full fault suite,
+# the streams, bit-flip targets, and channel schedules so recovery and
+# detection are exercised on different traces, not one hand-picked one. Per seed, three invocations: the full fault suite,
 # the bit-flip injection mode (audit suite alone, proving detection →
 # localization → exclusion → correct answer), and the referee mode
 # (comm suite alone, proving exact sketch recovery over the lossy

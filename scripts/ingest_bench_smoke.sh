@@ -4,11 +4,10 @@
 # Runs the `ingestbench`-marked benchmarks, which assert
 #   * batched ingest >= 5x the scalar per-event loop at n >= 256
 #     (bench_e19_batched_speedup),
-#   * batched ingest >= 30x scalar at n = 1024 and shared-memory
-#     shards faster than the pickling process pool at equal shard
-#     counts (bench_e19_scale_headline), and
+#   * batched ingest >= 30x scalar at n = 1024
+#     (bench_e19_scale_headline), and
 #   * bit-identical sketch state across scalar/batched/sharded paths
-#     and every backend (serial, process, shm),
+#     and every backend (serial, shm),
 # so a kernel or pool change that silently slows the fused path below
 # a bar — or worse, diverges from the scalar reference — fails CI here
 # instead of surfacing in EXPERIMENTS.md later.  Each run also appends

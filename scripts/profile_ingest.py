@@ -101,7 +101,7 @@ def main() -> None:
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--batch-size", type=int, default=4096)
     parser.add_argument(
-        "--backend", choices=["serial", "process", "shm"], default="shm"
+        "--backend", choices=["serial", "shm"], default="shm"
     )
     parser.add_argument(
         "--mode", choices=["batched", "sharded", "both"], default="batched"

@@ -54,11 +54,8 @@ from .core import (
 from .engine import (
     CheckpointManager,
     IngestMetrics,
-    QueryExecutor,
     QueryMetrics,
-    RetryPolicy,
     ShardedIngestEngine,
-    SupervisedPool,
 )
 from .comm import (
     CommMetrics,
@@ -84,12 +81,12 @@ from .errors import (
     SamplerZeroError,
     SketchDecodeError,
     StreamError,
-    SupervisionError,
     WorkerCrashError,
 )
 from .graph import Graph, Hypergraph, WeightedHypergraph
 from .sketch import SkeletonSketch, SpanningForestSketch
 from .stream import BadUpdate, EdgeUpdate, Quarantine, StreamRunner
+from .util.retry import RetryPolicy
 
 __all__ = [
     "__version__",
@@ -120,7 +117,6 @@ __all__ = [
     "Quarantine",
     "BadUpdate",
     "RetryPolicy",
-    "SupervisedPool",
     # integrity & certification
     "SketchAuditor",
     "AuditReport",
@@ -140,7 +136,6 @@ __all__ = [
     "CheckpointManager",
     "IngestMetrics",
     # decode/query engine
-    "QueryExecutor",
     "QueryMetrics",
     # distributed referee
     "SpanningForestProtocol",
@@ -162,7 +157,6 @@ __all__ = [
     "EngineError",
     "CheckpointError",
     "WorkerCrashError",
-    "SupervisionError",
     "IntegrityError",
     "PayloadCorruptionError",
     "CommError",

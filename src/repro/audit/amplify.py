@@ -105,16 +105,18 @@ def amplify_votes(votes: Sequence[Any], failed: int = 0) -> AmplifiedResult:
     )
 
 
-def _run_repetition(task) -> Tuple[bool, Any]:
+def _run_repetition(
+    make_sketch: Callable[[int], Any],
+    events: List,
+    query: Callable[[Any], Any],
+    seed: int,
+) -> Tuple[bool, Any]:
     """One amplification repetition: build, ingest, query.
 
-    Module-level (picklable) so a process-backed
-    :class:`~repro.engine.query.QueryExecutor` can run repetitions in
-    parallel.  Returns ``(True, vote)`` or ``(False, failure message)``
-    — decode failures are data here, not exceptions, so a worker
-    failure doesn't abort its siblings.
+    Returns ``(True, vote)`` or ``(False, failure message)`` — decode
+    failures are data here, not exceptions, so one failed repetition
+    doesn't abort its siblings.
     """
-    make_sketch, events, query, seed = task
     sketch = make_sketch(seed)
     if hasattr(sketch, "update_batch") and events:
         sketch.update_batch(events)
@@ -134,7 +136,6 @@ def run_amplified(
     query: Callable[[Any], Any],
     repetitions: int,
     base_seed: Optional[int] = None,
-    executor=None,
 ) -> AmplifiedResult:
     """Run ``repetitions`` independently seeded sketches and vote.
 
@@ -146,12 +147,6 @@ def run_amplified(
     failure mode, which counts as a failed repetition rather than a
     vote.  Repetition seeds derive from ``base_seed`` so the whole
     amplified run is reproducible.
-
-    The repetitions are mutually independent, so an optional
-    :class:`~repro.engine.query.QueryExecutor` fans them across its
-    backend (``make_sketch`` and ``query`` must be picklable for the
-    process backend).  Votes are collected in repetition order either
-    way, so the result is identical to the sequential loop.
     """
     if repetitions < 1:
         raise SketchDecodeError(
@@ -159,14 +154,12 @@ def run_amplified(
         )
     events: List = list(stream)
     base = normalize_seed(base_seed)
-    tasks = [
-        (make_sketch, events, query, derive_seed(base, _AMPLIFY_SALT, i))
+    outcomes = [
+        _run_repetition(
+            make_sketch, events, query, derive_seed(base, _AMPLIFY_SALT, i)
+        )
         for i in range(repetitions)
     ]
-    if executor is not None:
-        outcomes = executor.map(_run_repetition, tasks)
-    else:
-        outcomes = [_run_repetition(t) for t in tasks]
     votes: List[Any] = []
     failed = 0
     for ok, payload in outcomes:

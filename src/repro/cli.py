@@ -8,9 +8,8 @@ Usage (after installation)::
     python -m repro sparsify STREAM_FILE [--epsilon E --k K --levels L]
     python -m repro reconstruct STREAM_FILE --d D [--seed S]
     python -m repro ingest STREAM_FILE [--shards N --batch-size B]
-                    [--checkpoint-dir D [--resume]] [--metrics-json PATH]
-                    [--retries N [--replay-limit E --replay-spill-dir DIR]]
-                    [--verify]
+                    [--backend {serial,shm}] [--checkpoint-dir D [--resume]]
+                    [--metrics-json PATH] [--verify]
     python -m repro referee STREAM_FILE [--loss L --dup D --reorder R
                     --corrupt C --delay Y --retries N --chaos-seed S]
                     [--certify] [--degraded-ok] [--metrics-json PATH]
@@ -22,14 +21,14 @@ Every command prints a small human-readable report and exits 0 on
 success; malformed inputs exit 2 with a diagnostic.  Robustness flags
 (available on the stream-consuming commands): ``--on-bad-update
 {strict,quarantine,drop}`` with ``--quarantine-file`` governs malformed
-input lines; ``--retries N`` (ingest) supervises shard workers with
-checkpoint-replay recovery; ``--degraded-ok`` (query,
+input lines; ``ingest --checkpoint-dir D --resume`` recovers a
+crashed ingest bit-identically; ``--degraded-ok`` (query,
 edge-connectivity) accepts weaker answers on sketch decode failure,
 clearly marked ``DEGRADED``.  Integrity flags: ``--certify``
 (connectivity, edge-connectivity) re-verifies the answer's witness
 independently of the decode; ``--amplify R`` majority-votes over R
 independent sketches with reported confidence; ``ingest --verify``
-checks shard merges and barrier dumps; the ``audit`` subcommand
+checks shard merges; the ``audit`` subcommand
 verifies checkpoints at rest.  Performance flags: ``ingest
 --no-decode`` skips the post-ingest decode, and ``--metrics-json``
 exports the decode :class:`~repro.engine.query.QueryMetrics` alongside
@@ -241,7 +240,6 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_ingest(args) -> int:
     from .engine.checkpoint import CheckpointManager
     from .engine.shard import ShardedIngestEngine
-    from .engine.supervisor import RetryPolicy
     from .sketch.skeleton import SkeletonSketch
     from .sketch.spanning_forest import SpanningForestSketch
 
@@ -258,9 +256,6 @@ def _cmd_ingest(args) -> int:
     elif args.resume:
         print("error: --resume needs --checkpoint-dir", file=sys.stderr)
         return 2
-    supervision = None
-    if args.retries > 0:
-        supervision = RetryPolicy(max_restarts=args.retries)
     engine = ShardedIngestEngine(
         prototype,
         shards=args.shards,
@@ -268,11 +263,7 @@ def _cmd_ingest(args) -> int:
         backend=args.backend,
         partition_seed=args.seed,
         checkpoint=manager,
-        supervision=supervision,
-        replay_limit=args.replay_limit,
-        replay_spill_dir=args.replay_spill_dir,
         verify_merges=args.verify,
-        verify_dumps=args.verify,
     )
     result = engine.ingest(updates, resume=args.resume)
     metrics = result.metrics
@@ -305,8 +296,8 @@ def _cmd_referee(args) -> int:
     from .comm.referee import RefereeSession
     from .comm.simultaneous import SpanningForestProtocol
     from .comm.transport import FaultProfile
-    from .engine.supervisor import RetryPolicy
     from .stream.updates import materialize
+    from .util.retry import RetryPolicy
 
     n, r, updates = _load(args)
     h = materialize(n, updates, r=r)
@@ -970,22 +961,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="skeleton layers (sketch=skeleton)")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--backend", choices=["serial", "process", "shm"], default="serial")
+    p.add_argument("--backend", choices=["serial", "shm"], default="serial")
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--checkpoint-interval", type=int, default=10_000)
     p.add_argument("--resume", action="store_true",
                    help="resume from the latest checkpoint in --checkpoint-dir")
     p.add_argument("--metrics-json", default=None, metavar="PATH",
                    help="write the IngestMetrics report as JSON ('-' for stdout)")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="supervise shard workers: restart a dead/hung worker "
-                        "up to N times, restoring from the last barrier and "
-                        "replaying the suffix (0 = unsupervised)")
-    p.add_argument("--replay-limit", type=int, default=250_000,
-                   help="max in-memory replay-log events under --retries")
-    p.add_argument("--replay-spill-dir", default=None, metavar="DIR",
-                   help="spill replay-log segments to DIR instead of forcing "
-                        "early barriers when --replay-limit is hit")
     p.add_argument("--on-bad-update",
                    choices=["strict", "quarantine", "drop"], default="strict",
                    help="malformed stream lines: fail fast, divert, or skip")
@@ -993,8 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL file for quarantined lines")
     p.add_argument("--verify", action="store_true",
                    help="integrity mode: verify every shard merge against "
-                        "the linearity invariant and (under --retries) "
-                        "CRC-check every barrier dump before trusting it")
+                        "the linearity invariant")
     p.add_argument("--decode", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="decode the merged sketch after ingest "

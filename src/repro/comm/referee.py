@@ -18,8 +18,8 @@ Round structure (all channels are round-based
    per-player retransmit requests (nack frames, themselves subject to
    channel faults) and folds whatever arrives, CRC-verified and
    deduplicated;
-3. the retry machinery is the engine's
-   :class:`~repro.engine.supervisor.RetryPolicy`: ``max_restarts`` is
+3. the retry machinery is the shared
+   :class:`~repro.util.retry.RetryPolicy`: ``max_restarts`` is
    the per-player retransmit budget, ``backoff_delay`` paces the
    waves deterministically, and the session's ``max_rounds`` is the
    round deadline.
@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..engine.supervisor import RetryPolicy
 from ..errors import CommError, MessageCorruptionError
+from ..util.retry import RetryPolicy
 from .metrics import CommMetrics
 from .reliable import (
     Envelope,
@@ -52,9 +52,9 @@ from .simultaneous import ProtocolResult, SpanningForestProtocol
 from .transport import FaultProfile, SimulatedChannel
 
 #: Default retransmission policy for referee sessions: a deeper retry
-#: budget than worker supervision (a retransmit is cheap; a restart is
-#: not) and no wall-clock backoff by default — the backoff schedule is
-#: still *computed* and accounted, just not slept in simulation.
+#: budget than the default policy (a retransmit is cheap) and no
+#: wall-clock backoff by default — the backoff schedule is still
+#: *computed* and accounted, just not slept in simulation.
 DEFAULT_REFEREE_POLICY = RetryPolicy(max_restarts=8, backoff_base=0.0, jitter=0.0)
 
 
@@ -117,7 +117,7 @@ class RefereeSession:
     profile:
         Channel :class:`FaultProfile` (default: the ideal channel).
     policy:
-        :class:`~repro.engine.supervisor.RetryPolicy`;
+        :class:`~repro.util.retry.RetryPolicy`;
         ``max_restarts`` is the per-player retransmit budget and
         ``backoff_delay`` paces retransmit waves.
     chaos_seed:

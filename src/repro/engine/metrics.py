@@ -138,12 +138,12 @@ class IngestMetrics:
     merge_seconds: float = 0.0
     max_queue_depth: int = 0
     resumed_from: Optional[int] = None
-    # Robustness counters (the supervised/quarantine/degraded paths):
-    # worker restarts performed, operations retried after a recovery,
-    # updates diverted to quarantine, and queries answered in degraded
-    # mode.  All zero on a healthy run — operators alert on nonzero.
+    # Robustness counters (the quarantine/degraded paths): updates
+    # diverted to quarantine and queries answered in degraded mode.
+    # All zero on a healthy run — operators alert on nonzero.
+    # ``restarts`` always reads 0 (nothing restarts a worker; recovery
+    # is checkpoint + resume); it stays for the perf ledger's schema.
     restarts: int = 0
-    retries: int = 0
     quarantined: int = 0
     degraded_queries: int = 0
     # Integrity counters (the audit subsystem): digest audit passes run
@@ -199,7 +199,6 @@ class IngestMetrics:
             "max_queue_depth": self.max_queue_depth,
             "resumed_from": self.resumed_from,
             "restarts": self.restarts,
-            "retries": self.retries,
             "quarantined": self.quarantined,
             "degraded_queries": self.degraded_queries,
             "audits": self.audits,
@@ -234,10 +233,9 @@ class IngestMetrics:
                 f"  checkpoints: {ck.saves} saved, last {ck.bytes_last} bytes, "
                 f"{ck.seconds_total:.3f}s total"
             )
-        if self.restarts or self.retries or self.quarantined or self.degraded_queries:
+        if self.quarantined or self.degraded_queries:
             lines.append(
-                f"  robustness: {self.restarts} restarts, "
-                f"{self.retries} retries, {self.quarantined} quarantined, "
+                f"  robustness: {self.quarantined} quarantined, "
                 f"{self.degraded_queries} degraded queries"
             )
         if self.audits or self.corruption_detected:

@@ -10,23 +10,18 @@ Both backends expose one small contract the engine drives:
   per shard;
 * ``queue_depth(shard)`` / ``close()``.
 
-For the supervision layer (:mod:`repro.engine.supervisor`) the barrier
-operations are also exposed per shard in split request/collect form
-(``request_dump``/``collect_dump``, ``request_finish``/
-``collect_finish``) together with ``restart_shard``, so a single dead
-worker can be replaced and re-driven without touching its healthy
-peers.
-
 :class:`SerialPool` folds batches in-process, immediately — zero
 queueing, useful for deterministic tests and as the vectorised-but-
-single-core fast path.  :class:`ProcessPool` runs one OS process per
-shard over ``multiprocessing`` pipes; batches are pipelined (the parent
-does not wait per batch), and the linear sketches guarantee the final
-merge is independent of any interleaving.  Worker death is detected at
-the next synchronisation point and surfaces as
-:class:`~repro.errors.WorkerCrashError` carrying the shard index; the
-supervisor turns that into restart + checkpoint-restore + replay, and
-the checkpoint layer into a resumable condition rather than lost work.
+single-core fast path.  :class:`SharedMemoryPool` runs one OS process
+per shard, each folding into its shard's counter blocks in named
+shared-memory segments; batches are pipelined over ``multiprocessing``
+pipes (the parent does not wait per batch), and the linear sketches
+guarantee the final merge is independent of any interleaving.
+
+A dead or hung worker is detected at the next synchronisation point
+and surfaces as :class:`~repro.errors.WorkerCrashError` carrying the
+shard index.  There is no in-process restart: recovery is the engine's
+checkpoint + resume, which linearity makes exact.
 
 Both pools enforce the same lifecycle invariant: any operation after
 ``close()``/``finish()`` raises :class:`~repro.errors.EngineError`
@@ -42,6 +37,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import EngineError, WorkerCrashError
 from ..sketch.serialization import dump_sketch, load_sketch
+from ..sketch.shm import attach_sketch, release_sketch, share_sketch
 
 _SYNC_TIMEOUT = 60.0  # seconds to wait on a worker reply before declaring it dead
 
@@ -50,7 +46,6 @@ class SerialPool:
     """In-process backend: one private sketch per shard, fed directly."""
 
     def __init__(self, sketch_factory: Callable[[], Any], shards: int):
-        self._factory = sketch_factory
         self._sketches = [sketch_factory() for _ in range(shards)]
         self._seconds = [0.0] * shards
         self._events = [0] * shards
@@ -74,33 +69,6 @@ class SerialPool:
         self._ensure_open()
         load_sketch(self._sketches[shard], blob)
 
-    # -- split barrier API (supervision contract) -----------------------
-
-    def request_dump(self, shard: int) -> None:
-        self._ensure_open()
-
-    def collect_dump(self, shard: int, timeout: Optional[float] = None) -> bytes:
-        self._ensure_open()
-        return dump_sketch(self._sketches[shard])
-
-    def request_finish(self, shard: int) -> None:
-        self._ensure_open()
-
-    def collect_finish(
-        self, shard: int, timeout: Optional[float] = None
-    ) -> Tuple[Any, float, int]:
-        self._ensure_open()
-        return (self._sketches[shard], self._seconds[shard], self._events[shard])
-
-    def restart_shard(self, shard: int) -> None:
-        """Replace the shard's sketch with a fresh zero-state one."""
-        self._ensure_open()
-        self._sketches[shard] = self._factory()
-        self._seconds[shard] = 0.0
-        self._events[shard] = 0
-
-    # -- whole-pool barriers --------------------------------------------
-
     def dump_all(self) -> List[bytes]:
         self._ensure_open()
         return [dump_sketch(sk) for sk in self._sketches]
@@ -118,259 +86,29 @@ class SerialPool:
         self._closed = True
 
 
-def _worker_main(conn, sketch) -> None:
-    """Shard worker loop: fold batches until told to finish.
+def _worker_main(conn, sketch, names) -> None:
+    """Shard worker loop: fold batches into the shared banks until told
+    to finish.
 
-    Commands arrive as ``(name, payload)`` tuples; ``dump``/``finish``
-    act as barriers because the pipe delivers in order — by the time
-    the worker answers, every previously submitted batch is folded in.
-    ``crash`` hard-exits the process and ``sleep`` stalls it (the
-    fault-injection hooks for dead and hung workers respectively).
+    Commands arrive as ``(name, payload)`` tuples.  The worker attaches
+    zero-copy views of the shard's segments at startup and folds
+    batches directly into the shared pages, so barrier replies carry no
+    counter payload: ``dump`` answers with a bare ack (the parent
+    serializes from its own mapping) and ``finish`` ships only the
+    timing counters.  The pipe delivers in order, so the ack doubles as
+    the write fence — by the time it arrives, every previously
+    submitted batch is folded in.  ``crash`` hard-exits the process and
+    ``sleep`` stalls it (the fault-injection hooks for dead and hung
+    workers respectively).
 
     The loop polls with a timeout and watches for reparenting: under
     the fork start method every worker inherits the parent-side pipe
     fds of the whole pool (its own included), so a SIGKILLed parent
     never produces EOF on ``recv`` — without the ppid watchdog the
-    workers would linger as orphans forever.
+    workers would linger as orphans forever.  No segment cleanup on
+    exit: the attachment is non-owning (see :mod:`repro.sketch.shm`)
+    and process death unmaps it.
     """
-    seconds = 0.0
-    events = 0
-    parent = os.getppid()
-    try:
-        while True:
-            while not conn.poll(1.0):
-                if os.getppid() != parent:  # parent died; no EOF will come
-                    return
-            cmd, payload = conn.recv()
-            if cmd == "batch":
-                start = time.perf_counter()
-                sketch.update_batch(payload)
-                seconds += time.perf_counter() - start
-                events += len(payload)
-            elif cmd == "load":
-                load_sketch(sketch, payload)
-            elif cmd == "dump":
-                conn.send(("state", dump_sketch(sketch)))
-            elif cmd == "finish":
-                conn.send(("final", (dump_sketch(sketch), seconds, events)))
-                conn.close()
-                return
-            elif cmd == "crash":
-                os._exit(1)
-            elif cmd == "sleep":
-                time.sleep(payload)
-            else:  # pragma: no cover - defensive
-                conn.send(("error", f"unknown command {cmd!r}"))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        # parent died or closed our pipe (e.g. after declaring us hung)
-        return
-
-
-class ProcessPool:
-    """One ``multiprocessing`` worker per shard, fed over pipes.
-
-    The factory's sketches (and batch payloads) must be picklable —
-    every sketch in :mod:`repro.sketch` is.  The parent keeps a
-    same-seed prototype per shard so worker dumps can be deserialized
-    back into real sketch objects for merging.  ``sync_timeout`` is the
-    default patience at synchronisation points; the supervisor narrows
-    it per collect call from its per-batch deadline policy.
-    """
-
-    def __init__(self, sketch_factory: Callable[[], Any], shards: int,
-                 context: Optional[str] = None,
-                 sync_timeout: float = _SYNC_TIMEOUT):
-        self._ctx = mp.get_context(context) if context else mp.get_context()
-        self._factory = sketch_factory
-        self._sync_timeout = sync_timeout
-        self._protos = [sketch_factory() for _ in range(shards)]
-        self._conns = []
-        self._procs = []
-        self._pending = [0] * shards
-        self._closed = False
-        for shard in range(shards):
-            conn, proc = self._spawn(shard)
-            self._conns.append(conn)
-            self._procs.append(proc)
-
-    def _spawn(self, shard: int):
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self._factory()),
-            daemon=True,
-            name=f"repro-ingest-shard-{shard}",
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
-    # -- plumbing -------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise EngineError("ProcessPool is closed (use-after-close)")
-
-    def _send(self, shard: int, message) -> None:
-        self._ensure_open()
-        try:
-            self._conns[shard].send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashError(
-                f"shard {shard} worker is gone (send failed: {exc})",
-                shard=shard,
-            ) from exc
-
-    def _recv(self, shard: int, expect: str, timeout: Optional[float] = None):
-        self._ensure_open()
-        conn = self._conns[shard]
-        patience = self._sync_timeout if timeout is None else timeout
-        if not conn.poll(patience):
-            raise WorkerCrashError(
-                f"shard {shard} worker did not respond within {patience}s "
-                "(hung or dead)",
-                shard=shard,
-            )
-        try:
-            kind, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise WorkerCrashError(
-                f"shard {shard} worker died mid-ingest", shard=shard
-            ) from exc
-        if kind != expect:
-            raise EngineError(
-                f"shard {shard} protocol error: expected {expect!r}, got {kind!r}"
-            )
-        self._pending[shard] = 0
-        return payload
-
-    # -- pool API -------------------------------------------------------
-
-    def submit(self, shard: int, updates: Sequence) -> float:
-        self._send(shard, ("batch", list(updates)))
-        self._pending[shard] += 1
-        return 0.0  # worker-side time is reported at finish()
-
-    def load(self, shard: int, blob: bytes) -> None:
-        self._send(shard, ("load", blob))
-
-    # -- split barrier API (supervision contract) -----------------------
-
-    def request_dump(self, shard: int) -> None:
-        self._send(shard, ("dump", None))
-
-    def collect_dump(self, shard: int, timeout: Optional[float] = None) -> bytes:
-        return self._recv(shard, "state", timeout=timeout)
-
-    def request_finish(self, shard: int) -> None:
-        self._send(shard, ("finish", None))
-
-    def collect_finish(
-        self, shard: int, timeout: Optional[float] = None
-    ) -> Tuple[Any, float, int]:
-        blob, seconds, events = self._recv(shard, "final", timeout=timeout)
-        sketch = load_sketch(self._protos[shard], blob)
-        return sketch, seconds, events
-
-    def restart_shard(self, shard: int) -> None:
-        """Replace a dead/hung shard worker with a fresh zero-state one.
-
-        The old process is terminated (it may still be alive if merely
-        hung) and its pipe closed; the new worker starts from the
-        factory's zero-state sketch, ready for the supervisor to
-        ``load`` a checkpoint blob and replay the suffix.
-        """
-        self._ensure_open()
-        proc = self._procs[shard]
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        try:
-            self._conns[shard].close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        conn, proc = self._spawn(shard)
-        self._conns[shard] = conn
-        self._procs[shard] = proc
-        self._pending[shard] = 0
-
-    def worker_pid(self, shard: int) -> int:
-        """OS pid of the shard's worker (fault injection / diagnostics)."""
-        return self._procs[shard].pid
-
-    def worker_alive(self, shard: int) -> bool:
-        """Whether the shard's worker process is currently alive."""
-        return self._procs[shard].is_alive()
-
-    # -- whole-pool barriers --------------------------------------------
-
-    def dump_all(self) -> List[bytes]:
-        """Checkpoint barrier: drain every shard and collect its state."""
-        for shard in range(len(self._conns)):
-            self.request_dump(shard)
-        return [self.collect_dump(shard) for shard in range(len(self._conns))]
-
-    def finish(self) -> List[Tuple[Any, float, int]]:
-        out: List[Tuple[Any, float, int]] = []
-        for shard in range(len(self._conns)):
-            self.request_finish(shard)
-        for shard in range(len(self._conns)):
-            out.append(self.collect_finish(shard))
-        self.close()
-        return out
-
-    def queue_depth(self, shard: int) -> int:
-        """Batches submitted to the shard since its last barrier."""
-        return self._pending[shard]
-
-    def inject_crash(self, shard: int) -> None:
-        """Fault injection: hard-kill one shard worker (tests)."""
-        self._send(shard, ("crash", None))
-
-    def inject_hang(self, shard: int, seconds: float) -> None:
-        """Fault injection: stall one shard worker for ``seconds`` (tests)."""
-        self._send(shard, ("sleep", seconds))
-
-    def close(self, force: bool = False) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def __del__(self):  # pragma: no cover - safety net
-        try:
-            self.close(force=True)
-        except Exception:
-            pass
-
-
-def _shm_worker_main(conn, sketch, names) -> None:
-    """Shard worker loop over shared-memory sampler banks.
-
-    Same command protocol as :func:`_worker_main`, but the sketch's
-    counter blocks live in named segments created by the parent: the
-    worker attaches zero-copy views at startup and folds batches
-    directly into the shared pages.  Barrier replies therefore carry no
-    counter payload — the parent serializes from its own mapping of the
-    same pages — so ``dump`` answers with a bare ack and ``finish``
-    ships only the timing counters.  The pipe round-trip doubles as the
-    write fence: by the time the ack arrives, every previously
-    submitted batch has been folded into the segment.
-
-    No segment cleanup on exit: the attachment is non-owning (see
-    :mod:`repro.sketch.shm`) and process death unmaps it.
-    """
-    from ..sketch.shm import attach_sketch
-
     attach_sketch(sketch, names)
     seconds = 0.0
     events = 0
@@ -401,28 +139,27 @@ def _shm_worker_main(conn, sketch, names) -> None:
             else:  # pragma: no cover - defensive
                 conn.send(("error", f"unknown command {cmd!r}"))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        # parent died or closed our pipe (e.g. after declaring us hung)
         return
 
 
-class SharedMemoryPool(ProcessPool):
+class SharedMemoryPool:
     """One worker per shard folding into shared-memory sampler banks.
 
     The parent builds each shard's sketch, moves its counter blocks
     into named ``multiprocessing.shared_memory`` segments
     (:func:`~repro.sketch.shm.share_sketch`), and spawns workers that
-    attach the same segments by name.  Batches still travel over the
-    pipes; sketch *state* never does:
+    attach the same segments by name.  Batches travel over the pipes;
+    sketch *state* never does:
 
-    * ``dump`` barriers serialize from the parent's own mapping once
-      the worker acks (the in-order pipe is the write fence) — no
-      pickled counter arrays cross the process boundary;
+    * ``dump_all`` serializes from the parent's own mapping once every
+      worker acks (the in-order pipe is the write fence);
     * ``finish`` returns a **private copy** of each shard's sketch,
       because the engine merges after ``close()`` — which unlinks the
-      segments;
-    * ``restart_shard`` zeroes the shard's shared banks parent-side
-      (a SIGKILLed worker may have left a torn fold) and respawns a
-      worker attached to the *same* pages, so the supervisor's
-      restore-and-replay recovery is unchanged.
+      segments.
+
+    ``sync_timeout`` is the patience at synchronisation points; a
+    worker that does not answer within it is declared hung.
 
     SIGKILL-safety: the parent owns the segments, so the stdlib
     resource tracker unlinks them even if the parent itself dies
@@ -431,92 +168,156 @@ class SharedMemoryPool(ProcessPool):
     """
 
     def __init__(self, sketch_factory: Callable[[], Any], shards: int,
-                 context: Optional[str] = None,
                  sync_timeout: float = _SYNC_TIMEOUT):
-        from ..sketch.shm import share_sketch
-
-        self._ctx = mp.get_context(context) if context else mp.get_context()
-        self._factory = sketch_factory
+        ctx = mp.get_context()
         self._sync_timeout = sync_timeout
         self._sketches = [sketch_factory() for _ in range(shards)]
-        self._names = [share_sketch(sketch) for sketch in self._sketches]
+        # Share every shard before the first fork, so no worker inherits
+        # a peer's private counter block.
+        names = [share_sketch(sketch) for sketch in self._sketches]
         self._conns = []
         self._procs = []
         self._pending = [0] * shards
         self._closed = False
         for shard in range(shards):
-            conn, proc = self._spawn(shard)
-            self._conns.append(conn)
+            parent_conn, child_conn = ctx.Pipe()
+            # The worker gets a fresh factory sketch purely as a typed
+            # shell — attach_sketch() swaps its private (zero) blocks
+            # for the shard's shared segments on startup.
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, sketch_factory(), names[shard]),
+                daemon=True,
+                name=f"repro-ingest-shm-shard-{shard}",
+            )
+            proc.start()
+            child_conn.close()
+            self._conns.append(parent_conn)
             self._procs.append(proc)
 
-    def _spawn(self, shard: int):
-        parent_conn, child_conn = self._ctx.Pipe()
-        # The worker gets a fresh factory sketch purely as a typed
-        # shell — attach_sketch() swaps its private (zero) blocks for
-        # the shard's shared segments on startup.
-        proc = self._ctx.Process(
-            target=_shm_worker_main,
-            args=(child_conn, self._factory(), self._names[shard]),
-            daemon=True,
-            name=f"repro-ingest-shm-shard-{shard}",
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
+    # -- plumbing -------------------------------------------------------
 
-    def collect_dump(self, shard: int, timeout: Optional[float] = None) -> bytes:
-        self._recv(shard, "state", timeout=timeout)  # quiesce ack
-        return dump_sketch(self._sketches[shard])
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise EngineError("SharedMemoryPool is closed (use-after-close)")
 
-    def collect_finish(
-        self, shard: int, timeout: Optional[float] = None
-    ) -> Tuple[Any, float, int]:
-        seconds, events = self._recv(shard, "final", timeout=timeout)
-        # Private copy: the caller merges after close() unlinks the
-        # segments this sketch's views would otherwise dangle into.
-        return self._sketches[shard].copy(), seconds, events
-
-    def restart_shard(self, shard: int) -> None:
-        from ..sketch.serialization import iter_grids
-
+    def _send(self, shard: int, message) -> None:
         self._ensure_open()
-        proc = self._procs[shard]
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
         try:
-            self._conns[shard].close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        # The dead worker may have been mid-fold; zero the shared banks
-        # so the supervisor's restore + replay starts from clean state.
-        for grid in iter_grids(self._sketches[shard]):
-            grid.reset()
-        conn, proc = self._spawn(shard)
-        self._conns[shard] = conn
-        self._procs[shard] = proc
+            self._conns[shard].send(message)
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerCrashError(
+                f"shard {shard} worker is gone (send failed: {exc})",
+                shard=shard,
+            ) from exc
+
+    def _recv(self, shard: int, expect: str):
+        conn = self._conns[shard]
+        if not conn.poll(self._sync_timeout):
+            raise WorkerCrashError(
+                f"shard {shard} worker did not respond within "
+                f"{self._sync_timeout}s (hung or dead)",
+                shard=shard,
+            )
+        try:
+            kind, payload = conn.recv()
+        except (EOFError, OSError) as exc:
+            raise WorkerCrashError(
+                f"shard {shard} worker died mid-ingest", shard=shard
+            ) from exc
+        if kind != expect:
+            raise EngineError(
+                f"shard {shard} protocol error: expected {expect!r}, got {kind!r}"
+            )
         self._pending[shard] = 0
+        return payload
+
+    def _barrier(self, command: str, reply: str) -> list:
+        """Send ``command`` to every shard, then collect every reply."""
+        for shard in range(len(self._conns)):
+            self._send(shard, (command, None))
+        return [self._recv(shard, reply) for shard in range(len(self._conns))]
+
+    # -- pool API -------------------------------------------------------
+
+    def submit(self, shard: int, updates: Sequence) -> float:
+        self._send(shard, ("batch", list(updates)))
+        self._pending[shard] += 1
+        return 0.0  # worker-side time is reported at finish()
+
+    def load(self, shard: int, blob: bytes) -> None:
+        self._send(shard, ("load", blob))
+
+    def dump_all(self) -> List[bytes]:
+        """Checkpoint barrier: drain every shard, then serialize its
+        banks from the parent's mapping."""
+        self._barrier("dump", "state")
+        return [dump_sketch(sketch) for sketch in self._sketches]
+
+    def finish(self) -> List[Tuple[Any, float, int]]:
+        timings = self._barrier("finish", "final")
+        # Private copies: the caller merges after close() unlinks the
+        # segments these sketches' views would otherwise dangle into.
+        out = [
+            (sketch.copy(), seconds, events)
+            for sketch, (seconds, events) in zip(self._sketches, timings)
+        ]
+        self.close()
+        return out
+
+    def queue_depth(self, shard: int) -> int:
+        """Batches submitted to the shard since its last barrier."""
+        return self._pending[shard]
+
+    # -- fault injection and diagnostics (tests) -------------------------
+
+    def worker_pid(self, shard: int) -> int:
+        """OS pid of the shard's worker."""
+        return self._procs[shard].pid
+
+    def inject_crash(self, shard: int) -> None:
+        """Hard-kill one shard worker."""
+        self._send(shard, ("crash", None))
+
+    def inject_hang(self, shard: int, seconds: float) -> None:
+        """Stall one shard worker for ``seconds``."""
+        self._send(shard, ("sleep", seconds))
 
     def close(self, force: bool = False) -> None:
-        from ..sketch.shm import release_sketch
-
         if self._closed:
             return
-        super().close(force=force)
+        self._closed = True
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self._procs:
+            proc.join(timeout=5.0)
+        for conn in self._conns:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
         # Workers are dead and the parent's copies (if any) were taken
-        # at collect_finish; drop the mappings and delete the segments.
+        # at finish; drop the mappings and delete the segments.
         for sketch in self._sketches:
             release_sketch(sketch, unlink=True, copy=False)
 
+    def __del__(self):  # pragma: no cover - safety net
+        try:
+            self.close(force=True)
+        except Exception:
+            pass
 
-def make_pool(backend: str, sketch_factory: Callable[[], Any], shards: int,
-              sync_timeout: float = _SYNC_TIMEOUT):
-    """Build a worker pool: ``backend`` is ``"serial"``, ``"process"``,
-    or ``"shm"`` (process workers over shared-memory banks)."""
-    if backend == "serial":
-        return SerialPool(sketch_factory, shards)
-    if backend == "process":
-        return ProcessPool(sketch_factory, shards, sync_timeout=sync_timeout)
-    if backend == "shm":
-        return SharedMemoryPool(sketch_factory, shards, sync_timeout=sync_timeout)
-    raise EngineError(f"unknown ingest backend {backend!r}")
+
+_POOLS = {"serial": SerialPool, "shm": SharedMemoryPool}
+
+#: The ingest backends :func:`make_pool` accepts.
+BACKENDS = tuple(_POOLS)
+
+
+def make_pool(backend: str, sketch_factory: Callable[[], Any], shards: int):
+    """Build a worker pool: ``backend`` is ``"serial"`` or ``"shm"``
+    (process workers over shared-memory banks)."""
+    if backend not in _POOLS:
+        raise EngineError(f"unknown ingest backend {backend!r}")
+    return _POOLS[backend](sketch_factory, shards)

@@ -1,19 +1,14 @@
-"""The vectorised + parallel decode/query engine.
+"""The vectorised decode/query engine.
 
-PR 1's ingestion engine made *writing* sketches fast; this module is
+The ingestion engine makes *writing* sketches fast; this module is
 its read-side counterpart.  The heavy lifting lives in the batched
 decode kernels of :mod:`repro.sketch.bank`
 (:meth:`~repro.sketch.bank.SamplerGrid.summed_many` /
 :class:`~repro.sketch.bank.SummedBatch`); this module provides the
-orchestration and observability around them:
-
-* :class:`QueryExecutor` — fans *independent* decode units (skeleton
-  layers, amplification repetitions, sampled-forest instances) across
-  a serial or multiprocessing backend;
-* :class:`QueryMetrics` — decode observability: component decodes,
-  cells verified, kernel time — installed process-wide with
-  :func:`collect_query_metrics` and exported by the CLI
-  ``--metrics-json`` flags.
+observability around them: :class:`QueryMetrics` — component decodes,
+cells verified, kernel time — installed process-wide with
+:func:`collect_query_metrics` and exported by the CLI
+``--metrics-json`` flags.
 
 There is one decode path.  The scalar reference decoder that the
 property suite and the E23 benchmark compare it against lives in
@@ -23,22 +18,10 @@ property suite and the E23 benchmark compare it against lives in
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, Optional
 
-from ..errors import EngineError
 from ..sketch import bank as _bank
 
 # -- observability --------------------------------------------------------
@@ -50,8 +33,8 @@ class QueryMetrics:
 
     Counts component decodes (``batch_queries``: components sampled
     by the :class:`~repro.sketch.bank.SummedBatch` kernels), candidate
-    cells pushed through the verification kernel, kernel wall time,
-    and executor fan-out accounting.
+    cells pushed through the verification kernel, and kernel wall
+    time.
     The decode also says *why* it answered: Borůvka rounds run
     (``decode_rounds``), the outcome of every component sample
     (``sample_ok`` / ``sample_zero`` / ``sample_failed``), how many
@@ -82,8 +65,6 @@ class QueryMetrics:
     kernel_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    executor_tasks: int = 0
-    executor_seconds: float = 0.0
     degraded_queries: int = 0
 
     @property
@@ -93,7 +74,7 @@ class QueryMetrics:
         return self.cache_hits / total if total else 0.0
 
     def merge(self, other: "QueryMetrics") -> None:
-        """Fold another session's counters in (executor workers)."""
+        """Fold another session's counters in."""
         for field in fields(self):
             setattr(
                 self, field.name,
@@ -129,11 +110,6 @@ class QueryMetrics:
                 f"({self.fallback_scans} via fallback scan), "
                 f"{self.peel_sweeps} peel sweeps"
             )
-        if self.executor_tasks:
-            lines.append(
-                f"executor: {self.executor_tasks} tasks, "
-                f"{self.executor_seconds:.4f}s"
-            )
         if self.degraded_queries:
             lines.append(f"degraded queries: {self.degraded_queries}")
         return "\n".join(lines)
@@ -155,90 +131,3 @@ def collect_query_metrics(
         yield sink
     finally:
         _bank.set_query_metrics(previous)
-
-
-# -- parallel decode fan-out ----------------------------------------------
-
-
-def _call_unit(task: Tuple[Callable, Any]):
-    """Process-backend trampoline: apply one (fn, item) task."""
-    fn, item = task
-    return fn(item)
-
-
-class QueryExecutor:
-    """Fans independent decode units across a worker backend.
-
-    The decode side of the paper's structures decomposes into units
-    that share no state: the layers of a skeleton, the instances of a
-    sampled-forest union, the repetitions of an amplified query.  This
-    executor maps a function over such units either in-process
-    (``backend="serial"``, the default — the vectorised kernels already
-    saturate one core for typical sizes) or across
-    ``multiprocessing`` workers (``backend="process"``, for large
-    independent units; the function and items must be picklable, so
-    pass module-level functions).
-
-    Results preserve item order regardless of backend, and worker
-    exceptions propagate to the caller — both of which the callers rely
-    on for bit-identical behaviour vs a plain loop.
-    """
-
-    def __init__(
-        self,
-        backend: str = "serial",
-        workers: Optional[int] = None,
-        context: Optional[str] = None,
-    ):
-        if backend not in ("serial", "process"):
-            raise EngineError(f"unknown query backend {backend!r}")
-        self.backend = backend
-        self.workers = workers
-        self._pool = None
-        if backend == "process":
-            ctx = mp.get_context(context) if context else mp.get_context()
-            self._pool = ctx.Pool(processes=workers)
-        self._closed = False
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence) -> List:
-        """Apply ``fn`` to every item; ordered results, errors raised."""
-        if self._closed:
-            raise EngineError("QueryExecutor is closed (use-after-close)")
-        items = list(items)
-        start = time.perf_counter()
-        try:
-            if self._pool is None:
-                return [fn(item) for item in items]
-            return self._pool.map(_call_unit, [(fn, item) for item in items])
-        finally:
-            metrics = _bank._QUERY_METRICS
-            if metrics is not None:
-                metrics.executor_tasks += len(items)
-                metrics.executor_seconds += time.perf_counter() - start
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-
-    def __enter__(self) -> "QueryExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def make_executor(
-    backend: str = "serial", workers: Optional[int] = None
-) -> QueryExecutor:
-    """Build a :class:`QueryExecutor` (mirrors ``make_pool``)."""
-    return QueryExecutor(backend=backend, workers=workers)

@@ -29,7 +29,7 @@ from ..sketch.serialization import iter_grids
 from ..util.hashing import hash64
 from .checkpoint import Checkpoint, CheckpointManager
 from .metrics import IngestMetrics
-from .pool import make_pool
+from .pool import BACKENDS, make_pool
 
 _PARTITION_SALT = 0x5AD0_71F3
 
@@ -92,10 +92,9 @@ class ShardedIngestEngine:
     batch_size:
         Events buffered per shard before a vectorised fold.
     backend:
-        ``"serial"`` (in-process), ``"process"`` (one OS process per
-        shard via ``multiprocessing``, state pickled at barriers), or
-        ``"shm"`` (one process per shard folding into shared-memory
-        sampler banks — zero-copy barriers and merges).
+        ``"serial"`` (in-process) or ``"shm"`` (one OS process per
+        shard folding into shared-memory sampler banks — zero-copy
+        barriers and merges).
     partition_seed:
         Seed of the shard hash; a resumed run must reuse it (it is
         recorded in checkpoints and verified on resume).
@@ -108,19 +107,10 @@ class ShardedIngestEngine:
         before each batch dispatch; raising simulates a mid-stream
         crash (see the fault-injection tests).  During ``ingest`` the
         live pool is reachable as ``engine.pool``, so hooks can inject
-        worker-level faults (SIGKILL, hangs) too.
-    supervision:
-        Optional :class:`~repro.engine.supervisor.RetryPolicy`.  When
-        set, the worker pool is wrapped in a
-        :class:`~repro.engine.supervisor.SupervisedPool`: dead or hung
-        shard workers are restarted with backoff + jitter, restored
-        from the last barrier, and replayed from the bounded replay
-        log — the run completes bit-identically instead of dying with
-        :class:`~repro.errors.WorkerCrashError`.
-    replay_limit, replay_spill_dir:
-        Bounds of the supervision replay log (events in memory, and an
-        optional spill directory for longer barrier gaps).  Ignored
-        without ``supervision``.
+        worker-level faults (SIGKILL, hangs) too.  A dead or hung shm
+        worker raises :class:`~repro.errors.WorkerCrashError`; with a
+        checkpoint manager the run then resumes exactly from the last
+        barrier (``ingest(..., resume=True)``).
     verify_merges:
         When True, the final reduce runs through
         :func:`~repro.audit.integrity.verified_merge`: each shard fold
@@ -130,11 +120,6 @@ class ShardedIngestEngine:
         raises :class:`~repro.errors.IntegrityError` instead of
         poisoning the answer.  Costs one digest recompute per shard
         merge.
-    verify_dumps:
-        When True (and ``supervision`` is set), every barrier blob is
-        CRC-verified before becoming a recovery baseline; a corrupted
-        dump triggers worker restart + replay instead of entering the
-        checkpoint.  Ignored without supervision.
     """
 
     def __init__(
@@ -146,16 +131,14 @@ class ShardedIngestEngine:
         partition_seed: int = 0,
         checkpoint: Optional[CheckpointManager] = None,
         fault_hook: Optional[Callable[[int, int], None]] = None,
-        supervision: Optional["RetryPolicy"] = None,
-        replay_limit: int = 250_000,
-        replay_spill_dir: Optional[str] = None,
         verify_merges: bool = False,
-        verify_dumps: bool = False,
     ):
         if shards < 1:
             raise EngineError(f"engine needs shards >= 1, got {shards}")
         if batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {batch_size}")
+        if backend not in BACKENDS:
+            raise EngineError(f"unknown ingest backend {backend!r}")
         for needed in ("update_batch", "copy", "__iadd__"):
             if not hasattr(prototype, needed):
                 raise EngineError(
@@ -169,11 +152,7 @@ class ShardedIngestEngine:
         self.partition_seed = partition_seed
         self.checkpoint = checkpoint
         self.fault_hook = fault_hook
-        self.supervision = supervision
-        self.replay_limit = replay_limit
-        self.replay_spill_dir = replay_spill_dir
         self.verify_merges = verify_merges
-        self.verify_dumps = verify_dumps
         self.pool = None  # the live pool during ingest (fault hooks)
 
     # -- checkpoint compatibility ---------------------------------------
@@ -227,23 +206,6 @@ class ShardedIngestEngine:
         wall_start = time.perf_counter()
         pool = make_pool(self.backend, lambda: zero_clone(self.prototype),
                          self.shards)
-        if self.supervision is not None:
-            from .replay import ReplayLog
-            from .supervisor import SupervisedPool
-
-            pool = SupervisedPool(
-                pool,
-                shards=self.shards,
-                policy=self.supervision,
-                replay=ReplayLog(
-                    self.shards,
-                    max_events=self.replay_limit,
-                    spill_dir=self.replay_spill_dir,
-                ),
-                batch_size=self.batch_size,
-                metrics=metrics,
-                verify_dumps=self.verify_dumps,
-            )
         self.pool = pool
         try:
             if restore is not None:
@@ -315,7 +277,7 @@ class ShardedIngestEngine:
                                metrics=metrics)
             else:
                 merged += sketch
-            # Process workers report their own fold time at finish.
+            # Shm workers report their own fold time at finish.
             if metrics.per_shard[shard].seconds == 0.0:
                 metrics.per_shard[shard].seconds = seconds
         metrics.merge_seconds = time.perf_counter() - merge_start

@@ -113,21 +113,15 @@ class CheckpointError(EngineError):
 class WorkerCrashError(EngineError):
     """A shard worker died (or stopped responding) mid-ingest.
 
-    Carries the failing ``shard`` index when known, so the supervision
-    layer (:mod:`repro.engine.supervisor`) can restart exactly that
-    worker.  Unsupervised, with checkpointing enabled, the ingest can
-    be resumed from the last checkpoint; without it, the stream must be
-    replayed from the start.
+    Carries the failing ``shard`` index when known.  With checkpointing
+    enabled the ingest resumes from the last checkpoint, bit-identically
+    (the sketches are linear); without it, the stream must be replayed
+    from the start.
     """
 
     def __init__(self, message: str, shard=None):
         super().__init__(message)
         self.shard = shard
-
-
-class SupervisionError(EngineError):
-    """Supervised recovery was attempted but exhausted its retry budget
-    (or the failure is not recoverable by restart + replay)."""
 
 
 class ServiceError(ReproError):

@@ -20,8 +20,8 @@ Robustness (PR 7):
 - when constructed via :meth:`connect`, the client transparently
   **reconnects and retries** transient failures — ``overloaded``
   (sleeping the server's ``retry_after`` hint), disconnects, resets,
-  and timeouts — under the engine's
-  :class:`~repro.engine.supervisor.RetryPolicy` backoff;
+  and timeouts — under the shared
+  :class:`~repro.util.retry.RetryPolicy` backoff;
 - mutations are **stamped** with ``(client, request)`` ids, so a retry
   of a timed-out-but-applied ingest is answered from the server's
   dedup window (``duplicate: true``) instead of folding twice —
@@ -49,8 +49,8 @@ import time
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine.supervisor import RetryPolicy
 from ..util.clock import SYSTEM_CLOCK, Clock
+from ..util.retry import RetryPolicy
 from .net import REAL_NETWORK, Network
 from ..errors import (
     BadRequestError,
@@ -158,7 +158,7 @@ class ServiceClient:
         Default per-request deadline in seconds (None = wait forever);
         each call can override it with ``timeout=``.
     retry:
-        :class:`~repro.engine.supervisor.RetryPolicy` governing
+        :class:`~repro.util.retry.RetryPolicy` governing
         transparent reconnect-and-retry of transient failures.  Only
         effective when the client knows its endpoint (built via
         :meth:`connect`); ``max_restarts=0`` disables retrying.

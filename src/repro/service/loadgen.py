@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.supervisor import RetryPolicy
 from ..errors import (
     DrainingError,
     OverloadedError,
@@ -37,6 +36,7 @@ from ..errors import (
     ServiceError,
     ServiceTimeoutError,
 )
+from ..util.retry import RetryPolicy
 from .client import ServiceClient
 from .protocol import encode_pairs
 from .replication import ReplicaSet

@@ -53,8 +53,8 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..audit.repair import divergent_members
-from ..engine.supervisor import RetryPolicy
 from ..util.clock import SYSTEM_CLOCK, Clock
+from ..util.retry import RetryPolicy
 from .net import REAL_NETWORK, Network
 from ..errors import (
     BadRequestError,

@@ -40,8 +40,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ...engine.supervisor import RetryPolicy
 from ...errors import ReproError
+from ...util.retry import RetryPolicy
 from ..registry import SketchRegistry
 from ..replication import ReplicaSet
 from ..server import SketchServer

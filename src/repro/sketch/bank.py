@@ -208,7 +208,7 @@ def _pool_put(key: tuple, cache: _HashTableCache) -> None:
     _HASH_CACHE_POOL[key] = cache
 
 
-# Forked workers (ProcessPool, SharedMemoryPool) inherit the parent's
+# Forked workers (SharedMemoryPool) inherit the parent's
 # pooled tables as copy-on-write pages; clearing the child's pool keeps
 # its byte accounting honest (no double-counting of shared physical
 # pages) while any table already *attached* to a grid stays referenced

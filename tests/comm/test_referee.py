@@ -6,7 +6,7 @@ from repro.comm.metrics import CommMetrics
 from repro.comm.referee import RefereeResult, RefereeSession
 from repro.comm.simultaneous import SpanningForestProtocol
 from repro.comm.transport import FaultProfile
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.errors import CommError
 from repro.graph.generators import random_connected_hypergraph, random_hypergraph
 from repro.sketch.serialization import dump_grid, load_member_state

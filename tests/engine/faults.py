@@ -1,4 +1,4 @@
-"""Fault-injection harness for the supervised ingestion engine.
+"""Fault-injection harness for the ingestion engine.
 
 Not a test module (the ``test_*``/``bench_*`` collection globs skip
 it): these are the building blocks the ``-m faults`` tests and the
@@ -8,9 +8,7 @@ chaos run that fails is rerunnable bit-for-bit.
 The injectable faults mirror the failure model in docs/engine.md:
 
 * :class:`KillWorkerOnce` — SIGKILL one shard's worker process at the
-  Nth dispatched batch (process backend);
-* :class:`HangWorkerOnce` — stall one worker long enough to trip the
-  supervisor's per-batch deadline;
+  Nth dispatched batch (shm backend);
 * :func:`flip_byte` — corrupt one byte of a file in place (checkpoint
   damage);
 * :func:`make_stream` / :func:`reference_sketch` — a deterministic
@@ -61,9 +59,9 @@ def _iter_grids(sketch):
 class KillWorkerOnce:
     """Engine fault hook: SIGKILL one shard worker at the Nth batch.
 
-    Usable only with the process backend; reaches the live pool through
-    ``engine.pool`` (unwrapping a supervisor if present) to find the
-    victim pid.  Records what it killed in :attr:`killed`.
+    Usable only with the shm backend; reaches the live pool through
+    ``engine.pool`` to find the victim pid.  Records what it killed in
+    :attr:`killed`.
     """
 
     def __init__(self, engine, shard: int = 0, at_batch: int = 1):
@@ -76,31 +74,10 @@ class KillWorkerOnce:
         if self.killed or batch_index != self.at_batch:
             return
         pool = self.engine.pool
-        inner = getattr(pool, "inner", pool)
-        pid = inner.worker_pid(self.shard)
+        pid = pool.worker_pid(self.shard)
         os.kill(pid, signal.SIGKILL)
-        inner._procs[self.shard].join(timeout=5.0)
+        pool._procs[self.shard].join(timeout=5.0)
         self.killed.append(pid)
-
-
-class HangWorkerOnce:
-    """Engine fault hook: stall one shard worker past its deadline."""
-
-    def __init__(self, engine, shard: int = 0, at_batch: int = 1,
-                 seconds: float = 2.0):
-        self.engine = engine
-        self.shard = shard
-        self.at_batch = at_batch
-        self.seconds = seconds
-        self.hung: list = []
-
-    def __call__(self, shard: int, batch_index: int) -> None:
-        if self.hung or batch_index != self.at_batch:
-            return
-        pool = self.engine.pool
-        inner = getattr(pool, "inner", pool)
-        inner.inject_hang(self.shard, self.seconds)
-        self.hung.append(self.shard)
 
 
 def flip_byte(path: str, offset: int = -8) -> None:

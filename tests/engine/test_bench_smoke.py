@@ -18,7 +18,6 @@ sys.path.insert(0, os.path.abspath(_BENCH_DIR))
 from bench_audit import audit_overhead_run, detection_sweep  # noqa: E402
 from bench_ingest_engine import churn_comparison, churn_stream  # noqa: E402
 from bench_query_engine import decode_comparison, skeleton_comparison  # noqa: E402
-from bench_recovery import recovery_comparison  # noqa: E402
 from bench_service import serial_replay_dumps, start_server  # noqa: E402
 from bench_service import _dump_all, _shutdown  # noqa: E402
 from bench_replication import replica_chaos_round  # noqa: E402
@@ -36,7 +35,7 @@ class TestBenchSmoke:
             validator.apply(u)
         assert len(stream) > 0
 
-    @pytest.mark.parametrize("backend", ["serial", "process", "shm"])
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_smoke_comparison(self, backend):
         r = churn_comparison(
             24, p=0.15, seed=2, shards=2, batch_size=64, backend=backend
@@ -262,13 +261,6 @@ class TestBenchSmoke:
             f"union decode {t_loop / t_stack:.2f}x the per-instance loop "
             "at n=48, k=2 — the one-loop decode lost its headroom"
         )
-
-    @pytest.mark.faults
-    def test_smoke_recovery_comparison(self):
-        r = recovery_comparison(24, p=0.15, seed=2, shards=2, batch_size=16)
-        assert r["supervised_identical"]
-        assert r["recovered_identical"]
-        assert r["restarts"] >= 1
 
     @pytest.mark.parametrize("kind", ["forest", "skeleton", "vertex-query"])
     def test_smoke_audit_detection(self, kind):

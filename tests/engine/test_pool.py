@@ -1,8 +1,8 @@
-"""Worker-pool backends: serial vs process parity and crash detection."""
+"""Worker-pool backends: serial vs shm parity and crash detection."""
 
 import pytest
 
-from repro.engine.pool import ProcessPool, SerialPool, make_pool
+from repro.engine.pool import SerialPool, SharedMemoryPool, make_pool
 from repro.engine.shard import ShardedIngestEngine, zero_clone
 from repro.errors import EngineError, WorkerCrashError
 from repro.sketch.serialization import dump_sketch
@@ -19,13 +19,14 @@ def factory(seed=7, n=12):
 class TestMakePool:
     def test_dispatch(self):
         assert isinstance(make_pool("serial", factory(), 2), SerialPool)
-        pool = make_pool("process", factory(), 1)
-        assert isinstance(pool, ProcessPool)
+        pool = make_pool("shm", factory(), 1)
+        assert isinstance(pool, SharedMemoryPool)
         pool.close(force=True)
 
     def test_unknown_backend(self):
-        with pytest.raises(EngineError):
-            make_pool("threads", factory(), 2)
+        for backend in ("threads", "process"):
+            with pytest.raises(EngineError):
+                make_pool(backend, factory(), 2)
 
 
 class TestSerialPool:
@@ -56,7 +57,6 @@ class TestSerialPool:
             lambda: pool.load(0, b""),
             pool.dump_all,
             pool.finish,
-            lambda: pool.restart_shard(0),
         ):
             with pytest.raises(EngineError, match="use-after-close"):
                 op()
@@ -67,56 +67,45 @@ class TestSerialPool:
         with pytest.raises(EngineError, match="use-after-close"):
             pool.submit(0, [EdgeUpdate.insert((0, 1))])
 
-    def test_restart_shard_resets_to_zero_state(self):
-        pool = SerialPool(factory(), 2)
-        pool.submit(0, [EdgeUpdate.insert((2, 5))])
-        dirty = pool.dump_all()[0]
-        pool.restart_shard(0)
-        fresh = pool.dump_all()[0]
-        assert fresh != dirty
-        other = SerialPool(factory(), 1)
-        assert other.dump_all()[0] == fresh
-        pool.close()
-
-
-class TestProcessPool:
+class TestSharedMemoryPool:
     def test_bit_identical_to_serial(self):
         stream, _ = random_dynamic_stream(12, 100, seed=7)
         serial = ShardedIngestEngine(
             SpanningForestSketch(12, seed=7), shards=2, batch_size=16,
             backend="serial",
         ).ingest(stream)
-        process = ShardedIngestEngine(
+        shm = ShardedIngestEngine(
             SpanningForestSketch(12, seed=7), shards=2, batch_size=16,
-            backend="process",
+            backend="shm",
         ).ingest(stream)
-        assert dump_sketch(process.sketch) == dump_sketch(serial.sketch)
+        assert dump_sketch(shm.sketch) == dump_sketch(serial.sketch)
 
     def test_worker_reports_fold_time(self):
         stream, _ = random_dynamic_stream(12, 80, seed=3)
         result = ShardedIngestEngine(
             SpanningForestSketch(12, seed=3), shards=2, batch_size=8,
-            backend="process",
+            backend="shm",
         ).ingest(stream)
         busy = [s for s in result.metrics.per_shard if s.events > 0]
         assert busy and all(s.seconds > 0 for s in busy)
 
     def test_crashed_worker_detected(self):
-        pool = ProcessPool(factory(), 2)
+        pool = SharedMemoryPool(factory(), 2)
         try:
             pool.inject_crash(0)
-            with pytest.raises(WorkerCrashError):
+            with pytest.raises(WorkerCrashError) as info:
                 pool.dump_all()
+            assert info.value.shard == 0
         finally:
             pool.close(force=True)
 
     def test_close_idempotent(self):
-        pool = ProcessPool(factory(), 1)
+        pool = SharedMemoryPool(factory(), 1)
         pool.close()
         pool.close(force=True)
 
     def test_use_after_close_raises(self):
-        pool = ProcessPool(factory(), 1)
+        pool = SharedMemoryPool(factory(), 1)
         pool.close()
         with pytest.raises(EngineError, match="use-after-close"):
             pool.submit(0, [EdgeUpdate.insert((0, 1))])
@@ -124,29 +113,12 @@ class TestProcessPool:
             pool.dump_all()
 
     @pytest.mark.faults
-    def test_restart_shard_replaces_dead_worker(self):
-        pool = ProcessPool(factory(), 2)
-        try:
-            baseline = pool.dump_all()
-            pool.inject_crash(0)
-            with pytest.raises(WorkerCrashError) as info:
-                pool.dump_all()
-            assert info.value.shard == 0
-            pool.restart_shard(0)
-            assert pool.worker_alive(0)
-            # The replacement starts from zero state; peers untouched.
-            blobs = pool.dump_all()
-            assert blobs == baseline
-        finally:
-            pool.close(force=True)
-
-    @pytest.mark.faults
     def test_hung_worker_detected_with_timeout(self):
-        pool = ProcessPool(factory(), 1, sync_timeout=0.3)
+        pool = SharedMemoryPool(factory(), 1, sync_timeout=0.3)
         try:
             pool.inject_hang(0, 30.0)
-            pool.request_dump(0)
-            with pytest.raises(WorkerCrashError, match="did not respond"):
-                pool.collect_dump(0, timeout=0.3)
+            with pytest.raises(WorkerCrashError, match="did not respond") as info:
+                pool.dump_all()
+            assert info.value.shard == 0
         finally:
             pool.close(force=True)

@@ -4,14 +4,7 @@ import json
 
 import pytest
 
-from repro.audit.amplify import run_amplified
-from repro.engine.query import (
-    QueryExecutor,
-    QueryMetrics,
-    collect_query_metrics,
-    make_executor,
-)
-from repro.errors import EngineError
+from repro.engine.query import QueryMetrics, collect_query_metrics
 from repro.sketch import reference
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import insert_only
@@ -113,74 +106,3 @@ class TestQueryMetrics:
 
     def test_empty_hit_rate(self):
         assert QueryMetrics().cache_hit_rate == 0.0
-
-
-class TestQueryExecutor:
-    def test_serial_map_preserves_order(self):
-        with make_executor("serial") as ex:
-            assert ex.map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_process_map_preserves_order(self):
-        with make_executor("process", workers=2) as ex:
-            assert ex.map(_square, list(range(8))) == [
-                i * i for i in range(8)
-            ]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError):
-            QueryExecutor(backend="threads")
-
-    def test_use_after_close_rejected(self):
-        ex = make_executor("serial")
-        ex.close()
-        with pytest.raises(EngineError):
-            ex.map(_square, [1])
-
-    def test_errors_propagate(self):
-        with make_executor("serial") as ex:
-            with pytest.raises(ValueError):
-                ex.map(_raise_on_two, [1, 2, 3])
-
-    def test_executor_metrics_recorded(self):
-        with collect_query_metrics() as qm:
-            with make_executor("serial") as ex:
-                ex.map(_square, [1, 2, 3])
-        assert qm.executor_tasks == 3
-        assert qm.executor_seconds >= 0
-
-    def test_amplified_votes_identical_across_backends(self):
-        stream = list(insert_only(gnp_graph(12, 0.3, seed=4)))
-        plain = run_amplified(
-            _make_forest, stream, _decode_edges, repetitions=3, base_seed=7
-        )
-        with make_executor("process", workers=2) as ex:
-            fanned = run_amplified(
-                _make_forest,
-                stream,
-                _decode_edges,
-                repetitions=3,
-                base_seed=7,
-                executor=ex,
-            )
-        assert plain.votes == fanned.votes
-        assert plain.value == fanned.value
-        assert plain.failed == fanned.failed
-
-
-# Module-level (picklable) helpers for the process backend.
-def _square(x):
-    return x * x
-
-
-def _raise_on_two(x):
-    if x == 2:
-        raise ValueError("two")
-    return x
-
-
-def _make_forest(seed):
-    return SpanningForestSketch(12, seed=seed)
-
-
-def _decode_edges(sketch):
-    return sorted(sketch.decode().edges())

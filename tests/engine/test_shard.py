@@ -142,6 +142,9 @@ class TestEngineMerge:
             ShardedIngestEngine(proto, batch_size=0)
         with pytest.raises(EngineError):
             ShardedIngestEngine(object())  # no update_batch
+        for backend in ("bogus", "process"):
+            with pytest.raises(EngineError, match="unknown ingest backend"):
+                ShardedIngestEngine(proto, backend=backend)
 
     def test_resume_without_manager_rejected(self):
         engine = ShardedIngestEngine(SpanningForestSketch(6, seed=0))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.comm.referee import RefereeSession
 from repro.comm.simultaneous import SpanningForestProtocol
 from repro.comm.transport import FaultProfile, SimulatedChannel
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.graph.generators import random_connected_hypergraph
 from repro.sketch.serialization import dump_grid, load_member_state
 

@@ -12,15 +12,15 @@ and an attached audit digest must stay equal to a recomputed one.
 
 Hypothesis drives random update streams over a small grid geometry;
 every test compares full serialized state (``dump_grid``), which covers
-all three planes byte for byte.  The SIGKILL leak test at the bottom is
-deterministic (``-m faults``): crashing and restarting shm shard
-workers must leave ``/dev/shm`` clean after the engine closes.
+all three planes byte for byte.  The SIGKILL test at the bottom is
+deterministic (``-m faults``): a killed shm shard worker must fail the
+run naming its shard, leave ``/dev/shm`` clean, and a resume from the
+last checkpoint must reproduce the scalar reference byte for byte.
 """
 
 import glob
 import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -218,50 +218,51 @@ def _my_segments():
 
 @pytest.mark.faults
 class TestShmCrashHygiene:
-    def test_sigkill_restart_leaks_no_segments(self):
-        """SIGKILL an shm shard worker mid-stream: the supervisor
-        restarts it onto the same segments, the merged result stays
-        bit-identical, and closing the engine leaves /dev/shm clean."""
+    def test_sigkill_then_resume_leaks_no_segments(self, tmp_path):
+        """SIGKILL an shm shard worker mid-stream with checkpoints on:
+        the run raises :class:`WorkerCrashError` for that shard and
+        leaves /dev/shm clean, and resuming from the last checkpoint
+        is byte-identical to the scalar reference."""
+        from repro.engine.checkpoint import CheckpointManager
         from repro.engine.shard import ShardedIngestEngine
-        from repro.engine.supervisor import RetryPolicy
+        from repro.errors import WorkerCrashError
         from repro.sketch.serialization import dump_sketch
         from repro.sketch.spanning_forest import SpanningForestSketch
         from repro.stream.generators import random_dynamic_stream
 
+        from ..engine.faults import KillWorkerOnce, reference_sketch
+
         n, seed = 40, 4
         stream, _ = random_dynamic_stream(n, 400, seed=seed)
-
-        reference_sketch = SpanningForestSketch(n, seed=seed)
-        reference_sketch.update_batch(stream)
-        reference = dump_sketch(reference_sketch)
+        reference = reference_sketch(SpanningForestSketch(n, seed=seed), stream)
 
         files_before = set(_my_segments())
         active_before = set(active_segments())
 
-        killed = {"fired": False}
-        engine = ShardedIngestEngine(
-            SpanningForestSketch(n, seed=seed),
-            shards=2,
-            batch_size=32,
-            backend="shm",
-            supervision=RetryPolicy(max_restarts=3, backoff_base=0.01),
-        )
+        def engine():
+            return ShardedIngestEngine(
+                SpanningForestSketch(n, seed=seed),
+                shards=2,
+                batch_size=32,
+                backend="shm",
+                checkpoint=CheckpointManager(str(tmp_path), interval=100),
+            )
 
-        def kill_once(shard, batch_index):
-            if killed["fired"] or shard != 0 or batch_index < 1:
-                return
-            killed["fired"] = True
-            inner = getattr(engine.pool, "inner", engine.pool)
-            os.kill(inner.worker_pid(0), signal.SIGKILL)
-
-        engine.fault_hook = kill_once
-        result = engine.ingest(stream)
-
-        assert killed["fired"]
-        assert result.metrics.restarts >= 1
-        assert dump_sketch(result.sketch) == reference
+        crashed = engine()
+        killer = KillWorkerOnce(crashed, shard=0, at_batch=8)
+        crashed.fault_hook = killer
+        with pytest.raises(WorkerCrashError) as info:
+            crashed.ingest(stream)
+        assert killer.killed
+        assert info.value.shard == 0
         # No new /dev/shm files and no new owned-segment registrations
-        # survive the run (deltas, so unrelated leftovers in the same
+        # survive the crash (deltas, so unrelated leftovers in the same
         # process don't mask or fake a leak here).
+        assert set(_my_segments()) == files_before
+        assert set(active_segments()) == active_before
+
+        result = engine().ingest(stream, resume=True)
+        assert 0 < result.resumed_from < len(stream)
+        assert dump_sketch(result.sketch) == reference
         assert set(_my_segments()) == files_before
         assert set(active_segments()) == active_before

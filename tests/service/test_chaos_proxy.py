@@ -11,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.errors import ServiceTimeoutError
 from repro.service import ServiceClient
 from repro.service.chaos import ChaosPlan, ChaosProxy

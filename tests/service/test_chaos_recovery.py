@@ -24,7 +24,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.errors import ServiceError, ServiceTimeoutError
 from repro.service import ServiceClient
 from repro.service.chaos import ChaosPlan, ChaosProxy, ServerSupervisor

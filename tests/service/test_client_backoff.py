@@ -13,7 +13,7 @@ import zlib
 
 import pytest
 
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.service.client import ServiceClient
 
 

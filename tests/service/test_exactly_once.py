@@ -20,7 +20,7 @@ from repro.errors import (
     PeerDisconnectedError,
     WALError,
 )
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.service import ServiceClient, SketchRegistry
 from repro.service.protocol import MAGIC, encode_pairs
 from repro.service.wal import KIND_PAIRS

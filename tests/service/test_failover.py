@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.errors import PeerDisconnectedError, SketchFrozenError
 from repro.service import ServiceClient, SketchRegistry, SketchServer
 from repro.service.client import TRANSIENT_CODES

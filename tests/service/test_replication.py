@@ -12,7 +12,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.engine.supervisor import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.errors import (
     BadRequestError,
     NoSuchSketchError,

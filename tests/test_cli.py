@@ -158,10 +158,12 @@ class TestIngest:
         assert code == 0
         assert "skeleton edges" in capsys.readouterr().out
 
-    def test_checkpoint_then_resume(self, cycle_stream, tmp_path, capsys):
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
+    def test_checkpoint_then_resume(self, cycle_stream, tmp_path, capsys,
+                                    backend):
         ck = str(tmp_path / "ck")
         args = ["ingest", cycle_stream, "--checkpoint-dir", ck,
-                "--checkpoint-interval", "3"]
+                "--checkpoint-interval", "3", "--backend", backend]
         assert main(args) == 0
         assert "checkpoints:" in capsys.readouterr().out
         assert main(args + ["--resume"]) == 0
@@ -170,6 +172,13 @@ class TestIngest:
     def test_resume_without_dir_is_error(self, cycle_stream, capsys):
         assert main(["ingest", cycle_stream, "--resume"]) == 2
         assert "checkpoint-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--backend", "process"],
+                                       ["--retries", "1"]])
+    def test_removed_flags_are_usage_errors(self, cycle_stream, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", cycle_stream] + flags)
+        assert info.value.code == 2
 
 
 class TestReferee:
