@@ -3,29 +3,35 @@
 #
 # The `faults` marker selects tests that SIGKILL shm shard workers
 # (detected as WorkerCrashError, recovered by checkpoint resume), hang
-# them, corrupt checkpoints, flip bits in live sampler banks, and drop /
-# duplicate / corrupt referee protocol frames; the seed sweep varies
-# the streams, bit-flip targets, and channel schedules so recovery and
-# detection are exercised on different traces, not one hand-picked one. Per seed, three invocations: the full fault suite,
-# the bit-flip injection mode (audit suite alone, proving detection →
-# localization → exclusion → correct answer), and the referee mode
-# (comm suite alone, proving exact sketch recovery over the lossy
-# channel or an honestly flagged degraded answer).
+# them, flip bits in live sampler banks, and drop / duplicate / corrupt
+# referee protocol frames; the seed sweep varies the streams, bit-flip
+# targets, and channel schedules so recovery and detection are
+# exercised on different traces, not one hand-picked one. Per seed,
+# three invocations: the full fault suite, the bit-flip injection mode
+# (audit suite alone, proving detection -> localization -> exclusion ->
+# correct answer), and the referee mode (comm suite alone, proving
+# exact sketch recovery over the lossy channel or an honestly flagged
+# degraded answer).
+#
+# The sketch service's faults run in the deterministic simulator
+# (`python -m repro sim`): the real servers, WALs and quorum code on a
+# virtual clock, network and disk. Service mode sweeps 200 seeded
+# schedules on a lone node from the given seed; replica mode sweeps
+# 200 on a 3-replica fleet, then runs the real-socket failover and
+# replication suites.
 # Usage:
 #
 #   scripts/chaos_smoke.sh                    # default seeds 0 1 2
 #   scripts/chaos_smoke.sh 7 11 13            # custom seeds
 #   scripts/chaos_smoke.sh referee           # referee mode only, default seeds
 #   scripts/chaos_smoke.sh referee 7 11 13   # referee mode only, custom seeds
-#   scripts/chaos_smoke.sh service           # service mode only: SIGKILL the
-#                                            # sketch server mid-load, resume,
-#                                            # assert zero acked-write loss
-#   scripts/chaos_smoke.sh replica           # replica mode only: quorum ingest
-#                                            # across 3 replicas while the
-#                                            # primary is SIGKILLed and one
-#                                            # link runs through the chaos
-#                                            # proxy; anti-entropy must
-#                                            # converge with zero acked loss
+#   scripts/chaos_smoke.sh service           # service mode only: kills,
+#                                            # stalls, full disks on one
+#                                            # WAL-backed node; zero acked
+#                                            # loss, serial-replay equality
+#   scripts/chaos_smoke.sh replica           # replica mode only: the same
+#                                            # checks on a quorum fleet,
+#                                            # plus failover and anti-entropy
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,7 +49,8 @@ on_failure() {
         echo "    seed:  ${current_seed}" >&2
         echo "    stage: ${current_stage}" >&2
         echo "    replay: scripts/chaos_smoke.sh ${mode:-all} ${current_seed}" >&2
-        echo "    (or: PYTHONPATH=src python -m pytest -m faults --chaos-seed=${current_seed})" >&2
+        echo "    (or: PYTHONPATH=src python -m pytest -m faults --chaos-seed=${current_seed}" >&2
+        echo "     or: PYTHONPATH=src python -m repro sim [--replicas 1] --seed ${current_seed})" >&2
     fi
     exit "${status}"
 }
@@ -78,16 +85,14 @@ for seed in "${seeds[@]}"; do
     if [ "${mode}" = "all" ] || [ "${mode}" = "service" ]; then
         current_stage="service mode"
         echo "=== chaos smoke (service mode): seed ${seed} ==="
-        PYTHONPATH=src python -m pytest -q tests/service -m faults --chaos-seed="${seed}"
+        PYTHONPATH=src python -m repro sim --replicas 1 --schedules 200 --seed "${seed}"
     fi
     if [ "${mode}" = "all" ] || [ "${mode}" = "replica" ]; then
         current_stage="replica mode"
         echo "=== chaos smoke (replica mode): seed ${seed} ==="
+        PYTHONPATH=src python -m repro sim --schedules 200 --seed "${seed}"
         PYTHONPATH=src python -m pytest -q tests/service/test_failover.py \
-            tests/service/test_replication.py tests/service/test_chaos_proxy.py \
-            --chaos-seed="${seed}"
-        PYTHONPATH=src python -m pytest -q tests/engine/test_bench_smoke.py \
-            -m faults -k replica --chaos-seed="${seed}"
+            tests/service/test_replication.py
     fi
 done
 echo "=== chaos smoke (${mode}): all ${#seeds[@]} seeds passed ==="

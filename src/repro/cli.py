@@ -788,15 +788,15 @@ def _cmd_ctl(args) -> int:
 def _cmd_sim(args) -> int:
     """Deterministic simulation sweep over seeded fault schedules.
 
-    Each schedule runs the whole 3-replica fleet in-process on a
-    virtual clock, network, and disk, interleaves quorum-stamped
-    writes with seeded faults (kills, power losses, stalls,
-    partitions, resets, full disks), and checks the invariants: zero
-    acked-write loss, exactly-once folding, byte-identical convergence
-    to a serial replay, no frozen or broken sketches.  Failures print
-    their violations and (unless ``--no-shrink``) a ddmin-minimised
-    schedule as JSON — rerun it with ``--replay FILE``.  Exit 0 only
-    if every schedule passes.
+    Each schedule runs the whole replica fleet (``--replicas``, 3 by
+    default) in-process on a virtual clock, network, and disk,
+    interleaves quorum-stamped writes with seeded faults (kills, power
+    losses, stalls, partitions, resets, full disks), and checks the
+    invariants: zero acked-write loss, exactly-once folding,
+    byte-identical convergence to a serial replay, no frozen or broken
+    sketches.  Failures print their violations and (unless
+    ``--no-shrink``) a ddmin-minimised schedule as JSON — rerun it
+    with ``--replay FILE``.  Exit 0 only if every schedule passes.
     """
     import json
     import time
@@ -1165,7 +1165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="first seed; the sweep runs seed..seed+N-1")
     p.add_argument("--replicas", type=int, default=3,
-                   help="fleet size per world (default 3)")
+                   help="fleet size of each generated schedule (default "
+                        "3); a --replay file names its own")
     p.add_argument("--progress", type=int, default=0, metavar="EVERY",
                    help="print a progress line every EVERY schedules")
     p.add_argument("--no-shrink", action="store_true",

@@ -30,11 +30,10 @@ piece that turns the library into a serving system:
   mutations, per-request timeouts, transparent
   reconnect-and-retry-with-backoff of transient failures;
 * :mod:`repro.service.loadgen` — a configurable mixed ingest/query
-  load generator (ramp, churn, client-side latency percentiles,
-  acked/indeterminate op tracking for crash verification);
-* :mod:`repro.service.chaos` — the fault-injecting TCP proxy and the
-  SIGKILL/resume :class:`~repro.service.chaos.ServerSupervisor`
-  driving the zero-acked-write-loss tests and the E25 benchmark;
+  load generator (ramp, churn, client-side latency percentiles);
+* :mod:`repro.service.sim` — the deterministic fault simulator: the
+  real servers, WALs and quorum code on a virtual clock, network and
+  disk, checked against a serial replay of the acked batches;
 * :mod:`repro.service.replication` — the client-side replica-set
   coordinator: quorum ingest (one stamp fanned to N replicas),
   automatic failover, digest-driven anti-entropy repair, and

@@ -182,13 +182,6 @@ class _ConnResult:
     retries: int = 0
     reconnects: int = 0
     errors_by_code: Dict[str, int] = field(default_factory=dict)
-    #: Op indices (into this connection's plan) of acked ingests, and
-    #: of ingests whose fate is unknowable (transport failed after the
-    #: request may have been sent, retry budget exhausted).  Together
-    #: they bound what a post-crash dump may contain: every acked batch
-    #: MUST be present; an indeterminate batch MAY be.
-    acked: List[int] = field(default_factory=list)
-    indeterminate: List[int] = field(default_factory=list)
     ingest_lat: List[float] = field(default_factory=list)
     query_lat: List[float] = field(default_factory=list)
     fresh_lat: List[float] = field(default_factory=list)
@@ -208,9 +201,9 @@ async def _run_connection_replicated(config: LoadConfig, ops,
 
     Ingest batches are quorum-fanned to every replica with one stamp
     per batch; queries ride the set's failover reader.  A quorum
-    shortfall is the replicated analogue of a transport loss: some
-    replicas may hold the batch, so its fate is indeterminate — exactly
-    the ambiguity anti-entropy later resolves.
+    shortfall is the replicated analogue of a transport loss: the
+    connection stops there, and anti-entropy later resolves whether a
+    minority holds the batch.
     """
     result = _ConnResult()
     if start_delay > 0:
@@ -223,7 +216,7 @@ async def _run_connection_replicated(config: LoadConfig, ops,
         endpoint_seed=config.seed * 1_000_003 + conn_index,
     )
     try:
-        for op_index, op in enumerate(ops):
+        for op in ops:
             t0 = time.perf_counter()
             try:
                 if op[0] == "ingest":
@@ -232,7 +225,6 @@ async def _run_connection_replicated(config: LoadConfig, ops,
                     result.ingest_lat.append(time.perf_counter() - t0)
                     result.events += count
                     result.ingests += 1
-                    result.acked.append(op_index)
                 else:
                     _, name, qop, consistency = op
                     await rs.query(name, op=qop, consistency=consistency)
@@ -250,19 +242,14 @@ async def _run_connection_replicated(config: LoadConfig, ops,
             except OverloadedError:
                 result.count_error("overloaded")
             except ReplicationError:
-                # Fewer than write_quorum replicas acked: a minority
-                # may still hold the batch, so it is indeterminate.
+                # Fewer than write_quorum replicas acked.
                 result.count_error("replication")
-                if op[0] == "ingest":
-                    result.indeterminate.append(op_index)
                 result.disconnected = True
                 break
             except (ServiceTimeoutError, ProtocolFrameError,
                     ConnectionError) as exc:
                 code = getattr(exc, "code", "connection")
                 result.count_error(code)
-                if op[0] == "ingest":
-                    result.indeterminate.append(op_index)
                 result.disconnected = True
                 break
             except ServiceError as exc:
@@ -294,7 +281,7 @@ async def _run_connection(config: LoadConfig, ops, start_delay: float):
         retry=RetryPolicy(max_restarts=max(0, config.retries)),
     )
     try:
-        for op_index, op in enumerate(ops):
+        for op in ops:
             t0 = time.perf_counter()
             try:
                 if op[0] == "ingest":
@@ -306,7 +293,6 @@ async def _run_connection(config: LoadConfig, ops, start_delay: float):
                     result.ingest_lat.append(time.perf_counter() - t0)
                     result.events += count
                     result.ingests += 1
-                    result.acked.append(op_index)
                     if resp.get("duplicate"):
                         result.duplicates += 1
                 else:
@@ -330,13 +316,10 @@ async def _run_connection(config: LoadConfig, ops, start_delay: float):
                 result.count_error("overloaded")
             except (ServiceTimeoutError, ProtocolFrameError,
                     ConnectionError) as exc:
-                # Transport gave out beyond the retry budget.  For an
-                # ingest the batch may or may not have been applied —
-                # record the ambiguity instead of guessing.
+                # Transport gave out beyond the retry budget: stop this
+                # connection rather than guess whether the batch landed.
                 code = getattr(exc, "code", "connection")
                 result.count_error(code)
-                if op[0] == "ingest":
-                    result.indeterminate.append(op_index)
                 result.disconnected = True
                 break
             except ServiceError as exc:
@@ -464,11 +447,6 @@ async def run_loadgen(config: LoadConfig) -> Dict[str, object]:
         "reconnects": sum(r.reconnects for r in results),
         "duplicate_acks": sum(r.duplicates for r in results),
         "errors_by_code": errors_by_code,
-        #: Per-connection op indices: every acked ingest batch must
-        #: survive a crash; an indeterminate one may or may not have
-        #: landed.  The chaos bench serial-replays exactly these.
-        "acked_ops": [list(r.acked) for r in results],
-        "indeterminate_ops": [list(r.indeterminate) for r in results],
         "replication": replication,
         "latency": {
             "ingest_batch": _latency_summary(ingest_lat),

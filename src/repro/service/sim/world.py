@@ -178,6 +178,8 @@ class SimWorld:
 
         self.seed = seed
         self.horizon = horizon
+        #: A given schedule names its own fleet size; ``replicas`` only
+        #: shapes a generated one.
         self.schedule = schedule if schedule is not None else (
             generate_schedule(seed, replicas=replicas, horizon=horizon)
         )
@@ -189,7 +191,7 @@ class SimWorld:
         self.batches = batches
         self.batch_edges = batch_edges
         self.n = n
-        self.replica_count = replicas
+        self.replica_count = self.schedule.replicas
         self.report = SimReport(seed=seed, ok=True, schedule=self.schedule)
         # Bound late: these need a running (virtual) loop.
         self.clock: SimClock = None  # type: ignore[assignment]

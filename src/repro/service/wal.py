@@ -38,10 +38,10 @@ Crash artifacts are distinguished deliberately:
 Fsync policy (``fsync=``) sets the durability/throughput trade-off:
 ``"always"`` fsyncs before every ack (survives power loss),
 ``"os"`` flushes to the kernel page cache before every ack (survives
-any process crash — the chaos harness's SIGKILLs — but not power
-loss), ``"none"`` leaves records in the userspace buffer until
-rotation or close (fastest; a crash can lose the buffered tail, acks
-included — only for bulk loads that can re-run).
+any process crash, SIGKILL included, but not power loss), ``"none"``
+leaves records in the userspace buffer until rotation or close
+(fastest; a crash can lose the buffered tail, acks included — only
+for bulk loads that can re-run).
 """
 
 from __future__ import annotations

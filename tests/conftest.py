@@ -24,7 +24,8 @@ def pytest_addoption(parser):
         type=int,
         default=0,
         help="workload seed for the fault-injection tests (-m faults); "
-             "the chaos smoke job sweeps several",
+             "the chaos smoke job sweeps several (the service's fault "
+             "schedules are seeded by python -m repro sim --seed)",
     )
 
 

@@ -20,8 +20,6 @@ from bench_ingest_engine import churn_comparison, churn_stream  # noqa: E402
 from bench_query_engine import decode_comparison, skeleton_comparison  # noqa: E402
 from bench_service import serial_replay_dumps, start_server  # noqa: E402
 from bench_service import _dump_all, _shutdown  # noqa: E402
-from bench_replication import replica_chaos_round  # noqa: E402
-from bench_service_chaos import chaos_round  # noqa: E402
 from bench_sim import sim_sweep  # noqa: E402
 
 
@@ -321,68 +319,6 @@ class TestBenchSmoke:
         assert report["events"] > 0 and report["queries"] > 0
         assert all(
             dumps[name] == reference[name] for name in report["sketches"]
-        )
-
-    @pytest.mark.faults
-    def test_smoke_service_chaos_recovery(self):
-        """E25 core at small scale: SIGKILL + WAL resume loses no acked
-        write (the recovery-latency and throughput bars are the full
-        benchmark's job)."""
-        from repro.service.loadgen import LoadConfig
-
-        config = LoadConfig(
-            sketches=1,
-            n=32,
-            seed=3,
-            connections=2,
-            batches=8,
-            batch_size=512,
-            delete_fraction=0.2,
-            queries_per_batch=1.0,
-            fresh_fraction=0.0,
-            timeout=10.0,
-            retries=8,
-        )
-        out = chaos_round(config, kill_period=0.8, max_kills=2)
-        assert out["kills"] >= 1  # the proof-of-durability final kill
-        assert out["zero_acked_loss"]
-        assert out["acked_batches"] + out["indeterminate_batches"] == 16
-        assert out["replayed_batches"] >= 0
-        assert out["median_recovery"] > 0
-
-    @pytest.mark.faults
-    def test_smoke_replica_chaos_round(self, chaos_seed):
-        """E26 core at small scale: quorum ingest to 3 replicas while
-        the primary is SIGKILLed and one replica's link runs through
-        the chaos proxy — anti-entropy converges the fleet
-        bit-identically with no acked write lost (the failover-latency
-        and throughput bars are the full benchmark's job)."""
-        from repro.service.loadgen import LoadConfig
-
-        config = LoadConfig(
-            sketches=1,
-            n=32,
-            seed=chaos_seed,
-            connections=2,
-            batches=12,
-            batch_size=512,
-            delete_fraction=0.2,
-            queries_per_batch=1.0,
-            fresh_fraction=0.0,
-            timeout=10.0,
-            retries=8,
-            write_quorum=2,
-        )
-        out = replica_chaos_round(config, kill_period=0.5, max_kills=2)
-        assert out["kills"] >= 1  # the proof-of-durability final kill
-        assert out["zero_acked_loss"]
-        assert out["replicas_identical"]
-        assert out["repair_converged"]
-        # A connection stops at its first indeterminate op, so the
-        # accounted total is bounded by the plan, not equal to it.
-        assert out["acked_batches"] > 0
-        assert (
-            out["acked_batches"] + out["indeterminate_batches"] <= 24
         )
 
     @pytest.mark.simfaults

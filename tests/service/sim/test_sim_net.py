@@ -10,7 +10,14 @@ import random
 
 import pytest
 
-from repro.service.sim import SimEventLoop, SimNetwork
+from repro.errors import ServiceTimeoutError
+from repro.service import ServiceClient, SketchRegistry, SketchServer
+from repro.service.protocol import encode_pairs
+from repro.service.sim import SimClock, SimEventLoop, SimNetwork
+from repro.service.sim.world import _inline
+from repro.util.retry import RetryPolicy
+
+from ..test_server import edge_arrays
 
 
 def run_sim(coro):
@@ -168,3 +175,57 @@ class TestFaults:
             return errors
 
         assert run_sim(go()) == ["ConnectionResetError"]
+
+
+class TestSimClient:
+    def test_stall_times_out_typed_then_lands_once(self):
+        # A stalled link expires the per-request deadline as a typed
+        # ServiceTimeoutError.  The swallowed request never applied, so
+        # after the heal the same stamp folds once; a second resend is
+        # answered from the dedup window.
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        us, vs, signs = edge_arrays(edges)
+        payload = encode_pairs(us, vs, signs)
+
+        async def go():
+            clock = SimClock(asyncio.get_running_loop())
+            net = SimNetwork(random.Random(9))
+            seams = {"clock": clock, "network": net}
+            server = SketchServer(
+                SketchRegistry(clock=clock), host="sim", port=9000,
+                checkpoint_interval=0.0, snapshot_interval=0.0,
+                offload=_inline, **seams,
+            )
+            ready = asyncio.Event()
+            serving = asyncio.ensure_future(server.run(
+                install_signal_handlers=False, ready=lambda _: ready.set()))
+            await ready.wait()
+            try:
+                async with await ServiceClient.connect(
+                    "sim", 9000, timeout=0.3,
+                    retry=RetryPolicy(max_restarts=0), **seams,
+                ) as client:
+                    await client.create("g", n=12)
+                    stamp = client.next_stamp()
+                    net.stall(9000, "both")
+                    with pytest.raises(ServiceTimeoutError):
+                        await client.request(
+                            "ingest-batch", payload=payload, name="g",
+                            **stamp)
+                net.heal(9000)
+                async with await ServiceClient.connect(
+                    "sim", 9000, timeout=5.0, **seams,
+                ) as client:
+                    first, _ = await client.request(
+                        "ingest-batch", payload=payload, name="g", **stamp)
+                    again, _ = await client.request(
+                        "ingest-batch", payload=payload, name="g", **stamp)
+                    events, _ = await client.dump("g")
+            finally:
+                server.begin_drain()
+                await serving
+            return first, again, events
+
+        first, again, events = run_sim(go())
+        assert not first.get("duplicate") and again.get("duplicate")
+        assert events == len(edges)

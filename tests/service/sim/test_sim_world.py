@@ -6,6 +6,10 @@ the harness's contract with a handful of schedules each:
 * clean and faulty seeds hold every invariant,
 * a seed replays to a byte-identical report (determinism),
 * an explicit schedule (kill + lost-ack stall) is survived,
+* the E25 and E26 fault shapes (repeated SIGKILLs of a lone node;
+  primary kills plus link faults on a 3-replica fleet) land on live
+  traffic and still converge to the serial replay,
+* a given schedule boots the fleet size it names,
 * a deliberately re-broken ENOSPC path is *caught* and the failing
   schedule *shrinks* to the one ``wal_full`` event that matters —
   the harness can find the bug class it was built for.
@@ -20,11 +24,13 @@ from repro.service import registry as registry_mod
 from repro.service.sim import (
     FaultEvent,
     FaultSchedule,
+    SimReport,
+    SimWorld,
     generate_schedule,
     run_one,
     shrink_failure,
 )
-from repro.service.sim.world import SimWorld
+from repro.service.sim import world as world_mod
 
 pytestmark = pytest.mark.simfaults
 
@@ -69,6 +75,105 @@ class TestSchedules:
         ])
         report = run_one(seed=123, schedule=schedule)
         assert report.ok, report.violations
+
+
+class _WalOnlyRecoveryWorld(SimWorld):
+    """Records, after every kill, whether the restarted node rebuilt
+    its sketch without any checkpoint (create + WAL records alone)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recoveries = []
+
+    async def _apply_event(self, event):
+        await super()._apply_event(event)
+        if event.kind == "kill":
+            registry = self.replicas[event.replica].server.registry
+            for record in registry.records():
+                self.recoveries.append(
+                    (record.last_checkpoint_events, record.replayed))
+
+
+class TestServiceFaultShapes:
+    """E25 and E26 as fault schedules.  Kills outlast the client's own
+    retry budget, so the coordinator has to resend batches under their
+    original stamps, and every resend must still fold exactly once."""
+
+    SEEDS = range(12)
+
+    @staticmethod
+    def e25_schedule(seed):
+        # A lone WAL-backed node SIGKILLed three times under traffic;
+        # the first kill lands before the 2.5 s checkpoint cron.
+        return FaultSchedule(seed, 1, [
+            FaultEvent(at=0.5, kind="kill", replica=0, duration=2.0),
+            FaultEvent(at=3.5, kind="kill", replica=0, duration=2.0),
+            FaultEvent(at=6.5, kind="kill", replica=0, duration=2.0),
+        ])
+
+    @staticmethod
+    def e26_schedule(seed):
+        # Replica 0 is killed twice, each time while replica 2's link
+        # is faulted, so quorum fails and the coordinator resends.
+        return FaultSchedule(seed, 3, [
+            FaultEvent(at=0.5, kind="kill", replica=0, duration=1.5),
+            FaultEvent(at=0.5, kind="stall_out", replica=2, duration=6.0),
+            FaultEvent(at=4.0, kind="reset_conns", replica=2),
+            FaultEvent(at=7.5, kind="kill", replica=0, duration=1.5),
+            FaultEvent(at=7.5, kind="stall_in", replica=2, duration=6.0),
+        ])
+
+    def test_e25_repeated_sigkill_of_one_node(self):
+        reports = []
+        for seed in self.SEEDS:
+            world = _WalOnlyRecoveryWorld(
+                seed, schedule=self.e25_schedule(seed))
+            report = world.run()
+            assert report.ok, (seed, report.violations)
+            assert report.events == report.batches_acked * 48
+            # The first restart found no checkpoint: WAL replay alone
+            # rebuilt the acked prefix.
+            last_checkpoint_events, replayed = world.recoveries[0]
+            assert last_checkpoint_events == -1 and replayed >= 1
+            reports.append(report)
+        assert sum(r.retries for r in reports) > 0
+
+    def test_e26_primary_kills_plus_link_faults(self):
+        reports = [
+            run_one(seed, schedule=self.e26_schedule(seed))
+            for seed in self.SEEDS
+        ]
+        for report in reports:
+            assert report.ok, (report.seed, report.violations)
+            assert report.events == report.batches_acked * 48
+        assert sum(r.retries for r in reports) > 0
+
+
+class _CountingWorld(SimWorld):
+    fleets = []
+
+    def run(self):
+        report = super().run()
+        self.fleets.append(len(self.replicas))
+        return report
+
+
+class TestScheduleFleetSize:
+    def test_replayed_schedule_boots_the_fleet_it_names(self, monkeypatch):
+        monkeypatch.setattr(world_mod, "SimWorld", _CountingWorld)
+        monkeypatch.setattr(_CountingWorld, "fleets", [])
+        schedule = FaultSchedule.from_json(
+            generate_schedule(5, replicas=1).to_json())
+        assert schedule.replicas == 1
+        assert run_one(5, schedule=schedule).ok
+        # The shrinker re-runs sub-schedules of a failing report.
+        two = schedule.replace_events([
+            FaultEvent(at=1.0, kind="kill", replica=0, duration=0.5),
+            FaultEvent(at=3.0, kind="kill", replica=0, duration=0.5),
+        ])
+        shrink_failure(SimReport(seed=5, ok=False, schedule=two))
+        assert len(_CountingWorld.fleets) > 1
+        assert set(_CountingWorld.fleets) == {1}
 
 
 class _FlapWorld(SimWorld):

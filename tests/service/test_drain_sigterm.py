@@ -1,12 +1,18 @@
-"""SIGTERM under live load: graceful drain, typed rejections, resume.
+"""SIGTERM and SIGKILL of a real server process, then ``--resume``.
 
-The acceptance scenario of the service PR end-to-end, at test scale: a
+The acceptance scenario of the service end-to-end, at test scale: a
 real ``python -m repro serve`` subprocess takes mixed traffic, receives
 SIGTERM mid-load, and must (a) exit 0 after letting in-flight requests
 settle, (b) reject post-drain mutations with the *typed* ``draining``
 error only — no torn connections, no partial batches — and (c) leave a
 final checkpoint from which ``--resume`` restores the sketch
 bit-identically to what clients last saw.
+
+The SIGKILL case is the one crash test on a real disk: the fault
+schedules in ``tests/service/sim`` cover kills under traffic on a
+simulated filesystem, and this one checks that real fsync and rename
+leave a checkpoint + WAL tail that ``--resume`` replays to exactly the
+acked batches.
 """
 
 import asyncio
@@ -57,6 +63,14 @@ def batch(rng, n, size):
     return us, vs, signs
 
 
+def serial_replay(n, seed, batches):
+    """The dump an uncrashed sketch holds after exactly ``batches``."""
+    reference = SpanningForestSketch(n, seed=seed)
+    for us, vs, signs in batches:
+        reference.update_batch_pairs(us, vs, signs)
+    return dump_sketch(reference)
+
+
 class TestSigtermDrain:
     def test_drain_under_load_and_resume(self, tmp_path):
         n, seed = 32, 21
@@ -105,10 +119,7 @@ class TestSigtermDrain:
         assert events == sum(b[0].size for b in accepted)
 
         # The accepted prefix replays to exactly the dumped state.
-        reference = SpanningForestSketch(n, seed=seed)
-        for us, vs, signs in accepted:
-            reference.update_batch_pairs(us, vs, signs)
-        assert blob == dump_sketch(reference)
+        assert blob == serial_replay(n, seed, accepted)
 
         # And --resume serves that same state bit-identically.
         proc2, port2, ready = start_server(
@@ -134,3 +145,56 @@ class TestSigtermDrain:
         out, err = proc.communicate(timeout=30)
         assert proc.returncode == 0, err
         assert "drained:" in out
+
+
+class TestSigkillResume:
+    def test_kill_9_then_resume_equals_serial_replay(self, tmp_path):
+        n, seed = 32, 5
+        ckpt = str(tmp_path / "ckpt")
+        rng = np.random.default_rng(seed)
+        batches = [batch(rng, n, 64) for _ in range(12)]
+        proc, port, _ = start_server(
+            "--checkpoint-dir", ckpt, "--checkpoint-interval", "0")
+
+        async def ingest(client, todo):
+            for us, vs, signs in todo:
+                await client.ingest_pairs("g", us, vs, signs)
+
+        async def before_kill():
+            async with await ServiceClient.connect(port=port) as client:
+                await client.create("g", n=n, seed=seed)
+                await ingest(client, batches[:4])
+                # Recovery is then a renamed checkpoint plus a
+                # four-record WAL tail.
+                await client.checkpoint("g")
+                await ingest(client, batches[4:8])
+
+        try:
+            asyncio.run(before_kill())
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.communicate(timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+
+        proc2, port2, ready = start_server(
+            "--checkpoint-dir", ckpt, "--resume")
+        try:
+            assert "restored 1 sketches" in ready
+
+            async def resumed():
+                async with await ServiceClient.connect(port=port2) as client:
+                    health = await client.health()
+                    dumped = await client.dump("g")
+                    await ingest(client, batches[8:])
+                    return health, dumped, await client.dump("g")
+
+            health, (events, blob), (events2, blob2) = asyncio.run(resumed())
+        finally:
+            proc2.send_signal(signal.SIGTERM)
+            proc2.communicate(timeout=30)
+
+        assert health["sketches"]["g"]["replayed"] == 4
+        assert events == 8 * 64
+        assert blob == serial_replay(n, seed, batches[:8])
+        assert events2 == 12 * 64
+        assert blob2 == serial_replay(n, seed, batches)

@@ -2,8 +2,8 @@
 
 Boots real servers (in-process, real TCP) and drives them through
 :class:`~repro.service.replication.ReplicaSet` — the full replication
-stack minus the subprocess boundary, which ``bench_replication.py``
-and the chaos smoke script cover.
+stack minus the subprocess boundary.  Kills and link faults under
+traffic are the fault schedules' job (``tests/service/sim``).
 """
 
 import asyncio
