@@ -51,8 +51,7 @@ def bench_e10_message_length(benchmark):
     prev = None
     for n in (16, 32, 64, 128, 256):
         proto = SpanningForestProtocol(n, r=2, seed=3)
-        msg = proto.player_message(0, [(0, 1)])
-        words = sum(arr.size for arr in msg.values())
+        words = proto.referee_decode([proto.player_message(0, [(0, 1)])]).message_words
         growth = "-" if prev is None else f"x{words/prev:.2f}"
         prev = words
         rows.append((n, words, 64 * words, growth))

@@ -3,15 +3,12 @@
 #
 # The `faults` marker selects tests that SIGKILL shm shard workers
 # (detected as WorkerCrashError, recovered by checkpoint resume), hang
-# them, flip bits in live sampler banks, and drop / duplicate / corrupt
-# referee protocol frames; the seed sweep varies the streams, bit-flip
-# targets, and channel schedules so recovery and detection are
-# exercised on different traces, not one hand-picked one. Per seed,
-# three invocations: the full fault suite, the bit-flip injection mode
+# them, and flip bits in live sampler banks; the seed sweep varies the
+# streams and bit-flip targets so recovery and detection are exercised
+# on different traces, not one hand-picked one. Per seed, two
+# invocations: the full fault suite and the bit-flip injection mode
 # (audit suite alone, proving detection -> localization -> exclusion ->
-# correct answer), and the referee mode (comm suite alone, proving
-# exact sketch recovery over the lossy channel or an honestly flagged
-# degraded answer).
+# correct answer).
 #
 # The sketch service's faults run in the deterministic simulator
 # (`python -m repro sim`): the real servers, WALs and quorum code on a
@@ -23,8 +20,6 @@
 #
 #   scripts/chaos_smoke.sh                    # default seeds 0 1 2
 #   scripts/chaos_smoke.sh 7 11 13            # custom seeds
-#   scripts/chaos_smoke.sh referee           # referee mode only, default seeds
-#   scripts/chaos_smoke.sh referee 7 11 13   # referee mode only, custom seeds
 #   scripts/chaos_smoke.sh service           # service mode only: kills,
 #                                            # stalls, full disks on one
 #                                            # WAL-backed node; zero acked
@@ -57,7 +52,7 @@ on_failure() {
 trap on_failure EXIT
 
 mode=all
-if [ $# -gt 0 ] && { [ "$1" = "referee" ] || [ "$1" = "service" ] || [ "$1" = "replica" ]; }; then
+if [ $# -gt 0 ] && { [ "$1" = "service" ] || [ "$1" = "replica" ]; }; then
     mode=$1
     shift
 fi
@@ -76,11 +71,6 @@ for seed in "${seeds[@]}"; do
         current_stage="bit-flip mode"
         echo "=== chaos smoke (bit-flip mode): seed ${seed} ==="
         PYTHONPATH=src python -m pytest -q tests/audit -m faults --chaos-seed="${seed}"
-    fi
-    if [ "${mode}" = "all" ] || [ "${mode}" = "referee" ]; then
-        current_stage="referee mode"
-        echo "=== chaos smoke (referee mode): seed ${seed} ==="
-        PYTHONPATH=src python -m pytest -q tests/comm -m faults --chaos-seed="${seed}"
     fi
     if [ "${mode}" = "all" ] || [ "${mode}" = "service" ]; then
         current_stage="service mode"

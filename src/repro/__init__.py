@@ -57,13 +57,7 @@ from .engine import (
     QueryMetrics,
     ShardedIngestEngine,
 )
-from .comm import (
-    CommMetrics,
-    FaultProfile,
-    RefereeResult,
-    RefereeSession,
-    SpanningForestProtocol,
-)
+from .comm import SpanningForestProtocol
 from .errors import (
     CheckpointError,
     CommError,
@@ -71,7 +65,6 @@ from .errors import (
     EngineError,
     IncompatibleSketchError,
     IntegrityError,
-    MessageCorruptionError,
     NotOneSparseError,
     PayloadCorruptionError,
     RankError,
@@ -139,10 +132,6 @@ __all__ = [
     "QueryMetrics",
     # distributed referee
     "SpanningForestProtocol",
-    "RefereeSession",
-    "RefereeResult",
-    "FaultProfile",
-    "CommMetrics",
     # errors
     "ReproError",
     "DomainError",
@@ -160,5 +149,4 @@ __all__ = [
     "IntegrityError",
     "PayloadCorruptionError",
     "CommError",
-    "MessageCorruptionError",
 ]

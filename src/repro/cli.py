@@ -10,9 +10,7 @@ Usage (after installation)::
     python -m repro ingest STREAM_FILE [--shards N --batch-size B]
                     [--backend {serial,shm}] [--checkpoint-dir D [--resume]]
                     [--metrics-json PATH] [--verify]
-    python -m repro referee STREAM_FILE [--loss L --dup D --reorder R
-                    --corrupt C --delay Y --retries N --chaos-seed S]
-                    [--certify] [--degraded-ok] [--metrics-json PATH]
+    python -m repro referee STREAM_FILE [--certify] [--seed S]
     python -m repro audit CKPT_FILE_OR_DIR [...]
     python -m repro generate {gnp,harary,hypergraph} ... -o STREAM_FILE
 
@@ -24,9 +22,11 @@ success; malformed inputs exit 2 with a diagnostic.  Robustness flags
 input lines; ``ingest --checkpoint-dir D --resume`` recovers a
 crashed ingest bit-identically; ``--degraded-ok`` (query,
 edge-connectivity) accepts weaker answers on sketch decode failure,
-clearly marked ``DEGRADED``.  Integrity flags: ``--certify``
-(connectivity, edge-connectivity) re-verifies the answer's witness
-independently of the decode; ``--amplify R`` majority-votes over R
+clearly marked ``DEGRADED``.  ``referee`` runs the paper's one-round
+protocol: each vertex sends its sketch column once and the referee
+decodes from the n messages.  Integrity flags: ``--certify``
+(connectivity, edge-connectivity, referee) re-verifies the answer's
+witness independently of the decode; ``--amplify R`` majority-votes over R
 independent sketches with reported confidence; ``ingest --verify``
 checks shard merges; the ``audit`` subcommand
 verifies checkpoints at rest.  Performance flags: ``ingest
@@ -285,52 +285,32 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_referee(args) -> int:
-    """Distributed referee protocol over a (possibly lossy) channel.
+    """The paper's one-round referee protocol (Becker et al., Section 2).
 
     Materializes the streamed graph, hands each vertex its local
-    adjacency as a player input, and runs the fault-tolerant
-    multi-round referee exchange with the requested chaos profile.
-    Exit codes: 0 complete (or degraded with ``--degraded-ok``), 1
-    degraded answer or failed certification, 2 bad input.
+    adjacency as a player input, and decodes from the n member-state
+    blobs.  Exit codes: 0 answered, 1 failed certification, 2 bad
+    input.
     """
-    from .comm.referee import RefereeSession
     from .comm.simultaneous import SpanningForestProtocol
-    from .comm.transport import FaultProfile
     from .stream.updates import materialize
-    from .util.retry import RetryPolicy
 
     n, r, updates = _load(args)
     h = materialize(n, updates, r=r)
-    profile = FaultProfile(
-        loss=args.loss,
-        duplicate=args.dup,
-        reorder=args.reorder,
-        corrupt=args.corrupt,
-        delay=args.delay,
-    )
     proto = SpanningForestProtocol(n, r=r, seed=args.seed, params=_params(args.params))
-    session = RefereeSession(
-        proto,
-        profile=profile,
-        policy=RetryPolicy(max_restarts=args.retries,
-                           backoff_base=0.0, jitter=0.0),
-        chaos_seed=args.chaos_seed,
-        max_rounds=args.max_rounds,
-        certify=args.certify,
-    )
-    result = session.run(h)
-    print(f"n={n} r={r} events={len(updates)} players={n}")
-    print(result.summary())
-    print(session.metrics.summary())
-    if args.metrics_json:
-        _write_metrics_json(
-            args.metrics_json,
-            {"comm": session.metrics, "query": args._query_metrics},
-        )
-    if result.certificate is not None and not result.certificate.verified:
-        return 1
-    if result.degraded and not args.degraded_ok:
-        return 1
+    result = proto.run(h)
+    print(f"n={n} r={r} events={len(updates)} players={result.players}")
+    print(f"connected: {result.is_connected}")
+    print(f"components ({len(result.components)}): {result.components}")
+    print(f"message: {result.message_words} words ({result.message_bits} bits) "
+          f"per player, {result.total_bits} bits total")
+    if args.certify:
+        from .audit.certify import certify_spanning_forest
+
+        cert = certify_spanning_forest(result.sketch)
+        print(cert.summary())
+        if not cert.verified:
+            return 1
     return 0
 
 
@@ -984,32 +964,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "referee",
-        help="distributed referee protocol over a lossy channel (repro.comm)",
+        help="the paper's one-round referee protocol (repro.comm)",
     )
     common(p)
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="per-copy message loss rate in [0, 1]")
-    p.add_argument("--dup", type=float, default=0.0,
-                   help="message duplication rate in [0, 1]")
-    p.add_argument("--reorder", type=float, default=0.0,
-                   help="per-round delivery reordering rate in [0, 1]")
-    p.add_argument("--corrupt", type=float, default=0.0,
-                   help="per-copy single-bit corruption rate in [0, 1]")
-    p.add_argument("--delay", type=float, default=0.0,
-                   help="per-copy extra-round delay rate in [0, 1]")
-    p.add_argument("--retries", type=int, default=8, metavar="N",
-                   help="per-player retransmit budget before the referee "
-                        "answers in degraded mode from the survivors")
-    p.add_argument("--max-rounds", type=int, default=None, metavar="R",
-                   help="round deadline: hard cap on protocol rounds")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="seed of the deterministic fault schedule")
     p.add_argument("--certify", action="store_true",
-                   help="re-verify the final answer's witness independently "
-                        "of the decode; exits 1 if verification fails")
-    p.add_argument("--degraded-ok", action="store_true",
-                   help="exit 0 even when the answer is degraded (missing "
-                        "players are always reported)")
+                   help="re-verify the referee's spanning forest "
+                        "independently of the decode; exits 1 if "
+                        "verification fails")
     p.set_defaults(func=_cmd_referee)
 
     p = sub.add_parser(
@@ -1213,7 +1174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args._query_metrics = qm
             code = args.func(args)
         path = getattr(args, "metrics_json", None)
-        if path and args.command not in ("ingest", "referee", "loadgen"):
+        if path and args.command not in ("ingest", "loadgen"):
             _write_metrics_json(path, {"query": qm})
         return code
     except (ReproError, OSError) as exc:

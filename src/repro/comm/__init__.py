@@ -1,44 +1,10 @@
-"""Distributed referee protocols over vertex-based sketches.
+"""The paper's one-round referee protocol (Becker et al., Section 2).
 
-Two layers on the simultaneous communication model (Becker et al.,
-Section 2):
-
-* :mod:`~repro.comm.simultaneous` — the paper's idealised one-round
-  exchange (every message arrives exactly once, intact);
-* the fault-tolerant stack — a deterministic chaos channel
-  (:mod:`~repro.comm.transport`), CRC-framed envelopes with
-  idempotent receiver-side dedup (:mod:`~repro.comm.reliable`), and
-  a multi-round ack/retransmit session with quorum-degraded decoding
-  (:mod:`~repro.comm.referee`).
+:mod:`~repro.comm.simultaneous`: every player sends its vertex-based
+sketch column once, as a CRC-checked member-state blob, and the
+referee folds each player's column once and decodes.
 """
 
-from .metrics import CommMetrics
-from .referee import DEFAULT_REFEREE_POLICY, RefereeResult, RefereeSession
-from .reliable import (
-    Envelope,
-    ReliableReceiver,
-    decode_envelope,
-    decode_nack,
-    encode_envelope,
-    encode_nack,
-)
 from .simultaneous import ProtocolResult, SpanningForestProtocol
-from .transport import ChannelStats, FaultProfile, SimulatedChannel
 
-__all__ = [
-    "ChannelStats",
-    "CommMetrics",
-    "DEFAULT_REFEREE_POLICY",
-    "Envelope",
-    "FaultProfile",
-    "ProtocolResult",
-    "RefereeResult",
-    "RefereeSession",
-    "ReliableReceiver",
-    "SimulatedChannel",
-    "SpanningForestProtocol",
-    "decode_envelope",
-    "decode_nack",
-    "encode_envelope",
-    "encode_nack",
-]
+__all__ = ["ProtocolResult", "SpanningForestProtocol"]

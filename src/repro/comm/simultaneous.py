@@ -11,21 +11,21 @@ yields such a protocol — each linear measurement is local to some
 vertex, so exactly one player can evaluate it.  This module makes that
 concrete for the spanning-graph sketch (and hence connectivity,
 Theorem 13): player ``v``'s message is its member column of the
-:class:`~repro.sketch.bank.SamplerGrid`, the referee adds the columns
-into an empty grid and decodes as usual.  The quantity the model
-minimises — the maximum message length — is measured in counter words
-and bits.
+:class:`~repro.sketch.bank.SamplerGrid`, serialized as a
+:func:`~repro.sketch.serialization.dump_member_state` blob; the
+referee adds the columns into an empty grid and decodes as usual.  The
+quantity the model minimises — the maximum message length — is
+measured in counter words and bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import CommError
 from ..graph.hypergraph import Hypergraph
+from ..sketch.serialization import dump_member_state, read_member_state
 from ..sketch.spanning_forest import SpanningForestSketch
 from ..util.rng import normalize_seed
 from ..core.params import DEFAULT_PARAMS, Params
@@ -39,7 +39,8 @@ class ProtocolResult:
     referee decoded from a partial message set, it lists the player
     ids whose columns never arrived — the verdict then describes the
     surviving columns only and must not be read as a statement about
-    the whole graph.
+    the whole graph.  ``sketch`` is the referee's folded sketch, so a
+    caller can certify the answer or compare it bit for bit.
     """
 
     spanning_graph: Hypergraph
@@ -47,9 +48,10 @@ class ProtocolResult:
     is_connected: bool
     message_words: int       # counters per player message (all equal)
     message_bits: int        # 64-bit words -> bits
-    total_bits: int          # n players
+    total_bits: int          # every message received, duplicates included
     players: int
     missing_players: Tuple[int, ...] = field(default=())
+    sketch: Optional[SpanningForestSketch] = None
 
     @property
     def complete(self) -> bool:
@@ -91,122 +93,62 @@ class SpanningForestProtocol:
             buckets=self.params.buckets,
         )
 
-    def player_message(self, vertex: int, incident_edges: Sequence[Sequence[int]]) -> Dict[str, np.ndarray]:
+    def player_message(self, vertex: int, incident_edges: Sequence[Sequence[int]]) -> bytes:
         """Compute player ``vertex``'s message from its local input.
 
-        The player evaluates only measurements local to itself:
-        its own coefficient of each incident edge.
+        The player evaluates only measurements local to itself — its
+        own coefficient of each incident edge — and sends its column
+        as wire bytes.
         """
         sketch = self._fresh_sketch()
         for e in incident_edges:
             sketch.update_local(vertex, e, 1)
-        return sketch.grid.extract_member(vertex)
+        return dump_member_state(sketch.grid, vertex)
 
-    def referee_decode(self, messages: Dict[int, Dict[str, np.ndarray]]) -> ProtocolResult:
-        """Combine the received messages and answer connectivity.
+    def referee_decode(self, blobs: Sequence[bytes]) -> ProtocolResult:
+        """Add the received columns and answer connectivity.
 
-        A partial ``messages`` dict is decoded from the columns that
-        did arrive, but the shortfall is *surfaced*:
+        Every blob is CRC- and header-verified; a corrupt, foreign-seed
+        or out-of-range one raises before anything is folded from it.
+        A player's column is folded exactly **once**: the columns
+        combine linearly, so a duplicated blob added twice would
+        silently double its contribution.  Duplicates still count
+        toward ``total_bits`` — they did cross the wire.  A partial
+        set is decoded from the columns that did arrive, and
         ``missing_players`` lists every absent player id, so a short
-        read can no longer masquerade as a disconnected-graph verdict.
-        An empty dict raises :class:`~repro.errors.CommError` — there
-        is nothing to decode at all.
+        read cannot masquerade as a disconnected-graph verdict.  No
+        blobs at all raises :class:`~repro.errors.CommError`.
         """
-        if not messages:
+        if not blobs:
             raise CommError(
                 "referee received no messages: nothing to decode "
                 f"(expected {self.n} players)"
             )
-        unknown = [v for v in messages if not 0 <= v < self.n]
-        if unknown:
-            raise CommError(
-                f"messages from players outside 0..{self.n - 1}: {unknown}"
-            )
         sketch = self._fresh_sketch()
-        for vertex, message in messages.items():
-            sketch.grid.add_member_state(vertex, message)
-        missing = tuple(v for v in range(self.n) if v not in messages)
+        members = set()
+        for blob in blobs:
+            member, state = read_member_state(sketch.grid, blob)
+            if member not in members:
+                sketch.grid.add_member_state(member, state)
+                members.add(member)
         spanning = sketch.decode()
         components = sketch.components_of_decode()
-        sample = next(iter(messages.values()))
-        words = int(sum(arr.size for arr in sample.values()))
+        words = sketch.grid.space_counters() // sketch.grid.members
         return ProtocolResult(
             spanning_graph=spanning,
             components=components,
             is_connected=len(components) == 1,
             message_words=words,
             message_bits=64 * words,
-            total_bits=64 * words * len(messages),
-            players=len(messages),
-            missing_players=missing,
+            total_bits=64 * words * len(blobs),
+            players=len(members),
+            missing_players=tuple(v for v in range(self.n) if v not in members),
+            sketch=sketch,
         )
 
     def run(self, hypergraph: Hypergraph) -> ProtocolResult:
         """Simulate the full protocol on a concrete hypergraph."""
-        messages = {
-            v: self.player_message(v, sorted(hypergraph.incident_edges(v)))
+        return self.referee_decode([
+            self.player_message(v, sorted(hypergraph.incident_edges(v)))
             for v in range(hypergraph.n)
-        }
-        return self.referee_decode(messages)
-
-    # -- serialized (on-the-wire) variant --------------------------------
-
-    def player_message_bytes(
-        self, vertex: int, incident_edges: Sequence[Sequence[int]]
-    ) -> bytes:
-        """The player's message as actual wire bytes."""
-        from ..sketch.serialization import dump_member_state
-
-        sketch = self._fresh_sketch()
-        for e in incident_edges:
-            sketch.update_local(vertex, e, 1)
-        return dump_member_state(sketch.grid, vertex)
-
-    def referee_decode_bytes(self, blobs: Sequence[bytes]) -> ProtocolResult:
-        """Decode from serialized messages (header-verified).
-
-        Duplicated blobs are folded exactly **once**: the columns
-        combine linearly, so adding a player's column twice would
-        silently double its contribution and corrupt the sketch.
-        Blobs repeating an already-seen player are skipped (their
-        bytes still count toward ``total_bits`` — they did cross the
-        wire).  Missing players are surfaced as in
-        :meth:`referee_decode`.
-        """
-        from ..sketch.serialization import load_member_state, peek_member
-
-        if not blobs:
-            raise CommError(
-                "referee received no message blobs: nothing to decode "
-                f"(expected {self.n} players)"
-            )
-        sketch = self._fresh_sketch()
-        members = set()
-        for blob in blobs:
-            member = peek_member(blob)
-            if member in members:
-                continue  # duplicate delivery: fold each column once
-            load_member_state(sketch.grid, blob)
-            members.add(member)
-        missing = tuple(v for v in range(self.n) if v not in members)
-        spanning = sketch.decode()
-        components = sketch.components_of_decode()
-        size = max(len(b) for b in blobs)
-        return ProtocolResult(
-            spanning_graph=spanning,
-            components=components,
-            is_connected=len(components) == 1,
-            message_words=size // 8,
-            message_bits=8 * size,
-            total_bits=8 * sum(len(b) for b in blobs),
-            players=len(members),
-            missing_players=missing,
-        )
-
-    def run_serialized(self, hypergraph: Hypergraph) -> ProtocolResult:
-        """Full protocol with messages passing through the wire format."""
-        blobs = [
-            self.player_message_bytes(v, sorted(hypergraph.incident_edges(v)))
-            for v in range(hypergraph.n)
-        ]
-        return self.referee_decode_bytes(blobs)
+        ])

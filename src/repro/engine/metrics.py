@@ -23,8 +23,8 @@ METRICS_SCHEMA = "repro-metrics/1"
 def metrics_payload(sections: Dict[str, object]) -> Dict[str, object]:
     """Wrap named metrics objects in the stable export envelope.
 
-    Every ``--metrics-json`` emitter (CLI ingest/referee/query, the
-    service ``stats`` command) shares this shape::
+    Every ``--metrics-json`` emitter (every CLI command, the service
+    ``stats`` command) shares this shape::
 
         {"schema": "repro-metrics/1",
          "sections": {"ingest": {...}, "query": {...}, ...}}
@@ -32,8 +32,7 @@ def metrics_payload(sections: Dict[str, object]) -> Dict[str, object]:
     Section values with a ``to_dict`` method are converted; plain dicts
     pass through.  Known section names: ``ingest``
     (:class:`IngestMetrics`), ``query``
-    (:class:`~repro.engine.query.QueryMetrics`), ``comm``
-    (:class:`~repro.comm.metrics.CommMetrics`), ``server`` and
+    (:class:`~repro.engine.query.QueryMetrics`), ``server`` and
     ``sketches`` (the service layer).
     """
     converted = {}

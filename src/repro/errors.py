@@ -274,19 +274,9 @@ class ServiceTimeoutError(ServiceError):
 
 
 class CommError(ReproError):
-    """Base class for distributed-protocol failures (:mod:`repro.comm`).
+    """A referee exchange cannot proceed at all (:mod:`repro.comm`).
 
-    Raised when a referee exchange cannot proceed at all — no messages
-    to decode, a malformed session, an exhausted protocol — as opposed
-    to per-message damage, which is :class:`MessageCorruptionError`
-    (rejected and retransmitted, not raised, on the reliable path).
+    Raised when there are no messages to decode.  A damaged or
+    foreign message is rejected by the blob parser with
+    :class:`PayloadCorruptionError` or :class:`IncompatibleSketchError`.
     """
-
-
-class MessageCorruptionError(CommError):
-    """A protocol message failed its frame checks.
-
-    Bad magic, truncated frame, envelope CRC mismatch, or a payload
-    that does not belong to the player the envelope claims.  The
-    reliable receiver *rejects* such messages (the sender retransmits);
-    this is only raised to callers decoding frames directly."""

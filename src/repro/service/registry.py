@@ -48,7 +48,9 @@ from ..engine.metrics import IngestMetrics
 from ..errors import (
     BadRequestError,
     CheckpointError,
+    IncompatibleSketchError,
     NoSuchSketchError,
+    PayloadCorruptionError,
     SketchExistsError,
     WALError,
     WALFullError,
@@ -61,6 +63,7 @@ from ..sketch.serialization import (
     dump_sketch,
     iter_grids,
     load_sketch,
+    read_member_state,
     replace_member_state,
 )
 from ..sketch.skeleton import SkeletonSketch
@@ -862,6 +865,13 @@ class SketchRegistry:
         durability).  Must run under ``record.lock``.
         """
         grid = self._grid_of(record, grid_index)
+        # Verify every blob before replacing any column: a bad one
+        # must not leave the batch half-applied and uncheckpointed.
+        try:
+            for blob in blobs:
+                read_member_state(grid, blob)
+        except (IncompatibleSketchError, PayloadCorruptionError) as exc:
+            raise BadRequestError(f"repair-members blob rejected: {exc}") from exc
         for blob in blobs:
             replace_member_state(grid, blob)
         if events is not None:

@@ -154,6 +154,45 @@ def dump_member_state(grid: SamplerGrid, member: int) -> bytes:
     return _pack(header, (state["w"], state["s"], state["f"]))
 
 
+def _member_of(header: Dict[str, int]) -> int:
+    """The blob's member index, range-checked against its own header.
+
+    The header is not covered by the payload CRC, so the index is
+    untrusted: an out-of-range one would fold into the wrong column
+    (negative indices wrap) or raise ``IndexError`` mid-write.
+    """
+    member = header.pop("member", None)
+    if member is None:
+        raise IncompatibleSketchError("blob is not a member-state message")
+    members = header.get("members")
+    if (
+        type(member) is not int
+        or type(members) is not int
+        or not 0 <= member < members
+    ):
+        raise IncompatibleSketchError(
+            f"member index {member!r} outside [0, {members!r})"
+        )
+    return member
+
+
+def read_member_state(
+    grid: SamplerGrid, blob: bytes
+) -> Tuple[int, Dict[str, np.ndarray]]:
+    """Parse and verify a player message against ``grid``; no writes.
+
+    Returns ``(member, state)``.  A receiver applying several blobs as
+    one unit checks them all with this first, so a bad one cannot
+    leave the others half-applied.
+    """
+    header, (w, s, f) = _unpack(blob, 3)
+    member = _member_of(header)
+    _check_header(grid, header)
+    shape = grid._w[:, member].shape
+    state = {"w": w.reshape(shape), "s": s.reshape(shape), "f": f.reshape(shape)}
+    return member, state
+
+
 def peek_member(blob: bytes) -> int:
     """The member index a serialized player message belongs to.
 
@@ -163,10 +202,7 @@ def peek_member(blob: bytes) -> int:
     the sketch.
     """
     header, _ = _unpack(blob, 3)
-    member = header.get("member")
-    if member is None:
-        raise IncompatibleSketchError("blob is not a member-state message")
-    return int(member)
+    return _member_of(header)
 
 
 def load_member_state(grid: SamplerGrid, blob: bytes) -> int:
@@ -174,16 +210,8 @@ def load_member_state(grid: SamplerGrid, blob: bytes) -> int:
 
     Returns the member index the message belongs to.
     """
-    header, (w, s, f) = _unpack(blob, 3)
-    member = header.pop("member", None)
-    if member is None:
-        raise IncompatibleSketchError("blob is not a member-state message")
-    _check_header(grid, header)
-    shape = grid._w[:, member].shape
-    grid.add_member_state(
-        member,
-        {"w": w.reshape(shape), "s": s.reshape(shape), "f": f.reshape(shape)},
-    )
+    member, state = read_member_state(grid, blob)
+    grid.add_member_state(member, state)
     return member
 
 
@@ -195,16 +223,10 @@ def replace_member_state(grid: SamplerGrid, blob: bytes) -> int:
     end bit-identical, so the column is replaced rather than linearly
     added.  Returns the member index.
     """
-    header, (w, s, f) = _unpack(blob, 3)
-    member = header.pop("member", None)
-    if member is None:
-        raise IncompatibleSketchError("blob is not a member-state message")
-    _check_header(grid, header)
-    member = int(member)
-    shape = grid._w[:, member].shape
-    grid._w[:, member] = w.reshape(shape)
-    grid._s[:, member] = s.reshape(shape)
-    grid._f[:, member] = f.reshape(shape)
+    member, state = read_member_state(grid, blob)
+    grid._w[:, member] = state["w"]
+    grid._s[:, member] = state["s"]
+    grid._f[:, member] = state["f"]
     grid._touch()
     if grid._digest is not None:
         from ..audit.digest import GridDigest

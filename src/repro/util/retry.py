@@ -2,10 +2,10 @@
 
 One policy object shared by everything that retries: the service
 client's reconnects, the replica set's straggler re-sends, the load
-generator, the simulation world, and the referee's per-player rounds.
-The jitter is a pure function of ``(jitter_seed, key, attempt)``, so a
-seeded simulation replays the exact same retry timeline while distinct
-keys (clients, players) stay de-synchronised.
+generator and the simulation world.  The jitter is a pure function of
+``(jitter_seed, key, attempt)``, so a seeded simulation replays the
+exact same retry timeline while distinct keys (clients, replicas) stay
+de-synchronised.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class RetryPolicy:
     Parameters
     ----------
     max_restarts:
-        Retry budget per key (client, player, ...).
+        Retry budget per key (client, replica, ...).
     backoff_base, backoff_factor, backoff_max:
         Exponential backoff of the pre-retry sleep:
         ``min(backoff_max, backoff_base * backoff_factor**(attempt-1))``.

@@ -1,8 +1,10 @@
 """Tests for the simultaneous (referee) communication protocol."""
 
+import numpy as np
 import pytest
 
 from repro.comm.simultaneous import SpanningForestProtocol
+from repro.errors import CommError, IncompatibleSketchError, PayloadCorruptionError
 from repro.graph.generators import (
     cycle_graph,
     random_connected_hypergraph,
@@ -10,6 +12,17 @@ from repro.graph.generators import (
 )
 from repro.graph.hypergraph import Hypergraph
 from repro.graph.hypergraph_cuts import is_spanning_subgraph
+from repro.sketch.serialization import dump_grid, load_member_state, peek_member
+
+from ..engine.faults import flip_blob_byte, rewrite_blob_member
+
+
+def messages(proto, h, skip=()):
+    return [
+        proto.player_message(v, sorted(h.incident_edges(v)))
+        for v in range(h.n)
+        if v not in skip
+    ]
 
 
 class TestProtocol:
@@ -42,6 +55,7 @@ class TestProtocol:
         for e in h.edges():
             central.insert(e)
         result = proto.run(h)
+        assert dump_grid(result.sketch.grid) == dump_grid(central.grid)
         assert result.spanning_graph == central.decode()
 
     def test_message_accounting(self):
@@ -64,40 +78,30 @@ class TestProtocol:
     def test_player_message_local_only(self):
         """A player only needs its own incident edges."""
         proto = SpanningForestProtocol(5, seed=9)
-        msg = proto.player_message(0, [(0, 1), (0, 4)])
-        assert any(arr.any() for arr in msg.values())
-        empty = proto.player_message(2, [])
-        assert not any(arr.any() for arr in empty.values())
+        busy = proto.referee_decode([proto.player_message(0, [(0, 1), (0, 4)])])
+        assert np.any(busy.sketch.grid._w)
+        idle = proto.referee_decode([proto.player_message(2, [])])
+        assert not np.any(idle.sketch.grid._w)
 
 
 class TestSerializedProtocol:
-    def test_serialized_run_matches_in_memory(self):
-        from repro.graph.generators import random_connected_hypergraph
-
-        h = random_connected_hypergraph(10, 12, r=3, seed=11)
-        proto = SpanningForestProtocol(10, r=3, seed=12)
-        in_memory = proto.run(h)
-        over_wire = proto.run_serialized(h)
-        assert over_wire.is_connected == in_memory.is_connected
-        assert over_wire.spanning_graph == in_memory.spanning_graph
-
     def test_wire_bytes_fixed_per_player(self):
         h1 = Hypergraph(6, 2, [(0, 1)])
         proto = SpanningForestProtocol(6, seed=13)
-        sizes = {
-            len(proto.player_message_bytes(v, sorted(h1.incident_edges(v))))
-            for v in range(6)
-        }
-        assert len(sizes) == 1  # identical regardless of local degree
+        assert len({len(blob) for blob in messages(proto, h1)}) == 1
 
     def test_wrong_seed_message_rejected(self):
-        from repro.errors import IncompatibleSketchError
-
         sender = SpanningForestProtocol(6, seed=14)
         receiver = SpanningForestProtocol(6, seed=15)
-        blob = sender.player_message_bytes(0, [(0, 1)])
+        blob = sender.player_message(0, [(0, 1)])
         with pytest.raises(IncompatibleSketchError):
-            receiver.referee_decode_bytes([blob])
+            receiver.referee_decode([blob])
+
+    def test_corrupt_message_rejected(self):
+        proto = SpanningForestProtocol(6, seed=16)
+        blob = flip_blob_byte(proto.player_message(0, [(0, 1)]), seed=3)
+        with pytest.raises(PayloadCorruptionError):
+            proto.referee_decode([blob])
 
 
 class TestPartialMessages:
@@ -109,47 +113,41 @@ class TestPartialMessages:
         assert result.missing_players == ()
         assert result.complete
 
-    def test_partial_dict_surfaces_missing_players(self):
-        h = random_connected_hypergraph(10, 14, r=3, seed=23)
-        proto = SpanningForestProtocol(10, r=3, seed=24)
-        messages = {
-            v: proto.player_message(v, sorted(h.incident_edges(v)))
-            for v in range(10)
-            if v not in (3, 7)
-        }
-        result = proto.referee_decode(messages)
-        assert result.missing_players == (3, 7)
-        assert not result.complete
-        assert result.players == 8
-
     def test_partial_bytes_surfaces_missing_players(self):
         h = random_connected_hypergraph(10, 14, r=3, seed=25)
         proto = SpanningForestProtocol(10, r=3, seed=26)
-        blobs = [
-            proto.player_message_bytes(v, sorted(h.incident_edges(v)))
-            for v in range(10)
-            if v != 4
-        ]
-        result = proto.referee_decode_bytes(blobs)
-        assert result.missing_players == (4,)
+        survivors = messages(proto, h, skip=(3, 7))
+        result = proto.referee_decode(survivors)
+        assert result.missing_players == (3, 7)
         assert not result.complete
+        assert result.players == 8
+        # The referee holds exactly the survivors' columns.
+        reference = proto._fresh_sketch()
+        for blob in survivors:
+            load_member_state(reference.grid, blob)
+        assert dump_grid(result.sketch.grid) == dump_grid(reference.grid)
 
     def test_empty_messages_raise_comm_error(self):
-        from repro.errors import CommError
-
         proto = SpanningForestProtocol(8, seed=27)
         with pytest.raises(CommError):
-            proto.referee_decode({})
-        with pytest.raises(CommError):
-            proto.referee_decode_bytes([])
+            proto.referee_decode([])
 
     def test_out_of_range_player_rejected(self):
-        from repro.errors import CommError
-
         proto = SpanningForestProtocol(4, seed=28)
-        msg = proto.player_message(0, [(0, 1)])
-        with pytest.raises(CommError):
-            proto.referee_decode({9: msg})
+        blob = rewrite_blob_member(proto.player_message(0, [(0, 1)]), 9)
+        with pytest.raises(IncompatibleSketchError):
+            proto.referee_decode([blob])
+
+    @pytest.mark.parametrize("member", [-1, 8])
+    def test_rewritten_member_index_rejected(self, member):
+        """A CRC-valid blob whose header names player -1 (or n) must
+        not fold player 0's counters into column n-1."""
+        h = random_connected_hypergraph(8, 12, r=3, seed=29)
+        proto = SpanningForestProtocol(8, r=3, seed=30)
+        blobs = messages(proto, h)
+        blobs[0] = rewrite_blob_member(blobs[0], member)
+        with pytest.raises(IncompatibleSketchError, match="member index"):
+            proto.referee_decode(blobs)
 
 
 class TestDuplicateBlobs:
@@ -158,31 +156,15 @@ class TestDuplicateBlobs:
     state twice, silently corrupting the sketch."""
 
     def test_duplicate_blob_state_identical_to_single_fold(self):
-        from repro.sketch.serialization import dump_grid, load_member_state
-
         h = random_connected_hypergraph(9, 12, r=3, seed=31)
         proto = SpanningForestProtocol(9, r=3, seed=32)
-        blobs = [
-            proto.player_message_bytes(v, sorted(h.incident_edges(v)))
-            for v in range(9)
-        ]
+        blobs = messages(proto, h)
         reference = proto._fresh_sketch()
         for blob in blobs:
             load_member_state(reference.grid, blob)
 
-        doubled = blobs + [blobs[0], blobs[4], blobs[4]]
-        deduped = proto._fresh_sketch()
-        seen = set()
-        from repro.sketch.serialization import peek_member
-
-        for blob in doubled:
-            m = peek_member(blob)
-            if m not in seen:
-                load_member_state(deduped.grid, blob)
-                seen.add(m)
-        assert dump_grid(deduped.grid) == dump_grid(reference.grid)
-
-        result = proto.referee_decode_bytes(doubled)
+        result = proto.referee_decode(blobs + [blobs[0], blobs[4], blobs[4]])
+        assert dump_grid(result.sketch.grid) == dump_grid(reference.grid)
         assert result.players == 9
         assert result.missing_players == ()
         assert result.is_connected == h.is_connected()
@@ -190,12 +172,9 @@ class TestDuplicateBlobs:
     def test_duplicate_blob_verdict_matches_clean_run(self):
         h = random_connected_hypergraph(12, 18, r=3, seed=33)
         proto = SpanningForestProtocol(12, r=3, seed=34)
-        blobs = [
-            proto.player_message_bytes(v, sorted(h.incident_edges(v)))
-            for v in range(12)
-        ]
-        clean = proto.referee_decode_bytes(blobs)
-        noisy = proto.referee_decode_bytes(blobs * 3)
+        blobs = messages(proto, h)
+        clean = proto.referee_decode(blobs)
+        noisy = proto.referee_decode(blobs * 3)
         assert noisy.is_connected == clean.is_connected
         assert noisy.components == clean.components
         assert noisy.spanning_graph == clean.spanning_graph
@@ -204,11 +183,8 @@ class TestDuplicateBlobs:
         assert noisy.total_bits == 3 * clean.total_bits
 
     def test_peek_member_reads_header_only(self):
-        from repro.errors import IncompatibleSketchError
-        from repro.sketch.serialization import dump_grid, peek_member
-
         proto = SpanningForestProtocol(5, seed=35)
-        blob = proto.player_message_bytes(3, [(2, 3)])
+        blob = proto.player_message(3, [(2, 3)])
         assert peek_member(blob) == 3
         with pytest.raises(IncompatibleSketchError):
             peek_member(dump_grid(proto._fresh_sketch().grid))

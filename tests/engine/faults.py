@@ -11,6 +11,8 @@ The injectable faults mirror the failure model in docs/engine.md:
   Nth dispatched batch (shm backend);
 * :func:`flip_byte` — corrupt one byte of a file in place (checkpoint
   damage);
+* :func:`rewrite_blob_member` — a member-state blob whose header claims
+  another (possibly out-of-range) member, CRC still valid;
 * :func:`make_stream` / :func:`reference_sketch` — a deterministic
   workload and its uninterrupted ground truth, so recovery tests can
   assert byte equality of sketch state rather than approximate
@@ -139,3 +141,20 @@ def flip_blob_byte(blob: bytes, seed: int = 0) -> bytes:
     pos = lo + hash64(seed, 0x0FF5) % (len(data) - lo)
     data[pos] ^= 1 << (hash64(seed, 0xB0B0) % 8)
     return bytes(data)
+
+
+def rewrite_blob_member(blob: bytes, member) -> bytes:
+    """Re-pack a member-state blob with its header ``"member"`` replaced.
+
+    The payload CRC covers only the counter bytes, so the result still
+    passes the CRC check: the hostile-peer case the member-index range
+    check must catch.
+    """
+    import json
+    import struct
+
+    (head_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + head_len])
+    header["member"] = member
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:4] + struct.pack("<I", len(head)) + head + blob[8 + head_len:]

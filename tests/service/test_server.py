@@ -23,8 +23,10 @@ from repro.service import ServiceClient, SketchRegistry, SketchServer
 from repro.service import registry as registry_module
 from repro.service.protocol import PROTOCOL_VERSION, encode_pairs
 from repro.util.clock import Clock
-from repro.sketch.serialization import dump_sketch
+from repro.sketch.serialization import dump_member_state, dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
+
+from ..engine.faults import rewrite_blob_member
 
 
 @contextlib.asynccontextmanager
@@ -187,6 +189,29 @@ class TestTypedErrors:
                         await c.query("g", consistency="psychic")
                     # The session survives typed errors.
                     assert await c.list() != []
+
+        asyncio.run(go())
+
+    def test_hostile_member_index_is_bad_request(self):
+        """A CRC-valid repair blob naming member -1 or n is refused as
+        a typed error, the connection stays open, and a valid blob
+        ahead of it in the same batch is not applied either."""
+        async def go():
+            async with running_server() as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=8, seed=9)
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1), (2, 3)]))
+                    _, before = await c.dump("g")
+                    _, (blob0,) = await c.fetch_members("g", 0, [0])
+                    ahead = SpanningForestSketch(8, seed=9)
+                    ahead.update_batch_pairs(*edge_arrays([(4, 5)]))
+                    valid = dump_member_state(ahead.grid, 4)
+                    for member in (-1, 8):
+                        hostile = rewrite_blob_member(blob0, member)
+                        with pytest.raises(BadRequestError, match="member index"):
+                            await c.repair_members("g", 0, [valid, hostile])
+                        _, after = await c.dump("g")
+                        assert after == before
 
         asyncio.run(go())
 

@@ -12,7 +12,11 @@ from repro.sketch.serialization import (
     load_grid,
     load_member_state,
     message_bytes,
+    peek_member,
+    replace_member_state,
 )
+
+from ..engine.faults import rewrite_blob_member
 
 
 def grid(seed=1, **kw):
@@ -108,3 +112,21 @@ class TestMemberMessages:
         player = grid(seed=5)
         with pytest.raises(IncompatibleSketchError):
             load_member_state(grid(seed=6), dump_member_state(player, 0))
+
+    @pytest.mark.parametrize("member", [-1, 3, 1.0, True, "1", None])
+    def test_out_of_range_member_rejected(self, member):
+        """The header's member index is untrusted: every member-state
+        parser range-checks it before touching a column."""
+        player = grid()
+        player.update(0, 42, 1)
+        blob = rewrite_blob_member(dump_member_state(player, 0), member)
+        referee = grid()
+        before = dump_grid(referee)
+        for parse in (
+            lambda: peek_member(blob),
+            lambda: load_member_state(referee, blob),
+            lambda: replace_member_state(referee, blob),
+        ):
+            with pytest.raises(IncompatibleSketchError):
+                parse()
+        assert dump_grid(referee) == before

@@ -185,44 +185,46 @@ class TestReferee:
     def test_clean_run_is_complete(self, cycle_stream, capsys):
         assert main(["referee", cycle_stream]) == 0
         out = capsys.readouterr().out
-        assert "COMPLETE" in out
-        assert "connected=True" in out
-        assert "rounds=1" in out
-
-    def test_lossy_run_recovers(self, cycle_stream, capsys):
-        code = main(["referee", cycle_stream, "--loss", "0.3",
-                     "--dup", "0.2", "--corrupt", "0.1",
-                     "--chaos-seed", "11"])
-        assert code == 0
-        assert "COMPLETE" in capsys.readouterr().out
-
-    def test_degraded_exit_code(self, cycle_stream, capsys):
-        args = ["referee", cycle_stream, "--loss", "0.99",
-                "--retries", "1", "--chaos-seed", "3"]
-        assert main(args) == 1
-        assert "DEGRADED" in capsys.readouterr().out
-        assert main(args + ["--degraded-ok"]) == 0
-        assert "DEGRADED" in capsys.readouterr().out
+        assert "players=8" in out
+        assert "connected: True" in out
+        assert "components (1)" in out
 
     def test_certified_run(self, cycle_stream, capsys):
         assert main(["referee", cycle_stream, "--certify"]) == 0
-        assert "VERIFIED" in capsys.readouterr().out
+        assert "VERIFIED (spanning-forest)" in capsys.readouterr().out
+
+    def test_refuted_certificate_exits_1(self, cycle_stream, capsys,
+                                         monkeypatch):
+        import dataclasses
+
+        from repro.audit import certify
+
+        real = certify.certify_spanning_forest
+        monkeypatch.setattr(
+            certify, "certify_spanning_forest",
+            lambda sketch: dataclasses.replace(
+                real(sketch), verified=False, failures=("forced",)
+            ),
+        )
+        assert main(["referee", cycle_stream, "--certify"]) == 1
+        assert "NOT VERIFIED" in capsys.readouterr().out
 
     def test_metrics_json_file(self, cycle_stream, tmp_path, capsys):
         import json
 
-        dest = tmp_path / "comm.json"
-        assert main(["referee", cycle_stream, "--loss", "0.2",
+        dest = tmp_path / "referee.json"
+        assert main(["referee", cycle_stream,
                      "--metrics-json", str(dest)]) == 0
         data = json.loads(dest.read_text())
-        comm = data["sections"]["comm"]
-        assert comm["players"] == 8
-        assert "uplink" in comm and "downlink" in comm
+        assert list(data["sections"]) == ["query"]
+        assert data["sections"]["query"]["sample_ok"] > 0
         assert "written to" in capsys.readouterr().out
 
-    def test_bad_rate_is_input_error(self, cycle_stream, capsys):
-        assert main(["referee", cycle_stream, "--loss", "1.5"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_removed_channel_flag_is_usage_error(self, cycle_stream, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["referee", cycle_stream, "--loss", "0.2"])
+        assert exc.value.code == 2
+        assert "--loss" in capsys.readouterr().err
 
 
 class TestErrors:
