@@ -32,9 +32,13 @@ class QueryMetrics:
     """Decode-path observability for one query session.
 
     Counts component decodes (``batch_queries``: components sampled
-    by the :class:`~repro.sketch.bank.SummedBatch` kernels), candidate
-    cells pushed through the verification kernel, and kernel wall
-    time.
+    by the :class:`~repro.sketch.bank.SummedBatch` kernels), counter
+    cells the component gather read (``cells_gathered``: every
+    component's copy of its first member plus every member of a
+    multi-member component, over the levels read — a large round reads
+    its levels in windows, see ``docs/query.md``), candidate cells
+    pushed through the verification kernel (``cells_decoded``), and
+    kernel wall time.
     The decode also says *why* it answered: Borůvka rounds run
     (``decode_rounds``), the outcome of every component sample
     (``sample_ok`` / ``sample_zero`` / ``sample_failed``), how many
@@ -45,7 +49,9 @@ class QueryMetrics:
     instances through one loop, so there ``decode_rounds`` and
     ``peel_sweeps`` count kernel passes — fewer than the per-instance
     sum, while the per-component counters add up exactly as they would
-    per instance — and ``instances_decoded`` says how many of the R
+    per instance (so do the cell counters, while the stack and the
+    instances sit on the same side of the window gate) — and
+    ``instances_decoded`` says how many of the R
     instances the fresh answers had to re-decode.
     ``degraded_queries`` mirrors the ingest-side counter so this object
     can also serve :func:`repro.core.degraded.decode_with_degradation`.
@@ -54,6 +60,7 @@ class QueryMetrics:
     """
 
     batch_queries: int = 0
+    cells_gathered: int = 0
     cells_decoded: int = 0
     decode_rounds: int = 0
     sample_ok: int = 0
@@ -96,6 +103,8 @@ class QueryMetrics:
             f"{self.cells_decoded} cells verified",
             f"time: kernel={self.kernel_seconds:.4f}s",
         ]
+        if self.cells_gathered:
+            lines.append(f"gather: {self.cells_gathered} counter cells read")
         if self.decode_rounds:
             lines.append(f"rounds: {self.decode_rounds} Borůvka")
         if self.instances_decoded:

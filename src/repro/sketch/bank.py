@@ -849,7 +849,8 @@ def _sum_slots(
 
     Node ``k``'s weight sampler is slot ``w_slot[k]``, its index-sum and
     fingerprint samplers 1x / 2x ``plane[k]`` slots on; ``sizes`` cuts
-    the nodes into components.
+    the nodes into components.  ``slots`` may be a level slice of the
+    flat view (``slots[:, lo:hi]``): only those levels are read.
     """
     starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
@@ -859,6 +860,11 @@ def _sum_slots(
     w, s, f = slots[at], slots[at + step], slots[at + 2 * step]
     fold = sizes > 1
     multi = np.flatnonzero(fold)
+    metrics = _QUERY_METRICS
+    if metrics is not None:
+        # The first-member copies, then every member folded again.
+        read = sizes.size + int(sizes[multi].sum())
+        metrics.cells_gathered += read * slots[0].size
     if multi.size:
         nodes = np.repeat(fold, sizes)
         at, step = w_slot[nodes], plane[nodes]
@@ -943,8 +949,11 @@ def _verify_cells(
 class SummedBatch:
     """A batch of decodable boundary sketches, one per component.
 
-    Counter arrays have shape ``(components, levels, rows, buckets)``;
-    component ``c`` hashes under global group ``groups[c]`` of a
+    Counter arrays have shape ``(components, width, rows, buckets)``
+    and hold the subsampling levels ``[lo, lo + width)`` (all of them
+    by default; a level-windowed decode gathers fewer, see
+    :func:`drain_windows`); component ``c`` hashes under global group
+    ``groups[c]`` of a
     :class:`HashStack` over ``grids`` — one group of one grid, or many
     independently seeded grids — and every component's decode runs
     through the same vectorised kernels: a single verification pass
@@ -958,20 +967,22 @@ class SummedBatch:
     ties, scan orders, and failure modes match exactly).
     """
 
-    __slots__ = ("_hashes", "_grids", "_groups", "_w", "_s", "_f")
+    __slots__ = ("_hashes", "_grids", "_groups", "_w", "_s", "_f", "_lo")
 
     #: Per-component outcome tags of :meth:`sample_many`.
     OK = "ok"
     ZERO = "zero"
     FAILED = "failed"
 
-    def __init__(self, hashes: HashStack, grids, groups: np.ndarray, w, s, f):
+    def __init__(self, hashes: HashStack, grids, groups: np.ndarray, w, s, f,
+                 lo: int = 0):
         self._hashes = hashes
         self._grids = grids
         self._groups = groups
         self._w = w
         self._s = s
         self._f = f
+        self._lo = lo
 
     @property
     def count(self) -> int:
@@ -992,18 +1003,19 @@ class SummedBatch:
         component ``comp[e]``, for every entry ``e`` (parallel arrays).
 
         The batch sibling of the oracle's ``SummedSketch.subtract``
-        (every level up to the coordinate's depth in the component's
-        group, every row), or with ``level`` of its
-        ``_subtract_at_level`` (the peel's case): one :func:`~repro.engine.batch.fold_cells` over the
-        batch's own planes.  Returns the flat cells written (may
-        repeat).
+        (every level of the batch up to the coordinate's depth in the
+        component's group, every row), or with ``level`` of its
+        ``_subtract_at_level`` (the peel's case): one
+        :func:`~repro.engine.batch.fold_cells` over the batch's own
+        planes.  Returns the flat cells written (may repeat).
         """
         from ..engine.batch import fold_cells, index_sums
 
         if not len(comp):
             return np.empty(0, dtype=np.int64)
         hashes = self._hashes
-        levels, rows, buckets = hashes.levels, hashes.rows, hashes.buckets
+        lo, width = self._lo, self._w.shape[1]
+        rows, buckets = hashes.rows, hashes.buckets
         q, mixed = self._groups[comp], premix64_np(index)
         cs = index_sums(-weight, index, hashes.domain)
         cf = mul_vec_mod((-weight) % _P, hashes.rho(q, mixed))
@@ -1011,9 +1023,13 @@ class SummedBatch:
             depth = trailing_zeros64_np(
                 hash64_premixed(hashes.group_seeds[q, 0], mixed)
             )
-            counts = np.minimum(depth.astype(np.int64), levels - 1) + 1
+            # Levels lo .. min(depth, lo + width - 1): none when the
+            # coordinate is shallower than the batch.
+            counts = np.clip(depth.astype(np.int64) + 1, lo, lo + width) - lo
             at = np.repeat(np.arange(counts.size), counts)
-            level = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            level = lo + np.arange(at.size) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
             comp, weight, cs, cf, q, mixed = (
                 a[at] for a in (comp, weight, cs, cf, q, mixed)
             )
@@ -1021,7 +1037,8 @@ class SummedBatch:
         salt = hashes.salts[hashes.owner[q], level]
         b = splitmix64_np(h ^ salt[:, None]) % np.uint64(buckets)
         flat = (
-            ((comp * levels + level)[:, None] * rows + np.arange(rows)) * buckets
+            ((comp * width + level - lo)[:, None] * rows + np.arange(rows))
+            * buckets
             + b.astype(np.int64)
         ).reshape(-1)
         planes = (self._w.reshape(-1), self._s.reshape(-1), self._f.reshape(-1))
@@ -1037,7 +1054,8 @@ class SummedBatch:
         The level slices of a summed sketch peel independently (a
         subtraction at level ℓ only touches level-ℓ cells), so the
         sweep loop treats each (component, level) pair as one *unit*
-        ``u = comp * levels + lvl`` and verifies all units' candidate
+        ``u = comp * width + lvl - lo`` (the batch's levels are
+        ``[lo, lo + width)``) and verifies all units' candidate
         cells in a single kernel call per sweep — the sweep count
         becomes the maximum any unit needs, not the sum over levels.
 
@@ -1061,7 +1079,8 @@ class SummedBatch:
         un-peeled counters, in (component, level, row, bucket) order.
         """
         hashes = self._hashes
-        rows, buckets, levels = hashes.rows, hashes.buckets, hashes.levels
+        rows, buckets = hashes.rows, hashes.buckets
+        lo, width = self._lo, self._w.shape[1]
         w_flat = self._w.reshape(-1)
         s_flat = self._s.reshape(-1)
         f_flat = self._f.reshape(-1)
@@ -1070,7 +1089,7 @@ class SummedBatch:
         scan = log[0]
         cand = np.flatnonzero(_occupied(w_flat, s_flat, f_flat))
         zero = np.bincount(
-            cand // (levels * rows * buckets), minlength=self.count
+            cand // (width * rows * buckets), minlength=self.count
         ) == 0
         cells_seen = sweeps = 0
         guard = 4 * rows * buckets + 8
@@ -1080,15 +1099,15 @@ class SummedBatch:
             cells_seen += cand.size
             u_idx = cand // (rows * buckets)
             keep, j_v, w_v = _verify_cells(
-                hashes, self._groups[u_idx // levels],
+                hashes, self._groups[u_idx // width],
                 w_flat[cand], s_flat[cand], f_flat[cand],
-                u_idx % levels, cand // buckets % rows, cand % buckets,
+                lo + u_idx % width, cand // buckets % rows, cand % buckets,
             )
             if not keep.size:
                 break
             u_v = u_idx[keep]
             if sweeps == 1:
-                scan = (u_v // levels, j_v, w_v)
+                scan = (u_v // width, j_v, w_v)
             # The scalar sweep subtracts each decode immediately, so a
             # later cell holding the same coordinate never re-decodes
             # it; the batch verifies against the pre-sweep state
@@ -1102,13 +1121,13 @@ class SummedBatch:
             # Each decode is subtracted at its own level, one cell per
             # row; the touched cells, ascending, are the next worklist
             # (a plain sort: ``np.unique`` hashes, ~10x slower here).
-            cells = np.sort(
-                self.subtract(u_u // levels, j_u, w_u, level=u_u % levels)
-            )
+            cells = np.sort(self.subtract(
+                u_u // width, j_u, w_u, level=lo + u_u % width
+            ))
             cells = cells[np.r_[True, cells[1:] != cells[:-1]]]
             cand = cells[_occupied(w_flat[cells], s_flat[cells], f_flat[cells])]
         residual = _occupied(w_flat, s_flat, f_flat).reshape(
-            self.count * levels, -1
+            self.count * width, -1
         ).any(axis=1)
         metrics = _QUERY_METRICS
         if metrics is not None:
@@ -1153,10 +1172,27 @@ class SummedBatch:
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`sample_arrays`, peeling the batch's own counters: for
-        a caller that gathered them for this one decode."""
+        a caller that gathered them for this one decode.  The
+        one-window case of :func:`drain_windows`."""
+        return drain_windows(
+            self.count, [(self._lo, self._lo + self._w.shape[1])],
+            lambda comps, lo, hi: self,
+        )
+
+    def _read_off(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Peel the batch in place and read every component off.
+
+        Returns ``(won, index, weight, zero, scanned)`` per component:
+        ``won`` where a level of the batch certifies a support, with the
+        scalar winner in ``index`` / ``weight``; otherwise, where
+        ``scanned`` (never with ``won``), the first cell of the un-peeled counters that
+        verifies, in (level, row, bucket) order — the scalar fallback
+        scan's answer.  ``zero``: no nonzero cell in the batch.
+        """
         hashes = self._hashes
-        t0 = time.perf_counter()
-        n, levels = self.count, hashes.levels
+        n, width = self.count, self._w.shape[1]
         index = np.zeros(n, dtype=np.int64)
         weight = np.zeros(n, dtype=np.int64)
         zero, residual, ru, rj, rw, scan = self._recover_levels_many()
@@ -1167,7 +1203,7 @@ class SummedBatch:
         done = ~residual[ru]
         ru, rj, rw = ru[done], rj[done], rw[done]
         tb = hash64_premixed(
-            hashes.tiebreak_seeds[self._groups[ru // levels]], premix64_np(rj)
+            hashes.tiebreak_seeds[self._groups[ru // width]], premix64_np(rj)
         )
         order = np.lexsort((rj, tb, ru))
         ru, rj, rw = ru[order], rj[order], rw[order]
@@ -1179,26 +1215,70 @@ class SummedBatch:
         starts, sums = starts[sums != 0], sums[sums != 0]
         # Shallowest certified nonempty level wins: units sort by
         # component, then level, so it is each component's first entry.
-        comp, first = np.unique(ru[starts] // levels, return_index=True)
+        comp, first = np.unique(ru[starts] // width, return_index=True)
         index[comp], weight[comp] = rj[starts[first]], sums[first]
-        ok = np.zeros(n, dtype=bool)
-        ok[comp] = True
-        # Fallback for the rest: the scalar path scans the un-peeled
+        won = np.zeros(n, dtype=bool)
+        won[comp] = True
+        # The fallback for the rest: the scalar path scans the un-peeled
         # counters for the first cell that verifies — which sweep 1
         # already found, so nothing is verified (or kept) twice.
-        unresolved = ~ok & ~zero
-        at = np.flatnonzero(unresolved[scan[0]])
+        at = np.flatnonzero(~won[scan[0]])
         comp, first = np.unique(scan[0][at], return_index=True)
         index[comp], weight[comp] = scan[1][at[first]], scan[2][at[first]]
-        ok[comp] = True
-        failed = ~ok & ~zero
-        metrics = _QUERY_METRICS
-        if metrics is not None:
-            n_ok, n_failed = int(ok.sum()), int(failed.sum())
-            metrics.batch_queries += n
-            metrics.fallback_scans += int(unresolved.sum())
-            metrics.sample_ok += n_ok
-            metrics.sample_failed += n_failed
-            metrics.sample_zero += n - n_ok - n_failed
-            metrics.kernel_seconds += time.perf_counter() - t0
-        return ok, failed, index, weight
+        scanned = np.zeros(n, dtype=bool)
+        scanned[comp] = True
+        return won, index, weight, zero, scanned
+
+
+def drain_windows(count, windows, gather):
+    """Sample ``count`` components, reading their levels window by
+    window; the one peel-and-read-off behind every batch sample.
+
+    ``windows`` lists ``(lo, hi)`` level ranges, shallowest first, that
+    tile the levels; ``gather(comps, lo, hi)`` returns the
+    :class:`SummedBatch` of components ``comps`` (ascending ids) over
+    levels ``[lo, hi)``.  A component leaves once a window certifies a
+    level, so it reads only the levels down to its winner.  Exact per
+    component, because the shallowest certified level wins and levels
+    peel independently; the fallback is the first valid cell in level
+    order, so the first window that has one answers; and a component
+    is ZERO only when no window holds a nonzero cell.
+
+    Returns ``(ok, failed, index, weight)`` as
+    :meth:`SummedBatch.sample_arrays` does, and records every component
+    once in the query metrics however many windows it read.
+    """
+    seconds = 0.0
+    ok = np.zeros(count, dtype=bool)
+    scanned, occupied = np.zeros((2, count), dtype=bool)
+    index = np.zeros(count, dtype=np.int64)
+    weight = np.zeros(count, dtype=np.int64)
+    comps = np.arange(count)
+    for lo, hi in windows:
+        if not comps.size:
+            break
+        batch = gather(comps, lo, hi)
+        t0 = time.perf_counter()
+        won, j, w, zero, seen = batch._read_off()
+        seconds += time.perf_counter() - t0
+        occupied[comps] |= ~zero
+        # Winners always answer; a fallback only if no shallower window
+        # had one.
+        take = won | (seen & ~scanned[comps])
+        index[comps[take]], weight[comps[take]] = j[take], w[take]
+        scanned[comps[seen]] = True
+        ok[comps[won]] = True
+        comps = comps[~won]
+    unresolved = ~ok & occupied
+    ok |= unresolved & scanned
+    failed = ~ok & occupied
+    metrics = _QUERY_METRICS
+    if metrics is not None:
+        n_ok, n_failed = int(ok.sum()), int(failed.sum())
+        metrics.batch_queries += count
+        metrics.fallback_scans += int(unresolved.sum())
+        metrics.sample_ok += n_ok
+        metrics.sample_failed += n_failed
+        metrics.sample_zero += count - n_ok - n_failed
+        metrics.kernel_seconds += seconds
+    return ok, failed, index, weight

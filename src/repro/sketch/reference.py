@@ -9,7 +9,7 @@ against: it sums a component's members with its own fold
 subtraction (:meth:`SummedSketch.subtract`) and samples with the plain
 peeling loop of :meth:`SummedSketch.sample`.  It therefore checks the
 batch gather (``_sum_slots``), the batch subtraction
-(``SummedBatch.subtract``) and the batch sampler (``drain_arrays``)
+(``SummedBatch.subtract``) and the batch sampler (``drain_windows``)
 independently.
 
 Only tests, benchmarks and profiling scripts import this module; the

@@ -176,13 +176,20 @@ class SkeletonSketch:
         skipped = set(skip)
         forests: List[Hypergraph] = []
         recovered: List[Sequence[int]] = list(minus)
+        peeled = set()
         for i, layer in enumerate(self.layers):
             if i in skipped:
                 forests.append(Hypergraph(self.n, self.r))
                 continue
             forest = layer.decode(strict=strict, minus=recovered)
             forests.append(forest)
-            recovered.extend(forest.edges())
+            # A layer decodes G minus what came before, so it cannot
+            # return an earlier edge; a faulty one that does is still
+            # peeled once (``decode`` refuses an edge twice in
+            # ``minus``), and ``certify_skeleton`` reports the repeat.
+            fresh = [e for e in forest.edges() if e not in peeled]
+            peeled.update(fresh)
+            recovered.extend(fresh)
         return forests
 
     def decode(

@@ -43,6 +43,24 @@ from .incidence import IncidenceScheme
 #: 405 MB peak RSS against 345 MB (``docs/query.md``).
 _PASS_CELLS = 1 << 19
 
+#: Level windows of a large Borůvka round: levels ``[0, 3)``, then
+#: ``[3, 6)``, ``[6, 12)`` and ``[12, levels)``; a component stops
+#: reading once a window certifies it (:func:`~repro.sketch.bank.
+#: drain_windows`).  On the Theorem 4 structure (n=128, k=2, 15
+#: levels) 88% of round-0 components certify at level 0 and none below
+#: level 2; an n=1024 forest of 16k edges certifies at levels 1-5 of 21
+#: in round 0 and 2-10 later (``docs/query.md``, "Levels read per
+#: round").
+_WINDOW_STARTS = (3, 6, 12)
+
+#: Counter cells (nodes x levels x rows x buckets) from which a round
+#: reads its levels in windows; smaller rounds read all levels in one
+#: sweep.  The n=256 service decodes gather ~70k cells a round and are
+#: bound by per-sweep overhead: windowed, the fresh-read p50 of the
+#: small-batch service benchmark rose from 18.2 ms to 24.0 ms on a
+#: 2-vCPU Xeon (``docs/query.md``, "Levels read per round").
+_WINDOW_CELLS = 1 << 17
+
 
 def default_rounds(active_vertices: int) -> int:
     """Borůvka rounds: log2 of the active-vertex count plus slack."""
@@ -282,7 +300,10 @@ class SpanningForestSketch:
         ``minus`` lists hyperedges to decode the sketch of ``G − minus``
         from, by linearity, without writing a counter (the peel of
         Theorem 14): they are subtracted from each round's gathered
-        component sums, never from the grid.
+        component sums, never from the grid.  Naming one hyperedge
+        twice (in any vertex order) raises
+        :class:`~repro.errors.DomainError`: it would subtract the edge
+        twice, and a decode of that vector can return the edge itself.
 
         A single sketch is a stack of one: see :func:`decode_stack`.
         """
@@ -290,7 +311,7 @@ class SpanningForestSketch:
         coords, _, failed = decode_stack(
             self.scheme, grid._hashes, grid._slots(), [grid],
             self._member_lut()[None], np.zeros(1, dtype=np.int64), [0],
-            minus=self.incidence([(e, 1) for e in minus]),
+            minus=self._minus(minus),
         )
         if strict and failed[0]:
             raise SamplerFailedError("no subsampling level decoded")
@@ -302,7 +323,7 @@ class SpanningForestSketch:
         group's members as singleton components, ``minus`` subtracted
         from those sums."""
         grid = self.grid
-        drop = self.incidence([(e, 1) for e in minus])
+        drop = self._minus(minus)
         members = np.arange(grid.members)
         for group in range(grid.groups):
             batch = grid.summed_segments(group, members, np.ones_like(members))
@@ -310,6 +331,20 @@ class SpanningForestSketch:
             if not batch.appears_zero_many().all():
                 return False
         return True
+
+    def _minus(self, minus: Iterable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The incidence triple of a ``minus=`` edge list, which must
+        name each hyperedge at most once: a repeat shows as one
+        (member, coordinate) entry twice."""
+        drop = self.incidence([(e, 1) for e in minus])
+        members, indices, _ = drop
+        order = np.lexsort((members, indices))
+        m, i = members[order], indices[order]
+        twice = np.flatnonzero((i[1:] == i[:-1]) & (m[1:] == m[:-1]))
+        if twice.size:
+            edge = self.scheme.edge_of(int(i[twice[0]]))
+            raise DomainError(f"minus names edge {tuple(edge)} more than once")
+        return drop
 
     def components_of_decode(self) -> List[List[int]]:
         """Components of the decoded spanning graph, restricted to the
@@ -488,16 +523,37 @@ def _sample_round(hashes, slots, grids, rnd, owner, members, sizes, w_slot,
     ``drop`` is a ``(component, index, delta)`` triple subtracted from
     the sums first.  Returns ``(ok, failed, index)`` per component.
 
+    A round of at least ``_WINDOW_CELLS`` cells reads its levels in the
+    windows of ``_WINDOW_STARTS``: each window gathers and peels only
+    its level slice of the components no shallower window certified.
+
     The one sampling path of :func:`decode_stack`, and the seam the
     scalar oracle (:func:`repro.sketch.reference.sample_round`)
     replaces in tests.
     """
-    batch = SummedBatch(
-        hashes, grids, hashes.first[owner] + rnd,
-        *_sum_slots(slots, w_slot, plane, sizes),
-    )
-    batch.subtract(*drop)
-    ok, bad, index, _weight = batch.drain_arrays()
+    starts = [0]
+    if w_slot.size * slots[0].size >= _WINDOW_CELLS:
+        starts += [lo for lo in _WINDOW_STARTS if lo < hashes.levels]
+    windows = list(zip(starts, starts[1:] + [hashes.levels]))
+    drop_comp, drop_index, drop_delta = drop
+    count = sizes.size
+
+    def gather(comps, lo, hi):
+        running = np.zeros(count, dtype=bool)
+        running[comps] = True
+        at = np.cumsum(running) - 1  # component -> its place in ``comps``
+        nodes = np.repeat(running, sizes)
+        mine = running[drop_comp]
+        batch = SummedBatch(
+            hashes, grids, hashes.first[owner[comps]] + rnd,
+            *_sum_slots(slots[:, lo:hi], w_slot[nodes], plane[nodes],
+                        sizes[comps]),
+            lo=lo,
+        )
+        batch.subtract(at[drop_comp[mine]], drop_index[mine], drop_delta[mine])
+        return batch
+
+    ok, bad, index, _weight = bank.drain_windows(count, windows, gather)
     return ok, bad, index
 
 

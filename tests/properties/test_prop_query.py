@@ -12,6 +12,7 @@ exactly.
 """
 
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.audit.amplify import run_amplified
 from repro.errors import SamplerEmptyError, SketchDecodeError
-from repro.sketch import reference
+from repro.sketch import reference, spanning_forest
 from repro.sketch.bank import SamplerGrid
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -30,21 +31,30 @@ N = 10
 seeds = st.integers(min_value=0, max_value=2**31)
 
 
+def _windowed():
+    """The batch decode with every round reading its levels in windows."""
+    return mock.patch.object(spanning_forest, "_WINDOW_CELLS", 0)
+
+
 def _both_paths(fn):
-    """Run ``fn`` through the scalar oracle, then the batch decode.
+    """Run ``fn`` through the scalar oracle, then the batch decode at
+    its real level-window gate and with every round windowed.
 
     Exceptions are data: returns ``("ok", result)`` or
     ``("fail", exception type name)`` per path so failure parity is
-    part of the comparison.
+    part of the comparison.  The two batch runs must agree exactly;
+    the oracle's outcome and theirs are returned.
     """
     out = []
-    for ctx in (reference.oracle, nullcontext):
+    for ctx in (reference.oracle, nullcontext, _windowed):
         with ctx():
             try:
                 out.append(("ok", fn()))
             except SketchDecodeError as exc:
                 out.append(("fail", type(exc).__name__))
-    return out
+    scalar, batch, windowed = out
+    assert windowed == batch
+    return scalar, batch
 
 
 class TestForestDecodeParity:

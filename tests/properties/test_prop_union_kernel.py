@@ -206,16 +206,19 @@ def decode_schedules(draw):
         min_size=1, max_size=30,
     ))
     pass_cells = draw(st.sampled_from([1, 400, 1 << 40]))
-    return r, k, seed, pool, steps, pass_cells
+    window_cells = draw(st.sampled_from([0, spanning_forest._WINDOW_CELLS]))
+    return r, k, seed, pool, steps, pass_cells, window_cells
 
 
 class TestStackedDecodeAgainstInstanceLoop:
     def check(self, schedule, params):
-        with mock.patch.object(spanning_forest, "_PASS_CELLS", schedule[-1]):
+        *_, pass_cells, window_cells = schedule
+        with mock.patch.object(spanning_forest, "_PASS_CELLS", pass_cells), \
+                mock.patch.object(spanning_forest, "_WINDOW_CELLS", window_cells):
             return self.checked(schedule, params)
 
     def checked(self, schedule, params):
-        r, k, seed, pool, steps, _ = schedule
+        r, k, seed, pool, steps, _, _ = schedule
         # stacked: the union's own decode.  looped: one batch decode()
         # per dirty instance.  oracle: the same through reference.oracle().
         stacked, looped, oracle = (
@@ -287,13 +290,23 @@ class TestStackedDecodeAgainstInstanceLoop:
     def test_failed_and_fallback_paths_are_reached(self, pass_cells):
         """A fixed dense schedule on which the tiny geometry provably
         FAILs components and takes the fallback scan, at every pass
-        size — so the property above is not vacuous on those paths."""
+        size and with the levels read at once or window by window — so
+        the property above is not vacuous on those paths.  The
+        per-component counters do not see the windows."""
         import itertools
 
         pool = list(itertools.combinations(range(N), 2))[::2]
         steps = [("delete", 3), ("decode", 0), ("insert", 3), ("direct", 7),
                  ("pickle", 0), ("delete", 11)]
-        got = self.check(
-            (2, 1, 5, pool, steps, pass_cells), TINY
-        )
-        assert got.sample_failed > 0 and got.fallback_scans > got.sample_failed
+        counters = set()
+        for window_cells in (spanning_forest._WINDOW_CELLS, 0):
+            got = self.check(
+                (2, 1, 5, pool, steps, pass_cells, window_cells), TINY
+            )
+            assert got.sample_failed > 0
+            assert got.fallback_scans > got.sample_failed
+            counters.add(tuple(getattr(got, name) for name in (
+                "batch_queries", "sample_ok", "sample_zero", "sample_failed",
+                "fallback_scans",
+            )))
+        assert len(counters) == 1

@@ -9,6 +9,8 @@ The bit-identity *properties* live in
 edge cases.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.errors import (
     SamplerFailedError,
     SamplerZeroError,
 )
-from repro.sketch import reference
+from repro.sketch import reference, spanning_forest
 from repro.sketch.bank import (
     HashStack,
     SamplerGrid,
@@ -28,6 +30,9 @@ from repro.sketch.bank import (
 )
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
+
+#: The level-window gate as shipped, and 0: every round windowed.
+WINDOW_GATES = (spanning_forest._WINDOW_CELLS, 0)
 
 
 def _triangle_plus_isolated(n=8, seed=5):
@@ -118,8 +123,9 @@ class TestReferenceSeam:
         sk = _triangle_plus_isolated()
         with reference.oracle():
             a = sorted(sk.decode().edges())
-        b = sorted(sk.decode().edges())
-        assert a == b
+        for cells in WINDOW_GATES:
+            with mock.patch.object(spanning_forest, "_WINDOW_CELLS", cells):
+                assert sorted(sk.decode().edges()) == a
         assert len(a) == 2  # a spanning tree of the triangle
 
 
@@ -372,12 +378,11 @@ class TestStackedGrids:
 def test_stacked_minus_equals_each_instance_decode_minus(pass_cells):
     """``decode_stack(minus=)`` names global node ids, instance-major:
     a stack decodes each instance of ``G − minus`` exactly as the
-    instance's own ``decode(minus=)`` does, in one pass or in many."""
-    from unittest import mock
-
+    instance's own ``decode(minus=)`` does through the scalar oracle,
+    in one pass or in many, reading all levels at once or window by
+    window."""
     from repro.core._sampled import SampledForestUnion
     from repro.graph.generators import gnp_graph
-    from repro.sketch import spanning_forest
 
     union = SampledForestUnion(14, k=2, repetitions=12, seed=8)
     edges = gnp_graph(14, 0.5, seed=3).edges()
@@ -392,19 +397,22 @@ def test_stacked_minus_equals_each_instance_decode_minus(pass_cells):
         m, idx, d = union.sketches[i].incidence([(e, 1) for e in minus[i]])
         triples.append((m + offset, idx, d))
         offset += union.sketches[i].grid.members
-    with mock.patch.object(spanning_forest, "_PASS_CELLS", pass_cells):
-        coords, src, _ = spanning_forest.decode_stack(
-            union.scheme, union._hashes,
-            union._arena.reshape(-1, union._levels, 2, 8),
-            {i: sk.grid for i, sk in union.sketches.items()}, union._member_lut,
-            union._base // union._member_stride, todo,
-            minus=tuple(np.concatenate(col) for col in zip(*triples)),
-        )
-    for i in todo:
-        alone = union.sketches[i].decode(minus=minus[i])
-        assert sorted(coords[src == i].tolist()) == sorted(
-            union.scheme.index_of(e) for e in alone.edges()
-        )
+    with reference.oracle():
+        alone = {i: union.sketches[i].decode(minus=minus[i]) for i in todo}
+    for cells in WINDOW_GATES:
+        with mock.patch.object(spanning_forest, "_PASS_CELLS", pass_cells), \
+                mock.patch.object(spanning_forest, "_WINDOW_CELLS", cells):
+            coords, src, _ = spanning_forest.decode_stack(
+                union.scheme, union._hashes,
+                union._arena.reshape(-1, union._levels, 2, 8),
+                {i: sk.grid for i, sk in union.sketches.items()},
+                union._member_lut, union._base // union._member_stride, todo,
+                minus=tuple(np.concatenate(col) for col in zip(*triples)),
+            )
+        for i in todo:
+            assert sorted(coords[src == i].tolist()) == sorted(
+                union.scheme.index_of(e) for e in alone[i].edges()
+            )
 
 
 class TestDecodeAtScale:

@@ -1,5 +1,6 @@
 """Tests for the AGM spanning-forest sketch (Theorems 2 and 13)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DomainError, IncompatibleSketchError
@@ -177,6 +178,29 @@ class TestLinearityAndValidation:
         with pytest.raises(exc):
             sk.update_batch([((2, 3), 1), (edge, sign)])
         assert not sk.grid._block.any()
+
+    @pytest.mark.parametrize("twice", [[(0, 1), (0, 1)], [(0, 1), (1, 0)]])
+    def test_minus_naming_an_edge_twice_is_rejected(self, twice):
+        """Subtracting (0, 1) twice leaves it at multiplicity -1, and the
+        decode used to return it as a forest edge of G − F."""
+        sk = SpanningForestSketch(8, seed=1)
+        for e in ((0, 1), (1, 2), (3, 4)):
+            sk.insert(e)
+        before = sk.grid._block.copy()
+        with pytest.raises(DomainError, match="more than once"):
+            sk.decode(minus=twice)
+        with pytest.raises(DomainError, match="more than once"):
+            sk.appears_zero(minus=twice)
+        assert np.array_equal(sk.grid._block, before)
+        assert sorted(sk.decode(minus=twice[:1]).edges()) == [(1, 2), (3, 4)]
+
+    def test_minus_twice_is_rejected_for_hyperedges(self):
+        sk = SpanningForestSketch(8, r=3, seed=1)
+        sk.insert((0, 1, 2))
+        with pytest.raises(DomainError, match="more than once"):
+            sk.decode(minus=[(0, 1, 2), (2, 0, 1)])
+        # A hyperedge and its sub-pair are different coordinates.
+        assert sk.decode(minus=[(0, 1, 2)]).num_edges == 0
 
     def test_default_rounds_grows_logarithmically(self):
         assert default_rounds(2) < default_rounds(1024) <= 16
