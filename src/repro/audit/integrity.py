@@ -247,12 +247,11 @@ def verified_restore(sketch: Any, blob: bytes, accumulate: bool = False,
                      label: str = "restore", metrics=None):
     """Checkpoint-restore with integrity verification end to end.
 
-    The blob's payload CRCs are verified first (storage/transit
-    damage).  With ``accumulate=True`` the blob is deserialized into a
-    zero clone and folded in through :func:`verified_merge`, so the
-    restore also asserts the linearity invariant; otherwise the
-    restored counters replace the sketch's state and become the new
-    digest baseline.
+    The blob's CRC is verified first (storage/transit damage).  With
+    ``accumulate=True`` the blob is deserialized into a zero clone and
+    folded in through :func:`verified_merge`, so the restore also
+    asserts the linearity invariant; otherwise the restored counters
+    replace the sketch's state and become the new digest baseline.
     """
     from ..sketch.serialization import iter_grids, load_sketch, verify_sketch_blob
 

@@ -318,8 +318,8 @@ def _cmd_audit(args) -> int:
     """Verify checkpoint/sketch blobs on disk without deserializing.
 
     Walks each path (files, or directories scanned for ``ckpt-*.rpck``),
-    verifies the checkpoint envelope CRC and every constituent sketch
-    blob's payload CRC, and reports per file.  Exit codes: 0 all clean,
+    verifies the checkpoint CRC and every constituent sketch blob's
+    CRC, and reports per file.  Exit codes: 0 all clean,
     1 corruption found, 2 nothing to audit / unreadable input.
     """
     import os

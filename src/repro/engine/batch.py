@@ -91,14 +91,15 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     grid._updates += applied
     grid._touch()
 
-    if m.size > 1:
+    if m.size > 1 and _magnitude(d) * m.size < _EXACT_BOUND:
         # Coalesce duplicate (member, index) coordinates to their net
         # delta before the per-group expansion: every cell contribution
         # — and every digest term — is linear in the delta for a fixed
         # coordinate, and the folds are order-independent, so folding
         # the net value is bit-identical to folding each event, while
         # churny batches (insert + delete of the same edge) shrink
-        # dramatically.
+        # dramatically.  The guard keeps each net inside int64: a
+        # wrapped net would fold the wrong residue mod p.
         key = m * np.int64(grid.domain) + idx
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]

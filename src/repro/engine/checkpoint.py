@@ -7,35 +7,30 @@ sketches are linear and the shard partition is deterministic, restoring
 the blobs and replaying the stream from the stored offset reproduces
 the uninterrupted run *bit for bit*.
 
-File format (one file per checkpoint, ``ckpt-<offset>.rpck``)::
-
-    RPCK | u32 header_len | JSON header | u64 len, blob (per shard) | u32 crc32
-
-The JSON header records a format version, the stream offset, and the
-engine configuration (shard count, partition seed, user metadata); the
-trailing CRC32 covers everything before it.  Writes go to a temporary
-file in the same directory followed by ``os.replace``, so a crash
-mid-write can never leave a half-written file under a checkpoint name.
-Restores verify magic, version, CRC, and shard count and raise
-:class:`~repro.errors.CheckpointError` on any mismatch — a damaged
-checkpoint is loudly rejected, never silently deserialized.  The
-manager retains ``keep`` generations, and ``load_latest`` falls back
-(with a warning) to the previous generation when the newest fails
-verification, so one corrupt byte costs at most one checkpoint
-interval of replay rather than the whole run.
+Each checkpoint is one ``ckpt-<offset>.rpck`` file, an ``RPCK``
+:mod:`repro.util.frame` frame: a JSON header with a format version,
+the stream offset and the engine configuration (shard count, partition
+seed, user metadata), one payload per shard, and a CRC32 over every
+byte.  Writes go to a temporary file in the same directory followed by
+``os.replace``, so a crash mid-write can never leave a half-written
+file under a checkpoint name.  Restores verify magic, version, CRC,
+and shard count and raise :class:`~repro.errors.CheckpointError` on
+any mismatch — a damaged checkpoint is loudly rejected, never silently
+deserialized.  The manager retains ``keep`` generations, and
+``load_latest`` falls back (with a warning) to the previous generation
+when the newest fails verification, so one corrupt byte costs at most
+one checkpoint interval of replay rather than the whole run.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError
+from ..util import frame
 from ..util.fs import REAL_FS, Filesystem
 
 _MAGIC = b"RPCK"
@@ -58,19 +53,8 @@ class Checkpoint:
 
 def encode_checkpoint(ck: Checkpoint) -> bytes:
     """Serialize a checkpoint to its on-disk byte format."""
-    header = {
-        "version": _VERSION,
-        "offset": ck.offset,
-        "shards": len(ck.shard_blobs),
-        "meta": ck.meta,
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<I", len(head)), head]
-    for blob in ck.shard_blobs:
-        parts.append(struct.pack("<Q", len(blob)))
-        parts.append(blob)
-    payload = b"".join(parts)
-    return payload + struct.pack("<I", zlib.crc32(payload))
+    header = {"offset": ck.offset, "shards": len(ck.shard_blobs), "meta": ck.meta}
+    return frame.pack(_MAGIC, _VERSION, header, ck.shard_blobs)
 
 
 def decode_checkpoint(data: bytes) -> Checkpoint:
@@ -79,40 +63,16 @@ def decode_checkpoint(data: bytes) -> Checkpoint:
     Raises :class:`CheckpointError` on bad magic, version, truncation,
     bit flips (CRC mismatch), or structural damage.
     """
-    if len(data) < 12 or data[:4] != _MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    payload, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError(
-            "checkpoint checksum mismatch (file is truncated or corrupted)"
-        )
-    (head_len,) = struct.unpack_from("<I", data, 4)
-    offset = 8
-    if offset + head_len > len(payload):
-        raise CheckpointError("truncated checkpoint header")
-    try:
-        header = json.loads(data[offset:offset + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-    if header.get("version") != _VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {header.get('version')}"
-        )
-    offset += head_len
-    blobs: List[bytes] = []
-    for _ in range(int(header["shards"])):
-        if offset + 8 > len(payload):
-            raise CheckpointError("truncated checkpoint (missing shard blob)")
-        (size,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        if offset + size > len(payload):
-            raise CheckpointError("truncated checkpoint (short shard blob)")
-        blobs.append(data[offset:offset + size])
-        offset += size
-    if offset != len(payload):
-        raise CheckpointError("trailing bytes in checkpoint payload")
-    return Checkpoint(offset=int(header["offset"]), shard_blobs=blobs,
-                      meta=dict(header.get("meta", {})))
+    header, blobs = frame.unpack(data, _MAGIC, _VERSION, CheckpointError)
+    offset, meta = header.get("offset"), header.get("meta", {})
+    if (
+        type(offset) is not int
+        or not isinstance(meta, dict)
+        or header.get("shards") != len(blobs)
+    ):
+        raise CheckpointError("checkpoint header does not match its payload")
+    return Checkpoint(offset=offset, shard_blobs=[bytes(b) for b in blobs],
+                      meta=meta)
 
 
 class CheckpointManager:

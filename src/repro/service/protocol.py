@@ -39,6 +39,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import PeerDisconnectedError, ProtocolFrameError
+from ..util.frame import pack_payloads, parse_header, walk_payloads
 
 MAGIC = b"RPSV"
 _PRELUDE = struct.Struct("<4sIQ")
@@ -101,13 +102,7 @@ async def read_frame(
         payload = await reader.readexactly(payload_len)
     except asyncio.IncompleteReadError as exc:
         raise PeerDisconnectedError("connection closed mid-frame") from exc
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolFrameError(f"unparseable frame header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolFrameError("frame header is not a JSON object")
-    return header, payload
+    return parse_header(head, ProtocolFrameError, "frame header"), payload
 
 
 # -- packed rank-2 ingest codec -------------------------------------------
@@ -138,31 +133,18 @@ def encode_blob_list(blobs) -> bytes:
     payloads, either way a frame payload holding several independent
     blobs.
     """
-    out = [_PAIRS_COUNT.pack(len(blobs))]
-    for blob in blobs:
-        out.append(struct.pack("<Q", len(blob)))
-        out.append(bytes(blob))
-    return b"".join(out)
+    return b"".join([_PAIRS_COUNT.pack(len(blobs)), *pack_payloads(blobs)])
 
 
 def decode_blob_list(payload: bytes) -> list:
     """Unpack an :func:`encode_blob_list` payload."""
-    if len(payload) < _PAIRS_COUNT.size:
-        raise ProtocolFrameError("blob-list payload shorter than its count")
-    (count,) = _PAIRS_COUNT.unpack_from(payload, 0)
-    off = _PAIRS_COUNT.size
-    blobs = []
-    for _ in range(count):
-        if off + 8 > len(payload):
-            raise ProtocolFrameError("truncated blob-list payload")
-        (size,) = struct.unpack_from("<Q", payload, off)
-        off += 8
-        if off + size > len(payload):
-            raise ProtocolFrameError("truncated blob-list payload")
-        blobs.append(payload[off:off + size])
-        off += size
-    if off != len(payload):
-        raise ProtocolFrameError("trailing bytes in blob-list payload")
+    blobs = walk_payloads(payload, _PAIRS_COUNT.size, len(payload),
+                          ProtocolFrameError)
+    if (
+        len(payload) < _PAIRS_COUNT.size
+        or _PAIRS_COUNT.unpack_from(payload)[0] != len(blobs)
+    ):
+        raise ProtocolFrameError("blob-list count does not match its blobs")
     return blobs
 
 

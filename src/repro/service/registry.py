@@ -945,7 +945,10 @@ class SketchRegistry:
         """
         config = self.validate_create(name, args)
         sketch = self.prepare_sketch(config)
-        load_sketch(sketch, blob)
+        try:
+            load_sketch(sketch, blob)
+        except (IncompatibleSketchError, PayloadCorruptionError) as exc:
+            raise BadRequestError(f"restore-sketch blob rejected: {exc}") from exc
         record = self.admit(name, config, sketch)
         record.events = int(events)
         record.last_checkpoint_events = -1

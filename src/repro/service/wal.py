@@ -52,9 +52,10 @@ import os
 import struct
 import zlib
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import WALCorruptionError, WALError, WALFullError
+from ..util.frame import parse_header
 from ..util.fs import REAL_FS, Filesystem
 
 #: ``errno`` values that mean "out of space", not "log damage".
@@ -79,21 +80,13 @@ KIND_UPDATES = 3  #: payload = JSON ``[[sign, [v...]], ...]`` utf-8
 FSYNC_POLICIES = ("always", "os", "none")
 
 
-class WALRecord:
+class WALRecord(NamedTuple):
     """One decoded log record."""
 
-    __slots__ = ("seq", "kind", "meta", "payload")
-
-    def __init__(self, seq: int, kind: int, meta: Dict[str, object],
-                 payload: bytes):
-        self.seq = seq
-        self.kind = kind
-        self.meta = meta
-        self.payload = payload
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"WALRecord(seq={self.seq}, kind={self.kind}, "
-                f"meta={self.meta}, payload={len(self.payload)}B)")
+    seq: int
+    kind: int
+    meta: Dict[str, object]
+    payload: bytes
 
 
 def encode_record(seq: int, kind: int, meta: Dict[str, object],
@@ -109,10 +102,8 @@ def _decode_body(body: bytes) -> WALRecord:
     off = _BODY_PRELUDE.size
     if off + meta_len > len(body):
         raise WALCorruptionError("WAL record meta overruns its body")
-    try:
-        meta = json.loads(body[off:off + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WALCorruptionError(f"unreadable WAL record meta: {exc}") from exc
+    meta = parse_header(body[off:off + meta_len], WALCorruptionError,
+                        "WAL record meta")
     return WALRecord(int(seq), int(kind), meta, body[off + meta_len:])
 
 
@@ -128,12 +119,8 @@ def _scan_segment(path: str, final_segment: bool,
     """
     with fs.open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < len(_HEADER) or data[:4] != _MAGIC:
-        raise WALCorruptionError(f"{path}: not a WAL segment (bad magic)")
-    if data[4] != _VERSION:
-        raise WALCorruptionError(
-            f"{path}: unsupported WAL version {data[4]}"
-        )
+    if data[:len(_HEADER)] != _HEADER:
+        raise WALCorruptionError(f"{path}: bad magic or version in WAL segment")
     records: List[WALRecord] = []
     off = len(_HEADER)
     while off < len(data):

@@ -15,112 +15,70 @@ and for single-member (player) columns:
   (the payload of a simultaneous-protocol message), with the same
   header checks.
 
-Format: a small JSON header (length-prefixed) followed by the raw
-little-endian ``int64`` counter arrays.  No pickle — the format is
-portable and cannot execute code.
+Format: one :mod:`repro.util.frame` frame — a JSON header and the raw
+little-endian ``int64`` counter arrays under one CRC32.  No pickle —
+the format is portable and cannot execute code.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import IncompatibleSketchError, PayloadCorruptionError
+from ..util import frame
 from .bank import SamplerGrid
 
 _MAGIC = b"RPRS"
-_VERSION = 1
+_VERSION = 2
+_GEOMETRY = ("groups", "members", "domain", "levels", "rows", "buckets", "seed")
+
+
+def _pack(magic: bytes, header: Dict, arrays) -> bytes:
+    payloads = [np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays]
+    return frame.pack(magic, _VERSION, header, payloads)
+
+
+def _unpack(blob: bytes, magic: bytes = _MAGIC) -> Tuple[Dict, list]:
+    return frame.unpack(blob, magic, _VERSION, IncompatibleSketchError,
+                        PayloadCorruptionError)
 
 
 def _header_for(grid: SamplerGrid) -> Dict[str, int]:
-    return {
-        "version": _VERSION,
-        "groups": grid.groups,
-        "members": grid.members,
-        "domain": grid.domain,
-        "levels": grid.levels,
-        "rows": grid.rows,
-        "buckets": grid.buckets,
-        "seed": grid.seed,
-    }
+    return {key: getattr(grid, key) for key in _GEOMETRY}
 
 
-def _pack(header: Dict[str, int], arrays: Tuple[np.ndarray, ...]) -> bytes:
-    payloads = [np.ascontiguousarray(arr, dtype="<i8").tobytes() for arr in arrays]
-    crc = 0
-    for data in payloads:
-        crc = zlib.crc32(data, crc)
-    # Fixed-width hex so the message size stays data-independent.
-    header = dict(header, crc=f"{crc:08x}")
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = [_MAGIC, struct.pack("<I", len(head)), head]
-    for data in payloads:
-        out.append(struct.pack("<Q", len(data)))
-        out.append(data)
-    return b"".join(out)
-
-
-def _unpack(blob: bytes, count: int) -> Tuple[Dict[str, int], Tuple[np.ndarray, ...]]:
-    if blob[:4] != _MAGIC:
-        raise IncompatibleSketchError("not a sketch blob (bad magic)")
-    (head_len,) = struct.unpack_from("<I", blob, 4)
-    offset = 8
-    header = json.loads(blob[offset:offset + head_len].decode("utf-8"))
-    if header.get("version") != _VERSION:
-        raise IncompatibleSketchError(
-            f"unsupported sketch blob version {header.get('version')}"
-        )
-    offset += head_len
-    arrays = []
-    crc = 0
-    for _ in range(count):
-        (size,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        data = blob[offset:offset + size]
-        crc = zlib.crc32(data, crc)
-        arrays.append(np.frombuffer(data, dtype="<i8", count=size // 8).copy())
-        offset += size
-    if offset != len(blob):
-        raise IncompatibleSketchError("trailing bytes in sketch blob")
-    expected_crc = header.pop("crc", None)
-    if expected_crc is not None and expected_crc != f"{crc:08x}":
-        raise PayloadCorruptionError(
-            f"sketch blob payload CRC mismatch "
-            f"(stored {expected_crc}, computed {crc:08x})"
-        )
-    return header, tuple(arrays)
-
-
-def _check_header(grid: SamplerGrid, header: Dict[str, int]) -> None:
-    expected = _header_for(grid)
-    mismatched = [k for k in expected if header.get(k) != expected[k]]
+def _check_header(grid: SamplerGrid, header: Dict) -> None:
+    mismatched = [k for k in _GEOMETRY if header.get(k) != getattr(grid, k)]
     if mismatched:
         raise IncompatibleSketchError(
             f"sketch blob incompatible with grid (fields: {mismatched})"
         )
 
 
-def dump_grid(grid: SamplerGrid) -> bytes:
-    """Serialize a grid's full counter state."""
-    return _pack(_header_for(grid), (grid._w, grid._s, grid._f))
+def _planes(payloads: list, shape) -> List[np.ndarray]:
+    """The w, s, f counter arrays: views of the blob, shaped ``shape``."""
+    size = 8 * int(np.prod(shape))
+    if len(payloads) != 3 or any(len(p) != size for p in payloads):
+        raise IncompatibleSketchError("sketch blob payloads do not match its header")
+    return [np.frombuffer(p, dtype="<i8").reshape(shape) for p in payloads]
 
 
-def load_grid(grid: SamplerGrid, blob: bytes, accumulate: bool = False) -> SamplerGrid:
-    """Restore (or, with ``accumulate``, linearly add) serialized state.
+def _rebase_digest(grid: SamplerGrid) -> None:
+    grid._touch()
+    if grid._digest is not None:
+        # The blob's CRC already vouched for the bytes; rebase the
+        # maintained digest on the restored counters.
+        from ..audit.digest import GridDigest
 
-    The target ``grid`` must have been constructed with the same
-    parameters and seed as the dumped one; the header is verified.
-    ``accumulate=True`` adds the stored counters instead of replacing —
-    i.e. merges two sketches, exploiting linearity.
-    """
-    header, (w, s, f) = _unpack(blob, 3)
-    _check_header(grid, header)
-    shape = grid._w.shape
-    w, s, f = w.reshape(shape), s.reshape(shape), f.reshape(shape)
+        grid._digest = GridDigest.compute(grid)
+
+
+def _restore(grid: SamplerGrid, planes: List[np.ndarray], accumulate: bool) -> None:
+    w, s, f = planes
     # Strictly in-place: the counter arrays are views into the grid's
     # SoA block, which may itself be a shared-memory mapping other
     # processes hold — rebinding would silently detach them.
@@ -135,31 +93,43 @@ def load_grid(grid: SamplerGrid, blob: bytes, accumulate: bool = False) -> Sampl
         grid._w[...] = w
         grid._s[...] = s
         grid._f[...] = f
-    if grid._digest is not None:
-        # The blob's payload CRC already vouched for the bytes; rebase
-        # the maintained digest on the restored counters.
-        from ..audit.digest import GridDigest
-
-        grid._digest = GridDigest.compute(grid)
     # Restoring replaces (or shifts) every member's counters at once.
-    grid._touch()
+    _rebase_digest(grid)
+
+
+def dump_grid(grid: SamplerGrid) -> bytes:
+    """Serialize a grid's full counter state."""
+    return _pack(_MAGIC, _header_for(grid), (grid._w, grid._s, grid._f))
+
+
+def load_grid(grid: SamplerGrid, blob: bytes, accumulate: bool = False) -> SamplerGrid:
+    """Restore (or, with ``accumulate``, linearly add) serialized state.
+
+    The target ``grid`` must have been constructed with the same
+    parameters and seed as the dumped one; the header is verified.
+    ``accumulate=True`` adds the stored counters instead of replacing —
+    i.e. merges two sketches, exploiting linearity.
+    """
+    header, payloads = _unpack(blob)
+    _check_header(grid, header)
+    _restore(grid, _planes(payloads, grid._w.shape), accumulate)
     return grid
 
 
 def dump_member_state(grid: SamplerGrid, member: int) -> bytes:
     """Serialize one player's column (a referee-protocol message)."""
     state = grid.extract_member(member)
-    header = _header_for(grid)
-    header["member"] = member
-    return _pack(header, (state["w"], state["s"], state["f"]))
+    header = dict(_header_for(grid), member=member)
+    return _pack(_MAGIC, header, (state["w"], state["s"], state["f"]))
 
 
 def _member_of(header: Dict[str, int]) -> int:
     """The blob's member index, range-checked against its own header.
 
-    The header is not covered by the payload CRC, so the index is
-    untrusted: an out-of-range one would fold into the wrong column
-    (negative indices wrap) or raise ``IndexError`` mid-write.
+    The CRC covers the header, but a hostile peer can reseal a frame,
+    so the index is untrusted: an out-of-range one would fold into the
+    wrong column (negative indices wrap) or raise ``IndexError``
+    mid-write.
     """
     member = header.pop("member", None)
     if member is None:
@@ -181,16 +151,16 @@ def read_member_state(
 ) -> Tuple[int, Dict[str, np.ndarray]]:
     """Parse and verify a player message against ``grid``; no writes.
 
-    Returns ``(member, state)``.  A receiver applying several blobs as
-    one unit checks them all with this first, so a bad one cannot
-    leave the others half-applied.
+    Returns ``(member, state)``; the state arrays are views of
+    ``blob``.  A receiver applying several blobs as one unit checks
+    them all with this first, so a bad one cannot leave the others
+    half-applied.
     """
-    header, (w, s, f) = _unpack(blob, 3)
+    header, payloads = _unpack(blob)
     member = _member_of(header)
     _check_header(grid, header)
-    shape = grid._w[:, member].shape
-    state = {"w": w.reshape(shape), "s": s.reshape(shape), "f": f.reshape(shape)}
-    return member, state
+    planes = _planes(payloads, grid._w[:, member].shape)
+    return member, dict(zip("wsf", planes))
 
 
 def peek_member(blob: bytes) -> int:
@@ -201,7 +171,7 @@ def peek_member(blob: bytes) -> int:
     folding is a linear add, and adding the same column twice corrupts
     the sketch.
     """
-    header, _ = _unpack(blob, 3)
+    header, _ = _unpack(blob)
     return _member_of(header)
 
 
@@ -227,11 +197,7 @@ def replace_member_state(grid: SamplerGrid, blob: bytes) -> int:
     grid._w[:, member] = state["w"]
     grid._s[:, member] = state["s"]
     grid._f[:, member] = state["f"]
-    grid._touch()
-    if grid._digest is not None:
-        from ..audit.digest import GridDigest
-
-        grid._digest = GridDigest.compute(grid)
+    _rebase_digest(grid)
     return member
 
 
@@ -269,46 +235,60 @@ def iter_grids(sketch):
 
 
 def dump_sketch(sketch) -> bytes:
-    """Serialize the full counter state of any grid-composed sketch.
+    """Serialize the full counter state of any grid-composed sketch:
+    one frame, each grid's geometry in the header and its w, s, f
+    arrays as payloads, in :func:`iter_grids` order."""
+    grids = list(iter_grids(sketch))
+    header = {"grids": [_header_for(g) for g in grids]}
+    return _pack(_SKETCH_MAGIC, header, [a for g in grids for a in (g._w, g._s, g._f)])
 
-    The envelope is a magic tag, a grid count, and the length-prefixed
-    :func:`dump_grid` blob of each constituent grid (each carrying its
-    own verified header).
-    """
-    blobs = [dump_grid(g) for g in iter_grids(sketch)]
-    out = [_SKETCH_MAGIC, struct.pack("<I", len(blobs))]
-    for blob in blobs:
-        out.append(struct.pack("<Q", len(blob)))
-        out.append(blob)
-    return b"".join(out)
+
+def _read_sketch(blob: bytes) -> List[Tuple[Dict, list]]:
+    """``(geometry, payloads)`` per grid of a CRC-verified sketch blob."""
+    if bytes(blob[16:20]) == _MAGIC:  # a version-1 envelope's first grid
+        return _read_sketch_v1(blob)
+    header, payloads = _unpack(blob, _SKETCH_MAGIC)
+    grids = header.get("grids")
+    if (
+        not isinstance(grids, list)
+        or not all(isinstance(g, dict) for g in grids)
+        or len(payloads) != 3 * len(grids)
+    ):
+        raise IncompatibleSketchError("sketch-state header does not match its payloads")
+    return [(geometry, payloads[3 * i:3 * i + 3]) for i, geometry in enumerate(grids)]
+
+
+def _read_sketch_v1(blob: bytes) -> List[Tuple[Dict, list]]:
+    """Read-only legacy path: ``RPSK | u32 count | (u64 len | grid)*``,
+    each grid an unsealed frame body whose header holds its payloads'
+    CRC32 as ``"crc"`` (a missing one is corruption)."""
+    error = IncompatibleSketchError
+    (count,) = struct.unpack_from("<I", blob, 4)
+    grids = []
+    for inner in frame.walk_payloads(blob, 8, len(blob), error):
+        raw, payloads = frame.split(inner, _MAGIC, error)
+        header = frame.parse_header(raw, error)
+        crc = zlib.crc32(b"".join(payloads))
+        if header.pop("crc", None) != f"{crc:08x}":
+            raise PayloadCorruptionError("version-1 sketch blob CRC mismatch")
+        if header.pop("version", None) != 1:
+            raise error("unsupported sketch blob version")
+        grids.append((header, payloads))
+    if len(grids) != count:
+        raise error(f"version-1 sketch-state blob holds {len(grids)} of {count} grids")
+    return grids
 
 
 def verify_sketch_blob(blob: bytes) -> int:
     """Structurally verify a :func:`dump_sketch` blob without a target.
 
-    Walks the envelope and re-checks every constituent grid blob's
-    payload CRC (no counters are deserialized into any live grid).
-    Returns the number of grids verified.  Raises
+    Checks the CRC and the header without deserializing any counters
+    into a live grid.  Returns the number of grids verified.  Raises
     :class:`~repro.errors.PayloadCorruptionError` on a CRC mismatch and
     :class:`~repro.errors.IncompatibleSketchError` on structural damage
-    (bad magic, truncation, trailing bytes).
+    (bad magic, version, truncation, trailing bytes).
     """
-    if blob[:4] != _SKETCH_MAGIC:
-        raise IncompatibleSketchError("not a sketch-state blob (bad magic)")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    offset = 8
-    for _ in range(count):
-        if offset + 8 > len(blob):
-            raise IncompatibleSketchError("truncated sketch-state blob")
-        (size,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        if offset + size > len(blob):
-            raise IncompatibleSketchError("truncated sketch-state blob")
-        _unpack(blob[offset:offset + size], 3)
-        offset += size
-    if offset != len(blob):
-        raise IncompatibleSketchError("trailing bytes in sketch-state blob")
-    return count
+    return len(_read_sketch(blob))
 
 
 def load_sketch(sketch, blob: bytes, accumulate: bool = False):
@@ -316,27 +296,19 @@ def load_sketch(sketch, blob: bytes, accumulate: bool = False):
 
     ``sketch`` must be structurally identical (same constructor
     parameters and seed) to the dumped one; every constituent grid's
-    header is verified and mismatches raise
-    :class:`~repro.errors.IncompatibleSketchError`.
+    header is verified before any grid is written, and mismatches
+    raise :class:`~repro.errors.IncompatibleSketchError`.
     """
     grids = list(iter_grids(sketch))
-    if blob[:4] != _SKETCH_MAGIC:
-        raise IncompatibleSketchError("not a sketch-state blob (bad magic)")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    if count != len(grids):
+    stored = _read_sketch(blob)
+    if len(stored) != len(grids):
         raise IncompatibleSketchError(
-            f"sketch-state blob has {count} grids, target has {len(grids)}"
+            f"sketch-state blob has {len(stored)} grids, target has {len(grids)}"
         )
-    offset = 8
-    for grid in grids:
-        if offset + 8 > len(blob):
-            raise IncompatibleSketchError("truncated sketch-state blob")
-        (size,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        if offset + size > len(blob):
-            raise IncompatibleSketchError("truncated sketch-state blob")
-        load_grid(grid, blob[offset:offset + size], accumulate=accumulate)
-        offset += size
-    if offset != len(blob):
-        raise IncompatibleSketchError("trailing bytes in sketch-state blob")
+    planes = []
+    for grid, (header, payloads) in zip(grids, stored):
+        _check_header(grid, header)
+        planes.append(_planes(payloads, grid._w.shape))
+    for grid, grid_planes in zip(grids, planes):
+        _restore(grid, grid_planes, accumulate)
     return sketch

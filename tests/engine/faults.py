@@ -12,7 +12,7 @@ The injectable faults mirror the failure model in docs/engine.md:
 * :func:`flip_byte` — corrupt one byte of a file in place (checkpoint
   damage);
 * :func:`rewrite_blob_member` — a member-state blob whose header claims
-  another (possibly out-of-range) member, CRC still valid;
+  another (possibly out-of-range) member, its CRC resealed;
 * :func:`make_stream` / :func:`reference_sketch` — a deterministic
   workload and its uninterrupted ground truth, so recovery tests can
   assert byte equality of sketch state rather than approximate
@@ -146,15 +146,13 @@ def flip_blob_byte(blob: bytes, seed: int = 0) -> bytes:
 def rewrite_blob_member(blob: bytes, member) -> bytes:
     """Re-pack a member-state blob with its header ``"member"`` replaced.
 
-    The payload CRC covers only the counter bytes, so the result still
-    passes the CRC check: the hostile-peer case the member-index range
-    check must catch.
+    The frame CRC covers the header, so the result is resealed: it
+    models a hostile peer that can compute a CRC, the case the
+    member-index range check (not the CRC) must catch.
     """
-    import json
-    import struct
+    from repro.errors import PayloadCorruptionError
+    from repro.util import frame
 
-    (head_len,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8:8 + head_len])
+    header, payloads = frame.unpack(blob, b"RPRS", 2, PayloadCorruptionError)
     header["member"] = member
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return blob[:4] + struct.pack("<I", len(head)) + head + blob[8 + head_len:]
+    return frame.pack(b"RPRS", 2, header, payloads)

@@ -7,6 +7,7 @@ with *bit-identical* final answers.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,17 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.shard import ShardedIngestEngine
 from repro.errors import CheckpointError
-from repro.sketch.serialization import dump_sketch
+from repro.sketch.serialization import dump_sketch, load_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import random_dynamic_stream
+
+
+#: A checkpoint written by the version-1 sketch format (nested per-grid
+#: blobs whose CRC covered only the payloads): offset 3, one shard of
+#: ``SpanningForestSketch(4, seed=1, rounds=1, levels=2)`` after
+#: inserting :data:`V1_EDGES`.
+V1_FIXTURE = Path(__file__).parent / "data" / "ckpt-v1.rpck"
+V1_EDGES = [(0, 1), (1, 2), (2, 3)]
 
 
 def sample_checkpoint() -> Checkpoint:
@@ -70,6 +79,22 @@ class TestEncodeDecode:
     def test_empty_file_rejected(self):
         with pytest.raises(CheckpointError):
             decode_checkpoint(b"")
+
+
+class TestVersion1Fixture:
+    def test_v1_checkpoint_loads_as_fresh_v2_state(self):
+        ck = CheckpointManager(str(V1_FIXTURE.parent)).load(str(V1_FIXTURE))
+        assert (ck.offset, ck.shards) == (3, 1)
+        assert ck.shard_blobs[0][16:20] == b"RPRS"  # the v1 nested layout
+
+        def fresh():
+            return SpanningForestSketch(4, seed=1, rounds=1, levels=2)
+
+        restored = load_sketch(fresh(), ck.shard_blobs[0])
+        expected = fresh()
+        for edge in V1_EDGES:
+            expected.insert(edge)
+        assert dump_sketch(restored) == dump_sketch(expected)
 
 
 class TestManager:

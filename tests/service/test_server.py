@@ -215,6 +215,32 @@ class TestTypedErrors:
 
         asyncio.run(go())
 
+    def test_damaged_codec_bytes_are_bad_request(self):
+        """A member blob with one header byte set to 0xff, and a dump
+        blob missing its last 3 bytes, are typed ``bad-request``
+        answers on a session that stays open, and change no state."""
+        async def go():
+            async with running_server() as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=8, seed=9)
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1), (2, 3)]))
+                    _, before = await c.dump("g")
+                    _, (blob,) = await c.fetch_members("g", 0, [0])
+                    damaged = bytearray(blob)
+                    damaged[12] = 0xFF  # inside the JSON header
+                    with pytest.raises(BadRequestError):
+                        await c.repair_members("g", 0, [bytes(damaged)])
+                    with pytest.raises(BadRequestError):
+                        await c.restore_sketch(
+                            "h", {"n": 8, "seed": 9}, before[:-3], events=2
+                        )
+                    assert (await c.dump("g"))[1] == before
+                    assert [s["name"] for s in await c.list()] == ["g"]
+                    assert c.reconnects == 0
+                assert server.metrics.sessions_opened == 1
+
+        asyncio.run(go())
+
     def test_unknown_command_is_bad_request(self):
         async def go():
             async with running_server() as server:

@@ -1,22 +1,32 @@
 """Tests for sketch serialization."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from repro.errors import IncompatibleSketchError
+from repro.engine.checkpoint import CheckpointManager
+from repro.errors import IncompatibleSketchError, PayloadCorruptionError
 from repro.sketch import reference
 from repro.sketch.bank import SamplerGrid
 from repro.sketch.serialization import (
     dump_grid,
     dump_member_state,
+    dump_sketch,
     load_grid,
     load_member_state,
+    load_sketch,
     message_bytes,
     peek_member,
+    read_member_state,
     replace_member_state,
+    verify_sketch_blob,
 )
+from repro.sketch.spanning_forest import SpanningForestSketch
 
 from ..engine.faults import rewrite_blob_member
+from ..engine.test_checkpoint import V1_FIXTURE
 
 
 def grid(seed=1, **kw):
@@ -130,3 +140,75 @@ class TestMemberMessages:
             with pytest.raises(IncompatibleSketchError):
                 parse()
         assert dump_grid(referee) == before
+
+
+def edit_header(blob: bytes, edit) -> bytes:
+    """Re-pack a frame's JSON header through ``edit`` without resealing
+    the CRC (the header length is kept consistent)."""
+    (head_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:4] + struct.pack("<I", len(head)) + head + blob[8 + head_len:]
+
+
+def flip_last_payload_byte(blob: bytes, trailer: int) -> bytes:
+    data = bytearray(blob)
+    data[-1 - trailer] ^= 0x01
+    return bytes(data)
+
+
+def rename_crc(header):
+    header["crx"] = header.pop("crc", "00000000")
+
+
+class TestHeaderUnderCRC:
+    """Regression: the header sat outside the CRC and a missing ``crc``
+    key was accepted, so renaming the key and flipping a payload byte
+    loaded a sketch whose dump differed from the source."""
+
+    def forest(self):
+        sk = SpanningForestSketch(6, seed=4)
+        for edge in [(0, 1), (1, 2), (3, 4)]:
+            sk.insert(edge)
+        return sk
+
+    def sketch_parsers(self, blob):
+        yield lambda: verify_sketch_blob(blob)
+        yield lambda: load_sketch(SpanningForestSketch(6, seed=4), blob)
+
+    def mutants(self, blob):
+        yield flip_last_payload_byte(edit_header(blob, rename_crc), trailer=4)
+
+        def bump_seed(header):
+            for geometry in header.get("grids", [header]):
+                geometry["seed"] += 1
+
+        yield edit_header(blob, bump_seed)
+
+    def test_sketch_blob(self):
+        for mutant in self.mutants(dump_sketch(self.forest())):
+            for parse in self.sketch_parsers(mutant):
+                with pytest.raises(PayloadCorruptionError):
+                    parse()
+
+    def test_member_blob(self):
+        blob = dump_member_state(self.forest().grid, 1)
+        mutants = list(self.mutants(blob))
+        mutants.append(edit_header(blob, lambda h: h.update(member=2)))
+        target = SpanningForestSketch(6, seed=4).grid
+        for mutant in mutants:
+            with pytest.raises(PayloadCorruptionError):
+                read_member_state(target, mutant)
+
+    def test_version1_blob_without_crc_key(self):
+        """The read-only version-1 path treats a missing ``crc`` key as
+        corruption."""
+        ck = CheckpointManager(str(V1_FIXTURE.parent)).load(str(V1_FIXTURE))
+        blob = ck.shard_blobs[0].replace(b'"crc"', b'"crx"', 1)
+        mutant = flip_last_payload_byte(blob, trailer=0)
+        target = SpanningForestSketch(4, seed=1, rounds=1, levels=2)
+        for parse in (lambda: verify_sketch_blob(mutant),
+                      lambda: load_sketch(target, mutant)):
+            with pytest.raises(PayloadCorruptionError):
+                parse()

@@ -227,6 +227,46 @@ class TestReferee:
         assert "--loss" in capsys.readouterr().err
 
 
+class TestAudit:
+    """``repro audit`` reports damage per file instead of crashing."""
+
+    def blob(self) -> bytes:
+        from repro.sketch.serialization import dump_sketch
+        from repro.sketch.spanning_forest import SpanningForestSketch
+
+        sketch = SpanningForestSketch(6, seed=3)
+        sketch.insert((0, 1))
+        return dump_sketch(sketch)
+
+    def write(self, tmp_path, blob: bytes, kind: str) -> str:
+        from repro.engine.checkpoint import Checkpoint, CheckpointManager
+
+        if kind == "rpsk":
+            path = tmp_path / "sketch.rpsk"
+            path.write_bytes(blob)
+            return str(path)
+        return CheckpointManager(str(tmp_path)).save(
+            Checkpoint(offset=1, shard_blobs=[blob])
+        )
+
+    def test_clean_files_and_v1_checkpoint_verify(self, tmp_path, capsys):
+        from .engine.test_checkpoint import V1_FIXTURE
+
+        paths = [self.write(tmp_path, self.blob(), kind)
+                 for kind in ("rpsk", "rpck")]
+        assert main(["audit", *paths, str(V1_FIXTURE)]) == 0
+        assert capsys.readouterr().out.count(": OK (") == 3
+
+    @pytest.mark.parametrize("kind", ["rpsk", "rpck"])
+    def test_damaged_header_byte_is_corrupt(self, tmp_path, capsys, kind):
+        blob = self.blob()
+        damaged = bytearray(blob)
+        damaged[blob.index(b'"buckets"') + 1] = 0xFF  # not UTF-8
+        path = self.write(tmp_path, bytes(damaged), kind)
+        assert main(["audit", path]) == 1
+        assert f"{path}: CORRUPT" in capsys.readouterr().out
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["connectivity", "/nonexistent.stream"]) == 2
