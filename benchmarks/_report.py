@@ -48,42 +48,3 @@ def record(
         fh.write(f"<!-- {stamp} -->\n{block}")
     return table
 
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_SCHEMA = "repro-bench/1"
-
-
-def record_bench(area: str, metrics: dict, notes: str = "") -> str:
-    """Append one benchmark run to ``BENCH_<area>.json`` at the repo root.
-
-    The tracked headline numbers (as opposed to the full tables in
-    ``benchmarks/results/``): each file is one area (``ingest``,
-    ``query``, ``service``) holding every recorded run in order, so a
-    PR's perf effect is a one-line diff::
-
-        {"schema": "repro-bench/1", "area": "ingest",
-         "runs": [{"date": ..., "metrics": {...}, "notes": ...}, ...]}
-
-    Returns the file path.  Keep ``metrics`` small and flat — these
-    files live in the repository and are appended to by every PR that
-    re-runs the area's benchmark.
-    """
-    import json
-
-    path = os.path.join(_REPO_ROOT, f"BENCH_{area}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("schema") != BENCH_SCHEMA or doc.get("area") != area:
-            raise ValueError(f"{path} is not a {BENCH_SCHEMA} file for {area!r}")
-    else:
-        doc = {"schema": BENCH_SCHEMA, "area": area, "runs": []}
-    run = {"date": time.strftime("%Y-%m-%d %H:%M:%S"), "metrics": metrics}
-    if notes:
-        run["notes"] = notes
-    doc["runs"].append(run)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"bench run appended to {path}")
-    return path

@@ -11,7 +11,8 @@ Measured: detection/localization rates over seeded single-bit flips
 across the three sketch shapes, and the audit-to-ingest time ratio
 across cadences.  ``detection_sweep`` and ``audit_overhead_run`` are
 the reusable cores: the smoke test in
-``tests/engine/test_bench_smoke.py`` runs both at small scale.
+``tests/engine/test_bench_smoke.py`` runs both at small scale, and
+draws its ingest and decode streams from ``churn_stream``.
 """
 
 import time
@@ -21,13 +22,19 @@ from _report import record
 from repro.audit.integrity import SketchAuditor, named_grids
 from repro.core.connectivity_query import VertexConnectivityQuerySketch
 from repro.core.params import Params
-from repro.graph.generators import cycle_graph
+from repro.graph.generators import cycle_graph, gnp_graph
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
+from repro.stream.generators import with_churn
 from repro.stream.updates import EdgeUpdate
 from repro.util.hashing import hash64
 
-from bench_ingest_engine import churn_stream
+
+def churn_stream(n: int, p: float, seed: int):
+    """Insert a G(n,p) target interleaved with G(n,p) decoy churn."""
+    target = gnp_graph(n, p, seed=seed)
+    decoys = gnp_graph(n, p, seed=seed + 1).edges()
+    return with_churn(target, decoys, shuffle_seed=seed)
 
 
 def _flip_one_bit(sketch, seed: int) -> dict:

@@ -22,20 +22,16 @@ Bars: >= 1000 schedules under 60s wall, 100% invariant pass, and a
 failing schedule (when a regression is injected) shrinks via ddmin to
 a minimal JSON reproducer.
 
-Run via ``pytest -m servicebench benchmarks/bench_sim.py`` or
-``python -m repro sim --schedules 1000``; the headline lands in
-``BENCH_service.json``.
+Run via ``pytest benchmarks/bench_sim.py`` or
+``python -m repro sim --schedules 1000``.
 """
 
 import time
 from collections import Counter
 
-import pytest
-from _report import record, record_bench
+from _report import record
 
 from repro.service.sim import run_many
-
-pytestmark = pytest.mark.servicebench
 
 #: Acceptance bars for the full sweep.
 SWEEP_SCHEDULES = 1000
@@ -116,23 +112,6 @@ def test_sim_sweep_headline():
         "the referee's serial replay, no frozen/broken sketches); the "
         "virtual clock buys a large wall-time speedup over the "
         f"simulated span.  Fault mix: {dict(sorted(faults.items()))}.",
-    )
-    record_bench(
-        "service",
-        {
-            "experiment": "E27",
-            "schedules": out["schedules"],
-            "pass_rate": out["pass_rate"],
-            "wall_seconds": round(out["wall_seconds"], 2),
-            "schedules_per_sec": round(out["schedules_per_sec"], 1),
-            "virtual_seconds": round(out["virtual_seconds"], 1),
-            "batches_acked": out["batches_acked"],
-            "coordinator_retries": out["retries"],
-            "fault_counts": dict(sorted(faults.items())),
-        },
-        notes="E27 headline (deterministic simulation sweep: 1000 seeded "
-        "fault schedules over a 3-replica fleet on virtual clock/network/"
-        "disk, 100% invariant pass, ddmin shrinker for failures).",
     )
 
 

@@ -1,30 +1,27 @@
 #!/usr/bin/env bash
 # Service smoke: boot the sketch server, drive it, drain it, resume it.
 #
-# The live round exercises the whole serving stack end to end:
+# The round exercises the whole serving stack end to end:
 #   1. `python -m repro serve` boots with a checkpoint directory;
-#   2. `repro loadgen` pushes a short mixed ingest/query burst;
+#   2. a `ServiceClient` creates `load-0`, sends a few churny ingest
+#      batches and asks one fresh query;
 #   3. `repro ctl` checks stats, audits the live sketch, and queries it;
 #   4. SIGTERM drains the server — it must exit 0 and leave a final
 #      checkpoint;
 #   5. a second `serve --resume` restores the sketch and must answer
 #      the same query from the restored state.
 #
-# `bench` mode additionally runs the `servicebench`-marked E24
-# benchmarks (sustained ops/s + p99 bars + serial-replay bit-identity
-# against a real subprocess server) — heavier, so opt-in.
+# Throughput and latency are measured by `benchmarks/perf/run.py`, not
+# here.
 #
 # Usage:
 #
-#   scripts/service_smoke.sh          # live serve/loadgen/drain/resume round
-#   scripts/service_smoke.sh bench    # the round plus the E24 bench suite
+#   scripts/service_smoke.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-
-mode=${1:-live}
 
 workdir=$(mktemp -d)
 server_pid=""
@@ -60,9 +57,31 @@ port=$(wait_for_port "${workdir}/server.log")
 echo "server up on port ${port} (pid ${server_pid})"
 
 echo "== service smoke: load burst =="
-python -m repro loadgen --port "${port}" --n 128 --connections 2 \
-    --batches 6 --batch-size 1024 --delete-fraction 0.2 \
-    --queries-per-batch 2
+python - "${port}" <<'EOF'
+import asyncio, sys
+import numpy as np
+from repro.service.client import ServiceClient
+
+async def burst(port, n=128, batch=1024):
+    # Each round inserts `batch` fresh edges of K_n, then deletes a
+    # fifth of them again: churn, and never an invalid delete.
+    us, vs = np.triu_indices(n, 1)
+    order = np.random.default_rng(0).permutation(us.size)
+    async with await ServiceClient.connect("127.0.0.1", port) as client:
+        await client.create("load-0", kind="forest", n=n, seed=0)
+        for r in range(6):
+            pick = order[r * batch:(r + 1) * batch]
+            gone = pick[: batch // 5]
+            events = await client.ingest_pairs(
+                "load-0", us[pick], vs[pick], np.ones(pick.size, np.int64))
+            events = await client.ingest_pairs(
+                "load-0", us[gone], vs[gone], -np.ones(gone.size, np.int64))
+        answer = await client.query("load-0", op="components")
+    print(f"burst: {events} events, "
+          f"{len(answer['components'])} components")
+
+asyncio.run(burst(int(sys.argv[1])))
+EOF
 
 echo "== service smoke: control plane =="
 python -m repro ctl stats --port "${port}" > "${workdir}/stats.json"
@@ -107,9 +126,3 @@ wait "${server_pid}"
 server_pid=""
 
 echo "service smoke: drain left a valid checkpoint; resume serves it"
-
-if [ "${mode}" = "bench" ]; then
-    echo "== service bench (pytest -m servicebench) =="
-    python -m pytest benchmarks/bench_service.py -m servicebench -q
-    echo "service smoke: E24 bars hold"
-fi

@@ -61,6 +61,17 @@ def _params(name: str) -> Params:
     }[name]
 
 
+def _port(text: str) -> int:
+    """argparse type for a TCP port: an integer in 0..65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"bad port {text!r} (want 0-65535)")
+    return port
+
+
 def _feed(sketch, updates) -> None:
     for u in updates:
         sketch.update(u.edge, u.sign)
@@ -423,97 +434,6 @@ def _cmd_serve(args) -> int:
         f"{m.sessions_opened} sessions, "
         f"{m.rejected_draining} draining rejections"
     )
-    return 0
-
-
-def _cmd_loadgen(args) -> int:
-    """Drive a running server (or replica set) with mixed load."""
-    import asyncio
-
-    from .service.loadgen import LoadConfig, run_loadgen
-
-    endpoints = None
-    if args.endpoints:
-        from .service.replication import parse_endpoints
-
-        endpoints = parse_endpoints(args.endpoints)
-    elif args.port is None:
-        print("error: loadgen needs --port or --endpoints", file=sys.stderr)
-        return 2
-    config = LoadConfig(
-        host=args.host,
-        port=args.port or 0,
-        sketches=args.sketches,
-        kind=args.sketch,
-        n=args.n,
-        k=args.k,
-        seed=args.seed,
-        connections=args.connections,
-        batches=args.batches,
-        batch_size=args.batch_size,
-        delete_fraction=args.delete_fraction,
-        queries_per_batch=args.queries_per_batch,
-        fresh_fraction=args.fresh_fraction,
-        ramp_seconds=args.ramp,
-        create=args.create,
-        timeout=args.timeout,
-        retries=args.retries,
-        endpoints=endpoints,
-        write_quorum=args.write_quorum,
-    )
-    report = asyncio.run(run_loadgen(config))
-    lat = report["latency"]
-    print(
-        f"loadgen: {report['events']} events + {report['queries']} queries "
-        f"over {report['connections']} connections in "
-        f"{report['wall_seconds']:.2f}s"
-    )
-    print(
-        f"throughput: {report['ops_per_second']:,.0f} ops/s "
-        f"({report['events_per_second']:,.0f} events/s)"
-    )
-    for kind in ("ingest_batch", "query_snapshot", "query_fresh"):
-        s = lat[kind]
-        if s["count"]:
-            print(
-                f"{kind}: p50 {s['p50_seconds'] * 1e3:.2f}ms "
-                f"p99 {s['p99_seconds'] * 1e3:.2f}ms (n={s['count']})"
-            )
-    if report["draining_rejections"] or report["disconnected"]:
-        print(
-            f"drain: {report['draining_rejections']} typed rejections, "
-            f"{report['disconnected']} connections closed"
-        )
-    if report["retries"] or report["errors_by_code"]:
-        codes = ", ".join(
-            f"{code}={hits}"
-            for code, hits in sorted(report["errors_by_code"].items())
-        ) or "none"
-        print(
-            f"resilience: {report['retries']} retries, "
-            f"{report['reconnects']} reconnects, "
-            f"{report['duplicate_acks']} duplicate acks, "
-            f"errors: {codes}"
-        )
-    if report.get("replication"):
-        rep = report["replication"]
-        flat = rep["failover_latency"]
-        median = (
-            f", failover p50 {flat['p50_seconds'] * 1e3:.0f}ms"
-            if flat["count"]
-            else ""
-        )
-        print(
-            f"replication: {len(rep['endpoints'])} endpoints, "
-            f"quorum {rep['write_quorum'] or 'majority'}, "
-            f"{rep['failovers']} failovers, "
-            f"{rep['quorum_failures']} quorum failures{median}"
-        )
-    if args.metrics_json:
-        _write_metrics_json(
-            args.metrics_json,
-            {"loadgen": report, "query": args._query_metrics},
-        )
     return 0
 
 
@@ -986,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the long-lived async sketch server (repro.service)",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=_port, default=0,
                    help="TCP port (0 = ephemeral; the bound port is printed)")
     p.add_argument("--checkpoint-dir", default=None,
                    help="directory for per-sketch checkpoint subdirectories")
@@ -1034,50 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
-        "loadgen",
-        help="drive a running sketch server with mixed ingest/query load",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help="single-server target (or use --endpoints)")
-    p.add_argument("--endpoints", default=None, metavar="HOST:PORT,...",
-                   help="replica-set mode: quorum-fan every ingest batch "
-                        "to these replicas and fail queries over between "
-                        "them (overrides --host/--port)")
-    p.add_argument("--write-quorum", type=int, default=None, metavar="N",
-                   help="acks required per replicated write "
-                        "(default: majority)")
-    p.add_argument("--sketches", type=int, default=1)
-    p.add_argument("--sketch", choices=["forest", "skeleton"], default="forest")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--connections", type=int, default=4)
-    p.add_argument("--batches", type=int, default=50,
-                   help="ingest batches per connection")
-    p.add_argument("--batch-size", type=int, default=2048)
-    p.add_argument("--delete-fraction", type=float, default=0.2,
-                   help="fraction of each batch that deletes live edges")
-    p.add_argument("--queries-per-batch", type=float, default=1.0)
-    p.add_argument("--fresh-fraction", type=float, default=0.005,
-                   help="fraction of queries demanding a fresh decode")
-    p.add_argument("--ramp", type=float, default=0.0, metavar="SECONDS",
-                   help="stagger connection starts over this period")
-    p.add_argument("--create", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="create the target sketches first (--no-create when "
-                        "the server already has them)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-request deadline (default: wait forever)")
-    p.add_argument("--retries", type=int, default=3, metavar="N",
-                   help="transparent retry budget for transient failures "
-                        "(overloaded, reconnects, timeouts); stamped ingest "
-                        "makes retrying exactly-once safe (0 disables)")
-    p.add_argument("--metrics-json", default=None, metavar="PATH",
-                   help="write the client-side report as JSON ('-' for stdout)")
-    p.set_defaults(func=_cmd_loadgen)
-
-    p = sub.add_parser(
         "ctl",
         help="one-shot control commands against a running sketch server",
     )
@@ -1086,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "query", "drain", "shutdown", "repair",
                             "migrate"])
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
+    p.add_argument("--port", type=_port, default=None,
                    help="single-server target (replica-set actions take "
                         "--endpoints instead)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -1108,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="acks required per repair write (default: majority)")
     p.add_argument("--target-host", default="127.0.0.1",
                    help="migrate: destination server host")
-    p.add_argument("--target-port", type=int, default=None,
+    p.add_argument("--target-port", type=_port, default=None,
                    help="migrate: destination server port")
     p.add_argument("--keep-source", action="store_true",
                    help="migrate: thaw and keep the source copy instead of "
@@ -1174,7 +1050,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args._query_metrics = qm
             code = args.func(args)
         path = getattr(args, "metrics_json", None)
-        if path and args.command not in ("ingest", "loadgen"):
+        if path and args.command != "ingest":
             _write_metrics_json(path, {"query": qm})
         return code
     except (ReproError, OSError) as exc:

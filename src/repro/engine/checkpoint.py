@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError
 from ..util import frame
-from ..util.fs import REAL_FS, Filesystem
+from ..util.fs import REAL_FS, Filesystem, numbered_files
 
 _MAGIC = b"RPCK"
 _VERSION = 1
@@ -108,17 +108,7 @@ class CheckpointManager:
 
     def _existing(self) -> List[Tuple[int, str]]:
         """(offset, path) of every checkpoint file, ascending by offset."""
-        if not self.fs.isdir(self.directory):
-            return []
-        found = []
-        for name in self.fs.listdir(self.directory):
-            if name.startswith("ckpt-") and name.endswith(_SUFFIX):
-                try:
-                    offset = int(name[len("ckpt-"):-len(_SUFFIX)])
-                except ValueError:
-                    continue
-                found.append((offset, os.path.join(self.directory, name)))
-        return sorted(found)
+        return numbered_files(self.fs, self.directory, "ckpt-", _SUFFIX)
 
     def latest_path(self) -> Optional[str]:
         """Path of the most recent checkpoint, or None."""

@@ -29,8 +29,6 @@ piece that turns the library into a serving system:
 * :mod:`repro.service.client` — the asyncio client library: stamped
   mutations, per-request timeouts, transparent
   reconnect-and-retry-with-backoff of transient failures;
-* :mod:`repro.service.loadgen` — a configurable mixed ingest/query
-  load generator (ramp, churn, client-side latency percentiles);
 * :mod:`repro.service.sim` — the deterministic fault simulator: the
   real servers, WALs and quorum code on a virtual clock, network and
   disk, checked against a serial replay of the acked batches;
@@ -40,9 +38,10 @@ piece that turns the library into a serving system:
   hot-sketch migration with a bounded freeze window.
 
 Run a server with ``python -m repro serve``, drive it with
-``python -m repro loadgen`` / ``repro ctl`` (``ctl health`` for the
-durability posture); see ``docs/service.md`` for the protocol spec,
-the failure model, and the ops runbook.
+:class:`~repro.service.client.ServiceClient` or ``repro ctl``
+(``ctl health`` for the durability posture); see ``docs/service.md``
+for the protocol spec, the failure model, and the ops runbook.  Load
+numbers come from ``benchmarks/perf/run.py``.
 """
 
 from .client import ServiceClient

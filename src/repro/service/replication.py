@@ -40,10 +40,10 @@ stamped clients retry through), dump, restore on the target, forget on
 the source — the freeze window is measured and bounded in
 milliseconds.
 
-The coordinator lives *in the client process* (loadgen, ``repro ctl``,
-tests): servers stay unaware of each other, which keeps the failure
-model honest — any coordinator can crash at any point and another can
-finish the job from the digests alone.
+The coordinator lives *in the client process* (``repro ctl``, the
+simulator, tests): servers stay unaware of each other, which keeps the
+failure model honest — any coordinator can crash at any point and
+another can finish the job from the digests alone.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ def parse_endpoints(spec: str) -> List[Tuple[str, int]]:
         if not part:
             continue
         host, sep, port = part.rpartition(":")
-        if not sep or not port.isdigit():
+        digits = sep and port.isascii() and port.isdigit()
+        if not digits or int(port) > 65535:
             raise BadRequestError(
-                f"bad endpoint {part!r} (want host:port)"
+                f"bad endpoint {part!r} (want host:port, port 0-65535)"
             )
         endpoints.append((host or "127.0.0.1", int(port)))
     if not endpoints:
@@ -351,11 +352,6 @@ class ReplicaSet:
         return await self._quorum_ingest(
             name, payload=encode_pairs(us, vs, signs), stamp=stamp
         )
-
-    async def ingest_encoded(self, name: str, payload: bytes,
-                             stamp: Optional[Dict[str, object]] = None) -> int:
-        """Quorum-replicate a pre-encoded pairs payload (loadgen path)."""
-        return await self._quorum_ingest(name, payload=payload, stamp=stamp)
 
     async def ingest_updates(self, name: str, updates,
                              stamp: Optional[Dict[str, object]] = None) -> int:

@@ -56,7 +56,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import WALCorruptionError, WALError, WALFullError
 from ..util.frame import parse_header
-from ..util.fs import REAL_FS, Filesystem
+from ..util.fs import REAL_FS, Filesystem, numbered_files
 
 #: ``errno`` values that mean "out of space", not "log damage".
 _FULL_ERRNOS = frozenset(
@@ -186,17 +186,7 @@ class WriteAheadLog:
 
     def _segments(self) -> List[Tuple[int, str]]:
         """(first_seq, path) of every segment, ascending."""
-        if not self.fs.isdir(self.directory):
-            return []
-        found = []
-        for name in self.fs.listdir(self.directory):
-            if name.startswith("wal-") and name.endswith(_SUFFIX):
-                try:
-                    first = int(name[len("wal-"):-len(_SUFFIX)])
-                except ValueError:
-                    continue
-                found.append((first, os.path.join(self.directory, name)))
-        return sorted(found)
+        return numbered_files(self.fs, self.directory, "wal-", _SUFFIX)
 
     def _recover(self) -> None:
         """Scan existing segments; truncate a torn tail; set last_seq."""
@@ -327,13 +317,6 @@ class WriteAheadLog:
             self._fh_size = 0
             return False
 
-    def sync(self) -> None:
-        """Force the buffered tail to disk regardless of policy."""
-        if self._fh is not None:
-            self._fh.flush()
-            self.fs.fsync(self._fh)
-            self.synced += 1
-
     # -- the read path ---------------------------------------------------
 
     def replay(self, after_seq: int = 0) -> Iterator[WALRecord]:
@@ -401,12 +384,11 @@ def wipe_wal(directory: str, fs: Filesystem = REAL_FS) -> None:
     """
     if not fs.isdir(directory):
         return
-    for name in fs.listdir(directory):
-        if name.startswith("wal-") and name.endswith(_SUFFIX):
-            try:
-                fs.remove(os.path.join(directory, name))
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+    for _first, path in numbered_files(fs, directory, "wal-", _SUFFIX):
+        try:
+            fs.remove(path)
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
     fs.fsync_dir(directory)
 
 

@@ -20,7 +20,7 @@ monkeypatch it keep observing real-world syncs.
 from __future__ import annotations
 
 import os
-from typing import IO, List
+from typing import IO, List, Tuple
 
 
 class Filesystem:
@@ -75,3 +75,24 @@ class Filesystem:
 
 #: Process-wide default used by every writer unless one is injected.
 REAL_FS = Filesystem()
+
+
+def numbered_files(fs: Filesystem, directory: str, prefix: str,
+                   suffix: str) -> List[Tuple[int, str]]:
+    """(number, path) of every ``<prefix><int><suffix>`` file, ascending.
+
+    Any other name in ``directory`` (a ``.tmp`` dropping, a stray file)
+    is ignored; a missing directory lists nothing.
+    """
+    if not fs.isdir(directory):
+        return []
+    found = []
+    for name in fs.listdir(directory):
+        if name.startswith(prefix) and name.endswith(suffix):
+            try:
+                number = int(name[len(prefix):len(name) - len(suffix)])
+            except ValueError:
+                continue
+            found.append((number, os.path.join(directory, name)))
+    return sorted(found)
+

@@ -113,13 +113,19 @@ class TestManager:
 
     def test_prune_keeps_newest(self, tmp_path):
         mgr = CheckpointManager(str(tmp_path), interval=10, keep=2)
+        strays = ["ckpt-x.rpck", "ckpt-000000000040.rpck.tmp", "notes.txt"]
+        for name in strays:
+            (tmp_path / name).write_bytes(b"not a checkpoint")
         for offset in (10, 20, 30):
             ck = sample_checkpoint()
             ck.offset = offset
             mgr.save(ck)
-        names = sorted(os.listdir(tmp_path))
+        names = sorted(set(os.listdir(tmp_path)) - set(strays))
         assert len(names) == 2
         assert mgr.load_latest().offset == 30
+        # Names that are not ckpt-<int>.rpck are neither listed nor pruned.
+        assert [offset for offset, _ in mgr._existing()] == [20, 30]
+        assert all((tmp_path / name).exists() for name in strays)
 
     def test_corrupted_latest_raises_not_falls_back(self, tmp_path):
         mgr = CheckpointManager(str(tmp_path), interval=10)

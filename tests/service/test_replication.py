@@ -65,6 +65,7 @@ class TestParseEndpoints:
         assert parse_endpoints("a:1,b:2, c:3") == [
             ("a", 1), ("b", 2), ("c", 3)
         ]
+        assert parse_endpoints("h:0,h:65535") == [("h", 0), ("h", 65535)]
 
     def test_default_host(self):
         assert parse_endpoints(":7001") == [("127.0.0.1", 7001)]
@@ -74,6 +75,13 @@ class TestParseEndpoints:
             parse_endpoints("nope")
         with pytest.raises(BadRequestError):
             parse_endpoints("")
+        with pytest.raises(BadRequestError):
+            parse_endpoints("h:\u00b2")  # a digit to isdigit(), not to int()
+
+    @pytest.mark.parametrize("spec", ["h:65536", "h:70000", "a:1,b:99999"])
+    def test_rejects_out_of_range_port(self, spec):
+        with pytest.raises(BadRequestError, match="0-65535"):
+            parse_endpoints(spec)
 
 
 class TestQuorumIngest:

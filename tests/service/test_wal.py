@@ -66,7 +66,12 @@ class TestFraming:
         wal = open_wal(tmp_path)
         fill(wal, 3)
         wal.close()
+        # Stray names beside the segments are not segments.
+        for name in ("wal-x.rpwl", "wal-000000000009.rpwl.tmp"):
+            with open(os.path.join(wal.directory, name), "wb") as fh:
+                fh.write(b"junk")
         again = open_wal(tmp_path)
+        assert len(again._segments()) == 1
         assert again.last_seq == 3
         again.append(4, KIND_PAIRS, {}, b"tail")
         assert [r.seq for r in again.replay()] == [1, 2, 3, 4]

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph.generators import cycle_graph, planted_separator_graph, random_tree
 from repro.stream.file_io import save_stream_file
 from repro.stream.generators import insert_only
@@ -276,3 +279,70 @@ class TestErrors:
         path = tmp_path / "bad.stream"
         path.write_text("+ 0 1\n")
         assert main(["connectivity", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "70000"],
+        ["ctl", "stats", "--port", "70000"],
+        ["ctl", "stats", "--port", "-1"],
+        ["ctl", "migrate", "--port", "1", "--name", "x",
+         "--target-port", "65536"],
+    ])
+    def test_out_of_range_port_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "0-65535" in capsys.readouterr().err
+
+
+_REPO = Path(__file__).resolve().parent.parent
+_DOCS = ["README.md", "docs/*.md", "scripts/*.sh", "examples/*",
+         ".claude/skills/verify/SKILL.md"]
+# A command ends at a closing backtick or paren, a pipe, `;`, `&` or `#`;
+# placeholders such as `<cmd>` or `{a,b}` are not commands.
+_INVOCATION = re.compile(r"python3? -m repro +([a-z][^`|;&#)\n]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def _doc_invocations():
+    """(file, command text) of every ``python -m repro`` in the docs."""
+    for pattern in _DOCS:
+        for path in sorted(_REPO.glob(pattern)):
+            text = path.read_text().replace("\\\n", " ")
+            for match in _INVOCATION.finditer(text):
+                yield path.relative_to(_REPO), match.group(1)
+
+
+def _options(parser):
+    return {o for action in parser._actions for o in action.option_strings}
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if action.choices and hasattr(action, "add_parser"):
+            return action.choices
+    return {}
+
+
+class TestDocsMatchParser:
+    """Every documented ``python -m repro <cmd> --flag`` must parse."""
+
+    def test_documented_commands_and_flags_exist(self):
+        commands = _subparsers(build_parser())
+        bad, flags = [], 0
+        for where, command in _doc_invocations():
+            words = command.split()
+            sub = commands.get(words[0]) if words else None
+            if sub is None:
+                bad.append(f"{where}: unknown command in {command!r}")
+                continue
+            known = _options(sub)
+            nested = _subparsers(sub)
+            if nested and len(words) > 1 and words[1] in nested:
+                known |= _options(nested[words[1]])
+            for flag in _FLAG.findall(command):
+                flags += 1
+                if flag.split("=")[0] not in known:
+                    bad.append(f"{where}: {words[0]} has no {flag}")
+        assert not bad, "\n".join(bad)
+        assert flags > 100  # the scan reached the docs
+
