@@ -25,7 +25,6 @@ from ..graph.graph import Graph
 from ..graph.hypergraph import Hypergraph
 from ..sketch import bank
 from ..sketch.incidence import IncidenceScheme
-from ..sketch.l0 import default_levels
 from ..sketch.spanning_forest import (
     EdgeSpaceCache,
     SpanningForestSketch,
@@ -149,7 +148,7 @@ class SampledForestUnion:
         """
         params, R = self.params, self.repetitions
         rows, buckets = params.rows, params.buckets
-        levels = default_levels(self.scheme.dimension)
+        levels = bank.default_levels(self.scheme.dimension)
         stride = levels * rows * buckets  # counters of one (group, member)
         sampled = self.membership.sum(axis=1)
         # An instance with < 2 sampled vertices never sees an edge: it
@@ -270,11 +269,6 @@ class SampledForestUnion:
                 raise DomainError(f"sign must be +1 or -1, got {sign}")
             index.append(self.scheme.index_of(edge))
             for vertex, c in self.scheme.coefficients(edge):
-                # the int64 array below would truncate 1.5 to vertex 1
-                if not float(vertex).is_integer():
-                    raise DomainError(
-                        f"edge {tuple(edge)} touches non-integer vertex {vertex}"
-                    )
                 verts.append(vertex)
                 coef.append(sign * c)
             ptr.append(len(verts))

@@ -1,9 +1,7 @@
-"""Linear-sketching substrate: 1-sparse cells up to k-skeleton sketches."""
+"""Linear-sketching substrate: ℓ0 sampler grids up to k-skeleton sketches."""
 
-from .bank import SamplerGrid
+from .bank import SamplerGrid, default_levels
 from .incidence import IncidenceScheme
-from .l0 import L0Sampler, default_levels
-from .onesparse import OneSparseCell
 from .skeleton import SkeletonSketch
 from .spanning_forest import SpanningForestSketch, default_rounds
 from .serialization import (
@@ -16,12 +14,8 @@ from .serialization import (
     load_sketch,
     message_bytes,
 )
-from .sparse_recovery import SparseRecoveryStructure
 
 __all__ = [
-    "OneSparseCell",
-    "SparseRecoveryStructure",
-    "L0Sampler",
     "default_levels",
     "SamplerGrid",
     "IncidenceScheme",

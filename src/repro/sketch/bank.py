@@ -12,11 +12,28 @@ indexed by ``(group, member)`` where
   boundary δ(S)) — and **independent across groups**, which is what
   the decoding loops consume one round at a time.
 
+Each sampler is JST-style level subsampling ([18] in the paper):
+level ``ℓ`` keeps a coordinate with probability 2^-ℓ, and each level
+hashes its survivors into ``rows × buckets`` 1-sparse cells.  A cell
+summarises the vector ``x`` of coordinates that land in it with three
+counters:
+
+* ``w`` = Σ_i x_i, an exact integer weight;
+* ``s`` = Σ_i x_i · i mod p, the index sum;
+* ``f`` = Σ_i x_i · ρ(i) mod p, the fingerprint,
+
+with p = 2^61 - 1 and ρ a random function into GF(p) shared by every
+member of a grid.  When ``x`` is 1-sparse with support {j}, ``j = s /
+w`` in the field and ``f = w · ρ(j)`` verifies the claim; a cell that
+holds two or more coordinates passes that check with probability about
+2/p, so a decode never returns a wrong coordinate: it recovers one or
+reports the cell as not 1-sparse.  All three counters are linear,
+which is what lets grids merge, subtract and sum members.
+
 Counters live in **one contiguous int64 block** of shape
-``(3, groups, members, levels, rows, buckets)`` — exact weights, index
-sums mod p, and fingerprints mod p as the three planes (see
-:mod:`repro.sketch.onesparse` for the cell semantics); ``_w`` / ``_s``
-/ ``_f`` are zero-copy views into it.  The single backing buffer is
+``(3, groups, members, levels, rows, buckets)`` — the ``w``, ``s`` and
+``f`` counters as the three planes; ``_w`` / ``_s`` / ``_f`` are
+zero-copy views into it.  The single backing buffer is
 what makes merges one vectorised fold, checkpoint restores in-place
 writes, and — via :mod:`repro.sketch.shm` — lets shard workers map the
 same physical pages through ``multiprocessing.shared_memory`` instead
@@ -56,10 +73,10 @@ from ..util.hashing import (
 )
 from ..util.prime_field import (
     MERSENNE_61,
+    add_vec_mod,
     mul_vec_mod,
     shl32_vec_mod,
 )
-from .l0 import default_levels
 
 _P = MERSENNE_61
 
@@ -276,6 +293,19 @@ class HashStack(namedtuple("_HashStack", (
         grids owning groups ``q`` (``HashFamily.field_value``)."""
         h = hash64_premixed(self.rho_seeds[self.owner[q]], mixed[:, None])
         return field_residue_np(h[:, 0], h[:, 1], _P).astype(np.int64)
+
+
+def default_levels(domain: int, max_support: Optional[int] = None) -> int:
+    """Number of subsampling levels needed for a given domain.
+
+    Levels beyond ``log2(max_support)`` are useless — fewer than one
+    coordinate is expected to survive — so when the caller knows a
+    support bound (e.g. vertex degrees are < n) the sampler can be much
+    smaller than ``log2(domain)`` levels.
+    """
+    bound = domain if max_support is None else min(domain, max_support)
+    bound = max(bound, 1)
+    return max(1, bound.bit_length() + 2)
 
 
 class SamplerGrid:
@@ -741,8 +771,8 @@ class SamplerGrid:
     def add_member_state(self, member: int, state: Dict[str, np.ndarray]) -> None:
         """Referee-side: merge a received player message into the grid."""
         self._w[:, member] += state["w"]
-        self._s[:, member] = _add_mod(self._s[:, member], state["s"])
-        self._f[:, member] = _add_mod(self._f[:, member], state["f"])
+        self._s[:, member] = add_vec_mod(self._s[:, member], state["s"])
+        self._f[:, member] = add_vec_mod(self._f[:, member], state["f"])
         self._touch()
         if self._digest is not None:
             # Message payloads are CRC-verified upstream; accept the
@@ -818,11 +848,6 @@ class SamplerGrid:
     def update_count(self) -> int:
         """Number of stream updates applied (diagnostics)."""
         return self._updates
-
-
-def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    s = a + b
-    return np.where(s >= _P, s - _P, s)
 
 
 def _fold_segments_mod(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ def _fold_mod(vals: np.ndarray) -> np.ndarray:
     Residues are summed as 32-bit halves (the high half of a residue is
     < 2^29, so even millions of summands cannot overflow ``int64``) and
     recombined with one Mersenne shift — the vectorised equivalent of
-    folding the slices pairwise with ``add_mod``.
+    adding the slices pairwise mod p.
     """
     mask32 = np.int64(0xFFFFFFFF)
     hi = (vals >> np.int64(32)).sum(axis=0)

@@ -5,18 +5,11 @@ stream once, fans each event out to every registered sketch (anything
 with an ``update(edge, sign)`` method), and collects space/throughput
 statistics so the experiments can report the paper's space columns.
 
-Throughput options (the :mod:`repro.engine` integration):
-
-* ``batch_size`` — events are buffered and folded through each
-  sketch's vectorised ``update_batch`` instead of one scalar
-  ``update`` per event;
-* ``shards`` — each sketch is additionally ingested through a
-  :class:`~repro.engine.shard.ShardedIngestEngine` (hash-partitioned
-  stream, per-shard zero-clone sketches, reduce-by-merge), with the
-  merged state folded back into the registered instance.
-
-Both paths produce bit-identical sketch state to the scalar loop —
-that is the linearity guarantee the engine is built on.
+With ``batch_size`` set, events are buffered and folded through each
+sketch's vectorised ``update_batch`` instead of one scalar ``update``
+per event; the sketch state is bit-identical to the scalar loop's.
+Sharded ingest is :class:`~repro.engine.shard.ShardedIngestEngine`
+(``repro ingest --shards``), not this runner.
 """
 
 from __future__ import annotations
@@ -47,8 +40,7 @@ class RunReport:
     .run` (validation + dispatch + bookkeeping); ``sketch_seconds``
     isolates the time spent inside each sketch's update path, so engine
     speedups are measurable per sketch instead of being averaged into
-    the aggregate.  ``seconds`` is kept as an alias of ``wall_seconds``
-    for backward compatibility.  ``quarantined`` / ``dropped`` count
+    the aggregate.  ``quarantined`` / ``dropped`` count
     events diverted by the ``on_bad_update`` policy; such events never
     reach any sketch.
     """
@@ -70,21 +62,6 @@ class RunReport:
     audits: int = 0
     corruption_findings: List[str] = field(default_factory=list)
 
-    @property
-    def seconds(self) -> float:
-        """Backward-compatible alias for :attr:`wall_seconds`."""
-        return self.wall_seconds
-
-    @property
-    def updates_per_second(self) -> float:
-        """Throughput over the whole run (wall clock)."""
-        return self.events / self.wall_seconds if self.wall_seconds > 0 else float("inf")
-
-    def sketch_updates_per_second(self, name: str) -> float:
-        """Throughput of one sketch's update path alone."""
-        spent = self.sketch_seconds.get(name, 0.0)
-        return self.events / spent if spent > 0 else float("inf")
-
 
 class StreamRunner:
     """Feeds validated streams into registered sketches.
@@ -100,10 +77,6 @@ class StreamRunner:
         When set, events are dispatched in vectorised batches through
         each sketch's ``update_batch`` (sketches without one fall back
         to the scalar loop).
-    shards:
-        When > 1, each sketch is ingested through a sharded engine
-        (implies batching; ``batch_size`` defaults to 512).  Registered
-        sketches must expose ``update_batch``/``copy``/``+=``.
     on_bad_update:
         What to do with an event the validator rejects (double
         insertion, deletion of an absent edge, domain violation):
@@ -123,9 +96,7 @@ class StreamRunner:
         end of stream.  Corruption — counters mutated outside the
         update path — raises :class:`~repro.errors.IntegrityError`
         with localized findings (also recorded in
-        :attr:`RunReport.corruption_findings`).  The sharded path
-        additionally verifies every shard merge against the linearity
-        invariant.
+        :attr:`RunReport.corruption_findings`).
     """
 
     def __init__(
@@ -134,13 +105,10 @@ class StreamRunner:
         r: int = 2,
         validate: bool = True,
         batch_size: Optional[int] = None,
-        shards: int = 1,
         on_bad_update: str = "strict",
         quarantine: Optional[Quarantine] = None,
         audit_every: Optional[int] = None,
     ):
-        if shards < 1:
-            raise EngineError(f"runner needs shards >= 1, got {shards}")
         if audit_every is not None and audit_every < 1:
             raise EngineError(
                 f"audit_every must be >= 1 events, got {audit_every}"
@@ -155,7 +123,6 @@ class StreamRunner:
         self.r = r
         self.validate = validate
         self.batch_size = batch_size
-        self.shards = shards
         self.on_bad_update = on_bad_update
         self.quarantine = quarantine
         self.audit_every = audit_every
@@ -243,20 +210,6 @@ class StreamRunner:
             dispatched += len(batch)
             last_audit = self._maybe_audit(dispatched, last_audit, report)
 
-    def _run_sharded(self, events: List[EdgeUpdate], report: RunReport) -> None:
-        from ..engine.shard import ShardedIngestEngine
-
-        batch_size = self.batch_size if self.batch_size else 512
-        for name, sketch in self._sketches.items():
-            start = time.perf_counter()
-            engine = ShardedIngestEngine(
-                sketch, shards=self.shards, batch_size=batch_size,
-                verify_merges=self.audit_every is not None,
-            )
-            result = engine.ingest(events)
-            sketch += result.sketch
-            report.sketch_seconds[name] += time.perf_counter() - start
-
     # -- running --------------------------------------------------------
 
     def _divert(self, position: int, event: EdgeUpdate,
@@ -305,9 +258,7 @@ class StreamRunner:
                 report.inserts += 1
             else:
                 report.deletes += 1
-        if self.shards > 1:
-            self._run_sharded(events, report)
-        elif self.batch_size is not None:
+        if self.batch_size is not None:
             self._run_batched(events, report)
         else:
             self._run_scalar(events, report)

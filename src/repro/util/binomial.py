@@ -14,6 +14,7 @@ modular index-sum counters of 1-sparse cells).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import isqrt
 from typing import Sequence, Tuple
@@ -25,7 +26,13 @@ from ..errors import DomainError, RankError
 
 @lru_cache(maxsize=None)
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), 0 for out-of-range arguments."""
+    """Binomial coefficient C(n, k), 0 for out-of-range arguments.
+
+    The result is always a Python int: ``np.int64(5)`` and ``5`` share
+    a cache entry, so a numpy-typed value computed here would be handed
+    to every later caller.
+    """
+    n, k = operator.index(n), operator.index(k)
     if k < 0 or k > n or n < 0:
         return 0
     k = min(k, n - k)
@@ -121,8 +128,18 @@ class EdgeSpace:
             )
 
     def canonical(self, edge: Sequence[int]) -> Tuple[int, ...]:
-        """Validate and sort a hyperedge into canonical (sorted) form."""
-        e = tuple(sorted(edge))
+        """Validate and sort a hyperedge into canonical (sorted) form.
+
+        Each vertex goes through ``operator.index``: a numpy integer
+        becomes a Python int, so every rank is one, and a float or
+        string vertex is a :class:`DomainError`.
+        """
+        try:
+            e = tuple(sorted(map(operator.index, edge)))
+        except TypeError:
+            raise DomainError(
+                f"hyperedge {edge!r} is not a sequence of integer vertices"
+            ) from None
         if len(e) < 2 or len(e) > self.r:
             raise RankError(
                 f"hyperedge {tuple(edge)} has cardinality {len(e)}, "

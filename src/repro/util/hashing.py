@@ -9,9 +9,9 @@ All randomness in the library flows through two primitives:
   the paper's citations rely on (pairwise hashing for level sampling,
   [18]) only need the empirical uniformity splitmix64 provides, and the
   benchmarks measure realised failure rates directly.
-* :class:`HashFamily` — a convenience wrapper that derives independent
-  sub-seeds from a master seed so that distinct structures (levels,
-  rows, fingerprints, subsampling filters) never share randomness.
+* :func:`derive_seed` — derives independent child seeds from a master
+  seed so that distinct structures (levels, rows, fingerprints,
+  subsampling filters) never share randomness.
 
 Scalar and numpy-vectorised variants are provided; the vectorised path
 hashes one coordinate under *many* seeds at once, which is the hot loop
@@ -49,11 +49,6 @@ def hash64(seed: int, value: int) -> int:
     level-sampling and bucket selection.
     """
     return splitmix64((seed ^ splitmix64(value & _MASK64)) & _MASK64)
-
-
-def hash64_pair(seed: int, a: int, b: int) -> int:
-    """Hash an ordered pair of integers under ``seed``."""
-    return hash64(seed, (splitmix64(a & _MASK64) ^ ((b & _MASK64) * 0xA24BAED4963EE407)) & _MASK64)
 
 
 def derive_seed(master: int, *labels: int) -> int:
@@ -182,7 +177,7 @@ def trailing_zeros64(x: int) -> int:
 
 
 class HashFamily:
-    """A labelled family of independent hash functions under one seed.
+    """The hash functions of one seed: a 64-bit value and a field residue.
 
     Parameters
     ----------
@@ -199,17 +194,9 @@ class HashFamily:
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
 
-    def subfamily(self, *labels: int) -> "HashFamily":
-        """Return the child family addressed by ``labels``."""
-        return HashFamily(derive_seed(self.seed, *labels))
-
     def value(self, x: int) -> int:
         """Uniform 64-bit hash of ``x``."""
         return hash64(self.seed, x)
-
-    def bucket(self, x: int, buckets: int) -> int:
-        """Map ``x`` to ``[0, buckets)``."""
-        return hash64(self.seed, x) % buckets
 
     def field_value(self, x: int, p: int) -> int:
         """Map ``x`` to a (near-)uniform residue in ``[0, p)``.
@@ -220,9 +207,3 @@ class HashFamily:
         hi = hash64(self.seed, x)
         lo = hash64(self.seed ^ _FIELD_TWEAK, x)
         return ((hi << 64) | lo) % p
-
-    def coin(self, x: int, log2_prob: int) -> bool:
-        """Return True with probability 2**(-log2_prob), keyed by ``x``."""
-        if log2_prob <= 0:
-            return True
-        return trailing_zeros64(hash64(self.seed, x)) >= log2_prob

@@ -18,79 +18,10 @@ general finite-field library.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 #: The Mersenne prime 2^61 - 1 used by every fingerprinting structure.
 MERSENNE_61 = (1 << 61) - 1
-
-#: Mask used by the fast Mersenne reduction.
-_MASK_61 = (1 << 61) - 1
-
-
-def mod_p(x: int) -> int:
-    """Reduce an arbitrary Python integer into [0, p)."""
-    return x % MERSENNE_61
-
-
-def add_mod(a: int, b: int) -> int:
-    """Return ``(a + b) mod p`` for residues ``a, b`` in [0, p)."""
-    s = a + b
-    if s >= MERSENNE_61:
-        s -= MERSENNE_61
-    return s
-
-
-def sub_mod(a: int, b: int) -> int:
-    """Return ``(a - b) mod p`` for residues ``a, b`` in [0, p)."""
-    d = a - b
-    if d < 0:
-        d += MERSENNE_61
-    return d
-
-
-def mul_mod(a: int, b: int) -> int:
-    """Return ``(a * b) mod p``.
-
-    Python integers are arbitrary precision so the straightforward
-    product is exact; the scalar path does not need the shift trick.
-    """
-    return (a * b) % MERSENNE_61
-
-
-def pow_mod(a: int, e: int) -> int:
-    """Return ``a**e mod p``."""
-    return pow(a, e, MERSENNE_61)
-
-
-def inv_mod(a: int) -> int:
-    """Return the multiplicative inverse of ``a`` modulo p.
-
-    Raises ``ZeroDivisionError`` for ``a == 0 (mod p)``, mirroring the
-    built-in behaviour of :func:`pow` with exponent -1.
-    """
-    return pow(a % MERSENNE_61, MERSENNE_61 - 2, MERSENNE_61)
-
-
-def scale_vec_mod(vec: np.ndarray, scalar: int) -> np.ndarray:
-    """Multiply an ``int64`` residue array by a scalar, mod p.
-
-    numpy int64 would overflow on the raw product, so the array is
-    routed through Python integers via ``object`` dtype only when the
-    scalar is large; small scalars (|scalar| < 2**2) stay vectorised.
-    The result is a fresh ``int64`` array of residues in [0, p).
-    """
-    s = scalar % MERSENNE_61
-    if s == 0:
-        return np.zeros_like(vec)
-    if s <= 4:
-        # Product bounded by 4 * (2^61 - 2) < 2^63, safe in int64.
-        out = (vec.astype(np.int64) * np.int64(s)) % np.int64(MERSENNE_61)
-        return out
-    obj = vec.astype(object)
-    obj = (obj * s) % MERSENNE_61
-    return np.array(obj, dtype=np.int64).reshape(vec.shape)
 
 
 def shl32_vec_mod(x: np.ndarray) -> np.ndarray:
@@ -132,8 +63,8 @@ def mul_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     where ``2^64 ≡ 8 (mod p)`` and the middle term reduces through
     :func:`shl32_vec_mod`.  Every partial product stays below 2^64.
-    Unlike :func:`scale_vec_mod` this never routes through ``object``
-    dtype, which is what keeps the batched update kernel vectorised.
+    It never routes through ``object`` dtype, which is what keeps the
+    batched update kernel vectorised.
     Returns an ``int64`` residue array in [0, p).
     """
     p = np.uint64(MERSENNE_61)
@@ -154,18 +85,3 @@ def add_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     s = a.astype(np.int64) + b.astype(np.int64)
     s = np.where(s >= MERSENNE_61, s - MERSENNE_61, s)
     return s.astype(np.int64)
-
-
-def sub_vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``(a - b) mod p`` on ``int64`` residue arrays."""
-    d = a.astype(np.int64) - b.astype(np.int64)
-    d = np.where(d < 0, d + MERSENNE_61, d)
-    return d.astype(np.int64)
-
-
-def sum_mod(values: Iterable[int]) -> int:
-    """Sum an iterable of residues mod p."""
-    total = 0
-    for v in values:
-        total = add_mod(total, v % MERSENNE_61)
-    return total

@@ -256,7 +256,7 @@ class TestValidateBeforeRouting:
     def test_non_integer_vertex_is_not_truncated(self):
         self.assert_rejected(self.fresh(), (0, 1.5), 1)
         self.assert_rejected(self.fresh(r=3), (0, 1, 2.5), 1)
-        self.assert_rejected(self.fresh(), (0, "1"), 1, TypeError)
+        self.assert_rejected(self.fresh(), (0, "1"), 1)
 
     def test_rank(self):
         from repro.errors import RankError

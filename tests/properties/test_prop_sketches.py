@@ -1,11 +1,13 @@
 """Property tests for sketch reliability and linearity.
 
-The invariants here are the ones the paper's correctness rests on:
+The invariants here are the ones the paper's correctness rests on,
+checked on the grid (one member of a ``SamplerGrid``) through the
+production batch decode and the scalar oracle:
 
-* 1-sparse cells never decode to a *wrong* coordinate (they recover or
-  they fail loudly);
-* L0 samplers only ever return coordinates from the true support with
-  the true weight;
+* a 1-sparse cell never decodes to a *wrong* coordinate (it recovers
+  or it fails loudly);
+* an ℓ0 sample is always a coordinate of the true support with the
+  true weight;
 * all sketches are linear: sketch(A) + sketch(B) == sketch(A ∪ B) for
   disjoint updates, and subtraction removes exactly what was added.
 """
@@ -13,11 +15,8 @@ The invariants here are the ones the paper's correctness rests on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NotOneSparseError, SamplerEmptyError
-from repro.sketch.l0 import L0Sampler
-from repro.sketch.onesparse import OneSparseCell
-from repro.sketch.sparse_recovery import SparseRecoveryStructure
-from repro.util.hashing import HashFamily
+from repro.sketch import reference
+from repro.sketch.bank import SamplerGrid, SummedBatch
 
 DOMAIN = 50_000
 
@@ -30,23 +29,41 @@ vectors = st.dictionaries(
 seeds = st.integers(min_value=0, max_value=2**32)
 
 
-def feed(sketch, vec):
+def grid(seed, **kw) -> SamplerGrid:
+    return SamplerGrid(1, 1, DOMAIN, seed, **kw)
+
+
+def feed(g, vec):
     for i, w in vec.items():
-        sketch.update(i, w)
+        g.update(0, i, w)
+
+
+def combined(*signed):
+    """The vector sum of ``(sign, vector)`` pairs, zeros dropped."""
+    out = {}
+    for sign, vec in signed:
+        for i, w in vec.items():
+            out[i] = out.get(i, 0) + sign * w
+    return {i: w for i, w in out.items() if w != 0}
+
+
+def decode(g):
+    """Batch ``(status, payload)``; the oracle must agree."""
+    status, got = g.summed_many(0, [[0]]).sample_many()[0]
+    assert reference.member_sketch(g, 0, 0).sample_or_none() == got
+    return status, got
 
 
 class TestOneSparseCellProperties:
     @given(vectors, seeds)
     @settings(max_examples=60, deadline=None)
     def test_never_wrong(self, vec, seed):
-        cell = OneSparseCell(DOMAIN, HashFamily(seed))
+        cell = grid(seed, rows=1, buckets=1, levels=1)
         feed(cell, vec)
-        try:
-            got = cell.decode()
-        except NotOneSparseError:
-            assert len(vec) != 1
-            return
-        if got is None:
+        status, got = decode(cell)
+        if status == SummedBatch.FAILED:
+            assert len(vec) > 1
+        elif status == SummedBatch.ZERO:
             assert len(vec) == 0
         else:
             idx, w = got
@@ -55,8 +72,8 @@ class TestOneSparseCellProperties:
     @given(vectors, seeds)
     @settings(max_examples=40, deadline=None)
     def test_linearity_cancels(self, vec, seed):
-        a = OneSparseCell(DOMAIN, HashFamily(seed))
-        b = OneSparseCell(DOMAIN, HashFamily(seed))
+        a = grid(seed, rows=1, buckets=1, levels=1)
+        b = grid(seed, rows=1, buckets=1, levels=1)
         feed(a, vec)
         feed(b, vec)
         a -= b
@@ -67,75 +84,66 @@ class TestSparseRecoveryProperties:
     @given(vectors, seeds)
     @settings(max_examples=50, deadline=None)
     def test_recover_all_exact_or_none(self, vec, seed):
-        s = SparseRecoveryStructure(DOMAIN, HashFamily(seed), rows=2, buckets=8)
+        s = grid(seed, rows=2, buckets=8, levels=1)
         feed(s, vec)
-        out = s.recover_all()
+        out = reference.member_sketch(s, 0, 0).recover_support()
         assert out is None or out == vec
 
     @given(vectors, seeds)
     @settings(max_examples=50, deadline=None)
     def test_recover_any_genuine(self, vec, seed):
-        s = SparseRecoveryStructure(DOMAIN, HashFamily(seed), rows=2, buckets=8)
+        s = grid(seed, rows=2, buckets=8, levels=1)
         feed(s, vec)
-        got = s.recover_any()
-        if got is not None:
+        status, got = decode(s)
+        if status == SummedBatch.OK:
             idx, w = got
             assert vec.get(idx) == w
 
     @given(vectors, vectors, seeds)
     @settings(max_examples=40, deadline=None)
     def test_merge_is_vector_sum(self, va, vb, seed):
-        a = SparseRecoveryStructure(DOMAIN, HashFamily(seed), rows=2, buckets=16)
-        b = SparseRecoveryStructure(DOMAIN, HashFamily(seed), rows=2, buckets=16)
+        a = grid(seed, rows=2, buckets=16, levels=1)
+        b = grid(seed, rows=2, buckets=16, levels=1)
         feed(a, va)
         feed(b, vb)
         a += b
-        merged = {}
-        for v in (va, vb):
-            for i, w in v.items():
-                merged[i] = merged.get(i, 0) + w
-        merged = {i: w for i, w in merged.items() if w != 0}
-        out = a.recover_all()
-        assert out is None or out == merged
+        out = reference.member_sketch(a, 0, 0).recover_support()
+        assert out is None or out == combined((1, va), (1, vb))
 
 
 class TestL0SamplerProperties:
     @given(vectors, seeds)
     @settings(max_examples=50, deadline=None)
     def test_sample_genuine_or_fails_loudly(self, vec, seed):
-        s = L0Sampler(DOMAIN, HashFamily(seed), rows=2, buckets=8)
+        s = grid(seed)
         feed(s, vec)
-        try:
-            idx, w = s.sample()
-        except SamplerEmptyError:
+        status, got = decode(s)
+        if status != SummedBatch.OK:
             return  # allowed: empty vector or unlucky decode
+        idx, w = got
         assert vec.get(idx) == w
 
     @given(vectors, seeds)
     @settings(max_examples=30, deadline=None)
     def test_insert_delete_leaves_zero(self, vec, seed):
-        s = L0Sampler(DOMAIN, HashFamily(seed))
+        s = grid(seed)
         feed(s, vec)
         for i, w in vec.items():
-            s.update(i, -w)
+            s.update(0, i, -w)
         assert s.appears_zero()
 
     @given(vectors, vectors, seeds)
     @settings(max_examples=30, deadline=None)
     def test_difference_sketches_residual(self, va, vb, seed):
-        a = L0Sampler(DOMAIN, HashFamily(seed))
-        b = L0Sampler(DOMAIN, HashFamily(seed))
+        a = grid(seed)
+        b = grid(seed)
         feed(a, va)
         feed(b, vb)
         a -= b
-        residual = {}
-        for i, w in va.items():
-            residual[i] = residual.get(i, 0) + w
-        for i, w in vb.items():
-            residual[i] = residual.get(i, 0) - w
-        residual = {i: w for i, w in residual.items() if w != 0}
-        try:
-            idx, w = a.sample()
+        residual = combined((1, va), (-1, vb))
+        status, got = decode(a)
+        if status == SummedBatch.OK:
+            idx, w = got
             assert residual.get(idx) == w
-        except SamplerEmptyError:
-            pass
+        else:
+            assert status == SummedBatch.FAILED or not residual

@@ -1,16 +1,37 @@
-"""Tests for the scalar L0 sampler."""
+"""The ℓ0-sampling contract of the grid, and its level count.
+
+One member of a ``SamplerGrid`` is a JST-style ℓ0 sampler: geometric
+subsampling levels, each a sparse-recovery stage, and the survivor with
+the least tie-break hash at the shallowest fully recovered level.  Each
+sample comes from the production batch decode
+(``summed_many(...).sample_many()``) and must equal the scalar oracle's
+(``reference.member_sketch(...).sample()``).
+"""
 
 from collections import Counter
 
 import pytest
 
 from repro.errors import IncompatibleSketchError, SamplerEmptyError
-from repro.sketch.l0 import L0Sampler, default_levels
-from repro.util.hashing import HashFamily
+from repro.sketch import SamplerGrid, default_levels, reference
+from repro.sketch.bank import SummedBatch
 
 
-def sampler(domain=100_000, seed=1, **kw) -> L0Sampler:
-    return L0Sampler(domain, HashFamily(seed), **kw)
+def sampler(domain=100_000, seed=1, **kw) -> SamplerGrid:
+    return SamplerGrid(1, 1, domain, seed, **kw)
+
+
+def sample(g: SamplerGrid):
+    """The batch decode's ``(index, weight)``; raises
+    :class:`SamplerEmptyError` for ZERO or FAILED, as the oracle does."""
+    status, got = g.summed_many(0, [[0]]).sample_many()[0]
+    oracle = reference.member_sketch(g, 0, 0)
+    if status != SummedBatch.OK:
+        with pytest.raises(SamplerEmptyError):
+            oracle.sample()
+        raise SamplerEmptyError(status)
+    assert oracle.sample() == got
+    return got
 
 
 class TestDefaultLevels:
@@ -27,39 +48,39 @@ class TestDefaultLevels:
 class TestSampling:
     def test_empty_raises(self):
         with pytest.raises(SamplerEmptyError):
-            sampler().sample()
+            sample(sampler())
 
     def test_single_item(self):
         s = sampler()
-        s.update(31337, 2)
-        assert s.sample() == (31337, 2)
+        s.update(0, 31337, 2)
+        assert sample(s) == (31337, 2)
 
     def test_sample_is_genuine(self):
         s = sampler()
         truth = {i * i: 1 for i in range(1, 40)}
         for i, w in truth.items():
-            s.update(i, w)
-        idx, w = s.sample()
+            s.update(0, i, w)
+        idx, w = sample(s)
         assert truth.get(idx) == w
 
     def test_cancellation_to_empty(self):
         s = sampler()
         for i in range(10):
-            s.update(i, 1)
+            s.update(0, i, 1)
         for i in range(10):
-            s.update(i, -1)
+            s.update(0, i, -1)
         assert s.appears_zero()
         with pytest.raises(SamplerEmptyError):
-            s.sample()
+            sample(s)
 
     def test_cancellation_to_single(self):
         s = sampler()
         for i in range(50):
-            s.update(i, 1)
+            s.update(0, i, 1)
         for i in range(50):
             if i != 17:
-                s.update(i, -1)
-        assert s.sample() == (17, 1)
+                s.update(0, i, -1)
+        assert sample(s) == (17, 1)
 
     @pytest.mark.parametrize("support", [1, 3, 10, 60, 300])
     def test_success_across_densities(self, support):
@@ -67,9 +88,9 @@ class TestSampling:
         for seed in range(10):
             s = sampler(seed=seed)
             for i in range(support):
-                s.update(7 * i + 1, 1)
+                s.update(0, 7 * i + 1, 1)
             try:
-                idx, w = s.sample()
+                idx, w = sample(s)
                 assert w == 1 and (idx - 1) % 7 == 0
                 hits += 1
             except SamplerEmptyError:
@@ -83,13 +104,12 @@ class TestSampling:
         for seed in range(150):
             s = sampler(seed=seed)
             for i in support:
-                s.update(i, 1)
+                s.update(0, i, 1)
             try:
-                counts[s.sample()[0]] += 1
+                counts[sample(s)[0]] += 1
             except SamplerEmptyError:
                 pass
-        # Every support element should be sampled at least once and no
-        # element should dominate.
+        # At least half the support is sampled and no element dominates.
         assert len(counts) >= len(support) // 2
         assert max(counts.values()) <= 0.35 * sum(counts.values())
 
@@ -102,8 +122,8 @@ class TestSampling:
         for seed in range(10):
             s = sampler(seed=seed)
             for i, w in truth.items():
-                s.update(i, w)
-            out = s.recover_support()
+                s.update(0, i, w)
+            out = reference.member_sketch(s, 0, 0).recover_support()
             assert out is None or out == truth
             if out == truth:
                 successes += 1
@@ -113,20 +133,20 @@ class TestSampling:
 class TestLinearity:
     def test_merge(self):
         a, b = sampler(seed=4), sampler(seed=4)
-        a.update(10, 1)
-        b.update(20, 1)
+        a.update(0, 10, 1)
+        b.update(0, 20, 1)
         a += b
-        idx, _ = a.sample()
+        idx, _ = sample(a)
         assert idx in (10, 20)
 
     def test_difference(self):
         a, b = sampler(seed=4), sampler(seed=4)
         for i in range(5):
-            a.update(i, 1)
+            a.update(0, i, 1)
         for i in range(4):
-            b.update(i, 1)
+            b.update(0, i, 1)
         a -= b
-        assert a.sample() == (4, 1)
+        assert sample(a) == (4, 1)
 
     def test_incompatible(self):
         with pytest.raises(IncompatibleSketchError):
@@ -134,10 +154,10 @@ class TestLinearity:
 
     def test_copy(self):
         a = sampler()
-        a.update(5, 1)
+        a.update(0, 5, 1)
         c = a.copy()
-        c.update(5, -1)
-        assert a.sample() == (5, 1)
+        c.update(0, 5, -1)
+        assert sample(a) == (5, 1)
         assert c.appears_zero()
 
     def test_space_counters_positive(self):

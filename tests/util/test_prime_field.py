@@ -1,9 +1,20 @@
-"""Tests for GF(2^61 - 1) arithmetic helpers."""
+"""Tests for GF(2^61 - 1) arithmetic helpers.
+
+The vectorised helpers are checked against plain Python-int
+arithmetic, which is exact at any size.
+"""
 
 import numpy as np
 import pytest
 
+from repro.sketch.bank import _fold_segments_mod, _inv_mod_cached
 from repro.util import prime_field as pf
+
+P = pf.MERSENNE_61
+
+
+def vec(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
 class TestScalarOps:
@@ -15,43 +26,43 @@ class TestScalarOps:
             assert pow(a, p - 1, p) == 1
 
     def test_mod_p_range(self):
-        assert pf.mod_p(0) == 0
-        assert pf.mod_p(pf.MERSENNE_61) == 0
-        assert pf.mod_p(-1) == pf.MERSENNE_61 - 1
-        assert 0 <= pf.mod_p(-(10**30)) < pf.MERSENNE_61
+        """Every helper returns canonical residues, in [0, p)."""
+        edge = vec(0, 1, P - 2, P - 1)
+        for out in (
+            pf.add_vec_mod(edge, edge[::-1]),
+            pf.mul_vec_mod(edge, edge[::-1]),
+            pf.shl32_vec_mod(edge.astype(np.uint64)),
+        ):
+            assert ((0 <= out) & (out < P)).all()
 
     def test_add_sub_roundtrip(self):
-        a, b = 12345678901234567, pf.MERSENNE_61 - 5
-        s = pf.add_mod(a, b)
-        assert pf.sub_mod(s, b) == a
-        assert pf.sub_mod(s, a) == b
+        a, b = 12345678901234567, P - 5
+        s = int(pf.add_vec_mod(vec(a), vec(b))[0])
+        assert (s - b) % P == a
+        assert (s - a) % P == b
 
     def test_add_wraps(self):
-        assert pf.add_mod(pf.MERSENNE_61 - 1, 1) == 0
-
-    def test_sub_wraps(self):
-        assert pf.sub_mod(0, 1) == pf.MERSENNE_61 - 1
+        assert pf.add_vec_mod(vec(P - 1), vec(1)).tolist() == [0]
 
     def test_mul_matches_python(self):
-        a, b = 987654321987654321 % pf.MERSENNE_61, 55555
-        assert pf.mul_mod(a, b) == (a * b) % pf.MERSENNE_61
+        a, b = 987654321987654321 % P, 55555
+        assert pf.mul_vec_mod(vec(a), vec(b)).tolist() == [(a * b) % P]
 
     def test_inverse(self):
-        for a in (1, 2, 7, 10**18 % pf.MERSENNE_61):
-            assert pf.mul_mod(a, pf.inv_mod(a)) == 1
+        for a in (1, 2, 7, 10**18 % P):
+            assert pf.mul_vec_mod(vec(a), vec(pow(a, P - 2, P))).tolist() == [1]
 
     def test_inverse_of_zero_raises(self):
-        # pow(0, p-2, p) == 0, so the "inverse" is 0*0 != 1; verify the
-        # helper does not silently claim success.
-        assert pf.mul_mod(0, pf.inv_mod(0) if pf.inv_mod(0) else 0) == 0
-
-    def test_pow_mod(self):
-        assert pf.pow_mod(3, 0) == 1
-        assert pf.pow_mod(3, 5) == 243
+        """Fermat inversion of 0 is 0, never a false inverse: a cell
+        decode must reject a zero weight before it divides."""
+        assert _inv_mod_cached(0) == 0
+        assert _inv_mod_cached(P - 1) * (P - 1) % P == 1
 
     def test_sum_mod(self):
-        vals = [pf.MERSENNE_61 - 1, 1, 5]
-        assert pf.sum_mod(vals) == 5
+        """The segment fold sums residues mod p without overflow."""
+        vals = vec(P - 1, 1, 5, P - 1, P - 1)
+        out = _fold_segments_mod(vals, np.array([0, 3]))
+        assert out.tolist() == [5, (2 * (P - 1)) % P]
 
 
 class TestVectorOps:
@@ -61,28 +72,18 @@ class TestVectorOps:
         out = pf.add_vec_mod(a, b)
         assert out.tolist() == [1, 7]
 
-    def test_sub_vec_mod_wraps(self):
-        a = np.array([0, 10], dtype=np.int64)
-        b = np.array([1, 3], dtype=np.int64)
-        out = pf.sub_vec_mod(a, b)
-        assert out.tolist() == [pf.MERSENNE_61 - 1, 7]
-
     def test_scale_small_scalar(self):
-        a = np.array([5, pf.MERSENNE_61 - 1], dtype=np.int64)
-        out = pf.scale_vec_mod(a, 3)
-        assert out[0] == 15
-        assert out[1] == (3 * (pf.MERSENNE_61 - 1)) % pf.MERSENNE_61
+        a = vec(5, P - 1)
+        out = pf.mul_vec_mod(a, vec(3))
+        assert out.tolist() == [15, (3 * (P - 1)) % P]
 
     def test_scale_large_scalar_object_path(self):
-        a = np.array([123456789, 1], dtype=np.int64)
         big = 10**17
-        out = pf.scale_vec_mod(a, big)
-        assert out[0] == (123456789 * big) % pf.MERSENNE_61
-        assert out[1] == big % pf.MERSENNE_61
+        out = pf.mul_vec_mod(vec(123456789, 1), vec(big))
+        assert out.tolist() == [(123456789 * big) % P, big % P]
 
     def test_scale_zero(self):
-        a = np.array([1, 2, 3], dtype=np.int64)
-        assert pf.scale_vec_mod(a, 0).tolist() == [0, 0, 0]
+        assert pf.mul_vec_mod(vec(1, 2, 3), vec(0)).tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("k", [29, 32])
     def test_rotl_vec_mod(self, k):
@@ -105,4 +106,4 @@ class TestVectorOps:
     def test_vector_ops_preserve_shape(self):
         a = np.arange(6, dtype=np.int64).reshape(2, 3)
         assert pf.add_vec_mod(a, a).shape == (2, 3)
-        assert pf.scale_vec_mod(a, 10**16).shape == (2, 3)
+        assert pf.mul_vec_mod(a, np.full_like(a, 10**16)).shape == (2, 3)
