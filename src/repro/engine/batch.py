@@ -23,6 +23,7 @@ the spanning-forest and skeleton sketches feed through the kernel.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +45,13 @@ _P = MERSENNE_61
 #: the cell (< 2^61) the running total stays inside ``int64``.
 _EXACT_BOUND = 1 << 62
 _MASK32 = np.int64(0xFFFFFFFF)
+
+#: Entries per row from which a batch folds its rows on two threads
+#: (:func:`_fold_rows`).  Below ~16k entries the second thread loses:
+#: small numpy calls hold the GIL, so the threads mostly take turns.
+#: From 2^15 on both measured grid sizes gain 1.18x or more (the
+#: sweep in ``docs/engine.md``, "The fold").
+_THREAD_ENTRIES = 1 << 15
 
 
 def _as_update_arrays(
@@ -222,8 +230,10 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     ``group * U + update`` slot.  A triple's cells are exactly the ones
     the scalar ``update`` writes for it, and the folds are
     order-independent, so the counters are bit-identical to the scalar
-    loop's.  The grid's digest, when attached, observes each row fold's
-    entries (:meth:`~repro.audit.digest.GridDigest.observe_cells`).
+    loop's.  From :data:`_THREAD_ENTRIES` triples on, the rows fold on
+    two threads (:func:`_fold_rows`).  The grid's digest, when
+    attached, then observes every row fold's entries in row order
+    (:meth:`~repro.audit.digest.GridDigest.observe_cells`).
     """
     G, U = grid.groups, m.size
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
@@ -272,11 +282,50 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
             flat += row0 + r * buckets
             return flat
 
-    digest = grid._digest
-    for r in range(rows):
-        entries = fold_cells(planes, cells(r), d_pairs, cs_pairs, cf_pairs)
-        if digest is not None:
-            digest.observe_cells(grid, *entries)
+    def fold_row(r):
+        return fold_cells(planes, cells(r), d_pairs, cs_pairs, cf_pairs)
+
+    row_entries = _fold_rows(rows, fold_row, lvl.size >= _THREAD_ENTRIES)
+    if grid._digest is not None:
+        for entries in row_entries:
+            grid._digest.observe_cells(grid, *entries)
+
+
+def _fold_rows(rows: int, fold_row, threaded: bool) -> list:
+    """``[fold_row(r) for r in range(rows)]``, two rows at a time when
+    ``threaded``.
+
+    Each hash row writes only its own counter cells, so two rows can
+    fold at once with no lock, and most of a row fold is numpy work
+    that releases the GIL.  Threaded, one short-lived thread runs the
+    odd rows while the calling thread runs the even ones; it is joined
+    before this returns, and an exception it raised is re-raised here.
+    Otherwise the same ``fold_row`` runs inline, row by row.
+    """
+    out = [None] * rows
+    if not threaded or rows < 2:
+        for r in range(rows):
+            out[r] = fold_row(r)
+        return out
+    failure = []
+
+    def odd_rows():
+        try:
+            for r in range(1, rows, 2):
+                out[r] = fold_row(r)
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
+
+    thread = threading.Thread(target=odd_rows, name="repro-fold-rows")
+    thread.start()
+    try:
+        for r in range(0, rows, 2):
+            out[r] = fold_row(r)
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
+    return out
 
 
 def expand_edge_batch(

@@ -258,6 +258,8 @@ class SketchServer:
         for record in self.registry.records():
             async with record.lock:
                 self.registry.checkpoint(record)
+                if record.wal is not None:
+                    record.wal.close_segment()
 
     # -- crons ----------------------------------------------------------
 

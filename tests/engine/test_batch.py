@@ -7,9 +7,14 @@ delta magnitudes.  These tests enforce it, along with the edge-level
 paths through :class:`SpanningForestSketch` / :class:`SkeletonSketch`.
 """
 
+import multiprocessing as mp
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.engine import batch as batch_module
 from repro.engine.batch import (
     expand_edge_batch,
     grid_update_batch,
@@ -22,6 +27,7 @@ from repro.errors import (
 )
 from repro.graph.generators import gnp_graph, random_hypergraph
 from repro.sketch.bank import SamplerGrid
+from repro.sketch.serialization import dump_sketch
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import insert_only, random_dynamic_stream
@@ -170,6 +176,90 @@ class TestSketchBatchEquivalence:
         for u in insert_only(h):
             scalar.update(u.edge, u.sign)
         assert sorted(batched.decode().edges()) == sorted(scalar.decode().edges())
+
+
+def churn_pairs(seed, n, count):
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=count)
+    vs = (us + rng.integers(1, n, size=count)) % n
+    return us, vs, rng.choice([-1, 1], size=count)
+
+
+def fold_in_child(sketch, pairs, threaded, results):
+    sketch.update_batch_pairs(*pairs)
+    results.put((dump_sketch(sketch), threaded[-1]))
+
+
+class TestThreadedRows:
+    def test_fork_child_folds_above_the_gate(self, monkeypatch):
+        """The row fold leaves no thread or lock behind: a child forked
+        after an above-gate batch folds another one and its counters
+        equal a serial (all-inline) fold of both batches."""
+        threaded = []
+        real = batch_module._fold_rows
+
+        def spy(rows, fold_row, threaded_now):
+            threaded.append(threaded_now)
+            return real(rows, fold_row, threaded_now)
+
+        monkeypatch.setattr(batch_module, "_fold_rows", spy)
+        first, second = churn_pairs(1, 96, 1500), churn_pairs(2, 96, 1500)
+        sketch = SpanningForestSketch(96, seed=6)
+        sketch.update_batch_pairs(*first)
+        assert threaded == [True]
+        ctx = mp.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(
+            target=fold_in_child, args=(sketch, second, threaded, results)
+        )
+        child.start()
+        try:
+            blob, child_threaded = results.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        assert not hung and child.exitcode == 0
+        assert child_threaded
+
+        monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", 1 << 62)
+        serial = SpanningForestSketch(96, seed=6)
+        serial.update_batch_pairs(*first)
+        serial.update_batch_pairs(*second)
+        assert threaded[1:] == [False, False]
+        assert blob == dump_sketch(serial)
+
+
+    def test_rows_under_a_short_switch_interval(self, monkeypatch):
+        """Lost-update stress: with a 1 us GIL switch interval, three
+        sketches folding at once (six threads on fewer cores) end equal
+        to an all-inline fold of the same batches."""
+        monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", 0)
+        batches = [churn_pairs(seed, 64, 300) for seed in range(4)]
+        sketches = [SpanningForestSketch(64, seed=3) for _ in range(3)]
+
+        def feed(sketch):
+            for pairs in batches:
+                sketch.update_batch_pairs(*pairs)
+
+        workers = [threading.Thread(target=feed, args=(sk,)) for sk in sketches]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+
+        monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", sys.maxsize)
+        serial = SpanningForestSketch(64, seed=3)
+        feed(serial)
+        assert {dump_sketch(sk) for sk in sketches} == {dump_sketch(serial)}
 
 
 class TestExpandEdgeBatch:

@@ -15,8 +15,14 @@ and instance blocks packed in one arena addressed by ``plane_shift``.
 Then the kernels built on it: the fused grid kernel on each placement-
 table tier (full, depth-only, none) against the scalar update loop, and
 a digest-attached grid whose incrementally maintained digest must equal
-:meth:`GridDigest.compute` of the counters after the batch.
+:meth:`GridDigest.compute` of the counters after the batch.  Both run
+with the row-threading gate at 0 (every batch folds its rows on two
+threads) and out of reach (every batch folds inline).
 """
+
+import contextlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.audit.digest import GridDigest, attach_digest
+from repro.engine import batch as batch_module
 from repro.engine.batch import fold_cells, index_sums
 from repro.sketch.bank import (
     SamplerGrid,
@@ -232,8 +239,9 @@ updates = st.lists(
 )
 
 
-def make_grid(seed: int) -> SamplerGrid:
-    return SamplerGrid(GROUPS, MEMBERS, DOMAIN, seed=seed, rows=2, buckets=4)
+def make_grid(seed: int, **kwargs) -> SamplerGrid:
+    return SamplerGrid(GROUPS, MEMBERS, DOMAIN, seed=seed, rows=2, buckets=4,
+                       **kwargs)
 
 
 def on_tier(grid: SamplerGrid, tier: str) -> SamplerGrid:
@@ -265,19 +273,46 @@ def batch_of(stream):
     return tuple(np.array(col, dtype=np.int64) for col in zip(*stream))
 
 
+def scalar_grid(seed, stream, **kwargs) -> SamplerGrid:
+    grid = make_grid(seed, **kwargs)
+    with np.errstate(over="ignore"):
+        for m, i, d in stream:
+            grid.update(m, i, d)
+    return grid
+
+
+#: Row-threading gates: every batch threaded, every batch inline.
+GATES = {"threaded": 0, "inline": sys.maxsize}
+
+
+@contextlib.contextmanager
+def row_gate(name: str):
+    """Set the kernel's row-threading gate for the block (hypothesis
+    examples cannot use the function-scoped ``monkeypatch``)."""
+    saved = batch_module._THREAD_ENTRIES
+    batch_module._THREAD_ENTRIES = GATES[name]
+    try:
+        yield
+    finally:
+        batch_module._THREAD_ENTRIES = saved
+
+
+def fold_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-fold-rows"]
+
+
 @pytest.mark.parametrize("tier", ["full", "depth", "none"])
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, stream=updates)
 @example(seed=0, stream=[(1, 0, 2**62), (1, 0, 2**62)])  # net overflows int64
 def test_fused_kernel_matches_scalar_on_every_tier(tier, seed, stream):
-    scalar = make_grid(seed)
-    with np.errstate(over="ignore"):
-        for m, i, d in stream:
-            scalar.update(m, i, d)
-    grid = on_tier(make_grid(seed), tier)
-    grid.update_batch(*batch_of(stream))
-    clear_hash_cache_pool()
-    assert dump_grid(grid) == dump_grid(scalar)
+    scalar = scalar_grid(seed, stream)
+    for gate in GATES:
+        grid = on_tier(make_grid(seed), tier)
+        with row_gate(gate):
+            grid.update_batch(*batch_of(stream))
+        clear_hash_cache_pool()
+        assert dump_grid(grid) == dump_grid(scalar), gate
 
 
 @pytest.mark.parametrize("tier", ["full", "depth", "none"])
@@ -286,10 +321,50 @@ def test_fused_kernel_matches_scalar_on_every_tier(tier, seed, stream):
 def test_digest_after_batch_equals_recomputed(tier, seed, stream):
     """The digest observes the kernel's per-entry folds; by linearity
     it must still equal a from-scratch digest of the counters."""
-    grid = on_tier(make_grid(seed), tier)
-    attach_digest(grid)
-    grid.update_batch(*batch_of(stream))
-    clear_hash_cache_pool()
-    fresh = GridDigest.compute(grid)
-    assert np.array_equal(grid._digest.w, fresh.w)
-    assert np.array_equal(grid._digest.sf, fresh.sf)
+    for gate in GATES:
+        grid = on_tier(make_grid(seed), tier)
+        attach_digest(grid)
+        with row_gate(gate):
+            grid.update_batch(*batch_of(stream))
+        clear_hash_cache_pool()
+        fresh = GridDigest.compute(grid)
+        assert np.array_equal(grid._digest.w, fresh.w), gate
+        assert np.array_equal(grid._digest.sf, fresh.sf), gate
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, stream=updates)
+def test_fused_kernel_on_an_adopted_block(seed, stream):
+    """A grid on borrowed storage (the union arena's and shm's layout)
+    folds into the caller's buffer, equal to the scalar loop, and no
+    fold thread outlives the call."""
+    scalar = scalar_grid(seed, stream)
+    for gate in GATES:
+        store = np.zeros(scalar.space_counters() + 6, dtype=np.int64)
+        block = store[3:-3]
+        grid = on_tier(make_grid(seed, block=block), "depth")
+        with row_gate(gate):
+            grid.update_batch(*batch_of(stream))
+        clear_hash_cache_pool()
+        assert not fold_threads()
+        assert dump_grid(grid) == dump_grid(scalar), gate
+        assert np.array_equal(block, scalar._block.reshape(-1)), gate
+        assert not store[:3].any() and not store[-3:].any()
+
+
+def test_row_fold_error_on_the_thread_surfaces(monkeypatch):
+    """An exception in a row folded on the second thread is raised by
+    ``update_batch`` itself, after the thread is joined."""
+    real = batch_module.fold_cells
+
+    def failing_off_main(planes, flat, *rest):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("row fold failed off the main thread")
+        return real(planes, flat, *rest)
+
+    monkeypatch.setattr(batch_module, "fold_cells", failing_off_main)
+    monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", 0)
+    grid = make_grid(5)
+    with pytest.raises(RuntimeError, match="off the main thread"):
+        grid.update_batch([0, 1, 2], [3, 4, 5], [1, -1, 2])
+    assert not fold_threads()

@@ -49,6 +49,15 @@ async def running_server(**kwargs):
         await asyncio.wait_for(server.wait_stopped(), timeout=30)
         with contextlib.suppress(asyncio.CancelledError):
             await task
+    assert open_wal_segments(server) == []
+
+
+def open_wal_segments(server):
+    """Names of the records still holding an open WAL segment file."""
+    return [
+        record.name for record in server.registry.records()
+        if record.wal is not None and record.wal._fh is not None
+    ]
 
 
 def edge_arrays(edges, sign=1):
@@ -287,6 +296,25 @@ class TestDrain:
             record = fresh.get("g")
             assert record.events == 2
             assert dump_sketch(record.sketch) == reference
+
+        asyncio.run(go())
+
+    def test_drain_closes_wal_segments(self, tmp_path):
+        async def go():
+            async with running_server(checkpoint_dir=str(tmp_path)) as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=8, seed=4)
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1), (1, 2)]))
+                    answer = await c.query("g", op="components")
+                    assert open_wal_segments(server) == ["g"]
+            assert server.registry.get("g").wal._fh is None
+            async with running_server(
+                checkpoint_dir=str(tmp_path), resume=True
+            ) as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    again = await c.query("g", op="components")
+            assert again["components"] == answer["components"]
+            assert again["as_of"] == answer["as_of"] == 2
 
         asyncio.run(go())
 
