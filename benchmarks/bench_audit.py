@@ -4,7 +4,7 @@ Audit claims (repro.audit): a single flipped bit in any live counter
 bank is detected by the next digest audit with probability 1 (the
 coefficients are chosen so no single-bit delta can vanish in either
 digest field) and localized to the (instance, group, row) the flip
-landed in; and the periodic audit cadence the stream runner uses
+landed in; and a periodic audit every ``interval`` ingested events
 costs <= 10% of ingest wall time at production batch sizes.
 
 Measured: detection/localization rates over seeded single-bit flips
@@ -102,7 +102,7 @@ def detection_sweep(kind: str, n: int = 24, flips: int = 50, seed: int = 0) -> d
 def audit_overhead_run(
     n: int,
     cycles: int = 4,
-    audit_every: int = 32768,
+    interval: int = 32768,
     batch_size: int = 1024,
     seed: int = 3,
 ) -> dict:
@@ -110,8 +110,8 @@ def audit_overhead_run(
 
     The workload repeats a churn stream and its inverse ``cycles``
     times (a long, balance-valid stream); audits run every
-    ``audit_every`` events plus once at end of stream, exactly the
-    runner's cadence.  Returns the audit/ingest wall-time ratio.
+    ``interval`` events plus once at end of stream.  Returns the
+    audit/ingest wall-time ratio.
     """
     base = churn_stream(n, 0.05, seed=seed)
     inverse = [EdgeUpdate(u.edge, -u.sign) for u in reversed(base)]
@@ -129,7 +129,7 @@ def audit_overhead_run(
         sketch.update_batch(chunk)
         ingest_secs += time.perf_counter() - start
         dispatched += len(chunk)
-        if dispatched - last >= audit_every:
+        if dispatched - last >= interval:
             start = time.perf_counter()
             report = auditor.audit()
             audit_secs += time.perf_counter() - start
@@ -144,7 +144,7 @@ def audit_overhead_run(
     return {
         "n": n,
         "events": len(stream),
-        "audit_every": audit_every,
+        "interval": interval,
         "passes": passes,
         "ingest_secs": ingest_secs,
         "audit_secs": audit_secs,
@@ -190,12 +190,12 @@ def bench_e21_detection(benchmark):
 def bench_e21_overhead(benchmark):
     """Acceptance: periodic-audit overhead <= 10% of ingest wall time."""
     rows = []
-    for audit_every in (8192, 16384, 32768):
-        r = audit_overhead_run(256, cycles=4, audit_every=audit_every)
+    for interval in (8192, 16384, 32768):
+        r = audit_overhead_run(256, cycles=4, interval=interval)
         rows.append(
             (
                 r["events"],
-                audit_every,
+                interval,
                 r["passes"],
                 f"{r['ingest_secs']:.2f}s",
                 f"{r['audit_secs']:.2f}s",
@@ -204,19 +204,19 @@ def bench_e21_overhead(benchmark):
         )
     assert r["overhead"] <= 0.10, (
         f"audit overhead {r['overhead']:.1%} above the 10% bar at "
-        f"audit_every={audit_every}"
+        f"interval={interval}"
     )
     record(
         "E21b",
         "integrity audit: periodic-audit overhead vs ingest (n=256)",
-        ["events", "audit_every", "passes", "ingest", "audit", "overhead"],
+        ["events", "interval", "passes", "ingest", "audit", "overhead"],
         rows,
         notes="Audit bar: <= 10% of ingest wall time at the default "
         "cadence (one O(bank) digest recompute per 32k events).",
     )
 
     def run():
-        return audit_overhead_run(64, cycles=1, audit_every=4096)
+        return audit_overhead_run(64, cycles=1, interval=4096)
 
     r = benchmark(run)
     assert r["passes"] >= 1

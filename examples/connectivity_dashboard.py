@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Scenario: a one-pass "connectivity dashboard" over a churning graph.
 
-A single pass over a dynamic edge stream feeds four sketches at once
-via the StreamRunner; at each checkpoint the dashboard reports
+A single pass over a dynamic edge stream feeds four sketches at once:
+a StreamValidator checks each event against the paper's dynamic model,
+then every sketch gets it.  At each checkpoint the dashboard reports
 
 * connected? / number of components        (spanning-forest sketch)
 * edge connectivity λ (capped)             (k-skeleton sketch, E15)
@@ -25,15 +26,22 @@ from repro.baselines.store_all import StoreEverything
 from repro.graph.edge_connectivity import edge_connectivity
 from repro.graph.generators import harary_graph
 from repro.graph.vertex_connectivity import vertex_connectivity
-from repro.stream.runner import StreamRunner
-from repro.stream.updates import EdgeUpdate
+from repro.stream.updates import EdgeUpdate, StreamValidator
 
 
-def checkpoint(label, runner):
-    live = runner.live_graph.to_graph()
-    est = runner["kappa"].estimate()
-    lam = runner["lambda"].estimate()
-    weak = runner["query"].find_disconnecting_set(max_size=2)
+def feed(validator, sketches, events):
+    """Validate each event, then apply it to every sketch."""
+    for event in events:
+        validator.apply(event)
+        for sketch in sketches.values():
+            sketch.update(event.edge, event.sign)
+
+
+def checkpoint(label, validator, sketches):
+    live = validator.graph.to_graph()
+    est = sketches["kappa"].estimate()
+    lam = sketches["lambda"].estimate()
+    weak = sketches["query"].find_disconnecting_set(max_size=2)
     true_kappa = vertex_connectivity(live)
     true_lambda = edge_connectivity(live)
     print(f"\n== {label} (m={live.num_edges}) ==")
@@ -48,31 +56,31 @@ def checkpoint(label, runner):
 def main() -> None:
     n = 16
     params = Params.practical()
-    runner = StreamRunner(n)
-    runner.register("lambda", EdgeConnectivitySketch(n, k_max=5, seed=1, params=params))
-    runner.register(
-        "kappa", VertexConnectivityEstimator(n, k_max=4, epsilon=1.0, seed=2, params=params)
-    )
-    runner.register(
-        "query", VertexConnectivityQuerySketch(n, k=2, seed=3, params=params)
-    )
-    runner.register("exact", StoreEverything(n))
+    validator = StreamValidator(n)
+    sketches = {
+        "lambda": EdgeConnectivitySketch(n, k_max=5, seed=1, params=params),
+        "kappa": VertexConnectivityEstimator(
+            n, k_max=4, epsilon=1.0, seed=2, params=params
+        ),
+        "query": VertexConnectivityQuerySketch(n, k=2, seed=3, params=params),
+        "exact": StoreEverything(n),
+    }
 
     design = harary_graph(4, n)  # 4-connected target design
     # Phase 1: ring only (every other chord missing yet).
     ring = [e for e in design.edges() if (e[1] - e[0]) % n in (1, n - 1)]
     chords = [e for e in design.edges() if e not in ring]
-    runner.run([EdgeUpdate.insert(e) for e in ring])
-    checkpoint("phase 1: bare ring", runner)
+    feed(validator, sketches, [EdgeUpdate.insert(e) for e in ring])
+    checkpoint("phase 1: bare ring", validator, sketches)
 
     # Phase 2: all chords online — full 4-connected design.
-    runner.run([EdgeUpdate.insert(e) for e in chords])
-    checkpoint("phase 2: full design", runner)
+    feed(validator, sketches, [EdgeUpdate.insert(e) for e in chords])
+    checkpoint("phase 2: full design", validator, sketches)
 
     # Phase 3: incident failure — vertex 0's links drop.
     drops = [EdgeUpdate.delete((0, v)) for v in sorted(design.neighbors(0))]
-    runner.run(drops)
-    checkpoint("phase 3: vertex 0 dark", runner)
+    feed(validator, sketches, drops)
+    checkpoint("phase 3: vertex 0 dark", validator, sketches)
 
     print("\n(one pass, four sketches, no stored edge list — the exact "
           "column is a replayed baseline for comparison)")

@@ -21,17 +21,14 @@ theorem-by-theorem validation results.
 
 from ._version import __version__
 from .audit import (
-    AmplifiedResult,
     AuditReport,
     CertifiedResult,
     SketchAuditor,
-    amplify_votes,
     audit_sketch,
     certify_connectivity,
     certify_edge_connectivity,
     certify_skeleton,
     certify_spanning_forest,
-    run_amplified,
     verified_merge,
     verified_restore,
 )
@@ -78,7 +75,7 @@ from .errors import (
 )
 from .graph import Graph, Hypergraph, WeightedHypergraph
 from .sketch import SkeletonSketch, SpanningForestSketch
-from .stream import BadUpdate, EdgeUpdate, Quarantine, StreamRunner
+from .stream import BadUpdate, EdgeUpdate, Quarantine
 from .util.retry import RetryPolicy
 
 __all__ = [
@@ -104,7 +101,6 @@ __all__ = [
     "SpanningForestSketch",
     "SkeletonSketch",
     "EdgeUpdate",
-    "StreamRunner",
     # robustness
     "DegradedResult",
     "Quarantine",
@@ -121,9 +117,6 @@ __all__ = [
     "certify_connectivity",
     "certify_skeleton",
     "certify_edge_connectivity",
-    "AmplifiedResult",
-    "amplify_votes",
-    "run_amplified",
     # ingestion engine
     "ShardedIngestEngine",
     "CheckpointManager",

@@ -1,4 +1,4 @@
-"""Sketch integrity auditing, result certification, and amplification.
+"""Sketch integrity auditing and result certification.
 
 Three robustness layers over the linear-sketch machinery:
 
@@ -8,14 +8,11 @@ Three robustness layers over the linear-sketch machinery:
   checkpoint-restore assert the linearity invariant.
 * :mod:`~repro.audit.certify` — query answers that carry witness edges
   re-verified independently of the decode path.
-* :mod:`~repro.audit.amplify` — failure-probability amplification by
-  majority vote over independent sketch repetitions.
 * :mod:`~repro.audit.repair` — digest *diff* between replicas of one
   sketch (per grid/(group, row) and per member column), localizing
   exactly the state a replica repair must ship.
 """
 
-from .amplify import AmplifiedResult, amplify_votes, run_amplified
 from .certify import (
     CertifiedResult,
     certify_connectivity,
@@ -44,14 +41,12 @@ from .integrity import (
 )
 
 __all__ = [
-    "AmplifiedResult",
     "AuditReport",
     "CertifiedResult",
     "Corruption",
     "GridDigest",
     "GridRef",
     "SketchAuditor",
-    "amplify_votes",
     "attach_digest",
     "audit_sketch",
     "certify_connectivity",
@@ -63,7 +58,6 @@ __all__ = [
     "grid_digest_table",
     "member_digest_table",
     "named_grids",
-    "run_amplified",
     "sketch_digest_table",
     "table_fingerprint",
     "verified_merge",

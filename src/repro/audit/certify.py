@@ -48,8 +48,6 @@ class CertifiedResult:
     ``witness`` is the recovered edge set the answer is derived from;
     ``verified`` is True iff every independent check passed (``checks``
     counts them, ``failures`` describes the ones that did not).
-    ``confidence`` is populated by the amplification layer when the
-    answer came from a majority vote.
     """
 
     value: Any
@@ -58,7 +56,6 @@ class CertifiedResult:
     checks: int
     failures: Tuple[str, ...] = ()
     method: str = "spanning-forest"
-    confidence: Optional[float] = None
 
     def __bool__(self) -> bool:
         raise TypeError(
@@ -71,8 +68,6 @@ class CertifiedResult:
         lines = [
             f"{status} ({self.method}): {self.checks} checks, "
             f"{len(self.witness)} witness edges"
-            + (f", confidence={self.confidence:.3f}"
-               if self.confidence is not None else "")
         ]
         for f in self.failures[:8]:
             lines.append(f"  FAIL: {f}")

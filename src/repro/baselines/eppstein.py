@@ -72,7 +72,7 @@ class EppsteinCertificate:
         self.certificate.remove_edge(u, v)
 
     def update(self, edge: Sequence[int], sign: int) -> None:
-        """Stream-runner adapter."""
+        """Signed stream update."""
         if sign > 0:
             self.insert(edge)
         else:

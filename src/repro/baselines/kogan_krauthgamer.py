@@ -78,7 +78,7 @@ class InsertOnlyHypergraphSparsifier:
         )
 
     def update(self, edge: Sequence[int], sign: int) -> None:
-        """Stream-runner adapter."""
+        """Signed stream update."""
         if sign > 0:
             self.insert(edge)
         else:

@@ -31,7 +31,7 @@ class StoreEverything:
         self.graph.remove_edge(edge)
 
     def update(self, edge: Sequence[int], sign: int) -> None:
-        """Stream-runner adapter."""
+        """Signed stream update."""
         if sign > 0:
             self.insert(edge)
         else:

@@ -14,11 +14,13 @@ Usage (after installation)::
     python -m repro audit CKPT_FILE_OR_DIR [...]
     python -m repro generate {gnp,harary,hypergraph} ... -o STREAM_FILE
 
-Stream files use the text format of :mod:`repro.stream.file_io`.
+Stream files use the text format of :mod:`repro.stream.file_io`, whose
+reader is the stream-model check.
 Every command prints a small human-readable report and exits 0 on
-success; malformed inputs exit 2 with a diagnostic.  Robustness flags
-(available on the stream-consuming commands): ``--on-bad-update
-{strict,quarantine,drop}`` with ``--quarantine-file`` governs malformed
+success; malformed inputs, including a double insertion or a deletion
+of an absent edge, exit 2 with a line-numbered diagnostic.  Robustness
+flags (available on the stream-consuming commands): ``--on-bad-update
+{strict,quarantine,drop}`` with ``--quarantine-file`` governs bad
 input lines; ``ingest --checkpoint-dir D --resume`` recovers a
 crashed ingest bit-identically; ``--degraded-ok`` (query,
 edge-connectivity) accepts weaker answers on sketch decode failure,
@@ -26,8 +28,7 @@ clearly marked ``DEGRADED``.  ``referee`` runs the paper's one-round
 protocol: each vertex sends its sketch column once and the referee
 decodes from the n messages.  Integrity flags: ``--certify``
 (connectivity, edge-connectivity, referee) re-verifies the answer's
-witness independently of the decode; ``--amplify R`` majority-votes over R
-independent sketches with reported confidence; ``ingest --verify``
+witness independently of the decode; ``ingest --verify``
 checks shard merges; the ``audit`` subcommand
 verifies checkpoints at rest.  Performance flags: ``ingest
 --no-decode`` skips the post-ingest decode, and ``--metrics-json``
@@ -80,25 +81,22 @@ def _feed(sketch, updates) -> None:
 def _load(args):
     """Load the stream under the command's bad-update policy.
 
-    With ``--on-bad-update strict`` (the default) this is the classic
-    fail-fast parse.  Under ``quarantine``/``drop``, malformed lines —
-    including balance violations, which the non-strict path also
-    checks — are diverted (to ``--quarantine-file`` when given) and a
-    one-line summary is printed.
+    Returns ``(n, r, updates, diverted)``.  ``strict`` (the default)
+    fails at the first bad line; under ``quarantine``/``drop`` bad
+    lines are diverted (quarantined ones to ``--quarantine-file`` when
+    given), counted in ``diverted`` and summarised in one printed line.
     """
-    policy = getattr(args, "on_bad_update", "strict")
-    if policy == "strict":
-        return load_stream_file(args.stream)
-    qpath = getattr(args, "quarantine_file", None)
+    policy = args.on_bad_update
+    qpath = args.quarantine_file if policy == "quarantine" else None
     with Quarantine(qpath) as q:
-        n, r, updates = load_stream_file(
-            args.stream, on_bad_line=policy, quarantine=q, check_balance=True
-        )
-        diverted = len(q) + q.dropped
-        if diverted:
-            where = f" -> {qpath}" if qpath and policy == "quarantine" else ""
-            print(f"bad updates: {diverted} {policy}d{where}")
-    return n, r, updates
+        n, r, updates = load_stream_file(args.stream, policy, q)
+    diverted = len(q) + q.dropped
+    if len(q):
+        where = f" -> {qpath}" if qpath else ""
+        print(f"bad updates: {len(q)} quarantined{where}")
+    elif q.dropped:
+        print(f"bad updates: {q.dropped} dropped")
+    return n, r, updates, diverted
 
 
 def _write_metrics_json(path: str, sections) -> None:
@@ -109,23 +107,7 @@ def _write_metrics_json(path: str, sections) -> None:
 
 
 def _cmd_connectivity(args) -> int:
-    n, r, updates = _load(args)
-    if args.amplify:
-        from .audit.amplify import run_amplified
-
-        result = run_amplified(
-            lambda seed: HypergraphConnectivitySketch(
-                n, r=r, seed=seed, params=_params(args.params)
-            ),
-            updates,
-            lambda s: s.is_connected(),
-            repetitions=args.amplify,
-            base_seed=args.seed,
-        )
-        print(f"n={n} r={r} events={len(updates)}")
-        print(result.summary())
-        print(f"connected: {result.value} (confidence {result.confidence:.3f})")
-        return 0
+    n, r, updates, _ = _load(args)
     sketch = HypergraphConnectivitySketch(n, r=r, seed=args.seed, params=_params(args.params))
     _feed(sketch, updates)
     comps = sketch.components()
@@ -144,7 +126,7 @@ def _cmd_connectivity(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    n, r, updates = _load(args)
+    n, r, updates, _ = _load(args)
     removed = [int(x) for x in args.remove.split(",") if x != ""]
     k = args.k if args.k is not None else max(1, len(removed))
     sketch = VertexConnectivityQuerySketch(
@@ -164,26 +146,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_edge_connectivity(args) -> int:
-    n, r, updates = _load(args)
-    if args.amplify:
-        from .audit.amplify import run_amplified
-
-        result = run_amplified(
-            lambda seed: EdgeConnectivitySketch(
-                n, k_max=args.k_max, r=r, seed=seed, params=_params(args.params)
-            ),
-            updates,
-            lambda s: s.estimate(),
-            repetitions=args.amplify,
-            base_seed=args.seed,
-        )
-        lam = result.value
-        print(f"n={n} r={r} events={len(updates)}")
-        print(result.summary())
-        suffix = " (at least; saturated the cap)" if lam == args.k_max else ""
-        print(f"edge connectivity estimate: {lam}{suffix} "
-              f"(confidence {result.confidence:.3f})")
-        return 0
+    n, r, updates, _ = _load(args)
     sketch = EdgeConnectivitySketch(
         n, k_max=args.k_max, r=r, seed=args.seed, params=_params(args.params)
     )
@@ -212,7 +175,7 @@ def _cmd_edge_connectivity(args) -> int:
 
 
 def _cmd_sparsify(args) -> int:
-    n, r, updates = _load(args)
+    n, r, updates, _ = _load(args)
     sketch = HypergraphSparsifierSketch(
         n,
         r=r,
@@ -232,7 +195,7 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    n, r, updates = _load(args)
+    n, r, updates, _ = _load(args)
     sketch = LightEdgeRecoverySketch(
         n, k=args.d, r=r, seed=args.seed, params=_params(args.params)
     )
@@ -254,7 +217,7 @@ def _cmd_ingest(args) -> int:
     from .sketch.skeleton import SkeletonSketch
     from .sketch.spanning_forest import SpanningForestSketch
 
-    n, r, updates = _load(args)
+    n, r, updates, diverted = _load(args)
     if args.sketch == "skeleton":
         prototype = SkeletonSketch(n, k=args.k, r=r, seed=args.seed)
     else:
@@ -278,6 +241,7 @@ def _cmd_ingest(args) -> int:
     )
     result = engine.ingest(updates, resume=args.resume)
     metrics = result.metrics
+    metrics.quarantined = diverted
     print(f"n={n} r={r} events={len(updates)}")
     if result.resumed_from is not None:
         print(f"resumed from checkpoint offset {result.resumed_from}")
@@ -306,7 +270,7 @@ def _cmd_referee(args) -> int:
     from .comm.simultaneous import SpanningForestProtocol
     from .stream.updates import materialize
 
-    n, r, updates = _load(args)
+    n, r, updates, _ = _load(args)
     h = materialize(n, updates, r=r)
     proto = SpanningForestProtocol(n, r=r, seed=args.seed, params=_params(args.params))
     result = proto.run(h)
@@ -811,9 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-verify the answer independently of the decode "
                         "(witness edges + boundary-zero checks); exits 1 if "
                         "verification fails")
-    p.add_argument("--amplify", type=int, default=0, metavar="R",
-                   help="majority-vote over R independently seeded sketches "
-                        "and report the empirical confidence")
     p.set_defaults(func=_cmd_connectivity)
 
     p = sub.add_parser("query", help="does removing a vertex set disconnect it?")
@@ -834,9 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true",
                    help="re-verify every skeleton layer independently of the "
                         "decode; exits 1 if verification fails")
-    p.add_argument("--amplify", type=int, default=0, metavar="R",
-                   help="majority-vote over R independently seeded sketches "
-                        "and report the empirical confidence")
     p.set_defaults(func=_cmd_edge_connectivity)
 
     p = sub.add_parser("sparsify", help="decode a (1+ε) cut sparsifier")

@@ -172,7 +172,7 @@ class VertexConnectivityEstimator:
             t.delete(edge)
 
     def update(self, edge: Sequence[int], sign: int) -> None:
-        """Signed stream update (stream-runner interface)."""
+        """Signed stream update."""
         for t in self.testers:
             t.update(edge, sign)
 

@@ -133,8 +133,8 @@ class VertexConnectivityQuerySketch:
         :meth:`~repro.audit.integrity.AuditReport.corrupted_instances`
         findings, so a bank the audit flagged can never contribute
         edges; exclusions make the answer degraded with reason
-        ``corruption-excluded``.  ``metrics`` (an
-        :class:`~repro.engine.metrics.IngestMetrics` or compatible) has
+        ``corruption-excluded``.  ``metrics`` (a
+        :class:`~repro.engine.query.QueryMetrics` or compatible) has
         ``degraded_queries`` incremented per degraded answer.
         """
         S = set(removed)

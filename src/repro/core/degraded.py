@@ -79,9 +79,9 @@ def decode_with_degradation(
     fails, the *primary's* exception is re-raised — the fallback
     ladder never converts a hard failure into a silent one.
 
-    ``metrics`` may be an :class:`~repro.engine.metrics.IngestMetrics`
-    (or anything with a ``degraded_queries`` int attribute); it is
-    incremented once per degraded answer.
+    ``metrics`` may be a :class:`~repro.engine.query.QueryMetrics`
+    (or anything with a ``degraded_queries`` int attribute); its
+    ``degraded_queries`` is incremented once per degraded answer.
     """
     attempts = 1
     try:

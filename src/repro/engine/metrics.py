@@ -137,14 +137,13 @@ class IngestMetrics:
     merge_seconds: float = 0.0
     max_queue_depth: int = 0
     resumed_from: Optional[int] = None
-    # Robustness counters (the quarantine/degraded paths): updates
-    # diverted to quarantine and queries answered in degraded mode.
-    # All zero on a healthy run — operators alert on nonzero.
+    # Robustness counters: ``quarantined`` counts the bad stream lines
+    # the reader diverted under ``--on-bad-update quarantine`` or
+    # ``drop``; zero on a healthy run — operators alert on nonzero.
     # ``restarts`` always reads 0 (nothing restarts a worker; recovery
     # is checkpoint + resume); it stays for the perf ledger's schema.
     restarts: int = 0
     quarantined: int = 0
-    degraded_queries: int = 0
     # Integrity counters (the audit subsystem): digest audit passes run
     # (including verified merges/restores) and localized corruption
     # findings.  ``corruption_detected`` nonzero means a bank or blob
@@ -199,7 +198,6 @@ class IngestMetrics:
             "resumed_from": self.resumed_from,
             "restarts": self.restarts,
             "quarantined": self.quarantined,
-            "degraded_queries": self.degraded_queries,
             "audits": self.audits,
             "corruption_detected": self.corruption_detected,
             "batch_size_hist": dict(sorted(
@@ -232,11 +230,8 @@ class IngestMetrics:
                 f"  checkpoints: {ck.saves} saved, last {ck.bytes_last} bytes, "
                 f"{ck.seconds_total:.3f}s total"
             )
-        if self.quarantined or self.degraded_queries:
-            lines.append(
-                f"  robustness: {self.quarantined} quarantined, "
-                f"{self.degraded_queries} degraded queries"
-            )
+        if self.quarantined:
+            lines.append(f"  robustness: {self.quarantined} quarantined")
         if self.audits or self.corruption_detected:
             lines.append(
                 f"  integrity: {self.audits} audits, "

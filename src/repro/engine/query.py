@@ -53,8 +53,8 @@ class QueryMetrics:
     instances sit on the same side of the window gate) — and
     ``instances_decoded`` says how many of the R
     instances the fresh answers had to re-decode.
-    ``degraded_queries`` mirrors the ingest-side counter so this object
-    can also serve :func:`repro.core.degraded.decode_with_degradation`.
+    ``degraded_queries`` counts the answers
+    :func:`repro.core.degraded.decode_with_degradation` degraded.
     ``cache_hits`` / ``cache_misses`` always read 0; they stay only
     because the benchmark's metric schema reads them.
     """

@@ -1,4 +1,4 @@
-"""Dynamic graph stream model: updates, orderings, runner."""
+"""Dynamic graph stream model: updates, orderings, the file reader."""
 
 from .file_io import (
     load_stream_file,
@@ -14,7 +14,6 @@ from .generators import (
     with_churn,
 )
 from .quarantine import POLICIES, BadUpdate, Quarantine
-from .runner import RunReport, StreamRunner
 from .updates import DELETE, INSERT, EdgeUpdate, StreamValidator, materialize
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "insert_delete_reinsert",
     "adversarial_for_certificate",
     "random_dynamic_stream",
-    "StreamRunner",
-    "RunReport",
     "read_stream",
     "write_stream",
     "load_stream_file",

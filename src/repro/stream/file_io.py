@@ -20,19 +20,23 @@ The format exists so streams are artifacts: workloads can be generated
 once, checked in, replayed through the CLI (:mod:`repro.cli`) or any
 sketch, and shared across language implementations.
 
-Malformed files raise :class:`~repro.errors.StreamError` with the
-offending 1-based line number by default; under the ``quarantine`` or
-``drop`` policies (see :mod:`repro.stream.quarantine`) bad event lines
-are diverted or skipped instead, so one rotten producer cannot kill a
-whole replay.  Header problems are always fatal — without ``n`` there
-is no domain to validate against.
+The reader is the offline stream-model check: every event line goes
+through a :class:`~repro.stream.updates.StreamValidator`, so a line
+that does not parse, leaves the ``[0, n)`` domain, breaks the rank
+bound, inserts a live edge or deletes an absent one is a bad line.  Bad
+lines raise :class:`~repro.errors.StreamError` with the offending
+1-based line number by default; under the ``quarantine`` or ``drop``
+policies (see :mod:`repro.stream.quarantine`) they are diverted or
+skipped instead, so one rotten producer cannot kill a whole replay.
+Header problems are always fatal — without ``n`` there is no domain to
+validate against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, TextIO, Tuple
+from typing import Iterable, List, Optional, TextIO, Tuple
 
-from ..errors import StreamError
+from ..errors import DomainError, RankError, StreamError
 from .quarantine import (
     REASON_ABSENT_DELETE,
     REASON_DOMAIN,
@@ -44,7 +48,7 @@ from .quarantine import (
     check_policy,
     handle_bad_update,
 )
-from .updates import EdgeUpdate
+from .updates import DELETE, INSERT, EdgeUpdate, StreamValidator
 
 
 def write_stream(
@@ -64,31 +68,31 @@ def read_stream(
     fh: TextIO,
     on_bad_line: str = "strict",
     quarantine: Optional[Quarantine] = None,
-    check_balance: bool = False,
 ) -> Tuple[int, int, List[EdgeUpdate]]:
     """Parse a stream file; returns ``(n, r, updates)``.
+
+    Every event goes through one
+    :class:`~repro.stream.updates.StreamValidator`, so the returned
+    updates form a valid dynamic stream: vertices in ``[0, n)``, at
+    most ``r`` per hyperedge, and no double insertion or deletion of an
+    absent edge.
 
     Parameters
     ----------
     on_bad_line:
         ``"strict"`` (default) raises :class:`~repro.errors.StreamError`
-        at the first malformed *event* line, with its line number.
+        at the first bad *event* line, with its line number.
         ``"quarantine"`` diverts each bad line into ``quarantine`` (a
         :class:`~repro.stream.quarantine.Quarantine`, required) and
         keeps parsing; ``"drop"`` skips bad lines silently.  Header
         problems (missing, duplicate, or unparsable ``n`` line) are
         fatal under every policy.
-    check_balance:
-        Also enforce the dynamic-model invariants while parsing: a
-        double insertion or a deletion of an absent edge becomes a
-        line-numbered error (or a quarantined record), instead of
-        surfacing much later inside a sketch.
     """
     check_policy(on_bad_line)
     n = None
     r = 2
+    validator: Optional[StreamValidator] = None
     updates: List[EdgeUpdate] = []
-    live: Set[Tuple[int, ...]] = set()
     saw_content = False
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
@@ -103,7 +107,8 @@ def read_stream(
                 n = int(parts[1])
                 if len(parts) >= 4 and parts[2] == "r":
                     r = int(parts[3])
-            except (IndexError, ValueError) as exc:
+                validator = StreamValidator(n, r)
+            except (IndexError, ValueError, DomainError) as exc:
                 raise StreamError(f"line {lineno}: bad header {line!r}") from exc
             continue
 
@@ -118,36 +123,28 @@ def read_stream(
         if parts[0] not in ("+", "-"):
             bad(REASON_PARSE, f"unknown op {parts[0]!r}")
             continue
-        if n is None:
+        if validator is None:
             raise StreamError(f"line {lineno}: event before 'n' header")
         try:
             verts = tuple(int(p) for p in parts[1:])
         except ValueError:
             bad(REASON_PARSE, f"bad vertex in {line!r}")
             continue
-        if len(verts) < 2:
-            bad(REASON_RANK, "hyperedge needs >= 2 vertices")
+        sign = INSERT if parts[0] == "+" else DELETE
+        try:
+            update = EdgeUpdate(verts, sign)
+            validator.apply(update)
+        except RankError as exc:
+            bad(REASON_RANK, str(exc))
             continue
-        if len(verts) > r:
-            bad(REASON_RANK, f"hyperedge has {len(verts)} vertices, rank bound is {r}")
+        except DomainError as exc:
+            bad(REASON_DOMAIN, str(exc))
             continue
-        if any(v < 0 or v >= n for v in verts):
-            bad(REASON_DOMAIN, f"vertex outside [0, {n})")
+        except StreamError as exc:
+            reason = REASON_DOUBLE_INSERT if sign == INSERT else REASON_ABSENT_DELETE
+            bad(reason, str(exc))
             continue
-        sign = 1 if parts[0] == "+" else -1
-        edge = tuple(sorted(set(verts)))
-        if check_balance:
-            if sign > 0:
-                if edge in live:
-                    bad(REASON_DOUBLE_INSERT, f"double insertion of {edge}")
-                    continue
-                live.add(edge)
-            else:
-                if edge not in live:
-                    bad(REASON_ABSENT_DELETE, f"deletion of absent edge {edge}")
-                    continue
-                live.discard(edge)
-        updates.append(EdgeUpdate(verts, sign))
+        updates.append(update)
     if n is None:
         if not saw_content:
             raise StreamError("stream file is empty (no 'n' header)")
@@ -159,16 +156,10 @@ def load_stream_file(
     path: str,
     on_bad_line: str = "strict",
     quarantine: Optional[Quarantine] = None,
-    check_balance: bool = False,
 ) -> Tuple[int, int, List[EdgeUpdate]]:
     """Read a stream from a file path."""
     with open(path) as fh:
-        return read_stream(
-            fh,
-            on_bad_line=on_bad_line,
-            quarantine=quarantine,
-            check_balance=check_balance,
-        )
+        return read_stream(fh, on_bad_line=on_bad_line, quarantine=quarantine)
 
 
 def save_stream_file(

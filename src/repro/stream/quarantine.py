@@ -19,10 +19,9 @@ ground:
   when a path is given, appended eagerly to a JSON-lines file (one
   object per bad line) so provenance survives a later crash.
 
-The parsing front end (:func:`repro.stream.file_io.read_stream`) and
-the runner front end (:class:`repro.stream.runner.StreamRunner`) both
-accept a policy and a :class:`Quarantine`; reason codes are shared so
-operators can aggregate across layers.
+The stream reader (:func:`repro.stream.file_io.read_stream`) accepts a
+policy and a :class:`Quarantine`; it is the one offline place that
+classifies bad updates into the reason codes below.
 """
 
 from __future__ import annotations

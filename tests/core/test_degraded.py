@@ -11,7 +11,7 @@ from repro.core.degraded import (
 from repro.core.connectivity_query import VertexConnectivityQuerySketch
 from repro.core.edge_connectivity_sketch import EdgeConnectivitySketch
 from repro.core.params import Params
-from repro.engine.metrics import IngestMetrics
+from repro.engine.query import QueryMetrics
 from repro.errors import SamplerFailedError, SketchDecodeError
 from repro.graph.generators import cycle_graph, harary_graph
 
@@ -49,7 +49,7 @@ class TestHelper:
         assert result.attempts == 1
 
     def test_fallback_used_and_labelled(self):
-        metrics = IngestMetrics(shards=1, backend="serial", batch_size=1)
+        metrics = QueryMetrics()
 
         def primary():
             raise SamplerFailedError("unlucky randomness")
@@ -115,7 +115,7 @@ class TestEdgeConnectivityDegraded:
             raise SamplerFailedError("injected layer failure")
 
         sketch._skeleton.layers[1].decode = broken
-        metrics = IngestMetrics(shards=1, backend="serial", batch_size=1)
+        metrics = QueryMetrics()
         result = sketch.estimate_degraded(metrics=metrics)
         assert result.degraded
         assert result.mode == "connectivity-only"
@@ -160,7 +160,7 @@ class TestQueryDegraded:
         broken_ids = list(sketch._union.sketches)[:2]
         for i in broken_ids:
             break_instance(sketch._union, i)
-        metrics = IngestMetrics(shards=1, backend="serial", batch_size=1)
+        metrics = QueryMetrics()
         result = sketch.disconnects_degraded([0, 1], metrics=metrics)
         assert result.degraded
         assert result.mode == "partial-certificate"

@@ -509,11 +509,13 @@ class TestBatchApi:
         assert a.update_batch([]) == 0 and a._updates == 4
 
     def test_stream_runner_batches_the_query_structure(self):
+        """A stream fed in ``iter_event_batches`` chunks reaches the query
+        structure through ``update_batch`` only, bit-identical to the
+        per-event path."""
         from repro.core.connectivity_query import VertexConnectivityQuerySketch
-        from repro.stream.runner import StreamRunner
-        from repro.stream.updates import EdgeUpdate
+        from repro.engine.batch import iter_event_batches
 
-        events = [EdgeUpdate(e, 1) for e in cycle_graph(12).edges()]
+        events = [(e, 1) for e in cycle_graph(12).edges()]
         calls = []
 
         class Spy(VertexConnectivityQuerySketch):
@@ -524,11 +526,11 @@ class TestBatchApi:
                 calls.append(len(updates))
                 return super().update_batch(updates)
 
-        runner = StreamRunner(12, batch_size=5)
-        sk = runner.register("q", Spy(12, 1, seed=3, params=Params.fast()))
-        runner.run(events)
+        sk = Spy(12, 1, seed=3, params=Params.fast())
+        for batch in iter_event_batches(events, 5):
+            sk.update_batch(batch)
         assert calls == [5, 5, 2]
         ref = VertexConnectivityQuerySketch(12, 1, seed=3, params=Params.fast())
-        for ev in events:
-            ref.update(ev.edge, ev.sign)
+        for edge, sign in events:
+            ref.update(edge, sign)
         assert np.array_equal(sk._union._arena, ref._union._arena)

@@ -339,7 +339,7 @@ class TestBenchSmoke:
     def test_smoke_audit_overhead_plumbing(self):
         """E21b core at small scale (no timing bar — that's the full
         benchmark's job; here only the cadence accounting is checked)."""
-        r = audit_overhead_run(32, cycles=2, audit_every=128, batch_size=32)
+        r = audit_overhead_run(32, cycles=2, interval=128, batch_size=32)
         assert r["passes"] >= 2  # at least one periodic + the final pass
         assert r["audit_secs"] > 0 and r["ingest_secs"] > 0
 

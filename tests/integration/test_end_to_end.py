@@ -1,4 +1,9 @@
-"""End-to-end integration tests: full streams through the public API."""
+"""End-to-end integration tests: full streams through the public API.
+
+A stream is replayed the plain way: a
+:class:`~repro.stream.updates.StreamValidator` checks each event, then
+every sketch gets it through ``update``.
+"""
 
 import pytest
 
@@ -7,7 +12,6 @@ from repro import (
     HypergraphSparsifierSketch,
     LightEdgeRecoverySketch,
     Params,
-    StreamRunner,
     VertexConnectivityQuerySketch,
 )
 from repro.baselines import StoreEverything
@@ -20,32 +24,40 @@ from repro.graph.generators import (
 from repro.graph.hypergraph import Hypergraph
 from repro.graph.hypergraph_cuts import all_cuts
 from repro.stream.generators import insert_only, with_churn
+from repro.stream.updates import StreamValidator
+
+
+def replay(n, stream, sketches, r=2):
+    """Validate each event, feed it to every sketch; returns the live graph."""
+    validator = StreamValidator(n, r)
+    for event in stream:
+        validator.apply(event)
+        for sketch in sketches:
+            sketch.update(event.edge, event.sign)
+    return validator.graph
 
 
 class TestQueryPipeline:
     def test_runner_drives_query_sketch_and_baseline(self):
         g, sep = planted_separator_graph(6, 2, seed=1)
-        runner = StreamRunner(g.n)
-        runner.register(
-            "sketch",
-            VertexConnectivityQuerySketch(g.n, k=2, seed=2, params=Params.practical()),
+        sketch = VertexConnectivityQuerySketch(
+            g.n, k=2, seed=2, params=Params.practical()
         )
-        runner.register("exact", StoreEverything(g.n))
+        exact = StoreEverything(g.n)
         decoys = [(0, g.n - 1), (1, g.n - 2)]
-        report = runner.run(with_churn(g, decoys, shuffle_seed=3))
-        assert report.final_edges == g.num_edges
-        assert runner["sketch"].disconnects(sep) == runner["exact"].disconnects(sep)
-        assert runner["sketch"].disconnects([0]) == runner["exact"].disconnects([0])
+        live = replay(g.n, with_churn(g, decoys, shuffle_seed=3), [sketch, exact])
+        assert live.num_edges == g.num_edges
+        assert sketch.disconnects(sep) == exact.disconnects(sep)
+        assert sketch.disconnects([0]) == exact.disconnects([0])
 
     def test_space_comparison_sketch_vs_exact(self):
         """On dense graphs the store-all baseline scales with m = Θ(n²)
         while the sketch stays Õ(kn) — here we just confirm both report
         and that the sketch is history-independent of decoys."""
         g, _ = planted_separator_graph(8, 2, seed=4)
-        runner = StreamRunner(g.n)
-        runner.register("exact", StoreEverything(g.n))
-        report = runner.run(insert_only(g))
-        assert report.space["exact"]["counters"] == 2 * g.num_edges
+        exact = StoreEverything(g.n)
+        replay(g.n, insert_only(g), [exact])
+        assert exact.space_counters() == 2 * g.num_edges
 
 
 class TestSparsifierPipeline:
@@ -96,14 +108,12 @@ class TestReconstructionPipeline:
 class TestMixedWorkload:
     def test_three_sketches_one_stream(self):
         h = random_connected_hypergraph(10, 12, r=3, seed=10)
-        runner = StreamRunner(10, r=3)
-        runner.register("conn", HypergraphConnectivitySketch(10, r=3, seed=11))
-        runner.register(
-            "light", LightEdgeRecoverySketch(10, k=1, r=3, seed=12)
-        )
-        report = runner.run(insert_only(h))
-        assert report.events == h.num_edges
-        assert runner["conn"].is_connected()
+        conn = HypergraphConnectivitySketch(10, r=3, seed=11)
+        light = LightEdgeRecoverySketch(10, k=1, r=3, seed=12)
+        stream = insert_only(h)
+        replay(10, stream, [conn, light], r=3)
+        assert len(stream) == h.num_edges
+        assert conn.is_connected()
         from repro.graph.degeneracy import light_edges_exact
 
-        assert set(runner["light"].recover_light_edges()) == light_edges_exact(h, 1)
+        assert set(light.recover_light_edges()) == light_edges_exact(h, 1)

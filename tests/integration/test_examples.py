@@ -10,7 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[2]
 
 
-@pytest.mark.parametrize("script", ["distributed_referee.py", "quickstart.py"])
+EXAMPLES = sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -89,10 +89,7 @@ class TestStreamMisuse:
         the *signed* graph — the stream validator exists to reject such
         histories up front."""
         from repro.errors import StreamError
-        from repro.stream.runner import StreamRunner
-        from repro.stream.updates import EdgeUpdate
+        from repro.stream.updates import EdgeUpdate, StreamValidator
 
-        runner = StreamRunner(6)
-        runner.register("forest", SpanningForestSketch(6, seed=9))
         with pytest.raises(StreamError):
-            runner.run([EdgeUpdate.delete((0, 1))])
+            StreamValidator(6).apply(EdgeUpdate.delete((0, 1)))

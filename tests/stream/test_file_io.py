@@ -113,12 +113,21 @@ class TestPathologicalInputs:
         msg = self.message("n five\n")
         assert msg.startswith("line 1: bad header")
 
+    @pytest.mark.parametrize("header", ["n -3", "n 4 r 1"])
+    def test_header_outside_the_model(self, header):
+        msg = self.message(f"{header}\n+ 0 1\n")
+        assert msg == f"line 1: bad header {header!r}"
+
+    def test_repeated_vertex(self):
+        msg = self.message("n 4\n+ 3 3\n")
+        assert msg == "line 2: hyperedge (3, 3) has repeated vertices"
+
     def test_duplicate_insert_with_balance_check(self):
-        msg = self.message("n 4\n+ 0 1\n+ 1 0\n", check_balance=True)
+        msg = self.message("n 4\n+ 0 1\n+ 1 0\n")
         assert msg == "line 3: double insertion of (0, 1)"
 
     def test_delete_before_insert_with_balance_check(self):
-        msg = self.message("n 4\n- 2 3\n", check_balance=True)
+        msg = self.message("n 4\n- 2 3\n")
         assert msg == "line 2: deletion of absent edge (2, 3)"
 
     def test_non_integer_tokens(self):
@@ -130,10 +139,8 @@ class TestPathologicalInputs:
         cases = {
             "empty": self.message(""),
             "header-only": self.message("n\n"),
-            "dup-insert": self.message("n 4\n+ 0 1\n+ 0 1\n",
-                                       check_balance=True),
-            "del-before-ins": self.message("n 4\n- 0 1\n",
-                                           check_balance=True),
+            "dup-insert": self.message("n 4\n+ 0 1\n+ 0 1\n"),
+            "del-before-ins": self.message("n 4\n- 0 1\n"),
             "non-integer": self.message("n 4\n+ 0 x\n"),
         }
         assert len(set(cases.values())) == len(cases)

@@ -11,10 +11,9 @@ import json
 import pytest
 
 from repro.errors import StreamError
-from repro.stream.file_io import read_stream
+from repro.stream.file_io import read_stream, write_stream
 from repro.stream.quarantine import BadUpdate, Quarantine, check_policy
-from repro.stream.runner import StreamRunner
-from repro.stream.updates import EdgeUpdate
+from repro.stream.updates import EdgeUpdate, materialize
 
 DIRTY = (
     "n 6\n"
@@ -46,8 +45,7 @@ class TestReadStreamQuarantine:
     def test_every_bad_line_recorded_with_line_number(self):
         q = Quarantine()
         n, r, updates = read_stream(
-            io.StringIO(DIRTY), on_bad_line="quarantine",
-            quarantine=q, check_balance=True,
+            io.StringIO(DIRTY), on_bad_line="quarantine", quarantine=q,
         )
         assert n == 6
         assert [u.edge for u in updates] == [(0, 1), (2, 3)]
@@ -63,27 +61,15 @@ class TestReadStreamQuarantine:
     def test_drop_skips_and_counts(self):
         q = Quarantine()
         _, _, updates = read_stream(
-            io.StringIO(DIRTY), on_bad_line="drop",
-            quarantine=q, check_balance=True,
+            io.StringIO(DIRTY), on_bad_line="drop", quarantine=q,
         )
         assert len(updates) == 2
         assert q.dropped == 5
         assert q.records == []
 
     def test_drop_without_sink_is_silent(self):
-        _, _, updates = read_stream(
-            io.StringIO(DIRTY), on_bad_line="drop", check_balance=True
-        )
+        _, _, updates = read_stream(io.StringIO(DIRTY), on_bad_line="drop")
         assert len(updates) == 2
-
-    def test_balance_check_off_by_default(self):
-        q = Quarantine()
-        _, _, updates = read_stream(
-            io.StringIO(DIRTY), on_bad_line="quarantine", quarantine=q
-        )
-        # Only the 3 structural problems divert; balance passes through.
-        assert [b.line for b in q.records] == [3, 4, 5]
-        assert len(updates) == 4
 
     def test_rank_bound_enforced(self):
         q = Quarantine()
@@ -95,12 +81,69 @@ class TestReadStreamQuarantine:
         assert "rank bound" in q.records[0].detail
 
 
+class TestRunnerQuarantine:
+    """Offline replay: events written out and read back, so the reader's
+    stream-model check decides what reaches the sketches."""
+
+    def replay(self, **policy):
+        events = [
+            EdgeUpdate.insert((0, 1)),   # line 2
+            EdgeUpdate.insert((0, 1)),   # line 3: double insertion
+            EdgeUpdate.insert((1, 2)),   # line 4
+            EdgeUpdate.delete((3, 4)),   # line 5: absent deletion
+        ]
+        buf = io.StringIO()
+        write_stream(buf, 6, events)
+        buf.seek(0)
+        return read_stream(buf, **policy)
+
+    def test_strict_default_raises(self):
+        with pytest.raises(StreamError, match="line 3: double insertion"):
+            self.replay()
+
+    def test_quarantine_diverts_with_stream_position(self):
+        q = Quarantine()
+        n, r, updates = self.replay(on_bad_line="quarantine", quarantine=q)
+        assert len(updates) == 2
+        assert len(q) == 2 and q.dropped == 0
+        assert [b.line for b in q.records] == [3, 5]
+        assert [b.reason for b in q.records] == [
+            "balance-double-insert", "balance-absent-delete",
+        ]
+        assert all(b.source == "file" for b in q.records)
+        # The live graph only saw the good events.
+        assert materialize(n, updates, r).num_edges == 2
+
+    def test_drop_counts_in_report(self):
+        q = Quarantine()
+        _, _, updates = self.replay(on_bad_line="drop", quarantine=q)
+        assert len(updates) == 2
+        assert q.dropped == 2
+        assert len(q) == 0
+
+    def test_sketches_never_see_diverted_events(self):
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def update(self, edge, sign):
+                self.seen.append((edge, sign))
+
+        rec = Recorder()
+        _, _, updates = self.replay(
+            on_bad_line="quarantine", quarantine=Quarantine(),
+        )
+        for u in updates:
+            rec.update(u.edge, u.sign)
+        assert rec.seen == [((0, 1), 1), ((1, 2), 1)]
+
+
 class TestQuarantineFile:
     def test_jsonl_file_lists_every_bad_line(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with Quarantine(path) as q:
             read_stream(io.StringIO(DIRTY), on_bad_line="quarantine",
-                        quarantine=q, check_balance=True)
+                        quarantine=q)
         lines = [json.loads(l) for l in open(path) if l.strip()]
         assert [rec["line"] for rec in lines] == [3, 4, 5, 6, 7]
         assert all("reason" in rec and "raw" in rec for rec in lines)
@@ -111,57 +154,3 @@ class TestQuarantineFile:
             q.record(BadUpdate(line=9, reason="parse", detail="d", raw="+ z"))
         back = Quarantine.read(path)
         assert back == [BadUpdate(line=9, reason="parse", detail="d", raw="+ z")]
-
-
-class TestRunnerQuarantine:
-    def events(self):
-        return [
-            EdgeUpdate.insert((0, 1)),
-            EdgeUpdate.insert((0, 1)),   # double insertion
-            EdgeUpdate.insert((1, 2)),
-            EdgeUpdate.delete((3, 4)),   # absent deletion
-        ]
-
-    def test_strict_default_raises(self):
-        runner = StreamRunner(6)
-        with pytest.raises(StreamError, match="double insertion"):
-            runner.run(self.events())
-
-    def test_quarantine_diverts_with_stream_position(self):
-        q = Quarantine()
-        runner = StreamRunner(6, on_bad_update="quarantine", quarantine=q)
-        report = runner.run(self.events())
-        assert report.events == 2
-        assert report.quarantined == 2
-        assert [b.line for b in q.records] == [2, 4]
-        assert [b.reason for b in q.records] == [
-            "balance-double-insert", "balance-absent-delete",
-        ]
-        assert all(b.source == "stream" for b in q.records)
-        # The live graph only saw the good events.
-        assert runner.live_graph.num_edges == 2
-
-    def test_drop_counts_in_report(self):
-        runner = StreamRunner(6, on_bad_update="drop")
-        report = runner.run(self.events())
-        assert report.events == 2
-        assert report.dropped == 2
-        assert report.quarantined == 0
-
-    def test_sketches_never_see_diverted_events(self):
-        class Recorder:
-            def __init__(self):
-                self.seen = []
-
-            def update(self, edge, sign):
-                self.seen.append((edge, sign))
-
-        q = Quarantine()
-        runner = StreamRunner(6, on_bad_update="quarantine", quarantine=q)
-        rec = runner.register("rec", Recorder())
-        runner.run(self.events())
-        assert rec.seen == [((0, 1), 1), ((1, 2), 1)]
-
-    def test_non_strict_needs_validation(self):
-        with pytest.raises(StreamError, match="needs validate=True"):
-            StreamRunner(6, validate=False, on_bad_update="drop")

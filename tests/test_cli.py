@@ -270,6 +270,65 @@ class TestAudit:
         assert f"{path}: CORRUPT" in capsys.readouterr().out
 
 
+# ROADMAP's probe: two disjoint 6-vertex paths on n = 12, then a delete
+# of the never-inserted edge (5, 6) on line 12.
+PROBE = (
+    "n 12\n"
+    + "".join(f"+ {v} {v + 1}\n" for v in range(5))
+    + "".join(f"+ {v} {v + 1}\n" for v in range(6, 11))
+    + "- 5 6\n"
+)
+
+
+@pytest.fixture
+def probe_stream(tmp_path):
+    path = tmp_path / "probe.stream"
+    path.write_text(PROBE)
+    return str(path)
+
+
+class TestStreamModel:
+    """The reader enforces the dynamic model on every subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        ["connectivity"],
+        ["query", "--remove", "0"],
+        ["edge-connectivity"],
+        ["sparsify"],
+        ["reconstruct", "--d", "1"],
+        ["ingest", "--decode"],
+        ["referee"],
+    ], ids=lambda argv: argv[0])
+    def test_absent_delete_refused_by_default(self, probe_stream, argv, capsys):
+        assert main([argv[0], probe_stream, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "line 12: deletion of absent edge (5, 6)" in err
+
+    def test_dropped_absent_delete_leaves_two_components(self, probe_stream,
+                                                         capsys):
+        for seed in ("0", "1", "2"):
+            assert main(["connectivity", probe_stream, "--seed", seed,
+                         "--on-bad-update", "drop"]) == 0
+            out = capsys.readouterr().out
+            assert "bad updates: 1 dropped" in out
+            assert "components (2)" in out
+
+    def test_quarantine_count_reaches_metrics_json(self, probe_stream,
+                                                   tmp_path, capsys):
+        import json
+
+        dest = tmp_path / "m.json"
+        assert main(["ingest", probe_stream, "--on-bad-update", "quarantine",
+                     "--metrics-json", str(dest)]) == 0
+        out = capsys.readouterr().out
+        assert "bad updates: 1 quarantined" in out
+        assert "robustness: 1 quarantined" in out
+        ingest = json.loads(dest.read_text())["sections"]["ingest"]
+        assert ingest["quarantined"] == 1
+        assert ingest["events"] == 10
+        assert "degraded_queries" not in ingest
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["connectivity", "/nonexistent.stream"]) == 2
