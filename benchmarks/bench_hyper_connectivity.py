@@ -13,14 +13,12 @@ import pytest
 
 from _report import record
 
-from repro.core.hyper_connectivity import (
-    HypergraphConnectivitySketch,
-    HypergraphVertexConnectivityQuerySketch,
-)
+from repro.core.connectivity_query import VertexConnectivityQuerySketch
 from repro.core.params import Params
 from repro.graph.generators import random_connected_hypergraph
 from repro.graph.hypergraph import Hypergraph
 from repro.graph.traversal import hypergraph_is_connected_excluding
+from repro.sketch.spanning_forest import SpanningForestSketch
 
 
 def bench_e12_phases(benchmark):
@@ -28,7 +26,7 @@ def bench_e12_phases(benchmark):
     rows = []
     for r in (2, 3, 4):
         h = random_connected_hypergraph(16, 18, r=r, seed=r)
-        sk = HypergraphConnectivitySketch(16, r=r, seed=10 + r)
+        sk = SpanningForestSketch(16, r=r, seed=10 + r)
         live = Hypergraph(16, r)
         checks = ok = 0
 
@@ -61,7 +59,7 @@ def bench_e12_phases(benchmark):
     h = random_connected_hypergraph(16, 18, r=3, seed=5)
 
     def run():
-        sk = HypergraphConnectivitySketch(16, r=3, seed=6)
+        sk = SpanningForestSketch(16, r=3, seed=6)
         for e in h.edges():
             sk.insert(e)
         return sk.is_connected()
@@ -74,7 +72,7 @@ def bench_e12_vertex_queries(benchmark):
     rows = []
     for seed in (1, 2):
         h = random_connected_hypergraph(10, 12, r=3, seed=seed)
-        sk = HypergraphVertexConnectivityQuerySketch(
+        sk = VertexConnectivityQuerySketch(
             10, k=1, r=3, seed=20 + seed, params=Params.practical()
         )
         for e in h.edges():
@@ -97,7 +95,7 @@ def bench_e12_vertex_queries(benchmark):
     h = random_connected_hypergraph(10, 12, r=3, seed=3)
 
     def run():
-        sk = HypergraphVertexConnectivityQuerySketch(
+        sk = VertexConnectivityQuerySketch(
             10, k=1, r=3, seed=9, params=Params.fast()
         )
         for e in h.edges():

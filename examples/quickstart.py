@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    GraphSparsifierSketch,
+    HypergraphSparsifierSketch,
     KVertexConnectivityTester,
     Params,
     VertexConnectivityQuerySketch,
@@ -35,7 +35,9 @@ def main() -> None:
     params = Params.practical()
     query = VertexConnectivityQuerySketch(g.n, k=2, seed=11, params=params)
     tester = KVertexConnectivityTester(g.n, k=2, epsilon=1.0, seed=12, params=params)
-    sparsifier = GraphSparsifierSketch(g.n, epsilon=0.5, seed=13, k=6, levels=6)
+    sparsifier = HypergraphSparsifierSketch(
+        g.n, r=2, epsilon=0.5, seed=13, k=6, levels=6
+    )
 
     for update in stream:
         query.update(update.edge, update.sign)

@@ -36,10 +36,7 @@ from .core import (
     DEFAULT_PARAMS,
     DegradedResult,
     EdgeConnectivitySketch,
-    GraphSparsifierSketch,
-    HypergraphConnectivitySketch,
     HypergraphSparsifierSketch,
-    HypergraphVertexConnectivityQuerySketch,
     KVertexConnectivityTester,
     LightEdgeRecoverySketch,
     Params,
@@ -85,12 +82,9 @@ __all__ = [
     "EdgeConnectivitySketch",
     "KVertexConnectivityTester",
     "VertexConnectivityEstimator",
-    "HypergraphConnectivitySketch",
-    "HypergraphVertexConnectivityQuerySketch",
     "LightEdgeRecoverySketch",
     "reconstruct_cut_degenerate",
     "HypergraphSparsifierSketch",
-    "GraphSparsifierSketch",
     "max_cut_error",
     "Params",
     "DEFAULT_PARAMS",

@@ -25,7 +25,8 @@ independent of the Borůvka/peeling decode logic:
 
 Every certified query returns a :class:`CertifiedResult`: the value,
 the witness edges, whether every check passed, and the failures when
-not — never a silently wrong answer.
+not — under a valid dynamic stream (every multiplicity 0 or 1), never
+a silently wrong answer.
 """
 
 from __future__ import annotations

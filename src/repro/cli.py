@@ -44,11 +44,11 @@ from typing import List, Optional
 
 from .core.connectivity_query import VertexConnectivityQuerySketch
 from .core.edge_connectivity_sketch import EdgeConnectivitySketch
-from .core.hyper_connectivity import HypergraphConnectivitySketch
 from .core.light_edges import LightEdgeRecoverySketch
 from .core.params import Params
 from .core.sparsifier import HypergraphSparsifierSketch
 from .errors import ReproError
+from .sketch.spanning_forest import SpanningForestSketch
 from .stream.file_io import load_stream_file, save_stream_file
 from .stream.generators import insert_only
 from .stream.quarantine import Quarantine
@@ -108,9 +108,12 @@ def _write_metrics_json(path: str, sections) -> None:
 
 def _cmd_connectivity(args) -> int:
     n, r, updates, _ = _load(args)
-    sketch = HypergraphConnectivitySketch(n, r=r, seed=args.seed, params=_params(args.params))
+    params = _params(args.params)
+    sketch = SpanningForestSketch(
+        n, r=r, seed=args.seed, rows=params.rows, buckets=params.buckets
+    )
     _feed(sketch, updates)
-    comps = sketch.components()
+    comps = sketch.components_of_decode()
     print(f"n={n} r={r} events={len(updates)}")
     print(f"connected: {len(comps) == 1}")
     print(f"components ({len(comps)}): {comps}")
@@ -118,7 +121,7 @@ def _cmd_connectivity(args) -> int:
     if args.certify:
         from .audit.certify import certify_connectivity
 
-        cert = certify_connectivity(sketch._sketch)
+        cert = certify_connectivity(sketch)
         print(cert.summary())
         if not cert.verified:
             return 1
@@ -215,7 +218,6 @@ def _cmd_ingest(args) -> int:
     from .engine.checkpoint import CheckpointManager
     from .engine.shard import ShardedIngestEngine
     from .sketch.skeleton import SkeletonSketch
-    from .sketch.spanning_forest import SpanningForestSketch
 
     n, r, updates, diverted = _load(args)
     if args.sketch == "skeleton":

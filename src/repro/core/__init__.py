@@ -8,31 +8,18 @@ from .connectivity_estimate import (
 from .connectivity_query import VertexConnectivityQuerySketch
 from .degraded import DegradedResult, decode_with_degradation
 from .edge_connectivity_sketch import EdgeConnectivitySketch
-from .hyper_connectivity import (
-    HypergraphConnectivitySketch,
-    HypergraphKVertexConnectivityTester,
-    HypergraphVertexConnectivityQuerySketch,
-)
 from .light_edges import LightEdgeRecoverySketch, reconstruct_cut_degenerate
 from .params import DEFAULT_PARAMS, Params
-from .sparsifier import (
-    GraphSparsifierSketch,
-    HypergraphSparsifierSketch,
-    max_cut_error,
-)
+from .sparsifier import HypergraphSparsifierSketch, max_cut_error
 
 __all__ = [
     "VertexConnectivityQuerySketch",
     "EdgeConnectivitySketch",
     "KVertexConnectivityTester",
     "VertexConnectivityEstimator",
-    "HypergraphConnectivitySketch",
-    "HypergraphKVertexConnectivityTester",
-    "HypergraphVertexConnectivityQuerySketch",
     "LightEdgeRecoverySketch",
     "reconstruct_cut_degenerate",
     "HypergraphSparsifierSketch",
-    "GraphSparsifierSketch",
     "max_cut_error",
     "Params",
     "DEFAULT_PARAMS",

@@ -21,7 +21,6 @@ from ..engine.batch import (
     pairs_of_updates,
 )
 from ..errors import DomainError
-from ..graph.graph import Graph
 from ..graph.hypergraph import Hypergraph
 from ..sketch import bank
 from ..sketch.incidence import IncidenceScheme
@@ -451,10 +450,6 @@ class SampledForestUnion:
                 np.unique(self._forest_cache[0])
             )
         return self._union_cache
-
-    def decode_union_graph(self) -> Graph:
-        """H as an ordinary graph (rank-2 inputs only)."""
-        return self.decode_union().to_graph()
 
     def decode_union_accounted(
         self, exclude: Sequence[int] = ()

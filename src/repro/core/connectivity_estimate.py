@@ -6,8 +6,9 @@ spanning forests, the union ``H`` satisfies (Corollary 7):
 * if G is ``(1+ε)k``-vertex-connected then H is k-vertex-connected
   w.h.p.;
 * if H is k-vertex-connected then G is (H is a subgraph of G — every
-  sketched edge is fingerprint-verified, so acceptance is *sound* even
-  when the randomness is unlucky).
+  sketched edge is fingerprint-verified, so under a valid dynamic
+  stream, every multiplicity 0 or 1, acceptance is *sound* even when
+  the randomness is unlucky).
 
 :class:`KVertexConnectivityTester` exposes exactly that one-sided
 test; :func:`estimate_vertex_connectivity` runs a geometric ladder of
@@ -19,11 +20,14 @@ testers in parallel over the same stream to locate κ(G) up to a
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import DomainError
-from ..graph.graph import Graph
-from ..graph.vertex_connectivity import is_k_vertex_connected, vertex_connectivity
+from ..graph.hypergraph import Hypergraph
+from ..graph.hypergraph_vertex_connectivity import (
+    hypergraph_vertex_connectivity,
+    is_k_vertex_connected_hypergraph,
+)
 from ..util.hashing import derive_seed
 from ..util.rng import normalize_seed
 from ._sampled import SampledForestUnion
@@ -33,11 +37,15 @@ from .params import DEFAULT_PARAMS, Params
 class KVertexConnectivityTester:
     """One-sided tester: distinguishes (1+ε)k-connected from not-k-connected.
 
-    Graphs only (rank 2): the post-processing runs the exact
-    vertex-connectivity algorithm on the certificate H, and κ is a
-    graph notion in Section 3 (Section 4.1 sketches the hypergraph
-    extension via Theorem 13, exposed through
-    :class:`repro.core.connectivity_query.VertexConnectivityQuerySketch`).
+    The certificate H is a hypergraph of the rank ``r`` the tester was
+    built with (Section 4.1: with the Theorem 13 sketch the results "go
+    through for hypergraphs unchanged"), and the post-processing is
+    :mod:`repro.graph.hypergraph_vertex_connectivity`.  At ``r = 2``
+    that hands H to the graph algorithm of Section 3.  At ``r > 2`` it
+    is the strong-deletion enumeration, which has no known polynomial
+    algorithm: it tries removal sets of size < k on the small
+    certificate, O(n^k) connectivity checks — fine in the paper's
+    constant-k regime.
     """
 
     def __init__(
@@ -48,11 +56,14 @@ class KVertexConnectivityTester:
         seed: Optional[int] = None,
         repetitions: Optional[int] = None,
         params: Params = DEFAULT_PARAMS,
+        *,
+        r: int = 2,
     ):
         if epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {epsilon}")
         self.n = n
         self.k = k
+        self.r = r
         self.epsilon = epsilon
         self.params = params
         reps = (
@@ -61,7 +72,7 @@ class KVertexConnectivityTester:
             else params.tester_repetitions(n, k, epsilon)
         )
         self._union = SampledForestUnion(
-            n, k=k, repetitions=reps, r=2, seed=normalize_seed(seed), params=params
+            n, k=k, repetitions=reps, r=r, seed=normalize_seed(seed), params=params
         )
 
     # -- streaming ------------------------------------------------------
@@ -86,9 +97,9 @@ class KVertexConnectivityTester:
 
     # -- queries ------------------------------------------------------------
 
-    def certificate(self) -> Graph:
-        """The union certificate H as a graph."""
-        return self._union.decode_union_graph()
+    def certificate(self) -> Hypergraph:
+        """The union certificate H."""
+        return self._union.decode_union()
 
     def accepts(self) -> bool:
         """True iff the certificate H is k-vertex-connected.
@@ -96,12 +107,12 @@ class KVertexConnectivityTester:
         Acceptance certifies κ(G) >= k (H ⊆ G); rejection means
         κ(G) < (1+ε)k w.h.p.
         """
-        return is_k_vertex_connected(self.certificate(), self.k)
+        return is_k_vertex_connected_hypergraph(self.certificate(), self.k)
 
     def certificate_connectivity(self) -> int:
         """κ(H) — a lower bound on κ(G), and >= k w.h.p. when
         κ(G) >= (1+ε)k."""
-        return vertex_connectivity(self.certificate())
+        return hypergraph_vertex_connectivity(self.certificate())
 
     # -- accounting -----------------------------------------------------------
 

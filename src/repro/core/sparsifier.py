@@ -179,34 +179,6 @@ class HypergraphSparsifierSketch:
         return self._updates
 
 
-class GraphSparsifierSketch(HypergraphSparsifierSketch):
-    """The rank-2 specialisation: the paper's simplified dynamic *graph*
-    sparsifier (Section 5's "added bonus")."""
-
-    def __init__(
-        self,
-        n: int,
-        epsilon: float = 0.5,
-        seed: Optional[int] = None,
-        params: Params = DEFAULT_PARAMS,
-        k: Optional[int] = None,
-        levels: Optional[int] = None,
-        reparameterize: bool = False,
-        rounds: Optional[int] = None,
-    ):
-        super().__init__(
-            n,
-            r=2,
-            epsilon=epsilon,
-            seed=seed,
-            params=params,
-            k=k,
-            levels=levels,
-            reparameterize=reparameterize,
-            rounds=rounds,
-        )
-
-
 def max_cut_error(
     original: Hypergraph, sparsifier: WeightedHypergraph, sides: Sequence[Sequence[int]]
 ) -> float:

@@ -27,7 +27,7 @@ package turns that mathematical property into throughput:
   observability (:class:`QueryMetrics`).
 """
 
-from .batch import expand_edge_batch, grid_update_batch, iter_event_batches
+from .batch import expand_edge_batch, grid_update_batch
 from .checkpoint import Checkpoint, CheckpointManager
 from .metrics import CheckpointStats, IngestMetrics, ShardStats
 from .pool import SerialPool, make_pool
@@ -37,7 +37,6 @@ from .shard import IngestResult, ShardedIngestEngine, shard_of_edge, zero_clone
 __all__ = [
     "grid_update_batch",
     "expand_edge_batch",
-    "iter_event_batches",
     "ShardedIngestEngine",
     "IngestResult",
     "shard_of_edge",

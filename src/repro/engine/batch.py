@@ -24,7 +24,7 @@ the spanning-forest and skeleton sketches feed through the kernel.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -448,17 +448,3 @@ def expand_pair_batch(
     deltas[0::2] = s
     deltas[1::2] = -s
     return members, indices, deltas
-
-
-def iter_event_batches(stream: Iterable, batch_size: int) -> Iterator[List]:
-    """Chunk a stream of events into lists of at most ``batch_size``."""
-    if batch_size < 1:
-        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
-    batch: List = []
-    for event in stream:
-        batch.append(event)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

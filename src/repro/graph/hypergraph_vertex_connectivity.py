@@ -19,9 +19,12 @@ connectivity (a hyperedge {s, w, t} would carry infinite s→t flow even
 though removing w separates s from t).  Section 4.1's remark that the
 vertex-connectivity results "go through for hypergraphs unchanged" is
 accurate for the *sketching* (and for the query structure, which only
-needs connectivity-after-removal — implemented and validated in
-:mod:`repro.core.hyper_connectivity`); the exact-κ post-processing is
-the part without a known polynomial algorithm here.  This module
+needs connectivity-after-removal —
+:class:`~repro.core.connectivity_query.VertexConnectivityQuerySketch`
+built with ``r > 2``); the exact-κ post-processing that
+:class:`~repro.core.connectivity_estimate.KVertexConnectivityTester`
+runs at ``r > 2`` is the part without a known polynomial algorithm
+here.  This module
 therefore provides:
 
 * rank-2 fast path (delegates to the graph algorithm),

@@ -56,16 +56,16 @@ def check_policy(policy: str) -> str:
 class BadUpdate:
     """One malformed update with its provenance.
 
-    ``line`` is the 1-based line number in the source file, or the
-    1-based event position for in-memory streams (``source`` says
-    which).  ``reason`` is one of the ``REASON_*`` codes.
+    ``line`` is the 1-based line number in the stream file.
+    ``reason`` is one of the ``REASON_*`` codes.  ``source`` is always
+    ``"file"``; it stays a field so the JSONL schema is unchanged.
     """
 
     line: int
     reason: str
     detail: str
     raw: str
-    source: str = "file"  # "file" (line number) or "stream" (event index)
+    source: str = "file"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

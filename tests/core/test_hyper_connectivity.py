@@ -1,11 +1,12 @@
-"""Tests for dynamic hypergraph connectivity (the Theorem 13 application)."""
+"""Tests for dynamic hypergraph connectivity (the Theorem 13 application).
 
-import pytest
+Section 4.1: with the hypergraph spanning sketch the graph structures
+"go through for hypergraphs unchanged", so these drive the rank-general
+classes at r > 2.
+"""
 
-from repro.core.hyper_connectivity import (
-    HypergraphConnectivitySketch,
-    HypergraphVertexConnectivityQuerySketch,
-)
+from repro.core.connectivity_estimate import KVertexConnectivityTester
+from repro.core.connectivity_query import VertexConnectivityQuerySketch
 from repro.core.params import Params
 from repro.graph.generators import (
     hyper_cycle,
@@ -14,36 +15,40 @@ from repro.graph.generators import (
 )
 from repro.graph.hypergraph import Hypergraph
 from repro.graph.hypergraph_cuts import is_spanning_subgraph
+from repro.graph.hypergraph_vertex_connectivity import (
+    hypergraph_vertex_connectivity,
+)
 from repro.graph.traversal import hypergraph_is_connected_excluding
+from repro.sketch.spanning_forest import SpanningForestSketch
 
 
 class TestConnectivity:
     def test_connected_hypergraph(self):
         h = random_connected_hypergraph(14, 12, r=3, seed=1)
-        sk = HypergraphConnectivitySketch(14, r=3, seed=2)
+        sk = SpanningForestSketch(14, r=3, seed=2)
         for e in h.edges():
             sk.insert(e)
         assert sk.is_connected()
 
     def test_disconnected_components_match(self):
         h = random_hypergraph(14, 6, r=3, seed=3)
-        sk = HypergraphConnectivitySketch(14, r=3, seed=4)
+        sk = SpanningForestSketch(14, r=3, seed=4)
         for e in h.edges():
             sk.insert(e)
-        assert {tuple(c) for c in sk.components()} == {
+        assert {tuple(c) for c in sk.components_of_decode()} == {
             tuple(c) for c in h.components()
         }
 
     def test_spanning_graph_property(self):
         h = hyper_cycle(10, 3)
-        sk = HypergraphConnectivitySketch(10, r=3, seed=5)
+        sk = SpanningForestSketch(10, r=3, seed=5)
         for e in h.edges():
             sk.insert(e)
-        assert is_spanning_subgraph(h, sk.spanning_graph())
+        assert is_spanning_subgraph(h, sk.decode())
 
     def test_dynamic_disconnect_reconnect(self):
         h = hyper_cycle(8, 3)
-        sk = HypergraphConnectivitySketch(8, r=3, seed=6)
+        sk = SpanningForestSketch(8, r=3, seed=6)
         for e in h.edges():
             sk.insert(e)
         assert sk.is_connected()
@@ -52,11 +57,11 @@ class TestConnectivity:
             sk.delete(e)
         assert not sk.is_connected()
         sk.insert((0, 1, 2))
-        comps = sk.components()
+        comps = sk.components_of_decode()
         assert [0, 1, 2] in comps
 
     def test_space_accounting(self):
-        sk = HypergraphConnectivitySketch(10, r=3, seed=7)
+        sk = SpanningForestSketch(10, r=3, seed=7)
         assert sk.space_counters() > 0
 
 
@@ -66,7 +71,7 @@ class TestHypergraphVertexConnectivityQueries:
         # the edge (1, 2) so removing a leaf like 0 leaves the rest
         # connected while removing the shared vertex 2 disconnects.
         h = Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4), (1, 2)])
-        sk = HypergraphVertexConnectivityQuerySketch(
+        sk = VertexConnectivityQuerySketch(
             5, k=1, r=3, seed=8, params=Params.practical()
         )
         for e in h.edges():
@@ -76,7 +81,7 @@ class TestHypergraphVertexConnectivityQueries:
 
     def test_agreement_with_exact(self):
         h = random_connected_hypergraph(9, 10, r=3, seed=9)
-        sk = HypergraphVertexConnectivityQuerySketch(
+        sk = VertexConnectivityQuerySketch(
             9, k=1, r=3, seed=10, params=Params.practical()
         )
         for e in h.edges():
@@ -91,27 +96,20 @@ class TestHypergraphVertexConnectivityQueries:
 
 class TestHypergraphTester:
     def test_accepts_well_connected_hypercycle(self):
-        from repro.core.hyper_connectivity import HypergraphKVertexConnectivityTester
-        from repro.graph.hypergraph_vertex_connectivity import (
-            hypergraph_vertex_connectivity,
-        )
-
         h = hyper_cycle(12, 4)
         kappa = hypergraph_vertex_connectivity(h)
         assert kappa >= 2
-        tester = HypergraphKVertexConnectivityTester(
-            12, k=1, r=4, seed=31, params=Params.practical()
+        tester = KVertexConnectivityTester(
+            12, k=1, r=4, epsilon=1.0, seed=31, params=Params.practical()
         )
         for e in h.edges():
             tester.insert(e)
         assert tester.accepts()
 
     def test_rejects_bowtie(self):
-        from repro.core.hyper_connectivity import HypergraphKVertexConnectivityTester
-
         h = Hypergraph(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 1), (5, 6)])
-        tester = HypergraphKVertexConnectivityTester(
-            7, k=2, r=3, seed=32, params=Params.practical()
+        tester = KVertexConnectivityTester(
+            7, k=2, r=3, epsilon=1.0, seed=32, params=Params.practical()
         )
         for e in h.edges():
             tester.insert(e)
@@ -119,11 +117,9 @@ class TestHypergraphTester:
         assert not tester.accepts()
 
     def test_deletions_flip_verdict(self):
-        from repro.core.hyper_connectivity import HypergraphKVertexConnectivityTester
-
         h = hyper_cycle(10, 3)
-        tester = HypergraphKVertexConnectivityTester(
-            10, k=1, r=3, seed=33, params=Params.practical()
+        tester = KVertexConnectivityTester(
+            10, k=1, r=3, epsilon=1.0, seed=33, params=Params.practical()
         )
         for e in h.edges():
             tester.insert(e)
@@ -131,3 +127,16 @@ class TestHypergraphTester:
         for e in h.edges():
             tester.delete(e)
         assert not tester.accepts()
+
+    def test_certificate_connectivity_uses_strong_deletion(self):
+        h = hyper_cycle(10, 3)
+        tester = KVertexConnectivityTester(
+            10, k=1, r=3, epsilon=1.0, seed=34, params=Params.practical()
+        )
+        for e in h.edges():
+            tester.insert(e)
+        cert = tester.certificate()
+        assert any(len(e) == 3 for e in cert.edges())
+        kappa = tester.certificate_connectivity()
+        assert kappa == hypergraph_vertex_connectivity(cert)
+        assert 1 <= kappa <= hypergraph_vertex_connectivity(h)

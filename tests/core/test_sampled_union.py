@@ -78,7 +78,7 @@ class TestUnionDecode:
         from repro.errors import RankError
 
         with pytest.raises(RankError):
-            union.decode_union_graph()
+            union.decode_union().to_graph()
 
     def test_space_accounts_all_instances(self):
         union = SampledForestUnion(16, k=2, repetitions=12, seed=10)
@@ -465,10 +465,6 @@ class TestBatchApi:
             VertexConnectivityEstimator,
         )
         from repro.core.connectivity_query import VertexConnectivityQuerySketch
-        from repro.core.hyper_connectivity import (
-            HypergraphKVertexConnectivityTester,
-            HypergraphVertexConnectivityQuerySketch,
-        )
         from repro.stream.updates import EdgeUpdate
 
         fast = Params.fast()
@@ -480,9 +476,9 @@ class TestBatchApi:
              edges),
             (lambda: VertexConnectivityEstimator(12, 3, seed=5, params=fast),
              edges),
-            (lambda: HypergraphKVertexConnectivityTester(
-                12, 2, 3, seed=5, params=fast), self.EVENTS3),
-            (lambda: HypergraphVertexConnectivityQuerySketch(
+            (lambda: KVertexConnectivityTester(
+                12, 2, r=3, epsilon=1.0, seed=5, params=fast), self.EVENTS3),
+            (lambda: VertexConnectivityQuerySketch(
                 12, 2, r=3, seed=5, params=fast), self.EVENTS3),
         ]
         for make, events in cases:
@@ -509,11 +505,10 @@ class TestBatchApi:
         assert a.update_batch([]) == 0 and a._updates == 4
 
     def test_stream_runner_batches_the_query_structure(self):
-        """A stream fed in ``iter_event_batches`` chunks reaches the query
-        structure through ``update_batch`` only, bit-identical to the
-        per-event path."""
+        """A stream fed in chunks of 5 reaches the query structure
+        through ``update_batch`` only, bit-identical to the per-event
+        path."""
         from repro.core.connectivity_query import VertexConnectivityQuerySketch
-        from repro.engine.batch import iter_event_batches
 
         events = [(e, 1) for e in cycle_graph(12).edges()]
         calls = []
@@ -527,8 +522,8 @@ class TestBatchApi:
                 return super().update_batch(updates)
 
         sk = Spy(12, 1, seed=3, params=Params.fast())
-        for batch in iter_event_batches(events, 5):
-            sk.update_batch(batch)
+        for start in range(0, len(events), 5):
+            sk.update_batch(events[start:start + 5])
         assert calls == [5, 5, 2]
         ref = VertexConnectivityQuerySketch(12, 1, seed=3, params=Params.fast())
         for edge, sign in events:

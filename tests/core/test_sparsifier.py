@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.sparsifier import (
-    GraphSparsifierSketch,
-    HypergraphSparsifierSketch,
-    max_cut_error,
-)
+from repro.core.sparsifier import HypergraphSparsifierSketch, max_cut_error
 from repro.core.params import Params
 from repro.errors import DomainError
 from repro.graph.generators import (
@@ -141,7 +137,7 @@ class TestConfiguration:
         assert b.k > a.k
 
     def test_graph_specialisation(self):
-        sk = GraphSparsifierSketch(10, epsilon=0.5, k=3, levels=4, seed=18)
+        sk = HypergraphSparsifierSketch(10, r=2, epsilon=0.5, k=3, levels=4, seed=18)
         assert sk.r == 2
         g = cycle_graph(10)
         for e in g.edges():

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine import batch as batch_module
-from repro.engine.batch import (
-    expand_edge_batch,
-    grid_update_batch,
-    iter_event_batches,
-)
+from repro.engine.batch import expand_edge_batch, grid_update_batch
 from repro.errors import (
     DomainError,
     IncompatibleSketchError,
@@ -287,23 +283,6 @@ class TestExpandEdgeBatch:
         sk = SpanningForestSketch(6, seed=0, vertices=[0, 1, 2])
         with pytest.raises(DomainError):
             expand_edge_batch(sk.scheme, sk._member_of, [((0, 5), 1)])
-
-
-class TestIterEventBatches:
-    def test_chunking(self):
-        batches = list(iter_event_batches(range(10), 4))
-        assert [len(b) for b in batches] == [4, 4, 2]
-        assert [x for b in batches for x in b] == list(range(10))
-
-    def test_exact_multiple(self):
-        assert [len(b) for b in iter_event_batches(range(8), 4)] == [4, 4]
-
-    def test_empty(self):
-        assert list(iter_event_batches([], 4)) == []
-
-    def test_bad_batch_size(self):
-        with pytest.raises(DomainError):
-            list(iter_event_batches(range(3), 0))
 
 
 class TestFoldCells:

@@ -8,10 +8,10 @@ every sketch gets it through ``update``.
 import pytest
 
 from repro import (
-    HypergraphConnectivitySketch,
     HypergraphSparsifierSketch,
     LightEdgeRecoverySketch,
     Params,
+    SpanningForestSketch,
     VertexConnectivityQuerySketch,
 )
 from repro.baselines import StoreEverything
@@ -108,7 +108,7 @@ class TestReconstructionPipeline:
 class TestMixedWorkload:
     def test_three_sketches_one_stream(self):
         h = random_connected_hypergraph(10, 12, r=3, seed=10)
-        conn = HypergraphConnectivitySketch(10, r=3, seed=11)
+        conn = SpanningForestSketch(10, r=3, seed=11)
         light = LightEdgeRecoverySketch(10, k=1, r=3, seed=12)
         stream = insert_only(h)
         replay(10, stream, [conn, light], r=3)

@@ -1,22 +1,13 @@
-"""Tests for the audit helpers."""
+"""Cut audits of small hypergraphs: a sparsifier's worst cut error
+(``max_cut_error``) and the k-skeleton predicate (``is_k_skeleton``),
+both checked against every cut."""
 
 import pytest
 
-from repro.analysis import (
-    CutAuditReport,
-    audit_queries,
-    audit_skeleton,
-    audit_sparsifier,
-)
-from repro.core.connectivity_query import VertexConnectivityQuerySketch
-from repro.core.params import Params
-from repro.errors import DomainError
-from repro.graph.generators import (
-    cycle_graph,
-    planted_separator_graph,
-    random_connected_hypergraph,
-)
+from repro.core.sparsifier import max_cut_error
+from repro.graph.generators import cycle_graph, random_connected_hypergraph
 from repro.graph.hypergraph import Hypergraph, WeightedHypergraph
+from repro.graph.hypergraph_cuts import all_cuts, is_k_skeleton
 
 
 def weighted_copy(h, factor=1.0):
@@ -29,84 +20,16 @@ def weighted_copy(h, factor=1.0):
 class TestSparsifierAudit:
     def test_perfect_copy_zero_error(self):
         h = random_connected_hypergraph(8, 10, r=3, seed=1)
-        report = audit_sparsifier(h, weighted_copy(h))
-        assert report.worst_relative_error == 0.0
-        assert report.within(0.01)
+        assert max_cut_error(h, weighted_copy(h), list(all_cuts(h.n))) == 0.0
 
     def test_scaled_copy_known_error(self):
         h = Hypergraph.from_graph(cycle_graph(8))
-        report = audit_sparsifier(h, weighted_copy(h, factor=1.5))
-        assert report.worst_relative_error == pytest.approx(0.5)
-        assert not report.within(0.4)
-        assert report.within(0.5)
-
-    def test_sampled_mode(self):
-        h = random_connected_hypergraph(30, 60, r=3, seed=2)
-        report = audit_sparsifier(h, weighted_copy(h), mode="sampled", samples=100)
-        assert report.worst_relative_error == 0.0
-        assert report.cuts_checked > 0
-
-    def test_exhaustive_guard(self):
-        h = Hypergraph(25, 2)
-        with pytest.raises(DomainError):
-            audit_sparsifier(h, weighted_copy(h), mode="exhaustive")
-
-    def test_unknown_mode(self):
-        h = Hypergraph.from_graph(cycle_graph(5))
-        with pytest.raises(DomainError):
-            audit_sparsifier(h, weighted_copy(h), mode="weird")
-
-    def test_worst_cut_is_reported(self):
-        h = Hypergraph.from_graph(cycle_graph(6))
-        w = weighted_copy(h)
-        w.remove_edge((0, 1))
-        w.add_weighted_edge((0, 1), 3.0)  # distort one edge
-        report = audit_sparsifier(h, w)
-        assert report.worst_relative_error > 0
-        assert 0 in report.worst_cut or 1 in report.worst_cut
+        err = max_cut_error(h, weighted_copy(h, factor=1.5), list(all_cuts(h.n)))
+        assert err == pytest.approx(0.5)
 
 
 class TestSkeletonAudit:
-    def test_full_graph_is_skeleton(self):
-        h = Hypergraph.from_graph(cycle_graph(7))
-        holds, witness = audit_skeleton(h, h.copy(), k=3)
-        assert holds and witness == ()
-
-    def test_violation_found(self):
-        h = Hypergraph.from_graph(cycle_graph(7))
-        thin = Hypergraph(7, 2, [(0, 1)])
-        holds, witness = audit_skeleton(h, thin, k=1)
-        assert not holds
-        assert witness != ()
-        # The witness actually violates.
-        assert thin.cut_size(witness) < min(h.cut_size(witness), 1)
-
     def test_non_subgraph_rejected(self):
         h = Hypergraph.from_graph(cycle_graph(5))
         fake = Hypergraph(5, 2, [(0, 2)])
-        with pytest.raises(DomainError):
-            audit_skeleton(h, fake, k=1)
-
-
-class TestQueryAudit:
-    def test_accurate_sketch(self):
-        g, _ = planted_separator_graph(5, 2, seed=3)
-        h = Hypergraph.from_graph(g)
-        sk = VertexConnectivityQuerySketch(
-            g.n, k=2, seed=4, params=Params.practical()
-        )
-        for e in g.edges():
-            sk.insert(e)
-        report = audit_queries(h, sk, max_size=2, limit=60, seed=5)
-        assert report.accuracy >= 0.95
-        assert report.queries == 60
-
-    def test_wrong_sets_reported(self):
-        class AlwaysYes:
-            def disconnects(self, S):
-                return True
-
-        h = Hypergraph.from_graph(cycle_graph(6))
-        report = audit_queries(h, AlwaysYes(), max_size=1, limit=10, seed=6)
-        assert report.accuracy == 0.0
-        assert len(report.wrong_sets) == report.queries
+        assert not is_k_skeleton(h, fake, k=1)

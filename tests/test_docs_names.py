@@ -1,16 +1,22 @@
-"""Every dotted ``repro.*`` name and ``--flag`` the documentation cites
-must exist.
+"""Every dotted ``repro.*`` name, backticked class-style name and
+``--flag`` the documentation cites must exist.
 
-Each name resolves to a module, or to an attribute chain under its
-longest importable module prefix.  Each flag is an option of some
+Each dotted name resolves to a module, or to an attribute chain under
+its longest importable module prefix.  Each backticked CapWords name
+(`` `SpanningForestSketch` ``) is defined by some ``repro`` module or
+by a class in one, or is a builtin.  Each flag is an option of some
 ``repro`` subcommand, or one of a few other tools' flags listed in
 ``OTHER_TOOLS_FLAGS``.  EXPERIMENTS.md is exempt: it is a ledger that
 records retired modules and flags by name.
 """
 
 import argparse
+import builtins
 import importlib
+import inspect
+import pkgutil
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -24,6 +30,13 @@ DOCS = [
     ".claude/skills/verify/SKILL.md",
 ]
 NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+# A backticked name in CapWords, bare or as the head of a call or an
+# attribute chain: `Name`, `Name(...)`, `Name.attr`.
+CAPWORDS = re.compile(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?=[`(.])")
+# Cited CapWords names that are not library names.
+OTHER_CAPWORDS = {
+    "TestDecodeAtScale",  # tests/sketch: the n = 1024 decode fixture
+}
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 # Flags the docs cite for tools other than the ``repro`` CLI.
 OTHER_TOOLS_FLAGS = {
@@ -51,14 +64,39 @@ def resolves(name: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def defined_names() -> frozenset:
+    """Every name a ``repro`` module or a class in one defines, plus
+    the builtins."""
+    import repro
+
+    names = set(dir(builtins)) | OTHER_CAPWORDS
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":  # importing it runs the CLI
+            continue
+        for name, obj in vars(importlib.import_module(info.name)).items():
+            names.add(name)
+            if inspect.isclass(obj):
+                names.update(vars(obj))
+    return frozenset(names)
+
+
 def stale_names(text: str):
     """``(line, name)`` of every cited name that does not resolve."""
-    return [
+    rows = list(enumerate(text.splitlines(), start=1))
+    dotted = [
         (line, m.group())
-        for line, row in enumerate(text.splitlines(), start=1)
+        for line, row in rows
         for m in NAME.finditer(row)
         if not resolves(m.group())
     ]
+    bare = [
+        (line, m.group(1))
+        for line, row in rows
+        for m in CAPWORDS.finditer(row)
+        if m.group(1) not in defined_names()
+    ]
+    return sorted(dotted + bare)
 
 
 @pytest.mark.parametrize("doc", DOCS)
@@ -67,8 +105,16 @@ def test_cited_names_resolve(doc):
 
 
 def test_stale_name_is_caught():
-    text = "see `repro.sketch.bank.SamplerGrid`\nand `repro.sketch.onesparse`\n"
-    assert stale_names(text) == [(2, "repro.sketch.onesparse")]
+    text = (
+        "see `repro.sketch.bank.SamplerGrid`\nand `repro.sketch.onesparse`\n"
+        "| `SpanningForestSketch(n, r)` | `ValueError` |\n"
+        "| `NoSuchSketch` | `SampledForestUnion.decode_union` |\n"
+        "a ZERO round, `DEGRADED`, `TestDecodeAtScale`\n"
+    )
+    assert stale_names(text) == [
+        (2, "repro.sketch.onesparse"),
+        (4, "NoSuchSketch"),
+    ]
 
 
 def repro_flags(parser: argparse.ArgumentParser) -> set:
