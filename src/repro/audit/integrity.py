@@ -53,8 +53,10 @@ def named_grids(sketch: Any, label: str = "sketch",
     Extends :func:`repro.sketch.serialization.iter_grids`'s composition
     conventions (grid / ``.grid`` / ``.layers``) with the query-layer
     structures (``.sketches`` instance maps, ``._union`` /
-    ``._skeleton`` / ``._sketch`` delegation), so the auditor covers
-    the full surface the CLI exposes.
+    ``._skeleton`` delegation), so the auditor covers the full surface
+    the CLI exposes.  On the streaming sketches it yields their grids
+    in ``iter_grids`` order, so a finding's grid and anti-entropy's
+    ``grid=`` index agree.
     """
     if isinstance(sketch, SamplerGrid):
         yield GridRef(label, instance, sketch)
@@ -76,8 +78,6 @@ def named_grids(sketch: Any, label: str = "sketch",
         yield from named_grids(sketch._union, label, instance)
     elif hasattr(sketch, "_skeleton"):
         yield from named_grids(sketch._skeleton, label, instance)
-    elif hasattr(sketch, "_sketch"):
-        yield from named_grids(sketch._sketch, label, instance)
     else:
         raise IncompatibleSketchError(
             f"cannot audit {type(sketch).__name__}: expected a SamplerGrid "

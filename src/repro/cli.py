@@ -370,7 +370,6 @@ def _cmd_serve(args) -> int:
     registry = SketchRegistry(
         checkpoint_dir=args.checkpoint_dir,
         keep=args.keep,
-        hash_cache=args.hash_cache,
         wal=args.wal,
         wal_segment_bytes=args.wal_segment_bytes,
         wal_fsync=args.wal_fsync,
@@ -883,10 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "queries then trail until a fresh query decodes)")
     p.add_argument("--keep", type=int, default=2,
                    help="checkpoint generations retained per sketch")
-    p.add_argument("--hash-cache", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="attach the placement-table ingest fast path to "
-                        "every sketch (--no-hash-cache to save memory)")
     p.add_argument("--wal", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="write-ahead-log every ingest batch before its ack "

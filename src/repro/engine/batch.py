@@ -32,9 +32,9 @@ from ..errors import DomainError, IncompatibleSketchError, NotOneSparseError
 from ..util.hashing import (
     field_value_many,
     hash64_premixed,
+    level_counts_np,
     premix64_np,
     splitmix64_np,
-    trailing_zeros64_np,
 )
 from ..util.prime_field import MERSENNE_61, mul_vec_mod, rotl_vec_mod
 
@@ -77,9 +77,10 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     this call is bit-identical to applying the same updates through the
     scalar ``grid.update`` loop, in any order.
 
-    There is one kernel, :func:`_grid_update_batch_fused`, on whatever
-    placement-table tier the budget gives (attached lazily — see
-    :meth:`SamplerGrid._ensure_hash_cache`).  An attached audit digest
+    There is one kernel, :func:`_grid_update_batch_fused`; it gathers
+    placements from the grid's tables when
+    :meth:`~repro.sketch.bank.SamplerGrid.attach_hash_cache` attached
+    them and hashes them otherwise.  An attached audit digest
     rides the same folds: it is linear, so observing each fold's entries
     moves it exactly as the counters move.
     """
@@ -123,7 +124,7 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     # Per-update modular cell contributions, shared by every group.
     cs = index_sums(d, idx, grid.domain)
     cf = mul_vec_mod(d % _P, field_value_many(grid._rho.seed, idx, _P))
-    _grid_update_batch_fused(grid, grid._ensure_hash_cache(), m, idx, d, cs, cf)
+    _grid_update_batch_fused(grid, grid._hash_cache, m, idx, d, cs, cf)
     return applied
 
 
@@ -220,11 +221,11 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     """One fused pass per row over the whole SoA block, all groups.
 
     Expands the surviving ``(group, update, level)`` triples *once* —
-    depths gathered from the placement tables when attached (full or
-    depth-only tier), or hashed here — addresses them as **global**
-    flat offsets into the contiguous counter planes, and folds all
-    groups' cells together with one :func:`fold_cells` per row.  Every
-    hash it needs is taken once per (group, update) — one
+    depths and cells gathered from the placement tables when attached,
+    or hashed here — addresses them as **global** flat offsets into the
+    contiguous counter planes, and folds all groups' cells together
+    with one :func:`fold_cells` per row.  Every hash it needs is taken
+    once per (group, update) — one
     :func:`~repro.util.hashing.premix64_np` of the batch finished under
     each group's seeds — and read back per triple through its flat
     ``group * U + update`` slot.  A triple's cells are exactly the ones
@@ -237,20 +238,17 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     """
     G, U = grid.groups, m.size
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
-    full_tables = cache is not None and cache.off is not None
     if cache is not None:
-        depth = cache.depth[:, idx].reshape(-1)
-    if not full_tables:
-        # One hash per (seed, group, update): the level seed's only
-        # without a depth table, then one per row.
-        seeds = grid._hashes.group_seeds.T[int(cache is not None):]
+        counts = cache.depth[:, idx].reshape(-1).astype(np.int64) + 1
+    else:
+        # One hash per (seed, group, update): the level seed's, then
+        # one per row.
+        seeds = grid._hashes.group_seeds.T
         h = hash64_premixed(seeds[:, :, None], premix64_np(idx))
         h = h.reshape(seeds.shape[0], -1)
-        if cache is None:
-            depth = np.minimum(trailing_zeros64_np(h[0]), levels - 1)
-            h = h[1:]
+        counts = level_counts_np(h[0], levels)
+        h = h[1:]
     # Explicit (group, update, level) triple expansion, group-major.
-    counts = depth.astype(np.int64) + 1
     cum = np.cumsum(counts)
     slot = np.repeat(np.arange(G * U, dtype=np.int64), counts)
     lvl = np.arange(cum[-1], dtype=np.int64) - np.repeat(cum - counts, counts)
@@ -260,7 +258,7 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     block = (np.arange(G, dtype=np.int64)[:, None] * grid.members + m)
     block = block.reshape(-1)[slot]
     planes = (grid._w.reshape(-1), grid._s.reshape(-1), grid._f.reshape(-1))
-    if full_tables:
+    if cache is not None:
         span = grid.domain * levels  # one (group, row) offset table
         off = cache.off.reshape(-1)
         key = (
@@ -274,10 +272,16 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     else:
         salt = grid._hashes.salts[0][lvl]
         row0 = (block * levels + lvl) * (rows * buckets)
+        # ``% buckets`` without a uint64 division when buckets is a
+        # power of two (the default 8): the mask keeps the same residue.
+        pow2 = buckets & (buckets - 1) == 0
 
         def cells(r):
             b = splitmix64_np(h[r][slot] ^ salt)
-            b %= np.uint64(buckets)
+            if pow2:
+                b &= np.uint64(buckets - 1)
+            else:
+                b %= np.uint64(buckets)
             flat = b.view(np.int64)  # buckets < 2^63: the same integers
             flat += row0 + r * buckets
             return flat

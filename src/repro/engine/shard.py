@@ -66,6 +66,15 @@ def zero_clone(sketch) -> Any:
     return clone
 
 
+def _shard_sketch(prototype) -> Any:
+    """A shard's starting sketch: a :func:`zero_clone` of the prototype
+    with its placement tables attached where they fit.  Same-geometry
+    shards adopt one pooled table set, and forked workers inherit it."""
+    sketch = zero_clone(prototype)
+    sketch.attach_hash_cache()
+    return sketch
+
+
 @dataclass
 class IngestResult:
     """What one engine run produced."""
@@ -204,7 +213,7 @@ class ShardedIngestEngine:
                 metrics.resumed_from = start_offset
 
         wall_start = time.perf_counter()
-        pool = make_pool(self.backend, lambda: zero_clone(self.prototype),
+        pool = make_pool(self.backend, lambda: _shard_sketch(self.prototype),
                          self.shards)
         self.pool = pool
         try:

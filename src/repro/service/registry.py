@@ -204,24 +204,24 @@ class SketchRecord:
             "wal_seq": self.seq,
             "wal_lag": self.wal_lag,
             "frozen": self.frozen,
+            "table_bytes": sum(g.table_bytes for g in iter_grids(self.sketch)),
         }
 
 
 class SketchRegistry:
     """Registry of named sketches plus their checkpoint managers.
 
-    ``hash_cache=True`` (the default) attaches the placement-table
-    ingest fast path to every created/restored sketch — the tables are
-    pooled per (seed, geometry), so many sketches of the same shape
-    share one set.
+    Every created or restored sketch gets the placement-table ingest
+    fast path when its tables fit
+    (:meth:`~repro.sketch.bank.SamplerGrid.attach_hash_cache`); the
+    tables are pooled per (seed, geometry), so many sketches of the
+    same shape share one set.
     """
 
     def __init__(
         self,
         checkpoint_dir: Optional[str] = None,
         keep: int = 2,
-        hash_cache: bool = True,
-        hash_cache_max_bytes: int = 1 << 28,
         wal: bool = True,
         wal_segment_bytes: int = 4 << 20,
         wal_fsync: str = "always",
@@ -233,8 +233,6 @@ class SketchRegistry:
         self.keep = keep
         self.fs = fs
         self.clock = clock
-        self.hash_cache = hash_cache
-        self.hash_cache_max_bytes = hash_cache_max_bytes
         #: WAL durability is on whenever a checkpoint directory exists
         #: (there is nowhere to log without one).
         self.wal_enabled = wal and checkpoint_dir is not None
@@ -290,7 +288,7 @@ class SketchRegistry:
         thread so the event loop keeps serving.
         """
         sketch = build_sketch(config)
-        self._prepare(sketch)
+        sketch.attach_hash_cache()
         return sketch
 
     def _wal_dir(self, name: str) -> Optional[str]:
@@ -342,20 +340,6 @@ class SketchRegistry:
             wal.append(record.seq, KIND_CREATE, dict(config))
         self._records[name] = record
         return record
-
-    def _prepare(self, sketch) -> None:
-        """Attach the serving-path accelerators to a sketch's grids."""
-        if self.hash_cache:
-            try:
-                sketch.attach_hash_cache(max_bytes=self.hash_cache_max_bytes)
-            except Exception:
-                # Oversized domain: serve through the hashing kernel.
-                pass
-        else:
-            # Opting out must also cover the batch kernel's budgeted
-            # lazy attach, not just the eager one above.
-            for grid in iter_grids(sketch):
-                grid.detach_hash_cache()
 
     # -- ingest ---------------------------------------------------------
 
@@ -467,12 +451,26 @@ class SketchRegistry:
             except WALFullError:
                 # Disk full, but the log itself is intact (the torn
                 # append was physically truncated away).  Unfold the
-                # batch with its linear inverse — exact by linearity —
-                # so memory matches the log, and refuse the ingest with
-                # the typed retryable error: the client may re-send the
-                # same stamp once space frees up (checkpoint-driven
-                # truncation keeps running and is what frees it).
-                self._rollback_fold(record, kind, payload, count)
+                # batch with its linear inverse so memory matches the
+                # log: the updates live in a module over Z, so ``+x``
+                # then ``-x`` returns every cell to its exact prior
+                # value (Thm 2's linearity).  Then refuse the ingest
+                # with the typed retryable error: the client may
+                # re-send the same stamp once space frees up
+                # (checkpoint-driven truncation keeps running and is
+                # what frees it).
+                events = record.events - int(count)
+                try:
+                    self._fold_payload(record, kind, payload, sign=-1)
+                except Exception:  # pragma: no cover - inverse folds are pure
+                    # The unfold itself failed: state is now unknowable,
+                    # which is exactly what wal_broken means.
+                    record.wal_broken = True
+                    raise
+                # The unfold went through the ingest path, which counts
+                # events forward; the batch never happened.
+                record.events = events
+                record.snapshot = None
                 record.wal_full = True
                 raise
             except Exception:
@@ -499,63 +497,53 @@ class SketchRegistry:
         """One ``ingest-batch``: decode, validate, fold and log it.
 
         The server runs this as the batch's single worker-thread hop,
-        under ``record.lock``.  A JSON ``updates`` batch goes through
-        :meth:`ingest_updates`; a packed pairs ``payload`` through
-        :meth:`validate_pairs` for the whole batch, then
-        :meth:`ingest_pairs` per :data:`FOLD_CHUNK` pairs.  Either
-        way :meth:`wal_commit` runs last, so an invalid batch folds
-        nothing and a folded batch is logged before it is acked.
-        Returns ``(count, seq)``.
+        under ``record.lock``.  A JSON ``updates`` batch is encoded as
+        the payload it is logged as; either payload then goes through
+        :meth:`_fold_payload`, which validates the whole batch before
+        its first fold, and :meth:`wal_commit` runs last, so an invalid
+        batch folds nothing and a folded batch is logged before it is
+        acked.  Returns ``(count, seq)``.
         """
         if updates is not None:
-            count = self.ingest_updates(record, updates)
             kind, payload = KIND_UPDATES, json.dumps(updates).encode("utf-8")
         else:
-            us, vs, signs = decode_pairs(payload)
-            self.validate_pairs(record, us, vs, signs)
-            count = 0
-            for start in range(0, len(us), FOLD_CHUNK):
-                end = start + FOLD_CHUNK
-                count += self.ingest_pairs(
-                    record, us[start:end], vs[start:end], signs[start:end]
-                )
             kind = KIND_PAIRS
+        count = self._fold_payload(record, kind, payload)
         seq = self.wal_commit(record, kind, payload, client, request, count)
         return count, seq
 
-    def _rollback_fold(
-        self, record: SketchRecord, kind: int, payload: bytes, count: int
-    ) -> None:
-        """Undo an applied-but-unlogged batch with its linear inverse.
+    def _fold_payload(
+        self, record: SketchRecord, kind: int, payload: bytes, sign: int = 1
+    ) -> int:
+        """Fold one WAL payload, every edge's sign times ``sign``.
 
-        Folding the identical updates with flipped signs returns every
-        sketch cell to its exact prior value (the updates live in a
-        module over Z, so ``+x`` then ``-x`` is the identity — Thm 2's
-        linearity), which is what makes a *transient* WAL failure
-        recoverable in place instead of poisoning the sketch.
+        The one place a ``KIND_PAIRS`` or ``KIND_UPDATES`` payload
+        becomes sketch updates: ingest and WAL replay fold with ``+1``,
+        and a rollback folds ``-1``, the batch's linear inverse.  The
+        whole batch is validated before its first fold, packed pairs
+        fold :data:`FOLD_CHUNK` at a time through :meth:`ingest_pairs`
+        and JSON updates through :meth:`ingest_updates`.  Both advance
+        the stream offset by the batch's edge count, which is returned.
+        Must run under ``record.lock``.
         """
-        try:
-            if kind == KIND_PAIRS:
-                us, vs, signs = decode_pairs(payload)
-                record.sketch.update_batch_pairs(
-                    us, vs, np.negative(np.asarray(signs))
-                )
-            elif kind == KIND_UPDATES:
-                updates = json.loads(payload.decode("utf-8"))
-                batch = [
-                    (tuple(int(v) for v in edge), -int(sign))
-                    for sign, edge in updates
-                ]
-                record.sketch.update_batch(batch)
-            else:  # pragma: no cover - caller passes ingest kinds only
-                raise WALError(f"cannot roll back WAL record kind {kind}")
-        except Exception:  # pragma: no cover - inverse folds are pure
-            # The unfold itself failed: state is now unknowable, which
-            # is exactly what wal_broken means.
-            record.wal_broken = True
-            raise
-        record.events -= int(count)
-        record.snapshot = None
+        if kind == KIND_PAIRS:
+            us, vs, signs = decode_pairs(payload)
+            self.validate_pairs(record, us, vs, signs)
+            if sign != 1:
+                signs = np.negative(signs)
+            return sum(
+                self.ingest_pairs(record, us[start:start + FOLD_CHUNK],
+                                  vs[start:start + FOLD_CHUNK],
+                                  signs[start:start + FOLD_CHUNK])
+                for start in range(0, len(us), FOLD_CHUNK)
+            )
+        if kind == KIND_UPDATES:
+            updates = json.loads(payload.decode("utf-8"))
+            if sign != 1:
+                updates = [[-s, e] for s, e in updates]
+            return self.ingest_updates(record, updates)
+        raise WALError(f"WAL for {record.name!r} holds record kind {kind}, "
+                       "not an edge batch")
 
     # -- snapshots (the query path) -------------------------------------
 
@@ -721,7 +709,7 @@ class SketchRegistry:
                 )
         if config is None:
             return None
-        sketch = build_sketch(config)
+        sketch = self.prepare_sketch(config)
         base_seq = 0
         dedup = DedupWindow(capacity=self.dedup_window)
         if ck is not None:
@@ -736,7 +724,6 @@ class SketchRegistry:
                 # Pre-WAL checkpoint next to a log: coverage unknown,
                 # so trust the checkpoint and skip the replay.
                 base_seq = wal.last_seq
-        self._prepare(sketch)
         record = SketchRecord(name, config, sketch, wal=wal, dedup=dedup,
                               clock=self.clock)
         record.events = ck.offset if ck is not None else 0
@@ -748,16 +735,7 @@ class SketchRegistry:
                 if rec.kind == KIND_CREATE:
                     record.seq = rec.seq
                     continue
-                if rec.kind == KIND_PAIRS:
-                    us, vs, signs = decode_pairs(rec.payload)
-                    count = self.ingest_pairs(record, us, vs, signs)
-                elif rec.kind == KIND_UPDATES:
-                    updates = json.loads(rec.payload.decode("utf-8"))
-                    count = self.ingest_updates(record, updates)
-                else:
-                    raise CheckpointError(
-                        f"WAL for {name!r} holds unknown record kind {rec.kind}"
-                    )
+                count = self._fold_payload(record, rec.kind, rec.payload)
                 record.seq = rec.seq
                 record.replayed += 1
                 record.dedup.add(

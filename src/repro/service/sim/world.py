@@ -110,7 +110,6 @@ class _SimReplica:
             checkpoint_dir=f"/r{self.index}/data",
             wal=True,
             wal_fsync="always",
-            hash_cache=True,
             fs=self.fs,
             clock=self.world.clock,
         )

@@ -110,47 +110,26 @@ def set_query_metrics(metrics) -> object:
 # cell offset* ``(lvl * rows + r) * buckets + bucket`` of every
 # (coordinate, level) pair — exactly the address arithmetic of
 # :func:`repro.engine.batch.grid_update_batch`, so the kernel gives
-# bit-identical counters on every table tier by construction.
+# bit-identical counters with or without them by construction.
 
 
-class _HashTableCache:
-    """Immutable placement tables for one (seed, geometry) combination.
-
-    ``depth[g]`` maps coordinate -> capped depth (uint8 — a trailing-zero
-    count is at most 64 — shape ``(groups, domain)``);
-    ``off[g, r]`` maps the flattened
-    ``coordinate * levels + lvl`` key -> in-member flat cell offset
-    (smallest unsigned dtype that fits, shape
-    ``(groups, rows, domain * levels)``).  ``off`` may be None — the
-    *depth-only* tier kept when the full offset tables would blow the
-    memory budget; the kernel then gathers depths but re-hashes
-    buckets.
-    """
-
-    __slots__ = ("depth", "off", "nbytes")
-
-    def __init__(self, depth: np.ndarray, off: Optional[np.ndarray]):
-        self.depth = depth
-        self.off = off
-        self.nbytes = depth.nbytes + (0 if off is None else off.nbytes)
-
-
-def _depth_table_bytes(grid) -> int:
-    """Footprint of the depth-only tier (one byte per coordinate/group)."""
-    return grid.groups * grid.domain
+#: Immutable placement tables for one (seed, geometry) combination.
+#: ``depth[g]`` maps coordinate -> capped depth (uint8 — a trailing-zero
+#: count is at most 64 — shape ``(groups, domain)``); ``off[g, r]`` maps
+#: the flattened ``coordinate * levels + lvl`` key -> in-member flat
+#: cell offset (smallest unsigned dtype that fits, shape
+#: ``(groups, rows, domain * levels)``); ``nbytes`` is their footprint.
+_HashTableCache = namedtuple("_HashTableCache", "depth off nbytes")
 
 
 def _hash_cache_bytes(grid) -> int:
-    """Predicted full-tier table footprint of :func:`_build_hash_cache`."""
+    """Predicted table footprint of :func:`_build_hash_cache`."""
     cells = grid.levels * grid.rows * grid.buckets
     itemsize = 2 if cells <= (1 << 16) else 4
-    return (
-        _depth_table_bytes(grid)
-        + grid.groups * grid.rows * grid.domain * grid.levels * itemsize
-    )
+    return grid.groups * grid.domain * (1 + grid.rows * grid.levels * itemsize)
 
 
-def _build_hash_cache(grid, depth_only: bool = False) -> _HashTableCache:
+def _build_hash_cache(grid) -> _HashTableCache:
     """Tabulate every placement hash of a grid over its whole domain."""
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
     dom = np.arange(grid.domain, dtype=np.int64)
@@ -158,18 +137,12 @@ def _build_hash_cache(grid, depth_only: bool = False) -> _HashTableCache:
     salts = np.array(grid._level_salts, dtype=np.uint64)
     off_dtype = np.uint16 if levels * rows * buckets <= (1 << 16) else np.uint32
     depth = np.empty((grid.groups, grid.domain), dtype=np.uint8)
-    off = (
-        None
-        if depth_only
-        else np.empty((grid.groups, rows, grid.domain * levels), dtype=off_dtype)
-    )
+    off = np.empty((grid.groups, rows, grid.domain * levels), dtype=off_dtype)
     for g in range(grid.groups):
         depth[g] = np.minimum(
             trailing_zeros64_np(hash64_many(grid._level_seeds[g], dom)),
             levels - 1,
         )
-        if off is None:
-            continue
         for r in range(rows):
             h = hash64_many(grid._bucket_seeds[g][r], dom)
             with np.errstate(over="ignore"):
@@ -178,7 +151,7 @@ def _build_hash_cache(grid, depth_only: bool = False) -> _HashTableCache:
             off[g, r] = (
                 (lvl_arr[None, :] * rows + r) * buckets + b
             ).reshape(-1).astype(off_dtype)
-    return _HashTableCache(depth, off)
+    return _HashTableCache(depth, off, depth.nbytes + off.nbytes)
 
 
 #: Shared pool of placement tables, LRU-ordered.  Grids with equal
@@ -186,10 +159,10 @@ def _build_hash_cache(grid, depth_only: bool = False) -> _HashTableCache:
 #: replica of a served sketch — hash identically, so they share one
 #: table set.  The pool holds at most ``_HASH_CACHE_POOL_BUDGET``
 #: bytes of tables (by *actual* ``nbytes``, not entry count); putting
-#: a new table evicts least-recently-used ones to fit.  The batched
-#: update kernel attaches a grid's tables on first use within that
-#: budget, spilling back to rehashing for oversized domains.  Grids
-#: keep a direct reference to their table, so eviction only drops the
+#: a new table evicts least-recently-used ones to fit.  The same
+#: constant caps one grid's tables: a grid whose tables alone exceed
+#: it gets none (:meth:`SamplerGrid.attach_hash_cache`).  Grids keep
+#: a direct reference to their table, so eviction only drops the
 #: pooled handle — attached tables stay valid.
 _HASH_CACHE_POOL: "OrderedDict[tuple, _HashTableCache]" = OrderedDict()
 _HASH_CACHE_POOL_BUDGET = 1 << 28
@@ -203,26 +176,6 @@ def clear_hash_cache_pool() -> None:
 def hash_cache_pool_bytes() -> int:
     """Actual bytes of placement tables currently pooled."""
     return sum(cache.nbytes for cache in _HASH_CACHE_POOL.values())
-
-
-def _evict_to_budget(incoming: int) -> None:
-    """Evict LRU tables until ``incoming`` more bytes would fit."""
-    while _HASH_CACHE_POOL and (
-        hash_cache_pool_bytes() + incoming > _HASH_CACHE_POOL_BUDGET
-    ):
-        _HASH_CACHE_POOL.popitem(last=False)
-
-
-def _pool_get(key: tuple) -> Optional[_HashTableCache]:
-    cache = _HASH_CACHE_POOL.get(key)
-    if cache is not None:
-        _HASH_CACHE_POOL.move_to_end(key)
-    return cache
-
-
-def _pool_put(key: tuple, cache: _HashTableCache) -> None:
-    _evict_to_budget(cache.nbytes)
-    _HASH_CACHE_POOL[key] = cache
 
 
 # Forked workers (SharedMemoryPool) inherit the parent's
@@ -398,16 +351,11 @@ class SamplerGrid:
         #: does.
         self._epoch = 0
         #: Optional :class:`_HashTableCache` — precomputed placement
-        #: tables consulted by the batched update kernel.  Purely a
-        #: performance switch: the kernel is bit-identical on every
-        #: table tier (the equivalence tests enforce it).  Attached
-        #: lazily by the kernel itself unless :meth:`detach_hash_cache`
-        #: cleared ``_hash_cache_auto``; a domain too large for even the
-        #: depth tier sets ``_hash_cache_spilled`` so the kernel stops
-        #: re-trying and rehashes per batch.
+        #: tables consulted by the batched update kernel, attached only
+        #: by :meth:`attach_hash_cache`.  Purely a cache: the kernel is
+        #: bit-identical with or without them (the equivalence tests
+        #: enforce it).
         self._hash_cache = None
-        self._hash_cache_auto = True
-        self._hash_cache_spilled = False
 
     # -- storage (SoA block, shared-memory backing) ----------------------
 
@@ -634,68 +582,41 @@ class SamplerGrid:
 
     # -- placement-table plumbing ----------------------------------------
 
-    def attach_hash_cache(self, max_bytes: int = 1 << 28) -> int:
-        """Precompute (or adopt pooled) placement tables for this grid.
+    def attach_hash_cache(self) -> int:
+        """Adopt pooled, or build, placement tables for this grid.
 
         Tabulates every coordinate's level depth and per-(row, level)
         bucket so the batched update kernel gathers placements instead
         of rehashing them — the sustained-ingest fast path of the
         serving layer.  Tables are immutable and shared across grids
         with equal seed and geometry (engine shards, restored
-        replicas).  Tiered by ``max_bytes``: full tables when they fit,
-        the depth-only tier (offset gather replaced by bucket
-        rehashing) when only it fits, and
-        :class:`~repro.errors.EngineError` when even the depth tier
-        would exceed the budget (tables grow with ``domain × levels``;
-        this path is for serving-sized domains, not astronomically
-        large hyperedge spaces).  Returns the table footprint in bytes.
+        replicas).  A grid whose tables would exceed the fixed
+        256 MiB budget gets none and the kernel hashes every batch:
+        the choice is the geometry's alone (tables grow with
+        ``domain × levels``), never the pool's contents.  Returns the
+        attached footprint in bytes, 0 when nothing was attached.
         """
-        depth_only = _hash_cache_bytes(self) > max_bytes
-        if depth_only and _depth_table_bytes(self) > max_bytes:
-            raise EngineError(
-                f"even depth-only placement tables would need "
-                f"{_depth_table_bytes(self)} bytes (> max_bytes="
-                f"{max_bytes}) for domain={self.domain}, levels="
-                f"{self.levels}; hash-table ingest is meant for "
-                "serving-sized domains"
-            )
+        if _hash_cache_bytes(self) > _HASH_CACHE_POOL_BUDGET:
+            return 0
         key = (self.seed, self.groups, self.domain,
                self.levels, self.rows, self.buckets)
-        cache = _pool_get(key)
-        if cache is not None and cache.off is None and not depth_only:
-            cache = None  # pooled at a lower tier than affordable: upgrade
+        cache = _HASH_CACHE_POOL.get(key)
         if cache is None:
-            cache = _build_hash_cache(self, depth_only=depth_only)
-            _pool_put(key, cache)
+            cache = _build_hash_cache(self)
+            # Evict least-recently-used tables until the new one fits.
+            room = _HASH_CACHE_POOL_BUDGET - cache.nbytes
+            while _HASH_CACHE_POOL and hash_cache_pool_bytes() > room:
+                _HASH_CACHE_POOL.popitem(last=False)
+            _HASH_CACHE_POOL[key] = cache
+        else:
+            _HASH_CACHE_POOL.move_to_end(key)
         self._hash_cache = cache
-        self._hash_cache_spilled = False
         return cache.nbytes
 
-    def detach_hash_cache(self) -> None:
-        """Stop consulting placement tables (the pool keeps them).
-
-        Also opts this grid out of the kernel's lazy auto-attach —
-        detaching would otherwise last exactly one batch.
-        """
-        self._hash_cache = None
-        self._hash_cache_auto = False
-
-    def _ensure_hash_cache(self) -> Optional[_HashTableCache]:
-        """The kernel's lazy default-path attach, under the pool budget.
-
-        Returns the attached tables, or None after a
-        :meth:`detach_hash_cache` or when the domain spilled past even
-        the depth tier — in which case the spill is remembered so each
-        batch does not re-try the attach.
-        """
-        if (self._hash_cache is not None or self._hash_cache_spilled
-                or not self._hash_cache_auto):
-            return self._hash_cache
-        try:
-            self.attach_hash_cache(max_bytes=_HASH_CACHE_POOL_BUDGET)
-        except EngineError:
-            self._hash_cache_spilled = True
-        return self._hash_cache
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of placement tables attached to this grid (0: none)."""
+        return 0 if self._hash_cache is None else self._hash_cache.nbytes
 
     # -- linearity --------------------------------------------------------
 

@@ -79,22 +79,15 @@ class SkeletonSketch:
     def update_batch(self, updates) -> int:
         """Apply a batch of signed hyperedge updates to every layer.
 
-        The incidence-row expansion is computed once (all layers share
-        the same edge space and active-vertex mapping) and folded into
+        The incidence-row expansion is computed once by the first
+        layer's :meth:`SpanningForestSketch.incidence` (all layers share
+        the same edge space and active-vertex mapping, and a rank-2
+        batch takes its vectorised pair expansion) and folded into
         each layer's grid through the vectorised kernel.  Bit-identical
         to per-event :meth:`update`.  Returns the number of
         incidence-row updates applied per layer.
         """
-        from ..engine.batch import expand_edge_batch
-
-        first = self.layers[0]
-        members, indices, deltas = expand_edge_batch(
-            first.scheme, first._member_of, updates
-        )
-        applied = 0
-        for layer in self.layers:
-            applied = layer.grid.update_batch(members, indices, deltas)
-        return applied
+        return self._fold_incidence(*self.layers[0].incidence(updates))
 
     def update_batch_pairs(self, us, vs, signs) -> int:
         """Array-form rank-2 batch update of every layer.
@@ -106,21 +99,21 @@ class SkeletonSketch:
         from ..engine.batch import expand_pair_batch
 
         first = self.layers[0]
-        members, indices, deltas = expand_pair_batch(
+        return self._fold_incidence(*expand_pair_batch(
             first.scheme, first._member_lut(), us, vs, signs
-        )
+        ))
+
+    def _fold_incidence(self, members, indices, deltas) -> int:
+        """Fold one incidence-row triple into every layer's grid."""
         applied = 0
         for layer in self.layers:
             applied = layer.grid.update_batch(members, indices, deltas)
         return applied
 
-    def attach_hash_cache(self, max_bytes: int = 1 << 28) -> int:
+    def attach_hash_cache(self) -> int:
         """Precompute placement tables for every layer grid; returns
-        the total table footprint in bytes."""
-        return sum(
-            layer.attach_hash_cache(max_bytes=max_bytes)
-            for layer in self.layers
-        )
+        the total table footprint in bytes (0: none attached)."""
+        return sum(layer.attach_hash_cache() for layer in self.layers)
 
     def insert(self, edge: Sequence[int]) -> None:
         """Stream insertion."""

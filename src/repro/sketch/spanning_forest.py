@@ -210,11 +210,11 @@ class SpanningForestSketch:
         )
         return self.grid.update_batch(members, indices, deltas)
 
-    def attach_hash_cache(self, max_bytes: int = 1 << 28) -> int:
+    def attach_hash_cache(self) -> int:
         """Precompute placement tables for sustained ingest; see
         :meth:`repro.sketch.bank.SamplerGrid.attach_hash_cache`.
-        Returns the table footprint in bytes."""
-        return self.grid.attach_hash_cache(max_bytes=max_bytes)
+        Returns the table footprint in bytes (0: none attached)."""
+        return self.grid.attach_hash_cache()
 
     def insert(self, edge: Sequence[int]) -> None:
         """Stream insertion of a hyperedge."""

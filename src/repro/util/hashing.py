@@ -169,6 +169,24 @@ def trailing_zeros64_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def level_counts_np(h: np.ndarray, levels: int) -> np.ndarray:
+    """``min(trailing_zeros64(h), levels - 1) + 1`` of a ``uint64`` array.
+
+    The number of subsampling levels each coordinate with level hash
+    ``h`` occupies, as ``int64``.  Setting bit ``levels - 1`` applies
+    the cap, so the lowest set bit is a power of two no larger than
+    ``2^(levels - 1)`` — exact even as a ``float32``, whose exponent
+    is the count (2^t = 0.5 · 2^(t+1)) — and below 33 levels the low
+    32 bits decide it.
+    """
+    if levels > 64:  # no count reaches the cap
+        return trailing_zeros64_np(h) + 1
+    dtype = np.uint32 if levels <= 32 else _U64
+    low = h.astype(dtype) | dtype(1 << (levels - 1))
+    low &= np.negative(low)
+    return np.frexp(low.astype(np.float32))[1].astype(np.int64)
+
+
 def trailing_zeros64(x: int) -> int:
     """Scalar trailing-zero count of a 64-bit value (0 maps to 64)."""
     if x == 0:

@@ -29,6 +29,7 @@ from repro.sketch.serialization import (
     dump_grid,
     dump_member_state,
     dump_sketch,
+    iter_grids,
     load_grid,
     load_member_state,
 )
@@ -273,3 +274,17 @@ class TestCorruptionExclusionEndToEnd:
         assert result.value == 2
         assert result.degraded
         assert result.reason == "corruption-excluded"
+
+
+@pytest.mark.parametrize(
+    "sketch",
+    [make_forest(), SkeletonSketch(12, k=3, seed=2, rounds=3)],
+    ids=["forest", "skeleton"],
+)
+def test_named_grids_follow_iter_grids_order(sketch):
+    """An audit finding's grid and anti-entropy's ``grid=`` index
+    (an :func:`iter_grids` position) name the same bank."""
+    named = [ref.grid for ref in named_grids(sketch)]
+    listed = list(iter_grids(sketch))
+    assert len(named) == len(listed) >= 1
+    assert all(a is b for a, b in zip(named, listed))

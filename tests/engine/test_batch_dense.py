@@ -1,9 +1,9 @@
-"""Bit-identity of the batch kernel on every placement-table tier.
+"""Bit-identity of the batch kernel with and without placement tables.
 
-There is one batch kernel, and the placement-table tier it runs on
-(full tables, depth-only tables, or none — every placement hashed per
-batch) is only a memory/speed trade.  Each test here runs the same
-batches on all three tiers, each grid with an audit digest attached,
+There is one batch kernel, and whether it gathers placements from
+tables or hashes every placement per batch is only a memory/speed
+trade.  Each test here runs the same batches both ways, each grid
+with an audit digest attached,
 and checks them against each other or the scalar update loop: a big
 batch into a small grid (dozens of contributions on every cell), a
 tiny batch into a large grid (about one), large and negative deltas,
@@ -19,8 +19,8 @@ import pytest
 from repro.audit.digest import GridDigest, attach_digest
 from repro.sketch.bank import (
     SamplerGrid,
-    _depth_table_bytes,
     clear_hash_cache_pool,
+    hash_cache_pool_bytes,
 )
 from repro.sketch.spanning_forest import SpanningForestSketch
 from repro.stream.generators import random_dynamic_stream
@@ -43,23 +43,18 @@ def random_updates(rng, count, members, domain, magnitude):
 
 
 def on_tier(grid: SamplerGrid, tier: str) -> SamplerGrid:
-    clear_hash_cache_pool()  # a pooled full table would upgrade "depth"
+    """``full``: tables attached; ``none``: the fresh grid as built."""
     if tier == "full":
-        grid.attach_hash_cache()
-        assert grid._hash_cache.off is not None
-    elif tier == "depth":
-        grid.attach_hash_cache(max_bytes=_depth_table_bytes(grid))
-        assert grid._hash_cache.off is None
-    else:
-        grid.detach_hash_cache()
-    clear_hash_cache_pool()
+        assert grid.attach_hash_cache() > 0
+        clear_hash_cache_pool()
+    assert (grid.table_bytes > 0) == (tier == "full")
     return grid
 
 
 def tiered(make, audit=True):
-    """``make()`` on each tier — full, depth-only, detached (the hashing
-    kernel, last) — with a digest attached unless ``audit`` is off."""
-    grids = [on_tier(make(), tier) for tier in ("full", "depth", "detached")]
+    """``make()`` with tables and without (the hashing kernel, last),
+    with a digest attached unless ``audit`` is off."""
+    grids = [on_tier(make(), tier) for tier in ("full", "none")]
     if audit:
         for grid in grids:
             attach_digest(grid)
@@ -76,7 +71,7 @@ class TestDensePathEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_dense_fold_matches_hashing_kernel(self, seed):
         """A big batch into a small grid (~30 contributions per cell)
-        leaves the table tiers equal to the detached hashing kernel."""
+        leaves the table path equal to the hashing kernel."""
         rng = np.random.default_rng(seed)
         grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=seed))
         m, i, d = random_updates(rng, 3000, 4, 64, 1 << 40)
@@ -98,6 +93,21 @@ class TestDensePathEquivalence:
         assert_all_match(scalar, grids)
         assert scalar._digest == GridDigest.compute(scalar)
 
+    def test_odd_bucket_count_matches_scalar_loop(self):
+        """A bucket count that is not a power of two takes the
+        hashing kernel's division, not its mask."""
+        rng = np.random.default_rng(13)
+        scalar = SamplerGrid(groups=2, members=3, domain=48, seed=13,
+                             buckets=5)
+        grids = tiered(lambda: SamplerGrid(2, 3, 48, seed=13, buckets=5))
+        m, i, d = random_updates(rng, 600, 3, 48, 1 << 40)
+        for mm, ii, dd in zip(m, i, d):
+            if dd != 0:
+                scalar.update(int(mm), int(ii), int(dd))
+        for grid in grids:
+            grid.update_batch(m, i, d)
+        assert_all_match(scalar, grids)
+
     def test_sparse_batch_matches(self):
         """A tiny batch into a large grid (one contribution per cell)
         matches too."""
@@ -112,7 +122,7 @@ class TestDensePathEquivalence:
     def test_mixed_gate_sides_equal_one_shot(self):
         """Dense batch + sparse trickle == one hashing-kernel shot."""
         rng = np.random.default_rng(42)
-        one_shot = on_tier(SamplerGrid(2, 4, 64, seed=42), "detached")
+        one_shot = SamplerGrid(2, 4, 64, seed=42)
         grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=42))
         m, i, d = random_updates(rng, 1500, 4, 64, 1 << 30)
         one_shot.update_batch(m, i, d)
@@ -134,8 +144,8 @@ class TestDensePathEquivalence:
 
     def test_digest_maintained_identically(self):
         """A digest attached after a first batch (the state baselined
-        from the counters) stays equal to a recomputed one, on every
-        tier, through a second colliding batch."""
+        from the counters) stays equal to a recomputed one, with and
+        without tables, through a second colliding batch."""
         rng = np.random.default_rng(17)
         grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=17), audit=False)
         first = random_updates(rng, 2500, 4, 64, 1 << 40)
@@ -149,13 +159,13 @@ class TestDensePathEquivalence:
 
     def test_forest_stream_through_cached_sketch(self):
         """End-to-end: an audited spanning-forest sketch fed a dynamic
-        edge stream on each tier equals the plain sketch and decodes
-        the same."""
+        edge stream with and without tables equals the plain sketch and
+        decodes the same."""
         stream, _ = random_dynamic_stream(24, 400, seed=9)
         plain = SpanningForestSketch(24, seed=9)
         plain.update_batch(stream)
         sketches = []
-        for tier in ("full", "depth", "detached"):
+        for tier in ("full", "none"):
             sketch = SpanningForestSketch(24, seed=9)
             on_tier(sketch.grid, tier)
             attach_digest(sketch.grid)
@@ -166,3 +176,51 @@ class TestDensePathEquivalence:
             assert sorted(plain.decode().edges()) == sorted(
                 sketch.decode().edges()
             )
+
+
+class TestTableAttach:
+    """Tables come only from ``attach_hash_cache()``, and whether a grid
+    gets them is decided by its geometry alone."""
+
+    @staticmethod
+    def oversized():
+        # A 2^30 domain: its tables would need ~266 GiB, its counters
+        # take 50 KB.
+        return SamplerGrid(2, 2, 1 << 30, seed=1)
+
+    def test_fresh_grid_has_no_tables_after_update_batch(self):
+        grid = SamplerGrid(2, 4, 64, seed=3)
+        grid.update_batch([0, 1, 2], [5, 6, 7], [1, -1, 2])
+        assert grid._hash_cache is None and grid.table_bytes == 0
+        sketch = SpanningForestSketch(16, seed=3)
+        sketch.update_batch([((0, 1), 1), ((1, 2), 1)])
+        assert sketch.grid.table_bytes == 0
+
+    def test_oversized_attach_returns_zero_without_raising(self):
+        clear_hash_cache_pool()
+        grid = self.oversized()
+        assert grid.attach_hash_cache() == 0
+        assert grid._hash_cache is None
+        assert hash_cache_pool_bytes() == 0  # nothing was built
+
+    def test_tier_does_not_depend_on_pool_or_attach_order(self):
+        """Empty pool, a pool holding other tables, and a pool already
+        holding this geometry's tables all give the same attach, in
+        either order of small and oversized grids."""
+        def small():
+            return SamplerGrid(2, 4, 64, seed=9)
+
+        outcomes = []
+        for warm in (None, SamplerGrid(2, 4, 48, seed=1), small()):
+            for order in ((small, self.oversized), (self.oversized, small)):
+                clear_hash_cache_pool()
+                if warm is not None:
+                    warm.attach_hash_cache()
+                outcomes.append(
+                    [make().attach_hash_cache() for make in order]
+                )
+        clear_hash_cache_pool()
+        fits = small().attach_hash_cache()
+        clear_hash_cache_pool()
+        assert fits > 0
+        assert outcomes == [[fits, 0], [0, fits]] * 3

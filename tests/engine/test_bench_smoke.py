@@ -252,7 +252,6 @@ class TestBenchSmoke:
         u, v = u[u < v][: 8 * n], v[u < v][: 8 * n]
         assert len(u) == 8 * n
         sketch = SpanningForestSketch(n, seed=4, rounds=6)
-        sketch.grid.detach_hash_cache()  # ingest is not under test
         sketch.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
 
         def timed(decode):

@@ -12,8 +12,8 @@ the ``int64`` extremes, so the exact index-sum path and the two-limb
 rotation both run.  Both layouts are covered: three separate planes,
 and instance blocks packed in one arena addressed by ``plane_shift``.
 
-Then the kernels built on it: the fused grid kernel on each placement-
-table tier (full, depth-only, none) against the scalar update loop, and
+Then the kernels built on it: the fused grid kernel with placement
+tables attached and without them against the scalar update loop, and
 a digest-attached grid whose incrementally maintained digest must equal
 :meth:`GridDigest.compute` of the counters after the batch.  Both run
 with the row-threading gate at 0 (every batch folds its rows on two
@@ -34,7 +34,6 @@ from repro.engine import batch as batch_module
 from repro.engine.batch import fold_cells, index_sums
 from repro.sketch.bank import (
     SamplerGrid,
-    _depth_table_bytes,
     _hash_cache_bytes,
     clear_hash_cache_pool,
 )
@@ -245,27 +244,20 @@ def make_grid(seed: int, **kwargs) -> SamplerGrid:
 
 
 def on_tier(grid: SamplerGrid, tier: str) -> SamplerGrid:
-    clear_hash_cache_pool()  # a pooled full table would upgrade "depth"
+    """``full``: tables attached; ``none``: the fresh grid as built."""
     if tier == "full":
-        grid.attach_hash_cache()
-        assert grid._hash_cache.off is not None
-    elif tier == "depth":
-        grid.attach_hash_cache(max_bytes=_depth_table_bytes(grid))
-        assert grid._hash_cache.off is None
-    else:
-        grid.detach_hash_cache()
+        assert grid.attach_hash_cache() > 0
+    assert (grid.table_bytes > 0) == (tier == "full")
     return grid
 
 
 def test_tier_footprints_are_predicted():
-    """Tier selection budgets with the same byte counts the tables
-    take: one byte of depth per (group, coordinate)."""
+    """The attach budgets with the same byte count the tables take:
+    one byte of depth per (group, coordinate) plus the offsets."""
     grid = on_tier(make_grid(1), "full")
     assert grid._hash_cache.depth.dtype == np.uint8
-    assert grid._hash_cache.nbytes == _hash_cache_bytes(grid)
-    grid = on_tier(make_grid(1), "depth")
-    assert grid._hash_cache.nbytes == _depth_table_bytes(grid)
-    assert _depth_table_bytes(grid) == GROUPS * DOMAIN
+    assert grid._hash_cache.depth.nbytes == GROUPS * DOMAIN
+    assert grid.table_bytes == _hash_cache_bytes(grid)
     clear_hash_cache_pool()
 
 
@@ -301,7 +293,7 @@ def fold_threads():
     return [t for t in threading.enumerate() if t.name == "repro-fold-rows"]
 
 
-@pytest.mark.parametrize("tier", ["full", "depth", "none"])
+@pytest.mark.parametrize("tier", ["full", "none"])
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, stream=updates)
 @example(seed=0, stream=[(1, 0, 2**62), (1, 0, 2**62)])  # net overflows int64
@@ -315,7 +307,7 @@ def test_fused_kernel_matches_scalar_on_every_tier(tier, seed, stream):
         assert dump_grid(grid) == dump_grid(scalar), gate
 
 
-@pytest.mark.parametrize("tier", ["full", "depth", "none"])
+@pytest.mark.parametrize("tier", ["full", "none"])
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, stream=updates)
 def test_digest_after_batch_equals_recomputed(tier, seed, stream):
@@ -342,7 +334,7 @@ def test_fused_kernel_on_an_adopted_block(seed, stream):
     for gate in GATES:
         store = np.zeros(scalar.space_counters() + 6, dtype=np.int64)
         block = store[3:-3]
-        grid = on_tier(make_grid(seed, block=block), "depth")
+        grid = on_tier(make_grid(seed, block=block), "full")
         with row_gate(gate):
             grid.update_batch(*batch_of(stream))
         clear_hash_cache_pool()

@@ -14,6 +14,7 @@ from repro.service.registry import (
     build_sketch,
     normalize_config,
 )
+from repro.sketch.bank import clear_hash_cache_pool
 from repro.sketch.serialization import dump_sketch
 
 
@@ -195,3 +196,19 @@ class TestAudit:
         # Digests are maintained from now on; a second audit still passes.
         ingest_edges(reg, record, [(2, 3)])
         assert reg.audit(record)["ok"] is True
+
+
+class TestDescribe:
+    def test_table_bytes_reports_the_attached_tables(self):
+        """``describe()`` (and so ``list`` / ``stats``) says whether
+        the sketch is served from placement tables."""
+        reg = SketchRegistry()
+        try:
+            served = reg.create("g", {"n": 256})
+            assert served.describe()["table_bytes"] > 0
+            # A rank-3 edge space of 4.5M coordinates: its tables would
+            # need ~870 MiB, past the 256 MiB cap, so none are attached.
+            big = reg.create("h", {"n": 300, "r": 3, "rounds": 2})
+            assert big.describe()["table_bytes"] == 0
+        finally:
+            clear_hash_cache_pool()

@@ -430,7 +430,6 @@ class TestDecodeAtScale:
         # Six rounds (the decode needs four) and no placement tables:
         # the fixture is built in a fraction of a second.
         sk = SpanningForestSketch(n, seed=12345, rounds=6)
-        sk.grid.detach_hash_cache()
         sk.update_batch_pairs(u, v, np.ones(len(u), dtype=np.int64))
         return sk, set(zip(u.tolist(), v.tolist()))
 
@@ -452,7 +451,6 @@ class TestDecodeAtScale:
         sk, _ = self._sketch()
         minus = sk.decode().edges()  # peel the first forest: layer 2
         peeled = sk.copy()
-        peeled.grid.detach_hash_cache()  # no tables for one small batch
         peeled.update_batch([(e, -1) for e in minus])
         outcomes = []
         for decode in (lambda: sk.decode(minus=minus), peeled.decode):

@@ -13,6 +13,7 @@ from repro.graph.generators import (
 )
 from repro.graph.hypergraph import Hypergraph
 from repro.graph.hypergraph_cuts import is_k_skeleton, is_spanning_subgraph
+from repro.sketch.serialization import dump_sketch
 from repro.sketch.skeleton import SkeletonSketch
 
 
@@ -112,3 +113,24 @@ class TestValidation:
         s1 = SkeletonSketch(8, k=1, seed=1).space_counters()
         s3 = SkeletonSketch(8, k=3, seed=1).space_counters()
         assert s3 == 3 * s1
+
+
+class TestBatchPath:
+    def test_rank2_batch_takes_the_pair_expansion(self, monkeypatch):
+        """A rank-2 skeleton batch expands through the vectorised pair
+        path, never the per-event one, and equals per-event updates."""
+        from repro.engine import batch
+
+        edges = list(cycle_graph(9).edges()) + [(0, 4), (2, 7)]
+        updates = [(e, 1) for e in edges] + [((0, 4), -1)]
+        scalar = SkeletonSketch(9, k=2, seed=4)
+        for e, sign in updates:
+            scalar.update(e, sign)
+
+        def per_event(*args):
+            raise AssertionError("rank-2 batch took the per-event expansion")
+
+        monkeypatch.setattr(batch, "expand_edge_batch", per_event)
+        batched = SkeletonSketch(9, k=2, seed=4)
+        assert batched.update_batch(iter(updates)) == 2 * len(updates)
+        assert dump_sketch(batched) == dump_sketch(scalar)

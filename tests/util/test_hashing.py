@@ -90,6 +90,21 @@ class TestTrailingZeros:
             for x, o in zip(batch.tolist(), out.tolist()):
                 assert H.trailing_zeros64(int(x)) == int(o)
 
+    @pytest.mark.parametrize("levels", [1, 2, 21, 32, 33, 64, 65])
+    def test_level_counts_match_the_capped_scalar_depth(self, levels):
+        """Each side of the 32-bit and the 64-bit cut, against the
+        scalar ``min(tz, levels - 1) + 1`` of ``SamplerGrid.update``."""
+        rng = np.random.default_rng(levels)
+        words = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+        shifted = (words[:64] | np.uint64(1)) << np.arange(64, dtype=np.uint64)
+        batch = np.concatenate([words, shifted, np.zeros(1, np.uint64)])
+        out = H.level_counts_np(batch, levels)
+        assert out.dtype == np.int64
+        assert out.tolist() == [
+            min(H.trailing_zeros64(int(x)), levels - 1) + 1
+            for x in batch.tolist()
+        ]
+
     def test_geometric_distribution(self):
         # Hash outputs should have ~half zero trailing bits, ~quarter one...
         tz = [H.trailing_zeros64(H.hash64(11, i)) for i in range(4000)]
