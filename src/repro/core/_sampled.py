@@ -30,13 +30,13 @@ from ..sketch.spanning_forest import (
     decode_stack,
 )
 from ..util.hashing import (
+    bucket_np,
     derive_seed,
     field_residue_np,
     hash64_many,
     hash64_premixed,
+    level_counts_np,
     premix64_np,
-    splitmix64_np,
-    trailing_zeros64_np,
 )
 from ..util.prime_field import MERSENNE_61, mul_vec_mod
 from ..util.rng import normalize_seed
@@ -335,13 +335,12 @@ class SampledForestUnion:
         p_q, g_q = _expand(self._groups[i_p])
         group = self._group_ptr[i_p][p_q] + g_q
         h = hash64_premixed(self._group_seeds[group], mixed[p_q][:, None])
-        depth = np.minimum(trailing_zeros64_np(h[:, 0]), self._levels - 1)
         # (pair, group, level): the in-member cell offset per row.
-        q_t, lvl = _expand(depth + 1)
+        q_t, lvl = _expand(level_counts_np(h[:, 0], self._levels))
         p_t = p_q[q_t]
-        bucket = splitmix64_np(
-            h[q_t, 1:] ^ self._salts[i_p[p_t], lvl][:, None]
-        ) % np.uint64(buckets)
+        bucket = bucket_np(
+            h[q_t, 1:] ^ self._salts[i_p[p_t], lvl][:, None], buckets
+        )
         cell = (
             lvl[:, None] * rows + np.arange(rows)
         ) * buckets + bucket.astype(np.int64)

@@ -30,11 +30,11 @@ import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, NotOneSparseError
 from ..util.hashing import (
+    bucket_np,
     field_value_many,
     hash64_premixed,
     level_counts_np,
     premix64_np,
-    splitmix64_np,
 )
 from ..util.prime_field import MERSENNE_61, mul_vec_mod, rotl_vec_mod
 
@@ -272,16 +272,9 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     else:
         salt = grid._hashes.salts[0][lvl]
         row0 = (block * levels + lvl) * (rows * buckets)
-        # ``% buckets`` without a uint64 division when buckets is a
-        # power of two (the default 8): the mask keeps the same residue.
-        pow2 = buckets & (buckets - 1) == 0
 
         def cells(r):
-            b = splitmix64_np(h[r][slot] ^ salt)
-            if pow2:
-                b &= np.uint64(buckets - 1)
-            else:
-                b %= np.uint64(buckets)
+            b = bucket_np(h[r][slot] ^ salt, buckets)
             flat = b.view(np.int64)  # buckets < 2^63: the same integers
             flat += row0 + r * buckets
             return flat

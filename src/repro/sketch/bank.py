@@ -60,6 +60,7 @@ from ..errors import (
 from ..util.hashing import (
     _FIELD_TWEAK,
     HashFamily,
+    bucket_np,
     derive_seed,
     field_residue_np,
     hash64,
@@ -67,7 +68,6 @@ from ..util.hashing import (
     hash64_premixed,
     premix64_np,
     splitmix64,
-    splitmix64_np,
     trailing_zeros64,
     trailing_zeros64_np,
 )
@@ -145,9 +145,7 @@ def _build_hash_cache(grid) -> _HashTableCache:
         )
         for r in range(rows):
             h = hash64_many(grid._bucket_seeds[g][r], dom)
-            with np.errstate(over="ignore"):
-                b = (splitmix64_np(h[:, None] ^ salts[None, :])
-                     % np.uint64(buckets)).astype(np.int64)
+            b = bucket_np(h[:, None] ^ salts[None, :], buckets).astype(np.int64)
             off[g, r] = (
                 (lvl_arr[None, :] * rows + r) * buckets + b
             ).reshape(-1).astype(off_dtype)
@@ -885,7 +883,7 @@ def _verify_cells(
     depth = trailing_zeros64_np(hash64_premixed(seeds[:, 0], mixed))
     h = hash64_premixed(seeds[np.arange(q.size), 1 + r_idx[keep]], mixed)
     salt = hashes.salts[hashes.owner[q], lvl]
-    bucket = splitmix64_np(h ^ salt) % np.uint64(hashes.buckets)
+    bucket = bucket_np(h ^ salt, hashes.buckets)
     # depth is capped at levels - 1 >= lvl, so the cap cannot matter.
     ok = (depth >= lvl) & (bucket.astype(np.int64) == b_idx[keep])
     keep = keep[ok]
@@ -981,7 +979,7 @@ class SummedBatch:
             )
         h = hash64_premixed(hashes.group_seeds[q, 1:], mixed[:, None])
         salt = hashes.salts[hashes.owner[q], level]
-        b = splitmix64_np(h ^ salt[:, None]) % np.uint64(buckets)
+        b = bucket_np(h ^ salt[:, None], buckets)
         flat = (
             ((comp * width + level - lo)[:, None] * rows + np.arange(rows))
             * buckets
@@ -1018,7 +1016,9 @@ class SummedBatch:
         outcomes are bit-identical to ``SummedSketch._recover_level``.
 
         Returns ``(zero, residual, rec_unit, rec_j, rec_w, scan)``:
-        which components have no nonzero cell, per-unit residual flags
+        which components have no nonzero cell at level ``lo``, the
+        batch's shallowest (see :func:`drain_windows`), per-unit
+        residual flags
         (True = the unit did not peel to zero), the flat recovery log,
         and ``scan`` — ``(component, index, weight)`` of every cell
         that verified in sweep 1, i.e. of every valid cell of the
@@ -1034,8 +1034,9 @@ class SummedBatch:
         log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty,) * 3]
         scan = log[0]
         cand = np.flatnonzero(_occupied(w_flat, s_flat, f_flat))
+        unit = cand // (rows * buckets)
         zero = np.bincount(
-            cand // (width * rows * buckets), minlength=self.count
+            unit[unit % width == 0] // width, minlength=self.count
         ) == 0
         cells_seen = sweeps = 0
         guard = 4 * rows * buckets + 8
@@ -1087,7 +1088,8 @@ class SummedBatch:
 
         Returns one ``(status, payload)`` pair per component:
 
-        * ``("zero", None)`` — counters vanish (scalar raises
+        * ``("zero", None)`` — no nonzero cell at the shallowest level,
+          so the vector is zero (scalar raises
           :class:`SamplerZeroError`),
         * ``("ok", (index, weight))`` — a verified nonzero coordinate,
           exactly the pair ``SummedSketch.sample`` would return,
@@ -1135,7 +1137,8 @@ class SummedBatch:
         scalar winner in ``index`` / ``weight``; otherwise, where
         ``scanned`` (never with ``won``), the first cell of the un-peeled counters that
         verifies, in (level, row, bucket) order — the scalar fallback
-        scan's answer.  ``zero``: no nonzero cell in the batch.
+        scan's answer.  ``zero``: no nonzero cell at level ``lo``, the
+        batch's shallowest.
         """
         hashes = self._hashes
         n, width = self.count, self._w.shape[1]
@@ -1186,9 +1189,18 @@ def drain_windows(count, windows, gather):
     levels ``[lo, hi)``.  A component leaves once a window certifies a
     level, so it reads only the levels down to its winner.  Exact per
     component, because the shallowest certified level wins and levels
-    peel independently; the fallback is the first valid cell in level
-    order, so the first window that has one answers; and a component
-    is ZERO only when no window holds a nonzero cell.
+    peel independently; and the fallback is the first valid cell in
+    level order, so the first window that has one answers.
+
+    A component is ZERO when the first window's shallowest level (level
+    0 of a decode) holds no nonzero cell, and it reads no further
+    window.  Subsampling levels are nested: a coordinate of depth ``d``
+    is written to levels ``0 .. d``, so level ``ℓ + 1`` holds a subset of
+    level ``ℓ``'s coordinates and level 0 holds them all.  A nonzero
+    vector whose level-0 cells all vanish needs a fingerprint collision
+    in every occupied cell, the ~1/p event the sampler already accepts
+    for a single cell; the scalar oracle (``SummedSketch.sample``)
+    tests the same level.
 
     Returns ``(ok, failed, index, weight)`` as
     :meth:`SummedBatch.sample_arrays` does, and records every component
@@ -1207,14 +1219,16 @@ def drain_windows(count, windows, gather):
         t0 = time.perf_counter()
         won, j, w, zero, seen = batch._read_off()
         seconds += time.perf_counter() - t0
-        occupied[comps] |= ~zero
+        if lo == windows[0][0]:  # the shallowest level decides ZERO
+            occupied[comps] = ~zero
         # Winners always answer; a fallback only if no shallower window
         # had one.
         take = won | (seen & ~scanned[comps])
         index[comps[take]], weight[comps[take]] = j[take], w[take]
         scanned[comps[seen]] = True
         ok[comps[won]] = True
-        comps = comps[~won]
+        comps = comps[~won & occupied[comps]]
+    ok &= occupied
     unresolved = ~ok & occupied
     ok |= unresolved & scanned
     failed = ~ok & occupied

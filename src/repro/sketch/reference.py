@@ -98,7 +98,8 @@ def sample_round(hashes, slots, grids, rnd, owner, members, sizes, w_slot,
                  plane, drop):
     """The oracle of :func:`repro.sketch.spanning_forest._sample_round`:
     every component summed by :func:`summed`, its ``drop`` entries
-    removed by :meth:`SummedSketch.subtract`, and sampled on its own.
+    removed by :meth:`SummedSketch.subtract`, and sampled on its own —
+    ZERO when its level 0 has no nonzero cell, as in the batch path.
     Reads none of the flat gather (``hashes``, ``slots``, ``w_slot``,
     ``plane``)."""
     comp, drop_index, drop_delta = drop
@@ -241,9 +242,11 @@ class SummedSketch:
         Shallowest fully-recovered level wins (min tie-break hash among
         its survivors); otherwise any verified single-cell decode.
         Raises :class:`SamplerEmptyError` on a zero vector or total
-        decode failure.
+        decode failure.  The vector is zero when level 0, which holds
+        every coordinate, has no nonzero cell: the test
+        :func:`~repro.sketch.bank.drain_windows` makes.
         """
-        if self.appears_zero():
+        if not (self._w[0].any() or self._s[0].any() or self._f[0].any()):
             raise SamplerZeroError("summed vector appears to be zero")
         for lvl in range(self._grid.levels):
             support = self._recover_level(lvl)

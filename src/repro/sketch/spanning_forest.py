@@ -30,18 +30,12 @@ import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, SamplerFailedError
 from ..graph.hypergraph import Hypergraph
-from ..graph.union_find import UnionFind
+from ..graph.union_find import UnionFind, merge_in_order
 from ..util.hashing import derive_seed
 from ..util.rng import normalize_seed
 from . import bank
 from .bank import SamplerGrid, SummedBatch, _sum_slots
 from .incidence import IncidenceScheme
-
-#: Counter cells one pass of :func:`decode_stack` gathers in its first
-#: round: about what one n=1024 round handles.  All R = 132 instances
-#: of a Theorem 4 structure in a single pass (~1.3M cells) measured
-#: 405 MB peak RSS against 345 MB (``docs/query.md``).
-_PASS_CELLS = 1 << 19
 
 #: Level windows of a large Borůvka round: levels ``[0, 3)``, then
 #: ``[3, 6)``, ``[6, 12)`` and ``[12, levels)``; a component stops
@@ -418,12 +412,13 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo, minus=None):
 
     The instances form one disjoint graph over global node ids
     (instance-major, members ascending); round ``g`` reads group ``g``
-    of every instance still running, in passes of ``_PASS_CELLS``.
-    Components sort by smallest node and an instance leaves exactly
-    when its own loop would (spanned, no merge this round, rounds
-    exhausted), so each forest is the one a lone decode finds
-    (``docs/query.md``).  Each round's components are sampled by
-    :func:`_sample_round`.
+    of every instance still running, all in one Borůvka loop whose
+    merges :func:`~repro.graph.union_find.merge_in_order` applies in
+    sampled-edge order.  Components sort by smallest node and an
+    instance leaves exactly when its own loop would (spanned, no merge
+    this round, rounds exhausted), so each forest is the one a lone
+    decode finds (``docs/query.md``).  Each round's components are
+    sampled by :func:`_sample_round`.
 
     ``minus`` is an incidence triple ``(nodes, indices, deltas)``
     (global node ids; for one instance, its members) of entries to
@@ -438,76 +433,55 @@ def decode_stack(scheme, hashes, slots, grids, luts, base, todo, minus=None):
         members[i], rounds[i] = grids[i].members, grids[i].groups
     failed = np.zeros(members.size, dtype=bool)
     found = [(np.empty(0, dtype=np.int64),) * 2]
-    ahead = (np.cumsum(members[todo]) - members[todo]) * (
-        hashes.levels * hashes.rows * hashes.buckets
-    )
     if minus is None:
         minus = (np.empty(0, dtype=np.int64),) * 3
-    offset = 0  # global id of the pass's node 0
-    for ids in np.split(todo, np.flatnonzero(np.diff(ahead // _PASS_CELLS)) + 1):
-        inst = np.repeat(ids, members[ids])  # node -> instance
-        mine = (minus[0] >= offset) & (minus[0] < offset + inst.size)
-        drop_node, drop_index, drop_delta = (a[mine] for a in minus)
-        drop_node -= offset
-        offset += inst.size
-        ptr = np.zeros_like(members)  # instance -> its first node
-        ptr[ids] = np.cumsum(members[ids]) - members[ids]
-        member = np.arange(inst.size) - ptr[inst]  # node -> grid member
-        smallest = np.arange(inst.size)  # node -> its component's smallest
-        uf = UnionFind(inst.size)
-        parts = members.copy()  # components left, per instance
-        active = np.isin(np.arange(members.size), ids)
-        for rnd in range(int(rounds[ids].max())):
-            active &= (parts > 1) & (rounds > rnd)
-            nodes = np.flatnonzero(active[inst])
-            if not nodes.size:
-                break
-            if metrics is not None:
-                metrics.decode_rounds += 1
-            if rnd:
-                roots = np.fromiter(
-                    map(uf.find, nodes.tolist()), np.int64, nodes.size
-                )
-                _, first, label = np.unique(
-                    roots, return_index=True, return_inverse=True
-                )
-                smallest[nodes] = nodes[first[label]]
-            # Components as a flat layout: ``order`` lists nodes grouped
-            # by component (components by smallest node, nodes
-            # ascending), ``sizes`` the component lengths.
-            order = nodes[np.argsort(smallest[nodes], kind="stable")]
-            sizes = np.bincount(smallest[nodes])
-            sizes = sizes[sizes > 0]
-            ends = np.cumsum(sizes)
-            at, local = inst[order], member[order]
-            owner = at[ends - sizes]  # component -> instance
-            # The removed entries of running instances, by the component
-            # holding their node: components are numbered by smallest
-            # node, which ``order[ends - sizes]`` lists ascending.
-            live = active[inst[drop_node]]
-            comp = np.searchsorted(order[ends - sizes], smallest[drop_node[live]])
-            ok, bad, index = _sample_round(
-                hashes, slots, grids, rnd, owner, local, sizes,
-                base[at] + rnd * members[at] + local, (members * rounds)[at],
-                (comp, drop_index[live], drop_delta[live]),
-            )
-            failed[owner[bad]] = True
-            coords, src = index[ok], owner[ok]
-            vertices = scheme.edges_of(coords)
-            rows = np.where(
-                vertices >= 0,
-                ptr[src][:, None] + luts[src[:, None], vertices], -1,
-            )
-            left = [uf.components]
-            for row in rows.tolist():
-                uf.union_many([v for v in row if v >= 0])
-                left.append(uf.components)
-            # An edge joins the forest iff it merged something.
-            merged = np.bincount(src, -np.diff(left), members.size).astype(np.int64)
-            kept = np.flatnonzero(np.diff(left))
-            parts -= merged
-            active &= merged > 0
-            found.append((coords[kept], src[kept]))
+    drop_node, drop_index, drop_delta = minus
+    inst = np.repeat(todo, members[todo])  # node -> instance
+    ptr = np.zeros_like(members)  # instance -> its first node
+    ptr[todo] = np.cumsum(members[todo]) - members[todo]
+    member = np.arange(inst.size) - ptr[inst]  # node -> grid member
+    smallest = np.arange(inst.size)  # node -> its component's smallest
+    parts = members.copy()  # components left, per instance
+    active = np.isin(np.arange(members.size), todo)
+    for rnd in range(int(rounds[todo].max())):
+        active &= (parts > 1) & (rounds > rnd)
+        nodes = np.flatnonzero(active[inst])
+        if not nodes.size:
+            break
+        if metrics is not None:
+            metrics.decode_rounds += 1
+        # Components as a flat layout: ``order`` lists nodes grouped by
+        # component (components by smallest node, nodes ascending),
+        # ``sizes`` the component lengths.
+        order = nodes[np.argsort(smallest[nodes], kind="stable")]
+        sizes = np.bincount(smallest[nodes])
+        sizes = sizes[sizes > 0]
+        ends = np.cumsum(sizes)
+        at, local = inst[order], member[order]
+        owner = at[ends - sizes]  # component -> instance
+        # The removed entries of running instances, by the component
+        # holding their node: components are numbered by smallest node,
+        # which ``order[ends - sizes]`` lists ascending.
+        live = active[inst[drop_node]]
+        comp = np.searchsorted(order[ends - sizes], smallest[drop_node[live]])
+        ok, bad, index = _sample_round(
+            hashes, slots, grids, rnd, owner, local, sizes,
+            base[at] + rnd * members[at] + local, (members * rounds)[at],
+            (comp, drop_index[live], drop_delta[live]),
+        )
+        failed[owner[bad]] = True
+        coords, src = index[ok], owner[ok]
+        vertices = scheme.edges_of(coords)
+        rows = np.where(
+            vertices >= 0, ptr[src][:, None] + luts[src[:, None], vertices], -1,
+        )
+        # An edge joins the forest iff it merged something.
+        merges = merge_in_order(smallest, rows)
+        merged = np.bincount(src, merges, members.size).astype(np.int64)
+        parts -= merged
+        active &= merged > 0
+        kept = np.flatnonzero(merges)
+        found.append((coords[kept], src[kept]))
     coords, src = (np.concatenate(col) for col in zip(*found))
     return coords, src, failed
 

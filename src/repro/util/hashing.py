@@ -67,17 +67,32 @@ def derive_seed(master: int, *labels: int) -> int:
 def splitmix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finalisation on a ``uint64`` array.
 
-    Returns a new array; every round after the first runs in place on
-    it.
+    Returns a new array and never mutates ``x``: the first round copies
+    it, every later one runs in place, and the three shifts share one
+    scratch buffer instead of allocating a temporary each.
     """
     with np.errstate(over="ignore"):
         x = x + _U64(_GOLDEN)
-        x ^= x >> _U64(30)
+        shifted = np.empty_like(x)
+        x ^= np.right_shift(x, _U64(30), out=shifted)
         x *= _U64(_MIX1)
-        x ^= x >> _U64(27)
+        x ^= np.right_shift(x, _U64(27), out=shifted)
         x *= _U64(_MIX2)
-        x ^= x >> _U64(31)
+        x ^= np.right_shift(x, _U64(31), out=shifted)
         return x
+
+
+def bucket_np(x: np.ndarray, buckets: int) -> np.ndarray:
+    """``splitmix64_np(x) % buckets`` as a new ``uint64`` array: the
+    bucket of each salted bucket hash ``x``.  A power-of-two ``buckets``
+    (the default 8) takes a mask instead of a uint64 division; it keeps
+    the same residue."""
+    b = splitmix64_np(x)
+    if buckets & (buckets - 1) == 0:
+        b &= _U64(buckets - 1)
+    else:
+        b %= _U64(buckets)
+    return b
 
 
 def hash64_np(seeds: np.ndarray, value: int) -> np.ndarray:

@@ -17,8 +17,8 @@ Borůvka loop.  Its reference is the loop it replaced — ``decode()`` of
 each dirty instance on its own — under the batch kernel and under the
 scalar oracle (:mod:`repro.sketch.reference`): per-instance edge sets,
 strict-failure lists and the per-component ``QueryMetrics`` totals must
-agree at every decode of a random schedule, however the stack is cut
-into passes.
+agree at every decode of a random schedule, whether the rounds read
+their levels at once or window by window.
 """
 
 import pickle
@@ -205,20 +205,18 @@ def decode_schedules(draw):
         ),
         min_size=1, max_size=30,
     ))
-    pass_cells = draw(st.sampled_from([1, 400, 1 << 40]))
     window_cells = draw(st.sampled_from([0, spanning_forest._WINDOW_CELLS]))
-    return r, k, seed, pool, steps, pass_cells, window_cells
+    return r, k, seed, pool, steps, window_cells
 
 
 class TestStackedDecodeAgainstInstanceLoop:
     def check(self, schedule, params):
-        *_, pass_cells, window_cells = schedule
-        with mock.patch.object(spanning_forest, "_PASS_CELLS", pass_cells), \
-                mock.patch.object(spanning_forest, "_WINDOW_CELLS", window_cells):
+        *_, window_cells = schedule
+        with mock.patch.object(spanning_forest, "_WINDOW_CELLS", window_cells):
             return self.checked(schedule, params)
 
     def checked(self, schedule, params):
-        r, k, seed, pool, steps, _, _ = schedule
+        r, k, seed, pool, steps, _ = schedule
         # stacked: the union's own decode.  looped: one batch decode()
         # per dirty instance.  oracle: the same through reference.oracle().
         stacked, looped, oracle = (
@@ -286,11 +284,10 @@ class TestStackedDecodeAgainstInstanceLoop:
     def test_default_geometry(self, schedule):
         self.check(schedule, PARAMS)
 
-    @pytest.mark.parametrize("pass_cells", [1, 400, 1 << 40])
-    def test_failed_and_fallback_paths_are_reached(self, pass_cells):
+    def test_failed_and_fallback_paths_are_reached(self):
         """A fixed dense schedule on which the tiny geometry provably
-        FAILs components and takes the fallback scan, at every pass
-        size and with the levels read at once or window by window — so
+        FAILs components and takes the fallback scan, with the levels
+        read at once or window by window — so
         the property above is not vacuous on those paths.  The
         per-component counters do not see the windows."""
         import itertools
@@ -301,7 +298,7 @@ class TestStackedDecodeAgainstInstanceLoop:
         counters = set()
         for window_cells in (spanning_forest._WINDOW_CELLS, 0):
             got = self.check(
-                (2, 1, 5, pool, steps, pass_cells, window_cells), TINY
+                (2, 1, 5, pool, steps, window_cells), TINY
             )
             assert got.sample_failed > 0
             assert got.fallback_scans > got.sample_failed

@@ -374,13 +374,13 @@ class TestStackedGrids:
         assert separate[0]._w[0, 1].any() and not stacked._w[0, 1].any()
 
 
-@pytest.mark.parametrize("pass_cells", [1 << 19, 64])
-def test_stacked_minus_equals_each_instance_decode_minus(pass_cells):
+@pytest.mark.parametrize("window_cells", [1 << 19, 64])
+def test_stacked_minus_equals_each_instance_decode_minus(window_cells):
     """``decode_stack(minus=)`` names global node ids, instance-major:
     a stack decodes each instance of ``G − minus`` exactly as the
     instance's own ``decode(minus=)`` does through the scalar oracle,
-    in one pass or in many, reading all levels at once or window by
-    window."""
+    reading all levels at once (no round reaches a gate of ``1 << 19``
+    cells) or window by window (every round reaches 64)."""
     from repro.core._sampled import SampledForestUnion
     from repro.graph.generators import gnp_graph
 
@@ -399,20 +399,18 @@ def test_stacked_minus_equals_each_instance_decode_minus(pass_cells):
         offset += union.sketches[i].grid.members
     with reference.oracle():
         alone = {i: union.sketches[i].decode(minus=minus[i]) for i in todo}
-    for cells in WINDOW_GATES:
-        with mock.patch.object(spanning_forest, "_PASS_CELLS", pass_cells), \
-                mock.patch.object(spanning_forest, "_WINDOW_CELLS", cells):
-            coords, src, _ = spanning_forest.decode_stack(
-                union.scheme, union._hashes,
-                union._arena.reshape(-1, union._levels, 2, 8),
-                {i: sk.grid for i, sk in union.sketches.items()},
-                union._member_lut, union._base // union._member_stride, todo,
-                minus=tuple(np.concatenate(col) for col in zip(*triples)),
-            )
-        for i in todo:
-            assert sorted(coords[src == i].tolist()) == sorted(
-                union.scheme.index_of(e) for e in alone[i].edges()
-            )
+    with mock.patch.object(spanning_forest, "_WINDOW_CELLS", window_cells):
+        coords, src, _ = spanning_forest.decode_stack(
+            union.scheme, union._hashes,
+            union._arena.reshape(-1, union._levels, 2, 8),
+            {i: sk.grid for i, sk in union.sketches.items()},
+            union._member_lut, union._base // union._member_stride, todo,
+            minus=tuple(np.concatenate(col) for col in zip(*triples)),
+        )
+    for i in todo:
+        assert sorted(coords[src == i].tolist()) == sorted(
+            union.scheme.index_of(e) for e in alone[i].edges()
+        )
 
 
 class TestDecodeAtScale:

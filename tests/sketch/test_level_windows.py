@@ -6,9 +6,8 @@ reading once a window certifies it.  The answers must be the one-pass
 answers bit for bit — the scalar oracle's — and so must the
 per-component ``QueryMetrics`` counters: every component counts once a
 round however many windows it read.  Here the gate is patched to 0
-(every round windowed) against its real value, the way
-``_PASS_CELLS`` is patched, and the benchmark shapes are pinned to
-their side of it.
+(every round windowed) against its real value, and the benchmark
+shapes are pinned to their side of it.
 """
 
 import itertools
@@ -20,7 +19,7 @@ import pytest
 from repro.core._sampled import SampledForestUnion
 from repro.core.params import DEFAULT_PARAMS
 from repro.engine.query import collect_query_metrics
-from repro.errors import SamplerFailedError
+from repro.errors import SamplerFailedError, SamplerZeroError
 from repro.graph.generators import gnp_graph, random_hypergraph
 from repro.sketch import reference, spanning_forest
 from repro.sketch.bank import HashStack, SummedBatch, _sum_slots, drain_windows
@@ -159,6 +158,80 @@ class TestDrainWindows:
         assert one.fallback_scans == 4
         # Level 1 is read only by components level 0 did not certify.
         assert two.cells_gathered < one.cells_gathered
+
+
+class TestZeroExit:
+    """A component whose level 0 holds no nonzero cell is ZERO and reads
+    no window past the first: levels are nested, so level 0 holds every
+    coordinate."""
+
+    @staticmethod
+    def isolated_sketch():
+        """Vertices 0-11 carry a G(12, 0.5); 12-15 are isolated."""
+        sk = SpanningForestSketch(16, seed=4)
+        sk.update_batch([(e, 1) for e in gnp_graph(12, 0.5, seed=5).edges()])
+        return sk
+
+    @staticmethod
+    def drain(grid, comps, windows):
+        """``drain_windows`` over singleton components of group 0, one
+        level a window; returns its outcome and the ids each window
+        gathered."""
+        slots, plane = grid._slots(), grid.groups * grid.members
+        read = []
+
+        def gather(ids, lo, hi):
+            read.append(ids.tolist())
+            members = np.asarray(comps)[ids]
+            return SummedBatch(
+                grid._hashes, (grid,), np.zeros(ids.size, dtype=np.int64),
+                *_sum_slots(slots[:, lo:hi], members,
+                            np.full(members.size, plane),
+                            np.ones(members.size, dtype=np.int64)),
+                lo=lo,
+            )
+
+        return drain_windows(len(comps), windows, gather), read
+
+    def test_a_zero_component_reads_exactly_one_window(self):
+        grid = self.isolated_sketch().grid
+        windows = [(lvl, lvl + 1) for lvl in range(grid.levels)]
+        cell = grid.rows * grid.buckets  # one level of one member
+        with collect_query_metrics() as qm:
+            (ok, failed, _, _), read = self.drain(grid, [12, 13, 14], windows)
+        assert not ok.any() and not failed.any()
+        assert read == [[0, 1, 2]]
+        assert qm.cells_gathered == 3 * cell
+        assert qm.sample_zero == 3
+        for member in (12, 13, 14):
+            with pytest.raises(SamplerZeroError):
+                reference.member_sketch(grid, 0, member).sample()
+
+    def test_zero_components_leave_while_the_rest_read_on(self):
+        grid = self.isolated_sketch().grid
+        windows = [(lvl, lvl + 1) for lvl in range(grid.levels)]
+        (ok, failed, _, _), read = self.drain(grid, [0, 12, 5, 15], windows)
+        assert ok.tolist() == [True, False, True, False]
+        assert not failed.any()
+        assert read[0] == [0, 1, 2, 3]
+        assert all(1 not in ids and 3 not in ids for ids in read[1:])
+
+    def test_level_zero_decides_zero_off_stream_too(self):
+        """Counters no valid stream makes — level 0 cleared under a
+        nonzero level 1 — are ZERO on the batch path and in the scalar
+        oracle alike: both test level 0 and nothing else."""
+        grid = self.isolated_sketch().grid
+        members = np.arange(12)
+        batch = grid.summed_segments(0, members, np.ones_like(members))
+        deep = np.flatnonzero(batch._w[:, 1].any(axis=(1, 2)))
+        assert deep.size
+        for plane in (batch._w, batch._s, batch._f):
+            plane[deep, 0] = 0
+        ok, failed, _, _ = batch.sample_arrays()
+        assert not (ok[deep] | failed[deep]).any()
+        for c in deep.tolist():
+            with pytest.raises(SamplerZeroError):
+                reference.sketch_at(batch, c).sample()
 
 
 class TestCellsGathered:

@@ -30,6 +30,22 @@ class TestSplitmix:
             for x, o in zip(batch.tolist(), out.tolist()):
                 assert H.splitmix64(int(x)) == int(o)
 
+    def test_numpy_on_a_strided_view(self):
+        """The shared shift buffer follows the input's shape, not its
+        memory: a strided 2-D view hashes element for element, and
+        neither the view nor its base moves."""
+        base = np.random.default_rng(6).integers(
+            0, 2**64, size=(40, 30), dtype=np.uint64
+        )
+        base[0, :4] = [0, 1, 2**63, 2**64 - 1]
+        view = base[::2, ::3]
+        before = base.copy()
+        out = H.splitmix64_np(view)
+        assert np.array_equal(base, before)
+        assert out.shape == view.shape and not np.shares_memory(out, base)
+        for x, o in zip(view.ravel().tolist(), out.ravel().tolist()):
+            assert H.splitmix64(x) == o
+
 
 class TestHash64:
     def test_seed_sensitivity(self):
