@@ -23,14 +23,12 @@ from ._version import __version__
 from .audit import (
     AuditReport,
     CertifiedResult,
-    SketchAuditor,
     audit_sketch,
     certify_connectivity,
     certify_edge_connectivity,
     certify_skeleton,
     certify_spanning_forest,
     verified_merge,
-    verified_restore,
 )
 from .core import (
     DEFAULT_PARAMS,
@@ -101,11 +99,9 @@ __all__ = [
     "BadUpdate",
     "RetryPolicy",
     # integrity & certification
-    "SketchAuditor",
     "AuditReport",
     "audit_sketch",
     "verified_merge",
-    "verified_restore",
     "CertifiedResult",
     "certify_spanning_forest",
     "certify_connectivity",

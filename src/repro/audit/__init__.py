@@ -2,10 +2,12 @@
 
 Three robustness layers over the linear-sketch machinery:
 
-* :mod:`~repro.audit.digest` / :mod:`~repro.audit.integrity` — detect
-  and *localize* out-of-band corruption of counter banks via
-  incrementally maintained homomorphic digests; verified merge and
-  checkpoint-restore assert the linearity invariant.
+* :mod:`~repro.audit.integrity` — detect and *localize* out-of-band
+  corruption of counter banks from their own redundancy: every hash
+  row of a grid holds the same bucket totals, so :func:`audit_sketch`
+  needs no baseline and nothing is maintained at ingest.
+  :func:`verified_merge` asserts the linearity invariant of the
+  computed :mod:`~repro.audit.digest` on a merge.
 * :mod:`~repro.audit.certify` — query answers that carry witness edges
   re-verified independently of the decode path.
 * :mod:`~repro.audit.repair` — digest *diff* between replicas of one
@@ -20,7 +22,7 @@ from .certify import (
     certify_skeleton,
     certify_spanning_forest,
 )
-from .digest import GridDigest, attach_digest
+from .digest import GridDigest
 from .repair import (
     diff_digest_tables,
     divergent_members,
@@ -33,11 +35,9 @@ from .integrity import (
     AuditReport,
     Corruption,
     GridRef,
-    SketchAuditor,
     audit_sketch,
     named_grids,
     verified_merge,
-    verified_restore,
 )
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "Corruption",
     "GridDigest",
     "GridRef",
-    "SketchAuditor",
-    "attach_digest",
     "audit_sketch",
     "certify_connectivity",
     "certify_edge_connectivity",
@@ -61,5 +59,4 @@ __all__ = [
     "sketch_digest_table",
     "table_fingerprint",
     "verified_merge",
-    "verified_restore",
 ]

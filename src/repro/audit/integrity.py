@@ -7,16 +7,30 @@ bottoms out in :class:`~repro.sketch.bank.SamplerGrid` counter banks;
 :func:`named_grids` walks the composition conventions and names each
 bank with the instance it belongs to (a union's sampled instance, a
 skeleton's layer, a forest's Borůvka round), so that
-:meth:`SketchAuditor.audit` can report corruption as a
-``(sketch, instance, group, row)`` finding — precise enough for the
-degraded-decode layer to *exclude that instance* instead of trusting
-or discarding the whole structure.
+:func:`audit_sketch` can report corruption as a
+``(sketch, instance, group, member, level)`` finding — precise enough
+for the degraded-decode layer to *exclude that instance* instead of
+trusting or discarding the whole structure.
 
-Verified merges close the other gap: shard merge and checkpoint
-restore mutate banks wholesale, outside the update path.
+The audit keeps no state: it reads the sketch's own redundancy.  An
+update to coordinate ``i`` lands at every subsampling level
+``0..depth(g, i)`` of its group and, at each of those levels, in
+exactly one bucket of *every* hash row.  So at a fixed
+``(group, member, level)`` each row's bucket total — of ``w`` exactly
+(mod 2^64), of ``s`` and ``f`` mod p — is the same linear function of
+the member's vector, whatever the history: scalar or batched updates,
+merges, restores, member-state repair, phantom deletes.  A single
+flipped bit moves one row's total by ``±2^b``, which is nonzero mod
+2^64 and mod p, so the first audit that reads it sees the rows
+disagree.  Blind spot: damage that moves every row's total equally,
+or that permutes cells within one row.  A one-row grid has no
+redundancy, and the audit refuses it.
+
+Verified merges close the other gap: a merge that adds the right
+counters into the wrong cells keeps every row consistent.
 :func:`verified_merge` asserts the linearity invariant
-``digest(a + b) = digest(a) + digest(b)`` against a fresh recompute of
-the merged arrays, so a mis-merge or a corrupted operand raises
+``digest(a + b) = digest(a) + digest(b)`` on digests computed before
+and after the merge, so a mis-merge or a corrupted operand raises
 :class:`~repro.errors.IntegrityError` with localized findings instead
 of poisoning the accumulator silently.
 """
@@ -26,9 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import IncompatibleSketchError, IntegrityError
 from ..sketch.bank import SamplerGrid
-from .digest import GridDigest, attach_digest
+from .digest import GridDigest, _fold_mod_rows
 
 
 @dataclass(frozen=True)
@@ -92,26 +108,30 @@ class Corruption:
     ``instance`` identifies the independent repetition the damaged bank
     serves (union instance id, skeleton layer, or — for a single-grid
     sketch — the Borůvka round/group), which is the unit the degraded
-    decoders can exclude.  ``kind`` says which digest disagreed
-    (``"w"``, ``"s/f"``, or both).
+    decoders can exclude.  An audit names the ``member`` and ``level``
+    whose hash rows disagree and, in ``kind``, the counters that do
+    (``"w"``, ``"s"``, ``"f"``, joined by ``+``).  A verified merge
+    names the group only (``member`` and ``level`` are ``None``) and
+    the digest that disagreed (``"w"``, ``"s/f"``).
     """
 
     sketch: str
     instance: Optional[int]
     group: int
-    row: int
+    member: Optional[int]
+    level: Optional[int]
     kind: str
 
     def describe(self) -> str:
-        return (
-            f"{self.sketch}: instance={self.instance} group={self.group} "
-            f"row={self.row} counters={self.kind}"
-        )
+        where = f"instance={self.instance} group={self.group}"
+        if self.member is not None:
+            where += f" member={self.member} level={self.level}"
+        return f"{self.sketch}: {where} counters={self.kind}"
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """The outcome of one :meth:`SketchAuditor.audit` pass."""
+    """The outcome of one :func:`audit_sketch` pass."""
 
     grids_audited: int
     findings: Tuple[Corruption, ...] = ()
@@ -126,96 +146,81 @@ class AuditReport:
             f.instance for f in self.findings if f.instance is not None
         }
 
-    def raise_if_corrupt(self) -> "AuditReport":
-        if self.findings:
-            raise IntegrityError(
-                f"sketch integrity audit failed: {len(self.findings)} "
-                f"corrupted (sketch, instance, row) locations: "
-                + "; ".join(f.describe() for f in self.findings[:8])
-                + ("; ..." if len(self.findings) > 8 else ""),
-                findings=self.findings,
-            )
-        return self
+
+def _rows_disagree(plane: np.ndarray, modular: bool) -> np.ndarray:
+    """``(members, levels)`` mask of one group's counter plane: where
+    the hash rows' bucket totals differ (mod p when ``modular``, else
+    mod 2^64)."""
+    if modular:
+        totals = _fold_mod_rows(plane, "...b->...")
+    else:
+        totals = np.einsum("...b->...", plane)  # wraps: exact mod 2^64
+    return (totals[..., 1:] != totals[..., :1]).any(axis=-1)
 
 
-def _audit_refs(refs: List[GridRef]) -> List[Corruption]:
+def _row_findings(refs: List[GridRef]) -> List[Corruption]:
+    """Every (grid, group, member, level) whose hash rows disagree;
+    O(bank) reads, no writes.  ``kind`` names the counters that do."""
     findings: List[Corruption] = []
     for ref in refs:
-        if ref.grid._digest is None:
-            continue  # never baselined; nothing to compare against
-        actual = GridDigest.compute(ref.grid)
-        for group, row, kind in ref.grid._digest.mismatches(actual):
-            findings.append(
-                Corruption(
+        grid = ref.grid
+        for g in range(grid.groups):
+            masks = [
+                _rows_disagree(plane[g], modular=name != "w")
+                for name, plane in zip("wsf", (grid._w, grid._s, grid._f))
+            ]
+            for m, lvl in zip(*np.nonzero(masks[0] | masks[1] | masks[2])):
+                findings.append(Corruption(
                     sketch=ref.label,
-                    instance=ref.instance if ref.instance is not None else group,
-                    group=group,
-                    row=row,
-                    kind=kind,
-                )
-            )
+                    instance=ref.instance if ref.instance is not None else g,
+                    group=g,
+                    member=int(m),
+                    level=int(lvl),
+                    kind="+".join(
+                        name for name, mask in zip("wsf", masks)
+                        if mask[m, lvl]
+                    ),
+                ))
     return findings
 
 
-class SketchAuditor:
-    """Maintains digests over one sketch's banks and audits on demand.
-
-    Construction attaches a :class:`~repro.audit.digest.GridDigest` to
-    every bank (accepting the *current* counters as the trusted
-    baseline); from then on the sketch's own update/merge paths keep
-    the digests synchronized, and :meth:`audit` compares a fresh
-    recompute against them — divergence means the arrays were mutated
-    outside the update path.
-    """
-
-    def __init__(self, sketch: Any, label: str = "sketch"):
-        self.sketch = sketch
-        self.label = label
-        self.refs = list(named_grids(sketch, label))
-        for ref in self.refs:
-            attach_digest(ref.grid)
-
-    def audit(self, metrics=None) -> AuditReport:
-        """One full integrity pass; O(bank) work, read-only.
-
-        ``metrics`` (an :class:`~repro.engine.metrics.IngestMetrics` or
-        compatible) gets ``audits`` incremented per pass and
-        ``corruption_detected`` per finding.
-        """
-        findings = _audit_refs(self.refs)
-        if metrics is not None:
-            metrics.audits += 1
-            metrics.corruption_detected += len(findings)
-        return AuditReport(grids_audited=len(self.refs),
-                           findings=tuple(findings))
-
-    def rebase(self) -> None:
-        """Accept the current counters as the new trusted baseline."""
-        for ref in self.refs:
-            attach_digest(ref.grid, force=True)
-
-
 def audit_sketch(sketch: Any, label: str = "sketch", metrics=None) -> AuditReport:
-    """Convenience one-shot: attach-if-needed and audit immediately.
+    """One full integrity pass over every bank of ``sketch``.
 
-    Note the first call on a never-baselined sketch trivially passes
-    (its current state *is* the baseline); corruption is detectable
-    only after a baseline exists.
+    Read-only and stateless: the first call already convicts damage
+    done before it.  Raises
+    :class:`~repro.errors.IncompatibleSketchError` for a sketch with a
+    one-row grid, which has no redundancy to check.  ``metrics`` (an
+    :class:`~repro.engine.metrics.IngestMetrics` or compatible) gets
+    ``audits`` incremented per pass and ``corruption_detected`` per
+    finding.
     """
-    return SketchAuditor(sketch, label).audit(metrics=metrics)
+    refs = list(named_grids(sketch, label))
+    for ref in refs:
+        if ref.grid.rows < 2:
+            raise IncompatibleSketchError(
+                f"cannot audit {ref.label}: a one-row grid has no "
+                "redundant row to check against"
+            )
+    findings = _row_findings(refs)
+    if metrics is not None:
+        metrics.audits += 1
+        metrics.corruption_detected += len(findings)
+    return AuditReport(grids_audited=len(refs), findings=tuple(findings))
 
 
 def verified_merge(dst: Any, src: Any, label: str = "merge", metrics=None):
-    """``dst += src`` with the linearity invariant asserted.
+    """``dst += src`` with both operands audited and the linearity
+    invariant asserted.
 
-    Digests are attached to both operands (computed from their current
-    arrays if absent), the merge runs through the sketches' own
-    ``__iadd__`` (which combines digests algebraically), and the merged
-    banks are then re-digested from scratch: any disagreement between
-    ``digest(a) + digest(b)`` and ``digest(merged arrays)`` — a
-    corrupted operand or a botched merge — raises
-    :class:`~repro.errors.IntegrityError` with localized findings.
-    Returns the merged ``dst``.
+    First the operands' rows are checked as :func:`audit_sketch` does
+    (one-row grids have nothing to check), so a corrupted operand
+    raises :class:`~repro.errors.IntegrityError` before anything is
+    folded.  Then both are digested, the merge runs through the
+    sketches' own ``__iadd__``, and the merged banks are digested
+    again: any disagreement between ``digest(dst) + digest(src)`` and
+    ``digest(merged)`` — a botched merge — raises too, with findings
+    localized to (instance, group).  Returns the merged ``dst``.
     """
     dst_refs = list(named_grids(dst, label))
     src_refs = list(named_grids(src, label))
@@ -224,47 +229,41 @@ def verified_merge(dst: Any, src: Any, label: str = "merge", metrics=None):
             f"verified merge over mismatched structures "
             f"({len(dst_refs)} vs {len(src_refs)} grids)"
         )
-    for ref in dst_refs:
-        attach_digest(ref.grid)
-    for ref in src_refs:
-        attach_digest(ref.grid)
-    dst += src
-    findings = _audit_refs(dst_refs)
+    findings = _row_findings(
+        [ref for ref in dst_refs + src_refs if ref.grid.rows > 1]
+    )
+    what = "operand rows disagree"
+    if not findings:
+        expected = []
+        for ours, theirs in zip(dst_refs, src_refs):
+            digest = GridDigest.compute(ours.grid)
+            digest.absorb(GridDigest.compute(theirs.grid))
+            expected.append(digest)
+        dst += src
+        # One finding per (grid, group, kind), whichever rows disagree.
+        findings = list(dict.fromkeys(
+            Corruption(
+                sketch=ref.label,
+                instance=ref.instance if ref.instance is not None else group,
+                group=group,
+                member=None,
+                level=None,
+                kind=kind,
+            )
+            for ref, want in zip(dst_refs, expected)
+            for group, _row, kind in want.mismatches(
+                GridDigest.compute(ref.grid)
+            )
+        ))
+        what = "linearity invariant violated"
     if metrics is not None:
         metrics.audits += 1
         metrics.corruption_detected += len(findings)
     if findings:
         raise IntegrityError(
-            f"verified merge failed: linearity invariant violated at "
+            f"verified merge failed: {what} at "
             + "; ".join(f.describe() for f in findings[:8])
             + ("; ..." if len(findings) > 8 else ""),
             findings=findings,
         )
     return dst
-
-
-def verified_restore(sketch: Any, blob: bytes, accumulate: bool = False,
-                     label: str = "restore", metrics=None):
-    """Checkpoint-restore with integrity verification end to end.
-
-    The blob's CRC is verified first (storage/transit damage).  With
-    ``accumulate=True`` the blob is deserialized into a zero clone and
-    folded in through :func:`verified_merge`, so the restore also
-    asserts the linearity invariant; otherwise the restored counters
-    replace the sketch's state and become the new digest baseline.
-    """
-    from ..sketch.serialization import iter_grids, load_sketch, verify_sketch_blob
-
-    verify_sketch_blob(blob)
-    if accumulate:
-        clone = sketch.copy()
-        for grid in iter_grids(clone):
-            grid.reset()
-        load_sketch(clone, blob)
-        return verified_merge(sketch, clone, label=label, metrics=metrics)
-    load_sketch(sketch, blob)
-    for ref in named_grids(sketch, label):
-        attach_digest(ref.grid)
-    if metrics is not None:
-        metrics.audits += 1
-    return sketch

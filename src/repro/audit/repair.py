@@ -149,7 +149,7 @@ def member_digest_table(grid) -> Dict[str, List[int]]:
         f_res = grid._f[g] % np.int64(_P)
         x = s_res + shl32_vec_mod(f_res.astype(np.uint64)).astype(np.int64)
         x = np.where(x >= _P, x - _P, x)
-        per_sf = _fold_mod_rows(mul_vec_mod(c_m4, x), (1, 2, 3))
+        per_sf = _fold_mod_rows(mul_vec_mod(c_m4, x), "mlrb->m")
         mixed = mul_vec_mod(
             np.full(grid.members, int(mix_m[g]), dtype=np.int64), per_sf
         )

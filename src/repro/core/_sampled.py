@@ -324,9 +324,7 @@ class SampledForestUnion:
         does — and every cell of every instance goes through one
         :func:`~repro.engine.batch.fold_cells`.  Then each hit instance
         gets the bookkeeping its scalar ``update`` does: its incidence
-        rows counted, its mutation counter and touched members' epochs
-        bumped, and its digest, if any, moved by the fold entries that
-        landed in its block.
+        rows counted and its mutation counter bumped.
         """
         rows, buckets = self.params.rows, self.params.buckets
         mixed = premix64_np(index)[e_p]
@@ -364,31 +362,16 @@ class SampledForestUnion:
             + cell[t_x]
         ).reshape(-1)
         u_n = np.repeat(u_x, rows)
-        entries = fold_cells(
+        fold_cells(
             (self._arena,) * 3, flat, delta[u_n], cs[u_n], cf[u_n],
             plane_shift=self._plane[i_u][u_n],
         )
-        # Rows and entries both come in pair order, so in runs of
-        # ascending instance.
-        insts, lo = np.unique(i_u, return_index=True)
-        hi = np.r_[lo[1:], i_u.size]
-        audited = []
-        for i, a, b in zip(insts.tolist(), lo.tolist(), hi.tolist()):
+        # Rows come in pair order, so in runs of ascending instance.
+        insts, counts = np.unique(i_u, return_counts=True)
+        for i, count in zip(insts.tolist(), counts.tolist()):
             grid = self.sketches[i].grid
-            grid._updates += b - a
+            grid._updates += count
             grid._touch()
-            if grid._digest is not None:
-                audited.append(i)
-        if audited:
-            owner = i_u[u_n]
-            lo = np.searchsorted(owner, audited)
-            hi = np.searchsorted(owner, audited, side="right")
-            for i, a, b in zip(audited, lo.tolist(), hi.tolist()):
-                grid = self.sketches[i].grid
-                cells, d, c_s, c_f = (e[a:b] for e in entries)
-                grid._digest.observe_cells(
-                    grid, cells - self._base[i], d, c_s, c_f
-                )
 
     def insert(self, edge: Sequence[int]) -> None:
         """Stream insertion of a (hyper)edge."""

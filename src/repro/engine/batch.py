@@ -80,9 +80,7 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     There is one kernel, :func:`_grid_update_batch_fused`; it gathers
     placements from the grid's tables when
     :meth:`~repro.sketch.bank.SamplerGrid.attach_hash_cache` attached
-    them and hashes them otherwise.  An attached audit digest
-    rides the same folds: it is linear, so observing each fold's entries
-    moves it exactly as the counters move.
+    them and hashes them otherwise.
     """
     m, idx, d = _as_update_arrays(members, indices, deltas)
     nz = d != 0
@@ -103,12 +101,12 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     if m.size > 1 and _magnitude(d) * m.size < _EXACT_BOUND:
         # Coalesce duplicate (member, index) coordinates to their net
         # delta before the per-group expansion: every cell contribution
-        # — and every digest term — is linear in the delta for a fixed
-        # coordinate, and the folds are order-independent, so folding
-        # the net value is bit-identical to folding each event, while
-        # churny batches (insert + delete of the same edge) shrink
-        # dramatically.  The guard keeps each net inside int64: a
-        # wrapped net would fold the wrong residue mod p.
+        # is linear in the delta for a fixed coordinate, and the folds
+        # are order-independent, so folding the net value is
+        # bit-identical to folding each event, while churny batches
+        # (insert + delete of the same edge) shrink dramatically.  The
+        # guard keeps each net inside int64: a wrapped net would fold
+        # the wrong residue mod p.
         key = m * np.int64(grid.domain) + idx
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
@@ -200,10 +198,6 @@ def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
     index-sum cell and from there to its fingerprint cell — the layout
     of instance blocks packed one after another in a single arena,
     where all three planes are the same array.
-
-    Returns the entries ``(flat, d, cs, cf)`` themselves: the folds are
-    linear, so per-entry observations of them are what
-    :meth:`GridDigest.observe_cells` needs.
     """
     w_plane, s_plane, f_plane = planes
     np.add.at(w_plane, flat, d)
@@ -214,7 +208,6 @@ def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
         f_cells = s_cells + plane_shift
     _fold_mod(s_plane, s_cells, cs)
     _fold_mod(f_plane, f_cells, cf)
-    return flat, d, cs, cf
 
 
 def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
@@ -232,9 +225,7 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
     the scalar ``update`` writes for it, and the folds are
     order-independent, so the counters are bit-identical to the scalar
     loop's.  From :data:`_THREAD_ENTRIES` triples on, the rows fold on
-    two threads (:func:`_fold_rows`).  The grid's digest, when
-    attached, then observes every row fold's entries in row order
-    (:meth:`~repro.audit.digest.GridDigest.observe_cells`).
+    two threads (:func:`_fold_rows`).
     """
     G, U = grid.groups, m.size
     levels, rows, buckets = grid.levels, grid.rows, grid.buckets
@@ -280,17 +271,14 @@ def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
             return flat
 
     def fold_row(r):
-        return fold_cells(planes, cells(r), d_pairs, cs_pairs, cf_pairs)
+        fold_cells(planes, cells(r), d_pairs, cs_pairs, cf_pairs)
 
-    row_entries = _fold_rows(rows, fold_row, lvl.size >= _THREAD_ENTRIES)
-    if grid._digest is not None:
-        for entries in row_entries:
-            grid._digest.observe_cells(grid, *entries)
+    _fold_rows(rows, fold_row, lvl.size >= _THREAD_ENTRIES)
 
 
-def _fold_rows(rows: int, fold_row, threaded: bool) -> list:
-    """``[fold_row(r) for r in range(rows)]``, two rows at a time when
-    ``threaded``.
+def _fold_rows(rows: int, fold_row, threaded: bool) -> None:
+    """``fold_row(r)`` for every ``r in range(rows)``, two rows at a
+    time when ``threaded``.
 
     Each hash row writes only its own counter cells, so two rows can
     fold at once with no lock, and most of a row fold is numpy work
@@ -299,17 +287,16 @@ def _fold_rows(rows: int, fold_row, threaded: bool) -> list:
     before this returns, and an exception it raised is re-raised here.
     Otherwise the same ``fold_row`` runs inline, row by row.
     """
-    out = [None] * rows
     if not threaded or rows < 2:
         for r in range(rows):
-            out[r] = fold_row(r)
-        return out
+            fold_row(r)
+        return
     failure = []
 
     def odd_rows():
         try:
             for r in range(1, rows, 2):
-                out[r] = fold_row(r)
+                fold_row(r)
         except BaseException as exc:  # re-raised on the calling thread
             failure.append(exc)
 
@@ -317,12 +304,11 @@ def _fold_rows(rows: int, fold_row, threaded: bool) -> list:
     thread.start()
     try:
         for r in range(0, rows, 2):
-            out[r] = fold_row(r)
+            fold_row(r)
     finally:
         thread.join()
     if failure:
         raise failure[0]
-    return out
 
 
 def expand_edge_batch(

@@ -144,10 +144,10 @@ class IngestMetrics:
     # is checkpoint + resume); it stays for the perf ledger's schema.
     restarts: int = 0
     quarantined: int = 0
-    # Integrity counters (the audit subsystem): digest audit passes run
-    # (including verified merges/restores) and localized corruption
-    # findings.  ``corruption_detected`` nonzero means a bank or blob
-    # diverged from its digest — page someone.
+    # Integrity counters (the audit subsystem): audit passes run
+    # (including verified merges) and localized corruption findings.
+    # ``corruption_detected`` nonzero means a bank's rows disagree or a
+    # merge broke linearity — page someone.
     audits: int = 0
     corruption_detected: int = 0
     batch_size_hist: Dict[str, int] = field(default_factory=dict)

@@ -181,12 +181,13 @@ class SharedMemoryPool:
         self._closed = False
         for shard in range(shards):
             parent_conn, child_conn = ctx.Pipe()
-            # The worker gets a fresh factory sketch purely as a typed
-            # shell — attach_sketch() swaps its private (zero) blocks
-            # for the shard's shared segments on startup.
+            # The worker's shell is the shard's own shared sketch: a
+            # forked worker inherits its mapping and attach_sketch()
+            # keeps it; a pickled one arrives with a private copy that
+            # attach_sketch() swaps for the segments.
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, sketch_factory(), names[shard]),
+                args=(child_conn, self._sketches[shard], names[shard]),
                 daemon=True,
                 name=f"repro-ingest-shm-shard-{shard}",
             )

@@ -127,8 +127,8 @@ class ShardedIngestEngine:
         (digest of the merged banks must equal the sum of the operand
         digests), so a shard whose counters were corrupted in flight
         raises :class:`~repro.errors.IntegrityError` instead of
-        poisoning the answer.  Costs one digest recompute per shard
-        merge.
+        poisoning the answer.  Costs three digest computations per
+        shard merge.
     """
 
     def __init__(

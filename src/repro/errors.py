@@ -69,14 +69,15 @@ class IncompatibleSketchError(ReproError):
 class IntegrityError(ReproError):
     """Sketch state failed an integrity check (out-of-band corruption).
 
-    Raised by the :mod:`repro.audit` layer when counter banks no longer
-    match their maintained content digests, or when a merge violates
-    the linearity invariant — i.e. the data was mutated by something
+    Raised by the :mod:`repro.audit` layer when a merge violates the
+    linearity invariant of the computed content digests, or by a
+    payload check — i.e. the data was mutated by something
     *other* than the sketch update path (bit rot, a buggy writer, a
     torn restore).  Distinct from :class:`SketchDecodeError`: decode
     failures are the allowed probabilistic mode; integrity failures
     mean the state itself can no longer be trusted.  Carries the
-    localized ``findings`` (sketch, instance, group, row) when known.
+    localized ``findings`` (:class:`~repro.audit.integrity.Corruption`)
+    when known.
     """
 
     def __init__(self, message: str, findings=()):

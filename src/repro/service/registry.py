@@ -749,17 +749,22 @@ class SketchRegistry:
     def audit(self, record: SketchRecord) -> Dict[str, object]:
         """Run an integrity audit over the record's sketch.
 
-        The first audit on a sketch baselines its content digests
-        (trivially passing) and enables digest maintenance on every
-        subsequent update — an explicit opt-in, since maintaining
-        digests costs ingest throughput.  Must run under
-        ``record.lock``.
+        Reads the counters' own cross-row redundancy
+        (:func:`~repro.audit.integrity.audit_sketch`), so the first
+        audit already reports damage done before it, and nothing is
+        kept or maintained afterwards: ingest costs the same audited
+        or not.  A sketch with one hash row has nothing to check and
+        is refused (:class:`~repro.errors.BadRequestError`).  Must run
+        under ``record.lock``.
         """
         from ..audit.integrity import audit_sketch
 
-        report = audit_sketch(
-            record.sketch, label=record.name, metrics=record.ingest
-        )
+        try:
+            report = audit_sketch(
+                record.sketch, label=record.name, metrics=record.ingest
+            )
+        except IncompatibleSketchError as exc:
+            raise BadRequestError(str(exc)) from exc
         record.audits += 1
         return {
             "ok": report.ok,

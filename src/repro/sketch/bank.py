@@ -339,10 +339,6 @@ class SamplerGrid:
         #: the same seeds as arrays, the form the decode kernels read
         self._hashes = HashStack.of([self])
         self._updates = 0
-        #: Optional :class:`~repro.audit.digest.GridDigest`, attached by
-        #: the integrity layer; every mutation path below keeps it in
-        #: lockstep with the counter arrays when present.
-        self._digest = None
         #: Mutation counter: every mutation path bumps it through
         #: :meth:`_touch`.  Whoever caches something derived from the
         #: counters compares it — the union's per-instance decode cache
@@ -427,11 +423,15 @@ class SamplerGrid:
         The grid's current counters are discarded — after this call it
         aliases whatever the segment holds.  The attachment is
         non-owning: this process never unlinks the segment (see
-        :mod:`repro.sketch.shm` for the tracker rules).
+        :mod:`repro.sketch.shm` for the tracker rules).  A no-op when
+        the grid already maps ``name``, as a grid a forked process
+        inherited from the segment's creator does.
         """
         from .shm import attach_segment, close_segment
 
         self._refuse_if_borrowed("attach a shared segment")
+        if self._shm_name == name:
+            return
         shm = attach_segment(name)
         if shm.size < self._block.nbytes:
             close_segment(shm)
@@ -526,8 +526,6 @@ class SamplerGrid:
                 f"member {member} outside [0, {self.members})"
             )
         self._updates += 1
-        if self._digest is not None:
-            self._digest.observe_update(self, member, index, delta)
         self._touch()
         i_mod = index % _P
         rho = _rho_cached(self._rho.seed, index)
@@ -570,8 +568,6 @@ class SamplerGrid:
         """Zero all counters (back to the empty-stream state)."""
         self._block.fill(0)
         self._updates = 0
-        if self._digest is not None:
-            self._digest.reset()
         self._touch()
 
     def _touch(self) -> None:
@@ -630,14 +626,6 @@ class SamplerGrid:
         ):
             raise IncompatibleSketchError("sampler grids incompatible")
 
-    def _digest_of(self, other: "SamplerGrid"):
-        """The other operand's digest (computed on demand for merges)."""
-        if other._digest is not None:
-            return other._digest
-        from ..audit.digest import GridDigest
-
-        return GridDigest.compute(other)
-
     def __iadd__(self, other: "SamplerGrid") -> "SamplerGrid":
         self._check_compatible(other)
         # One vectorised fold over the whole SoA block, in place (the
@@ -649,8 +637,6 @@ class SamplerGrid:
         mod = self._block[1:]
         mod += other._block[1:]
         np.subtract(mod, _P, out=mod, where=mod >= _P)
-        if self._digest is not None:
-            self._digest.absorb(self._digest_of(other))
         self._touch()
         return self
 
@@ -660,8 +646,6 @@ class SamplerGrid:
         mod = self._block[1:]
         mod -= other._block[1:]
         np.add(mod, _P, out=mod, where=mod < 0)
-        if self._digest is not None:
-            self._digest.absorb(self._digest_of(other), sign=-1)
         self._touch()
         return self
 
@@ -674,7 +658,6 @@ class SamplerGrid:
         out._shm_name = None
         out._borrowed = False
         out._bind_views()
-        out._digest = None if self._digest is None else self._digest.copy()
         return out
 
     # -- distributed-player plumbing (Section 2 communication model) -----
@@ -693,12 +676,6 @@ class SamplerGrid:
         self._s[:, member] = add_vec_mod(self._s[:, member], state["s"])
         self._f[:, member] = add_vec_mod(self._f[:, member], state["f"])
         self._touch()
-        if self._digest is not None:
-            # Message payloads are CRC-verified upstream; accept the
-            # merged state as the new trusted baseline.
-            from ..audit.digest import GridDigest
-
-            self._digest = GridDigest.compute(self)
 
     # -- decoding -----------------------------------------------------------
 
@@ -986,10 +963,11 @@ class SummedBatch:
             + b.astype(np.int64)
         ).reshape(-1)
         planes = (self._w.reshape(-1), self._s.reshape(-1), self._f.reshape(-1))
-        return fold_cells(
+        fold_cells(
             planes, flat,
             *(np.repeat(v, rows) for v in (-weight, cs, cf)),
-        )[0]
+        )
+        return flat
 
     def _recover_levels_many(self) -> tuple:
         """Peel every subsampling level of every component at once,

@@ -67,16 +67,6 @@ def _planes(payloads: list, shape) -> List[np.ndarray]:
     return [np.frombuffer(p, dtype="<i8").reshape(shape) for p in payloads]
 
 
-def _rebase_digest(grid: SamplerGrid) -> None:
-    grid._touch()
-    if grid._digest is not None:
-        # The blob's CRC already vouched for the bytes; rebase the
-        # maintained digest on the restored counters.
-        from ..audit.digest import GridDigest
-
-        grid._digest = GridDigest.compute(grid)
-
-
 def _restore(grid: SamplerGrid, planes: List[np.ndarray], accumulate: bool) -> None:
     w, s, f = planes
     # Strictly in-place: the counter arrays are views into the grid's
@@ -93,8 +83,7 @@ def _restore(grid: SamplerGrid, planes: List[np.ndarray], accumulate: bool) -> N
         grid._w[...] = w
         grid._s[...] = s
         grid._f[...] = f
-    # Restoring replaces (or shifts) every member's counters at once.
-    _rebase_digest(grid)
+    grid._touch()
 
 
 def dump_grid(grid: SamplerGrid) -> bytes:
@@ -197,7 +186,7 @@ def replace_member_state(grid: SamplerGrid, blob: bytes) -> int:
     grid._w[:, member] = state["w"]
     grid._s[:, member] = state["s"]
     grid._f[:, member] = state["f"]
-    _rebase_digest(grid)
+    grid._touch()
     return member
 
 

@@ -1,18 +1,17 @@
-"""The homomorphic grid digest: maintenance parity and detection power.
+"""The computed grid digest: linearity and detection power.
 
-The digest's whole value rests on one equivalence: the incrementally
-maintained digest after any sequence of legitimate mutations (scalar
-updates, batched kernel folds, merges, subtractions, member-state
-merges, resets) equals a from-scratch recompute over the final arrays.
-These tests pin that equivalence across every mutation path, then the
-detection side: any single flipped bit anywhere in any counter bank
-diverges the recompute from the maintained value.
+Verified merges and anti-entropy rest on one property: the digest is
+linear in the counters, so ``D(a + b) = D(a) + D(b)`` whatever path
+produced each operand (scalar updates, batched kernel folds, merges,
+subtractions, resets).  These tests pin that property across those
+paths, then the detection side: any single flipped bit anywhere in any
+counter bank changes the digest of exactly its (group, row).
 """
 
 import numpy as np
 import pytest
 
-from repro.audit.digest import GridDigest, attach_digest
+from repro.audit.digest import GridDigest
 from repro.sketch.bank import SamplerGrid
 from repro.util.hashing import hash64
 
@@ -31,73 +30,83 @@ def random_updates(count, seed, members=5, domain=64):
         yield int(m), int(idx), int(delta)
 
 
+def batch(updates):
+    return [np.array(x, dtype=np.int64) for x in zip(*updates)]
+
+
+def zero_digest(grid):
+    return GridDigest.compute(make_grid(seed=grid.seed))
+
+
 class TestMaintenanceParity:
+    """Digests of differently built grids combine by :meth:`absorb`."""
+
     def test_scalar_updates_match_recompute(self):
+        """The digest of a scalar-fed grid is the sum of its updates'
+        digests, one single-update grid each."""
         grid = make_grid()
-        attach_digest(grid)
-        for m, idx, d in random_updates(200, seed=3):
+        total = zero_digest(grid)
+        for m, idx, d in random_updates(40, seed=3):
             if d:
                 grid.update(m, idx, d)
-        assert grid._digest == GridDigest.compute(grid)
+                one = make_grid()
+                one.update(m, idx, d)
+                total.absorb(GridDigest.compute(one))
+        assert total == GridDigest.compute(grid)
 
     def test_batched_updates_match_recompute(self):
-        grid = make_grid()
-        attach_digest(grid)
+        """Split a batch in two: the two halves' digests sum to the
+        whole batch's."""
         ups = [u for u in random_updates(300, seed=5) if u[2]]
-        m, i, d = (np.array(x, dtype=np.int64) for x in zip(*ups))
-        grid.update_batch(m, i, d)
-        assert grid._digest == GridDigest.compute(grid)
+        whole, first, second = make_grid(), make_grid(), make_grid()
+        whole.update_batch(*batch(ups))
+        first.update_batch(*batch(ups[:100]))
+        second.update_batch(*batch(ups[100:]))
+        total = GridDigest.compute(first)
+        total.absorb(GridDigest.compute(second))
+        assert total == GridDigest.compute(whole)
 
     def test_scalar_and_batched_agree(self):
         a, b = make_grid(), make_grid()
-        attach_digest(a)
-        attach_digest(b)
         ups = [u for u in random_updates(150, seed=9) if u[2]]
         for m, idx, d in ups:
             a.update(m, idx, d)
-        m, i, d = (np.array(x, dtype=np.int64) for x in zip(*ups))
-        b.update_batch(m, i, d)
-        assert a._digest == b._digest
+        b.update_batch(*batch(ups))
+        assert GridDigest.compute(a) == GridDigest.compute(b)
 
     def test_merge_absorbs_algebraically(self):
         a, b = make_grid(), make_grid()
-        attach_digest(a)
-        attach_digest(b)
         for m, idx, d in random_updates(100, seed=11):
             if d:
                 a.update(m, idx, d)
         for m, idx, d in random_updates(100, seed=13):
             if d:
                 b.update(m, idx, d)
+        before, of_b = GridDigest.compute(a), GridDigest.compute(b)
         a += b
-        assert a._digest == GridDigest.compute(a)
+        before.absorb(of_b)
+        assert before == GridDigest.compute(a)
         a -= b
-        assert a._digest == GridDigest.compute(a)
-
-    def test_merge_computes_missing_operand_digest(self):
-        a, b = make_grid(), make_grid()
-        attach_digest(a)  # b has no digest attached
-        for m, idx, d in random_updates(80, seed=17):
-            if d:
-                b.update(m, idx, d)
-        a += b
-        assert a._digest == GridDigest.compute(a)
+        after = GridDigest.compute(a)
+        after.absorb(of_b)
+        assert after == before
 
     def test_reset_and_copy(self):
         grid = make_grid()
-        attach_digest(grid)
         for m, idx, d in random_updates(60, seed=19):
             if d:
                 grid.update(m, idx, d)
+        digest = GridDigest.compute(grid)
         clone = grid.copy()
-        # Independent digests: mutating the clone leaves the original's
-        # digest in sync with the original's arrays.
+        assert GridDigest.compute(clone) == digest
+        # Independent counters: mutating the clone leaves the original.
         clone.update(0, 1, 3)
-        assert grid._digest == GridDigest.compute(grid)
-        assert clone._digest == GridDigest.compute(clone)
+        assert GridDigest.compute(clone) != digest
+        assert GridDigest.compute(grid) == digest
         grid.reset()
-        assert grid._digest == GridDigest.compute(grid)
-        assert grid._digest == GridDigest.zero_for(grid)
+        assert GridDigest.compute(grid) == zero_digest(grid)
+        assert not zero_digest(grid).w.any()
+        assert not zero_digest(grid).sf.any()
 
 
 class TestDetection:
@@ -105,16 +114,16 @@ class TestDetection:
     @pytest.mark.parametrize("bit", [0, 17, 40, 60, 63])
     def test_single_bit_flip_detected_and_localized(self, array, bit):
         grid = make_grid()
-        attach_digest(grid)
         for m, idx, d in random_updates(120, seed=23):
             if d:
                 grid.update(m, idx, d)
+        clean = GridDigest.compute(grid)
         arr = getattr(grid, array)
         flat = arr.reshape(-1)
         pos = hash64(bit, 99) % flat.size
         flip = (1 << bit) if bit < 63 else -(1 << 63)
         flat[pos] ^= flip
-        mism = grid._digest.mismatches(GridDigest.compute(grid))
+        mism = clean.mismatches(GridDigest.compute(grid))
         assert len(mism) == 1
         g, row, kind = mism[0]
         cells_per_group = arr.size // grid.groups
@@ -123,22 +132,27 @@ class TestDetection:
         assert kind == ("w" if array == "_w" else "s/f")
 
     def test_no_false_positives_across_seeds(self):
+        """Equal counters always digest equally, however they were
+        reached: a scalar-fed grid against its dump-and-load twin."""
+        from repro.sketch.serialization import dump_grid, load_grid
+
         for seed in range(5):
             grid = make_grid(seed=100 + seed)
-            attach_digest(grid)
             for m, idx, d in random_updates(80, seed=seed):
                 if d:
                     grid.update(m, idx, d)
-            assert grid._digest.mismatches(GridDigest.compute(grid)) == []
+            twin = load_grid(make_grid(seed=100 + seed), dump_grid(grid))
+            digest = GridDigest.compute(grid)
+            assert digest.mismatches(GridDigest.compute(twin)) == []
 
     def test_digest_survives_pickle(self):
         import pickle
 
         grid = make_grid()
-        attach_digest(grid)
         for m, idx, d in random_updates(50, seed=29):
             if d:
                 grid.update(m, idx, d)
-        restored = pickle.loads(pickle.dumps(grid._digest))
-        assert restored == grid._digest
+        digest = GridDigest.compute(grid)
+        restored = pickle.loads(pickle.dumps(digest))
+        assert restored == digest
         assert restored == GridDigest.compute(grid)

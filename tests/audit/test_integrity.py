@@ -2,8 +2,9 @@
 
 These tests exercise the full corruption story the audit subsystem
 promises: a single flipped bit in any live counter bank is *detected*
-(digest divergence), *localized* (to the (sketch, instance, group,
-row) the injector actually hit), and — through the degraded decode
+by the first audit (its hash rows disagree), *localized* (to the
+(sketch, instance, group, member, level) the injector actually hit),
+and — through the degraded decode
 routing — *excluded* so the query layer never silently answers from a
 damaged repetition.  The injectors live in the shared fault harness
 (:mod:`tests.engine.faults`) so the chaos smoke job replays any
@@ -12,13 +13,7 @@ failing seed bit for bit.
 
 import pytest
 
-from repro.audit.integrity import (
-    SketchAuditor,
-    audit_sketch,
-    named_grids,
-    verified_merge,
-    verified_restore,
-)
+from repro.audit.integrity import audit_sketch, named_grids, verified_merge
 from repro.core.connectivity_query import VertexConnectivityQuerySketch
 from repro.core.edge_connectivity_sketch import EdgeConnectivitySketch
 from repro.core.params import Params
@@ -32,9 +27,11 @@ from repro.sketch.serialization import (
     iter_grids,
     load_grid,
     load_member_state,
+    load_sketch,
 )
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
+from repro.stream.updates import EdgeUpdate
 
 from ..engine.faults import flip_bank_bit, flip_blob_byte
 
@@ -50,31 +47,34 @@ def make_forest(n=16, seed=5):
     return sketch
 
 
+def at(where):
+    return (where["instance"], where["group"], where["member"], where["level"])
+
+
+def located(report):
+    return {(f.instance, f.group, f.member, f.level) for f in report.findings}
+
+
 class TestDetectionAndLocalization:
     @pytest.mark.parametrize("seed", range(6))
     def test_forest_bit_flip_detected_and_localized(self, seed):
         sketch = make_forest()
-        auditor = SketchAuditor(sketch, "forest")
-        assert auditor.audit().ok
+        assert audit_sketch(sketch, "forest").ok
         where = flip_bank_bit(sketch, seed=seed)
-        report = auditor.audit()
+        report = audit_sketch(sketch, "forest")
         assert not report.ok
-        hits = [
-            f for f in report.findings
-            if f.group == where["group"] and f.row == where["row"]
-        ]
-        assert hits, (where, report.findings)
-        assert where["instance"] in report.corrupted_instances()
+        assert located(report) == {at(where)}, (where, report.findings)
+        assert report.findings[0].kind == where["array"]
+        assert report.corrupted_instances() == {where["instance"]}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_skeleton_bit_flip_localizes_to_layer(self, seed):
         sketch = SkeletonSketch(12, k=3, seed=7, rounds=4, rows=2, buckets=8)
         for edge, sign in cycle_updates(12):
             sketch.update(edge, sign)
-        auditor = SketchAuditor(sketch, "skeleton")
-        assert auditor.audit().ok
+        assert audit_sketch(sketch, "skeleton").ok
         where = flip_bank_bit(sketch, seed=seed)
-        report = auditor.audit()
+        report = audit_sketch(sketch, "skeleton")
         assert not report.ok
         assert report.corrupted_instances() == {where["instance"]}
         assert all("layer" in f.sketch for f in report.findings)
@@ -84,52 +84,35 @@ class TestDetectionAndLocalization:
         sketch = VertexConnectivityQuerySketch(10, k=1, seed=3, repetitions=4)
         for edge, sign in cycle_updates(10):
             sketch.update(edge, sign)
-        auditor = SketchAuditor(sketch, "vc")
-        assert auditor.audit().ok
+        assert audit_sketch(sketch, "vc").ok
         where = flip_bank_bit(sketch, seed=seed)
-        report = auditor.audit()
+        report = audit_sketch(sketch, "vc")
         assert not report.ok
         assert report.corrupted_instances() == {where["instance"]}
 
     def test_clean_sketch_never_flags(self):
         sketch = make_forest()
-        auditor = SketchAuditor(sketch, "forest")
         for edge in [(0, 5), (1, 9), (2, 11)]:
             sketch.update(edge, +1)
-            assert auditor.audit().ok
+            assert audit_sketch(sketch, "forest").ok
         for edge in [(0, 5), (1, 9)]:
             sketch.update(edge, -1)
-            assert auditor.audit().ok
+            assert audit_sketch(sketch, "forest").ok
 
-    def test_raise_if_corrupt_carries_findings(self):
+    def test_audit_sketch_first_call_detects(self):
+        """No baseline: damage done before the first audit is found by
+        it, and the audit leaves no state on the sketch."""
         sketch = make_forest()
-        auditor = SketchAuditor(sketch, "forest")
-        flip_bank_bit(sketch, seed=1)
-        with pytest.raises(IntegrityError) as exc:
-            auditor.audit().raise_if_corrupt()
-        assert exc.value.findings
-
-    def test_rebase_accepts_damage_as_new_baseline(self):
-        sketch = make_forest()
-        auditor = SketchAuditor(sketch, "forest")
-        flip_bank_bit(sketch, seed=2)
-        assert not auditor.audit().ok
-        auditor.rebase()
-        assert auditor.audit().ok
-
-    def test_audit_sketch_one_shot_baselines(self):
-        sketch = make_forest()
-        assert audit_sketch(sketch, "forest").ok  # baseline pass
-        flip_bank_bit(sketch, seed=3)
-        report = SketchAuditor(sketch, "forest").audit()
-        # The auditor attaches but does not recompute existing digests,
-        # so the earlier baseline still convicts the flip.
-        assert not report.ok
+        before = dict(vars(sketch.grid))
+        where = flip_bank_bit(sketch, seed=3)
+        report = audit_sketch(sketch, "forest")
+        assert located(report) == {at(where)}
+        assert vars(sketch.grid).keys() == before.keys()
 
 
 class TestVerifiedMerge:
     def test_clean_merge_passes_and_matches_plain(self):
-        a, b = make_forest(seed=5), make_forest(seed=5)
+        a = make_forest(seed=5)
         c = make_forest(seed=5)
         c.update((0, 7), +1)
         plain = a.copy()
@@ -137,19 +120,50 @@ class TestVerifiedMerge:
         verified_merge(a, c, label="merge")
         assert dump_sketch(a) == dump_sketch(plain)
 
-        del b  # (unused twin kept the construction symmetric)
-
     def test_corrupted_operand_raises(self):
+        """Damage to either operand raises before anything is folded."""
         dst, src = make_forest(seed=5), make_forest(seed=5)
-        # Baseline the destination, then damage it out of band: the
-        # post-merge recompute cannot match digest(dst) + digest(src).
-        for ref in named_grids(dst, "merge"):
-            from repro.audit.digest import attach_digest
-
-            attach_digest(ref.grid)
-        flip_bank_bit(dst, seed=4)
-        with pytest.raises(IntegrityError):
+        where = flip_bank_bit(dst, seed=4)
+        before = dump_sketch(dst)
+        with pytest.raises(IntegrityError, match="operand rows") as exc:
             verified_merge(dst, src, label="merge")
+        assert {f.group for f in exc.value.findings} == {where["group"]}
+        assert dump_sketch(dst) == before
+
+    def test_misaligned_merge_raises(self, monkeypatch):
+        """A merge that lands the operand's counters in the wrong cells
+        keeps every row consistent; only the digests see it."""
+        dst, src = make_forest(seed=5), make_forest(seed=5)
+
+        def misaligned(grid, other):
+            grid._block[:, :, 1:] += other._block[:, :, :-1]
+            return grid
+
+        monkeypatch.setattr(SamplerGrid, "__iadd__", misaligned)
+        with pytest.raises(IntegrityError) as exc:
+            verified_merge(dst, src, label="merge")
+        assert exc.value.findings
+        assert audit_sketch(dst).ok  # the row check alone is blind here
+
+    def test_ingest_verify_rejects_a_corrupted_shard(self, monkeypatch):
+        """``ingest --verify``: a shard whose counters were damaged
+        before the final merge raises instead of being folded in."""
+        from repro.engine import pool as pool_module
+        from repro.engine.shard import ShardedIngestEngine
+
+        real_finish = pool_module.SerialPool.finish
+
+        def damaged_finish(pool):
+            states = real_finish(pool)
+            flip_bank_bit(states[1][0], seed=2)
+            return states
+
+        monkeypatch.setattr(pool_module.SerialPool, "finish", damaged_finish)
+        engine = ShardedIngestEngine(
+            make_forest(seed=5), shards=2, batch_size=4, verify_merges=True
+        )
+        with pytest.raises(IntegrityError, match="operand rows disagree"):
+            engine.ingest([EdgeUpdate(edge, +1) for edge in [(0, 3), (2, 7), (4, 9)]])
 
     def test_metrics_counters(self):
         from repro.engine.metrics import IngestMetrics
@@ -162,21 +176,17 @@ class TestVerifiedMerge:
 
 
 class TestVerifiedRestore:
+    """A checkpoint restore is verified by the blob's CRC frame."""
+
     def test_accumulate_restore_bit_identical_to_direct_merge(self):
         a, b = make_forest(seed=8), make_forest(seed=8)
         b.update((2, 9), +1)
         blob = dump_sketch(b)
         plain = a.copy()
         plain += b
-        verified_restore(a, blob, accumulate=True)
+        load_sketch(a, blob, accumulate=True)
         assert dump_sketch(a) == dump_sketch(plain)
-
-    def test_replace_restore_rebaselines(self):
-        a, b = make_forest(seed=8), make_forest(seed=8)
-        b.update((2, 9), +1)
-        verified_restore(a, dump_sketch(b))
-        assert dump_sketch(a) == dump_sketch(b)
-        assert SketchAuditor(a, "restored").audit().ok
+        assert audit_sketch(a, "restored").ok
 
     @pytest.mark.parametrize("seed", range(4))
     def test_corrupted_blob_rejected_before_any_state_changes(self, seed):
@@ -184,7 +194,7 @@ class TestVerifiedRestore:
         blob = flip_blob_byte(dump_sketch(b), seed=seed)
         before = dump_sketch(a)
         with pytest.raises(PayloadCorruptionError):
-            verified_restore(a, blob, accumulate=True)
+            load_sketch(a, blob, accumulate=True)
         assert dump_sketch(a) == before  # nothing was folded in
 
 
@@ -241,9 +251,8 @@ class TestCorruptionExclusionEndToEnd:
         )
         for edge, sign in cycle_updates(n):
             sketch.update(edge, sign)
-        auditor = SketchAuditor(sketch, "vc")
         flip_bank_bit(sketch, seed=chaos_seed)
-        report = auditor.audit()
+        report = audit_sketch(sketch, "vc")
         assert not report.ok
         excluded = report.corrupted_instances()
         assert excluded
@@ -262,9 +271,8 @@ class TestCorruptionExclusionEndToEnd:
                                         params=Params.practical())
         for edge, sign in cycle_updates(n):
             sketch.update(edge, sign)
-        auditor = SketchAuditor(sketch, "ec")
         flip_bank_bit(sketch, seed=chaos_seed)
-        report = auditor.audit()
+        report = audit_sketch(sketch, "ec")
         assert not report.ok
         excluded = report.corrupted_instances()
         assert excluded

@@ -397,20 +397,19 @@ class TestArenaStorage:
 
 class TestAuditedAndCachedInstances:
     def test_audited_instances_ride_the_kernel(self):
-        """Instances under audit take the one cross-instance fold like
-        the rest — no scalar ``update`` runs — and their digests move
-        with it, equal to the scalar route's."""
+        """Audited instances take the one cross-instance fold like the
+        rest — no scalar ``update`` runs — the audit leaves nothing on
+        them, and they end equal to the scalar route's and clean."""
         from unittest import mock
 
-        from repro.audit.digest import GridDigest, attach_digest
+        from repro.audit import audit_sketch
         from repro.sketch.bank import SamplerGrid
 
         union = SampledForestUnion(20, k=2, repetitions=16, seed=41)
         twin = SampledForestUnion(20, k=2, repetitions=16, seed=41)
         audited = sorted(union.sketches)[::2]
         for i in audited:
-            attach_digest(union.sketches[i].grid)
-            attach_digest(twin.sketches[i].grid)
+            assert audit_sketch(union.sketches[i]).ok
         edges = list(cycle_graph(20).edges())
         with mock.patch.object(SamplerGrid, "update", side_effect=AssertionError):
             union.update_batch([(e, 1) for e in edges[:10]])
@@ -420,9 +419,7 @@ class TestAuditedAndCachedInstances:
             scalar_route(twin, e, 1)
         assert instance_dumps(union) == instance_dumps(twin)
         for i in audited:
-            grid = union.sketches[i].grid
-            assert grid._digest == GridDigest.compute(grid)
-            assert grid._digest == twin.sketches[i].grid._digest
+            assert audit_sketch(union.sketches[i]).ok
         assert any(union.sketches[i].grid.update_count for i in audited)
 
     def test_audit_clean_after_mixed_updates_and_localises_a_flip(self):
@@ -432,13 +429,14 @@ class TestAuditedAndCachedInstances:
         sk = VertexConnectivityQuerySketch(20, 2, seed=43, repetitions=16)
         edges = list(cycle_graph(20).edges())
         sk.update_batch([(e, 1) for e in edges[:8]])
-        assert audit_sketch(sk).ok  # baselines every instance
+        assert audit_sketch(sk).ok
         sk.update_batch([(e, 1) for e in edges[8:14]])
         for e in edges[14:]:
             sk.update(e, 1)
         sk.update_batch([(edges[0], -1), (edges[0], 1)])
         assert audit_sketch(sk).ok
-        # Flip one bit of the arena inside a known (instance, group, row).
+        # Flip one bit of the arena inside a known (instance, group,
+        # member, level).
         union = sk._union
         inst = sorted(union.sketches)[3]
         grid = union.sketches[inst].grid
@@ -447,8 +445,8 @@ class TestAuditedAndCachedInstances:
                 * grid.rows + row) * grid.buckets + bucket
         union._arena[int(union._base[inst]) + cell] ^= 1 << 17
         report = audit_sketch(sk)
-        assert [(f.instance, f.group, f.row, f.kind) for f in report.findings] \
-            == [(inst, group, row, "w")]
+        assert [(f.instance, f.group, f.member, f.level, f.kind)
+                for f in report.findings] == [(inst, group, member, level, "w")]
 
 
 class TestBatchApi:

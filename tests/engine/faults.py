@@ -24,6 +24,8 @@ from __future__ import annotations
 import os
 import signal
 
+import numpy as np
+
 from repro.graph.generators import random_connected_graph
 from repro.sketch.serialization import dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -97,9 +99,10 @@ def flip_bank_bit(sketch, seed: int = 0) -> dict:
 
     The victim grid, array (w/s/f), cell, and bit are all derived from
     ``seed``, so a failing chaos run replays exactly.  Returns where the
-    damage landed — ``label``/``instance``/``group``/``row`` match the
-    coordinates :meth:`repro.audit.integrity.SketchAuditor.audit`
-    reports, so tests can assert localization, not just detection.
+    damage landed — ``label``/``instance``/``group``/``member``/
+    ``level`` match the coordinates :func:`repro.audit.audit_sketch`
+    reports (``row`` too, which the audit cannot name), so tests can
+    assert localization, not just detection.
     """
     from repro.audit.integrity import named_grids
     from repro.util.hashing import hash64
@@ -113,15 +116,16 @@ def flip_bank_bit(sketch, seed: int = 0) -> dict:
     flat = hash64(seed, 0xCE11) % arr.size
     bit = hash64(seed, 0xF11B) % 64
     arr.reshape(-1)[flat] ^= (1 << bit) - (1 << 64 if bit == 63 else 0)
-    cells_per_group = arr.size // grid.groups
-    within = flat % cells_per_group
-    group = flat // cells_per_group
-    row = (within // grid.buckets) % grid.rows
+    group, member, level, row, _bucket = (
+        int(i) for i in np.unravel_index(flat, arr.shape)
+    )
     return {
         "label": ref.label,
         "instance": ref.instance if ref.instance is not None else group,
         "array": name,
         "group": group,
+        "member": member,
+        "level": level,
         "row": row,
         "bit": bit,
     }

@@ -310,12 +310,9 @@ class TestFoldCells:
             want[1][c] = (int(want[1][c]) + int(a)) % self.P
             want[2][c] = (int(want[2][c]) + int(b)) % self.P
         planes = tuple(np.zeros(40, dtype=np.int64) for _ in range(3))
-        folded = fold_cells(planes, flat, d, cs, cf)
+        fold_cells(planes, flat, d, cs, cf)
         for got, exp in zip(planes, want):
             assert np.array_equal(got, exp)
-        # Per-entry observations: the entries themselves, cells repeating.
-        for got, entry in zip(folded, (flat, d, cs, cf)):
-            assert np.array_equal(got, entry)
 
     def test_plane_shift_addresses_packed_blocks(self):
         """Two blocks of different plane sizes packed in one arena: each

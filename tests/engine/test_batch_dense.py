@@ -2,13 +2,11 @@
 
 There is one batch kernel, and whether it gathers placements from
 tables or hashes every placement per batch is only a memory/speed
-trade.  Each test here runs the same batches both ways, each grid
-with an audit digest attached,
-and checks them against each other or the scalar update loop: a big
-batch into a small grid (dozens of contributions on every cell), a
-tiny batch into a large grid (about one), large and negative deltas,
-heavy duplicate cancellation.  After every batch each maintained
-digest must equal :meth:`GridDigest.compute` of the counters.  The
+trade.  Each test here runs the same batches both ways and checks
+them against each other or the scalar update loop: a big batch into a
+small grid (dozens of contributions on every cell), a tiny batch into
+a large grid (about one), large and negative deltas, heavy duplicate
+cancellation.  Every grid must also pass the audit's row check.  The
 fold primitive itself is checked entry by entry in
 ``tests/properties/test_prop_fold.py``.
 """
@@ -16,7 +14,7 @@ fold primitive itself is checked entry by entry in
 import numpy as np
 import pytest
 
-from repro.audit.digest import GridDigest, attach_digest
+from repro.audit.integrity import audit_sketch
 from repro.sketch.bank import (
     SamplerGrid,
     clear_hash_cache_pool,
@@ -51,20 +49,15 @@ def on_tier(grid: SamplerGrid, tier: str) -> SamplerGrid:
     return grid
 
 
-def tiered(make, audit=True):
-    """``make()`` with tables and without (the hashing kernel, last),
-    with a digest attached unless ``audit`` is off."""
-    grids = [on_tier(make(), tier) for tier in ("full", "none")]
-    if audit:
-        for grid in grids:
-            attach_digest(grid)
-    return grids
+def tiered(make):
+    """``make()`` with tables and without (the hashing kernel, last)."""
+    return [on_tier(make(), tier) for tier in ("full", "none")]
 
 
 def assert_all_match(reference: SamplerGrid, grids) -> None:
     for grid in grids:
         assert grids_equal(reference, grid)
-        assert grid._digest == GridDigest.compute(grid)
+        assert audit_sketch(grid).ok
 
 
 class TestDensePathEquivalence:
@@ -82,7 +75,6 @@ class TestDensePathEquivalence:
     def test_dense_fold_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
         scalar = SamplerGrid(groups=2, members=3, domain=48, seed=11)
-        attach_digest(scalar)
         grids = tiered(lambda: SamplerGrid(2, 3, 48, seed=11))
         m, i, d = random_updates(rng, 2000, 3, 48, 1 << 40)
         for mm, ii, dd in zip(m, i, d):
@@ -91,7 +83,6 @@ class TestDensePathEquivalence:
         for grid in grids:
             grid.update_batch(m, i, d)
         assert_all_match(scalar, grids)
-        assert scalar._digest == GridDigest.compute(scalar)
 
     def test_odd_bucket_count_matches_scalar_loop(self):
         """A bucket count that is not a power of two takes the
@@ -139,26 +130,9 @@ class TestDensePathEquivalence:
             grid.update_batch(m, i, d)
             grid.update_batch(m, i, -d)
             assert not grid._block.any()
-            assert grid._digest == GridDigest.compute(grid)
-            assert not grid._digest.w.any() and not grid._digest.sf.any()
-
-    def test_digest_maintained_identically(self):
-        """A digest attached after a first batch (the state baselined
-        from the counters) stays equal to a recomputed one, with and
-        without tables, through a second colliding batch."""
-        rng = np.random.default_rng(17)
-        grids = tiered(lambda: SamplerGrid(2, 4, 64, seed=17), audit=False)
-        first = random_updates(rng, 2500, 4, 64, 1 << 40)
-        second = random_updates(rng, 2500, 4, 64, 1 << 40)
-        for grid in grids:
-            grid.update_batch(*first)
-            attach_digest(grid)
-            grid.update_batch(*second)
-        assert_all_match(grids[-1], grids)
-        assert all(g._digest == grids[0]._digest for g in grids)
 
     def test_forest_stream_through_cached_sketch(self):
-        """End-to-end: an audited spanning-forest sketch fed a dynamic
+        """End-to-end: a spanning-forest sketch fed a dynamic
         edge stream with and without tables equals the plain sketch and
         decodes the same."""
         stream, _ = random_dynamic_stream(24, 400, seed=9)
@@ -168,7 +142,6 @@ class TestDensePathEquivalence:
         for tier in ("full", "none"):
             sketch = SpanningForestSketch(24, seed=9)
             on_tier(sketch.grid, tier)
-            attach_digest(sketch.grid)
             sketch.update_batch(stream)
             sketches.append(sketch)
         assert_all_match(plain.grid, [s.grid for s in sketches])

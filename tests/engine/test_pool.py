@@ -80,6 +80,30 @@ class TestSharedMemoryPool:
         ).ingest(stream)
         assert dump_sketch(shm.sketch) == dump_sketch(serial.sketch)
 
+    def test_one_zero_clone_per_shard_plus_the_merge(self, monkeypatch):
+        """A worker's shell is its shard's shared sketch, not another
+        zero clone: a shards = 2 run clones the prototype three times,
+        two shards and the merge accumulator."""
+        from repro.engine import shard as shard_module
+
+        calls = []
+
+        def counting(sketch):
+            calls.append(sketch)
+            return zero_clone(sketch)
+
+        monkeypatch.setattr(shard_module, "zero_clone", counting)
+        stream, _ = random_dynamic_stream(16, 60, seed=5)
+        result = ShardedIngestEngine(
+            SpanningForestSketch(16, seed=5), shards=2, batch_size=8,
+            backend="shm",
+        ).ingest(stream)
+        assert len(calls) == 3
+        serial = ShardedIngestEngine(
+            SpanningForestSketch(16, seed=5), shards=2, batch_size=8,
+        ).ingest(stream)
+        assert dump_sketch(result.sketch) == dump_sketch(serial.sketch)
+
     def test_worker_reports_fold_time(self):
         stream, _ = random_dynamic_stream(12, 80, seed=3)
         result = ShardedIngestEngine(

@@ -14,8 +14,9 @@ and instance blocks packed in one arena addressed by ``plane_shift``.
 
 Then the kernels built on it: the fused grid kernel with placement
 tables attached and without them against the scalar update loop, and
-a digest-attached grid whose incrementally maintained digest must equal
-:meth:`GridDigest.compute` of the counters after the batch.  Both run
+the computed digest's linearity across a batch — the invariant a
+verified merge asserts — with every hash row still holding the same
+totals.  Both run
 with the row-threading gate at 0 (every batch folds its rows on two
 threads) and out of reach (every batch folds inline).
 """
@@ -29,7 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.audit.digest import GridDigest, attach_digest
+from repro.audit.digest import GridDigest
+from repro.audit.integrity import audit_sketch
 from repro.engine import batch as batch_module
 from repro.engine.batch import fold_cells, index_sums
 from repro.sketch.bank import (
@@ -311,17 +313,21 @@ def test_fused_kernel_matches_scalar_on_every_tier(tier, seed, stream):
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, stream=updates)
 def test_digest_after_batch_equals_recomputed(tier, seed, stream):
-    """The digest observes the kernel's per-entry folds; by linearity
-    it must still equal a from-scratch digest of the counters."""
+    """A batch folded into a loaded grid moves its digest by exactly
+    the digest of the batch alone, and leaves the rows consistent."""
+    loaded = scalar_grid(seed, stream[::-1])
+    alone = scalar_grid(seed, stream)
+    want = GridDigest.compute(loaded)
+    want.absorb(GridDigest.compute(alone))
     for gate in GATES:
-        grid = on_tier(make_grid(seed), tier)
-        attach_digest(grid)
+        grid = on_tier(scalar_grid(seed, stream[::-1]), tier)
         with row_gate(gate):
             grid.update_batch(*batch_of(stream))
         clear_hash_cache_pool()
         fresh = GridDigest.compute(grid)
-        assert np.array_equal(grid._digest.w, fresh.w), gate
-        assert np.array_equal(grid._digest.sf, fresh.sf), gate
+        assert np.array_equal(want.w, fresh.w), gate
+        assert np.array_equal(want.sf, fresh.sf), gate
+        assert audit_sketch(grid).ok, gate
 
 
 @settings(max_examples=25, deadline=None)

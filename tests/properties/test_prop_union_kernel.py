@@ -6,11 +6,11 @@ every stream update into one arena through one kernel.  Its reference
 is the route it replaced: hand each event to the scalar ``update`` of
 every instance that sampled the edge.  Hypothesis drives both over the
 same random insert / delete / flap schedule, cut into arbitrary
-batches, with direct ``sketches[i].update`` calls interleaved and audit
-digests on some instances; afterwards every instance must serialize to
-the same bytes, the union bookkeeping (``_updates``, ``_dirty``, the
-decoded certificate) must agree, and every digest must equal a
-recomputed one — with no scalar ``update`` run by the union itself.
+batches, with direct ``sketches[i].update`` calls and audits
+interleaved; afterwards every instance must serialize to the same
+bytes, the union bookkeeping (``_updates``, ``_dirty``, the decoded
+certificate) must agree, and every instance must pass the audit's row
+check — with no scalar ``update`` run by the union itself.
 
 **Decode.**  The union decodes its dirty instances in one stacked
 Borůvka loop.  Its reference is the loop it replaced — ``decode()`` of
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit.digest import GridDigest, attach_digest
+from repro.audit.integrity import audit_sketch
 from repro.core._sampled import SampledForestUnion
 from repro.core.params import Params
 from repro.engine.query import collect_query_metrics
@@ -60,8 +60,7 @@ def schedules(draw):
         min_size=1, max_size=40,
     ))
     cuts = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=1))
-    audited = draw(st.sets(st.integers(min_value=0, max_value=REPS - 1)))
-    return r, k, seed, pool, steps, cuts, audited
+    return r, k, seed, pool, steps, cuts
 
 
 def scalar_route(union, edge, sign):
@@ -88,11 +87,9 @@ class TestKernelAgainstScalarRoute:
     @given(schedules())
     @settings(max_examples=60, deadline=None)
     def test_same_bytes_same_bookkeeping(self, schedule):
-        r, k, seed, pool, steps, cuts, audited = schedule
+        r, k, seed, pool, steps, cuts = schedule
         fused = SampledForestUnion(N, k, REPS, r=r, seed=seed, params=PARAMS)
         twin = SampledForestUnion(N, k, REPS, r=r, seed=seed, params=PARAMS)
-        for i in audited & set(fused.sketches):
-            attach_digest(fused.sketches[i].grid)
         # Both start clean, so _dirty records exactly the written grids.
         assert fused.decode_union().num_edges == 0
         assert twin.decode_union().num_edges == 0
@@ -112,6 +109,7 @@ class TestKernelAgainstScalarRoute:
                 # A caller writing one instance through its own scalar
                 # update, between batches: same arena pages either way.
                 flush()
+                assert audit_sketch(fused).ok  # reads only
                 i = direct_target(fused, edge)
                 if i is not None:
                     fused.sketches[i].update(edge, 1)
@@ -138,10 +136,7 @@ class TestKernelAgainstScalarRoute:
             assert dump_sketch(fused.sketches[i]) == dump_sketch(twin.sketches[i])
             assert (fused.sketches[i].grid.update_count
                     == twin.sketches[i].grid.update_count)
-        # Audited instances rode the kernel, digests in step.
-        for i in audited & set(fused.sketches):
-            grid = fused.sketches[i].grid
-            assert grid._digest == GridDigest.compute(grid)
+        assert audit_sketch(fused).ok
         assert set(fused.decode_union().edges()) == set(
             twin.decode_union().edges()
         )

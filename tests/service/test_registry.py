@@ -185,7 +185,7 @@ class TestCheckpointResume:
 
 
 class TestAudit:
-    def test_first_audit_baselines(self):
+    def test_clean_sketch_audits_ok(self):
         reg = SketchRegistry()
         record = reg.create("g", {"n": 8})
         ingest_edges(reg, record, [(0, 1), (1, 2)])
@@ -193,9 +193,43 @@ class TestAudit:
         assert report["ok"] is True
         assert report["grids_audited"] >= 1
         assert record.audits == 1
-        # Digests are maintained from now on; a second audit still passes.
         ingest_edges(reg, record, [(2, 3)])
         assert reg.audit(record)["ok"] is True
+
+    def test_one_row_sketch_audit_is_refused(self):
+        reg = SketchRegistry()
+        record = reg.create("g", {"n": 8, "rows": 1})
+        with pytest.raises(BadRequestError, match="one-row"):
+            reg.audit(record)
+
+    def test_first_audit_after_restore_reports_a_flip(self, tmp_path):
+        """No baseline is needed: a bit flipped in a restored sketch
+        before its first audit is reported by it.  And an audit leaves
+        nothing behind: ingest after it ends byte-identical to an
+        unaudited twin."""
+        reg = SketchRegistry(checkpoint_dir=str(tmp_path))
+        record = reg.create("g", {"n": 16})
+        ingest_edges(reg, record, [(0, 1), (1, 2), (2, 9), (5, 11)])
+        reg.checkpoint(record)
+
+        def restored():
+            fresh = SketchRegistry(checkpoint_dir=str(tmp_path))
+            assert fresh.restore_all() == ["g"]
+            return fresh, fresh.get("g")
+
+        damaged_reg, damaged = restored()
+        damaged.sketch.grid._s[1, 2, 0, 1, 3] ^= 1 << 44
+        report = damaged_reg.audit(damaged)
+        assert report["ok"] is False
+        assert report["findings"] and damaged.audits == 1
+
+        audited_reg, audited = restored()
+        twin_reg, twin = restored()
+        assert audited_reg.audit(audited)["ok"] is True
+        more = [(3, 4), (1, 2), (7, 15)]
+        ingest_edges(audited_reg, audited, more)
+        ingest_edges(twin_reg, twin, more)
+        assert dump_sketch(audited.sketch) == dump_sketch(twin.sketch)
 
 
 class TestDescribe:
