@@ -1,6 +1,6 @@
 """Sketch integrity auditing and result certification.
 
-Three robustness layers over the linear-sketch machinery:
+Two robustness layers over the linear-sketch machinery:
 
 * :mod:`~repro.audit.integrity` — detect and *localize* out-of-band
   corruption of counter banks from their own redundancy: every hash
@@ -10,9 +10,6 @@ Three robustness layers over the linear-sketch machinery:
   computed :mod:`~repro.audit.digest` on a merge.
 * :mod:`~repro.audit.certify` — query answers that carry witness edges
   re-verified independently of the decode path.
-* :mod:`~repro.audit.repair` — digest *diff* between replicas of one
-  sketch (per grid/(group, row) and per member column), localizing
-  exactly the state a replica repair must ship.
 """
 
 from .certify import (
@@ -23,14 +20,6 @@ from .certify import (
     certify_spanning_forest,
 )
 from .digest import GridDigest
-from .repair import (
-    diff_digest_tables,
-    divergent_members,
-    grid_digest_table,
-    member_digest_table,
-    sketch_digest_table,
-    table_fingerprint,
-)
 from .integrity import (
     AuditReport,
     Corruption,
@@ -51,12 +40,6 @@ __all__ = [
     "certify_edge_connectivity",
     "certify_skeleton",
     "certify_spanning_forest",
-    "diff_digest_tables",
-    "divergent_members",
-    "grid_digest_table",
-    "member_digest_table",
     "named_grids",
-    "sketch_digest_table",
-    "table_fingerprint",
     "verified_merge",
 ]

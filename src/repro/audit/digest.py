@@ -1,8 +1,8 @@
 """Linear content digests over :class:`~repro.sketch.bank.SamplerGrid` banks.
 
-Two replicas of a sketch, or the two operands of a merge, are compared
-through a short linear fingerprint of their counters rather than the
-counters themselves:
+The two operands of a merge and their sum are compared through a short
+linear fingerprint of their counters rather than the counters
+themselves:
 
 * ``D_w(g, r)   = Σ_cell  c_w[cell] · w[cell]      (mod 2^64)``
 * ``D_sf(g, r)  = Σ_cell  c_m[cell] · x[cell]      (mod p)`` where
@@ -12,10 +12,8 @@ counters themselves:
 One ``(D_w, D_sf)`` pair is computed per ``(group, row)``.  Because
 the digest is linear in the counters, a merge satisfies
 ``D(a + b) = D(a) + D(b)`` (:meth:`GridDigest.absorb`) — the invariant
-:func:`~repro.audit.integrity.verified_merge` asserts — and
-anti-entropy (:mod:`repro.audit.repair`) diffs replicas table by
-table.  Digests are always computed from the counters; nothing keeps
-one up to date.
+:func:`~repro.audit.integrity.verified_merge` asserts.  Digests are
+always computed from the counters; nothing keeps one up to date.
 
 A single flipped bit changes ``w`` by ``±2^b`` and the w-digest by
 ``±c_w·2^b mod 2^64``, nonzero because every ``c_w`` is odd; it changes

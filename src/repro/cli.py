@@ -702,6 +702,13 @@ def _cmd_sim(args) -> int:
           f"{virtual:,.0f}s virtual time, "
           f"{acked}/{sent} batches acked, "
           f"{len(reports) - len(failures)}/{len(reports)} passed")
+    # How many schedules needed each anti-entropy stage: a stage no
+    # schedule reaches is a stage the sweep does not test.
+    print("anti-entropy stages used: "
+          f"wal-resend {sum(r.wal_resent > 0 for r in reports)}, "
+          f"copy-repair {sum(r.repaired > 0 for r in reports)}, "
+          f"copy-restore {sum(r.restored > 0 for r in reports)} "
+          f"of {len(reports)} schedules")
 
     for report in failures:
         print(f"\nFAIL seed {report.seed}:")

@@ -69,7 +69,6 @@ from ..errors import (
 )
 from .protocol import (
     decode_blob_list,
-    encode_blob_list,
     encode_frame,
     encode_pairs,
     read_frame,
@@ -597,41 +596,19 @@ class ServiceClient:
 
     async def digest(self, name: str,
                      timeout: Optional[float] = None) -> Dict[str, object]:
-        """The per-(grid, group, row) digest table of one sketch."""
+        """``{events, seq, fingerprint}`` of one sketch."""
         resp, _ = await self.request("digest", timeout=timeout, name=name)
         return resp
 
-    async def member_digest(self, name: str, grid: int = 0,
-                            timeout: Optional[float] = None
-                            ) -> Dict[str, object]:
-        """Per-member digest pairs of one grid (repair localization)."""
+    async def repair_sketch(self, name: str, blob: bytes, events: int,
+                            timeout: Optional[float] = None) -> int:
+        """Overwrite a divergent copy with a peer's dump; returns the
+        repaired offset."""
         resp, _ = await self.request(
-            "member-digest", timeout=timeout, name=name, grid=grid
+            "repair-sketch", payload=blob, timeout=timeout, name=name,
+            events=int(events)
         )
-        return resp["members"]
-
-    async def fetch_members(self, name: str, grid: int, members,
-                            timeout: Optional[float] = None
-                            ) -> Tuple[int, List[bytes]]:
-        """Fetch member-state column blobs: ``(events, blobs)``."""
-        resp, payload = await self.request(
-            "fetch-members", timeout=timeout, name=name, grid=grid,
-            members=[int(m) for m in members]
-        )
-        return resp["events"], decode_blob_list(payload)
-
-    async def repair_members(self, name: str, grid: int, blobs,
-                             events: Optional[int] = None,
-                             timeout: Optional[float] = None) -> int:
-        """Overwrite member columns from repair blobs; returns count."""
-        args = {"name": name, "grid": grid}
-        if events is not None:
-            args["events"] = int(events)
-        resp, _ = await self.request(
-            "repair-members", payload=encode_blob_list(blobs),
-            timeout=timeout, **args
-        )
-        return resp["repaired"]
+        return resp["events"]
 
     async def wal_tail(self, name: str, after: int = 0, limit: int = 256,
                        timeout: Optional[float] = None

@@ -117,7 +117,6 @@ class ServerMetrics:
         self.dedup_hits = 0
         self.rejected_frozen = 0
         self.repairs_received = 0
-        self.members_repaired = 0
         self.restores_received = 0
         self.forgets = 0
         self.wal_full_rejections = 0
@@ -158,7 +157,6 @@ class ServerMetrics:
             "dedup_hits": self.dedup_hits,
             "rejected_frozen": self.rejected_frozen,
             "repairs_received": self.repairs_received,
-            "members_repaired": self.members_repaired,
             "restores_received": self.restores_received,
             "forgets": self.forgets,
             "wal_full_rejections": self.wal_full_rejections,

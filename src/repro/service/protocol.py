@@ -62,7 +62,8 @@ def encode_frame(header: Dict[str, object], payload: bytes = b"") -> bytes:
         )
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise ProtocolFrameError(
-            f"frame payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_BYTES}"
+            f"frame payload of {len(payload)} bytes exceeds the "
+            f"{MAX_PAYLOAD_BYTES}-byte cap (MAX_PAYLOAD_BYTES)"
         )
     return _PRELUDE.pack(MAGIC, len(head), len(payload)) + head + payload
 
@@ -128,10 +129,8 @@ def encode_pairs(us, vs, signs) -> bytes:
 def encode_blob_list(blobs) -> bytes:
     """Pack a list of byte strings: ``u32 count | count x (u64 len | bytes)``.
 
-    The bulk codec of the replication commands: ``fetch-members``
-    ships member-state columns and ``wal-tail`` ships raw WAL record
-    payloads, either way a frame payload holding several independent
-    blobs.
+    The bulk codec of ``wal-tail``, which ships raw WAL record
+    payloads: a frame payload holding several independent blobs.
     """
     return b"".join([_PAIRS_COUNT.pack(len(blobs)), *pack_payloads(blobs)])
 

@@ -59,12 +59,10 @@ from ..util.clock import SYSTEM_CLOCK, Clock
 from ..util.fs import REAL_FS, Filesystem
 from ..graph.union_find import UnionFind
 from ..sketch.serialization import (
-    dump_member_state,
     dump_sketch,
     iter_grids,
     load_sketch,
-    read_member_state,
-    replace_member_state,
+    sketch_fingerprint,
 )
 from ..sketch.skeleton import SkeletonSketch
 from ..sketch.spanning_forest import SpanningForestSketch
@@ -174,11 +172,10 @@ class SketchRecord:
         #: error while the sketch's state is being dumped/shipped.
         self.frozen = False
         #: Anti-entropy bookkeeping (surfaced by ``health``): when this
-        #: replica last took part in a digest round or repair, how many
-        #: repairs it received, and how many member columns they shipped.
+        #: replica last took part in a digest round or repair, and how
+        #: many repair copies it received.
         self.last_antientropy: Optional[float] = None
         self.repairs = 0
-        self.repaired_members = 0
 
     @property
     def wal_lag(self) -> int:
@@ -784,90 +781,48 @@ class SketchRegistry:
         """
         return self._records.get(record.name) is record
 
-    def _grid_of(self, record: SketchRecord, grid_index: int):
-        grids = list(iter_grids(record.sketch))
-        if not isinstance(grid_index, int) or not 0 <= grid_index < len(grids):
-            raise BadRequestError(
-                f"grid index {grid_index!r} outside [0, {len(grids)})"
-            )
-        return grids[grid_index]
+    def digest(self, record: SketchRecord) -> Dict[str, object]:
+        """The anti-entropy probe: offsets plus a counter fingerprint.
 
-    def digest_table(self, record: SketchRecord) -> Dict[str, object]:
-        """The per-grid ``(group, row)`` digest table plus offsets.
-
-        The coarse anti-entropy probe: two replicas whose tables (and
-        event offsets) match are bit-identical whp.  Must run under
+        Two replicas whose fingerprints and event offsets match hold
+        byte-identical dumps (up to SHA-256 collisions).  Must run under
         ``record.lock``.
         """
-        from ..audit.repair import sketch_digest_table, table_fingerprint
-
-        table = sketch_digest_table(record.sketch)
         record.last_antientropy = self.clock.wall()
         return {
             "events": record.events,
             "seq": record.seq,
-            "fingerprint": table_fingerprint(table),
-            "grids": table,
+            "fingerprint": sketch_fingerprint(record.sketch),
         }
 
-    def member_digests(
-        self, record: SketchRecord, grid_index: int
-    ) -> Dict[str, List[int]]:
-        """Per-member digest pairs of one grid (fine localization)."""
-        from ..audit.repair import member_digest_table
+    def repair_sketch(
+        self, record: SketchRecord, blob: bytes, events: int
+    ) -> None:
+        """Overwrite a divergent replica's sketch with a peer's dump.
 
-        return member_digest_table(self._grid_of(record, grid_index))
-
-    def fetch_member_blobs(
-        self, record: SketchRecord, grid_index: int, members: List[int]
-    ) -> List[bytes]:
-        """Serialize the named member columns of one grid."""
-        grid = self._grid_of(record, grid_index)
-        for m in members:
-            if not isinstance(m, int) or not 0 <= m < grid.members:
-                raise BadRequestError(
-                    f"member index {m!r} outside [0, {grid.members})"
-                )
-        return [dump_member_state(grid, m) for m in members]
-
-    def repair_members(
-        self,
-        record: SketchRecord,
-        grid_index: int,
-        blobs: List[bytes],
-        events: Optional[int] = None,
-    ) -> int:
-        """Overwrite divergent member columns with a peer's state.
-
-        The receiving half of column repair: each blob replaces its
-        member column verbatim (replace, not add — the source replica
-        is the truth), the serving snapshot is invalidated, and the
-        repaired state is checkpointed *before* the ack so a crash
-        cannot roll the replica back behind what anti-entropy was told
-        it holds (repairs bypass the WAL; the checkpoint is their
-        durability).  Must run under ``record.lock``.
+        The receiving half of anti-entropy's copy stage: the blob
+        replaces the counters verbatim (replace, not add — the source
+        replica is the truth; :func:`~repro.sketch.serialization.
+        load_sketch` checks every grid header before it writes any),
+        the event offset is aligned with the source's, the serving
+        snapshot is dropped, and the repaired state is checkpointed
+        *before* the ack so a crash cannot roll the replica back behind
+        what anti-entropy was told it holds (repairs bypass the WAL;
+        the checkpoint is their durability).  Must run under
+        ``record.lock``.
         """
-        grid = self._grid_of(record, grid_index)
-        # Verify every blob before replacing any column: a bad one
-        # must not leave the batch half-applied and uncheckpointed.
         try:
-            for blob in blobs:
-                read_member_state(grid, blob)
+            load_sketch(record.sketch, blob)
         except (IncompatibleSketchError, PayloadCorruptionError) as exc:
-            raise BadRequestError(f"repair-members blob rejected: {exc}") from exc
-        for blob in blobs:
-            replace_member_state(grid, blob)
-        if events is not None:
-            record.events = int(events)
+            raise BadRequestError(f"repair-sketch blob rejected: {exc}") from exc
+        record.events = int(events)
         record.snapshot = None
         record.repairs += 1
-        record.repaired_members += len(blobs)
         record.last_antientropy = self.clock.wall()
         # Force the checkpoint: the offsets may be unchanged even
         # though the counters moved.
         record.last_checkpoint_events = -1
         self.checkpoint(record)
-        return len(blobs)
 
     def wal_tail(
         self,

@@ -26,13 +26,14 @@ next request lands on a survivor, with per-endpoint circuit breakers
 keeping dead replicas out of the dial rotation.
 
 **Anti-entropy** (:meth:`ReplicaSet.anti_entropy`).  A repair round
-compares per-replica :class:`~repro.audit.digest.GridDigest` tables —
-cheap, linear functions of sketch state — and converges divergent
-replicas in two escalating stages: first re-send the stamped WAL tails
-across divergent replicas (cheap, exactly-once, covers ordinary lag),
-then, only for grids still divergent, ship the exact member-state
-columns a per-member digest diff localises (covers replicas that lost
-WAL coverage).  A final digest pass proves bit-identical convergence.
+compares per-replica digests — event offset plus a SHA-256 of the
+counters — and converges divergent replicas in two escalating stages:
+first re-send the stamped WAL tails across divergent replicas (cheap,
+exactly-once, covers ordinary lag), then copy one source replica's
+whole sketch to every replica that still differs (covers replicas that
+lost WAL coverage, or lack the sketch).  A final digest pass proves
+byte-identical convergence.  A copy is one frame, so it is capped by
+:data:`~repro.service.protocol.MAX_PAYLOAD_BYTES` like any ``dump``.
 
 Migration (:func:`migrate_sketch`) reuses the same parts: freeze the
 sketch on the source (mutations answer ``frozen``, a transient code
@@ -52,7 +53,6 @@ import asyncio
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..audit.repair import divergent_members
 from ..util.clock import SYSTEM_CLOCK, Clock
 from ..util.retry import RetryPolicy
 from .net import REAL_NETWORK, Network
@@ -100,7 +100,7 @@ class ReplicationMetrics:
         self.anti_entropy_converged = 0
         self.anti_entropy_failures = 0
         self.wal_records_resent = 0
-        self.members_repaired = 0
+        self.replicas_repaired = 0
         self.sketches_restored = 0
         self.divergences_found = 0
 
@@ -371,8 +371,8 @@ class ReplicaSet:
 
     # -- anti-entropy ----------------------------------------------------
 
-    async def _digest_tables(self, name: str) -> List[object]:
-        """Per-replica digest tables; exceptions stay in the list."""
+    async def _digests(self, name: str) -> List[object]:
+        """Per-replica digests; exceptions stay in the list."""
         return await asyncio.gather(
             *(c.digest(name) for c in self.clients),
             return_exceptions=True,
@@ -383,8 +383,8 @@ class ReplicaSet:
         event offset, then lowest replica index — a deterministic
         choice every coordinator reaches independently."""
         cohorts: Dict[str, List[int]] = {}
-        for i, table in live.items():
-            cohorts.setdefault(table["fingerprint"], []).append(i)
+        for i, digest in live.items():
+            cohorts.setdefault(digest["fingerprint"], []).append(i)
         best = max(
             cohorts.values(),
             key=lambda idx: (
@@ -404,7 +404,7 @@ class ReplicaSet:
         original stamps, so a record the target already folded is
         answered from its dedup window — the cheap repair for ordinary
         lag.  Unstamped records (none are written by current servers)
-        are skipped; the column stage covers anything this one cannot.
+        are skipped; the copy stage covers anything this one cannot.
         """
         resent = 0
         tails: Dict[int, Tuple[list, list]] = {}
@@ -448,92 +448,69 @@ class ReplicaSet:
         self.metrics.wal_records_resent += resent
         return resent
 
-    async def _column_stage(
-        self, name: str, live: Dict[int, Dict[str, object]]
-    ) -> int:
-        """Ship exactly the divergent member columns from the source.
+    async def _copy_stage(
+        self, name: str, live: Dict[int, Dict[str, object]],
+        missing: List[int], report: Dict[str, object],
+    ) -> None:
+        """Copy the source replica's whole sketch where it differs.
 
-        The per-grid digest tables localise divergence to grids; the
-        per-member digests localise it to columns; only those columns
-        travel.  ``repair-members`` replaces the columns verbatim and
-        aligns the target's event offset with the source's — after
-        this, target state is bit-identical to source state.  A replica
-        whose fingerprint already matches but whose offset lags gets
-        the offset alone (an empty column list).
+        One ``dump`` from :meth:`_pick_source` travels to the
+        ``missing`` replicas as ``restore-sketch``, or, when none is
+        missing, to every live replica whose fingerprint or offset
+        differs from the source's as ``repair-sketch``, which replaces
+        the target's counters and offset verbatim.  Either way the
+        target ends byte-identical to the source.
         """
         source = self._pick_source(live)
         src = self.clients[source]
-        src_table = live[source]
-        repaired = 0
-        for j, table in live.items():
-            if j == source:
-                continue
-            if table["fingerprint"] == src_table["fingerprint"]:
-                # Same counters, different offset: the batches this
-                # replica missed net to zero (an insert and its delete).
-                # No column travels; only the offset is aligned.
-                if table["events"] != src_table["events"]:
-                    await self.clients[j].repair_members(
-                        name, 0, [], events=src_table["events"]
-                    )
-                continue
-            for g, (ours, theirs) in enumerate(
-                zip(src_table["grids"], table["grids"])
-            ):
-                if ours == theirs:
-                    continue
-                src_members = await src.member_digest(name, grid=g)
-                dst_members = await self.clients[j].member_digest(
-                    name, grid=g
-                )
-                members = divergent_members(src_members, dst_members)
-                if not members:
-                    continue
-                events, blobs = await src.fetch_members(name, g, members)
-                repaired += await self.clients[j].repair_members(
-                    name, g, blobs, events=events
-                )
-        self.metrics.members_repaired += repaired
-        return repaired
-
-    async def _restore_stage(
-        self, name: str, live: Dict[int, Dict[str, object]],
-        missing: List[int],
-    ) -> int:
-        """Full restore for replicas that lack the sketch entirely."""
-        source = self._pick_source(live)
-        src = self.clients[source]
         config = None
-        for sketch in await src.list():
-            if sketch["name"] == name:
-                config = sketch["config"]
-                break
-        if config is None:
-            raise ReplicationError(
-                f"repair source for {name!r} no longer lists it"
-            )
-        events, blob = await src.dump(name)
-        restored = 0
-        for j in missing:
-            try:
-                await self.clients[j].restore_sketch(
-                    name, config, blob, events
+        if missing:
+            for sketch in await src.list():
+                if sketch["name"] == name:
+                    config = sketch["config"]
+                    break
+            if config is None:
+                raise ReplicationError(
+                    f"repair source for {name!r} no longer lists it"
                 )
-            except SketchExistsError:
-                continue  # raced another coordinator: fine
+        want = (live[source]["fingerprint"], live[source]["events"])
+        targets = missing or [
+            j for j, t in live.items()
+            if (t["fingerprint"], t["events"]) != want
+        ]
+        try:
+            events, blob = await src.dump(name)
+        except BadRequestError as exc:
+            raise ReplicationError(
+                f"cannot copy {name!r} from replica {source}: {exc}"
+            ) from exc
+        for j in targets:
+            try:
+                if missing:
+                    await self.clients[j].restore_sketch(
+                        name, config, blob, events
+                    )
+                else:
+                    await self.clients[j].repair_sketch(name, blob, events)
             except (ServiceError, OSError):
+                # Raced another coordinator (``sketch-exists``), or the
+                # target went away: the next round re-digests.
                 continue
-            restored += 1
-        self.metrics.sketches_restored += restored
-        return restored
+            if missing:
+                report["restored"] += 1
+                self.metrics.sketches_restored += 1
+            else:
+                report["repaired"] += 1
+                self.metrics.replicas_repaired += 1
 
     async def anti_entropy(
         self, name: str, max_rounds: int = 4
     ) -> Dict[str, object]:
         """Converge every reachable replica of ``name`` bit-identically.
 
-        Each round: digest-compare; if divergent, run the WAL re-send
-        stage, re-digest, and only then fall back to column repair.
+        Each round: digest-compare; restore replicas that lack the
+        sketch; if divergent, run the WAL re-send stage once, re-digest,
+        and only then fall back to copying the source's whole sketch.
         Returns a report; raises :class:`~repro.errors.
         ReplicationError` if the reachable replicas won't converge
         within ``max_rounds`` (writes still flowing, or a replica
@@ -543,7 +520,7 @@ class ReplicaSet:
             "name": name,
             "rounds": 0,
             "wal_resent": 0,
-            "members_repaired": 0,
+            "repaired": 0,
             "restored": 0,
             "converged": False,
             "unreachable": [],
@@ -552,11 +529,11 @@ class ReplicaSet:
         for _round in range(max_rounds):
             report["rounds"] += 1
             self.metrics.anti_entropy_rounds += 1
-            tables = await self._digest_tables(name)
+            digests = await self._digests(name)
             live: Dict[int, Dict[str, object]] = {}
             missing: List[int] = []
             unreachable: List[int] = []
-            for i, t in enumerate(tables):
+            for i, t in enumerate(digests):
                 if isinstance(t, dict):
                     live[i] = t
                 elif isinstance(t, NoSuchSketchError):
@@ -570,9 +547,7 @@ class ReplicaSet:
                     f"anti-entropy: no replica serves {name!r}"
                 )
             if missing:
-                report["restored"] += await self._restore_stage(
-                    name, live, missing
-                )
+                await self._copy_stage(name, live, missing, report)
                 continue
             fingerprints = {t["fingerprint"] for t in live.values()}
             offsets = {t["events"] for t in live.values()}
@@ -588,9 +563,7 @@ class ReplicaSet:
                 wal_tried = True
                 report["wal_resent"] += await self._wal_stage(name, live)
             else:
-                report["members_repaired"] += await self._column_stage(
-                    name, live
-                )
+                await self._copy_stage(name, live, [], report)
         self.metrics.anti_entropy_failures += 1
         raise ReplicationError(
             f"anti-entropy on {name!r} did not converge in "

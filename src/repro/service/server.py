@@ -72,7 +72,6 @@ from .metrics import ServerMetrics
 from .net import REAL_NETWORK, Listener, Network
 from .protocol import (
     PROTOCOL_VERSION,
-    decode_blob_list,
     encode_blob_list,
     encode_frame,
     read_frame,
@@ -86,7 +85,7 @@ SERVER_VERSION = 1
 #: ``forget`` are deliberately *not* here: migrating a sketch **off** a
 #: draining node is exactly freeze → dump → restore elsewhere → forget.
 _MUTATING = frozenset(
-    {"create", "ingest-batch", "repair-members", "restore-sketch"}
+    {"create", "ingest-batch", "repair-sketch", "restore-sketch"}
 )
 
 #: Commands expensive enough to count against the in-flight budget;
@@ -102,9 +101,7 @@ _EXPENSIVE = frozenset(
         "audit",
         "dump",
         "digest",
-        "member-digest",
-        "fetch-members",
-        "repair-members",
+        "repair-sketch",
         "restore-sketch",
         "wal-tail",
     }
@@ -364,8 +361,7 @@ class SketchServer:
             if frame is None:
                 return
             header, payload = frame
-            response, out_payload = await self._dispatch(header, payload)
-            writer.write(encode_frame(response, out_payload))
+            writer.write(await self._dispatch(header, payload))
             await writer.drain()
             if header.get("cmd") == "shutdown":
                 return
@@ -403,10 +399,20 @@ class SketchServer:
                 body, out_payload = result
             else:
                 body, out_payload = result, b""
-            ok = True
             response = {"id": req_id, "ok": True}
             response.update(body)
-            return response, out_payload
+            try:
+                reply = encode_frame(response, out_payload)
+            except ProtocolFrameError as exc:
+                # The request was fine; its answer cannot travel in one
+                # frame (a dump past the payload cap).  A typed error
+                # keeps the session, where letting the encode raise
+                # here would drop it and invite a futile retry.
+                raise BadRequestError(
+                    f"{cmd!r} reply does not fit one frame: {exc}"
+                ) from exc
+            ok = True
+            return reply
         except ServiceError as exc:
             body = {
                 "id": req_id,
@@ -417,16 +423,15 @@ class SketchServer:
             retry_after = getattr(exc, "retry_after", None)
             if retry_after is not None:
                 body["retry_after"] = retry_after
-            return body, b""
+            return encode_frame(body)
         except ReproError as exc:
-            return (
+            return encode_frame(
                 {
                     "id": req_id,
                     "ok": False,
                     "error": "internal",
                     "message": f"{type(exc).__name__}: {exc}",
-                },
-                b"",
+                }
             )
         finally:
             if expensive:
@@ -667,7 +672,6 @@ class SketchServer:
                 "dedup_hits": record.dedup.hits,
                 "frozen": record.frozen,
                 "repairs": record.repairs,
-                "repaired_members": record.repaired_members,
                 "last_antientropy": record.last_antientropy,
             }
             if record.wal is not None:
@@ -700,46 +704,19 @@ class SketchServer:
     # -- replication / migration commands -------------------------------
 
     async def _cmd_digest(self, header, payload):
-        """The per-grid (group, row) digest table (anti-entropy probe)."""
+        """Offsets plus the counter fingerprint (anti-entropy probe)."""
         record = self.registry.get(header.get("name"))
         async with record.lock:
-            return await self._offload(self.registry.digest_table, record)
+            return await self._offload(self.registry.digest, record)
 
-    async def _cmd_member_digest(self, header, payload):
-        """Per-member digest pairs of one grid (repair localization)."""
+    async def _cmd_repair_sketch(self, header, payload):
+        """Overwrite a divergent copy with a peer's dump (repair target)."""
         record = self.registry.get(header.get("name"))
-        grid = header.get("grid", 0)
-        async with record.lock:
-            members = await self._offload(
-                self.registry.member_digests, record, grid
-            )
-        return {"grid": grid, "members": members}
-
-    async def _cmd_fetch_members(self, header, payload):
-        """Ship the named member columns of one grid (repair source)."""
-        record = self.registry.get(header.get("name"))
-        grid = header.get("grid", 0)
-        members = header.get("members")
-        if not isinstance(members, list) or not members:
-            raise BadRequestError("fetch-members needs a nonempty 'members'")
-        async with record.lock:
-            blobs = await self._offload(
-                self.registry.fetch_member_blobs, record, grid, members
-            )
-        return {"count": len(blobs), "events": record.events}, (
-            encode_blob_list(blobs)
-        )
-
-    async def _cmd_repair_members(self, header, payload):
-        """Overwrite divergent member columns (repair target)."""
-        record = self.registry.get(header.get("name"))
-        grid = header.get("grid", 0)
         events = header.get("events")
-        blobs = decode_blob_list(payload)
-        if not blobs and events is None:
-            raise BadRequestError(
-                "repair-members needs member blobs or an 'events' offset"
-            )
+        if not payload:
+            raise BadRequestError("repair-sketch needs a dump payload")
+        if not isinstance(events, int) or events < 0:
+            raise BadRequestError("repair-sketch 'events' must be an int >= 0")
         async with record.lock:
             if self.draining:
                 self.metrics.rejected_draining += 1
@@ -753,12 +730,11 @@ class SketchServer:
                 raise SketchFrozenError(
                     f"sketch {record.name!r} is frozen for migration"
                 )
-            count = await self._offload(
-                self.registry.repair_members, record, grid, blobs, events
+            await self._offload(
+                self.registry.repair_sketch, record, payload, events
             )
         self.metrics.repairs_received += 1
-        self.metrics.members_repaired += count
-        return {"repaired": count, "events": record.events}
+        return {"events": record.events}
 
     async def _cmd_wal_tail(self, header, payload):
         """The retained stamped ingest records after a sequence number."""

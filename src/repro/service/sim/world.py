@@ -75,6 +75,11 @@ class SimReport:
     events: int = 0
     schedule: Optional[FaultSchedule] = None
     virtual_seconds: float = 0.0
+    #: What the final anti-entropy pass had to do: WAL records
+    #: re-sent, replicas repaired by a copy, sketches restored.
+    wal_resent: int = 0
+    repaired: int = 0
+    restored: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -86,6 +91,9 @@ class SimReport:
             "retries": self.retries,
             "events": self.events,
             "virtual_seconds": round(self.virtual_seconds, 3),
+            "wal_resent": self.wal_resent,
+            "repaired": self.repaired,
+            "restored": self.restored,
             "schedule": (
                 [e.to_dict() for e in self.schedule.events]
                 if self.schedule else []
@@ -312,10 +320,13 @@ class SimWorld:
             if not replica.up:
                 await replica.start(resume=True)
         try:
-            await rs.anti_entropy(_SKETCH, max_rounds=6)
+            repair = await rs.anti_entropy(_SKETCH, max_rounds=6)
         except ReproError as exc:
             report.violations.append(f"anti-entropy did not converge: {exc}")
             return
+        report.wal_resent = repair["wal_resent"]
+        report.repaired = repair["repaired"]
+        report.restored = repair["restored"]
 
         dumps = []
         for i, client in enumerate(rs.clients):

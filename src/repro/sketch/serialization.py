@@ -22,6 +22,7 @@ the format is portable and cannot execute code.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from typing import Dict, List, Tuple
@@ -174,22 +175,6 @@ def load_member_state(grid: SamplerGrid, blob: bytes) -> int:
     return member
 
 
-def replace_member_state(grid: SamplerGrid, blob: bytes) -> int:
-    """Overwrite one member's column with a serialized player message.
-
-    The repair-side twin of :func:`load_member_state`: anti-entropy
-    ships a *correct* replica's column and the divergent replica must
-    end bit-identical, so the column is replaced rather than linearly
-    added.  Returns the member index.
-    """
-    member, state = read_member_state(grid, blob)
-    grid._w[:, member] = state["w"]
-    grid._s[:, member] = state["s"]
-    grid._f[:, member] = state["f"]
-    grid._touch()
-    return member
-
-
 def message_bytes(grid: SamplerGrid, member: int = 0) -> int:
     """Exact on-the-wire size of one player message."""
     return len(dump_member_state(grid, member))
@@ -221,6 +206,20 @@ def iter_grids(sketch):
             f"cannot serialize {type(sketch).__name__}: "
             "expected a SamplerGrid, .grid, or .layers"
         )
+
+
+def sketch_fingerprint(sketch) -> str:
+    """SHA-256 (hex) over every grid's counter block, in
+    :func:`iter_grids` order.
+
+    Two structurally identical sketches fingerprint equal exactly when
+    their :func:`dump_sketch` counters are equal (up to SHA-256
+    collisions).  Replicas compare this instead of shipping state.
+    """
+    h = hashlib.sha256()
+    for grid in iter_grids(sketch):
+        h.update(np.ascontiguousarray(grid._block, dtype="<i8"))
+    return h.hexdigest()
 
 
 def dump_sketch(sketch) -> bytes:

@@ -151,18 +151,13 @@ class TestIncrementalDecodeCache:
 
     @pytest.mark.parametrize("how", [
         "iadd", "isub", "load_accumulate", "add_member_state",
-        "load_grid", "replace_member_state",
+        "load_grid",
     ])
     def test_merge_and_restore_refresh_the_certificate(self, how):
         """A merge or restore of every instance's grid moves no update
         count; the decode cache has to notice it all the same (it used
         to hand back the pre-merge certificate)."""
-        from repro.sketch.serialization import (
-            dump_grid,
-            dump_member_state,
-            load_grid,
-            replace_member_state,
-        )
+        from repro.sketch.serialization import dump_grid, load_grid
 
         def fed(events):
             union = SampledForestUnion(12, k=2, repetitions=20, seed=42)
@@ -186,11 +181,8 @@ class TestIncrementalDecodeCache:
             elif how == "add_member_state":
                 for m in range(grid.members):
                     grid.add_member_state(m, theirs.extract_member(m))
-            elif how == "load_grid":
-                load_grid(grid, dump_grid(target))
             else:
-                for m in range(grid.members):
-                    replace_member_state(grid, dump_member_state(target, m))
+                load_grid(grid, dump_grid(target))
         assert np.array_equal(union._arena, both._arena)
         assert union._dirty == set(union.sketches)
         fresh = union.decode_union()

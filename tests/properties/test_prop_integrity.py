@@ -11,7 +11,7 @@ Two families of properties:
 * **Row-check soundness and power** — every hash row of a grid holds
   the same bucket totals at each (group, member, level), so the audit
   has no false positives on any legitimate history (every update and
-  merge path, restores, member-state repair, engine output, phantom
+  merge path, restores, member-state merges, engine output, phantom
   deletes), and the *first* audit finds every single flipped bit at
   exactly its (instance, group, member, level).
 """
@@ -37,7 +37,6 @@ from repro.sketch.serialization import (
     load_grid,
     load_member_state,
     load_sketch,
-    replace_member_state,
 )
 from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
@@ -162,7 +161,7 @@ class TestDigestSoundness:
         self, sg, kind, seed
     ):
         """Scalar updates, the batch kernel, ``+=`` / ``-=``, copies,
-        replace and accumulate restores, member-state merge and repair,
+        replace and accumulate restores, member-state merges,
         and phantom deletes: no audit on the way finds anything."""
         stream, final = sg
         sketch = make_sketch(kind, seed)
@@ -193,7 +192,6 @@ class TestDigestSoundness:
         load_sketch(restored, dump_sketch(other), accumulate=True)
         assert_clean(restored)
         for grid, source in zip(iter_grids(restored), iter_grids(sketch)):
-            replace_member_state(grid, dump_member_state(source, 0))
             load_member_state(grid, dump_member_state(source, N - 1))
         assert_clean(restored)
 

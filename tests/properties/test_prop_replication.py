@@ -7,8 +7,8 @@ pure state-machine logic, testable without a single socket:
   replica no matter how many times it is delivered (client retries,
   coordinator re-sends, anti-entropy cross-resends all reuse the
   original stamp, and the dedup window answers the duplicates).
-* **Column repair** — a divergent replica overwritten with the
-  source's divergent member columns becomes bit-identical to it.
+* **Copy repair** — a divergent replica overwritten with the source's
+  whole dump becomes bit-identical to it.
 
 Both reduce to the same property: for ANY random update stream split
 across replicas in ANY pattern — batches dropped at some replicas,
@@ -22,7 +22,6 @@ machinery neither loses nor double-folds anything.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.audit.repair import divergent_members, table_fingerprint
 from repro.service.registry import SketchRegistry
 from repro.service.wal import KIND_UPDATES
 from repro.sketch.serialization import dump_sketch
@@ -133,6 +132,9 @@ class TestExactlyOnceConvergence:
 
 
 class TestColumnRepairConvergence:
+    """A divergent replica repaired by copying the source's columns —
+    all of them, as one dump — ends bit-identical to it."""
+
     @given(
         batches(),
         st.integers(2, 4),
@@ -145,7 +147,7 @@ class TestColumnRepairConvergence:
     )
     # Offset-only divergence: the batch replica 1 misses nets to zero,
     # so its counters (and fingerprint) match the source's while its
-    # event offset lags — repair must still align the offset.
+    # event offset lags — the copy must still align the offset.
     @example(
         all_batches=[[(1, (0, 1)), (-1, (0, 1))]],
         replicas=2,
@@ -156,9 +158,9 @@ class TestColumnRepairConvergence:
         self, all_batches, replicas, delivered
     ):
         """Replica 0 holds everything; the rest hold random subsets.
-        Digest-diff column repair from 0 makes every replica
-        byte-identical to the single node, shipping only the member
-        columns whose digests diverged."""
+        The copy stage ships replica 0's whole dump to every replica
+        whose digest differs, and each ends byte-identical to the
+        single node."""
         nodes = [make_replica() for _ in range(replicas)]
         for i, batch in enumerate(all_batches):
             deliver(*nodes[0], batch, i)
@@ -166,41 +168,21 @@ class TestColumnRepairConvergence:
                 if delivered[i][r - 1]:
                     deliver(*nodes[r], batch, i)
         src_registry, src_record = nodes[0]
-        src_table = src_registry.digest_table(src_record)
-        for r in range(1, replicas):
-            dst_registry, dst_record = nodes[r]
-            dst_table = dst_registry.digest_table(dst_record)
-            if dst_table["fingerprint"] == src_table["fingerprint"]:
-                # ReplicaSet._column_stage: no column to ship, but a
-                # lagging offset is aligned with the source's.
-                if dst_record.events != src_record.events:
-                    dst_registry.repair_members(
-                        dst_record, 0, [], events=src_record.events
-                    )
-                continue
-            for g in range(len(src_table["grids"])):
-                members = divergent_members(
-                    src_registry.member_digests(src_record, g),
-                    dst_registry.member_digests(dst_record, g),
-                )
-                if not members:
-                    continue
-                blobs = src_registry.fetch_member_blobs(
-                    src_record, g, members
-                )
-                dst_registry.repair_members(
-                    dst_record, g, blobs, events=src_record.events
+        src_digest = src_registry.digest(src_record)
+        blob = dump_sketch(src_record.sketch)
+        for dst_registry, dst_record in nodes[1:]:
+            dst_digest = dst_registry.digest(dst_record)
+            if (dst_digest["fingerprint"], dst_digest["events"]) != (
+                src_digest["fingerprint"], src_digest["events"]
+            ):
+                dst_registry.repair_sketch(
+                    dst_record, blob, src_record.events
                 )
         expected = single_node_state(all_batches)
         assert dump_sketch(src_record.sketch) == expected
-        for r in range(1, replicas):
-            _, record = nodes[r]
+        for _, record in nodes[1:]:
             assert dump_sketch(record.sketch) == expected
             assert record.events == src_record.events
-        # The digest agrees after repair: recomputing every table
-        # yields one fingerprint across the set.
-        prints = {
-            table_fingerprint(reg.digest_table(rec)["grids"])
-            for reg, rec in nodes
-        }
+        # The probe agrees after repair: one fingerprint across the set.
+        prints = {reg.digest(rec)["fingerprint"] for reg, rec in nodes}
         assert len(prints) == 1

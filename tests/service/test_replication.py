@@ -27,6 +27,9 @@ from repro.service import (
     parse_endpoints,
 )
 
+from repro.cli import main
+from repro.service import protocol
+
 from .test_failover import running_servers
 from .test_server import edge_arrays, running_server
 
@@ -215,7 +218,7 @@ class TestAntiEntropy:
                     assert report["converged"] is True
                     assert report["rounds"] == 1
                     assert report["wal_resent"] == 0
-                    assert report["members_repaired"] == 0
+                    assert report["repaired"] == 0
 
         asyncio.run(go())
 
@@ -262,7 +265,7 @@ class TestAntiEntropy:
 
         asyncio.run(go())
 
-    def test_column_repair_heals_walless_divergence(self):
+    def test_copy_stage_heals_walless_divergence(self):
         async def go():
             async with running_servers(3) as servers:  # no WAL dirs
                 async with replica_set(servers, write_quorum=3) as rs:
@@ -272,7 +275,7 @@ class TestAntiEntropy:
                     )
                     # Diverge replica 2 out-of-band: an unstamped
                     # direct write the others never saw, with no WAL
-                    # to resend from — only column repair can fix it.
+                    # to resend from — only the copy stage can fix it.
                     rogue = await ServiceClient.connect(
                         port=servers[2].port
                     )
@@ -282,9 +285,37 @@ class TestAntiEntropy:
                     await rogue.close()
                     report = await rs.anti_entropy("g")
                     assert report["converged"] is True
-                    assert report["members_repaired"] >= 1
+                    assert report["repaired"] >= 1
+                    assert rs.metrics.replicas_repaired == report["repaired"]
                     blobs = await dump_all(rs, "g")
                     assert blobs[0] == blobs[1] == blobs[2]
+                    digests = [await c.digest("g") for c in rs.clients]
+                    assert len({d["events"] for d in digests}) == 1
+
+        asyncio.run(go())
+
+    def test_copy_past_the_frame_cap_names_it(self, monkeypatch):
+        """A source whose dump cannot travel in one frame fails the
+        repair with a ``ReplicationError`` naming the cap, not a
+        dropped session and a retry loop."""
+        async def go():
+            async with running_servers(2) as servers:  # no WAL dirs
+                async with replica_set(servers, write_quorum=2) as rs:
+                    await rs.create("g", n=32, seed=3)
+                    await rs.ingest_pairs("g", *edge_arrays([(0, 1)]))
+                    rogue = await ServiceClient.connect(
+                        port=servers[1].port
+                    )
+                    await rogue.ingest_pairs("g", *edge_arrays([(8, 9)]))
+                    _, blob = await rogue.dump("g")
+                    await rogue.close()
+                    monkeypatch.setattr(
+                        protocol, "MAX_PAYLOAD_BYTES", len(blob) // 2
+                    )
+                    with pytest.raises(ReplicationError,
+                                       match="MAX_PAYLOAD_BYTES"):
+                        await rs.anti_entropy("g")
+                    assert all(c.reconnects == 0 for c in rs.clients)
 
         asyncio.run(go())
 
@@ -328,6 +359,36 @@ class TestAntiEntropy:
                     reports = await rs.anti_entropy_all()
                     assert sorted(reports) == ["a", "b"]
                     assert all(r["converged"] for r in reports.values())
+
+        asyncio.run(go())
+
+
+class TestHealthAll:
+    def test_rogue_write_is_charged_as_divergence(self, capsys):
+        """``ctl health --all`` compares digests across the endpoints:
+        a converged pair reads 0 divergent and exits 0; after an
+        unstamped write on one server that replica reads 1 and the
+        command exits 1."""
+        def table():
+            rows = capsys.readouterr().out.splitlines()[1:]
+            return {row.split()[0]: row.split()[-1] for row in rows}
+
+        async def go():
+            async with running_servers(2) as servers:
+                spec = ",".join(f"127.0.0.1:{s.port}" for s in servers)
+                argv = ["ctl", "health", "--all", "--endpoints", spec]
+                rogue_ep = f"127.0.0.1:{servers[1].port}"
+                async with replica_set(servers, write_quorum=2) as rs:
+                    await rs.create("g", n=32, seed=3)
+                    await rs.ingest_pairs("g", *edge_arrays([(0, 1)]))
+                assert await asyncio.to_thread(main, argv) == 0
+                assert set(table().values()) == {"0"}
+                async with await ServiceClient.connect(
+                    port=servers[1].port
+                ) as rogue:
+                    await rogue.ingest_pairs("g", *edge_arrays([(8, 9)]))
+                assert await asyncio.to_thread(main, argv) == 1
+                assert table()[rogue_ep] == "1"
 
         asyncio.run(go())
 

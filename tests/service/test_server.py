@@ -18,15 +18,15 @@ from repro.errors import (
     DrainingError,
     NoSuchSketchError,
     SketchExistsError,
+    SketchFrozenError,
 )
 from repro.service import ServiceClient, SketchRegistry, SketchServer
+from repro.service import protocol
 from repro.service import registry as registry_module
 from repro.service.protocol import PROTOCOL_VERSION, encode_pairs
 from repro.util.clock import Clock
-from repro.sketch.serialization import dump_member_state, dump_sketch
+from repro.sketch.serialization import dump_sketch
 from repro.sketch.spanning_forest import SpanningForestSketch
-
-from ..engine.faults import rewrite_blob_member
 
 
 @contextlib.asynccontextmanager
@@ -201,52 +201,117 @@ class TestTypedErrors:
 
         asyncio.run(go())
 
-    def test_hostile_member_index_is_bad_request(self):
-        """A CRC-valid repair blob naming member -1 or n is refused as
-        a typed error, the connection stays open, and a valid blob
-        ahead of it in the same batch is not applied either."""
-        async def go():
-            async with running_server() as server:
-                async with await ServiceClient.connect(port=server.port) as c:
-                    await c.create("g", n=8, seed=9)
-                    await c.ingest_pairs("g", *edge_arrays([(0, 1), (2, 3)]))
-                    _, before = await c.dump("g")
-                    _, (blob0,) = await c.fetch_members("g", 0, [0])
-                    ahead = SpanningForestSketch(8, seed=9)
-                    ahead.update_batch_pairs(*edge_arrays([(4, 5)]))
-                    valid = dump_member_state(ahead.grid, 4)
-                    for member in (-1, 8):
-                        hostile = rewrite_blob_member(blob0, member)
-                        with pytest.raises(BadRequestError, match="member index"):
-                            await c.repair_members("g", 0, [valid, hostile])
-                        _, after = await c.dump("g")
-                        assert after == before
-
-        asyncio.run(go())
-
     def test_damaged_codec_bytes_are_bad_request(self):
-        """A member blob with one header byte set to 0xff, and a dump
-        blob missing its last 3 bytes, are typed ``bad-request``
-        answers on a session that stays open, and change no state."""
+        """A dump blob with one header byte set to 0xff, and one missing
+        its last 3 bytes, are typed ``bad-request`` answers to
+        ``restore-sketch`` on a session that stays open, and change no
+        state."""
         async def go():
             async with running_server() as server:
                 async with await ServiceClient.connect(port=server.port) as c:
                     await c.create("g", n=8, seed=9)
                     await c.ingest_pairs("g", *edge_arrays([(0, 1), (2, 3)]))
                     _, before = await c.dump("g")
-                    _, (blob,) = await c.fetch_members("g", 0, [0])
-                    damaged = bytearray(blob)
+                    damaged = bytearray(before)
                     damaged[12] = 0xFF  # inside the JSON header
-                    with pytest.raises(BadRequestError):
-                        await c.repair_members("g", 0, [bytes(damaged)])
-                    with pytest.raises(BadRequestError):
-                        await c.restore_sketch(
-                            "h", {"n": 8, "seed": 9}, before[:-3], events=2
-                        )
+                    for blob in (bytes(damaged), before[:-3]):
+                        with pytest.raises(BadRequestError):
+                            await c.restore_sketch(
+                                "h", {"n": 8, "seed": 9}, blob, events=2
+                            )
                     assert (await c.dump("g"))[1] == before
                     assert [s["name"] for s in await c.list()] == ["g"]
                     assert c.reconnects == 0
                 assert server.metrics.sessions_opened == 1
+
+        asyncio.run(go())
+
+    def test_hostile_repair_sketch_is_bad_request(self):
+        """``repair-sketch`` checks the whole blob before it writes: a
+        truncated dump, a dump with a header byte set to 0xff, and a
+        dump of another seed's sketch are each ``bad-request``, leave
+        the target's dump byte-identical, and keep the session open."""
+        async def go():
+            async with running_server() as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=8, seed=9)
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1), (2, 3)]))
+                    events, before = await c.dump("g")
+                    ahead = SpanningForestSketch(8, seed=9)
+                    ahead.update_batch_pairs(*edge_arrays([(4, 5)]))
+                    good = dump_sketch(ahead)
+                    damaged = bytearray(good)
+                    damaged[12] = 0xFF  # inside the JSON header
+                    foreign = SpanningForestSketch(8, seed=10)
+                    foreign.update_batch_pairs(*edge_arrays([(4, 5)]))
+                    for blob in (good[:-3], bytes(damaged),
+                                 dump_sketch(foreign)):
+                        with pytest.raises(BadRequestError,
+                                           match="repair-sketch"):
+                            await c.repair_sketch("g", blob, events=9)
+                        assert await c.dump("g") == (events, before)
+                    # The intact copy lands: counters and offset both.
+                    assert await c.repair_sketch("g", good, events=1) == 1
+                    assert await c.dump("g") == (1, good)
+                    assert c.reconnects == 0
+                assert server.metrics.sessions_opened == 1
+                assert server.metrics.repairs_received == 1
+
+        asyncio.run(go())
+
+    def test_repair_sketch_refused_when_not_mutable(self):
+        """A frozen, draining or forgotten target refuses the copy with
+        its typed code and keeps its state."""
+        async def go():
+            async with running_server() as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=8, seed=9)
+                    await c.create("h", n=8, seed=9)
+                    _, blob = await c.dump("g")
+                    await c.forget("h")
+                    with pytest.raises(NoSuchSketchError):
+                        await c.repair_sketch("h", blob, events=0)
+                    await c.ingest_pairs("g", *edge_arrays([(0, 1)]))
+                    events, before = await c.dump("g")
+                    await c.freeze("g")
+                    # ``frozen`` is transient: one attempt, no retries.
+                    with pytest.raises(SketchFrozenError):
+                        await c.request_once(
+                            "repair-sketch", payload=blob, name="g",
+                            events=0,
+                        )
+                    await c.thaw("g")
+                    await c.drain()
+                    with pytest.raises(DrainingError):
+                        await c.repair_sketch("g", blob, events=0)
+                    assert await c.dump("g") == (events, before)
+                assert server.metrics.repairs_received == 0
+
+        asyncio.run(go())
+
+    def test_over_cap_reply_is_a_typed_error(self, monkeypatch):
+        """A reply too large for one frame answers ``bad-request`` naming
+        the cap; the client does not retry or reconnect, the session
+        stays open, and nothing reaches the loop's exception handler."""
+        async def go():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with running_server() as server:
+                async with await ServiceClient.connect(port=server.port) as c:
+                    await c.create("g", n=8, seed=9)
+                    _, blob = await c.dump("g")
+                    monkeypatch.setattr(
+                        protocol, "MAX_PAYLOAD_BYTES", len(blob) // 2
+                    )
+                    with pytest.raises(BadRequestError,
+                                       match="MAX_PAYLOAD_BYTES"):
+                        await c.dump("g")
+                    assert c.reconnects == 0 and c.retries == 0
+                    assert [s["name"] for s in await c.list()] == ["g"]
+                assert server.metrics.sessions_opened == 1
+            assert unhandled == []
 
         asyncio.run(go())
 

@@ -20,9 +20,10 @@ from repro.sketch.serialization import (
     message_bytes,
     peek_member,
     read_member_state,
-    replace_member_state,
+    sketch_fingerprint,
     verify_sketch_blob,
 )
+from repro.sketch.skeleton import SkeletonSketch
 from repro.sketch.spanning_forest import SpanningForestSketch
 
 from ..engine.faults import rewrite_blob_member
@@ -135,11 +136,63 @@ class TestMemberMessages:
         for parse in (
             lambda: peek_member(blob),
             lambda: load_member_state(referee, blob),
-            lambda: replace_member_state(referee, blob),
         ):
             with pytest.raises(IncompatibleSketchError):
                 parse()
         assert dump_grid(referee) == before
+
+
+def churn_pairs(n, count, seed):
+    """``count`` signed pairs over ``[0, n)``: inserts, then deletes of
+    every third one."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=count)
+    vs = (us + rng.integers(1, n, size=count)) % n
+    signs = np.ones(count, dtype=np.int64)
+    return (np.concatenate([us, us[::3]]), np.concatenate([vs, vs[::3]]),
+            np.concatenate([signs, -signs[::3]]))
+
+
+def flip_bit(grid, plane, index, bit):
+    grid._block[plane].reshape(-1)[index] ^= np.int64(1) << np.int64(bit)
+
+
+class TestSketchFingerprint:
+    """The anti-entropy probe: equal counters, equal fingerprint."""
+
+    def test_batch_split_and_order_do_not_matter(self):
+        us, vs, signs = churn_pairs(24, 300, seed=4)
+        a = SpanningForestSketch(24, seed=5)
+        b = SpanningForestSketch(24, seed=5)
+        a.update_batch_pairs(us, vs, signs)
+        order = np.random.default_rng(1).permutation(len(us))
+        for chunk in np.array_split(order, 7):
+            b.update_batch_pairs(us[chunk], vs[chunk], signs[chunk])
+        assert sketch_fingerprint(a) == sketch_fingerprint(b)
+        assert dump_sketch(a) == dump_sketch(b)
+
+    @pytest.mark.parametrize("plane", [0, 1, 2])
+    @pytest.mark.parametrize("bit", [0, 31, 62, 63])
+    def test_one_flipped_bit_changes_it(self, plane, bit):
+        sketch = SpanningForestSketch(24, seed=5)
+        sketch.update_batch_pairs(*churn_pairs(24, 100, seed=2))
+        before = sketch_fingerprint(sketch)
+        cells = sketch.grid._block[plane].size
+        for index in (0, cells // 2, cells - 1):
+            flip_bit(sketch.grid, plane, index, bit)
+            assert sketch_fingerprint(sketch) != before
+            flip_bit(sketch.grid, plane, index, bit)
+            assert sketch_fingerprint(sketch) == before
+
+    def test_every_skeleton_layer_counts(self):
+        sketch = SkeletonSketch(16, k=3, seed=3)
+        sketch.update_batch_pairs(*churn_pairs(16, 60, seed=8))
+        before = sketch_fingerprint(sketch)
+        for layer in sketch.layers:
+            flip_bit(layer.grid, 1, 7, 5)
+            assert sketch_fingerprint(sketch) != before
+            flip_bit(layer.grid, 1, 7, 5)
+        assert sketch_fingerprint(sketch) == before
 
 
 def edit_header(blob: bytes, edit) -> bytes:
