@@ -4,7 +4,10 @@ Both vertex-connectivity algorithms build the same object: ``R``
 vertex-sampled graphs ``G_i`` (each vertex kept with probability
 ``1/k``), a spanning-forest sketch per ``G_i``, and the union
 ``H = T_1 ∪ ... ∪ T_R`` of decoded forests.  They differ only in how
-``R`` is chosen and what question is asked of ``H``.
+``R`` is chosen and what question is asked of ``H``.  The R forest
+sketches are one stack of grids both ways: ingest folds through the
+batch kernel :func:`~repro.engine.batch.fold_stack`, and the decode
+runs :func:`~repro.sketch.spanning_forest.decode_stack`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.batch import (
+    _expand,
+    expand_edges,
     expand_pair_batch,
-    fold_cells,
-    index_sums,
+    fold_stack,
     pairs_of_updates,
 )
 from ..errors import DomainError
@@ -29,29 +33,10 @@ from ..sketch.spanning_forest import (
     SpanningForestSketch,
     decode_stack,
 )
-from ..util.hashing import (
-    bucket_np,
-    derive_seed,
-    field_residue_np,
-    hash64_many,
-    hash64_premixed,
-    level_counts_np,
-    premix64_np,
-)
-from ..util.prime_field import MERSENNE_61, mul_vec_mod
+from ..util.hashing import derive_seed, hash64_many
 from ..util.rng import normalize_seed
 from .params import DEFAULT_PARAMS, Params
 
-_P = MERSENNE_61
-
-
-def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR expansion of a nonempty ``counts``: the ``(owner, local)``
-    index pair of each of the ``counts[j]`` rows that ``j`` owns."""
-    ends = np.cumsum(counts)
-    owner = np.repeat(np.arange(counts.size), counts)
-    local = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-    return owner, local
 
 
 class SampledForestUnion:
@@ -64,7 +49,7 @@ class SampledForestUnion:
     ascending id order, each slice its weight / index-sum /
     fingerprint planes back to back), adopted zero-copy through the
     grid's ``block=`` storage seam.  Stream updates fold into the arena
-    through one cross-instance kernel (:meth:`update_batch`);
+    as one stack (:func:`~repro.engine.batch.fold_stack`);
     ``sketches[i].update`` — the scalar reference — writes the same
     pages.  Either route, and every merge or restore of an instance,
     makes it dirty for the decode cache, which compares grid mutation
@@ -136,14 +121,13 @@ class SampledForestUnion:
 
     def _build_arena(self) -> None:
         """Allocate the arena, build the instances on their slices, and
-        concatenate their seeds and offsets for the kernel.
+        concatenate their seeds and offsets for the kernels.
 
-        The kernel addresses a counter by *global group*: instance
-        ``i``'s Borůvka group ``g`` is row ``_group_ptr[i] + g`` of
-        ``_group_seeds`` (column 0 its level seed, columns ``1..rows``
-        its bucket seeds) and of ``_group_base`` (arena offset of the
-        group's first weight counter).  No table here is larger than
-        ``R × n`` words.
+        The kernels address a counter by *global group*: instance
+        ``i``'s Borůvka group ``g`` is row ``first[i] + g`` of the
+        :class:`~repro.sketch.bank.HashStack` ``_hashes`` (its seeds)
+        and of ``_group_base`` (arena offset of the group's first
+        weight counter).  No table here is larger than ``R × n`` words.
         """
         params, R = self.params, self.repetitions
         rows, buckets = params.rows, params.buckets
@@ -157,8 +141,7 @@ class SampledForestUnion:
             for m in sampled
         ])
         self._levels, self._member_stride = levels, stride
-        self._groups = groups
-        self._group_ptr = np.cumsum(groups) - groups
+        first = np.cumsum(groups) - groups
         #: counters in one plane of instance i's block — the distance
         #: from a weight cell to its index-sum cell, and from there to
         #: its fingerprint cell
@@ -168,10 +151,10 @@ class SampledForestUnion:
         # np.zeros maps untouched pages: the arena is resident only
         # where the stream has written.
         self._arena = np.zeros(3 * int(self._plane.sum()), dtype=np.int64)
-        self._group_seeds = np.zeros((int(groups.sum()), 1 + rows), np.uint64)
+        group_seeds = np.zeros((int(groups.sum()), 1 + rows), np.uint64)
         self._group_base = np.zeros(int(groups.sum()), dtype=np.int64)
-        self._salts = np.zeros((R, levels), dtype=np.uint64)
-        self._rho_seeds = np.zeros((R, 2), dtype=np.uint64)
+        salts = np.zeros((R, levels), dtype=np.uint64)
+        rho_seeds = np.zeros((R, 2), dtype=np.uint64)
         tiebreak_seeds = np.zeros(int(groups.sum()), dtype=np.uint64)
         self.sketches: Dict[int, SpanningForestSketch] = {}
         for i in np.flatnonzero(groups).tolist():
@@ -188,20 +171,20 @@ class SampledForestUnion:
             )
             self.sketches[i] = sketch
             grid = sketch.grid
-            at = slice(self._group_ptr[i], self._group_ptr[i] + groups[i])
+            at = slice(first[i], first[i] + groups[i])
             # The grid already holds its seeds in the kernels' array form.
-            self._group_seeds[at] = grid._hashes.group_seeds
+            group_seeds[at] = grid._hashes.group_seeds
             tiebreak_seeds[at] = grid._hashes.tiebreak_seeds
             self._group_base[at] = self._base[i] + np.arange(groups[i]) * (
                 sampled[i] * stride
             )
-            self._salts[i] = grid._hashes.salts[0]
-            self._rho_seeds[i] = grid._hashes.rho_seeds[0]
-        #: the decode kernel's view of the same seeds, instance = owner
+            salts[i] = grid._hashes.salts[0]
+            rho_seeds[i] = grid._hashes.rho_seeds[0]
+        #: the kernels' view of the same seeds, instance = owner
         self._hashes = bank.HashStack(
-            self.scheme.dimension, levels, rows, buckets, self._group_seeds,
-            tiebreak_seeds, self._salts, self._rho_seeds,
-            np.repeat(np.arange(R), groups), self._group_ptr,
+            self.scheme.dimension, levels, rows, buckets, group_seeds,
+            tiebreak_seeds, salts, rho_seeds,
+            np.repeat(np.arange(R), groups), first,
         )
         # Vertex -> grid member (the rank among the sampled vertices,
         # which SpanningForestSketch keeps sorted); -1 where unsampled.
@@ -238,8 +221,8 @@ class SampledForestUnion:
 
     def update(self, edge: Sequence[int], sign: int) -> None:
         """Route an edge update to every instance that sampled all its
-        endpoints (:meth:`update_batch` of one)."""
-        self.update_batch([(edge, sign)])
+        endpoints (:meth:`update_batch` of one, expanded per event)."""
+        self._fold(*expand_edges(self.scheme, [(edge, sign)]))
 
     def update_batch(self, updates: Iterable) -> int:
         """Apply a batch of signed (hyper)edge updates to all instances.
@@ -258,33 +241,13 @@ class SampledForestUnion:
             pairs = pairs_of_updates(updates)
             if pairs is not None:
                 return self.update_batch_pairs(*pairs)
-        index: List[int] = []
-        ptr: List[int] = [0]
-        verts: List[int] = []
-        coef: List[int] = []
-        for u in updates:
-            edge, sign = (u.edge, u.sign) if hasattr(u, "edge") else u
-            if sign not in (1, -1):
-                raise DomainError(f"sign must be +1 or -1, got {sign}")
-            index.append(self.scheme.index_of(edge))
-            for vertex, c in self.scheme.coefficients(edge):
-                verts.append(vertex)
-                coef.append(sign * c)
-            ptr.append(len(verts))
-        return self._fold(
-            np.array(index, dtype=np.int64),
-            np.array(ptr, dtype=np.int64),
-            np.array(verts, dtype=np.int64),
-            np.array(coef, dtype=np.int64),
-        )
+        return self._fold(*expand_edges(self.scheme, updates))
 
     def update_batch_pairs(self, us, vs, signs) -> int:
         """:meth:`update_batch` for rank-2 edges given as parallel arrays
         (the array form :meth:`SpanningForestSketch.update_batch_pairs`
         takes)."""
-        # With every vertex "active" as itself, the pair expansion's
-        # members are the endpoints: one validation, one closed-form
-        # coordinate, shared with the per-sketch path.
+        # Every vertex "active" as itself: the members are the ends.
         verts, index, coef = expand_pair_batch(
             self.scheme, np.arange(self.n), us, vs, signs
         )
@@ -293,85 +256,36 @@ class SampledForestUnion:
         )
 
     def _fold(self, index, ptr, verts, coef) -> int:
-        """Route validated edges to their instances and fold them in.
-
-        Edge ``e`` has coordinate ``index[e]`` and incidence rows
-        ``ptr[e]:ptr[e+1]`` of ``(verts, coef)`` — vertex and signed
-        coefficient, the minimum vertex first.
+        """Route validated edges, in the CSR form of
+        :func:`~repro.engine.batch.expand_edges`, to the instances that
+        sampled them whole — one :func:`~repro.engine.batch.fold_stack`
+        key per (instance, edge) pair — and give each hit instance its
+        scalar ``update``'s bookkeeping: rows counted, epoch bumped.
         """
         events = index.size
         if events == 0:
             return 0
         self._updates += events
-        width = np.diff(ptr)
         hit = np.logical_and.reduceat(
             self.membership[:, verts], ptr[:-1], axis=1
         )
         i_p, e_p = np.nonzero(hit)  # (instance, edge) pairs, i_p ascending
-        if i_p.size:
-            self._fold_pairs(i_p, e_p, index, ptr, verts, coef, width)
-        return events
-
-    def _fold_pairs(self, i_p, e_p, index, ptr, verts, coef, width) -> None:
-        """The cross-instance kernel: (instance, edge) pairs → arena.
-
-        Three CSR expansions take the pairs to counter cells: a pair →
-        its instance's Borůvka groups; a group → the levels
-        ``0..depth`` the coordinate survives to; a level → the edge's
-        incidence rows.  The coordinate is mixed once per edge and
-        hashed once per (pair, group) under the concatenated
-        level/bucket seeds — not once per endpoint, as the scalar route
-        does — and every cell of every instance goes through one
-        :func:`~repro.engine.batch.fold_cells`.  Then each hit instance
-        gets the bookkeeping its scalar ``update`` does: its incidence
-        rows counted and its mutation counter bumped.
-        """
-        rows, buckets = self.params.rows, self.params.buckets
-        mixed = premix64_np(index)[e_p]
-        width = width[e_p]
-        # (pair, group): one level hash and `rows` bucket hashes.
-        p_q, g_q = _expand(self._groups[i_p])
-        group = self._group_ptr[i_p][p_q] + g_q
-        h = hash64_premixed(self._group_seeds[group], mixed[p_q][:, None])
-        # (pair, group, level): the in-member cell offset per row.
-        q_t, lvl = _expand(level_counts_np(h[:, 0], self._levels))
-        p_t = p_q[q_t]
-        bucket = bucket_np(
-            h[q_t, 1:] ^ self._salts[i_p[p_t], lvl][:, None], buckets
-        )
-        cell = (
-            lvl[:, None] * rows + np.arange(rows)
-        ) * buckets + bucket.astype(np.int64)
-        # (pair, incidence row): member, delta and the two residues.
+        if i_p.size == 0:
+            return events
+        width = np.diff(ptr)[e_p]
         p_u, c_u = _expand(width)
-        v_u = ptr[e_p][p_u] + c_u
-        i_u = i_p[p_u]
-        delta = coef[v_u]
-        cs = index_sums(delta, index[e_p][p_u], self.scheme.dimension)
-        rho = hash64_premixed(self._rho_seeds[i_p], mixed[:, None])
-        cf = mul_vec_mod(
-            delta % _P, field_residue_np(rho[:, 0], rho[:, 1], _P)[p_u]
+        v_u = ptr[e_p][p_u] + c_u  # the pairs' rows, in (verts, coef)
+        fold_stack(
+            self._hashes, (self._arena,) * 3, self._group_base, self._plane,
+            i_p, index[e_p], np.concatenate(([0], np.cumsum(width))),
+            self._member_lut[i_p[p_u], verts[v_u]], coef[v_u],
         )
-        member = self._member_lut[i_u, verts[v_u]]
-        member_at = member * self._member_stride
-        # (pair, group, level, incidence row) x rows: the cells touched.
-        t_x, c_x = _expand(width[p_t])
-        u_x = (np.cumsum(width) - width)[p_t][t_x] + c_x
-        flat = (
-            (self._group_base[group][q_t][t_x] + member_at[u_x])[:, None]
-            + cell[t_x]
-        ).reshape(-1)
-        u_n = np.repeat(u_x, rows)
-        fold_cells(
-            (self._arena,) * 3, flat, delta[u_n], cs[u_n], cf[u_n],
-            plane_shift=self._plane[i_u][u_n],
-        )
-        # Rows come in pair order, so in runs of ascending instance.
-        insts, counts = np.unique(i_u, return_counts=True)
-        for i, count in zip(insts.tolist(), counts.tolist()):
+        counts = np.bincount(i_p, weights=width).astype(np.int64)
+        for i in np.flatnonzero(counts).tolist():
             grid = self.sketches[i].grid
-            grid._updates += count
+            grid._updates += int(counts[i])
             grid._touch()
+        return events
 
     def insert(self, edge: Sequence[int]) -> None:
         """Stream insertion of a (hyper)edge."""

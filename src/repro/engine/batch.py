@@ -1,13 +1,14 @@
-"""Vectorised batch-update kernels for :class:`~repro.sketch.bank.SamplerGrid`.
+"""The batch-ingest kernel: one fold for every stack of grids.
 
 The scalar ``SamplerGrid.update`` walks ``groups × rows × (depth+1)``
-counter cells in Python per stream event.  The kernel here applies a
-whole *array* of updates at once: the level depths, bucket choices and
-modular cell contributions for every update are computed with numpy
-(:func:`~repro.util.hashing.hash64_premixed` /
-:func:`~repro.util.prime_field.mul_vec_mod`), and every contribution is
-added straight into its destination cell by :func:`fold_cells` — the
-sketches are linear, so no stage groups or orders the cells.
+counter cells in Python per stream event.  :func:`fold_stack` applies a
+whole batch at once to a stack of same-geometry grids — a lone grid is
+a stack of one (:func:`grid_update_batch`), the R instances of
+:class:`~repro.core._sampled.SampledForestUnion` a stack of R in one
+arena: the level depths, bucket choices and modular cell contributions
+are computed with numpy, and every contribution is added straight into
+its destination cell by :func:`fold_cells` — the sketches are linear,
+so no stage groups or orders the cells.
 
 The result is **bit-identical** to applying the same updates one at a
 time (the equivalence tests enforce this across seeds): plain ``int64``
@@ -15,10 +16,9 @@ addition is exact for the weight counters, and the modular counters
 are folded so that no cell can overflow before it is reduced mod
 ``2^61 - 1`` (see :func:`fold_cells`).
 
-:func:`expand_edge_batch` is the bridge from *edge* streams to *row*
-batches: it expands a batch of signed hyperedges into the signed
-incidence-row updates of the paper's Section 4.1 scheme, which is what
-the spanning-forest and skeleton sketches feed through the kernel.
+:func:`expand_edges` is the bridge from *edge* streams: it expands a
+batch of signed hyperedges into the signed incidence rows of the
+paper's Section 4.1 scheme.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from ..errors import DomainError, IncompatibleSketchError, NotOneSparseError
 from ..util.hashing import (
     bucket_np,
-    field_value_many,
     hash64_premixed,
     level_counts_np,
     premix64_np,
@@ -54,35 +53,25 @@ _MASK32 = np.int64(0xFFFFFFFF)
 _THREAD_ENTRIES = 1 << 15
 
 
-def _as_update_arrays(
-    members, indices, deltas
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coerce and cross-validate the three parallel update arrays."""
-    m = np.ascontiguousarray(members, dtype=np.int64).ravel()
-    i = np.ascontiguousarray(indices, dtype=np.int64).ravel()
-    d = np.ascontiguousarray(deltas, dtype=np.int64).ravel()
-    if not (m.shape == i.shape == d.shape):
-        raise IncompatibleSketchError(
-            f"update batch arrays disagree in length: "
-            f"{m.size} members, {i.size} indices, {d.size} deltas"
-        )
-    return m, i, d
-
-
 def grid_update_batch(grid, members, indices, deltas) -> int:
     """Apply ``x_member[index] += delta`` for a whole batch of updates.
 
     Parameters are parallel 1-D arrays (any integer sequence).  Returns
     the number of (nonzero-delta) updates applied.  The grid state after
     this call is bit-identical to applying the same updates through the
-    scalar ``grid.update`` loop, in any order.
-
-    There is one kernel, :func:`_grid_update_batch_fused`; it gathers
-    placements from the grid's tables when
+    scalar ``grid.update`` loop, in any order.  The batch folds through
+    :func:`fold_stack`, the grid a stack of one keyed by coordinate,
+    with the grid's placement tables when
     :meth:`~repro.sketch.bank.SamplerGrid.attach_hash_cache` attached
-    them and hashes them otherwise.
+    them.
     """
-    m, idx, d = _as_update_arrays(members, indices, deltas)
+    m, idx, d = (np.ascontiguousarray(a, dtype=np.int64).ravel()
+                 for a in (members, indices, deltas))
+    if not (m.shape == idx.shape == d.shape):
+        raise IncompatibleSketchError(
+            f"update batch arrays disagree in length: "
+            f"{m.size} members, {idx.size} indices, {d.size} deltas"
+        )
     nz = d != 0
     if not nz.all():
         m, idx, d = m[nz], idx[nz], d[nz]
@@ -98,31 +87,33 @@ def grid_update_batch(grid, members, indices, deltas) -> int:
     grid._updates += applied
     grid._touch()
 
-    if m.size > 1 and _magnitude(d) * m.size < _EXACT_BOUND:
+    # Key the rows by coordinate: sorted coordinate-major, each
+    # coordinate's rows form a run.
+    key = idx * np.int64(grid.members) + m
+    order = np.argsort(key, kind="stable")
+    key, m, idx, d = key[order], m[order], idx[order], d[order]
+    if _magnitude(d) * m.size < _EXACT_BOUND:
         # Coalesce duplicate (member, index) coordinates to their net
-        # delta before the per-group expansion: every cell contribution
-        # is linear in the delta for a fixed coordinate, and the folds
-        # are order-independent, so folding the net value is
-        # bit-identical to folding each event, while churny batches
-        # (insert + delete of the same edge) shrink dramatically.  The
-        # guard keeps each net inside int64: a wrapped net would fold
-        # the wrong residue mod p.
-        key = m * np.int64(grid.domain) + idx
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-        if starts.size < m.size:
-            net = np.add.reduceat(d[order], starts)
-            keep = net != 0
-            sel = order[starts[keep]]
-            m, idx, d = m[sel], idx[sel], net[keep]
-            if m.size == 0:
-                return applied
-
-    # Per-update modular cell contributions, shared by every group.
-    cs = index_sums(d, idx, grid.domain)
-    cf = mul_vec_mod(d % _P, field_value_many(grid._rho.seed, idx, _P))
-    _grid_update_batch_fused(grid, grid._hash_cache, m, idx, d, cs, cf)
+        # delta: every cell contribution is linear in the delta for a
+        # fixed coordinate, and the folds are order-independent, so
+        # folding the net value is bit-identical to folding each
+        # event, while churny batches (insert + delete of the same
+        # edge) shrink dramatically.  The guard keeps each net inside
+        # int64: a wrapped net would fold the wrong residue mod p.
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        net = np.add.reduceat(d, starts)
+        keep = net != 0
+        m, idx, d = m[starts[keep]], idx[starts[keep]], net[keep]
+        if m.size == 0:
+            return applied
+    runs = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+    fold_stack(
+        grid._hashes, (grid._w.reshape(-1), grid._s.reshape(-1),
+                       grid._f.reshape(-1)),
+        np.arange(grid.groups) * grid._w[0].size, None,
+        np.zeros(runs.size, dtype=np.int64), idx[runs],
+        np.append(runs, m.size), m, d, grid._hash_cache,
+    )
     return applied
 
 
@@ -179,9 +170,8 @@ def _fold_mod(plane: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
 def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
     """Fold per-entry contributions into their destination cells.
 
-    The one counter write behind every batch kernel: the grid kernel
-    here and the cross-instance kernel of
-    :class:`~repro.core._sampled.SampledForestUnion`.  ``flat`` names
+    The one counter write behind batch ingest (:func:`fold_stack`) and
+    the decode's ``minus=`` subtraction.  ``flat`` names
     each entry's cell as an offset into the flat weight plane, and
     cells may repeat.  ``d`` holds the entries' exact weight deltas;
     ``cs`` / ``cf`` hold ``int64`` values congruent mod p to their
@@ -210,141 +200,191 @@ def fold_cells(planes, flat, d, cs, cf, plane_shift=None):
     _fold_mod(f_plane, f_cells, cf)
 
 
-def _grid_update_batch_fused(grid, cache, m, idx, d, cs, cf) -> None:
-    """One fused pass per row over the whole SoA block, all groups.
+def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR expansion of a nonempty ``counts``: the ``(owner, local)``
+    index pair of each of the ``counts[j]`` entries that ``j`` owns."""
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(counts.size), counts)
+    local = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    return owner, local
 
-    Expands the surviving ``(group, update, level)`` triples *once* —
-    depths and cells gathered from the placement tables when attached,
-    or hashed here — addresses them as **global** flat offsets into the
-    contiguous counter planes, and folds all groups' cells together
-    with one :func:`fold_cells` per row.  Every hash it needs is taken
-    once per (group, update) — one
-    :func:`~repro.util.hashing.premix64_np` of the batch finished under
-    each group's seeds — and read back per triple through its flat
-    ``group * U + update`` slot.  A triple's cells are exactly the ones
-    the scalar ``update`` writes for it, and the folds are
-    order-independent, so the counters are bit-identical to the scalar
-    loop's.  From :data:`_THREAD_ENTRIES` triples on, the rows fold on
-    two threads (:func:`_fold_rows`).
+
+def fold_stack(hashes, planes, group_base, plane_shift,
+               inst, coord, ptr, member, delta, cache=None) -> None:
+    """The batch-ingest kernel: fold a CSR batch into a stack of grids.
+
+    Grid ``i`` of the stack owns the global groups ``first[i] + g`` of
+    the :class:`~repro.sketch.bank.HashStack` ``hashes``; group ``q``'s
+    members start at ``group_base[q]`` of the flat weight plane, one
+    ``levels · rows · buckets`` block each, and ``planes`` /
+    ``plane_shift`` (None, or one per grid) place the other counters
+    as in :func:`fold_cells`.  Key ``k`` of the batch, keys sorted by
+    grid, adds each of its rows ``ptr[k]:ptr[k+1]`` of (nonzero)
+    ``delta`` to coordinate ``coord[k]`` of that ``member`` of grid
+    ``inst[k]``.
+
+    A coordinate is hashed once per (key, group) slot — group-major in
+    a stack of one, its seeds broadcast — and bucketed once per (slot,
+    level) triple and hash row; ``cache``, a stack of one's placement
+    tables, supplies both instead.  Keys of equal width lay their
+    entries out row position first, so a lone rank-2 grid keyed in
+    coordinate order writes the larger endpoints' cells in member
+    order.  The cells are the scalar ``update``'s, so the counters are
+    bit-identical to its loop.  From :data:`_THREAD_ENTRIES` entries
+    per hash row the rows fold on two threads (:func:`_fold_rows`).
     """
-    G, U = grid.groups, m.size
-    levels, rows, buckets = grid.levels, grid.rows, grid.buckets
-    if cache is not None:
-        counts = cache.depth[:, idx].reshape(-1).astype(np.int64) + 1
+    levels, rows, buckets = hashes.levels, hashes.rows, hashes.buckets
+    mixed = premix64_np(coord)
+    # (key, group) slots: group-major in a stack of one, its seeds
+    # broadcast over the keys; key-major across grids, seeds gathered.
+    if inst[0] == inst[-1]:
+        qs = hashes.first[inst[0]] + np.arange(
+            np.count_nonzero(hashes.owner == inst[0]))
+        slot_q = np.repeat(qs, coord.size)
+        slot_key = np.tile(np.arange(coord.size), qs.size)
+        if cache is None:
+            seeds = hashes.group_seeds[qs].T[:, :, None]
+            h = hash64_premixed(seeds, mixed).reshape(rows + 1, -1)
     else:
-        # One hash per (seed, group, update): the level seed's, then
-        # one per row.
-        seeds = grid._hashes.group_seeds.T
-        h = hash64_premixed(seeds[:, :, None], premix64_np(idx))
-        h = h.reshape(seeds.shape[0], -1)
-        counts = level_counts_np(h[0], levels)
-        h = h[1:]
-    # Explicit (group, update, level) triple expansion, group-major.
-    cum = np.cumsum(counts)
-    slot = np.repeat(np.arange(G * U, dtype=np.int64), counts)
-    lvl = np.arange(cum[-1], dtype=np.int64) - np.repeat(cum - counts, counts)
-    u_p = np.tile(np.arange(U, dtype=np.int64), G)[slot]
-    d_pairs, cs_pairs, cf_pairs = d[u_p], cs[u_p], cf[u_p]
-    # (group, member) block of every triple, in member strides.
-    block = (np.arange(G, dtype=np.int64)[:, None] * grid.members + m)
-    block = block.reshape(-1)[slot]
-    planes = (grid._w.reshape(-1), grid._s.reshape(-1), grid._f.reshape(-1))
-    if cache is not None:
-        span = grid.domain * levels  # one (group, row) offset table
-        off = cache.off.reshape(-1)
-        key = (
-            np.arange(G, dtype=np.int64)[:, None] * (rows * span)
-            + idx * levels
-        ).reshape(-1)[slot] + lvl
-        base = block * (levels * rows * buckets)
+        groups = np.bincount(hashes.owner, minlength=hashes.first.size)
+        slot_key, g = _expand(groups[inst])
+        slot_q = hashes.first[inst][slot_key] + g
+        h = hash64_premixed(
+            np.take(hashes.group_seeds.T, slot_q, axis=1), mixed[slot_key]
+        )
+    counts = (level_counts_np(h[0], levels) if cache is None else
+              cache.depth[:, coord].reshape(-1).astype(np.int64) + 1)
+    t_slot, lvl = _expand(counts)
+    t_key, t_q = slot_key[t_slot], slot_q[t_slot]
+    # (row position, triple) entries: every incidence row of the
+    # triple's key; spread() takes a per-triple array to them.
+    width = np.diff(ptr)
+    if (width == width[0]).all():
+        # Equal widths: the entries are a (width, triple) grid.
+        row = ptr[t_key] + np.arange(width[0])[:, None]
 
-        def cells(r):
-            return base + off[key + r * span]
+        def spread(a):
+            return a[..., None, :]
     else:
-        salt = grid._hashes.salts[0][lvl]
-        row0 = (block * levels + lvl) * (rows * buckets)
+        x_t, x_c = _expand(width[t_key])
+        row = ptr[t_key][x_t] + x_c
 
-        def cells(r):
-            b = bucket_np(h[r][slot] ^ salt, buckets)
-            flat = b.view(np.int64)  # buckets < 2^63: the same integers
-            flat += row0 + r * buckets
-            return flat
+        def spread(a):
+            return np.take(a, x_t, axis=-1)
+    base = spread(group_base[t_q]) + member[row] * (levels * rows * buckets)
+    row = row.reshape(-1)
+    # Per-row contributions, one fingerprint hash per key (a grid's
+    # group 0 names its fingerprint seed).
+    row_key = np.repeat(np.arange(coord.size), width)
+    rho = hashes.rho(hashes.first[inst], mixed)
+    cs = index_sums(delta, coord[row_key], hashes.domain)
+    cf = mul_vec_mod(delta % _P, rho[row_key])
+    shift = None if plane_shift is None else plane_shift[inst[row_key]]
+    r_all = np.arange(rows, dtype=np.int64)[:, None]
+    if cache is not None:
+        span = hashes.domain * levels  # one (group, row) offset table
+        key = t_q * (rows * span) + coord[t_key] * levels + lvl
 
-    def fold_row(r):
-        fold_cells(planes, cells(r), d_pairs, cs_pairs, cf_pairs)
+        def cells(rs):
+            return np.take(cache.off, key + r_all[rs] * span)
+    else:
+        salt = hashes.salts[hashes.owner[t_q], lvl]
+        cell0 = lvl * (rows * buckets) + r_all * buckets
 
-    _fold_rows(rows, fold_row, lvl.size >= _THREAD_ENTRIES)
+        def cells(rs):  # buckets < 2^63: the view keeps the integers
+            b = bucket_np(np.take(h[1:][rs], t_slot, axis=1) ^ salt, buckets)
+            return b.view(np.int64) + cell0[rs]
+
+    def fold(rs):
+        flat = (base + spread(cells(rs))).reshape(-1)
+        at = row if flat.size == row.size else np.tile(row, flat.size // row.size)
+        fold_cells(
+            planes, flat, delta[at], cs[at], cf[at],
+            None if shift is None else shift[at],
+        )
+
+    _fold_rows(rows, fold, base.size >= _THREAD_ENTRIES)
 
 
-def _fold_rows(rows: int, fold_row, threaded: bool) -> None:
-    """``fold_row(r)`` for every ``r in range(rows)``, two rows at a
-    time when ``threaded``.
+def _fold_rows(rows: int, fold, threaded: bool) -> None:
+    """``fold(rs)`` over the hash rows ``range(rows)[rs]``: all rows in
+    one call, or, when ``threaded``, the even and the odd rows at once.
 
     Each hash row writes only its own counter cells, so two rows can
     fold at once with no lock, and most of a row fold is numpy work
-    that releases the GIL.  Threaded, one short-lived thread runs the
-    odd rows while the calling thread runs the even ones; it is joined
-    before this returns, and an exception it raised is re-raised here.
-    Otherwise the same ``fold_row`` runs inline, row by row.
+    that releases the GIL.  Threaded, one short-lived thread folds the
+    odd rows while the calling thread folds the even ones; it is
+    joined before this returns, and an exception it raised is re-raised
+    here.
     """
     if not threaded or rows < 2:
-        for r in range(rows):
-            fold_row(r)
+        fold(slice(0, rows))
         return
     failure = []
 
     def odd_rows():
         try:
-            for r in range(1, rows, 2):
-                fold_row(r)
+            fold(slice(1, rows, 2))
         except BaseException as exc:  # re-raised on the calling thread
             failure.append(exc)
 
     thread = threading.Thread(target=odd_rows, name="repro-fold-rows")
     thread.start()
     try:
-        for r in range(0, rows, 2):
-            fold_row(r)
+        fold(slice(0, rows, 2))
     finally:
         thread.join()
     if failure:
         raise failure[0]
 
 
-def expand_edge_batch(
-    scheme, member_of, updates: Iterable
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand signed hyperedges into signed incidence-row updates.
+def expand_edges(
+    scheme, updates: Iterable, member_of=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a batch of signed hyperedges and expand each into its
+    incidence rows, event by event.
 
     ``updates`` yields :class:`~repro.stream.updates.EdgeUpdate`-likes
     (anything with ``edge`` and ``sign``) or ``(edge, sign)`` pairs.
-    Each edge of cardinality k contributes k rows — coefficient
-    ``k - 1`` for its minimum vertex, ``-1`` for the rest, times the
-    sign — addressed through ``member_of`` (vertex -> grid member).
-    Returns the three parallel arrays :func:`grid_update_batch` takes.
+    Returns ``(index, ptr, vertices, coefficients)``: edge ``e`` has
+    coordinate ``index[e]`` and the rows ``ptr[e]:ptr[e+1]`` — its
+    vertices, addressed through ``member_of`` (vertex -> grid member)
+    when given, with coefficient ``k - 1`` for the minimum vertex and
+    ``-1`` for the rest, times the sign.
     """
-    members: List[int] = []
-    indices: List[int] = []
-    deltas: List[int] = []
+    index: List[int] = []
+    ptr: List[int] = [0]
+    verts: List[int] = []
+    coef: List[int] = []
     for u in updates:
         edge, sign = (u.edge, u.sign) if hasattr(u, "edge") else u
         if sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {sign}")
-        index = scheme.index_of(edge)
-        for vertex, coeff in scheme.coefficients(edge):
-            member = member_of.get(vertex)
-            if member is None:
-                raise DomainError(
-                    f"edge {tuple(edge)} touches inactive vertex {vertex}"
-                )
-            members.append(member)
-            indices.append(index)
-            deltas.append(sign * coeff)
-    return (
-        np.array(members, dtype=np.int64),
-        np.array(indices, dtype=np.int64),
-        np.array(deltas, dtype=np.int64),
+        index.append(scheme.index_of(edge))
+        for vertex, c in scheme.coefficients(edge):
+            if member_of is not None:
+                member = member_of.get(vertex)
+                if member is None:
+                    raise DomainError(
+                        f"edge {tuple(edge)} touches inactive vertex {vertex}"
+                    )
+                vertex = member
+            verts.append(vertex)
+            coef.append(sign * c)
+        ptr.append(len(verts))
+    return tuple(
+        np.array(col, dtype=np.int64) for col in (index, ptr, verts, coef)
     )
+
+
+def expand_edge_batch(
+    scheme, member_of, updates: Iterable
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of :func:`expand_edges` as the three parallel
+    ``(members, indices, deltas)`` arrays :func:`grid_update_batch`
+    takes."""
+    index, ptr, members, deltas = expand_edges(scheme, updates, member_of)
+    return members, np.repeat(index, np.diff(ptr)), deltas
 
 
 def pairs_of_updates(updates: Sequence):
@@ -389,7 +429,7 @@ def expand_pair_batch(
     the colex coordinate order for every ``r >= 2``, so the coordinate
     of ``{u < v}`` is the closed form ``u + v(v-1)/2`` and the whole
     expansion (coefficients ``+sign`` for the minimum vertex, ``-sign``
-    for the other, in :func:`expand_edge_batch`'s per-edge order) runs
+    for the other, in :func:`expand_edges`' per-edge order) runs
     without any per-event Python.  Returns the three parallel arrays
     :func:`grid_update_batch` takes — bit-identical to the generic
     expansion of the same edges.

@@ -3,10 +3,11 @@
 FoundationDB-style testing for the fleet: the production servers,
 clients, and coordinator run unmodified on a **virtual-time event
 loop** with a **simulated network** and **simulated disks**, while a
-seeded fault schedule injects crashes, power cuts, partitions, resets,
-and full disks.  Virtual time makes each multi-second scenario run in
-milliseconds; seeding makes every run exactly replayable; the shrinker
-turns any failure into a minimal reproducer.
+seeded fault schedule injects crashes, power cuts, lost disks,
+partitions, resets, and full disks.  Virtual time makes each
+multi-second scenario run in milliseconds; seeding makes every run
+exactly replayable; the shrinker turns any failure into a minimal
+reproducer.
 
 Quick start::
 

@@ -221,6 +221,13 @@ class SimFilesystem(Filesystem):
         for state in self._files.values():
             state.clamp(state.synced)
 
+    def wipe(self, path: str) -> None:
+        """Lose ``path`` and all under it: a stopped node's dead disk."""
+        gone = _norm(path) + "/"
+        self._files = {p: f for p, f in self._files.items()
+                       if not (p + "/").startswith(gone)}
+        self._dirs = {d for d in self._dirs if not (d + "/").startswith(gone)}
+
     # -- Filesystem surface ---------------------------------------------
 
     def open(self, path: str, mode: str = "rb"):

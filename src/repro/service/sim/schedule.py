@@ -2,12 +2,13 @@
 
 A **schedule** is the entire plan of misfortune for one simulated run:
 a list of :class:`FaultEvent` rows saying *when* (virtual seconds)
-*what* (kill, power loss, partition, full disk, connection resets)
-happens to *which* replica, and for how long.  Schedules are pure data
-derived from a seed — the same seed always generates the same events,
-and :func:`FaultSchedule.to_json` / :func:`FaultSchedule.from_json`
-round-trip them so a failure found in a thousand-schedule sweep can be
-replayed (and committed as a regression test) verbatim.
+*what* (kill, power loss, lost disk, partition, full disk, connection
+resets) happens to *which* replica, and for how long.  Schedules are
+pure data derived from a seed — the same seed always generates the
+same events, and :func:`FaultSchedule.to_json` /
+:func:`FaultSchedule.from_json` round-trip them so a failure found in
+a thousand-schedule sweep can be replayed (and committed as a
+regression test) verbatim.
 
 When a schedule fails an invariant, :func:`shrink` runs classic ddmin
 over the event list: it re-executes the world with ever-smaller
@@ -31,10 +32,13 @@ __all__ = ["FaultEvent", "FaultSchedule", "generate_schedule", "shrink"]
 #: ``stall_out`` / ``stall_both`` blackhole one or both directions of a
 #: replica's traffic for ``duration``; ``block`` refuses its port
 #: entirely; ``reset_conns`` RSTs live connections once; ``wal_full``
-#: caps the replica's disk for ``duration``.
+#: caps the replica's disk for ``duration``; ``disk_loss`` is a kill
+#: whose replica comes back on a blank disk, without its checkpoints
+#: and WAL.
 KINDS = (
     "kill",
     "power_loss",
+    "disk_loss",
     "stall_in",
     "stall_out",
     "stall_both",
@@ -108,7 +112,9 @@ def generate_schedule(
     Kills and stalls are weighted up — they are the faults the
     replication layer exists to survive; power loss and full disks are
     rarer, like life.  Events land in the first ~70% of the horizon so
-    the tail of the run exercises recovery, not just injury.
+    the tail of the run exercises recovery, not just injury.  A fleet
+    may lose at most one disk: the write quorum keeps each acked batch
+    on another replica.
     """
     rng = random.Random(seed * 2654435761 % (1 << 31))
     weights = {
@@ -116,15 +122,18 @@ def generate_schedule(
         "block": 3, "reset_conns": 3, "wal_full": 2, "power_loss": 1,
     }
     kinds = [k for k, w in weights.items() for _ in range(w)]
-    events = []
-    for _ in range(rng.randint(1, max_events)):
-        kind = rng.choice(kinds)
-        events.append(FaultEvent(
+
+    def draw(kind: str) -> FaultEvent:
+        return FaultEvent(
             at=round(rng.uniform(0.2, horizon * 0.7), 3),
             kind=kind,
             replica=rng.randrange(replicas),
             duration=round(rng.uniform(0.5, horizon * 0.4), 3),
-        ))
+        )
+
+    events = [draw(rng.choice(kinds)) for _ in range(rng.randint(1, max_events))]
+    if replicas > 1 and rng.random() < 0.25:
+        events.append(draw("disk_loss"))
     events.sort(key=lambda e: (e.at, e.replica, e.kind))
     return FaultSchedule(seed=seed, replicas=replicas, events=events)
 

@@ -8,9 +8,9 @@ twin: :class:`~repro.service.sim.loop.SimClock` for time,
 :class:`~repro.service.sim.fs.SimFilesystem` (one per node) for disks,
 and an inline offload so nothing ever leaves the single thread.  A
 seeded :class:`~repro.service.sim.schedule.FaultSchedule` then rains
-kills, power cuts, partitions, resets, and full disks on the fleet
-while a coordinator drives stamped quorum writes through the ordinary
-:class:`~repro.service.replication.ReplicaSet` path.
+kills, power cuts, lost disks, partitions, resets, and full disks on
+the fleet while a coordinator drives stamped quorum writes through the
+ordinary :class:`~repro.service.replication.ReplicaSet` path.
 
 Because time is virtual, an eight-virtual-second run of three servers
 plus crash-recovery completes in tens of milliseconds of wall clock —
@@ -109,13 +109,14 @@ class _SimReplica:
         self.index = index
         self.port = _BASE_PORT + index
         self.fs = SimFilesystem()
+        self.data_dir = f"/r{index}/data"  # checkpoints and WAL
         self.server: Optional[SketchServer] = None
         self.up = False
         self.restarts = 0
 
     def _registry(self) -> SketchRegistry:
         return SketchRegistry(
-            checkpoint_dir=f"/r{self.index}/data",
+            checkpoint_dir=self.data_dir,
             wal=True,
             wal_fsync="always",
             fs=self.fs,
@@ -219,8 +220,10 @@ class SimWorld:
     async def _apply_event(self, event: FaultEvent) -> None:
         replica = self.replicas[event.replica % len(self.replicas)]
         port = replica.port
-        if event.kind in ("kill", "power_loss"):
+        if event.kind in ("kill", "power_loss", "disk_loss"):
             await replica.kill(power=event.kind == "power_loss")
+            if event.kind == "disk_loss":
+                replica.fs.wipe(replica.data_dir)
             await self.clock.sleep(max(0.2, event.duration))
             await replica.start(resume=True)
         elif event.kind == "stall_in":

@@ -109,7 +109,7 @@ def set_query_metrics(metrics) -> object:
 # depth of every coordinate, and per (group, row) the *flat in-member
 # cell offset* ``(lvl * rows + r) * buckets + bucket`` of every
 # (coordinate, level) pair — exactly the address arithmetic of
-# :func:`repro.engine.batch.grid_update_batch`, so the kernel gives
+# :func:`repro.engine.batch.fold_stack`, so the kernel gives
 # bit-identical counters with or without them by construction.
 
 
@@ -551,15 +551,8 @@ class SamplerGrid:
                     f_base[lvl, b] = fv - _P if fv >= _P else fv
 
     def update_batch(self, members, indices, deltas) -> int:
-        """Apply a whole array of ``x_member[index] += delta`` updates.
-
-        Parameters are parallel 1-D integer arrays.  The final counter
-        state is bit-identical to looping :meth:`update` over the batch
-        (updates commute), but the hashing, placement, and modular cell
-        arithmetic are vectorised with numpy — the engine's fast path
-        for heavy streams.  Returns the number of nonzero-delta updates
-        applied.  See :func:`repro.engine.batch.grid_update_batch`.
-        """
+        """:meth:`update` over parallel arrays, vectorised: see
+        :func:`repro.engine.batch.grid_update_batch`."""
         from ..engine.batch import grid_update_batch
 
         return grid_update_batch(self, members, indices, deltas)

@@ -107,9 +107,6 @@ def hash64_many(seed: int, values: np.ndarray) -> np.ndarray:
 
     The transpose of :func:`hash64_np`: bit-identical to calling
     :func:`hash64` element-by-element, but vectorised over the values.
-    This is the hot primitive of the batched ingestion engine
-    (:mod:`repro.engine.batch`), which hashes a whole batch of
-    coordinates per (group, row) rather than one coordinate per call.
     """
     with np.errstate(over="ignore"):
         v = splitmix64_np(values.astype(_U64))
@@ -151,21 +148,6 @@ def field_residue_np(hi: np.ndarray, lo: np.ndarray, p: int) -> np.ndarray:
         return (
             ((hi % pv) * np.uint64((1 << 64) % p)) % pv + lo % pv
         ) % pv
-
-
-def field_value_many(seed: int, values: np.ndarray, p: int) -> np.ndarray:
-    """Vectorised :meth:`HashFamily.field_value` over an array of inputs.
-
-    Matches the scalar ``((hi << 64) | lo) % p`` bit-for-bit for the
-    Mersenne prime ``p = 2^61 - 1``.  This is the fingerprint primitive
-    of both the batched update kernel (:mod:`repro.engine.batch`) and
-    the batched decode kernels (:mod:`repro.sketch.bank`).
-    """
-    return field_residue_np(
-        hash64_many(seed, values),
-        hash64_many(seed ^ _FIELD_TWEAK, values),
-        p,
-    ).astype(np.int64)
 
 
 def trailing_zeros64_np(x: np.ndarray) -> np.ndarray:

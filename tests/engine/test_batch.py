@@ -79,6 +79,26 @@ class TestGridBatchEquivalence:
         batched.update_batch(m, i, d)
         assert grids_equal(scalar, batched)
 
+    def test_duplicate_rows_across_coordinates(self):
+        """Duplicate (member, index) rows spread over several
+        coordinates, |delta| > 1, in shuffled order: some nets cancel,
+        one coordinate loses every row, and the coordinate-keyed fold
+        equals the scalar loop."""
+        rows = [
+            (0, 7, 3), (2, 7, -5), (0, 7, -3), (3, 7, 2),  # (0, 7) cancels
+            (1, 11, 4), (1, 11, 4), (3, 11, -2),            # (1, 11) nets 8
+            (2, 19, 6), (2, 19, -6), (4, 19, 2), (4, 19, -2),  # all of 19
+            (0, 23, -9), (0, 23, 9), (1, 23, 5), (5, 23, -7),
+        ]
+        order = np.random.default_rng(4).permutation(len(rows))
+        m, i, d = (np.array(col)[order] for col in zip(*rows))
+        scalar = SamplerGrid(groups=3, members=6, domain=40, seed=8)
+        batched = SamplerGrid(groups=3, members=6, domain=40, seed=8)
+        for mm, ii, dd in zip(m.tolist(), i.tolist(), d.tolist()):
+            scalar.update(mm, ii, dd)
+        assert batched.update_batch(m, i, d) == len(rows)
+        assert grids_equal(scalar, batched)
+
     def test_insert_then_delete_cancels(self):
         grid = SamplerGrid(groups=2, members=4, domain=64, seed=3)
         rng = np.random.default_rng(0)
@@ -258,6 +278,38 @@ class TestThreadedRows:
         assert {dump_sketch(sk) for sk in sketches} == {dump_sketch(serial)}
 
 
+    def test_union_rows_under_a_short_switch_interval(self, monkeypatch):
+        """The same stress for the union's arena: three unions folding
+        threaded batches at once end equal to all-inline folds."""
+        from repro.core._sampled import SampledForestUnion
+
+        monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", 0)
+        batches = [churn_pairs(seed, 24, 60) for seed in range(4)]
+        unions = [SampledForestUnion(24, 2, 12, seed=5) for _ in range(3)]
+
+        def feed(union):
+            for pairs in batches:
+                union.update_batch_pairs(*pairs)
+
+        workers = [threading.Thread(target=feed, args=(u,)) for u in unions]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+
+        monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", sys.maxsize)
+        serial = SampledForestUnion(24, 2, 12, seed=5)
+        feed(serial)
+        for union in unions:
+            assert np.array_equal(union._arena, serial._arena)
+
+
 class TestExpandEdgeBatch:
     def test_pairs_and_updates_accepted(self):
         sk = SpanningForestSketch(6, seed=0)
@@ -283,6 +335,68 @@ class TestExpandEdgeBatch:
         sk = SpanningForestSketch(6, seed=0, vertices=[0, 1, 2])
         with pytest.raises(DomainError):
             expand_edge_batch(sk.scheme, sk._member_of, [((0, 5), 1)])
+
+
+def outcome(call):
+    """``(error type, message)`` of a call, or None when it succeeds."""
+    try:
+        call()
+    except Exception as exc:  # the type and text are the assertion
+        return type(exc), str(exc)
+    return None
+
+
+class TestExpansionErrors:
+    """Batches with one bad event after a good one, against what the
+    scalar ``update`` of the bad event raises.  The per-event expansion
+    checks in the scalar order, so type and message agree; the rank-2
+    pair path names the batch instead of the edge for inactive and
+    out-of-range vertices.  A rejected batch folds nothing."""
+
+    GOOD = ((0, 1), 1)
+
+    def check(self, make, bad, want=None):
+        scalar = outcome(lambda: make().update(*bad))
+        sketch = make()
+        got = outcome(lambda: sketch.update_batch([self.GOOD, bad]))
+        assert scalar is not None and got is not None
+        assert got == (want or scalar)
+        assert not sketch.grid._w.any()
+
+    @pytest.mark.parametrize("bad", [
+        ((0, 5), 1), ((0, 1, 5), 1), ((0, 1), 2), ((0, 1), 0),
+        ((0, 1, 2, 3), 1), ((0, 9), 1), ((2, 2), 1),
+    ])
+    def test_rank3_subset_forest_matches_scalar(self, bad):
+        self.check(
+            lambda: SpanningForestSketch(8, r=3, seed=1, vertices=range(5)),
+            bad,
+        )
+
+    @pytest.mark.parametrize("bad, want", [
+        (((0, 5), 1), "edge batch touches inactive vertex 5"),
+        (((0, 9), 1), "pair batch mentions a vertex outside [0, 8)"),
+        (((0, 1), 2), None), (((2, 2), 1), None), (((0, 1, 2), 1), None),
+    ])
+    def test_rank2_subset_forest(self, bad, want):
+        self.check(
+            lambda: SpanningForestSketch(8, seed=1, vertices=range(5)),
+            bad, want and (DomainError, want),
+        )
+
+    @pytest.mark.parametrize("bad", [
+        ((0, 1), 2), ((0, 1, 2, 3), 1), ((0, 9), 1), ((3, 3, 4), 1),
+    ])
+    def test_rank3_union_matches_scalar_route(self, bad):
+        from repro.core._sampled import SampledForestUnion
+
+        union = SampledForestUnion(8, 1, 4, r=3, seed=2)
+        instance = union.sketches[min(union.sketches)]
+        want = outcome(lambda: instance.update(*bad))
+        for call in (lambda: union.update_batch([((0, 1, 2), 1), bad]),
+                     lambda: union.update(*bad)):
+            assert outcome(call) == want
+        assert not union._arena.any() and union._updates == 0
 
 
 class TestFoldCells:

@@ -10,7 +10,8 @@ batches, with direct ``sketches[i].update`` calls and audits
 interleaved; afterwards every instance must serialize to the same
 bytes, the union bookkeeping (``_updates``, ``_dirty``, the decoded
 certificate) must agree, and every instance must pass the audit's row
-check — with no scalar ``update`` run by the union itself.
+check — with no scalar ``update`` run by the union itself, and on
+either side of the kernel's row-threading gate.
 
 **Decode.**  The union decodes its dirty instances in one stacked
 Borůvka loop.  Its reference is the loop it replaced — ``decode()`` of
@@ -21,7 +22,9 @@ agree at every decode of a random schedule, whether the rounds read
 their levels at once or window by window.
 """
 
+import contextlib
 import pickle
+import sys
 from unittest import mock
 
 import numpy as np
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 from repro.audit.integrity import audit_sketch
 from repro.core._sampled import SampledForestUnion
 from repro.core.params import Params
+from repro.engine import batch as batch_module
 from repro.engine.query import collect_query_metrics
 from repro.errors import SamplerFailedError
 from repro.sketch import reference, spanning_forest
@@ -83,10 +87,48 @@ def direct_target(union, edge):
     return int(hit[0]) if hit.size else None
 
 
+@contextlib.contextmanager
+def row_gate(entries):
+    """Set the kernel's row-threading gate for the block (hypothesis
+    examples cannot use the function-scoped ``monkeypatch``)."""
+    saved = batch_module._THREAD_ENTRIES
+    batch_module._THREAD_ENTRIES = entries
+    try:
+        yield
+    finally:
+        batch_module._THREAD_ENTRIES = saved
+
+
 class TestKernelAgainstScalarRoute:
     @given(schedules())
     @settings(max_examples=60, deadline=None)
     def test_same_bytes_same_bookkeeping(self, schedule):
+        self.check(schedule)
+
+    @given(schedules())
+    @settings(max_examples=20, deadline=None)
+    def test_either_side_of_the_row_gate(self, schedule):
+        """Every batch folded on two threads, then every batch inline:
+        the same bytes and bookkeeping as the scalar route."""
+        for entries in (0, sys.maxsize):
+            with row_gate(entries):
+                self.check(schedule)
+
+    def test_union_batches_reach_the_threaded_fold(self, monkeypatch):
+        seen = []
+        real = batch_module._fold_rows
+
+        def spy(rows, fold, threaded):
+            seen.append(threaded)
+            return real(rows, fold, threaded)
+
+        monkeypatch.setattr(batch_module, "_fold_rows", spy)
+        monkeypatch.setattr(batch_module, "_THREAD_ENTRIES", 0)
+        self.check((2, 2, 7, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                    [("insert", i) for i in range(4)] + [("flap", 1)], [3]))
+        assert seen and all(seen)
+
+    def check(self, schedule):
         r, k, seed, pool, steps, cuts = schedule
         fused = SampledForestUnion(N, k, REPS, r=r, seed=seed, params=PARAMS)
         twin = SampledForestUnion(N, k, REPS, r=r, seed=seed, params=PARAMS)

@@ -1,4 +1,4 @@
-"""The simulated disk: durability tiers, torn tails, and full disks.
+"""The simulated disk: durability tiers, torn tails, full and lost disks.
 
 The three watermarks (written / flushed / synced) are what make the
 WAL durability tests honest — a process crash must lose exactly the
@@ -131,3 +131,14 @@ class TestNamespace:
             fs.open("/d/none", "rb")
         with pytest.raises(FileNotFoundError):
             fs.open("/nodir/f", "wb")
+
+    def test_wipe_loses_the_tree_and_nothing_beside_it(self, fs):
+        fs.makedirs("/d/data/wal", exist_ok=True)
+        fs.makedirs("/d/data2", exist_ok=True)
+        for path in ("/d/data/ckpt", "/d/data/wal/seg", "/d/data2/f"):
+            with fs.open(path, "wb") as fh:
+                fh.write(b"x")
+        fs.wipe("/d/data")
+        assert not fs.exists("/d/data") and not fs.exists("/d/data/wal/seg")
+        assert fs.listdir("/d") == ["data2"]
+        assert fs.getsize("/d/data2/f") == 1

@@ -12,7 +12,10 @@ the harness's contract with a handful of schedules each:
 * a given schedule boots the fleet size it names,
 * a deliberately re-broken ENOSPC path is *caught* and the failing
   schedule *shrinks* to the one ``wal_full`` event that matters —
-  the harness can find the bug class it was built for.
+  the harness can find the bug class it was built for,
+* a replica that loses its disk is restored by anti-entropy's copy
+  stage, and a copy stage that skips the restore is caught and shrunk
+  to the ``disk_loss`` event.
 """
 
 import json
@@ -21,6 +24,7 @@ import pytest
 
 from repro.errors import WALError
 from repro.service import registry as registry_mod
+from repro.service.replication import ReplicaSet
 from repro.service.sim import (
     FaultEvent,
     FaultSchedule,
@@ -258,3 +262,46 @@ class TestRegressionCatching:
             # The minimal schedule is replayable stand-alone.
             replay = FaultSchedule.from_json(minimal.to_json())
             assert not run_one(seed=17, schedule=replay).ok
+
+
+class TestDiskLoss:
+    """A replica killed and restarted on a blank disk: no checkpoint,
+    no WAL.  The other replicas of the majority quorum hold every acked
+    batch, and the copy stage restores the sketch from one of them."""
+
+    def test_generated_at_most_once_and_only_with_peers(self):
+        counts = [
+            [e.kind for e in generate_schedule(seed, replicas=3).events]
+            .count("disk_loss")
+            for seed in range(300)
+        ]
+        assert max(counts) == 1 and sum(counts) > 30
+        for seed in range(300):
+            kinds = {e.kind for e in generate_schedule(seed, replicas=1).events}
+            assert "disk_loss" not in kinds
+
+    def test_lost_disk_is_restored_by_the_copy_stage(self):
+        schedule = FaultSchedule(52, 3, [
+            FaultEvent(at=2.2, kind="disk_loss", replica=0, duration=1.0),
+        ])
+        report = run_one(seed=52, schedule=schedule)
+        assert report.ok, report.violations
+        assert report.restored == 1
+        assert report.events == report.batches_acked * 48
+
+    def test_skipped_restore_is_caught_and_shrunk(self, monkeypatch):
+        real = ReplicaSet._copy_stage
+
+        async def no_restore(self, name, live, missing, report):
+            if not missing:
+                await real(self, name, live, missing, report)
+
+        monkeypatch.setattr(ReplicaSet, "_copy_stage", no_restore)
+        # Seed 82's generated schedule: a kill, a stall and a lost disk.
+        report = run_one(seed=82)
+        assert not report.ok
+        assert any("did not converge" in v for v in report.violations)
+        minimal = shrink_failure(report)
+        assert [e.kind for e in minimal.events] == ["disk_loss"]
+        replay = FaultSchedule.from_json(minimal.to_json())
+        assert not run_one(seed=82, schedule=replay).ok

@@ -130,7 +130,7 @@ class TestBatchPath:
         def per_event(*args):
             raise AssertionError("rank-2 batch took the per-event expansion")
 
-        monkeypatch.setattr(batch, "expand_edge_batch", per_event)
+        monkeypatch.setattr(batch, "expand_edges", per_event)
         batched = SkeletonSketch(9, k=2, seed=4)
         assert batched.update_batch(iter(updates)) == 2 * len(updates)
         assert dump_sketch(batched) == dump_sketch(scalar)

@@ -82,7 +82,6 @@ class TestHash64:
             h = H.hash64_premixed(seeds, H.premix64_np(values)[:, None])
             got = H.field_residue_np(h[:, 0], h[:, 1], p)
             assert got.tolist() == [fam.field_value(v, p) for v in values.tolist()]
-            assert got.tolist() == H.field_value_many(seed, values, p).tolist()
 
 
 class TestTrailingZeros:
